@@ -206,40 +206,6 @@ func BenchmarkFusedEngineB1(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanVsFused contrasts the two fused executors on the same
-// trained multi-task model: the compiled-plan engine (static buffer plan,
-// zero steady-state allocations) against the legacy closure-tree walker
-// (allocates output tensors at every layer). ReportAllocs makes the buffer
-// plan's effect visible directly in the benchmark output.
-func BenchmarkPlanVsFused(b *testing.B) {
-	sc := benchScale()
-	spec, _ := bench.SpecByID("B1")
-	w, err := bench.Build(spec, sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.New(4, 3, sc.ImgSize, sc.ImgSize)
-	tensor.NewRNG(1).FillNormal(x, 0, 1)
-	b.Run("plan", func(b *testing.B) {
-		eng := engine.Compile(w.Teacher)
-		eng.Forward(x) // bind buffers outside the measurement
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.Forward(x)
-		}
-	})
-	b.Run("closures", func(b *testing.B) {
-		eng := engine.CompileClosures(w.Teacher)
-		eng.Forward(x)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.Forward(x)
-		}
-	})
-}
-
 func benchmarkMatMulSize(b *testing.B, n int) {
 	rng := tensor.NewRNG(1)
 	x := tensor.New(n, n)
@@ -400,8 +366,8 @@ func transformerBenchGraph(b *testing.B, family string) (*graph.Graph, *tensor.T
 
 // BenchmarkPlanTransformerVsEager contrasts the compiled-plan executor's
 // fused transformer ops (packed QKV GEMM, tiled flash-style attention,
-// LayerNorm+residual epilogues, static buffer plan) against the closure-tree
-// walker, which runs each layer's eager Forward — three separate Q/K/V
+// LayerNorm+residual epilogues, static buffer plan) against the eager
+// Reference engine, which runs each layer's Forward — three separate Q/K/V
 // GEMMs and a fully materialized S×S score matrix per head, with fresh
 // output tensors at every layer. Paper-width profiles so the fusions act on
 // real GEMM shapes (BENCH_PR6.json records the comparison).
@@ -418,7 +384,7 @@ func BenchmarkPlanTransformerVsEager(b *testing.B) {
 			}
 		})
 		b.Run(family+"/eager", func(b *testing.B) {
-			eng := engine.CompileClosures(g)
+			eng := engine.NewReference(g)
 			eng.Forward(x)
 			b.ReportAllocs()
 			b.ResetTimer()

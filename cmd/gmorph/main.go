@@ -124,7 +124,7 @@ func main() {
 	workerAddr := flag.String("worker", "", "serve as a stateless evaluation worker on this address (e.g. :7070) instead of searching")
 	workerSlots := flag.Int("worker-slots", 1, "evaluation concurrency in -worker mode")
 	workersCSV := flag.String("workers", "", "comma-separated worker addresses for a distributed search")
-	batch := flag.Int("batch", 0, "candidates sampled per round in the batched optimizer (0 = serial optimizer unless -workers is set)")
+	batch := flag.Int("batch", 0, "candidates sampled per search round (0 = 1, the paper's Algorithm 1, or 4 when -workers is set)")
 	memoPath := flag.String("memo", "", "persist the search memo (outcomes, weights, latencies) to this JSON file")
 	predictFlag := flag.Bool("predict", false, "enable the learned pre-ranker (skips candidates predicted to violate the accuracy budget)")
 	predictMargin := flag.Float64("predict-margin", 0, "pre-ranker skip threshold (default 0.02)")

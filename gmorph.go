@@ -222,10 +222,11 @@ type Config struct {
 	// fine-tune/measure jobs across the workers (see NewSearchWorker). The
 	// result is bit-identical to a local search with the same Seed.
 	Workers []string
-	// SearchBatch is the number of candidates sampled per round in the
-	// parallel/distributed optimizer (default 4). Setting it (or Workers)
-	// selects the batched optimizer; the search trajectory depends on
-	// SearchBatch but not on worker count.
+	// SearchBatch is the number of candidates sampled per search round;
+	// elites, filter history and the sampling policy update between rounds.
+	// 1 is the paper's Algorithm 1. Unset means 1 for a local search and 4
+	// when Workers is set. The search trajectory depends on Seed and
+	// SearchBatch, never on the number of workers.
 	SearchBatch int
 	// MemoPath persists the search memo (candidate outcomes, trained
 	// weights, machine-keyed latency measurements) to a JSON file: a
@@ -295,6 +296,7 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 
 	coreCfg := core.Config{
 		Rounds:           cfg.Rounds,
+		BatchSize:        cfg.SearchBatch,
 		MaxPairsPerPass:  cfg.MaxPairsPerPass,
 		Seed:             cfg.Seed,
 		TimeBudget:       cfg.TimeBudget,
@@ -336,26 +338,19 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 		coreCfg.Preranker = pred
 	}
 
-	var res *core.Result
-	if len(cfg.Workers) > 0 || cfg.SearchBatch > 0 {
-		pcfg := core.ParallelConfig{Config: coreCfg, BatchSize: cfg.SearchBatch}
-		if len(cfg.Workers) > 0 {
-			sum, err := parser.Sum(teachers)
-			if err != nil {
-				return nil, fmt.Errorf("gmorph: checksumming world: %w", err)
-			}
-			pool, err := coord.NewPool(cfg.Workers, sum)
-			if err != nil {
-				return nil, err
-			}
-			pcfg.Evaluator = pool
+	if len(cfg.Workers) > 0 {
+		sum, err := parser.Sum(teachers)
+		if err != nil {
+			return nil, fmt.Errorf("gmorph: checksumming world: %w", err)
 		}
-		res = core.NewParallelOptimizer(teachers, ds, setup.targets, setup.outs,
-			ds.Train.X, setup.accOpts, pcfg).Run()
-	} else {
-		acc := estimator.NewAccuracyEstimator(ds, setup.targets, setup.outs, ds.Train.X, setup.accOpts)
-		res = core.NewOptimizer(teachers, acc, coreCfg).Run()
+		pool, err := coord.NewPool(cfg.Workers, sum)
+		if err != nil {
+			return nil, err
+		}
+		coreCfg.Evaluator = pool
 	}
+	res := core.NewOptimizer(teachers, ds, setup.targets, setup.outs,
+		ds.Train.X, setup.accOpts, coreCfg).Run()
 
 	if memo != nil {
 		if err := memo.Save(); err != nil {

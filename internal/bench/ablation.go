@@ -25,43 +25,24 @@ type AblationPoint struct {
 // pairs one mutation pass applies) on B1: more pairs per pass explores more
 // aggressive mutations per round at the cost of lower acceptance.
 func RunAblationPairsPerPass(sc Scale, drop float64, values []int) ([]AblationPoint, error) {
-	spec, err := SpecByID("B1")
-	if err != nil {
-		return nil, err
-	}
-	w, err := Build(spec, sc)
-	if err != nil {
-		return nil, err
-	}
-	origLat := estimator.Latency(w.Teacher, latOpts)
-	var out []AblationPoint
-	for _, v := range values {
-		acc := estimator.NewAccuracyEstimator(w.Dataset, w.Targets(drop), w.Outputs, w.Dataset.Train.X, w.accOptions(VariantPlain))
-		opt := core.NewOptimizer(w.Teacher, acc, core.Config{
-			Rounds:          sc.Rounds,
-			MaxPairsPerPass: v,
-			Seed:            sc.Seed ^ uint64(v),
-			Latency:         latOpts,
-		})
-		res := opt.Run()
-		p := AblationPoint{
-			Setting:       fmt.Sprintf("pairs=%d", v),
-			SearchSeconds: res.SearchTime.Seconds(),
-			Elites:        len(res.Elites),
-			Speedup:       1,
-		}
-		if res.Best != nil {
-			p.Found = true
-			p.Speedup = float64(origLat) / float64(res.Best.Latency)
-		}
-		out = append(out, p)
-	}
-	return out, nil
+	return runAblation(sc, drop, values, "pairs", func(v int) core.Config {
+		return core.Config{MaxPairsPerPass: v, Seed: sc.Seed ^ uint64(v)}
+	})
 }
 
 // RunAblationEliteCapacity sweeps N_i, the elite list capacity of the SA
 // policy (paper default 16).
 func RunAblationEliteCapacity(sc Scale, drop float64, values []int) ([]AblationPoint, error) {
+	return runAblation(sc, drop, values, "elites", func(v int) core.Config {
+		pol := core.NewSAPolicy()
+		pol.MaxElites = v
+		return core.Config{Policy: pol, Seed: sc.Seed ^ uint64(0xE11+v)}
+	})
+}
+
+// runAblation searches B1 once per value of the swept knob; cfg turns a
+// value into the search configuration that differs from the default.
+func runAblation(sc Scale, drop float64, values []int, knob string, cfg func(v int) core.Config) ([]AblationPoint, error) {
 	spec, err := SpecByID("B1")
 	if err != nil {
 		return nil, err
@@ -73,18 +54,11 @@ func RunAblationEliteCapacity(sc Scale, drop float64, values []int) ([]AblationP
 	origLat := estimator.Latency(w.Teacher, latOpts)
 	var out []AblationPoint
 	for _, v := range values {
-		acc := estimator.NewAccuracyEstimator(w.Dataset, w.Targets(drop), w.Outputs, w.Dataset.Train.X, w.accOptions(VariantPlain))
-		pol := core.NewSAPolicy()
-		pol.MaxElites = v
-		opt := core.NewOptimizer(w.Teacher, acc, core.Config{
-			Rounds:  sc.Rounds,
-			Policy:  pol,
-			Seed:    sc.Seed ^ uint64(0xE11+v),
-			Latency: latOpts,
-		})
-		res := opt.Run()
+		c := cfg(v)
+		c.Rounds = sc.Rounds
+		res := w.search(drop, VariantPlain, c)
 		p := AblationPoint{
-			Setting:       fmt.Sprintf("elites=%d", v),
+			Setting:       fmt.Sprintf("%s=%d", knob, v),
 			SearchSeconds: res.SearchTime.Seconds(),
 			Elites:        len(res.Elites),
 			Speedup:       1,

@@ -43,20 +43,21 @@ func (w *Workload) accOptions(variant string) estimator.AccuracyOptions {
 // drop threshold and variant, returning the core result plus the original
 // graph's measured latency.
 func (w *Workload) Search(drop float64, variant string, rounds int, seed uint64) (*core.Result, time.Duration) {
-	acc := estimator.NewAccuracyEstimator(w.Dataset, w.Targets(drop), w.Outputs, w.Dataset.Train.X, w.accOptions(variant))
 	var policy core.Policy = core.NewSAPolicy()
 	if variant == VariantRandom {
 		policy = core.RandomPolicy{}
 	}
-	opt := core.NewOptimizer(w.Teacher, acc, core.Config{
-		Rounds:  rounds,
-		Policy:  policy,
-		Seed:    seed,
-		Latency: latOpts,
-	})
-	res := opt.Run()
+	res := w.search(drop, variant, core.Config{Rounds: rounds, Policy: policy, Seed: seed})
 	orig := estimator.Latency(w.Teacher, latOpts)
 	return res, orig
+}
+
+// search runs the optimizer (Algorithm 1: one candidate per round, one
+// in-process evaluator slot) under the experiments' latency settings.
+func (w *Workload) search(drop float64, variant string, cfg core.Config) *core.Result {
+	cfg.Latency = latOpts
+	return core.NewOptimizer(w.Teacher, w.Dataset, w.Targets(drop), w.Outputs,
+		w.Dataset.Train.X, w.accOptions(variant), cfg).Run()
 }
 
 // --- Figure 1 ---------------------------------------------------------------

@@ -6,6 +6,11 @@
 // set of input-shareable node pairs, fine-tunes the result with
 // distillation (subject to predictive filtering), and keeps candidates that
 // meet the task-accuracy targets as elites for later exploitation.
+//
+// There is one loop (Optimizer.Run). It samples Config.BatchSize candidates
+// per round and evaluates them through a BatchEvaluator; Algorithm 1 is the
+// batch of one, and parallel or distributed search is the same loop with a
+// larger batch and more evaluator slots.
 package core
 
 import (
@@ -14,9 +19,7 @@ import (
 	"time"
 
 	"repro/internal/estimator"
-	"repro/internal/fingerprint"
 	"repro/internal/graph"
-	"repro/internal/mutation"
 	"repro/internal/search/explain"
 	"repro/internal/tensor"
 )
@@ -126,8 +129,26 @@ const (
 
 // Config parameterizes the optimization loop.
 type Config struct {
-	// Rounds is N, the number of mutation iterations (paper: 200).
+	// Rounds is N, the candidate budget (paper: 200): Rounds/BatchSize
+	// algorithmic rounds of BatchSize candidates each, at least one.
 	Rounds int
+	// BatchSize is the number of candidates sampled per algorithmic round;
+	// elites, filter history, the memo and the policy merge between rounds.
+	// 1 is the paper's Algorithm 1; larger batches are the parallel
+	// simulated annealing sketched in its Discussion (Section 7). Unset
+	// means 1, or 4 when Evaluator is set. It is independent of Workers, so
+	// the trajectory is a function of Seed and BatchSize only.
+	BatchSize int
+	// Workers is the number of in-process evaluation slots (default 2,
+	// never more than BatchSize). It only controls concurrency: for a fixed
+	// Seed and BatchSize the Result is the same for any value (see the
+	// determinism test). Ignored when Evaluator is set.
+	Workers int
+	// Evaluator evaluates each round's candidate batch. Nil means a
+	// LocalEvaluator with Workers slots; a coord.Pool fans the batch out
+	// across worker processes. Fine-tune seeds are a pure function of
+	// fingerprints, so any evaluator produces the same outcomes.
+	Evaluator BatchEvaluator
 	// MaxPairsPerPass bounds how many node pairs one mutation pass applies
 	// (1-2 in the paper's examples; default 2).
 	MaxPairsPerPass int
@@ -149,7 +170,7 @@ type Config struct {
 	// (see SaveState/LoadState).
 	InitialElites []*Elite
 	// StartIteration offsets the temperature schedule when resuming; the
-	// first executed round is StartIteration+1.
+	// first sampled candidate is iteration StartIteration+1.
 	StartIteration int
 	// DisableMemo turns off the fingerprint-keyed candidate and latency
 	// caches, forcing every sampled duplicate to be re-distilled and
@@ -178,6 +199,18 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Policy == nil {
 		c.Policy = NewSAPolicy()
+	}
+	if c.BatchSize <= 0 {
+		c.BatchSize = 1
+		if c.Evaluator != nil {
+			c.BatchSize = 4
+		}
+	}
+	if c.Workers <= 0 {
+		c.Workers = 2
+	}
+	if c.Workers > c.BatchSize {
+		c.Workers = c.BatchSize
 	}
 	return c
 }
@@ -236,252 +269,6 @@ type Result struct {
 	// Decisions records one explain.Decision per candidate: which rule
 	// fired, what the predictor guessed, what measurement said.
 	Decisions []explain.Decision
-}
-
-// Optimizer runs graph mutation optimization (Algorithm 1).
-type Optimizer struct {
-	cfg      Config
-	acc      *estimator.AccuracyEstimator
-	original *graph.Graph
-}
-
-// NewOptimizer builds an optimizer over the original multi-DNN graph. The
-// accuracy estimator owns the dataset, teacher outputs, and filtering
-// configuration.
-func NewOptimizer(original *graph.Graph, acc *estimator.AccuracyEstimator, cfg Config) *Optimizer {
-	return &Optimizer{cfg: cfg.withDefaults(), acc: acc, original: original}
-}
-
-// Run executes the optimization loop and returns the best model found.
-func (o *Optimizer) Run() *Result {
-	cfg := o.cfg
-	rng := tensor.NewRNG(cfg.Seed)
-	mut := mutation.NewMutator(rng.Split())
-	res := &Result{}
-	if len(cfg.InitialElites) > 0 {
-		res.Elites = append(res.Elites, cfg.InitialElites...)
-		for _, e := range res.Elites {
-			if res.Best == nil || o.better(e, res.Best) {
-				res.Best = e
-			}
-		}
-	}
-	start := time.Now()
-	maxElites := 16
-	if sa, ok := cfg.Policy.(*SAPolicy); ok {
-		maxElites = sa.MaxElites
-	}
-	// The original multi-DNN graph is the incumbent: a candidate only
-	// becomes Best if it beats the original's cost, so the search never
-	// recommends a model slower than what the user already has.
-	o.original.RefreshCapacities()
-	incumbent := &Elite{
-		Graph:   o.original,
-		Latency: estimator.Latency(o.original, cfg.Latency),
-		FLOPs:   estimator.FLOPs(o.original),
-	}
-	origParams := o.original.Capacity().Total
-	memo := newSearchCache(!cfg.DisableMemo, cfg.Memo)
-	// The estimator may be shared across Run calls; snapshot its counters so
-	// Result.Stats reports this run's work only.
-	skip0, term0, ft0, ep0 := o.acc.SkippedByRule, o.acc.EarlyTerminated, o.acc.FineTuned, o.acc.TotalEpochs
-	ws0, wf0 := o.acc.WarmStarted, o.acc.WarmFallbacks
-
-	// addElite appends a target-meeting candidate, trims the list to the
-	// policy capacity, and advances Best past the incumbent guard.
-	addElite := func(el *Elite) {
-		res.Elites = append(res.Elites, el)
-		if len(res.Elites) > maxElites {
-			res.Elites = res.Elites[1:]
-		}
-		if (res.Best == nil && o.better(el, incumbent)) ||
-			(res.Best != nil && o.better(el, res.Best)) {
-			res.Best = el
-		}
-	}
-
-	for iter := cfg.StartIteration + 1; iter <= cfg.StartIteration+cfg.Rounds; iter++ {
-		if cfg.TimeBudget > 0 && time.Since(start) > cfg.TimeBudget {
-			break
-		}
-		// Step 1: sample a base graph and a set of node pairs; mutate.
-		base := cfg.Policy.PickBase(o.original, res.Elites, rng)
-		fromElite := base != o.original
-		pairs := base.ShareablePairs()
-		if len(pairs) == 0 {
-			break
-		}
-		k := 1 + rng.Intn(cfg.MaxPairsPerPass)
-		chosen := make([]graph.Pair, 0, k)
-		for i := 0; i < k; i++ {
-			chosen = append(chosen, pairs[rng.Intn(len(pairs))])
-		}
-		mres, err := mut.Apply(base, chosen)
-		if err != nil {
-			cfg.Policy.Observe(iter, 1, false, len(res.Elites))
-			continue
-		}
-		cand := mres.Graph
-
-		// Step 2: evaluate the candidate. The rule filter decides first —
-		// same order as an uncached search — then the fingerprint memo is
-		// consulted, then the learned pre-ranker, and only a candidate that
-		// clears all three pays for fine-tuning.
-		res.Evaluated++
-		cand.RefreshCapacities()
-		profile := cand.Capacity()
-		tr := Trace{Iteration: iter, FromElite: fromElite}
-		dec := explain.Decision{
-			Iteration: iter, FromElite: fromElite, Mutation: describePairs(chosen),
-		}
-		drop := 1.0
-		met := false
-		switch {
-		case o.acc.SkipByRule(profile):
-			tr.Skipped = true
-			dec.Outcome, dec.Rule = explain.OutcomeSkipped, explain.RuleCapacity
-
-		default:
-			fp := fingerprint.Hash(cand)
-			dec.Fingerprint = fpKey(fp)
-			if entry := memo.lookup(fp, &res.Stats); entry != nil {
-				// Replay the memoized outcome: round bookkeeping, filter
-				// history, and (for a met candidate) the trained weights all
-				// reproduce the original evaluation without re-distilling.
-				tr.CacheHit = true
-				tr.Met, tr.Terminated = entry.Met, entry.Terminated
-				tr.EpochsRun, tr.FineTuneTime = entry.EpochsRun, entry.TrainTime
-				tr.WarmStarted = entry.WarmStarted
-				met = entry.Met
-				dec.CacheHit, dec.Rule = true, explain.RuleMemo
-				dec.EpochsRun, dec.Warm = entry.EpochsRun, entry.WarmStarted
-				if entry.Met {
-					g := replayGraph(cand, entry)
-					lat := memo.latency(fp, &res.Stats, func() time.Duration {
-						return estimator.Latency(g, cfg.Latency)
-					})
-					acc := copyAccuracy(entry.Accuracy)
-					el := &Elite{
-						Graph: g, Latency: lat, FLOPs: entry.FLOPs, Accuracy: acc,
-						FromElite: fromElite, FineTuneTime: entry.TrainTime, Iteration: iter,
-					}
-					addElite(el)
-					tr.Latency = lat
-					if drop = -o.acc.Eval.MinMargin(acc); drop < 0 {
-						drop = 0
-					}
-					dec.Outcome = explain.OutcomeAccepted
-					dec.Measured = &explain.Scores{Margin: entry.Margin, LatencyNS: float64(lat)}
-					dec.Accuracy = copyAccuracy(entry.Accuracy)
-					dec.Elite, dec.Best = true, res.Best == el
-				} else {
-					o.acc.RecordFailure(profile)
-					dec.Outcome = explain.OutcomeRejected
-					dec.Measured = &explain.Scores{Margin: entry.Margin}
-				}
-			} else {
-				feats := Features(cand, profile, incumbent.FLOPs, origParams)
-				var sc PrerankScore
-				if cfg.Preranker != nil {
-					sc = cfg.Preranker.Assess(feats)
-					if sc.Trained {
-						dec.Predicted = &explain.Scores{Margin: sc.Margin, LatencyNS: sc.LatencyNS}
-					}
-				}
-				if sc.Skip {
-					// The pre-ranker predicts the accuracy budget is violated
-					// by more than the margin: reject without fine-tuning. The
-					// candidate is not memoized, so forced exploration (or a
-					// retrained model) can still measure the structure later.
-					res.Stats.PredictorSkipped++
-					tr.PredictorSkipped = true
-					dec.Outcome, dec.Rule = explain.OutcomeSkipped, explain.RulePredictor
-					if drop = -sc.Margin; drop < 0 {
-						drop = 0
-					}
-				} else {
-					if sc.Forced {
-						res.Stats.PredictorForced++
-						dec.Forced = true
-					}
-					warm := fromElite && !cfg.DisableWarmStart
-					out := o.acc.FineTuneCandidate(cand, profile, memoSeed(cfg.Seed, fp), warm)
-					met = out.Met
-					entry := &MemoEntry{Met: out.Met, Margin: -1, Features: feats}
-					if rep := out.Report; rep != nil {
-						tr.Met, tr.Terminated = rep.Met, rep.Terminated
-						tr.FineTuneTime, tr.EpochsRun = rep.TrainTime, rep.EpochsRun
-						tr.WarmStarted = rep.WarmStarted
-						entry.Terminated, entry.EpochsRun = rep.Terminated, rep.EpochsRun
-						entry.TrainTime = rep.TrainTime
-						entry.WarmStarted, entry.WarmFellBack = rep.WarmStarted, rep.WarmFellBack
-						if len(rep.Final) > 0 {
-							entry.Margin = o.acc.Eval.MinMargin(rep.Final)
-						}
-					}
-					latNS := -1.0
-					if out.Met {
-						entry.Trained = cand
-						entry.FLOPs = estimator.FLOPs(cand)
-						entry.Accuracy = copyAccuracy(out.Report.Final)
-						lat := memo.latency(fp, &res.Stats, func() time.Duration {
-							return estimator.Latency(cand, cfg.Latency)
-						})
-						latNS = float64(lat)
-						el := &Elite{
-							Graph: cand, Latency: lat, FLOPs: entry.FLOPs, Accuracy: out.Report.Final,
-							FromElite: fromElite, FineTuneTime: out.Report.TrainTime, Iteration: iter,
-						}
-						addElite(el)
-						tr.Latency = lat
-						if drop = -o.acc.Eval.MinMargin(out.Report.Final); drop < 0 {
-							drop = 0
-						}
-						dec.Outcome, dec.Rule = explain.OutcomeAccepted, explain.RuleAccuracyMet
-						dec.Accuracy = copyAccuracy(out.Report.Final)
-						dec.Elite, dec.Best = true, res.Best == el
-					} else {
-						dec.Outcome, dec.Rule = explain.OutcomeRejected, explain.RuleAccuracyBudget
-					}
-					dec.Measured = &explain.Scores{Margin: entry.Margin}
-					if latNS > 0 {
-						dec.Measured.LatencyNS = latNS
-					}
-					dec.EpochsRun, dec.Warm = tr.EpochsRun, tr.WarmStarted
-					memo.insert(fp, entry)
-					if cfg.Preranker != nil {
-						cfg.Preranker.Observe(feats, latNS, entry.Margin)
-					}
-				}
-			}
-		}
-		if res.Best != nil {
-			tr.BestLatency = res.Best.Latency
-		}
-		tr.Elapsed = time.Since(start)
-		res.Traces = append(res.Traces, tr)
-		res.Decisions = append(res.Decisions, dec)
-		if cfg.OnRound != nil {
-			cfg.OnRound(tr)
-		}
-		cfg.Policy.Observe(iter, drop, met, len(res.Elites))
-	}
-	res.Stats.SkippedByRule = o.acc.SkippedByRule - skip0
-	res.Stats.EarlyTerminated = o.acc.EarlyTerminated - term0
-	res.Stats.FineTuned = o.acc.FineTuned - ft0
-	res.Stats.TotalEpochs = o.acc.TotalEpochs - ep0
-	res.Stats.WarmStarted = o.acc.WarmStarted - ws0
-	res.Stats.WarmFallbacks = o.acc.WarmFallbacks - wf0
-	res.SearchTime = time.Since(start)
-	return res
-}
-
-// better compares candidates under the configured metric.
-func (o *Optimizer) better(a, b *Elite) bool {
-	if o.cfg.Metric == OptimizeFLOPs {
-		return a.FLOPs < b.FLOPs
-	}
-	return a.Latency < b.Latency
 }
 
 // describePairs renders the share-point pairs one mutation pass merged, for

@@ -6,50 +6,40 @@ import (
 	"repro/internal/core"
 	"repro/internal/distill"
 	"repro/internal/estimator"
-	"repro/internal/testutil"
 )
 
-// TestParallelOptimizerDeterministicAcrossWorkers guards the worker-pool
-// refactor: the parallel search must visit the same candidate sequence and
-// produce the same Result for any Workers setting, because Workers only
-// controls evaluation concurrency while sampling, filtering, and merging
-// run serially. A regression here means some search state leaked into the
-// parallel phase (or a tensor kernel became chunking-dependent).
+// ruleFilter6 is the determinism and persistence tests' estimator setup: a
+// short budget with the rule filter on.
+var ruleFilter6 = estimator.AccuracyOptions{
+	FineTune:      distill.Config{LR: 0.003, Epochs: 6, Batch: 16, EvalEvery: 2},
+	UseRuleFilter: true,
+}
+
+// TestOptimizerDeterministicAcrossWorkers guards the worker-pool refactor:
+// the search must visit the same candidate sequence and produce the same
+// Result for any Workers setting, because Workers only controls evaluation
+// concurrency while sampling, filtering, and merging run serially. A
+// regression here means some search state leaked into the parallel phase
+// (or a tensor kernel became chunking-dependent).
 //
 // Workers=2 with BatchSize=4 is the load-bearing case for -race: it is the
 // only configuration here where an estimator slot is reused while other
 // evaluations are still in flight, so a slot-sharing bug (two goroutines on
 // one estimator) shows up in this test and in neither the Workers=1 nor the
 // Workers=4==BatchSize runs.
-func TestParallelOptimizerDeterministicAcrossWorkers(t *testing.T) {
+func TestOptimizerDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) *core.Result {
-		ds := testutil.TinyFace(141, 64, 32)
-		teacher := testutil.TinyMultiDNN(142, ds)
-		teach := testutil.PretrainTeachers(teacher, ds, 6, 0.004, 143)
-		outs := distill.ComputeTeacherOutputs(teacher, ds.Train.X, 32)
-		targets := map[int]float64{}
-		for id, a := range teach {
-			targets[id] = a - 0.15
-		}
-		accOpts := estimator.AccuracyOptions{
-			FineTune:      distill.Config{LR: 0.003, Epochs: 6, Batch: 16, EvalEvery: 2},
-			UseRuleFilter: true,
-		}
-		opt := core.NewParallelOptimizer(teacher, ds, targets, outs, ds.Train.X, accOpts,
-			core.ParallelConfig{
-				Config: core.Config{
-					// MaxPairsPerPass 1 keeps the candidate space small enough
-					// that the fixed-seed search re-samples structures, so the
-					// memo cache participates in the determinism contract.
-					Rounds:          16,
-					MaxPairsPerPass: 1,
-					Seed:            7,
-					Latency:         estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 2},
-				},
-				Workers:   workers,
-				BatchSize: 4,
-			})
-		return opt.Run()
+		return newWorld(141, 64, 32, 6, 0.15, ruleFilter6).search(core.Config{
+			// MaxPairsPerPass 1 keeps the candidate space small enough
+			// that the fixed-seed search re-samples structures, so the
+			// memo cache participates in the determinism contract.
+			Rounds:          16,
+			MaxPairsPerPass: 1,
+			Seed:            7,
+			Latency:         estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 2},
+			Workers:         workers,
+			BatchSize:       4,
+		})
 	}
 
 	serial := run(1)
@@ -62,8 +52,8 @@ func TestParallelOptimizerDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// compareResults asserts a parallel run matches the Workers=1 reference in
-// every search-determined field.
+// compareResults asserts a run with several evaluator slots matches the
+// one-slot reference in every search-determined field.
 func compareResults(t *testing.T, workers int, serial, parallel *core.Result) {
 	t.Helper()
 	if serial.Evaluated != parallel.Evaluated {

@@ -6,12 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/fingerprint"
 	"repro/internal/parser"
 	"repro/internal/tensor"
@@ -186,7 +186,8 @@ func (m *DiskMemo) Len() int {
 // another process wrote since load are kept (on-disk wins on conflicts —
 // outcomes are a pure function of the fingerprint, so either copy is
 // valid), and other machines' latency sections survive untouched. The write
-// is atomic via a temp-file rename. No-op when nothing changed.
+// is atomic (internal/atomicfile); the read-merge-write cycle as a whole is
+// only serialized within this DiskMemo. No-op when nothing changed.
 func (m *DiskMemo) Save() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -229,20 +230,7 @@ func (m *DiskMemo) Save() error {
 			sec[key] = int64(d)
 		}
 	}
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	if dir := filepath.Dir(m.path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("memo: save %s: %w", m.path, err)
-		}
-	}
-	tmp := m.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("memo: save %s: %w", m.path, err)
-	}
-	if err := os.Rename(tmp, m.path); err != nil {
+	if err := atomicfile.WriteJSON(m.path, f); err != nil {
 		return fmt.Errorf("memo: save %s: %w", m.path, err)
 	}
 	m.dirty = false

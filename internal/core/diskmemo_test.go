@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -125,6 +126,71 @@ func TestDiskMemoMergePreservesConcurrentWrites(t *testing.T) {
 	if e := merged.Lookup(3); e == nil || e.EpochsRun != 7 {
 		t.Fatal("second writer's entry lost in merge")
 	}
+}
+
+// TestDiskMemoConcurrentSavers runs eight savers of one memo file at once
+// (under -race in CI). Savers sharing a DiskMemo are serialized by its lock
+// and leave the union on disk. Savers with a DiskMemo each — what a second
+// process looks like — are not ordered against one another (file locking is
+// ROADMAP item 6), but each writes through its own temp file: every Save
+// succeeds, the file is always a complete memo, and no temp file survives.
+func TestDiskMemoConcurrentSavers(t *testing.T) {
+	const savers = 8
+	save := func(t *testing.T, path string, memo func() *DiskMemo) *DiskMemo {
+		var wg sync.WaitGroup
+		for i := 0; i < savers; i++ {
+			wg.Add(1)
+			go func(m *DiskMemo, fp uint64) {
+				defer wg.Done()
+				m.Insert(fp, &MemoEntry{Met: true, EpochsRun: int(fp), Margin: 0.1})
+				m.SetLatency(fp, time.Duration(fp)*time.Microsecond)
+				if err := m.Save(); err != nil {
+					t.Errorf("saver %d: %v", fp, err)
+				}
+			}(memo(), uint64(i+1))
+		}
+		wg.Wait()
+		ents, err := os.ReadDir(filepath.Dir(path))
+		if err != nil || len(ents) != 1 || ents[0].Name() != filepath.Base(path) {
+			t.Fatalf("directory holds %v (%v), want only the memo file", ents, err)
+		}
+		re, err := NewDiskMemo(path)
+		if err != nil {
+			t.Fatalf("memo not loadable after concurrent saves: %v", err)
+		}
+		return re
+	}
+	open := func(t *testing.T, path string) *DiskMemo {
+		m, err := NewDiskMemo(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	t.Run("one memo", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "memo.json")
+		shared := open(t, path)
+		re := save(t, path, func() *DiskMemo { return shared })
+		for fp := uint64(1); fp <= savers; fp++ {
+			e := re.Lookup(fp)
+			if d, ok := re.Latency(fp); e == nil || e.EpochsRun != int(fp) || !ok || d != time.Duration(fp)*time.Microsecond {
+				t.Fatalf("saver %d's entry missing from the union: %+v, latency %v %v", fp, e, d, ok)
+			}
+		}
+	})
+	t.Run("a memo each", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "memo.json")
+		re := save(t, path, func() *DiskMemo { return open(t, path) })
+		if n := re.Len(); n < 1 || n > savers {
+			t.Fatalf("file holds %d entries, want 1..%d", n, savers)
+		}
+		re.Range(func(fp uint64, e *MemoEntry) {
+			if fp < 1 || fp > savers || e.EpochsRun != int(fp) {
+				t.Errorf("entry %d is not one a saver wrote: %+v", fp, e)
+			}
+		})
+	})
 }
 
 // TestDiskMemoLatencyIsMachineKeyed pins the satellite requirement: the

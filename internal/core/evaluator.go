@@ -17,9 +17,6 @@ import (
 type EvalJob struct {
 	// Cand is the candidate graph (mutated, untrained).
 	Cand *graph.Graph
-	// Profile is the candidate's capacity profile; evaluators recompute it
-	// when zero (remote workers always do, after decoding the graph).
-	Profile graph.CapacityProfile
 	// Seed drives fine-tuning.
 	Seed uint64
 	// Warm shrinks the epoch budget (candidate inherited elite weights).
@@ -44,8 +41,8 @@ type EvalOutcome struct {
 }
 
 // BatchEvaluator evaluates a batch of candidates, returning outcomes in job
-// order. The parallel optimizer calls it between its serial sample and
-// merge phases; internal/search/coord provides the distributed
+// order. The optimizer calls it between its serial sample and merge
+// phases; internal/search/coord provides the distributed
 // implementation over HTTP workers.
 type BatchEvaluator interface {
 	EvaluateBatch(jobs []EvalJob) []EvalOutcome
@@ -55,7 +52,7 @@ type BatchEvaluator interface {
 // slots over shared immutable inputs (dataset, teacher outputs). A
 // goroutine owns a slot exclusively from acquire to release, so two
 // in-flight evaluations can never share an estimator (FineTuneCandidate
-// mutates its counters and embedded evaluator). The slot channel is owned
+// drives its embedded evaluator). The slot channel is owned
 // by the evaluator, not the batch, so concurrent EvaluateBatch calls (the
 // worker server handles HTTP requests independently) still respect the
 // global slot bound.
@@ -65,14 +62,13 @@ type LocalEvaluator struct {
 }
 
 // NewLocalEvaluator builds an evaluator with the given number of slots.
-// Rule filtering is forced off in the slots: skip decisions belong to the
+// The slots never consult the rule filter: skip decisions belong to the
 // optimizer's serial phase (or to the coordinator, in a distributed run).
 func NewLocalEvaluator(ds *data.Dataset, targets map[int]float64, outs distill.TeacherOutputs,
 	trainX *tensor.Tensor, accOpts estimator.AccuracyOptions, slots int) *LocalEvaluator {
 	if slots <= 0 {
 		slots = 1
 	}
-	accOpts.UseRuleFilter = false
 	l := &LocalEvaluator{slots: make(chan *estimator.AccuracyEstimator, slots), n: slots}
 	for i := 0; i < slots; i++ {
 		l.slots <- estimator.NewAccuracyEstimator(ds, targets, outs, trainX, accOpts)
@@ -95,14 +91,9 @@ func (l *LocalEvaluator) EvaluateBatch(jobs []EvalJob) []EvalOutcome {
 		go func(ji int, est *estimator.AccuracyEstimator) {
 			defer func() { l.slots <- est; wg.Done() }()
 			j := jobs[ji]
-			profile := j.Profile
-			if profile.Total == 0 {
-				j.Cand.RefreshCapacities()
-				profile = j.Cand.Capacity()
-			}
-			out := est.FineTuneCandidate(j.Cand, profile, j.Seed, j.Warm)
-			outs[ji] = EvalOutcome{Met: out.Met, Report: out.Report}
-			if out.Met {
+			rep := est.FineTuneCandidate(j.Cand, j.Seed, j.Warm)
+			outs[ji] = EvalOutcome{Met: rep.Met, Report: rep}
+			if rep.Met {
 				outs[ji].Trained = j.Cand
 			}
 		}(ji, est)

@@ -8,10 +8,9 @@ import (
 )
 
 // SearchStats aggregates the search-time filtering, memoization, and
-// warm-start counters of one optimization run. The serial optimizer fills it
-// from its single estimator; the parallel optimizer derives the same counters
-// from evaluation reports at merge time, so the totals are identical for any
-// Workers value.
+// warm-start counters of one optimization run. The optimizer counts in its
+// serial phases — filters at sampling time, evaluation reports at merge
+// time — so the totals are identical for any Workers value.
 type SearchStats struct {
 	// CacheHits / CacheMisses count candidate-outcome cache consultations
 	// (duplicate candidates scored without re-distilling vs. fresh
@@ -27,7 +26,7 @@ type SearchStats struct {
 	// regressed and fell back to the full budget.
 	WarmStarted   int `json:"warm_started"`
 	WarmFallbacks int `json:"warm_fallbacks"`
-	// Filtering effectiveness (the estimator counters, aggregated).
+	// Filtering effectiveness.
 	SkippedByRule   int `json:"skipped_by_rule"`
 	EarlyTerminated int `json:"early_terminated"`
 	FineTuned       int `json:"fine_tuned"`
@@ -75,7 +74,7 @@ type MemoEntry struct {
 // search memo: the in-process MemoryMemo, or DiskMemo when several worker
 // processes (or successive runs) must converge on one shared corpus.
 //
-// The optimizers call every method from their serial sample/merge phases
+// The optimizer calls every method from its serial sample/merge phases
 // only, which is what keeps the search deterministic in the seed regardless
 // of evaluation concurrency; implementations therefore do not need to
 // support concurrent mutation from the search itself (DiskMemo locks anyway
@@ -153,7 +152,7 @@ func (m *MemoryMemo) Range(fn func(fp uint64, e *MemoEntry)) {
 // Len implements MemoStore.
 func (m *MemoryMemo) Len() int { return len(m.entries) }
 
-// searchCache adapts a MemoStore to the optimizers: it owns the
+// searchCache adapts a MemoStore to the optimizer: it owns the
 // enabled/disabled decision and the consultation counters, so the store
 // implementations stay policy-free.
 type searchCache struct {
@@ -167,20 +166,6 @@ func newSearchCache(enabled bool, store MemoStore) *searchCache {
 		store = NewMemoryMemo()
 	}
 	return &searchCache{enabled: enabled, store: store}
-}
-
-// lookup returns the cached outcome for a fingerprint, or nil, counting the
-// consultation. Both counters stay untouched when the cache is disabled.
-func (c *searchCache) lookup(fp uint64, st *SearchStats) *MemoEntry {
-	if !c.enabled {
-		return nil
-	}
-	if e := c.store.Lookup(fp); e != nil {
-		st.CacheHits++
-		return e
-	}
-	st.CacheMisses++
-	return nil
 }
 
 // insert stores an outcome (first evaluation of a fingerprint wins).

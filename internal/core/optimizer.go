@@ -14,63 +14,35 @@ import (
 	"repro/internal/tensor"
 )
 
-// ParallelConfig extends Config for the parallel optimizer, the extension
-// sketched in the paper's Discussion (Section 7): sampling and evaluating
-// multiple candidates per round, in the style of parallel simulated
-// annealing.
-type ParallelConfig struct {
-	Config
-	// Workers is the number of candidates evaluated concurrently (default
-	// 2). Workers only controls evaluation concurrency: for a fixed Seed
-	// the optimizer samples the same candidate sequence and returns the
-	// same Result for any Workers value (see the determinism test).
-	// Ignored when Evaluator is set (the evaluator owns its concurrency).
-	Workers int
-	// BatchSize is the number of candidates sampled per algorithmic round;
-	// elites and filter history merge between rounds. It defaults to 4 and
-	// is deliberately independent of Workers, so changing the hardware
-	// parallelism does not change the search trajectory.
-	BatchSize int
-	// Evaluator evaluates each round's candidate batch. Nil means
-	// in-process evaluation (a LocalEvaluator with Workers slots); a
-	// coord.Pool fans the batch out across worker processes. Because
-	// fine-tune seeds are a pure function of fingerprints, any evaluator
-	// produces the same outcomes, so the search trajectory is identical
-	// local or distributed.
-	Evaluator BatchEvaluator
-}
-
-// ParallelOptimizer evaluates a batch of mutations per round. All stateful
-// search machinery — candidate sampling, the rule-based filter, the memo,
-// the pre-ranker, elite merging, policy observation — runs serially between
-// the parallel evaluation phases, which makes the search deterministic in
-// the seed regardless of evaluation concurrency (local slots or remote
-// workers).
-type ParallelOptimizer struct {
-	cfg      ParallelConfig
+// Optimizer runs graph mutation optimization. Each algorithmic round has
+// three phases: sample BatchSize candidates serially, evaluate the ones that
+// survive the filters through the batch evaluator, merge the outcomes
+// serially. All stateful search machinery — candidate sampling, the
+// rule-based filter, the memo, the pre-ranker, elite merging, policy
+// observation — lives in the serial phases, which makes the search
+// deterministic in (Seed, BatchSize) regardless of evaluation concurrency
+// (local slots or remote workers). With BatchSize 1 a round is one
+// iteration of the paper's Algorithm 1: sample, evaluate, merge, observe.
+type Optimizer struct {
+	cfg      Config
 	original *graph.Graph
 	ds       *data.Dataset
-	targets  map[int]float64
+	eval     *distill.Evaluator
 	outs     distill.TeacherOutputs
 	trainX   *tensor.Tensor
 	accOpts  estimator.AccuracyOptions
 }
 
-// NewParallelOptimizer builds the optimizer. Unlike NewOptimizer it takes
-// the raw evaluation inputs so that it can construct one estimator per
-// worker slot.
-func NewParallelOptimizer(original *graph.Graph, ds *data.Dataset, targets map[int]float64,
+// NewOptimizer builds an optimizer over the original multi-DNN graph. It
+// takes the raw evaluation inputs — dataset, per-task targets, teacher
+// outputs, representative inputs, estimator options — so that it can build
+// one estimator per local evaluation slot.
+func NewOptimizer(original *graph.Graph, ds *data.Dataset, targets map[int]float64,
 	outs distill.TeacherOutputs, trainX *tensor.Tensor, accOpts estimator.AccuracyOptions,
-	cfg ParallelConfig) *ParallelOptimizer {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 4
-	}
-	cfg.Config = cfg.Config.withDefaults()
-	return &ParallelOptimizer{
-		cfg: cfg, original: original, ds: ds, targets: targets,
+	cfg Config) *Optimizer {
+	return &Optimizer{
+		cfg: cfg.withDefaults(), original: original, ds: ds,
+		eval: &distill.Evaluator{Dataset: ds, Targets: targets},
 		outs: outs, trainX: trainX, accOpts: accOpts,
 	}
 }
@@ -114,18 +86,28 @@ type outcome struct {
 	drop  float64
 }
 
-// Run executes the parallel search. Rounds is interpreted as the total
-// candidate budget: Rounds/BatchSize rounds are executed, each evaluating
-// up to BatchSize candidates through the batch evaluator.
-func (o *ParallelOptimizer) Run() *Result {
+// Run executes the search and returns the best model found. Rounds is the
+// total candidate budget: Rounds/BatchSize rounds are executed, each
+// evaluating up to BatchSize candidates through the batch evaluator.
+func (o *Optimizer) Run() *Result {
 	cfg := o.cfg
 	rng := tensor.NewRNG(cfg.Seed)
-	res := &Result{}
+	// A resumed search starts from the persisted elites, the best of them
+	// standing as Best until a new candidate beats it.
+	res := &Result{Elites: append([]*Elite(nil), cfg.InitialElites...)}
+	for _, e := range res.Elites {
+		if res.Best == nil || better(cfg.Metric, e, res.Best) {
+			res.Best = e
+		}
+	}
 	start := time.Now()
 	maxElites := 16
 	if sa, ok := cfg.Policy.(*SAPolicy); ok {
 		maxElites = sa.MaxElites
 	}
+	// The original multi-DNN graph is the incumbent: a candidate only
+	// becomes Best if it beats the original's cost, so the search never
+	// recommends a model slower than what the user already has.
 	o.original.RefreshCapacities()
 	incumbent := &Elite{
 		Graph:   o.original,
@@ -141,11 +123,7 @@ func (o *ParallelOptimizer) Run() *Result {
 	rule := filter.NewRuleBased()
 	evaluator := cfg.Evaluator
 	if evaluator == nil {
-		slots := cfg.Workers
-		if slots > cfg.BatchSize {
-			slots = cfg.BatchSize
-		}
-		evaluator = NewLocalEvaluator(o.ds, o.targets, o.outs, o.trainX, o.accOpts, slots)
+		evaluator = NewLocalEvaluator(o.ds, o.eval.Targets, o.outs, o.trainX, o.accOpts, cfg.Workers)
 	}
 	// Like the filter, the memo is only read during serial sampling and
 	// only written during serial merging, so cache hits land on the same
@@ -158,7 +136,7 @@ func (o *ParallelOptimizer) Run() *Result {
 	if rounds == 0 {
 		rounds = 1
 	}
-	iter := 0
+	iter := cfg.StartIteration
 	for r := 0; r < rounds; r++ {
 		if cfg.TimeBudget > 0 && time.Since(start) > cfg.TimeBudget {
 			break
@@ -235,7 +213,7 @@ func (o *ParallelOptimizer) Run() *Result {
 						}
 						j.evalIdx = len(evalJobs)
 						evalJobs = append(evalJobs, EvalJob{
-							Cand: j.cand, Profile: j.profile, Seed: j.seed, Warm: j.warm,
+							Cand: j.cand, Seed: j.seed, Warm: j.warm,
 						})
 					}
 				}
@@ -249,9 +227,8 @@ func (o *ParallelOptimizer) Run() *Result {
 		if len(evalJobs) > 0 {
 			evalOuts = evaluator.EvaluateBatch(evalJobs)
 		}
-		// Evaluated counts every sampled candidate that reached Phase 2,
-		// including skipped ones — the same semantics as the serial
-		// optimizer (see Result.Evaluated).
+		// Evaluated counts every sampled candidate, including skipped and
+		// replayed ones (see Result.Evaluated).
 		res.Evaluated += len(jobs)
 
 		// Phase 3 (serial): merge outcomes in candidate order. Everything the
@@ -293,7 +270,7 @@ func (o *ParallelOptimizer) Run() *Result {
 
 // merge folds one job's outcome into the search state and appends its
 // decision. It runs in the serial phase, in candidate order.
-func (o *ParallelOptimizer) merge(j *job, evalOuts []EvalOutcome, memo *searchCache,
+func (o *Optimizer) merge(j *job, evalOuts []EvalOutcome, memo *searchCache,
 	rule *filter.RuleBased, res *Result) outcome {
 	cfg := o.cfg
 	oc := outcome{drop: 1}
@@ -327,7 +304,7 @@ func (o *ParallelOptimizer) merge(j *job, evalOuts []EvalOutcome, memo *searchCa
 				FromElite: j.fromElite, FineTuneTime: e.TrainTime, Iteration: j.iteration,
 			}
 			oc.trace.Latency = lat
-			if oc.drop = -minMargin(o.targets, acc); oc.drop < 0 {
+			if oc.drop = -o.eval.MinMargin(acc); oc.drop < 0 {
 				oc.drop = 0
 			}
 			dec.Outcome = explain.OutcomeAccepted
@@ -398,7 +375,7 @@ func (o *ParallelOptimizer) merge(j *job, evalOuts []EvalOutcome, memo *searchCa
 				res.Stats.WarmFallbacks++
 			}
 			if len(rep.Final) > 0 {
-				e.Margin = minMargin(o.targets, rep.Final)
+				e.Margin = o.eval.MinMargin(rep.Final)
 			}
 		}
 		latNS := -1.0
@@ -419,7 +396,7 @@ func (o *ParallelOptimizer) merge(j *job, evalOuts []EvalOutcome, memo *searchCa
 				FromElite: j.fromElite, FineTuneTime: out.Report.TrainTime, Iteration: j.iteration,
 			}
 			oc.trace.Latency = lat
-			if oc.drop = -minMargin(o.targets, out.Report.Final); oc.drop < 0 {
+			if oc.drop = -o.eval.MinMargin(out.Report.Final); oc.drop < 0 {
 				oc.drop = 0
 			}
 			dec.Outcome, dec.Rule = explain.OutcomeAccepted, explain.RuleAccuracyMet
@@ -447,17 +424,4 @@ func better(metric Metric, a, b *Elite) bool {
 		return a.FLOPs < b.FLOPs
 	}
 	return a.Latency < b.Latency
-}
-
-func minMargin(targets, acc map[int]float64) float64 {
-	first := true
-	var m float64
-	for id, t := range targets {
-		d := acc[id] - t
-		if first || d < m {
-			m = d
-			first = false
-		}
-	}
-	return m
 }

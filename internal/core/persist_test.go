@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/distill"
 	"repro/internal/estimator"
-	"repro/internal/testutil"
 )
 
 // TestDiskMemoReplayEliminatesDuplicateMeasurements is the persistence
@@ -18,34 +16,18 @@ import (
 func TestDiskMemoReplayEliminatesDuplicateMeasurements(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "memo.json")
 	run := func() *core.Result {
-		ds := testutil.TinyFace(141, 64, 32)
-		teacher := testutil.TinyMultiDNN(142, ds)
-		teach := testutil.PretrainTeachers(teacher, ds, 6, 0.004, 143)
-		outs := distill.ComputeTeacherOutputs(teacher, ds.Train.X, 32)
-		targets := map[int]float64{}
-		for id, a := range teach {
-			targets[id] = a - 0.15
-		}
-		accOpts := estimator.AccuracyOptions{
-			FineTune:      distill.Config{LR: 0.003, Epochs: 6, Batch: 16, EvalEvery: 2},
-			UseRuleFilter: true,
-		}
 		memo, err := core.NewDiskMemo(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := core.NewParallelOptimizer(teacher, ds, targets, outs, ds.Train.X, accOpts,
-			core.ParallelConfig{
-				Config: core.Config{
-					Rounds:          16,
-					MaxPairsPerPass: 1,
-					Seed:            7,
-					Memo:            memo,
-					Latency:         estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 2},
-				},
-				BatchSize: 4,
-			})
-		res := opt.Run()
+		res := newWorld(141, 64, 32, 6, 0.15, ruleFilter6).search(core.Config{
+			Rounds:          16,
+			MaxPairsPerPass: 1,
+			Seed:            7,
+			Memo:            memo,
+			Latency:         estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 2},
+			BatchSize:       4,
+		})
 		if err := memo.Save(); err != nil {
 			t.Fatal(err)
 		}

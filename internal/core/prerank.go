@@ -19,7 +19,7 @@ type PrerankScore struct {
 	Forced bool
 }
 
-// Preranker is consulted by the optimizers for every fresh candidate (rule
+// Preranker is consulted by the optimizer for every fresh candidate (rule
 // filter and memo first — a replayed outcome needs no prediction). Assess
 // and Observe are only called from the serial sample/merge phases, in
 // candidate order, so implementations need no locking and the search stays

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/parser"
 )
 
@@ -36,9 +37,6 @@ type EliteMeta struct {
 // SaveState persists a search result into dir: one checkpoint per elite
 // plus a state.json manifest. The directory is created if needed.
 func SaveState(dir string, res *Result, lastIteration int) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	st := SearchState{Iteration: lastIteration}
 	for i, e := range res.Elites {
 		name := fmt.Sprintf("elite_%03d.gmck", i)
@@ -51,15 +49,7 @@ func SaveState(dir string, res *Result, lastIteration int) error {
 			FineTuneNS: int64(e.FineTuneTime), Iteration: e.Iteration,
 		})
 	}
-	raw, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, "state.json.tmp")
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, "state.json"))
+	return atomicfile.WriteJSON(filepath.Join(dir, "state.json"), st)
 }
 
 // LoadState restores a persisted search state: the elites (with their

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/estimator"
 	"repro/internal/testutil"
 )
 
@@ -66,52 +65,56 @@ func TestLoadStateMissingDir(t *testing.T) {
 	}
 }
 
-// A resumed search must continue from the saved elites: with a zero-round
-// warm start the best model is the best saved elite, and with extra rounds
-// the search only improves on it.
+// A resumed search must continue from the saved elites and the saved
+// iteration counter, whatever the batch size: a resume that finds nothing
+// new still returns the saved best, the saved elites stay on the list, and
+// iteration numbering (the temperature schedule's clock) carries on.
 func TestResumeSearchFromState(t *testing.T) {
-	ds := testutil.TinyFace(211, 96, 48)
-	teacher := testutil.TinyMultiDNN(212, ds)
-	teach := testutil.PretrainTeachers(teacher, ds, 8, 0.004, 213)
-	outs := computeOutputs(teacher, ds)
-	targets := map[int]float64{}
-	for id, a := range teach {
-		targets[id] = a - 0.12
-	}
-	acc := newEstimator(ds, targets, outs)
-	first := core.NewOptimizer(teacher, acc, core.Config{
-		Rounds: 6, Seed: 5,
-		Latency: estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 3},
-	}).Run()
-	if first.Best == nil {
-		t.Skip("first search found nothing at this scale; resume not exercisable")
-	}
-	dir := t.TempDir()
-	if err := core.SaveState(dir, first, 6); err != nil {
-		t.Fatal(err)
-	}
-	elites, iter, err := core.LoadState(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	acc2 := newEstimator(ds, targets, outs)
-	resumed := core.NewOptimizer(teacher, acc2, core.Config{
-		Rounds: 4, Seed: 6,
-		InitialElites: elites, StartIteration: iter,
-		Latency: estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 3},
-	}).Run()
-	if resumed.Best == nil {
-		t.Fatal("resumed search lost the saved best")
-	}
-	if resumed.Best.FLOPs > first.Best.FLOPs && resumed.Best.Latency > first.Best.Latency*2 {
-		t.Fatalf("resumed best much worse than saved best: %v vs %v",
-			resumed.Best.Latency, first.Best.Latency)
-	}
-	// Iterations continue after the saved counter.
-	for _, tr := range resumed.Traces {
-		if tr.Iteration <= iter {
-			t.Fatalf("resumed round numbered %d, want > %d", tr.Iteration, iter)
+	forBatchSizes(t, func(t *testing.T, batch int) {
+		w := newWorld(211, 96, 48, 8, 0.12, fineTune12)
+		first := w.search(core.Config{Rounds: 8, BatchSize: batch, Seed: 5, Latency: testLatency})
+		if first.Best == nil {
+			t.Fatal("first search found nothing; resume not exercisable")
 		}
-	}
+		dir := t.TempDir()
+		if err := core.SaveState(dir, first, 8); err != nil {
+			t.Fatal(err)
+		}
+		elites, iter, err := core.LoadState(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		resumed := w.search(core.Config{
+			Rounds: 4, BatchSize: batch, Seed: 6,
+			InitialElites: elites, StartIteration: iter,
+			Latency: testLatency,
+		})
+		if resumed.Best == nil {
+			t.Fatal("resumed search lost the saved best")
+		}
+		if resumed.Best.FLOPs > first.Best.FLOPs && resumed.Best.Latency > first.Best.Latency*2 {
+			t.Fatalf("resumed best much worse than saved best: %v vs %v",
+				resumed.Best.Latency, first.Best.Latency)
+		}
+		// The saved elites lead the resumed list (capacity 16 is not
+		// reached here), new ones append behind them.
+		if len(resumed.Elites) < len(elites) {
+			t.Fatalf("resumed search holds %d elites, %d were saved", len(resumed.Elites), len(elites))
+		}
+		for i, e := range elites {
+			if resumed.Elites[i] != e {
+				t.Fatalf("saved elite %d is not on the resumed list", i)
+			}
+		}
+		// Iterations continue after the saved counter.
+		if len(resumed.Traces) == 0 {
+			t.Fatal("resumed search sampled nothing")
+		}
+		for i, tr := range resumed.Traces {
+			if tr.Iteration != iter+1+i {
+				t.Fatalf("resumed candidate %d numbered %d, want %d", i, tr.Iteration, iter+1+i)
+			}
+		}
+	})
 }

@@ -8,9 +8,8 @@
 //     residual join fuse into their producers, intermediate tensors live in
 //     preplanned reusable slabs, and sibling branches run as precomputed
 //     parallel waves (the CUDA multi-stream analogue).
-//   - ClosureFused is the previous generation of Fused — a closure tree
-//     with per-call arena scratch — kept as an independent third executor
-//     for cross-checking numerical parity.
+//
+// Reference is also the oracle the parity tests check Fused against.
 //
 // The engines exist to demonstrate the paper's claim that model fusion is
 // complementary to compiler-style graph optimization: GMorph's fused
@@ -18,11 +17,9 @@
 package engine
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/nn"
 	"repro/internal/plan"
 	"repro/internal/tensor"
 	"repro/internal/timing"
@@ -86,137 +83,6 @@ func (f *Fused) Plan() *plan.Plan { return f.inst.Plan() }
 
 // OpStats exposes the instance's cumulative per-op timings.
 func (f *Fused) OpStats() []plan.OpStat { return f.inst.OpStats() }
-
-// ClosureFused is the legacy compiled executor: a tree of closures with
-// fold-time weight fusion but per-call arena scratch and goroutine-per-
-// branch parallelism. Safe for concurrent Forward calls.
-type ClosureFused struct {
-	root *fusedNode
-}
-
-type fusedNode struct {
-	taskID   int
-	isHead   bool
-	run      func(x *tensor.Tensor) *tensor.Tensor
-	children []*fusedNode
-}
-
-// Name implements Engine.
-func (f *ClosureFused) Name() string { return "fused-closures" }
-
-// CompileClosures builds a ClosureFused engine from a trained graph. The
-// graph is not modified; folded weights are private copies.
-func CompileClosures(g *graph.Graph) *ClosureFused {
-	var build func(n *graph.Node) *fusedNode
-	build = func(n *graph.Node) *fusedNode {
-		fn := &fusedNode{taskID: n.TaskID, isHead: n.IsHead()}
-		if n.Layer != nil {
-			fn.run = compileLayer(n.Layer)
-		} else {
-			fn.run = func(x *tensor.Tensor) *tensor.Tensor { return x }
-		}
-		for _, c := range n.Children {
-			fn.children = append(fn.children, build(c))
-		}
-		return fn
-	}
-	return &ClosureFused{root: build(g.Root)}
-}
-
-// Forward implements Engine: shared nodes run once, sibling subtrees run
-// concurrently.
-func (f *ClosureFused) Forward(x *tensor.Tensor) map[int]*tensor.Tensor {
-	out := make(map[int]*tensor.Tensor)
-	var mu sync.Mutex
-	var walk func(n *fusedNode, in *tensor.Tensor)
-	walk = func(n *fusedNode, in *tensor.Tensor) {
-		y := n.run(in)
-		if n.isHead {
-			mu.Lock()
-			out[n.taskID] = y
-			mu.Unlock()
-			return
-		}
-		if len(n.children) == 1 || tensor.Workers() == 1 {
-			for _, c := range n.children {
-				walk(c, y)
-			}
-			return
-		}
-		var wg sync.WaitGroup
-		for _, c := range n.children {
-			wg.Add(1)
-			go func(c *fusedNode) {
-				defer wg.Done()
-				walk(c, y)
-			}(c)
-		}
-		wg.Wait()
-	}
-	walk(f.root, x)
-	return out
-}
-
-// compileLayer lowers one abstract-graph layer into an optimized closure,
-// reusing the plan package's weight folding (the single home of conv+BN
-// fusion math).
-func compileLayer(l nn.Layer) func(*tensor.Tensor) *tensor.Tensor {
-	switch v := l.(type) {
-	case *nn.ConvBlock:
-		conv := plan.FoldConvBN(v.Conv, v.BN)
-		pool := v.Pool
-		return func(x *tensor.Tensor) *tensor.Tensor {
-			y := conv.Apply(x, true) // fused conv+bias+relu
-			if pool != nil {
-				y, _ = tensor.MaxPool(y, pool.Kernel, pool.Stride)
-			}
-			return y
-		}
-	case *nn.ResidualBlock:
-		c1 := plan.FoldConvBN(v.Conv1, v.BN1)
-		c2 := plan.FoldConvBN(v.Conv2, v.BN2)
-		var down *plan.FoldedConv
-		if v.Down != nil {
-			down = plan.FoldConvBN(v.Down, v.DownBN)
-		}
-		return func(x *tensor.Tensor) *tensor.Tensor {
-			identity := x
-			if down != nil {
-				identity = down.Apply(x, false)
-			}
-			h := c1.Apply(x, true)
-			h = c2.Apply(h, false)
-			// residual add + relu in one pass
-			hd, id := h.Data(), identity.Data()
-			for i := range hd {
-				s := hd[i] + id[i]
-				if s < 0 {
-					s = 0
-				}
-				hd[i] = s
-			}
-			return h
-		}
-	case *nn.Sequential:
-		subs := make([]func(*tensor.Tensor) *tensor.Tensor, len(v.Layers))
-		for i, s := range v.Layers {
-			subs[i] = compileLayer(s)
-		}
-		return func(x *tensor.Tensor) *tensor.Tensor {
-			for _, f := range subs {
-				x = f(x)
-			}
-			return x
-		}
-	default:
-		// Fallback: eval-mode eager execution of the layer. Clone so the
-		// compiled plan does not share forward caches with training.
-		c := l.Clone()
-		return func(x *tensor.Tensor) *tensor.Tensor {
-			return c.Forward(x, false)
-		}
-	}
-}
 
 // Measure times an engine over the given input shape, reporting the
 // minimum of wall-clock runs (see internal/timing for why min, not mean).

@@ -12,9 +12,8 @@ import (
 )
 
 // Cross-executor parity suite: every model-zoo family, plus a mutated
-// (fused) graph, through all three executors — Reference (eager),
-// ClosureFused (legacy closure tree), and the plan-backed Fused — with
-// outputs required to agree to 1e-4. Multi-branch graphs exercise the
+// (fused) graph, through the plan-backed Fused executor, with outputs
+// required to agree with Reference (eager) to 1e-4. Multi-branch graphs exercise the
 // plan's parallel wave dispatch, so running this suite under -race also
 // checks the concurrent executor paths.
 
@@ -42,29 +41,28 @@ func tokenInput(n, t, vocab int) *tensor.Tensor {
 	return x
 }
 
-// assertParity runs x through all three executors and compares every head
-// against the reference at 1e-4 (scaled by magnitude for large logits).
+// assertParity runs x through the compiled executor and compares every
+// head against the reference at 1e-4 (scaled by magnitude for large logits).
 func assertParity(t *testing.T, g *graph.Graph, x *tensor.Tensor) {
 	t.Helper()
 	ref := engine.NewReference(g).Forward(x)
-	for _, e := range []engine.Engine{engine.Compile(g), engine.CompileClosures(g)} {
-		got := e.Forward(x)
-		if len(got) != len(ref) {
-			t.Fatalf("%s produced %d heads, reference %d", e.Name(), len(got), len(ref))
+	e := engine.Compile(g)
+	got := e.Forward(x)
+	if len(got) != len(ref) {
+		t.Fatalf("%s produced %d heads, reference %d", e.Name(), len(got), len(ref))
+	}
+	for task, want := range ref {
+		o, ok := got[task]
+		if !ok {
+			t.Fatalf("%s missing head %d", e.Name(), task)
 		}
-		for task, want := range ref {
-			o, ok := got[task]
-			if !ok {
-				t.Fatalf("%s missing head %d", e.Name(), task)
-			}
-			if !tensor.SameShape(o, want) {
-				t.Fatalf("%s head %d shape %v, want %v", e.Name(), task, o.Shape(), want.Shape())
-			}
-			for i := range want.Data() {
-				a, b := float64(want.Data()[i]), float64(o.Data()[i])
-				if math.Abs(a-b) > 1e-4*math.Max(1, math.Abs(a)) {
-					t.Fatalf("%s head %d elem %d: reference %v, got %v", e.Name(), task, i, a, b)
-				}
+		if !tensor.SameShape(o, want) {
+			t.Fatalf("%s head %d shape %v, want %v", e.Name(), task, o.Shape(), want.Shape())
+		}
+		for i := range want.Data() {
+			a, b := float64(want.Data()[i]), float64(o.Data()[i])
+			if math.Abs(a-b) > 1e-4*math.Max(1, math.Abs(a)) {
+				t.Fatalf("%s head %d elem %d: reference %v, got %v", e.Name(), task, i, a, b)
 			}
 		}
 	}

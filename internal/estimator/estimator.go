@@ -88,7 +88,8 @@ type AccuracyOptions struct {
 	FineTune distill.Config
 	// UseEarlyTermination enables the learning-curve hook ("GMorph w P").
 	UseEarlyTermination bool
-	// UseRuleFilter enables capacity-rule skipping ("GMorph w P+R").
+	// UseRuleFilter enables capacity-rule skipping ("GMorph w P+R"). The
+	// optimizer reads it; the estimator itself never skips.
 	UseRuleFilter bool
 	// Slack loosens the early-termination decision (see filter package).
 	Slack float64
@@ -99,24 +100,17 @@ type AccuracyOptions struct {
 	WarmStartFraction float64
 }
 
-// AccuracyEstimator fine-tunes candidates and reports whether they meet the
-// per-task accuracy targets, applying predictive filtering to skip or cut
-// short non-promising runs.
+// AccuracyEstimator fine-tunes one candidate at a time against the teacher
+// outputs and reports whether it meets the per-task accuracy targets,
+// cutting non-promising runs short when early termination is on. It is what
+// one evaluator slot owns; the rule filter, the memo and every counter live
+// with the optimizer, which derives them from the returned reports.
 type AccuracyEstimator struct {
 	Eval    *distill.Evaluator
 	Teacher distill.TeacherOutputs
 	// TrainX is the representative input set (no labels needed).
 	TrainX *tensor.Tensor
 	Opts   AccuracyOptions
-
-	rule *filter.RuleBased
-	// Stats accumulate across Estimate calls.
-	SkippedByRule   int
-	EarlyTerminated int
-	FineTuned       int
-	TotalEpochs     int
-	WarmStarted     int
-	WarmFallbacks   int
 }
 
 // NewAccuracyEstimator builds an estimator over a dataset's train split and
@@ -127,58 +121,16 @@ func NewAccuracyEstimator(ds *data.Dataset, targets map[int]float64, teacher dis
 		Teacher: teacher,
 		TrainX:  trainX,
 		Opts:    opts,
-		rule:    filter.NewRuleBased(),
 	}
 }
 
-// Outcome reports one candidate's evaluation.
-type Outcome struct {
-	// Met is true when the candidate reached every task target.
-	Met bool
-	// Skipped is true when rule-based filtering rejected the candidate
-	// without fine-tuning.
-	Skipped bool
-	// Report is the fine-tuning report (nil when Skipped).
-	Report *distill.Report
-}
-
-// Estimate evaluates a candidate graph in place: the graph's weights are
-// fine-tuned (unless skipped). Failures feed the rule-based history.
-func (a *AccuracyEstimator) Estimate(g *graph.Graph, seed uint64) Outcome {
-	g.RefreshCapacities()
-	profile := g.Capacity()
-	if a.SkipByRule(profile) {
-		return Outcome{Skipped: true}
-	}
-	return a.FineTuneCandidate(g, profile, seed, false)
-}
-
-// SkipByRule applies the capacity-rule filter to a profile, counting a skip.
-// The optimizers call it directly (ahead of their memoization caches, so the
-// skip/evaluate decision order is identical with caching on or off);
-// Estimate composes it with FineTuneCandidate.
-func (a *AccuracyEstimator) SkipByRule(profile graph.CapacityProfile) bool {
-	if !a.Opts.UseRuleFilter || !a.rule.ShouldSkip(profile) {
-		return false
-	}
-	a.SkippedByRule++
-	return true
-}
-
-// RecordFailure feeds a failed capacity profile into the rule history. The
-// optimizers use it when a memoized outcome replays a failure without
-// re-running fine-tuning, keeping the filter history identical to an
-// uncached search.
-func (a *AccuracyEstimator) RecordFailure(profile graph.CapacityProfile) {
-	a.rule.RecordFailure(profile)
-}
-
-// FineTuneCandidate runs distillation fine-tuning for a candidate whose
-// rule-filter decision was already taken. warm marks a candidate mutated
-// from a trained elite: its inherited weights are close, so the epoch budget
-// shrinks to WarmStartFraction of the full budget (with the regression
-// fallback described on distill.Config.WarmEpochs).
-func (a *AccuracyEstimator) FineTuneCandidate(g *graph.Graph, profile graph.CapacityProfile, seed uint64, warm bool) Outcome {
+// FineTuneCandidate fine-tunes the candidate graph in place with
+// distillation and returns the report (Met tells whether every task target
+// was reached). warm marks a candidate mutated from a trained elite: its
+// inherited weights are close, so the epoch budget shrinks to
+// WarmStartFraction of the full budget (with the regression fallback
+// described on distill.Config.WarmEpochs).
+func (a *AccuracyEstimator) FineTuneCandidate(g *graph.Graph, seed uint64, warm bool) *distill.Report {
 	var hook distill.Hook
 	if a.Opts.UseEarlyTermination {
 		hook = filter.EarlyTermination{
@@ -200,20 +152,5 @@ func (a *AccuracyEstimator) FineTuneCandidate(g *graph.Graph, profile graph.Capa
 		}
 		cfg.WarmEpochs = we
 	}
-	rep := distill.FineTune(g, a.TrainX, a.Teacher, a.Eval, cfg, hook)
-	a.FineTuned++
-	a.TotalEpochs += rep.EpochsRun
-	if rep.Terminated {
-		a.EarlyTerminated++
-	}
-	if rep.WarmStarted {
-		a.WarmStarted++
-	}
-	if rep.WarmFellBack {
-		a.WarmFallbacks++
-	}
-	if !rep.Met {
-		a.rule.RecordFailure(profile)
-	}
-	return Outcome{Met: rep.Met, Report: rep}
+	return distill.FineTune(g, a.TrainX, a.Teacher, a.Eval, cfg, hook)
 }

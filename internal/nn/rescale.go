@@ -133,30 +133,8 @@ func (r *RescaleTokens) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // interpTokens linearly resamples [N,T,D] to [N,outT,D] along T.
 func interpTokens(x *tensor.Tensor, outT int) *tensor.Tensor {
-	n, t, d := x.Dim(0), x.Dim(1), x.Dim(2)
-	out := tensor.New(n, outT, d)
-	s := float32(t) / float32(outT)
-	xd, od := x.Data(), out.Data()
-	for ni := 0; ni < n; ni++ {
-		for oi := 0; oi < outT; oi++ {
-			f := (float32(oi)+0.5)*s - 0.5
-			i0 := int(f)
-			if f < 0 {
-				f, i0 = 0, 0
-			}
-			i1 := i0 + 1
-			if i1 >= t {
-				i1 = t - 1
-			}
-			w := f - float32(i0)
-			a := xd[(ni*t+i0)*d : (ni*t+i0+1)*d]
-			b := xd[(ni*t+i1)*d : (ni*t+i1+1)*d]
-			dst := od[(ni*outT+oi)*d : (ni*outT+oi+1)*d]
-			for p := 0; p < d; p++ {
-				dst[p] = a[p] + (b[p]-a[p])*w
-			}
-		}
-	}
+	out := tensor.New(x.Dim(0), outT, x.Dim(2))
+	tensor.InterpolateTokensInto(out, x)
 	return out
 }
 

@@ -17,6 +17,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/atomicfile"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -245,21 +246,7 @@ func SaveFile(path string, g *graph.Graph) error {
 
 // SaveFileOpts is SaveFile with explicit encoding options.
 func SaveFileOpts(path string, g *graph.Graph, opts Options) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := SaveOpts(f, g, opts); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return atomicfile.Write(path, func(w io.Writer) error { return SaveOpts(w, g, opts) })
 }
 
 // LoadFile reads a graph checkpoint from path.

@@ -393,12 +393,16 @@ func (s *linearSpec) build(inst *Instance, o *Op) func() {
 	}
 }
 
-// interpSpec is bilinear spatial resampling (the Rescale2D front half).
-type interpSpec struct{}
+// interpSpec is the resampling front half of a Rescale adapter: bilinear
+// over the spatial axes (Rescale2D) or linear over the token axis
+// (RescaleTokens).
+type interpSpec struct {
+	into func(dst, x *tensor.Tensor)
+}
 
 func (s *interpSpec) build(inst *Instance, o *Op) func() {
 	in, out := o.In, o.Out
-	return func() { tensor.InterpolateInto(inst.regs[out], inst.regs[in]) }
+	return func() { s.into(inst.regs[out], inst.regs[in]) }
 }
 
 // eagerSpec runs a private clone of an nn layer and copies the result into

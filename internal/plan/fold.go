@@ -8,11 +8,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file holds the inference-time weight-folding helpers shared by the
-// plan compiler and the legacy closure engine (engine.CompileClosures).
-// They used to live in internal/engine as private copies of nn logic,
-// complete with a hand-rolled Newton sqrt; both executors now import this
-// one implementation.
+// This file holds the plan compiler's inference-time weight-folding
+// helpers: the single home of the conv+BN fusion math.
 
 // FoldedConv is a convolution with batch norm folded into its weights and
 // bias, ready for the im2col + GEMM forward path.
@@ -65,33 +62,10 @@ func FoldBN(bn *nn.BatchNorm2d) (scale, shift []float32) {
 	return scale, shift
 }
 
-// Apply runs the folded convolution on x [N,C,H,W], allocating the output
-// and drawing im2col/GEMM scratch from the shared arena. relu fuses the
-// activation into the output pass. This is the allocating path used by the
-// closure engine; the plan executor uses the same math through its
-// preplanned slab registers instead.
-func (f *FoldedConv) Apply(x *tensor.Tensor, relu bool) *tensor.Tensor {
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	oh := tensor.ConvOut(h, f.K, f.Stride, f.Pad)
-	ow := tensor.ConvOut(w, f.K, f.Stride, f.Pad)
-	cols, colsBuf := tensor.GetTensorDirty(n*oh*ow, f.InC*f.K*f.K)
-	defer tensor.PutBuf(colsBuf)
-	flat, flatBuf := tensor.GetTensorDirty(n*oh*ow, f.OutC)
-	defer tensor.PutBuf(flatBuf)
-	out := tensor.New(n, f.OutC, oh, ow)
-	f.run(out, x, cols, flat, relu)
-	return out
-}
-
-// run executes the folded convolution with caller-provided scratch: cols is
+// runP executes the folded convolution with caller-provided scratch and
+// the planned conv spec's tuner-stamped GEMM blocking parameters: cols is
 // the [N*OH*OW, InC*K*K] im2col buffer, flat the [N*OH*OW, OutC] GEMM
 // output, dst the [N, OutC, OH, OW] destination.
-func (f *FoldedConv) run(dst, x, cols, flat *tensor.Tensor, relu bool) {
-	f.runP(dst, x, cols, flat, relu, tensor.DefaultGemmParams())
-}
-
-// runP is run with explicit GEMM blocking parameters — the planned conv
-// spec calls it with its tuner-stamped winners.
 func (f *FoldedConv) runP(dst, x, cols, flat *tensor.Tensor, relu bool, gp tensor.GemmParams) {
 	tensor.Im2ColInto(cols, x, f.K, f.K, f.Stride, f.Pad)
 	tensor.MatMulTransBIntoP(flat, cols, f.Weight, gp)

@@ -13,8 +13,8 @@ import (
 // conv op with folded weights, the residual tail becomes one add+relu op,
 // transformer blocks unroll into packed-QKV/tiled-attention/fused-addln op
 // chains (transformer.go), Dropout disappears entirely — so the executor
-// never re-discovers them. Every zoo layer kind now has a native kernel;
-// the eager fallback (a private clone of the nn layer, correct but
+// never re-discovers them. Every zoo layer kind and both Rescale adapters
+// the mutator inserts have a native kernel; the eager fallback (a private clone of the nn layer, correct but
 // allocating) remains only as the safety net for layer types the compiler
 // has never seen.
 
@@ -94,9 +94,20 @@ func (c *compiler) lowerLayer(name string, l nn.Layer, inVal int) int {
 		return c.lowerEmbedding(name+" "+l.Name(), l, inVal)
 	case *nn.Rescale2D:
 		v := c.newValue([]int{l.InC, l.OutH, l.OutW}, false, -1)
-		v = c.addOp(&Op{Name: name + " interp", Kind: "interp", In: inVal, In2: -1, Out: v, spec: &interpSpec{}})
+		v = c.addOp(&Op{Name: name + " interp", Kind: "interp", In: inVal, In2: -1, Out: v, spec: &interpSpec{into: tensor.InterpolateInto}})
 		if l.Proj != nil {
 			v = c.lowerConv(name+" proj "+l.Proj.Name(), l.Proj, FoldConvBN(l.Proj, nil), false, 0, 0, v)
+		}
+		return v
+	case *nn.RescaleTokens:
+		name += " " + l.Name()
+		v := inVal
+		if l.OutT != l.InT {
+			v = c.newValue([]int{l.OutT, l.InD}, false, -1)
+			v = c.addOp(&Op{Name: name + " interp", Kind: "tokeninterp", In: inVal, In2: -1, Out: v, spec: &interpSpec{into: tensor.InterpolateTokensInto}})
+		}
+		if l.Proj != nil {
+			v = c.lowerLinear(name+" proj "+l.Proj.Name(), l.Proj, v)
 		}
 		return v
 	case *nn.Dropout:
@@ -212,7 +223,7 @@ func (c *compiler) lowerLinear(name string, l *nn.Linear, inVal int) int {
 // lowerResidual emits the ResNet basic block as up to four ops. The main
 // path (conv1 -> conv2) and the downsample projection have no mutual data
 // dependency, so the wave scheduler runs conv1 and the downsample in the
-// same wave — intra-block parallelism the closure engine executed serially.
+// same wave — intra-block parallelism an eager walk executes serially.
 func (c *compiler) lowerResidual(name string, l *nn.ResidualBlock, inVal int) int {
 	c1 := c.lowerConv(name+" conv1+bn+relu", l.Conv1, FoldConvBN(l.Conv1, l.BN1), true, 0, 0, inVal)
 	c2 := c.lowerConv(name+" conv2+bn", l.Conv2, FoldConvBN(l.Conv2, l.BN2), false, 0, 0, c1)

@@ -1,10 +1,12 @@
 package plan_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/models"
+	"repro/internal/mutation"
 	"repro/internal/nn"
 	"repro/internal/plan"
 	"repro/internal/tensor"
@@ -128,6 +130,76 @@ func TestTransformerExecuteZeroAllocs(t *testing.T) {
 	tensor.NewRNG(343).FillNormal(cases["vit"].x, 0, 1)
 	for name, c := range cases {
 		inst := plan.Compile(c.g).NewInstance()
+		inst.Execute(c.x) // bind slabs and registers
+		if avg := testing.AllocsPerRun(20, func() { inst.Execute(c.x) }); avg != 0 {
+			t.Errorf("%s: steady-state Execute allocates %.1f objects per run, want 0", name, avg)
+		}
+	}
+}
+
+// TestRescaleTokensLowersNative: a cross-width token share (BERT-Base
+// feeding a BERT-Large block, the B6/B7 elite shape) inserts a
+// RescaleTokens adapter; the fused graph must compile without an eager
+// fallback, match graph.Forward, and execute without allocating. A second
+// graph resamples the token axis too, which no same-length BERT pair does.
+func TestRescaleTokensLowersNative(t *testing.T) {
+	base := bertGraph(t, 361)
+	var cross []graph.Pair
+	for _, p := range base.ShareablePairs() {
+		if p.Host.TaskID != p.Guest.TaskID && !p.Host.InputShape.Eq(p.Guest.InputShape) {
+			cross = append(cross, p)
+			break
+		}
+	}
+	if len(cross) == 0 {
+		t.Fatal("BERT-Base/BERT-Large offer no cross-width share")
+	}
+	res, err := mutation.NewMutator(tensor.NewRNG(362)).Apply(base, cross)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RescalesInserted == 0 {
+		t.Fatal("cross-width share inserted no Rescale adapter")
+	}
+
+	rng := tensor.NewRNG(363)
+	const tok, d, vocab = 12, 16, 30
+	resampled := graph.New(graph.Shape{tok}, graph.DomainRaw)
+	resampled.TaskNames[0] = "resample"
+	resampled.AppendChain(resampled.Root,
+		graph.NewBlockNode(0, 0, "Embedding", resampled.Root.InputShape, graph.DomainRaw,
+			nn.NewEmbedding(rng, vocab, d, tok)),
+		graph.NewBlockNode(0, 1, "Rescale", graph.Shape{tok, d}, graph.DomainTokens,
+			nn.NewRescaleTokens(rng, tok, d, 8, 24)),
+		graph.NewBlockNode(0, 2, "Head", graph.Shape{8, 24}, graph.DomainTokens,
+			nn.NewSequential("head", nn.NewTokenMeanPool(), nn.NewLinear(rng, 24, 2))))
+	resampled.RefreshCapacities()
+
+	for name, c := range map[string]struct {
+		g *graph.Graph
+		x *tensor.Tensor
+		// op is the name suffix of an op the adapter must lower to.
+		op string
+	}{
+		"fused bert pair": {res.Graph, tokenBatch(3, 12, 40), ") proj Linear("},
+		"token resample":  {resampled, tokenBatch(3, tok, vocab), ") interp"},
+	} {
+		p := plan.Compile(c.g)
+		if r := p.Report(); r.Eager != 0 {
+			t.Errorf("%s: %d eager ops in plan:\n%s", name, r.Eager, p)
+		}
+		found := false
+		for _, o := range p.Ops {
+			found = found || (strings.Contains(o.Name, " RescaleTokens(") && strings.Contains(o.Name, c.op))
+		}
+		if !found {
+			t.Errorf("%s: no %q op lowered from the Rescale adapter:\n%s", name, c.op, p)
+		}
+		checkParity(t, c.g, c.x)
+		if raceEnabled {
+			continue // race detector instrumentation allocates
+		}
+		inst := p.NewInstance()
 		inst.Execute(c.x) // bind slabs and registers
 		if avg := testing.AllocsPerRun(20, func() { inst.Execute(c.x) }); avg != 0 {
 			t.Errorf("%s: steady-state Execute allocates %.1f objects per run, want 0", name, avg)

@@ -13,9 +13,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
+
+	"repro/internal/atomicfile"
 )
 
 // Rule names: which filter, budget, or verdict decided a candidate's fate.
@@ -103,23 +104,10 @@ type file struct {
 	Decisions []Decision `json:"decisions"`
 }
 
-// Save writes decisions to path as JSON, atomically via a temp-file
-// rename so a crashed run cannot leave a truncated report.
+// Save writes decisions to path as JSON, atomically, so a crashed run
+// cannot leave a truncated report.
 func Save(path string, ds []Decision) error {
-	data, err := json.MarshalIndent(&file{Version: 1, Decisions: ds}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("explain: save: %w", err)
-		}
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("explain: save: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := atomicfile.WriteJSON(path, &file{Version: 1, Decisions: ds}); err != nil {
 		return fmt.Errorf("explain: save: %w", err)
 	}
 	return nil

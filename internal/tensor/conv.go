@@ -376,6 +376,43 @@ func InterpolateInto(dst, x *Tensor) {
 	interpJobs.Put(jb)
 }
 
+// InterpolateTokensInto linearly resamples x [N,T,D] along the token axis
+// into a caller-provided [N,outT,D] tensor without allocating (the same
+// align_corners=false convention as InterpolateInto). Identical token
+// counts degrade to a copy.
+func InterpolateTokensInto(dst, x *Tensor) {
+	n, t, d := x.shape[0], x.shape[1], x.shape[2]
+	outT := dst.shape[1]
+	if dst.shape[0] != n || dst.shape[2] != d {
+		panic(fmt.Sprintf("tensor: InterpolateTokensInto dst %v for input %v", dst.shape, x.shape))
+	}
+	if outT == t {
+		copy(dst.data, x.data)
+		return
+	}
+	s := float32(t) / float32(outT)
+	for ni := 0; ni < n; ni++ {
+		for oi := 0; oi < outT; oi++ {
+			f := (float32(oi)+0.5)*s - 0.5
+			i0 := int(f)
+			if f < 0 {
+				f, i0 = 0, 0
+			}
+			i1 := i0 + 1
+			if i1 >= t {
+				i1 = t - 1
+			}
+			w := f - float32(i0)
+			a := x.data[(ni*t+i0)*d:][:d]
+			b := x.data[(ni*t+i1)*d:][:d]
+			row := dst.data[(ni*outT+oi)*d:][:d]
+			for p := range row {
+				row[p] = a[p] + (b[p]-a[p])*w
+			}
+		}
+	}
+}
+
 // InterpolateBackward computes the adjoint of Interpolate: it scatters
 // gradOut [N,C,outH,outW] back onto the input grid [N,C,H,W].
 func InterpolateBackward(gradOut *Tensor, h, w int) *Tensor {

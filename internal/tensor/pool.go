@@ -16,7 +16,7 @@ import (
 // Determinism note: a task computes a half-open index range [lo,hi) of
 // independent outputs, so the floating-point result of a kernel is
 // identical no matter how chunks are distributed over workers (or run
-// inline). The ParallelOptimizer determinism test in internal/core relies
+// inline). The optimizer determinism test in internal/core relies
 // on this.
 
 // join tracks the outstanding tasks of one ParallelFor/ParallelTasks call.

@@ -90,7 +90,7 @@ func TestParallelForConcurrent(t *testing.T) {
 
 // TestMatMulDeterministicAcrossCalls asserts repeated blocked matmuls of
 // the same operands produce bitwise-identical results regardless of how
-// chunks land on pool workers — the property the ParallelOptimizer
+// chunks land on pool workers — the property the core optimizer
 // determinism guarantee is built on.
 func TestMatMulDeterministicAcrossCalls(t *testing.T) {
 	rng := NewRNG(21)

@@ -21,10 +21,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/atomicfile"
 	"repro/internal/fingerprint"
 	"repro/internal/plan"
 	"repro/internal/tensor"
@@ -174,8 +174,7 @@ func (t *Tuner) SetBatch(b int) {
 	}
 }
 
-// Save persists the winner cache (all machines' sections) atomically via a
-// temp-file rename. No-op without a path or when nothing changed.
+// Save persists the winner cache (all machines' sections) atomically. No-op without a path or when nothing changed.
 func (t *Tuner) Save() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -186,20 +185,7 @@ func (t *Tuner) Save() error {
 	for m, sec := range t.others {
 		f.Machines[m] = sec
 	}
-	data, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	if dir := filepath.Dir(t.path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("tune: save cache: %w", err)
-		}
-	}
-	tmp := t.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("tune: save cache: %w", err)
-	}
-	if err := os.Rename(tmp, t.path); err != nil {
+	if err := atomicfile.WriteJSON(t.path, &f); err != nil {
 		return fmt.Errorf("tune: save cache: %w", err)
 	}
 	t.dirty = false

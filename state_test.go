@@ -1,6 +1,7 @@
 package gmorph_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,49 +9,66 @@ import (
 	gmorph "repro"
 )
 
-// StateDir makes Fuse resumable: a second call with the same directory
-// must pick up the saved elites and continue iteration numbering.
+// StateDir makes Fuse resumable at any SearchBatch: a second call with the
+// same directory must pick up the saved elites and continue iteration
+// numbering, and must write both generations of elites back.
 func TestFuseStateDirResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	teachers, ds, _ := buildTinyTeachers(t)
-	dir := t.TempDir()
+	for _, batch := range []int{1, 4} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			teachers, ds, _ := buildTinyTeachers(t)
+			dir := t.TempDir()
 
-	cfg := gmorph.Config{
-		AccuracyDrop:   0.10,
-		Rounds:         5,
-		FineTuneEpochs: 8,
-		LearningRate:   0.003,
-		EvalEvery:      2,
-		Seed:           31,
-		StateDir:       dir,
-	}
-	res1, err := gmorph.Fuse(teachers, ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "state.json")); err != nil {
-		t.Fatalf("state not persisted: %v", err)
-	}
+			cfg := gmorph.Config{
+				AccuracyDrop:   0.10,
+				Rounds:         8,
+				FineTuneEpochs: 8,
+				LearningRate:   0.003,
+				EvalEvery:      2,
+				Seed:           31,
+				SearchBatch:    batch,
+				StateDir:       dir,
+			}
+			res1, err := gmorph.Fuse(teachers, ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "state.json")); err != nil {
+				t.Fatalf("state not persisted: %v", err)
+			}
+			if len(res1.Elites) == 0 {
+				t.Fatal("first search accepted nothing; resume not exercisable")
+			}
 
-	var minIter int
-	cfg.Rounds = 3
-	cfg.OnRound = func(tr gmorph.Trace) {
-		if minIter == 0 || tr.Iteration < minIter {
-			minIter = tr.Iteration
-		}
-	}
-	res2, err := gmorph.Fuse(teachers, ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if minIter != 0 && minIter <= 5 {
-		t.Fatalf("resumed rounds start at %d, want > 5", minIter)
-	}
-	// Elites carried over: if the first search found something, the second
-	// must still report a best at least as good in FLOPs terms.
-	if res1.Found && !res2.Found {
-		t.Fatal("resume lost the saved best candidate")
+			var minIter int
+			cfg.Rounds = 4
+			cfg.OnRound = func(tr gmorph.Trace) {
+				if minIter == 0 || tr.Iteration < minIter {
+					minIter = tr.Iteration
+				}
+			}
+			res2, err := gmorph.Fuse(teachers, ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if minIter != 9 {
+				t.Fatalf("resumed rounds start at %d, want 9", minIter)
+			}
+			// Elites carried over: the saved ones lead the resumed list, and
+			// a best found by the first search is still reported.
+			if len(res2.Elites) < len(res1.Elites) {
+				t.Fatalf("resume holds %d elites, the first search saved %d", len(res2.Elites), len(res1.Elites))
+			}
+			for i, e := range res1.Elites {
+				if got := gmorph.Fingerprint(res2.Elites[i].Graph); got != gmorph.Fingerprint(e.Graph) {
+					t.Fatalf("saved elite %d is not on the resumed list", i)
+				}
+			}
+			if res1.Found && !res2.Found {
+				t.Fatal("resume lost the saved best candidate")
+			}
+		})
 	}
 }
