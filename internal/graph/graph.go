@@ -361,6 +361,31 @@ func (g *Graph) Params() []*nn.Param {
 	return ps
 }
 
+// VocabOf returns the token vocabulary of the model's embedding stem, or 0
+// for models without one (image inputs).
+func VocabOf(g *Graph) int {
+	for _, n := range g.Nodes() {
+		if v := vocabOfLayer(n.Layer); v > 0 {
+			return v
+		}
+	}
+	return 0
+}
+
+func vocabOfLayer(l nn.Layer) int {
+	switch v := l.(type) {
+	case *nn.Embedding:
+		return v.Vocab
+	case *nn.Sequential:
+		for _, s := range v.Layers {
+			if r := vocabOfLayer(s); r > 0 {
+				return r
+			}
+		}
+	}
+	return 0
+}
+
 // String renders an indented tree for debugging and logs.
 func (g *Graph) String() string {
 	var b strings.Builder

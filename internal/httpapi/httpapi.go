@@ -1,7 +1,7 @@
 // Package httpapi exposes a registry of trained (fused) multi-task models
 // over HTTP, realizing the paper's model-serving scenario (Discussion,
 // Section 7) at fleet scale: one process serves many fused models, each
-// behind its own dynamic batcher and admission queue.
+// behind its registry group's dynamic batcher and admission queue.
 //
 // Endpoints (wire types are exported from repro/api):
 //
@@ -34,42 +34,16 @@ import (
 	"time"
 
 	"repro/api"
-	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/plan"
 	"repro/internal/serve/batcher"
 	"repro/internal/serve/registry"
 	"repro/internal/tensor"
 )
 
-// DefaultModelName is the registry name New gives a single model.
+// DefaultModelName is the registry name a server with one unnamed model
+// serves it under.
 const DefaultModelName = "default"
-
-// Options configures one model's scheduling policy (New's single-model
-// path; NewRegistry callers configure models on the registry directly).
-type Options struct {
-	// Pool is the number of compiled engine instances, i.e. the number of
-	// batches that may be in flight at once (default 1).
-	Pool int
-	// MaxBatch is the sample budget per fused forward pass (default 8).
-	MaxBatch int
-	// MaxWait bounds how long an open batch waits for more samples
-	// (default 2ms).
-	MaxWait time.Duration
-	// QueueCap bounds the pending-request queue; a full queue fails
-	// requests with 429 (default 8*MaxBatch).
-	QueueCap int
-	// SLOBudget, when positive, sheds arrivals predicted to queue past the
-	// budget with 503 (see registry.ModelOptions.SLOBudget).
-	SLOBudget time.Duration
-	// Deadline is the per-request time budget, queueing included; a
-	// request that exceeds it fails with 503. Zero means no server-side
-	// deadline (the client's context still applies).
-	Deadline time.Duration
-	// Engines, when non-empty, supplies pre-built engine instances instead
-	// of compiling Pool copies of the model (tests inject slow or counting
-	// engines this way).
-	Engines []engine.Engine
-}
 
 // Server serves a model registry. It is safe for concurrent use.
 type Server struct {
@@ -79,24 +53,6 @@ type Server struct {
 
 	mux  *http.ServeMux
 	once sync.Once
-}
-
-// New builds a single-model server: the model is registered under
-// DefaultModelName in a fresh registry, which Shutdown owns and drains.
-func New(model *graph.Graph, opts Options) (*Server, error) {
-	reg := registry.New()
-	_, err := reg.Register(DefaultModelName, model, registry.ModelOptions{
-		Pool:      opts.Pool,
-		MaxBatch:  opts.MaxBatch,
-		MaxWait:   opts.MaxWait,
-		QueueCap:  opts.QueueCap,
-		SLOBudget: opts.SLOBudget,
-		Engines:   opts.Engines,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("httpapi: %w", err)
-	}
-	return NewRegistry(reg, opts.Deadline), nil
 }
 
 // NewRegistry builds a server over an existing registry (models already
@@ -286,7 +242,10 @@ func (s *Server) handleModelInfo(w http.ResponseWriter, r *http.Request, m *regi
 		}
 		info.Tasks[taskName(snap.Graph, id)] = classes
 	}
-	info.SharedStem = sharedWire(snap.Shared)
+	if snap.Shared != nil {
+		// The group's counters live in the model's stats, not its snapshot.
+		info.SharedStem = sharedWire(m.Stats().Shared)
+	}
 	writeJSON(w, info)
 }
 
@@ -356,7 +315,7 @@ func statsFor(m *registry.Model) api.Stats {
 		Batches:    st.Batcher.Batches,
 		MeanBatch:  st.Batcher.MeanBatch,
 		BatchHist:  st.Batcher.BatchHist,
-		Plan:       planStats(m.Fused()),
+		Plan:       planStats(m.OpStats()),
 	}
 	return out
 }
@@ -399,28 +358,20 @@ func (s *Server) handleGlobalStats(w http.ResponseWriter, r *http.Request, m *re
 	writeJSON(w, out)
 }
 
-// planStats aggregates the per-op timing counters of every plan-backed
-// engine in a model's pool. All pool engines compile the same model, so
-// the op lists align index-for-index; schedule metadata comes from the
-// first.
-func planStats(fused []*engine.Fused) *api.PlanStats {
-	if len(fused) == 0 {
+// planStats converts a model's compiled plan and its pool-aggregated
+// per-op counters (registry.Model.OpStats) into the wire PlanStats.
+func planStats(p *plan.Plan, ops []plan.OpStat) *api.PlanStats {
+	if p == nil {
 		return nil
 	}
-	r := fused[0].Plan().Report()
+	r := p.Report()
 	ps := &api.PlanStats{
 		Waves: len(r.Waves), Slabs: r.Slabs,
 		PeakBytes: r.PeakBytes, NaiveBytes: r.NaiveBytes,
-		Ops: make([]api.PlanOpStat, len(r.Ops)),
+		Ops: make([]api.PlanOpStat, len(ops)),
 	}
-	for i, o := range r.Ops {
-		ps.Ops[i] = api.PlanOpStat{Name: o.Name, Kind: o.Kind, Wave: o.Wave}
-	}
-	for _, f := range fused {
-		for i, st := range f.OpStats() {
-			ps.Ops[i].Calls += st.Calls
-			ps.Ops[i].Micros += st.Nanos / 1e3
-		}
+	for i, o := range ops {
+		ps.Ops[i] = api.PlanOpStat{Name: o.Name, Kind: o.Kind, Wave: o.Wave, Calls: o.Calls, Micros: o.Nanos / 1e3}
 	}
 	return ps
 }

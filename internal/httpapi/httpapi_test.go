@@ -12,27 +12,41 @@ import (
 
 	"repro/api"
 	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/httpapi"
+	"repro/internal/serve/registry"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
 )
 
-func newTestServer(t *testing.T, opts httpapi.Options) (*api.Client, *httpapi.Server, int) {
+// newServer serves g as the only (so the default) model of a fresh
+// registry, which the test's cleanup drains.
+func newServer(t *testing.T, g *graph.Graph, opts registry.ModelOptions, deadline time.Duration) *httpapi.Server {
 	t.Helper()
-	ds := testutil.TinyFace(1, 8, 4)
-	g := testutil.TinyMultiDNN(2, ds)
-	s, err := httpapi.New(g, opts)
-	if err != nil {
+	reg := registry.New()
+	if _, err := reg.Register(httpapi.DefaultModelName, g, opts); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(srv.Close)
+	s := httpapi.NewRegistry(reg, deadline)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = s.Shutdown(ctx)
 	})
+	return s
+}
+
+// newTestServer serves the tiny two-task test model over a live listener.
+func newTestServer(t *testing.T, opts registry.ModelOptions, deadline time.Duration) (*api.Client, *httpapi.Server, int) {
+	t.Helper()
+	s := newServer(t, testModel(), opts, deadline)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
 	return api.NewClient(srv.URL), s, 3 * 16 * 16
+}
+
+func testModel() *graph.Graph {
+	return testutil.TinyMultiDNN(2, testutil.TinyFace(1, 8, 4))
 }
 
 func sampleInput(per int) []float32 {
@@ -44,7 +58,7 @@ func sampleInput(per int) []float32 {
 }
 
 func TestInferSingleSample(t *testing.T) {
-	c, _, per := newTestServer(t, httpapi.Options{Pool: 2})
+	c, _, per := newTestServer(t, registry.ModelOptions{Pool: 2}, 0)
 	resp, err := c.Infer(context.Background(), sampleInput(per))
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +78,7 @@ func TestInferSingleSample(t *testing.T) {
 }
 
 func TestInferBatch(t *testing.T) {
-	c, _, per := newTestServer(t, httpapi.Options{Pool: 2})
+	c, _, per := newTestServer(t, registry.ModelOptions{Pool: 2}, 0)
 	resp, err := c.Infer(context.Background(), make([]float32, 3*per))
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +90,7 @@ func TestInferBatch(t *testing.T) {
 
 // A request larger than MaxBatch still runs (as its own pass).
 func TestInferOversizeBatch(t *testing.T) {
-	c, _, per := newTestServer(t, httpapi.Options{Pool: 1, MaxBatch: 2})
+	c, _, per := newTestServer(t, registry.ModelOptions{Pool: 1, MaxBatch: 2}, 0)
 	resp, err := c.Infer(context.Background(), make([]float32, 5*per))
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +101,7 @@ func TestInferOversizeBatch(t *testing.T) {
 }
 
 func TestInferRejectsBadInput(t *testing.T) {
-	c, _, _ := newTestServer(t, httpapi.Options{})
+	c, _, _ := newTestServer(t, registry.ModelOptions{}, 0)
 	ctx := context.Background()
 	for _, input := range [][]float32{make([]float32, 3), nil} {
 		_, err := c.Infer(ctx, input)
@@ -97,7 +111,7 @@ func TestInferRejectsBadInput(t *testing.T) {
 		}
 	}
 	// Garbage body and GET are still rejected at the HTTP layer.
-	srv := httptest.NewServer(mustServer(t).Handler())
+	srv := httptest.NewServer(newServer(t, testModel(), registry.ModelOptions{}, 0).Handler())
 	defer srv.Close()
 	resp, err := http.Post(srv.URL+"/v1/infer", "application/json", nil)
 	if err != nil {
@@ -117,24 +131,8 @@ func TestInferRejectsBadInput(t *testing.T) {
 	}
 }
 
-func mustServer(t *testing.T) *httpapi.Server {
-	t.Helper()
-	ds := testutil.TinyFace(1, 8, 4)
-	g := testutil.TinyMultiDNN(2, ds)
-	s, err := httpapi.New(g, httpapi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	})
-	return s
-}
-
 func TestModelAndStatsEndpoints(t *testing.T) {
-	c, _, per := newTestServer(t, httpapi.Options{Pool: 2})
+	c, _, per := newTestServer(t, registry.ModelOptions{Pool: 2}, 0)
 	ctx := context.Background()
 	info, err := c.Model(ctx)
 	if err != nil {
@@ -184,7 +182,7 @@ func TestModelAndStatsEndpoints(t *testing.T) {
 // The stats endpoint must surface the compiled plan's schedule and per-op
 // counters, aggregated across the whole engine pool.
 func TestStatsPlanSection(t *testing.T) {
-	c, _, per := newTestServer(t, httpapi.Options{Pool: 2})
+	c, _, per := newTestServer(t, registry.ModelOptions{Pool: 2}, 0)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if _, err := c.Infer(ctx, sampleInput(per)); err != nil {
@@ -216,7 +214,7 @@ func TestStatsPlanSection(t *testing.T) {
 
 // Concurrent clients must all be served correctly through the batcher.
 func TestConcurrentInference(t *testing.T) {
-	c, _, per := newTestServer(t, httpapi.Options{Pool: 2, MaxBatch: 4})
+	c, _, per := newTestServer(t, registry.ModelOptions{Pool: 2, MaxBatch: 4}, 0)
 	input := sampleInput(per)
 	want, err := c.Infer(context.Background(), input)
 	if err != nil {
@@ -271,12 +269,12 @@ func (s *slowEngine) Forward(x *tensor.Tensor) map[int]*tensor.Tensor {
 func TestQueueFullReturns429(t *testing.T) {
 	// A single slow engine with a tiny queue; concurrent requests pile up
 	// behind the in-flight batch and overflow.
-	ds := testutil.TinyFace(1, 8, 4)
-	g := testutil.TinyMultiDNN(2, ds)
-	c, _, per := newTestServer(t, httpapi.Options{
-		Engines:  []engine.Engine{&slowEngine{inner: engine.Compile(g), delay: 10 * time.Millisecond}},
+	c, _, per := newTestServer(t, registry.ModelOptions{
+		Compile: func(g *graph.Graph) engine.Engine {
+			return &slowEngine{inner: engine.Compile(g), delay: 10 * time.Millisecond}
+		},
 		MaxBatch: 2, QueueCap: 1, MaxWait: time.Millisecond,
-	})
+	}, 0)
 	var rejected, ok int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -317,7 +315,7 @@ func TestQueueFullReturns429(t *testing.T) {
 
 // A request that cannot meet its deadline fails with 503.
 func TestDeadlineReturns503(t *testing.T) {
-	c, _, per := newTestServer(t, httpapi.Options{Pool: 1, MaxBatch: 1, QueueCap: 64, Deadline: time.Nanosecond})
+	c, _, per := newTestServer(t, registry.ModelOptions{Pool: 1, MaxBatch: 1, QueueCap: 64}, time.Nanosecond)
 	_, err := c.Infer(context.Background(), sampleInput(per))
 	var apiErr *api.Error
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusServiceUnavailable {
@@ -330,7 +328,7 @@ func TestDeadlineReturns503(t *testing.T) {
 
 // Shutdown drains queued requests and then refuses new ones.
 func TestShutdownDrains(t *testing.T) {
-	c, s, per := newTestServer(t, httpapi.Options{Pool: 1, MaxBatch: 4, QueueCap: 64})
+	c, s, per := newTestServer(t, registry.ModelOptions{Pool: 1, MaxBatch: 4, QueueCap: 64}, 0)
 	input := sampleInput(per)
 	const n = 12
 	results := make(chan error, n)
@@ -367,19 +365,10 @@ func TestShutdownDrains(t *testing.T) {
 
 // The batched path must agree with a direct engine forward.
 func TestBatchedMatchesDirectEngine(t *testing.T) {
-	ds := testutil.TinyFace(1, 8, 4)
-	g := testutil.TinyMultiDNN(2, ds)
-	s, err := httpapi.New(g, httpapi.Options{Pool: 1, MaxBatch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := testModel()
+	s := newServer(t, g, registry.ModelOptions{Pool: 1, MaxBatch: 8}, 0)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	}()
 	c := api.NewClient(srv.URL)
 
 	per := 3 * 16 * 16

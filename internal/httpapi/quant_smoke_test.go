@@ -5,14 +5,13 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/api"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/httpapi"
 	"repro/internal/parser"
 	"repro/internal/quant"
+	"repro/internal/serve/registry"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
 )
@@ -49,15 +48,7 @@ func TestQuantizeAndServeSmoke(t *testing.T) {
 		t.Fatal("reloaded checkpoint lost its quant note")
 	}
 
-	s, err := httpapi.New(g2, httpapi.Options{Pool: 1, MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	}()
+	s := newServer(t, g2, registry.ModelOptions{Pool: 1, MaxBatch: 4}, 0)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	c := api.NewClient(srv.URL)

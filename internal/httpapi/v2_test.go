@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -382,6 +383,26 @@ func TestV2SharedStemSurface(t *testing.T) {
 	}
 	if info.SharedStem.Depth != 2 || info.SharedStem.Fingerprint == "" {
 		t.Fatalf("shared_stem = %+v", info.SharedStem)
+	}
+
+	// The group's per-op counters reach every member's stats: after one
+	// request to vit-b, vit-a reports the shared plan's stem ops as run.
+	if _, err := c.InferModel(ctx, "vit-b", make([]float32, 3*16*16)); err != nil {
+		t.Fatal(err)
+	}
+	opStats, err := c.ModelStats(ctx, "vit-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opStats.Plan == nil {
+		t.Fatal("stats carry no plan section for a shared-stem member")
+	}
+	stemRan := false
+	for _, op := range opStats.Plan.Ops {
+		stemRan = stemRan || strings.HasPrefix(op.Name, "stem/") && op.Calls > 0
+	}
+	if !stemRan {
+		t.Fatalf("no stem/ op ran after a request: %+v", opStats.Plan.Ops)
 	}
 
 	// Same rows three times: the doorkeeper admits them on the second

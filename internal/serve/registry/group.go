@@ -1,0 +1,338 @@
+package registry
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
+
+	"repro/internal/engine"
+	"repro/internal/fingerprint"
+	"repro/internal/graph"
+	"repro/internal/plan"
+	"repro/internal/serve/batcher"
+)
+
+// group is a set of models served by one batcher over one engine pool.
+// Every model belongs to exactly one group; a model that shares with nobody
+// is a group of one, running its own engines from ModelOptions.Compile.
+// Two or more members run one shared-stem plan whose memo and stem
+// statistics carry over when the group is rebuilt: memo entries are keyed
+// by stem fingerprint, so a replaced stem's activations age out of the LRU
+// instead of poisoning the new one. A group is immutable once published;
+// every topology change builds new ones.
+type group struct {
+	members []*Model // registration order; a member's index is its batcher tag
+	bat     *batcher.Batcher
+	engines []engine.Engine
+	// plan is the compiled plan every engine runs, nil when Compile
+	// returned engines that are not plan-backed; report is its summary.
+	plan   *plan.Plan
+	report plan.Report
+	memo   *plan.StemMemo
+	stats  *plan.StemStats
+	// view is the membership Snapshot reports, nil for a group of one.
+	view *SharedStemInfo
+}
+
+// SharedStemInfo is the serving view of a model's shared-stem group,
+// surfaced through Snapshot and ModelStats (and from there the v2 API).
+// Counters are group-wide: every member reports the same numbers.
+type SharedStemInfo struct {
+	// Members lists the group's model names in membership order.
+	Members []string `json:"members"`
+	// Depth is the number of stem nodes compiled once for the group.
+	Depth int `json:"depth"`
+	// Fingerprint is the stem's cumulative prefix hash, hex-encoded.
+	Fingerprint string `json:"fingerprint"`
+	// MemoHits/MemoMisses/MemoEvictions/MemoEntries describe the
+	// stem-activation memo (zero when memoisation is disabled);
+	// MemoFiltered counts rows the admission doorkeeper held out on
+	// their first sighting.
+	MemoHits      int64 `json:"memo_hits"`
+	MemoMisses    int64 `json:"memo_misses"`
+	MemoEvictions int64 `json:"memo_evictions"`
+	MemoFiltered  int64 `json:"memo_filtered"`
+	MemoEntries   int   `json:"memo_entries"`
+	// MixedBatches counts fused batches that coalesced requests from more
+	// than one member — the cross-model sharing actually happening.
+	MixedBatches int64 `json:"mixed_batches"`
+	// StemBatchHist histograms the stem batch sizes actually computed;
+	// bucket 0 counts batches served entirely from the memo.
+	StemBatchHist map[int]int64 `json:"stem_batch_hist,omitempty"`
+}
+
+// sharedStats is the group's view with its counters filled in, nil for a
+// group of one. mixed is the group batcher's MixedBatches.
+func (g *group) sharedStats(mixed int64) *SharedStemInfo {
+	if g.view == nil {
+		return nil
+	}
+	info := *g.view
+	s := g.memo.Stats()
+	info.MemoHits, info.MemoMisses = s.Hits, s.Misses
+	info.MemoEvictions, info.MemoEntries, info.MemoFiltered = s.Evictions, s.Entries, s.Filtered
+	info.MixedBatches = mixed
+	info.StemBatchHist = g.stats.Hist()
+	return &info
+}
+
+// member pins what one model serves in a group being built: its current
+// deployment's graph and identity, or the new ones a swap brings.
+type member struct {
+	m        *Model
+	g        *graph.Graph
+	chain    []uint64 // prefix fingerprint chain; nil unless m shares stems
+	checksum string
+	source   string
+	version  int
+}
+
+func (m *Model) member(g *graph.Graph, checksum, source string, version int) member {
+	mb := member{m: m, g: g, checksum: checksum, source: source, version: version}
+	if m.opts.ShareStem > 0 {
+		mb.chain = fingerprint.PrefixHashes(g)
+	}
+	return mb
+}
+
+// current returns what g's members serve now, in g's order.
+func (g *group) current() []member {
+	out := make([]member, len(g.members))
+	for i, m := range g.members {
+		out[i] = m.cur.Load().member
+	}
+	return out
+}
+
+// union merges two member lists into registration order.
+func union(a, b []member) []member {
+	out := append(append([]member(nil), a...), b...)
+	sort.Slice(out, func(i, j int) bool { return out[i].m.seq < out[j].m.seq })
+	return out
+}
+
+// fits reports whether every member opted into stem sharing and their
+// prefix chains agree for at least the largest ShareStem among them —
+// the cheap test before a shared plan is compiled. Prefix agreement is
+// transitive, so comparing against the first chain suffices.
+func fits(members []member) bool {
+	need := 0
+	for _, mb := range members {
+		if mb.m.opts.ShareStem <= 0 {
+			return false
+		}
+		need = max(need, mb.m.opts.ShareStem)
+	}
+	for _, mb := range members[1:] {
+		if fingerprint.SharedDepth(members[0].chain, mb.chain) < need {
+			return false
+		}
+	}
+	return true
+}
+
+// build compiles one group's deployments, in members' order; it is the
+// only place a deployment is made. A group of one runs Pool engines from
+// its model's Compile. Two or more must fit, and run Pool (the largest
+// among them) engines over one shared plan (plan.CompileShared, as deep as
+// the chains agree), with prev's stem memo and statistics carried over so
+// a regroup keeps a warm memo; the memo grows to the largest StemMemoCap.
+// The first member's batching options apply to the group.
+func build(members []member, prev *group) ([]*deployment, error) {
+	grp := &group{}
+	graphs := make([]*graph.Graph, len(members))
+	pool, memoCap := 0, 0
+	for i, mb := range members {
+		grp.members = append(grp.members, mb.m)
+		graphs[i] = mb.g
+		pool = max(pool, mb.m.opts.Pool)
+		memoCap = max(memoCap, mb.m.opts.StemMemoCap)
+	}
+	grp.engines = make([]engine.Engine, pool)
+	var sp *plan.SharedPlan
+	if len(members) == 1 {
+		for i := range grp.engines {
+			grp.engines[i] = members[0].m.opts.Compile(graphs[0])
+		}
+		if f, ok := grp.engines[0].(*engine.Fused); ok {
+			grp.plan = f.Plan()
+		}
+	} else {
+		if !fits(members) {
+			return nil, errors.New("registry: stems do not match deeply enough to share")
+		}
+		var err error
+		if sp, err = plan.CompileShared(graphs, 0); err != nil {
+			return nil, err
+		}
+		if prev != nil {
+			grp.memo, grp.stats = prev.memo, prev.stats
+		}
+		if memoCap > 0 && (grp.memo == nil || grp.memo.Stats().Cap < memoCap) {
+			grp.memo = plan.NewStemMemo(memoCap) // grow: fresh LRU at the larger cap
+		}
+		if grp.stats == nil {
+			grp.stats = plan.NewStemStats()
+		}
+		for i := range grp.engines {
+			grp.engines[i] = engine.NewSharedFused(sp, grp.memo, grp.stats)
+		}
+		grp.plan = sp.Plan
+		grp.view = &SharedStemInfo{Depth: sp.StemDepth, Fingerprint: fmt.Sprintf("%016x", sp.StemFingerprint)}
+		for _, m := range grp.members {
+			grp.view.Members = append(grp.view.Members, m.name)
+		}
+	}
+	opts := members[0].m.opts
+	shape := graphs[0].Root.InputShape
+	bat, err := batcher.New(shape, grp.engines, batcher.Options{
+		MaxBatch: opts.MaxBatch,
+		MaxWait:  opts.MaxWait,
+		QueueCap: opts.QueueCap,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("registry: %w", err)
+	}
+	grp.bat = bat
+	if grp.plan != nil {
+		grp.report = grp.plan.Report()
+	}
+	per := 1
+	for _, dim := range shape {
+		per *= dim
+	}
+	ds := make([]*deployment, len(members))
+	for i, mb := range members {
+		d := &deployment{member: mb, group: grp, tag: i, shape: shape.Clone(), per: per}
+		if sp != nil {
+			d.tasks = make(map[int]int, len(sp.Models[i].TaskMap))
+			for local, global := range sp.Models[i].TaskMap {
+				d.tasks[global] = local
+			}
+		}
+		if len(shape) == 1 {
+			d.vocab = graph.VocabOf(mb.g)
+		}
+		ds[i] = d
+	}
+	return ds, nil
+}
+
+// publish makes each deployment its model's current one — new arrivals
+// land on it immediately — and returns the batchers it replaced. Caller
+// holds topoMu.
+func publish(ds []*deployment) []*batcher.Batcher {
+	var replaced []*batcher.Batcher
+	for _, d := range ds {
+		if old := d.m.cur.Swap(d); old != nil {
+			replaced = append(replaced, old.group.bat)
+		}
+	}
+	return replaced
+}
+
+// place decides which group m serves in with its next state, then builds
+// and publishes it. m keeps its current group while the new graph still
+// shares the group's stem. Otherwise m departs, the partners it leaves
+// regroup among themselves (two or more stay grouped, one is a group of
+// one), and both are offered to every other group. It returns the replaced
+// batchers no model serves from any more; the caller drains them after
+// releasing topoMu, so requests they admitted complete while new arrivals
+// already land on the new deployments. Caller holds topoMu.
+func (r *Registry) place(m *Model, next member) ([]*batcher.Batcher, error) {
+	var prev *group
+	var rest []member
+	if d := m.cur.Load(); d != nil {
+		prev = d.group
+		for _, mm := range prev.members {
+			if pd := mm.cur.Load(); mm != m && pd.group == prev {
+				rest = append(rest, pd.member)
+			}
+		}
+	}
+	if len(rest) > 0 {
+		if ds, err := build(union(rest, []member{next}), prev); err == nil {
+			return r.idle(publish(ds)), nil
+		}
+	}
+	replaced, err := r.join([]member{next}, nil)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) > 0 {
+		// Partners that cannot regroup keep serving from prev, whose
+		// batcher idle then leaves running.
+		if more, err := r.join(rest, prev); err == nil {
+			replaced = append(replaced, more...)
+		}
+	}
+	return r.idle(replaced), nil
+}
+
+// join publishes unit — models that serve together — merged into the first
+// other group, scanning share-enabled models in registration order, whose
+// members it fits with, or on its own when none fits. prev seeds the memo
+// of a unit that stays on its own. Returns the batchers the publish
+// replaced. Caller holds topoMu.
+func (r *Registry) join(unit []member, prev *group) ([]*batcher.Batcher, error) {
+	seen := map[*group]bool{}
+	for _, mb := range unit {
+		if d := mb.m.cur.Load(); d != nil {
+			seen[d.group] = true
+		}
+	}
+	if fits(unit) {
+		for _, c := range r.Models() {
+			d := c.cur.Load()
+			if d == nil || seen[d.group] || c.opts.ShareStem <= 0 {
+				continue
+			}
+			seen[d.group] = true
+			if ds, err := build(union(unit, d.group.current()), d.group); err == nil {
+				return publish(ds), nil
+			}
+		}
+	}
+	ds, err := build(unit, prev)
+	if err != nil {
+		return nil, err
+	}
+	return publish(ds), nil
+}
+
+// idle drops the batchers some model still serves from, so a drain never
+// stops a live group.
+func (r *Registry) idle(bats []*batcher.Batcher) []*batcher.Batcher {
+	live := map[*batcher.Batcher]bool{}
+	for _, m := range r.Models() {
+		if d := m.cur.Load(); d != nil {
+			live[d.group.bat] = true
+		}
+	}
+	out := bats[:0]
+	for _, b := range bats {
+		if !live[b] {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// drainBatchers stops each batcher once, bounded by ctx: requests it
+// admitted still complete. Returns how many requests the drains abandoned
+// and the first Stop error.
+func drainBatchers(ctx context.Context, bats []*batcher.Batcher) (abandoned int, err error) {
+	seen := map[*batcher.Batcher]bool{}
+	for _, b := range bats {
+		if seen[b] {
+			continue
+		}
+		seen[b] = true
+		if e := b.Stop(ctx); e != nil && err == nil {
+			err = e
+		}
+		abandoned += b.Pending()
+	}
+	return abandoned, err
+}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/parser"
+	"repro/internal/plan"
 	"repro/internal/serve/batcher"
 	"repro/internal/tensor"
 )
@@ -34,7 +35,8 @@ type SwapRecord struct {
 }
 
 // Snapshot is a read-only view of a model's current deployment, stable
-// for the duration of one request.
+// for the duration of one request. Taking one costs an atomic load: no
+// lock, no allocation.
 type Snapshot struct {
 	Name       string
 	Version    int
@@ -51,7 +53,10 @@ type Snapshot struct {
 	// parameter provenance: autotuned during this deployment's compile,
 	// replayed from the winner cache, or running shipped defaults.
 	TunedOps, CachedOps, DefaultOps int
-	// Shared describes the model's shared-stem group, nil while solo.
+	// Shared describes the model's shared-stem group — members, depth and
+	// stem fingerprint, fixed when the group was published — nil in a
+	// group of one. It is shared between members and must not be
+	// modified; its counters are zero (ModelStats carries them).
 	Shared *SharedStemInfo
 }
 
@@ -70,26 +75,24 @@ type ModelStats struct {
 	Swaps                    []SwapRecord
 	// Pending is the number of admitted-but-unanswered requests.
 	Pending int
-	// Shared describes the model's shared-stem group, nil while solo.
-	// Its counters (memo, mixed batches, histogram) are group-wide.
+	// Shared describes the model's shared-stem group, nil in a group of
+	// one. Its counters (memo, mixed batches, histogram) are group-wide.
 	Shared *SharedStemInfo
 }
 
 // Model is the serving handle for one registered name. The deployment
-// behind it changes across hot swaps; the handle, its counters, and its
-// history persist.
+// behind it changes across hot swaps and regroupings; the handle, its
+// counters, and its history persist.
 type Model struct {
 	name string
 	reg  *Registry
 	opts ModelOptions
 	path string // source checkpoint for Reload; "" if registered from memory
+	seq  int    // registration index: orders group members
 
-	cur    atomic.Pointer[deployment]
-	swapMu sync.Mutex // serializes Swap/Reload/Close for this model
-
-	// group is the model's shared-stem group, nil while serving solo.
-	// Guarded by reg.shareMu, NOT swapMu.
-	group *sharedGroup
+	// cur is stored only under the registry's topoMu (publish, Close) and
+	// loaded without a lock.
+	cur atomic.Pointer[deployment]
 
 	rejected atomic.Int64 // queue-full sheds
 	shed     atomic.Int64 // SLO-admission sheds
@@ -110,12 +113,13 @@ func (m *Model) Snapshot() (Snapshot, error) {
 	if d == nil {
 		return Snapshot{}, ErrClosed
 	}
+	rep := &d.group.report
 	return Snapshot{
 		Name: m.name, Version: d.version, Checksum: d.checksum, Source: d.source,
-		InputShape: d.shape, SampleSize: d.per, Vocab: d.vocab, Graph: d.graph,
-		PlanOps: d.planOps, PlannedOps: d.plannedOps, EagerOps: d.eagerOps,
-		TunedOps: d.tunedOps, CachedOps: d.cachedOps, DefaultOps: d.defaultOps,
-		Shared: m.sharedInfo(),
+		InputShape: d.shape, SampleSize: d.per, Vocab: d.vocab, Graph: d.g,
+		PlanOps: len(rep.Ops), PlannedOps: rep.Planned, EagerOps: rep.Eager,
+		TunedOps: rep.Tuned, CachedOps: rep.Cached, DefaultOps: rep.Defaulted,
+		Shared: d.group.view,
 	}, nil
 }
 
@@ -124,9 +128,9 @@ func (m *Model) Snapshot() (Snapshot, error) {
 const ewmaAlphaInv = 8
 
 // Submit admits one batched input [rows, sample...] through the model's
-// SLO budget and bounded queue, and blocks for the scattered outputs.
-// A request that races a hot swap retries transparently on the new
-// deployment, so callers never observe ErrStopped from a swap — the
+// SLO budget and its group's bounded queue, and blocks for the scattered
+// outputs. A request that races a hot swap retries transparently on the
+// new deployment, so callers never observe ErrStopped from a swap — the
 // zero-dropped-requests guarantee.
 func (m *Model) Submit(ctx context.Context, x *tensor.Tensor) (map[int]*tensor.Tensor, error) {
 	for {
@@ -141,7 +145,7 @@ func (m *Model) Submit(ctx context.Context, x *tensor.Tensor) (map[int]*tensor.T
 			}
 		}
 		t0 := time.Now()
-		outs, err := d.submit(ctx, x)
+		outs, err := d.group.bat.SubmitTagged(ctx, x, d.tag, d.tasks)
 		switch {
 		case err == nil:
 			m.observe(time.Since(t0))
@@ -168,8 +172,8 @@ func (m *Model) predictedWait(d *deployment) time.Duration {
 	if ewma <= 0 {
 		return 0 // cold start: admit until we have a latency signal
 	}
-	depth := int64(d.bat.QueueDepth())
-	return time.Duration(ewma * depth / int64(d.bat.MaxBatch()))
+	depth := int64(d.group.bat.QueueDepth())
+	return time.Duration(ewma * depth / int64(d.group.bat.MaxBatch()))
 }
 
 // observe folds one successful request latency into the admission EWMA.
@@ -185,14 +189,13 @@ func (m *Model) observe(lat time.Duration) {
 func (m *Model) RecordFailure() { m.failures.Add(1) }
 
 // Pending reports admitted-but-unanswered requests on the current
-// deployment. During a swap's drain window the old deployment's pending
-// requests are counted too (they are still owed answers).
+// deployment's batcher (the whole group's, for a shared-stem member).
 func (m *Model) Pending() int {
 	d := m.cur.Load()
 	if d == nil {
 		return 0
 	}
-	return d.bat.Pending()
+	return d.group.bat.Pending()
 }
 
 // Stats snapshots the model's serving counters and swap history.
@@ -207,33 +210,70 @@ func (m *Model) Stats() ModelStats {
 		st.Version = d.version
 		st.Checksum = d.checksum
 		st.Source = d.source
-		st.Batcher = d.bat.Stats()
-		st.Pending = d.bat.Pending()
+		st.Batcher = d.group.bat.Stats()
+		st.Pending = d.group.bat.Pending()
+		st.Shared = d.group.sharedStats(st.Batcher.MixedBatches)
 	}
 	m.hmu.Lock()
 	st.Swaps = append([]SwapRecord(nil), m.history...)
 	m.hmu.Unlock()
-	st.Shared = m.sharedInfo()
 	return st
 }
 
-// Fused returns the current deployment's plan-backed engines (possibly
-// empty when the pool was injected), for per-op stats aggregation.
+// Fused returns the plan-backed engines of a group of one (none for a
+// shared-stem member or an engine a Compile hook wrapped), for per-op
+// stats aggregation.
 func (m *Model) Fused() []*engine.Fused {
 	d := m.cur.Load()
 	if d == nil {
 		return nil
 	}
-	return d.fused
+	var out []*engine.Fused
+	for _, e := range d.group.engines {
+		if f, ok := e.(*engine.Fused); ok {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
-// Swap hot-swaps the model to a new graph under load: the new deployment
-// (fresh engine pool + batcher) is published atomically, then the old
-// batcher drains through Stop — requests it already admitted complete on
-// the old engines, and arrivals that race the cutover retry onto the new
-// deployment inside Submit. ctx bounds the drain; on expiry the swap
-// still holds (the new version serves) but the record counts the
-// abandoned in-flight requests and an error is returned.
+// OpStats returns the compiled plan the current deployment's engines run
+// and its per-op counters summed across the engine pool. For a shared-stem
+// member both are the group's: op names carry the shared plan's "stem/"
+// and "m<i>/" prefixes, and the counters cover every member's traffic.
+// The plan is nil when the engines are not plan-backed.
+func (m *Model) OpStats() (*plan.Plan, []plan.OpStat) {
+	d := m.cur.Load()
+	if d == nil || d.group.plan == nil {
+		return nil, nil
+	}
+	var sum []plan.OpStat
+	for _, e := range d.group.engines {
+		c, ok := e.(interface{ OpStats() []plan.OpStat })
+		if !ok {
+			continue
+		}
+		for i, st := range c.OpStats() {
+			if i == len(sum) {
+				sum = append(sum, st)
+				continue
+			}
+			sum[i].Calls += st.Calls
+			sum[i].Nanos += st.Nanos
+		}
+	}
+	return d.group.plan, sum
+}
+
+// Swap hot-swaps the model to a new graph under load. The model is placed
+// again: it keeps its group while the new graph still shares the group's
+// stem (partners keep their versions), and otherwise departs. The new
+// deployments are published atomically, then the replaced batchers drain
+// through Stop — requests they already admitted complete on the old
+// engines, and arrivals that race the cutover retry onto the new
+// deployment inside Submit. ctx bounds the drain; on expiry the swap still
+// holds (the new version serves) but the record counts the abandoned
+// in-flight requests and an error is returned.
 //
 // checksum may be "" for an in-memory graph, in which case the identity
 // is computed as parser.Sum would.
@@ -248,43 +288,36 @@ func (m *Model) Swap(ctx context.Context, g *graph.Graph, checksum string) (Swap
 	return m.swapTo(ctx, g, checksum, "")
 }
 
-// swapTo routes a swap: share-enabled models go through the registry's
-// shared-stem path (which may recompile a whole group or depart from
-// one); solo models swap in place.
+// swapTo places the model with its next version, then drains what the
+// placement replaced and records the swap.
 func (m *Model) swapTo(ctx context.Context, g *graph.Graph, checksum, source string) (SwapRecord, error) {
-	if m.opts.ShareStem > 0 {
-		return m.reg.sharedSwap(ctx, m, g, checksum, source)
-	}
-	return m.soloSwap(ctx, g, checksum, source)
-}
-
-func (m *Model) soloSwap(ctx context.Context, g *graph.Graph, checksum, source string) (SwapRecord, error) {
-	m.swapMu.Lock()
-	defer m.swapMu.Unlock()
+	r := m.reg
+	r.topoMu.Lock()
 	old := m.cur.Load()
-	if old == nil {
-		return SwapRecord{}, ErrClosed
+	var stale []*batcher.Batcher
+	err := ErrClosed
+	if old != nil {
+		stale, err = r.place(m, m.member(g, checksum, source, old.version+1))
 	}
-	next, err := deploy(g, checksum, source, old.version+1, m.opts, nil)
+	r.topoMu.Unlock()
 	if err != nil {
 		return SwapRecord{}, err
 	}
-	m.cur.Store(next) // cutover: new arrivals land on the new deployment
 	t0 := time.Now()
-	stopErr := old.bat.Stop(ctx) // drain what the old one already admitted
+	abandoned, stopErr := drainBatchers(ctx, stale)
 	drain := time.Since(t0)
 	rec := SwapRecord{
-		FromVersion: old.version, ToVersion: next.version,
+		FromVersion: old.version, ToVersion: old.version + 1,
 		FromChecksum: old.checksum, ToChecksum: checksum,
 		DrainMicros: drain.Microseconds(),
-		Abandoned:   old.bat.Pending(),
+		Abandoned:   abandoned,
 		UnixMicros:  time.Now().UnixMicro(),
 	}
 	m.hmu.Lock()
 	m.history = append(m.history, rec)
 	m.hmu.Unlock()
-	m.reg.swaps.Add(1)
-	m.reg.swapDrainNS.Add(int64(drain))
+	r.swaps.Add(1)
+	r.swapDrainNS.Add(int64(drain))
 	if stopErr != nil {
 		return rec, fmt.Errorf("registry: swap of %q: drain abandoned %d in-flight requests: %w",
 			m.name, rec.Abandoned, stopErr)
@@ -317,8 +350,5 @@ func (m *Model) Reload(ctx context.Context) (bool, SwapRecord, error) {
 		}
 	}
 	rec, err := m.swapTo(ctx, g, sum, m.path)
-	if err != nil {
-		return true, rec, err
-	}
-	return true, rec, nil
+	return true, rec, err
 }

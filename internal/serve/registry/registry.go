@@ -2,25 +2,32 @@
 // fused models at once, each independently versioned, admitted, and
 // hot-swappable under load.
 //
-// Every registered model owns a bounded admission queue and a dynamic
-// batcher (internal/serve/batcher) over its own engine pool, so
-// backpressure is a per-model verdict — a bursty tenant fills its own
-// queue and eats its own 429/503s instead of starving the fleet behind
-// one global knob. The compute substrate underneath is shared: every
-// engine draws from the process-wide tensor worker pool
-// (tensor.ParallelFor) and buffer arena, so idle models cost nothing and
-// a model's parallelism is bounded by its engine-pool size, not by
-// ownership of threads.
+// The unit of deployment is the group: a set of models served by one
+// dynamic batcher (internal/serve/batcher) over one engine pool. Every
+// model belongs to exactly one group. A model that shares with nobody is a
+// group of one, with its own bounded admission queue and its own engines,
+// so backpressure is a per-model verdict — a bursty tenant fills its own
+// queue and eats its own 429/503s instead of starving the fleet behind one
+// global knob. Models that opt into stem sharing (ModelOptions.ShareStem)
+// and whose weight-inclusive prefix fingerprints agree form a group of two
+// or more, served by one multi-head plan whose batcher coalesces their
+// requests into one stem batch. The compute substrate underneath is shared
+// either way: every engine draws from the process-wide tensor worker pool
+// (tensor.ParallelFor) and buffer arena, so idle models cost nothing.
 //
 // Deploys are checksum-verified: models loaded from disk carry the
 // checkpoint's CRC-32 content identity (parser.LoadFileSum), models
 // registered from memory get the identity their bytes would have on disk
-// (parser.Sum). A hot swap (Model.Swap) publishes the new deployment
-// atomically, then drains the old batcher through its Stop/Pending
-// machinery: requests already admitted complete on the old engines,
-// requests that race the swap retry transparently on the new deployment,
-// and the swap record logs how long the drain took and whether anything
-// was abandoned (zero on a clean swap).
+// (parser.Sum). Register, Load, Swap and Reload all place the model the
+// same way: it keeps its group while its graph still shares the group's
+// stem, and otherwise departs into a group of one that, like the partners
+// it left, is offered to every other group. New deployments are published
+// atomically under the registry's topology lock; the replaced batchers
+// drain after the lock is released, through their Stop/Pending machinery:
+// requests already admitted complete on the old engines, requests that
+// race the swap retry transparently on the new deployment, and the swap
+// record logs how long the drain took and whether anything was abandoned
+// (zero on a clean swap). The request path never takes the topology lock.
 package registry
 
 import (
@@ -35,9 +42,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/parser"
-	"repro/internal/serve"
 	"repro/internal/serve/batcher"
-	"repro/internal/tensor"
 )
 
 var (
@@ -77,12 +82,10 @@ type ModelOptions struct {
 	SLOBudget time.Duration
 	// Compile builds one engine for a deployment's graph; engine.Compile
 	// when nil. Swaps use it too, so tests can wrap every version's
-	// engines (e.g. to slow them down).
+	// engines (e.g. to slow them down). A shared-stem group compiles its
+	// multi-head plan instead. It runs under the registry's topology lock,
+	// so it must not call back into the registry.
 	Compile func(*graph.Graph) engine.Engine
-	// Engines, when non-empty, supplies pre-built engines for the INITIAL
-	// deployment only; later swaps compile fresh engines for the new graph
-	// via Compile. Test hook.
-	Engines []engine.Engine
 	// Prepare runs on every graph loaded from disk (Load and Reload)
 	// before engines compile — the place to strip or validate int8
 	// annotations. Not applied to graphs handed in directly.
@@ -92,7 +95,7 @@ type ModelOptions struct {
 	// this one's for at least ShareStem stem nodes (weights included —
 	// fingerprint.PrefixHashes), the two route through one shared
 	// multi-head plan whose batcher coalesces cross-model requests into a
-	// single stem batch. 0 keeps the model solo.
+	// single stem batch. 0 keeps the model in a group of one.
 	ShareStem int
 	// StemMemoCap bounds the shared group's stem-activation memo (LRU
 	// entries); the group takes the largest cap among its members. 0
@@ -110,40 +113,21 @@ func (o ModelOptions) withDefaults() ModelOptions {
 	return o
 }
 
-// deployment is one immutable served version of a model: graph, engine
-// pool, batcher. Swaps replace the whole deployment atomically.
+// deployment is one immutable served version of a model: what it serves
+// and the group that serves it. Publishing replaces the whole deployment
+// atomically.
 type deployment struct {
-	graph    *graph.Graph
-	bat      *batcher.Batcher
-	fused    []*engine.Fused
-	version  int
-	checksum string
-	source   string // checkpoint path, "" when registered from memory
+	member
+	group *group
+	// tag tells the member's requests apart inside the group's coalesced
+	// batches; tasks renames the shared plan's task ids back to the
+	// member's own (nil in a group of one, whose engines use them already).
+	tag   int
+	tasks map[int]int
 
 	shape graph.Shape
 	per   int // elements per sample
 	vocab int // token vocabulary for 1-D inputs, 0 for image models
-
-	planOps, plannedOps, eagerOps int
-	// tunedOps/cachedOps/defaultOps split the plan's tunable-kernel ops by
-	// parameter provenance (autotuned this compile / winner-cache hit /
-	// shipped defaults).
-	tunedOps, cachedOps, defaultOps int
-
-	// shared, when non-nil, marks this deployment as one member of a
-	// shared-stem group: bat is the GROUP batcher (one per group, shared by
-	// every member deployment) and submissions go through SubmitTagged with
-	// the member's task renames.
-	shared *sharedRef
-}
-
-// submit routes one request through the deployment's batcher, tagged and
-// task-filtered when the deployment serves inside a shared-stem group.
-func (d *deployment) submit(ctx context.Context, x *tensor.Tensor) (map[int]*tensor.Tensor, error) {
-	if d.shared != nil {
-		return d.bat.SubmitTagged(ctx, x, d.shared.tag, d.shared.tasks)
-	}
-	return d.bat.Submit(ctx, x)
 }
 
 // Stats is the registry-level snapshot surfaced through GET /v1/stats:
@@ -158,17 +142,17 @@ type Stats struct {
 
 // Registry holds the fleet. All methods are safe for concurrent use.
 type Registry struct {
+	// topoMu serializes every topology change — register, swap, close —
+	// and with it every publish. Lock order is topoMu -> mu. The request
+	// path (Get, Snapshot, Submit) never takes it, and no batcher drains
+	// while it is held.
+	topoMu sync.Mutex
+
 	mu          sync.RWMutex
 	models      map[string]*Model
 	order       []string // registration order, for stable listings
 	defaultName string
 	closed      bool
-
-	// shareMu serializes every shared-stem topology change: group
-	// formation, join, member swap, departure, dissolution. Lock order is
-	// shareMu -> r.mu -> Model.swapMu; nothing may acquire shareMu while
-	// holding either of the others.
-	shareMu sync.Mutex
 
 	swaps       atomic.Int64
 	swapDrainNS atomic.Int64
@@ -188,11 +172,7 @@ func (r *Registry) Register(name string, g *graph.Graph, opts ModelOptions) (*Mo
 	if err != nil {
 		return nil, fmt.Errorf("registry: checksumming %q: %w", name, err)
 	}
-	m, err := r.register(name, g, sum, "", opts)
-	if err == nil {
-		r.tryShare(m)
-	}
-	return m, err
+	return r.register(name, g, sum, "", opts)
 }
 
 // Load reads a checksum-verified checkpoint from path and serves it under
@@ -209,11 +189,7 @@ func (r *Registry) Load(name, path string, opts ModelOptions) (*Model, error) {
 			return nil, fmt.Errorf("registry: preparing %q: %w", name, err)
 		}
 	}
-	m, err := r.register(name, g, sum, path, opts)
-	if err == nil {
-		r.tryShare(m)
-	}
-	return m, err
+	return r.register(name, g, sum, path, opts)
 }
 
 func validName(name string) error {
@@ -231,86 +207,51 @@ func validName(name string) error {
 	return nil
 }
 
+// register places a new model at version 1 and lists it. A group it joins
+// drains its replaced batcher before register returns.
 func (r *Registry) register(name string, g *graph.Graph, sum, source string, opts ModelOptions) (*Model, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	d, err := deploy(g, sum, source, 1, opts, opts.Engines)
+	m := &Model{name: name, reg: r, opts: opts.withDefaults(), path: source}
+	r.topoMu.Lock()
+	stale, err := r.add(m, m.member(g, sum, source, 1))
+	r.topoMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{name: name, reg: r, opts: opts, path: source}
-	m.cur.Store(d)
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		stopDeployment(d)
-		return nil, ErrClosed
-	}
-	if _, ok := r.models[name]; ok {
-		stopDeployment(d)
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateModel, name)
-	}
-	r.models[name] = m
-	r.order = append(r.order, name)
-	if r.defaultName == "" {
-		r.defaultName = name
-	}
+	// The model already serves; a drain that outlives the bound carries on
+	// in the background, so there is nothing to report.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, _ = drainBatchers(ctx, stale)
 	return m, nil
 }
 
-// stopDeployment abandons a deployment that never served: its batcher has
-// no queued work, so the drain is immediate.
-func stopDeployment(d *deployment) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	_ = d.bat.Stop(ctx)
-}
-
-// deploy compiles a deployment for a graph: engine pool, batcher, plan
-// coverage. engines overrides compilation when non-empty.
-func deploy(g *graph.Graph, sum, source string, version int, opts ModelOptions, engines []engine.Engine) (*deployment, error) {
-	if len(engines) == 0 {
-		engines = make([]engine.Engine, opts.Pool)
-		for i := range engines {
-			engines[i] = opts.Compile(g)
-		}
+// add is register's part under topoMu.
+func (r *Registry) add(m *Model, next member) ([]*batcher.Batcher, error) {
+	r.mu.RLock()
+	closed, taken := r.closed, r.models[m.name] != nil
+	m.seq = len(r.order)
+	r.mu.RUnlock()
+	if closed {
+		return nil, ErrClosed
 	}
-	shape := g.Root.InputShape
-	bat, err := batcher.New(shape, engines, batcher.Options{
-		MaxBatch: opts.MaxBatch,
-		MaxWait:  opts.MaxWait,
-		QueueCap: opts.QueueCap,
-	})
+	if taken {
+		return nil, fmt.Errorf("%w: %q", ErrDuplicateModel, m.name)
+	}
+	stale, err := r.place(m, next)
 	if err != nil {
-		return nil, fmt.Errorf("registry: %w", err)
+		return nil, err
 	}
-	per := 1
-	for _, dim := range shape {
-		per *= dim
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.models[m.name] = m
+	r.order = append(r.order, m.name)
+	if r.defaultName == "" {
+		r.defaultName = m.name
 	}
-	d := &deployment{
-		graph: g, bat: bat, version: version, checksum: sum, source: source,
-		shape: shape.Clone(), per: per,
-	}
-	if len(shape) == 1 {
-		d.vocab = serve.VocabOf(g)
-	}
-	for _, e := range engines {
-		if f, ok := e.(*engine.Fused); ok {
-			d.fused = append(d.fused, f)
-		}
-	}
-	if len(d.fused) > 0 {
-		rep := d.fused[0].Plan().Report()
-		d.planOps = len(rep.Ops)
-		d.plannedOps = rep.Planned
-		d.eagerOps = rep.Eager
-		d.tunedOps, d.cachedOps, d.defaultOps = rep.Tuned, rep.Cached, rep.Defaulted
-	}
-	return d, nil
+	return stale, nil
 }
 
 // Get returns the model registered under name; the empty name resolves to
@@ -377,52 +318,44 @@ func (r *Registry) Stats() Stats {
 	for _, m := range r.Models() {
 		st.ModelsLoaded++
 		if d := m.cur.Load(); d != nil {
-			st.QueueDepth[m.name] = d.bat.QueueDepth()
+			st.QueueDepth[m.name] = d.group.bat.QueueDepth()
 		}
 	}
 	return st
 }
 
-// Close drains every model's batcher and refuses further registration.
+// Close drains every group's batcher and refuses further registration.
 // Queued requests still complete (or are abandoned when ctx ends first,
 // like batcher.Stop).
 func (r *Registry) Close(ctx context.Context) error {
+	r.topoMu.Lock()
 	r.mu.Lock()
 	r.closed = true
-	models := make([]*Model, 0, len(r.order))
-	for _, name := range r.order {
-		models = append(models, r.models[name])
-	}
 	r.mu.Unlock()
-
-	var firstErr error
-	for _, m := range models {
-		m.swapMu.Lock()
-		d := m.cur.Swap(nil)
-		m.swapMu.Unlock()
-		if d == nil {
-			continue
-		}
-		if err := d.bat.Stop(ctx); err != nil && firstErr == nil {
-			firstErr = err
+	var bats []*batcher.Batcher
+	for _, m := range r.Models() {
+		if d := m.cur.Swap(nil); d != nil {
+			bats = append(bats, d.group.bat)
 		}
 	}
-	return firstErr
+	r.topoMu.Unlock()
+	_, err := drainBatchers(ctx, bats)
+	return err
 }
 
 // Pending sums the admitted-but-unanswered requests across the fleet.
 // After a Close whose context expired, this counts the abandoned ones.
-// Shared-stem members serve through one group batcher, counted once.
+// A group's batcher is counted once.
 func (r *Registry) Pending() int {
 	total := 0
 	seen := map[*batcher.Batcher]bool{}
 	for _, m := range r.Models() {
 		d := m.cur.Load()
-		if d == nil || seen[d.bat] {
+		if d == nil || seen[d.group.bat] {
 			continue
 		}
-		seen[d.bat] = true
-		total += d.bat.Pending()
+		seen[d.group.bat] = true
+		total += d.group.bat.Pending()
 	}
 	return total
 }

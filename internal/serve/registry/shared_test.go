@@ -312,6 +312,101 @@ func TestSharedSwapDeparture(t *testing.T) {
 	}
 }
 
+// A departing member is offered to every other group: swapped onto the
+// stem of a model that serves alone, it leaves its group — whose remainder
+// becomes a group of one at its old version — and joins that model, with
+// no request to any of the three dropped.
+func TestSharedSwapDepartureJoinsAnotherGroup(t *testing.T) {
+	r := newRegistry(t)
+	ga, gb := testutil.TinySharedStemPair(41)
+	gc, gd := testutil.TinySharedStemPair(77)
+	var models []*registry.Model
+	for _, reg := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"join-a", ga}, {"join-b", gb}, {"join-c", gc}} {
+		m, err := r.Register(reg.name, reg.g, sharedOpts(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, m)
+	}
+	ma, mb, mc := models[0], models[1], models[2]
+	if ma.Stats().Shared == nil {
+		t.Fatal("group did not form")
+	}
+	if st := mc.Stats(); st.Shared != nil {
+		t.Fatalf("join-c grouped with an unrelated stem: %+v", st.Shared)
+	}
+
+	ctx := context.Background()
+	stop := make(chan struct{})
+	var failed atomic.Int64
+	var wg sync.WaitGroup
+	for _, m := range models {
+		m := m
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := m.Submit(ctx, sample(3*16*16, i)); err != nil {
+					failed.Add(1)
+					t.Errorf("%s under swap: %v", m.Name(), err)
+					return
+				}
+			}
+		}()
+	}
+	time.Sleep(20 * time.Millisecond)
+	rec, err := mb.Swap(ctx, gd, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+
+	if failed.Load() != 0 {
+		t.Fatalf("%d requests dropped across the swap", failed.Load())
+	}
+	if rec.Abandoned != 0 {
+		t.Fatalf("departure abandoned %d requests", rec.Abandoned)
+	}
+	for _, m := range []*registry.Model{mb, mc} {
+		st := m.Stats()
+		if st.Shared == nil || len(st.Shared.Members) != 2 ||
+			st.Shared.Members[0] != "join-b" || st.Shared.Members[1] != "join-c" {
+			t.Fatalf("%s: shared %+v, want group [join-b join-c]", m.Name(), st.Shared)
+		}
+	}
+	if st := mb.Stats(); st.Version != 2 {
+		t.Fatalf("departed member at version %d, want 2", st.Version)
+	}
+	if st := mc.Stats(); st.Version != 1 {
+		t.Fatalf("joined model at version %d, want 1", st.Version)
+	}
+	if st := ma.Stats(); st.Shared != nil || st.Version != 1 {
+		t.Fatalf("remaining member: version %d shared %+v", st.Version, st.Shared)
+	}
+
+	x := sample(3*16*16, 7)
+	for _, c := range []struct {
+		m *registry.Model
+		g *graph.Graph
+	}{{ma, ga}, {mb, gd}, {mc, gc}} {
+		outs, err := c.m.Submit(ctx, x.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantClose(t, c.m.Name(), outs[0], engine.Compile(c.g).Forward(x.Clone())[0])
+	}
+}
+
 // perturbTail nudges every parameter below the shared stem (the divergent
 // third block and head), leaving the two stem blocks bit-identical.
 func perturbTail(g *graph.Graph) {

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -47,16 +46,6 @@ type Options struct {
 	// MaxOutstanding caps concurrently in-flight open-loop requests;
 	// arrivals beyond it are dropped and counted (default 64).
 	MaxOutstanding int
-	// Arrivals, when non-empty, replays an explicit open-loop arrival
-	// schedule: offsets from window start, fired in order regardless of
-	// Rate or Duration. This is the replay half of a recorded trace — the
-	// offered load is reproduced exactly, including the arrivals that end
-	// up dropped.
-	Arrivals []time.Duration
-	// OnArrival observes every open-loop arrival (admitted or dropped) with
-	// its index and offset from window start — the recording hook traces
-	// are built from. Called from the arrival loop; must be cheap.
-	OnArrival func(i int, offset time.Duration)
 }
 
 func (o Options) withDefaults() Options {
@@ -137,9 +126,6 @@ func RunTarget(ctx context.Context, target Target, inputShape graph.Shape, opts 
 	for w := 0; w < opts.Warmup; w++ {
 		_ = target(ctx, inputs[w%len(inputs)])
 	}
-	if len(opts.Arrivals) > 0 {
-		return runArrivals(ctx, target, inputs, opts)
-	}
 	if opts.Rate > 0 {
 		return runOpen(ctx, target, inputs, opts)
 	}
@@ -208,7 +194,6 @@ func runOpen(ctx context.Context, target Target, inputs []*tensor.Tensor, opts O
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	var wg sync.WaitGroup
-	arrival := 0
 loop:
 	for {
 		select {
@@ -218,10 +203,6 @@ loop:
 			if now.After(deadline) {
 				break loop
 			}
-			if opts.OnArrival != nil {
-				opts.OnArrival(arrival, now.Sub(start))
-			}
-			arrival++
 			select {
 			case in := <-free:
 				wg.Add(1)
@@ -248,66 +229,6 @@ loop:
 	return summarize(latencies, time.Since(start), dropped, errs)
 }
 
-// runArrivals fires the explicit schedule in opts.Arrivals: each offset is
-// waited out from window start, then the arrival is admitted (or dropped
-// when MaxOutstanding requests are already in flight), exactly like the
-// rate-driven loop. OnArrival reports the SCHEDULED offset, so recording a
-// replay reproduces the trace bit-for-bit.
-func runArrivals(ctx context.Context, target Target, inputs []*tensor.Tensor, opts Options) Report {
-	free := make(chan *tensor.Tensor, len(inputs))
-	for _, in := range inputs {
-		free <- in
-	}
-	var mu sync.Mutex
-	var latencies []time.Duration
-	var dropped, errs int
-	start := time.Now()
-	timer := time.NewTimer(0)
-	defer timer.Stop()
-	if !timer.Stop() {
-		<-timer.C
-	}
-	var wg sync.WaitGroup
-loop:
-	for i, off := range opts.Arrivals {
-		if wait := off - time.Since(start); wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-ctx.Done():
-				break loop
-			case <-timer.C:
-			}
-		} else if ctx.Err() != nil {
-			break loop
-		}
-		if opts.OnArrival != nil {
-			opts.OnArrival(i, off)
-		}
-		select {
-		case in := <-free:
-			wg.Add(1)
-			go func(in *tensor.Tensor) {
-				defer wg.Done()
-				t0 := time.Now()
-				err := target(ctx, in)
-				d := time.Since(t0)
-				mu.Lock()
-				if err != nil {
-					errs++
-				} else {
-					latencies = append(latencies, d)
-				}
-				mu.Unlock()
-				free <- in
-			}(in)
-		default:
-			dropped++
-		}
-	}
-	wg.Wait()
-	return summarize(latencies, time.Since(start), dropped, errs)
-}
-
 func summarize(latencies []time.Duration, elapsed time.Duration, dropped, errs int) Report {
 	rep := Report{Requests: len(latencies), Elapsed: elapsed, Dropped: dropped, Errors: errs}
 	if len(latencies) == 0 {
@@ -326,31 +247,6 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// VocabOf returns the token vocabulary of the model's embedding stem, or 0
-// for models without one (image inputs).
-func VocabOf(g *graph.Graph) int {
-	for _, n := range g.Nodes() {
-		if v := vocabOfLayer(n.Layer); v > 0 {
-			return v
-		}
-	}
-	return 0
-}
-
-func vocabOfLayer(l nn.Layer) int {
-	switch v := l.(type) {
-	case *nn.Embedding:
-		return v.Vocab
-	case *nn.Sequential:
-		for _, s := range v.Layers {
-			if r := vocabOfLayer(s); r > 0 {
-				return r
-			}
-		}
-	}
-	return 0
 }
 
 // Stream is one independently-parameterized load stream against a named
@@ -393,7 +289,7 @@ func RunStreams(ctx context.Context, streams []Stream) map[string]Report {
 func Compare(ctx context.Context, original, fused *graph.Graph, opts Options) (orig, fusedRep Report, gain float64) {
 	shape := original.Root.InputShape
 	if opts.Vocab <= 0 {
-		opts.Vocab = VocabOf(original)
+		opts.Vocab = graph.VocabOf(original)
 	}
 	orig = Run(ctx, engine.NewReference(original), shape, opts)
 	fusedRep = Run(ctx, engine.NewReference(fused), shape, opts)

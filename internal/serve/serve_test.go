@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/mutation"
-	"repro/internal/nn"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
@@ -126,24 +125,6 @@ func TestOpenLoopDropsWhenSaturated(t *testing.T) {
 	})
 	if rep.Dropped == 0 {
 		t.Fatalf("saturated open loop dropped nothing: %+v", rep)
-	}
-}
-
-// VocabOf finds the embedding stem's vocabulary through sequential nesting.
-func TestVocabOf(t *testing.T) {
-	ds := testutil.TinyFace(1, 8, 4)
-	img := testutil.TinyMultiDNN(2, ds)
-	if v := serve.VocabOf(img); v != 0 {
-		t.Fatalf("image model vocab %d, want 0", v)
-	}
-	// A token-id model with the embedding nested inside a Sequential stem.
-	rng := tensor.NewRNG(1)
-	text := graph.New(graph.Shape{6}, graph.DomainRaw)
-	stem := graph.NewBlockNode(0, 0, "Stem", graph.Shape{6}, graph.DomainRaw,
-		nn.NewSequential("stem", nn.NewEmbedding(rng, 20, 8, 6)))
-	text.AppendChain(text.Root, stem)
-	if v := serve.VocabOf(text); v != 20 {
-		t.Fatalf("text model vocab %d, want 20", v)
 	}
 }
 
