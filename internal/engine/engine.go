@@ -50,19 +50,42 @@ func (r *Reference) Forward(x *tensor.Tensor) map[int]*tensor.Tensor {
 }
 
 // Fused is the plan-backed compiled executor: a thin wrapper over one
-// plan.Instance. Forward clones the head outputs out of the instance's
-// reused slabs, so callers own what they receive (Reference semantics).
-// Because the instance's buffers are reused across calls, one Fused engine
-// must not run concurrent Forwards — pool engines per stream, as the
-// serving layer's batcher does.
+// plan.Instance, of a one-graph plan or a multi-graph one alike. Forward
+// clones the head outputs out of the instance's reused slabs, so callers
+// own what they receive (Reference semantics). Because the instance's
+// buffers are reused across calls, one Fused engine must not run
+// concurrent Forwards — pool engines per stream, as the serving layer's
+// batcher does. Engines of one pool may share one plan, memo and stats.
 type Fused struct {
 	inst *plan.Instance
 }
 
+// NewFused wraps one instance of a compiled plan. memo enables
+// stem-activation caching and stats collects the stem batch-size histogram
+// (nil disables either; a plan without a stem uses neither).
+func NewFused(p *plan.Plan, memo *plan.StemMemo, stats *plan.StemStats) *Fused {
+	inst := p.NewInstance()
+	inst.SetStemMemo(memo, stats)
+	return &Fused{inst: inst}
+}
+
 // Compile lowers a trained graph into an execution plan and wraps it as an
-// engine. The graph is not modified; folded weights are private copies.
+// engine; outputs keep the graph's task ids. The graph is not modified;
+// folded weights are private copies.
 func Compile(g *graph.Graph) *Fused {
-	return &Fused{inst: plan.Compile(g).NewInstance()}
+	return NewFused(plan.Compile(g), nil, nil)
+}
+
+// CompileShared lowers graphs with a common stem into one plan and wraps
+// it as an engine whose outputs are keyed by plan task id (see
+// plan.Model.TaskMap); see plan.CompileShared for depth semantics and
+// failure modes. The graphs are not modified.
+func CompileShared(gs []*graph.Graph, depth int, memo *plan.StemMemo, stats *plan.StemStats) (*Fused, error) {
+	p, err := plan.CompileShared(gs, depth)
+	if err != nil {
+		return nil, err
+	}
+	return NewFused(p, memo, stats), nil
 }
 
 // Name implements Engine.

@@ -270,8 +270,8 @@ func TestQueueFullReturns429(t *testing.T) {
 	// A single slow engine with a tiny queue; concurrent requests pile up
 	// behind the in-flight batch and overflow.
 	c, _, per := newTestServer(t, registry.ModelOptions{
-		Compile: func(g *graph.Graph) engine.Engine {
-			return &slowEngine{inner: engine.Compile(g), delay: 10 * time.Millisecond}
+		Wrap: func(e engine.Engine) engine.Engine {
+			return &slowEngine{inner: e, delay: 10 * time.Millisecond}
 		},
 		MaxBatch: 2, QueueCap: 1, MaxWait: time.Millisecond,
 	}, 0)

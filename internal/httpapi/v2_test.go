@@ -254,8 +254,8 @@ func TestV2SwapUnderHTTPLoad(t *testing.T) {
 	reg := registry.New()
 	m, err := reg.Register("face", tinyGraph(1), registry.ModelOptions{
 		Pool: 2, MaxBatch: 4, QueueCap: 32,
-		Compile: func(g *graph.Graph) engine.Engine {
-			return &slowEngine{inner: engine.Compile(g), delay: time.Millisecond}
+		Wrap: func(e engine.Engine) engine.Engine {
+			return &slowEngine{inner: e, delay: time.Millisecond}
 		},
 	})
 	if err != nil {

@@ -40,6 +40,15 @@ type Instance struct {
 	// through it. Ops in a shared wave run concurrently, so the callback
 	// must be safe for concurrent use.
 	obs func(opID int, in *tensor.Tensor)
+
+	// memo and stats, when set on a plan with a stem, split Execute at the
+	// stem boundary (see SetStemMemo). The slices are per-call scratch for
+	// that split, reused across calls.
+	memo   *StemMemo
+	stats  *StemStats
+	keys   []uint64    // per-row input hashes
+	cached [][]float32 // per-row memo rows (nil = miss)
+	miss   []int       // miss row indices
 }
 
 // NewInstance builds runtime state for the plan. Buffers are leased lazily
@@ -102,6 +111,16 @@ func (inst *Instance) SetObserver(fn func(opID int, in *tensor.Tensor)) {
 	inst.obs = fn
 }
 
+// SetStemMemo attaches a stem-activation memo and a stem batch-size
+// histogram (either may be nil); both are safe to share across a pool of
+// instances running the plan. A plan without a stem has nothing to memoise
+// and ignores both. Not safe to call concurrently with Execute.
+func (inst *Instance) SetStemMemo(memo *StemMemo, stats *StemStats) {
+	if inst.p.StemDepth > 0 {
+		inst.memo, inst.stats = memo, stats
+	}
+}
+
 // runOp executes one op through its prebuilt runner, accumulating wall time.
 func (inst *Instance) runOp(id int) {
 	if inst.obs != nil {
@@ -116,17 +135,95 @@ func (inst *Instance) runOp(id int) {
 }
 
 // Execute runs the plan on x (shape [N, InShape...]) and returns the head
-// outputs by task id. The returned tensors alias plan-owned buffers that the
+// outputs by plan task id (a one-graph plan's are the graph's own; see
+// Model.TaskMap). The returned tensors alias plan-owned buffers that the
 // next Execute overwrites; callers that retain outputs must clone them. The
 // map itself is also reused across calls.
+//
+// With a stem memo attached, each input row is hashed and looked up: hit
+// rows feed the head waves straight from the memo, and only miss rows pay
+// the stem forward, compacted into a smaller batch. Compaction rebinds the
+// batch size twice, which rebuilds tensor headers, and every harvested
+// stem row is a fresh copy; only the memo-less path is allocation-free.
 func (inst *Instance) Execute(x *tensor.Tensor) map[int]*tensor.Tensor {
 	inst.checkInput(x)
+	p := inst.p
+	n := x.Dim(0)
+	if inst.memo == nil {
+		inst.stats.record(n)
+		inst.start(x)
+		inst.runWaves(0, len(p.Waves))
+		return inst.outs
+	}
+
+	// Hash and probe each row.
+	inElems := p.Values[p.InValue].Elems()
+	xd := x.Data()
+	inst.keys, inst.cached, inst.miss = inst.keys[:0], inst.cached[:0], inst.miss[:0]
+	for r := 0; r < n; r++ {
+		k := HashRow(xd[r*inElems : (r+1)*inElems])
+		act := inst.memo.Get(p.StemFingerprint, k)
+		inst.keys = append(inst.keys, k)
+		inst.cached = append(inst.cached, act)
+		if act == nil {
+			inst.miss = append(inst.miss, r)
+		}
+	}
+	inst.stats.record(len(inst.miss))
+
+	if len(inst.miss) == n {
+		// All miss: one full-batch pass, split only to harvest memo rows.
+		inst.start(x)
+		inst.runWaves(0, p.StemWaves)
+		inst.harvest()
+		inst.runWaves(p.StemWaves, len(p.Waves))
+		return inst.outs
+	}
+	if len(inst.miss) > 0 {
+		// Mixed: run the stem on the miss rows alone, compacted.
+		mx := tensor.New(append([]int{len(inst.miss)}, p.InShape...)...)
+		md := mx.Data()
+		for i, r := range inst.miss {
+			copy(md[i*inElems:], xd[r*inElems:(r+1)*inElems])
+		}
+		inst.start(mx)
+		inst.runWaves(0, p.StemWaves)
+		inst.harvest()
+	}
+	// Every row's stem activation is now at hand: fill the full-batch stem
+	// register and run the heads.
+	inst.start(x)
+	e := p.StemElems()
+	stem := inst.regs[p.StemValue].Data()
+	for r, act := range inst.cached {
+		copy(stem[r*e:(r+1)*e], act)
+	}
+	inst.runWaves(p.StemWaves, len(p.Waves))
+	return inst.outs
+}
+
+// start binds the batch to x's row count and points the input register at
+// x.
+func (inst *Instance) start(x *tensor.Tensor) {
 	if n := x.Dim(0); n != inst.batch {
 		inst.bind(n)
 	}
 	inst.regs[inst.p.InValue] = x
-	inst.runWaves(0, len(inst.p.Waves))
-	return inst.outs
+}
+
+// harvest offers the stem register's rows — row i computed for input row
+// miss[i] — to the memo as private copies and records them as those rows'
+// activations.
+func (inst *Instance) harvest() {
+	p := inst.p
+	e := p.StemElems()
+	stem := inst.regs[p.StemValue].Data()
+	for i, r := range inst.miss {
+		act := make([]float32, e)
+		copy(act, stem[i*e:])
+		inst.memo.Put(p.StemFingerprint, inst.keys[r], act)
+		inst.cached[r] = act
+	}
 }
 
 // checkInput panics unless x has shape [N, InShape...].
@@ -144,7 +241,7 @@ func (inst *Instance) checkInput(x *tensor.Tensor) {
 
 // runWaves executes waves [lo, hi) in schedule order. Callers must have
 // bound the batch and filled every register the ops read (the graph input
-// for wave 0; the stem output value when a shared plan resumes at its head
+// for wave 0; the stem output value when execution resumes at the head
 // waves).
 func (inst *Instance) runWaves(lo, hi int) {
 	for w := lo; w < hi; w++ {
@@ -406,16 +503,18 @@ func (s *interpSpec) build(inst *Instance, o *Op) func() {
 }
 
 // eagerSpec runs a private clone of an nn layer and copies the result into
-// the planned register. Correct for any layer, but allocating — used for
-// transformer blocks and embeddings that have no native kernel yet.
+// the planned register. Correct for any layer, but allocating — the safety
+// net for layers with no native kernel. Each instance forwards its own
+// clone, because layers keep per-call state and instances run concurrently.
 type eagerSpec struct {
 	layer nn.Layer
 }
 
 func (s *eagerSpec) build(inst *Instance, o *Op) func() {
 	in, out := o.In, o.Out
+	layer := s.layer.Clone()
 	return func() {
-		y := s.layer.Forward(inst.regs[in], false)
+		y := layer.Forward(inst.regs[in], false)
 		copy(inst.regs[out].Data(), y.Data())
 	}
 }

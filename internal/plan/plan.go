@@ -14,16 +14,25 @@
 //	Plan     — immutable compile artifact: ops, values, waves, slab sizes.
 //	Instance — per-goroutine runtime state: slab leases, registers, timers.
 //
+// One plan type serves one model or many. CompileShared lowers several
+// graphs whose weight-inclusive prefixes agree into one plan: the common
+// stem once, then each graph's divergent suffix as its own head family —
+// the serving-time version of GMorph's offline fusion (Jeong et al.).
+// Compile is its one-graph case: no stem, the graph's own task ids and op
+// names.
+//
 // Instances are NOT safe for concurrent use (outputs live in plan-owned
 // slabs); run one instance per concurrent stream, as the serving layer's
 // engine pool does.
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 
+	"repro/internal/fingerprint"
 	"repro/internal/graph"
 )
 
@@ -124,57 +133,170 @@ type Plan struct {
 	// SlabElems is each slab's per-sample element capacity; a slab's byte
 	// size at batch B is SlabElems[i]*B*4.
 	SlabElems []int
-	// Heads maps task id to its output value id.
+	// Heads maps plan task id to its output value id.
 	Heads map[int]int
-	// TaskNames mirrors the graph's task naming for reports.
-	TaskNames map[int]string
 	// QuantTargets lists every op the int8 path could lower, in op order —
 	// the worklist internal/quant calibrates and prunes.
 	QuantTargets []QuantTarget
+
+	// StemDepth is the number of shared stem nodes lowered once; 0 for a
+	// plan without a stem (every one-graph plan).
+	StemDepth int
+	// StemWaves splits the schedule at the stem boundary: waves
+	// [0, StemWaves) compute the stem, the rest the heads. 0 without a stem.
+	StemWaves int
+	// StemValue is the value id holding the stem output — the register a
+	// memoised execution fills instead of running the stem waves. It is
+	// InValue without a stem.
+	StemValue int
+	// StemFingerprint is the prefix-chain entry at StemDepth, the stem
+	// memo key's model-independent half; 0 without a stem.
+	StemFingerprint uint64
+	// Models maps each source graph's tasks into the plan, in argument
+	// order.
+	Models []Model
 }
+
+// Model records how one source graph's tasks map into the plan.
+type Model struct {
+	// Prefix namespaces the graph's op names ("m0/..."); "" in a one-graph
+	// plan.
+	Prefix string
+	// TaskMap maps the graph's own task ids to plan task ids — the
+	// identity in a one-graph plan.
+	TaskMap map[int]int
+}
+
+// StemElems returns the stem output's per-sample element count.
+func (p *Plan) StemElems() int { return p.Values[p.StemValue].Elems() }
 
 // headAlive marks head values immortal in liveness analysis.
 const headAlive = math.MaxInt32
 
-// Compile lowers a trained graph into an execution plan. The graph is not
-// modified; folded weights are private copies. Like graph.Forward, Compile
-// panics on structurally invalid graphs (Validate catches those earlier).
+// Compile lowers a trained graph into an execution plan: CompileShared's
+// one-graph case, whose ops, task ids, waves and slabs are the graph's own.
+// The graph is not modified; folded weights are private copies. Like
+// graph.Forward, Compile panics on structurally invalid graphs (Validate
+// catches those earlier).
 func Compile(g *graph.Graph) *Plan {
+	return lower([]*graph.Graph{g}, 0, 0)
+}
+
+// CompileShared lowers graphs sharing a structural-and-weight prefix into
+// one multi-head plan. depth selects how many stem nodes to share; depth <=
+// 0 means "as deep as the fingerprint chains allow". A lone graph shares
+// nothing, so its plan is Compile's. Two or more graphs must share a
+// usable stem (at least max(depth,1) chain entries in common, lowering to
+// at least one op); otherwise CompileShared errs, so callers can serve
+// them apart.
+//
+// The stem is lowered from gs[0]; since sharing requires bit-identical
+// weights the choice only matters for int8 annotations, which live on
+// layers and are taken from gs[0]'s stem. Task ids move into one plan-wide
+// space, each graph's ids offset past the previous graph's (see
+// Model.TaskMap); op names gain a per-graph "m<i>/" prefix, the stem's a
+// "stem/" prefix.
+func CompileShared(gs []*graph.Graph, depth int) (*Plan, error) {
+	if len(gs) == 0 {
+		return nil, errors.New("plan: CompileShared needs at least one graph")
+	}
+	if len(gs) == 1 {
+		if depth > 0 {
+			return nil, fmt.Errorf("plan: a lone graph shares no stem, need %d nodes", depth)
+		}
+		return Compile(gs[0]), nil
+	}
+	chains := make([][]uint64, len(gs))
+	for i, g := range gs {
+		chains[i] = fingerprint.PrefixHashes(g)
+	}
+	shared := len(chains[0])
+	for _, c := range chains[1:] {
+		shared = min(shared, fingerprint.SharedDepth(chains[0], c))
+	}
+	if depth <= 0 {
+		depth = shared
+	}
+	if depth == 0 || shared < depth {
+		return nil, fmt.Errorf("plan: graphs share %d stem nodes, need %d", shared, max(depth, 1))
+	}
+	p := lower(gs, depth, chains[0][depth-1])
+	if p.StemWaves == 0 {
+		// A stem of pure identity nodes (e.g. Dropout) shares no compute.
+		return nil, fmt.Errorf("plan: %d-node stem lowered to zero ops", depth)
+	}
+	return p, nil
+}
+
+// lower is the one lowering behind Compile and CompileShared: the first
+// depth stem nodes of gs[0] once, then every graph's remainder against the
+// stem output (the graph input when depth is 0).
+func lower(gs []*graph.Graph, depth int, stemFP uint64) *Plan {
 	c := &compiler{
 		p: &Plan{
-			InShape:   append([]int(nil), g.Root.InputShape...),
-			Heads:     make(map[int]int, len(g.Heads)),
-			TaskNames: make(map[int]string, len(g.TaskNames)),
+			InShape:         append([]int(nil), gs[0].Root.InputShape...),
+			Heads:           make(map[int]int),
+			StemDepth:       depth,
+			StemFingerprint: stemFP,
 		},
 	}
-	for id, name := range g.TaskNames {
-		c.p.TaskNames[id] = name
+	p := c.p
+	p.InValue = c.newValue(p.InShape, false, -1)
+	p.StemValue = p.InValue
+	if depth > 0 {
+		c.prefix = "stem/"
+		for _, n := range fingerprint.StemNodes(gs[0])[:depth] {
+			p.StemValue = c.lowerNode(n, p.StemValue)
+		}
 	}
-	c.p.InValue = c.newValue(c.p.InShape, false, -1)
-	c.lowerChildren(g.Root, c.p.InValue)
+	stemOps := len(p.Ops)
+
+	for i, g := range gs {
+		m := Model{TaskMap: make(map[int]int, len(g.Heads))}
+		if len(gs) > 1 {
+			m.Prefix = fmt.Sprintf("m%d/", i)
+		}
+		next := c.base
+		for t := range g.Heads {
+			m.TaskMap[t] = c.base + t
+			next = max(next, c.base+t+1)
+		}
+		anchor := g.Root
+		if depth > 0 {
+			anchor = fingerprint.StemNodes(g)[depth-1]
+		}
+		c.prefix = m.Prefix
+		c.lowerChildren(anchor, p.StemValue)
+		c.base = next
+		p.Models = append(p.Models, m)
+	}
+
 	c.markQuantHeads()
 	c.schedule()
 	c.liveness()
 	c.assignSlabs()
-	return c.p
+
+	// The stem/head wave partition split execution relies on: every stem
+	// op schedules strictly before every suffix op, because the stem is a
+	// dependency chain and each suffix op transitively reads its final value.
+	for _, o := range p.Ops[:stemOps] {
+		p.StemWaves = max(p.StemWaves, o.Wave+1)
+	}
+	for _, o := range p.Ops {
+		if (o.ID < stemOps) != (o.Wave < p.StemWaves) {
+			panic(fmt.Sprintf("plan: op %d (%s) violates the stem wave partition", o.ID, o.Name))
+		}
+	}
+	return p
 }
 
 // compiler accumulates plan state during lowering.
 type compiler struct {
 	p *Plan
-	// prefix and task support multi-graph lowering (CompileShared): prefix
-	// namespaces op names per source model and task remaps graph-local task
-	// ids onto plan-global ones. Both stay zero for solo Compile.
+	// prefix namespaces the op names of the graph being lowered; base
+	// offsets its task ids into the plan's task space.
 	prefix string
-	task   func(int) int
-}
-
-// taskID maps a graph-local task id to its plan-global id.
-func (c *compiler) taskID(t int) int {
-	if c.task != nil {
-		return c.task(t)
-	}
-	return t
+	base   int
 }
 
 // newValue appends a value and returns its id.
@@ -214,7 +336,7 @@ func (c *compiler) lowerChildren(n *graph.Node, inVal int) {
 	for _, child := range n.Children {
 		out := c.lowerNode(child, inVal)
 		if child.IsHead() {
-			t := c.taskID(child.TaskID)
+			t := c.base + child.TaskID
 			c.p.Values[out].Head = t
 			c.p.Heads[t] = out
 			continue

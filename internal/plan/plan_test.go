@@ -142,18 +142,28 @@ func TestPlanBatchRebind(t *testing.T) {
 
 // TestExecuteZeroAllocs is the acceptance check for the static buffer plan:
 // once an instance is warm, Execute performs zero heap allocations per
-// forward on a CNN profile.
+// forward on a CNN profile — with no stem (where an attached memo goes
+// unused) and with a stem but no memo.
 func TestExecuteZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	g := testutil.TinyMultiDNN(41, testutil.TinyFace(41, 8, 4))
-	inst := plan.Compile(g).NewInstance()
+	solo := plan.Compile(testutil.TinyMultiDNN(41, testutil.TinyFace(41, 8, 4))).NewInstance()
+	solo.SetStemMemo(plan.NewStemMemo(8), plan.NewStemStats())
+	g1, g2 := testutil.TinySharedStemPair(43)
+	p, err := plan.CompileShared([]*graph.Graph{g1, g2}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := p.NewInstance()
+	shared.SetStemMemo(nil, plan.NewStemStats())
 	x := tensor.New(4, 3, 16, 16)
 	tensor.NewRNG(42).FillNormal(x, 0, 1)
-	inst.Execute(x) // bind slabs and registers
-	if avg := testing.AllocsPerRun(20, func() { inst.Execute(x) }); avg != 0 {
-		t.Errorf("steady-state Execute allocates %.1f objects per run, want 0", avg)
+	for name, inst := range map[string]*plan.Instance{"no stem": solo, "stem, no memo": shared} {
+		inst.Execute(x) // bind slabs and registers
+		if avg := testing.AllocsPerRun(20, func() { inst.Execute(x) }); avg != 0 {
+			t.Errorf("%s: steady-state Execute allocates %.1f objects per run, want 0", name, avg)
+		}
 	}
 }
 

@@ -5,44 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/nn"
 	"repro/internal/plan"
 	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
-
-// sharedStemGraphs builds two independently-headed graphs over bit-identical
-// two-block stems (16->8 conv+pool, then a second conv block), the topology
-// CompileShared exists for. Stem batch-norm statistics are perturbed before
-// cloning so conv+BN folding is exercised identically on both sides.
-func sharedStemGraphs(seed uint64) (*graph.Graph, *graph.Graph) {
-	rng := tensor.NewRNG(seed)
-	stem0 := nn.NewConvBlock(rng, 3, 6, true, true)
-	stem1 := nn.NewConvBlock(rng, 6, 8, true, false)
-	for _, b := range []*nn.ConvBlock{stem0, stem1} {
-		rng.FillUniform(b.BN.RunningMean, -0.3, 0.3)
-		rng.FillUniform(b.BN.RunningVar, 0.5, 1.5)
-		rng.FillUniform(b.BN.Gamma.Value, 0.7, 1.3)
-		rng.FillUniform(b.BN.Beta.Value, -0.2, 0.2)
-	}
-	build := func(tasks int, hr *tensor.RNG) *graph.Graph {
-		g := graph.New(graph.Shape{3, 16, 16}, graph.DomainRaw)
-		s0 := graph.NewBlockNode(0, 0, "ConvBlock", g.Root.InputShape, graph.DomainRaw, stem0.Clone())
-		g.AddChild(g.Root, s0)
-		s1 := graph.NewBlockNode(0, 1, "ConvBlock", graph.Shape{6, 8, 8}, graph.DomainSpatial, stem1.Clone())
-		g.AddChild(s0, s1)
-		for t := 0; t < tasks; t++ {
-			c := 8 + 2*t
-			b := graph.NewBlockNode(t, 2, "ConvBlock", graph.Shape{8, 8, 8}, graph.DomainSpatial,
-				nn.NewConvBlock(hr, 8, c, true, false))
-			h := graph.NewBlockNode(t, 3, "Head", graph.Shape{c, 8, 8}, graph.DomainSpatial,
-				nn.NewSequential("head", nn.NewGlobalAvgPool(), nn.NewLinear(hr, c, 2+t)))
-			g.AppendChain(s1, b, h)
-		}
-		g.RefreshCapacities()
-		return g
-	}
-	return build(1, tensor.NewRNG(seed+1)), build(2, tensor.NewRNG(seed+2))
-}
 
 func sampleInput(seed uint64, n int) *tensor.Tensor {
 	x := tensor.New(n, 3, 16, 16)
@@ -50,39 +16,30 @@ func sampleInput(seed uint64, n int) *tensor.Tensor {
 	return x
 }
 
-// The core tentpole contract: the multi-head shared plan produces, per
-// member model and task, the same outputs as that model's solo Compile.
+// A group plan's instance answers, per member and task, what that member's
+// own plan.Compile does — the plan-level leg of the engine's parity table.
 func TestCompileSharedParityF32(t *testing.T) {
-	g1, g2 := sharedStemGraphs(31)
-	sp, err := plan.CompileShared([]*graph.Graph{g1, g2}, 0)
+	g1, g2 := testutil.TinySharedStemPair(31)
+	p, err := plan.CompileShared([]*graph.Graph{g1, g2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.StemDepth != 2 {
-		t.Fatalf("StemDepth = %d, want 2", sp.StemDepth)
+	if p.StemDepth != 2 || len(p.Models) != 2 || len(p.Heads) != 2 {
+		t.Fatalf("stem depth %d, %d models, %d heads; want 2, 2, 2", p.StemDepth, len(p.Models), len(p.Heads))
 	}
-	if len(sp.Models) != 2 || len(sp.Heads) != 3 {
-		t.Fatalf("models %d heads %d, want 2 and 3", len(sp.Models), len(sp.Heads))
-	}
-
 	x := sampleInput(32, 5)
-	shared := sp.NewInstance(nil, nil).Execute(x)
+	got := p.NewInstance().Execute(x)
 	for mi, g := range []*graph.Graph{g1, g2} {
 		solo := plan.Compile(g).NewInstance().Execute(x)
-		tm := sp.Models[mi].TaskMap
-		if len(tm) != len(solo) {
+		if tm := p.Models[mi].TaskMap; len(tm) != len(solo) {
 			t.Fatalf("model %d task map has %d entries, solo plan %d heads", mi, len(tm), len(solo))
 		}
-		for lt, gt := range tm {
-			got, want := shared[gt], solo[lt]
-			if got == nil || want == nil {
-				t.Fatalf("model %d task %d->%d: missing output", mi, lt, gt)
+		for lt, gt := range p.Models[mi].TaskMap {
+			if !tensor.SameShape(got[gt], solo[lt]) {
+				t.Fatalf("model %d task %d shape %v, want %v", mi, lt, got[gt].Shape(), solo[lt].Shape())
 			}
-			if !tensor.SameShape(got, want) {
-				t.Fatalf("model %d task %d shape %v, want %v", mi, lt, got.Shape(), want.Shape())
-			}
-			if d := maxDiff(got, want); d > 1e-4 {
-				t.Errorf("model %d task %d diverges from solo plan by %g", mi, lt, d)
+			if d := maxDiff(got[gt], solo[lt]); d > 1e-4 {
+				t.Errorf("model %d task %d diverges from its solo plan by %g", mi, lt, d)
 			}
 		}
 	}
@@ -92,37 +49,32 @@ func TestCompileSharedParityF32(t *testing.T) {
 // ops follow with their model prefixes — the partition split execution and
 // the memo rely on.
 func TestCompileSharedStemPartition(t *testing.T) {
-	g1, g2 := sharedStemGraphs(41)
-	sp, err := plan.CompileShared([]*graph.Graph{g1, g2}, 0)
+	g1, g2 := testutil.TinySharedStemPair(41)
+	p, err := plan.CompileShared([]*graph.Graph{g1, g2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.StemWaves < 1 || sp.StemWaves >= len(sp.Waves) {
-		t.Fatalf("StemWaves = %d of %d waves", sp.StemWaves, len(sp.Waves))
+	if p.StemWaves < 1 || p.StemWaves >= len(p.Waves) {
+		t.Fatalf("StemWaves = %d of %d waves", p.StemWaves, len(p.Waves))
 	}
-	for _, o := range sp.Ops {
-		isStem := o.Wave < sp.StemWaves
+	for _, o := range p.Ops {
+		isStem := o.Wave < p.StemWaves
 		if isStem != strings.HasPrefix(o.Name, "stem/") {
-			t.Fatalf("op %q in wave %d violates the stem partition (StemWaves=%d)", o.Name, o.Wave, sp.StemWaves)
+			t.Fatalf("op %q in wave %d violates the stem partition (StemWaves=%d)", o.Name, o.Wave, p.StemWaves)
 		}
 		if !isStem && !strings.HasPrefix(o.Name, "m0/") && !strings.HasPrefix(o.Name, "m1/") {
 			t.Fatalf("suffix op %q lacks a model prefix", o.Name)
 		}
 	}
-	if sp.StemFingerprint == 0 {
+	if p.StemFingerprint == 0 {
 		t.Fatal("StemFingerprint unset")
-	}
-	for task, name := range sp.TaskNames {
-		if !strings.HasPrefix(name, "m0/") && !strings.HasPrefix(name, "m1/") {
-			t.Fatalf("task %d name %q lacks a model prefix", task, name)
-		}
 	}
 }
 
 func TestCompileSharedRejects(t *testing.T) {
-	g1, g2 := sharedStemGraphs(51)
-	if _, err := plan.CompileShared([]*graph.Graph{g1}, 0); err == nil {
-		t.Fatal("single graph accepted")
+	g1, g2 := testutil.TinySharedStemPair(51)
+	if _, err := plan.CompileShared([]*graph.Graph{g1}, 1); err == nil {
+		t.Fatal("a stem accepted for a lone graph")
 	}
 	if _, err := plan.CompileShared([]*graph.Graph{g1, g2}, 3); err == nil {
 		t.Fatal("depth beyond the shared stem accepted")
@@ -191,16 +143,17 @@ func TestStemMemoLRU(t *testing.T) {
 // All three memo execution paths — all-miss, all-hit, mixed — must agree
 // with the memo-less executor, and the histogram must record the computed
 // stem batch sizes.
-func TestSharedInstanceMemoPaths(t *testing.T) {
-	g1, g2 := sharedStemGraphs(61)
-	sp, err := plan.CompileShared([]*graph.Graph{g1, g2}, 0)
+func TestStemMemoExecutePaths(t *testing.T) {
+	g1, g2 := testutil.TinySharedStemPair(61)
+	p, err := plan.CompileShared([]*graph.Graph{g1, g2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	memo := plan.NewStemMemo(64)
 	stats := plan.NewStemStats()
-	si := sp.NewInstance(memo, stats)
-	plain := sp.NewInstance(nil, nil)
+	si := p.NewInstance()
+	si.SetStemMemo(memo, stats)
+	plain := p.NewInstance()
 
 	check := func(x *tensor.Tensor, label string) {
 		t.Helper()

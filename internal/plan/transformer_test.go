@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -241,10 +242,12 @@ func abs(v int) int {
 }
 
 // slowCube is a layer type the lowerer has never seen, forcing the eager
-// fallback — the stats counters must record it like any native op.
-type slowCube struct{}
+// fallback — the stats counters must record it like any native op. Like
+// the nn layers it keeps its last input for Backward.
+type slowCube struct{ in *tensor.Tensor }
 
 func (s *slowCube) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	s.in = x
 	y := tensor.New(x.Shape()...)
 	xd, yd := x.Data(), y.Data()
 	for i, v := range xd {
@@ -261,7 +264,8 @@ func (s *slowCube) Name() string                             { return "SlowCube"
 
 // TestEagerOpStats: ops on the eager fallback path report calls and nanos
 // through the same counters as native ops, so inspect -plan shows no blank
-// rows for unlowerable layers.
+// rows for unlowerable layers — also with two instances of the plan running
+// at once, each on its own clone of the stateful layer.
 func TestEagerOpStats(t *testing.T) {
 	rng := tensor.NewRNG(351)
 	g := graph.New(graph.Shape{8}, graph.DomainRaw)
@@ -275,19 +279,29 @@ func TestEagerOpStats(t *testing.T) {
 	if r := p.Report(); r.Eager != 1 || r.Planned != 1 {
 		t.Fatalf("expected 1 eager + 1 planned op, got eager %d planned %d", r.Eager, r.Planned)
 	}
-	inst := p.NewInstance()
 	x := tensor.New(4, 8)
 	rng.FillNormal(x, 0, 1)
 	const runs = 3
-	for i := 0; i < runs; i++ {
-		inst.Execute(x)
+	insts := []*plan.Instance{p.NewInstance(), p.NewInstance()}
+	var wg sync.WaitGroup
+	for _, inst := range insts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				inst.Execute(x)
+			}
+		}()
 	}
-	for _, st := range inst.OpStats() {
-		if st.Calls != runs {
-			t.Errorf("op %d (%s, kind %s) recorded %d calls, want %d", st.ID, st.Name, st.Kind, st.Calls, runs)
-		}
-		if st.Nanos <= 0 {
-			t.Errorf("op %d (%s, kind %s) recorded no execution time", st.ID, st.Name, st.Kind)
+	wg.Wait()
+	for _, inst := range insts {
+		for _, st := range inst.OpStats() {
+			if st.Calls != runs {
+				t.Errorf("op %d (%s, kind %s) recorded %d calls, want %d", st.ID, st.Name, st.Kind, st.Calls, runs)
+			}
+			if st.Nanos <= 0 {
+				t.Errorf("op %d (%s, kind %s) recorded no execution time", st.ID, st.Name, st.Kind)
+			}
 		}
 	}
 }

@@ -382,14 +382,18 @@ func (b *Batcher) runBatch(eng engine.Engine, batch []*request, rows int) {
 	}
 	b.engines <- eng // release before scatter so the next batch overlaps
 
+	// Count the batch, and below each request, before answering it, so a
+	// caller that reads Stats right after its reply sees itself counted.
+	mixed := false
+	for _, r := range batch {
+		mixed = mixed || r.tag != batch[0].tag
+	}
+	b.recordBatch(rows, mixed)
+
 	// Scatter: slice each task's output rows back per request, filtered and
 	// renamed through the request's task map when it has one.
-	mixed := false
 	off := 0
 	for _, r := range batch {
-		if r.tag != batch[0].tag {
-			mixed = true
-		}
 		res := result{outs: make(map[int]*tensor.Tensor, len(outs))}
 		emit := func(engID, callerID int) {
 			o := outs[engID]
@@ -414,14 +418,14 @@ func (b *Batcher) runBatch(eng engine.Engine, batch []*request, rows int) {
 				emit(id, id)
 			}
 		}
-		r.done <- res
-		b.active.Add(-1)
 		off += r.rows
+		lat := time.Since(r.enq)
 		b.requests.Add(1)
-		b.totalNS.Add(int64(time.Since(r.enq)))
-		b.recordLatency(time.Since(r.enq))
+		b.totalNS.Add(int64(lat))
+		b.recordLatency(lat)
+		b.active.Add(-1)
+		r.done <- res
 	}
-	b.recordBatch(rows, mixed)
 }
 
 func (b *Batcher) recordLatency(d time.Duration) {

@@ -132,6 +132,26 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// A caller's reply arrives only after its request and batch are counted:
+// Stats read right after Submit returns already includes them.
+func TestStatsCountBeforeReply(t *testing.T) {
+	engines, g := tinyEngines(t, 1)
+	b, err := batcher.New(g.Root.InputShape, engines, batcher.Options{MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopped(t, b)
+	x := distinctInput(0, g.Root.InputShape)
+	for i := 0; i < 200; i++ {
+		if _, err := b.Submit(context.Background(), x); err != nil {
+			t.Fatal(err)
+		}
+		if st := b.Stats(); st.Requests != int64(i+1) || st.Batches != int64(i+1) {
+			t.Fatalf("after reply %d: requests %d, batches %d", i+1, st.Requests, st.Batches)
+		}
+	}
+}
+
 // slowEngine delays each forward pass without burning CPU, so concurrent
 // submitters can outrun the scheduler and back the queue up. (A CPU-bound
 // engine would pace arrivals to the service rate on a small machine and

@@ -13,25 +13,26 @@ import (
 	"repro/internal/serve/batcher"
 )
 
-// group is a set of models served by one batcher over one engine pool.
-// Every model belongs to exactly one group; a model that shares with nobody
-// is a group of one, running its own engines from ModelOptions.Compile.
-// Two or more members run one shared-stem plan whose memo and stem
-// statistics carry over when the group is rebuilt: memo entries are keyed
-// by stem fingerprint, so a replaced stem's activations age out of the LRU
-// instead of poisoning the new one. A group is immutable once published;
-// every topology change builds new ones.
+// group is a set of models served by one batcher over one engine pool
+// running one compiled plan. Every model belongs to exactly one group; a
+// model that shares with nobody is a group of one, whose plan has no stem.
+// Two or more members share a stem, whose memo and statistics carry over
+// when the group is rebuilt: memo entries are keyed by stem fingerprint,
+// so a replaced stem's activations age out of the LRU instead of poisoning
+// the new one. A group is immutable once published; every topology change
+// builds new ones.
 type group struct {
 	members []*Model // registration order; a member's index is its batcher tag
 	bat     *batcher.Batcher
-	engines []engine.Engine
-	// plan is the compiled plan every engine runs, nil when Compile
-	// returned engines that are not plan-backed; report is its summary.
+	// fused are the pool's engines, all running plan; the batcher runs
+	// them through the first member's Wrap. report summarizes plan.
+	fused  []*engine.Fused
 	plan   *plan.Plan
 	report plan.Report
 	memo   *plan.StemMemo
 	stats  *plan.StemStats
-	// view is the membership Snapshot reports, nil for a group of one.
+	// view is the membership Snapshot reports, nil exactly when the plan
+	// has no stem.
 	view *SharedStemInfo
 }
 
@@ -112,11 +113,15 @@ func union(a, b []member) []member {
 	return out
 }
 
-// fits reports whether every member opted into stem sharing and their
-// prefix chains agree for at least the largest ShareStem among them —
-// the cheap test before a shared plan is compiled. Prefix agreement is
-// transitive, so comparing against the first chain suffices.
+// fits reports whether members may serve as one group — the cheap test
+// before its plan is compiled. A lone model always may. Two or more must
+// all have opted into stem sharing, with prefix chains that agree for at
+// least the largest ShareStem among them; prefix agreement is transitive,
+// so comparing against the first chain suffices.
 func fits(members []member) bool {
+	if len(members) == 1 {
+		return true
+	}
 	need := 0
 	for _, mb := range members {
 		if mb.m.opts.ShareStem <= 0 {
@@ -133,13 +138,17 @@ func fits(members []member) bool {
 }
 
 // build compiles one group's deployments, in members' order; it is the
-// only place a deployment is made. A group of one runs Pool engines from
-// its model's Compile. Two or more must fit, and run Pool (the largest
-// among them) engines over one shared plan (plan.CompileShared, as deep as
-// the chains agree), with prev's stem memo and statistics carried over so
-// a regroup keeps a warm memo; the memo grows to the largest StemMemoCap.
-// The first member's batching options apply to the group.
+// only place a deployment is made. The members must fit. They compile
+// once, into one plan (plan.CompileShared: a lone graph's own plan, or two
+// and more sharing a stem as deep as their chains agree), and run Pool
+// (the largest among them) engines over it, with prev's stem memo and
+// statistics carried over so a regroup keeps a warm memo; the memo grows
+// to the largest StemMemoCap. The first member's batching options and Wrap
+// apply to the group.
 func build(members []member, prev *group) ([]*deployment, error) {
+	if !fits(members) {
+		return nil, errors.New("registry: stems do not match deeply enough to share")
+	}
 	grp := &group{}
 	graphs := make([]*graph.Graph, len(members))
 	pool, memoCap := 0, 0
@@ -149,54 +158,44 @@ func build(members []member, prev *group) ([]*deployment, error) {
 		pool = max(pool, mb.m.opts.Pool)
 		memoCap = max(memoCap, mb.m.opts.StemMemoCap)
 	}
-	grp.engines = make([]engine.Engine, pool)
-	var sp *plan.SharedPlan
-	if len(members) == 1 {
-		for i := range grp.engines {
-			grp.engines[i] = members[0].m.opts.Compile(graphs[0])
+	p, err := plan.CompileShared(graphs, 0)
+	if err != nil {
+		return nil, err
+	}
+	grp.plan, grp.report = p, p.Report()
+	if prev != nil {
+		grp.memo, grp.stats = prev.memo, prev.stats
+	}
+	if memoCap > 0 && (grp.memo == nil || grp.memo.Stats().Cap < memoCap) {
+		grp.memo = plan.NewStemMemo(memoCap) // grow: fresh LRU at the larger cap
+	}
+	if grp.stats == nil {
+		grp.stats = plan.NewStemStats()
+	}
+	opts := members[0].m.opts
+	engines := make([]engine.Engine, pool)
+	for i := range engines {
+		f := engine.NewFused(p, grp.memo, grp.stats)
+		grp.fused = append(grp.fused, f)
+		engines[i] = f
+		if opts.Wrap != nil {
+			engines[i] = opts.Wrap(f)
 		}
-		if f, ok := grp.engines[0].(*engine.Fused); ok {
-			grp.plan = f.Plan()
-		}
-	} else {
-		if !fits(members) {
-			return nil, errors.New("registry: stems do not match deeply enough to share")
-		}
-		var err error
-		if sp, err = plan.CompileShared(graphs, 0); err != nil {
-			return nil, err
-		}
-		if prev != nil {
-			grp.memo, grp.stats = prev.memo, prev.stats
-		}
-		if memoCap > 0 && (grp.memo == nil || grp.memo.Stats().Cap < memoCap) {
-			grp.memo = plan.NewStemMemo(memoCap) // grow: fresh LRU at the larger cap
-		}
-		if grp.stats == nil {
-			grp.stats = plan.NewStemStats()
-		}
-		for i := range grp.engines {
-			grp.engines[i] = engine.NewSharedFused(sp, grp.memo, grp.stats)
-		}
-		grp.plan = sp.Plan
-		grp.view = &SharedStemInfo{Depth: sp.StemDepth, Fingerprint: fmt.Sprintf("%016x", sp.StemFingerprint)}
+	}
+	if p.StemDepth > 0 {
+		grp.view = &SharedStemInfo{Depth: p.StemDepth, Fingerprint: fmt.Sprintf("%016x", p.StemFingerprint)}
 		for _, m := range grp.members {
 			grp.view.Members = append(grp.view.Members, m.name)
 		}
 	}
-	opts := members[0].m.opts
 	shape := graphs[0].Root.InputShape
-	bat, err := batcher.New(shape, grp.engines, batcher.Options{
+	grp.bat, err = batcher.New(shape, engines, batcher.Options{
 		MaxBatch: opts.MaxBatch,
 		MaxWait:  opts.MaxWait,
 		QueueCap: opts.QueueCap,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
-	}
-	grp.bat = bat
-	if grp.plan != nil {
-		grp.report = grp.plan.Report()
 	}
 	per := 1
 	for _, dim := range shape {
@@ -205,11 +204,9 @@ func build(members []member, prev *group) ([]*deployment, error) {
 	ds := make([]*deployment, len(members))
 	for i, mb := range members {
 		d := &deployment{member: mb, group: grp, tag: i, shape: shape.Clone(), per: per}
-		if sp != nil {
-			d.tasks = make(map[int]int, len(sp.Models[i].TaskMap))
-			for local, global := range sp.Models[i].TaskMap {
-				d.tasks[global] = local
-			}
+		d.tasks = make(map[int]int, len(p.Models[i].TaskMap))
+		for local, global := range p.Models[i].TaskMap {
+			d.tasks[global] = local
 		}
 		if len(shape) == 1 {
 			d.vocab = graph.VocabOf(mb.g)
@@ -282,7 +279,8 @@ func (r *Registry) join(unit []member, prev *group) ([]*batcher.Batcher, error) 
 			seen[d.group] = true
 		}
 	}
-	if fits(unit) {
+	// A unit of two or more already serves together, so all of it opted in.
+	if unit[0].m.opts.ShareStem > 0 {
 		for _, c := range r.Models() {
 			d := c.cur.Load()
 			if d == nil || seen[d.group] || c.opts.ShareStem <= 0 {

@@ -220,40 +220,29 @@ func (m *Model) Stats() ModelStats {
 	return st
 }
 
-// Fused returns the plan-backed engines of a group of one (none for a
-// shared-stem member or an engine a Compile hook wrapped), for per-op
+// Fused returns the current group's engine pool, one engine per slot, all
+// running one plan (for a shared-stem member, the group's), for per-op
 // stats aggregation.
 func (m *Model) Fused() []*engine.Fused {
 	d := m.cur.Load()
 	if d == nil {
 		return nil
 	}
-	var out []*engine.Fused
-	for _, e := range d.group.engines {
-		if f, ok := e.(*engine.Fused); ok {
-			out = append(out, f)
-		}
-	}
-	return out
+	return d.group.fused
 }
 
 // OpStats returns the compiled plan the current deployment's engines run
 // and its per-op counters summed across the engine pool. For a shared-stem
-// member both are the group's: op names carry the shared plan's "stem/"
-// and "m<i>/" prefixes, and the counters cover every member's traffic.
-// The plan is nil when the engines are not plan-backed.
+// member both are the group's: op names carry the plan's "stem/" and
+// "m<i>/" prefixes, and the counters cover every member's traffic.
 func (m *Model) OpStats() (*plan.Plan, []plan.OpStat) {
 	d := m.cur.Load()
-	if d == nil || d.group.plan == nil {
+	if d == nil {
 		return nil, nil
 	}
 	var sum []plan.OpStat
-	for _, e := range d.group.engines {
-		c, ok := e.(interface{ OpStats() []plan.OpStat })
-		if !ok {
-			continue
-		}
-		for i, st := range c.OpStats() {
+	for _, f := range d.group.fused {
+		for i, st := range f.OpStats() {
 			if i == len(sum) {
 				sum = append(sum, st)
 				continue

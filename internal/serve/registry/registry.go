@@ -80,12 +80,12 @@ type ModelOptions struct {
 	// estimate is deliberately pessimistic under backlog — shedding early
 	// is what holds the admitted requests' p99 under the budget.
 	SLOBudget time.Duration
-	// Compile builds one engine for a deployment's graph; engine.Compile
-	// when nil. Swaps use it too, so tests can wrap every version's
-	// engines (e.g. to slow them down). A shared-stem group compiles its
-	// multi-head plan instead. It runs under the registry's topology lock,
-	// so it must not call back into the registry.
-	Compile func(*graph.Graph) engine.Engine
+	// Wrap, when set, wraps each of a group's compiled engines before its
+	// batcher runs them — a test seam, e.g. to slow every version's
+	// forwards down. A group takes its first member's Wrap; per-op counters
+	// still come from the unwrapped engines. It runs under the registry's
+	// topology lock, so it must not call back into the registry.
+	Wrap func(engine.Engine) engine.Engine
 	// Prepare runs on every graph loaded from disk (Load and Reload)
 	// before engines compile — the place to strip or validate int8
 	// annotations. Not applied to graphs handed in directly.
@@ -107,9 +107,6 @@ func (o ModelOptions) withDefaults() ModelOptions {
 	if o.Pool <= 0 {
 		o.Pool = 1
 	}
-	if o.Compile == nil {
-		o.Compile = func(g *graph.Graph) engine.Engine { return engine.Compile(g) }
-	}
 	return o
 }
 
@@ -120,8 +117,8 @@ type deployment struct {
 	member
 	group *group
 	// tag tells the member's requests apart inside the group's coalesced
-	// batches; tasks renames the shared plan's task ids back to the
-	// member's own (nil in a group of one, whose engines use them already).
+	// batches; tasks renames the group plan's task ids back to the
+	// member's own (the identity in a group of one).
 	tag   int
 	tasks map[int]int
 
@@ -153,6 +150,7 @@ type Registry struct {
 	order       []string // registration order, for stable listings
 	defaultName string
 	closed      bool
+	abandoned   int // requests Close's drain gave up on
 
 	swaps       atomic.Int64
 	swapDrainNS atomic.Int64
@@ -339,14 +337,23 @@ func (r *Registry) Close(ctx context.Context) error {
 		}
 	}
 	r.topoMu.Unlock()
-	_, err := drainBatchers(ctx, bats)
+	abandoned, err := drainBatchers(ctx, bats)
+	r.mu.Lock()
+	r.abandoned = abandoned
+	r.mu.Unlock()
 	return err
 }
 
-// Pending sums the admitted-but-unanswered requests across the fleet.
-// After a Close whose context expired, this counts the abandoned ones.
-// A group's batcher is counted once.
+// Pending sums the admitted-but-unanswered requests across the fleet, a
+// group's batcher counted once. Once the registry is closed it reports
+// how many requests Close's drain abandoned (0 after a clean close).
 func (r *Registry) Pending() int {
+	r.mu.RLock()
+	closed, abandoned := r.closed, r.abandoned
+	r.mu.RUnlock()
+	if closed {
+		return abandoned
+	}
 	total := 0
 	seen := map[*batcher.Batcher]bool{}
 	for _, m := range r.Models() {

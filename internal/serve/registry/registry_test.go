@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -241,18 +242,19 @@ func (s *slowEngine) Forward(x *tensor.Tensor) map[int]*tensor.Tensor {
 	return s.inner.Forward(x)
 }
 
+// slow is a ModelOptions.Wrap stretching every forward by delay.
+func slow(delay time.Duration) func(engine.Engine) engine.Engine {
+	return func(e engine.Engine) engine.Engine { return &slowEngine{inner: e, delay: delay} }
+}
+
 // The SLO budget sheds arrivals that would queue past it, and the shed
 // verdict is per-model: the quiet model keeps admitting.
 func TestSLOAdmissionShedsBacklog(t *testing.T) {
 	r := newRegistry(t)
-	g := tinyGraph(1)
-	slow := func(g *graph.Graph) engine.Engine {
-		return &slowEngine{inner: engine.Compile(g), delay: 5 * time.Millisecond}
-	}
-	m, err := r.Register("busy", g, registry.ModelOptions{
+	m, err := r.Register("busy", tinyGraph(1), registry.ModelOptions{
 		Pool: 1, MaxBatch: 1, QueueCap: 64,
 		SLOBudget: 2 * time.Millisecond,
-		Compile:   slow,
+		Wrap:      slow(5 * time.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,5 +335,91 @@ func TestRegistryClose(t *testing.T) {
 	}
 	if _, err := r.Register("late", tinyGraph(2), registry.ModelOptions{}); !errors.Is(err, registry.ErrClosed) {
 		t.Fatalf("register after close err = %v", err)
+	}
+}
+
+// A Close whose drain budget expires leaves Pending reporting the
+// requests it abandoned, and those still complete in the background.
+func TestRegistryPendingAfterClose(t *testing.T) {
+	r := registry.New()
+	m, err := r.Register("face", tinyGraph(1), registry.ModelOptions{Wrap: slow(300 * time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.Submit(context.Background(), sample(3*16*16, 1))
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); m.Pending() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("request never admitted")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if err := r.Close(ctx); err == nil {
+		t.Fatal("Close reported a clean drain with a request in flight")
+	}
+	if got := r.Pending(); got != 1 {
+		t.Fatalf("Pending after a cut-short Close = %d, want 1", got)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("abandoned request failed: %v", err)
+	}
+}
+
+// A group compiles once: a group of one with Pool 3 runs three engines
+// over one plan, serves concurrent load correctly, and sums the per-op
+// counters of every engine.
+func TestGroupCompilesOnce(t *testing.T) {
+	r := newRegistry(t)
+	g := tinyGraph(1)
+	m, err := r.Register("face", g, registry.ModelOptions{Pool: 3, MaxBatch: 2, MaxWait: 100 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused := m.Fused()
+	if len(fused) != 3 {
+		t.Fatalf("%d engines, want 3", len(fused))
+	}
+	for _, f := range fused[1:] {
+		if f.Plan() != fused[0].Plan() {
+			t.Fatal("the pool's engines run separately compiled plans")
+		}
+	}
+
+	const callers, requests = 12, 20
+	x := sample(3*16*16, 2)
+	replies := make(chan map[int]*tensor.Tensor, callers*requests)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				outs, err := m.Submit(context.Background(), x.Clone())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				replies <- outs
+			}
+		}()
+	}
+	wg.Wait()
+	close(replies)
+	want := engine.Compile(g).Forward(x.Clone())
+	for outs := range replies {
+		for id, w := range want {
+			wantClose(t, "pooled output", outs[id], w)
+		}
+	}
+	p, ops := m.OpStats()
+	if p != fused[0].Plan() {
+		t.Fatal("OpStats reports another plan")
+	}
+	if batches := m.Stats().Batcher.Batches; ops[0].Calls != batches {
+		t.Fatalf("op 0 ran %d times across the pool, for %d batches", ops[0].Calls, batches)
 	}
 }

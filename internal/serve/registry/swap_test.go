@@ -42,11 +42,8 @@ func hammerTarget(m *registry.Model, backpressure, hard *atomic.Int64) serve.Tar
 // version must be the one serving afterwards.
 func TestHotSwapUnderLoad(t *testing.T) {
 	r := newRegistry(t)
-	slow := func(g *graph.Graph) engine.Engine {
-		return &slowEngine{inner: engine.Compile(g), delay: 2 * time.Millisecond}
-	}
 	m, err := r.Register("face", tinyGraph(1), registry.ModelOptions{
-		Pool: 2, MaxBatch: 4, QueueCap: 32, Compile: slow,
+		Pool: 2, MaxBatch: 4, QueueCap: 32, Wrap: slow(2 * time.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,9 +135,6 @@ func TestHotSwapUnderLoad(t *testing.T) {
 // backpressure on its own queue.
 func TestNoisyNeighbourIsolation(t *testing.T) {
 	r := newRegistry(t)
-	slow := func(g *graph.Graph) engine.Engine {
-		return &slowEngine{inner: engine.Compile(g), delay: time.Millisecond}
-	}
 	// The aggressor's engine is made slow enough that its arrival rate is
 	// far past its capacity, so its own queue must shed. The victim gets a
 	// deep queue and no SLO budget: any backpressure it sees could only
@@ -150,15 +144,13 @@ func TestNoisyNeighbourIsolation(t *testing.T) {
 	// queue must overflow.
 	noisy, err := r.Register("noisy", tinyGraph(1), registry.ModelOptions{
 		Pool: 1, MaxBatch: 4, QueueCap: 8, SLOBudget: 40 * time.Millisecond,
-		Compile: func(g *graph.Graph) engine.Engine {
-			return &slowEngine{inner: engine.Compile(g), delay: 10 * time.Millisecond}
-		},
+		Wrap: slow(10 * time.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	victim, err := r.Register("victim", tinyGraph(2), registry.ModelOptions{
-		Pool: 1, MaxBatch: 4, QueueCap: 64, Compile: slow,
+		Pool: 1, MaxBatch: 4, QueueCap: 64, Wrap: slow(time.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)
