@@ -18,13 +18,14 @@ import (
 )
 
 // latencyMachineKey is the section key persisted latencies live under: the
-// CPU signature plus the active kernel tier, the same discipline as
-// internal/tune's winner cache. Candidate outcomes (verdict, accuracy,
-// trained weights) are machine-independent — fine-tuning is deterministic in
-// the seed — but a latency measured on one machine must never replay on
-// another, so only the current machine's latency section is ever consulted.
+// CPU signature plus the kernel signature (tier and generation), the same
+// discipline as internal/tune's winner cache. Candidate outcomes (verdict,
+// accuracy, trained weights) are machine-independent — fine-tuning is
+// deterministic in the seed — but a latency measured on one machine or by
+// other kernels must never replay, so only the current section is ever
+// consulted.
 func latencyMachineKey() string {
-	return fingerprint.Machine() + " vec=" + tensor.VecKind()
+	return fingerprint.Machine() + " " + tensor.KernelSignature()
 }
 
 // diskMemoEntry is the JSON shape of one persisted candidate outcome. The

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fingerprint"
+	"repro/internal/tensor"
 	"repro/internal/testutil"
 )
 
@@ -195,8 +196,9 @@ func TestDiskMemoConcurrentSavers(t *testing.T) {
 
 // TestDiskMemoLatencyIsMachineKeyed pins the satellite requirement: the
 // persisted latency sections are keyed by the machine signature
-// (fingerprint.Machine() + kernel tier), foreign sections survive a Save
-// untouched, and a foreign machine's measurements are never consulted.
+// (fingerprint.Machine() + kernel signature), foreign sections survive a
+// Save untouched, and a foreign machine's — or an older kernel
+// generation's — measurements are never consulted.
 func TestDiskMemoLatencyIsMachineKeyed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "memo.json")
 	m, err := NewDiskMemo(path)
@@ -223,9 +225,12 @@ func TestDiskMemoLatencyIsMachineKeyed(t *testing.T) {
 			keys(f.Latencies), latencyMachineKey())
 	}
 
-	// Graft a foreign machine's section and re-save: it must survive, and
-	// its measurements must not leak into this machine's lookups.
+	// Graft a foreign machine's section, and this machine's section as an
+	// older kernel generation wrote it (no kgen field), then re-save: both
+	// must survive, and neither may leak into this machine's lookups.
+	oldGen := fingerprint.Machine() + " vec=" + tensor.VecKind()
 	f.Latencies["other-cpu vec=none"] = map[string]int64{fpKey(9): 42}
+	f.Latencies[oldGen] = map[string]int64{fpKey(10): 43}
 	grafted, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
@@ -240,6 +245,9 @@ func TestDiskMemoLatencyIsMachineKeyed(t *testing.T) {
 	}
 	if _, ok := re.Latency(9); ok {
 		t.Fatal("foreign machine's latency was consulted")
+	}
+	if _, ok := re.Latency(10); ok {
+		t.Fatal("older kernel generation's latency was consulted")
 	}
 	if d, ok := re.Latency(5); !ok || d != time.Millisecond {
 		t.Fatal("own machine's latency lost")
@@ -258,6 +266,9 @@ func TestDiskMemoLatencyIsMachineKeyed(t *testing.T) {
 	}
 	if after.Latencies["other-cpu vec=none"][fpKey(9)] != 42 {
 		t.Fatal("foreign machine's latency section did not survive Save")
+	}
+	if after.Latencies[oldGen][fpKey(10)] != 43 {
+		t.Fatal("older kernel generation's latency section did not survive Save")
 	}
 }
 

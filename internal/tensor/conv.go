@@ -29,49 +29,125 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 	return cols
 }
 
-// im2colJob carries Im2ColInto's parallel-body state through the pool.
-type im2colJob struct {
+// unfoldJob carries the parallel-body state of Im2ColInto (unfold) and
+// Col2Im (fold) through the pool. Both walk one convolution geometry; taps
+// caches, per kernel column kx, the output columns whose input column is in
+// range, so neither inner loop divides or branches on padding per element.
+type unfoldJob struct {
 	xd, cd                                       []float32
 	c, h, w, oh, ow, kh, kw, stride, pad, rowLen int
-	body                                         func(lo, hi int)
+	taps                                         []convTap
+	unfold, fold                                 func(lo, hi int)
 }
 
-var im2colJobs = sync.Pool{New: func() any {
-	jb := &im2colJob{}
-	jb.body = jb.run
+// convTap is the in-range stretch of one kernel column kx: output columns
+// [x0, x1) read input column src + (ox-x0)*stride; the rest read padding.
+type convTap struct{ x0, x1, src int }
+
+var unfoldJobs = sync.Pool{New: func() any {
+	jb := &unfoldJob{}
+	jb.unfold, jb.fold = jb.runUnfold, jb.runFold
 	return jb
 }}
 
-func (jb *im2colJob) run(lo, hi int) {
-	xd, cd := jb.xd, jb.cd
+// getUnfoldJob leases a job set up for x [·,C,H,W] data xd and columns cd.
+func getUnfoldJob(xd, cd []float32, c, h, w, kh, kw, stride, pad int) *unfoldJob {
+	jb := unfoldJobs.Get().(*unfoldJob)
+	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
+	jb.xd, jb.cd = xd, cd
+	jb.c, jb.h, jb.w, jb.oh, jb.ow = c, h, w, oh, ow
+	jb.kh, jb.kw, jb.stride, jb.pad, jb.rowLen = kh, kw, stride, pad, c*kh*kw
+	jb.taps = jb.taps[:0]
+	for kx := 0; kx < kw; kx++ {
+		// ox*stride + kx - pad must land in [0, w).
+		x0, x1 := 0, 0
+		if d := pad - kx; d > 0 {
+			x0 = (d + stride - 1) / stride
+		}
+		if top := w - 1 + pad - kx; top >= 0 {
+			x1 = min(top/stride+1, ow)
+		}
+		x0 = min(x0, x1)
+		jb.taps = append(jb.taps, convTap{x0, x1, x0*stride + kx - pad})
+	}
+	return jb
+}
+
+func putUnfoldJob(jb *unfoldJob) {
+	jb.xd, jb.cd = nil, nil
+	unfoldJobs.Put(jb)
+}
+
+// runUnfold fills the im2col rows of output rows [lo, hi). Output row noy
+// owns one contiguous block of OW pixel rows × C·KH·KW columns; each (ci,
+// ky, kx) tap fills its column of that block with a strided store.
+func (jb *unfoldJob) runUnfold(lo, hi int) {
+	xd, cd, taps := jb.xd, jb.cd, jb.taps
 	c, h, w, oh, ow := jb.c, jb.h, jb.w, jb.oh, jb.ow
 	kh, kw, stride, pad, rowLen := jb.kh, jb.kw, jb.stride, jb.pad, jb.rowLen
 	for noy := lo; noy < hi; noy++ {
 		ni, oy := noy/oh, noy%oh
-		base := ni * c * h * w
-		for ox := 0; ox < ow; ox++ {
-			dst := cd[(noy*ow+ox)*rowLen : (noy*ow+ox+1)*rowLen]
-			di := 0
-			for ci := 0; ci < c; ci++ {
-				cb := base + ci*h*w
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride + ky - pad
-					if iy < 0 || iy >= h {
-						for kx := 0; kx < kw; kx++ {
-							dst[di] = 0
-							di++
-						}
-						continue
-					}
-					rb := cb + iy*w
+		blk := cd[noy*ow*rowLen:][:ow*rowLen]
+		di := 0
+		for ci := 0; ci < c; ci++ {
+			plane := xd[(ni*c+ci)*h*w:][:h*w]
+			for ky := 0; ky < kh; ky++ {
+				iy := oy*stride + ky - pad
+				if iy < 0 || iy >= h {
 					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride + kx - pad
-						if ix < 0 || ix >= w {
-							dst[di] = 0
-						} else {
-							dst[di] = xd[rb+ix]
+						for o := di + kx; o < len(blk); o += rowLen {
+							blk[o] = 0
 						}
-						di++
+					}
+					di += kw
+					continue
+				}
+				row := plane[iy*w:][:w]
+				for _, tp := range taps {
+					o := di
+					for ox := 0; ox < tp.x0; ox++ {
+						blk[o] = 0
+						o += rowLen
+					}
+					for ox, sx := tp.x0, tp.src; ox < tp.x1; ox, sx = ox+1, sx+stride {
+						blk[o] = row[sx]
+						o += rowLen
+					}
+					for ox := tp.x1; ox < ow; ox++ {
+						blk[o] = 0
+						o += rowLen
+					}
+					di++
+				}
+			}
+		}
+	}
+}
+
+// runFold folds the (image, channel) planes [lo, hi) of the output. A plane
+// owns its output and gathers from its channel's KH·KW columns in a fixed
+// (oy, ky, kx, ox) order, so every sum is the same under any chunking.
+func (jb *unfoldJob) runFold(lo, hi int) {
+	xd, cd, taps := jb.xd, jb.cd, jb.taps
+	c, h, w, oh, ow := jb.c, jb.h, jb.w, jb.oh, jb.ow
+	kh, kw, stride, pad, rowLen := jb.kh, jb.kw, jb.stride, jb.pad, jb.rowLen
+	for pl := lo; pl < hi; pl++ {
+		ni, ci := pl/c, pl%c
+		plane := xd[pl*h*w:][:h*w]
+		for oy := 0; oy < oh; oy++ {
+			blk := cd[(ni*oh+oy)*ow*rowLen:][:ow*rowLen]
+			for ky := 0; ky < kh; ky++ {
+				iy := oy*stride + ky - pad
+				if iy < 0 || iy >= h {
+					continue
+				}
+				row := plane[iy*w:][:w]
+				di := (ci*kh + ky) * kw
+				for kx, tp := range taps {
+					o := di + kx + tp.x0*rowLen
+					for ox, sx := tp.x0, tp.src; ox < tp.x1; ox, sx = ox+1, sx+stride {
+						row[sx] += blk[o]
+						o += rowLen
 					}
 				}
 			}
@@ -90,56 +166,24 @@ func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
 	if cols.shape[0] != n*oh*ow || cols.shape[1] != c*kh*kw {
 		panic(fmt.Sprintf("tensor: Im2ColInto dst %v, want [%d %d]", cols.shape, n*oh*ow, c*kh*kw))
 	}
-	jb := im2colJobs.Get().(*im2colJob)
-	jb.xd, jb.cd = x.data, cols.data
-	jb.c, jb.h, jb.w, jb.oh, jb.ow = c, h, w, oh, ow
-	jb.kh, jb.kw, jb.stride, jb.pad, jb.rowLen = kh, kw, stride, pad, c*kh*kw
-	parallelFor(n*oh, jb.body)
-	jb.xd, jb.cd = nil, nil
-	im2colJobs.Put(jb)
+	jb := getUnfoldJob(x.data, cols.data, c, h, w, kh, kw, stride, pad)
+	parallelFor(n*oh, jb.unfold)
+	putUnfoldJob(jb)
 }
 
 // Col2Im folds columns [N*OH*OW, C*KH*KW] back into an NCHW tensor of shape
 // [N,C,H,W], accumulating overlapping contributions. It is the adjoint of
-// Im2Col and is used for convolution input gradients.
+// Im2Col and is used for convolution input gradients. Work is split by
+// (image, channel) plane, so it parallelises even at small batch.
 func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
-	rowLen := c * kh * kw
-	if cols.shape[0] != n*oh*ow || cols.shape[1] != rowLen {
+	if cols.shape[0] != n*oh*ow || cols.shape[1] != c*kh*kw {
 		panic(fmt.Sprintf("tensor: Col2Im shape mismatch cols=%v for out [%d,%d,%d,%d]", cols.shape, n, c, h, w))
 	}
 	out := New(n, c, h, w)
-	xd, cd := out.data, cols.data
-	// Parallelize over images: each image's region of out is disjoint.
-	parallelFor(n, func(lo, hi int) {
-		for ni := lo; ni < hi; ni++ {
-			base := ni * c * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					src := cd[((ni*oh+oy)*ow+ox)*rowLen:]
-					si := 0
-					for ci := 0; ci < c; ci++ {
-						cb := base + ci*h*w
-						for ky := 0; ky < kh; ky++ {
-							iy := oy*stride + ky - pad
-							if iy < 0 || iy >= h {
-								si += kw
-								continue
-							}
-							rb := cb + iy*w
-							for kx := 0; kx < kw; kx++ {
-								ix := ox*stride + kx - pad
-								if ix >= 0 && ix < w {
-									xd[rb+ix] += src[si]
-								}
-								si++
-							}
-						}
-					}
-				}
-			}
-		}
-	})
+	jb := getUnfoldJob(out.data, cols.data, c, h, w, kh, kw, stride, pad)
+	parallelFor(n*c, jb.fold)
+	putUnfoldJob(jb)
 	return out
 }
 

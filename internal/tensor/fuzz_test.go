@@ -103,6 +103,75 @@ func FuzzGemmParamsParity(f *testing.F) {
 	})
 }
 
+// FuzzMatMulTransAParity checks the weight-gradient GEMM (transpose, then
+// the packed driver) against NaiveMatMulTransAInto. k and n reach past the
+// default 256-wide KC/NC panels, so multi-panel accumulation, ragged last
+// panels and M/N tail tiles are all crossed.
+func FuzzMatMulTransAParity(f *testing.F) {
+	// Conv dW shapes (m = out channels, k = batch pixels, n = C·K·K), a
+	// linear dW (m = in features, k = batch) and panel-seam crossings.
+	f.Add(uint8(7), uint16(511), uint16(26), uint64(1), false)
+	f.Add(uint8(15), uint16(263), uint16(143), uint64(2), true)
+	f.Add(uint8(63), uint16(15), uint16(9), uint64(3), false)
+	f.Add(uint8(2), uint16(600), uint16(300), uint64(4), false)
+	f.Add(uint8(0), uint16(0), uint16(0), uint64(5), false)
+	f.Fuzz(func(t *testing.T, mRaw uint8, kRaw, nRaw uint16, seed uint64, sparse bool) {
+		m := int(mRaw)%64 + 1
+		k := int(kRaw)%640 + 1
+		n := int(nRaw)%320 + 1
+		rng := NewRNG(seed)
+		a, b := New(k, m), New(k, n)
+		rng.FillNormal(a, 0, 1)
+		rng.FillNormal(b, 0, 1)
+		if sparse {
+			// ReLU-masked gradients: the naive reference's zero skip runs.
+			ad := a.Data()
+			for i := range ad {
+				if ad[i] < 0 {
+					ad[i] = 0
+				}
+			}
+		}
+		got, want := Full(7, m, n), New(m, n)
+		MatMulTransAInto(got, a, b)
+		NaiveMatMulTransAInto(want, a, b)
+		if d := maxAbsDiff(got, want); d > parityTol*math.Sqrt(float64(k)) {
+			t.Fatalf("MatMulTransA [%d,%d]ᵀ@[%d,%d] (sparse=%v): max diff %g", k, m, k, n, sparse, d)
+		}
+	})
+}
+
+// FuzzCol2ImParity checks the plane-parallel Col2Im against the direct
+// scatter NaiveCol2Im over random geometries, strides and pads, including
+// kernels wider than the padded stride (overlapping taps) and strides that
+// skip input pixels.
+func FuzzCol2ImParity(f *testing.F) {
+	f.Add(uint8(1), uint8(2), uint8(8), uint8(8), uint8(2), uint8(0), uint8(1), uint64(1))
+	f.Add(uint8(2), uint8(3), uint8(7), uint8(9), uint8(0), uint8(1), uint8(0), uint64(2))
+	f.Add(uint8(0), uint8(0), uint8(5), uint8(4), uint8(4), uint8(2), uint8(2), uint64(3))
+	f.Add(uint8(3), uint8(1), uint8(1), uint8(1), uint8(2), uint8(2), uint8(1), uint64(4))
+	f.Fuzz(func(t *testing.T, nRaw, cRaw, hRaw, wRaw, kRaw, strideRaw, padRaw uint8, seed uint64) {
+		n := int(nRaw)%4 + 1
+		c := int(cRaw)%5 + 1
+		k := int(kRaw)%5 + 1
+		stride := int(strideRaw)%3 + 1
+		pad := int(padRaw) % 3
+		h := int(hRaw)%12 + 1
+		w := int(wRaw)%12 + 1
+		if h+2*pad < k || w+2*pad < k {
+			t.Skip("no output position")
+		}
+		oh, ow := ConvOut(h, k, stride, pad), ConvOut(w, k, stride, pad)
+		cols := New(n*oh*ow, c*k*k)
+		NewRNG(seed).FillNormal(cols, 0, 1)
+		got := Col2Im(cols, n, c, h, w, k, k, stride, pad)
+		want := NaiveCol2Im(cols, n, c, h, w, k, k, stride, pad)
+		if d := maxAbsDiff(got, want); d > parityTol*float64(k) {
+			t.Fatalf("col2im n%d c%d %dx%d k%d s%d p%d: max diff %g", n, c, h, w, k, stride, pad, d)
+		}
+	})
+}
+
 // FuzzConv2dParity checks the im2col+GEMM convolution pipeline against the
 // direct seven-loop NaiveConv2d over random geometries, strides, and pads.
 func FuzzConv2dParity(f *testing.F) {

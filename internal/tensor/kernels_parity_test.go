@@ -193,6 +193,64 @@ func TestConv2dParity(t *testing.T) {
 	}
 }
 
+// TestEdgeTileWritesNothingPastDst guards the ragged-tile paths against
+// writing outside the destination. dst is a window into a larger slice
+// whose surrounding floats hold a signalling NaN: an overrun that stores a
+// value back — even c + a·0, which parity cannot see — turns it into a
+// quiet NaN or a number, so every sentinel's bits must be unchanged. Shapes
+// have n % 16 != 0 and m % 4 != 0 so N tails, M tails and their corner run
+// under both register blocks.
+func TestEdgeTileWritesNothingPastDst(t *testing.T) {
+	sentinel := math.Float32frombits(0x7f800001)
+	const pad = 160 // past a full 8-row × 16-wide overrun of the last tile
+	rng := NewRNG(18)
+	type shape struct{ m, n, k int }
+	for _, s := range []shape{{7, 5, 9}, {13, 21, 33}, {5, 3, 300}, {9, 37, 17}, {2, 10, 260}} {
+		for _, c := range []struct{ op, kern string }{
+			{"MatMul", Kernel4x16}, {"MatMul", Kernel8x8},
+			{"TransB", Kernel4x16}, {"TransB", Kernel8x8},
+			{"TransA", Kernel4x16}, // default parameters only
+		} {
+			op, gp := c.op, GemmParams{Kernel: c.kern}
+			backing := make([]float32, pad+s.m*s.n+pad)
+			for i := range backing {
+				backing[i] = sentinel
+			}
+			dst := FromSlice(backing[pad:pad+s.m*s.n], s.m, s.n)
+			want := New(s.m, s.n)
+			switch op {
+			case "MatMul":
+				a, b := New(s.m, s.k), New(s.k, s.n)
+				fillRandom(rng, a, b)
+				MatMulIntoP(dst, a, b, gp)
+				NaiveMatMulInto(want, a, b)
+			case "TransB":
+				a, b := New(s.m, s.k), New(s.n, s.k)
+				fillRandom(rng, a, b)
+				MatMulTransBIntoP(dst, a, b, gp)
+				NaiveMatMulTransBInto(want, a, b)
+			case "TransA":
+				a, b := New(s.k, s.m), New(s.k, s.n)
+				fillRandom(rng, a, b)
+				MatMulTransAInto(dst, a, b)
+				NaiveMatMulTransAInto(want, a, b)
+			}
+			for i, v := range backing {
+				if i >= pad && i < pad+s.m*s.n {
+					continue
+				}
+				if math.Float32bits(v) != math.Float32bits(sentinel) {
+					t.Fatalf("%s/%s m%d n%d k%d (%s tier): float %d outside dst overwritten with %v",
+						op, c.kern, s.m, s.n, s.k, VecKind(), i-pad, v)
+				}
+			}
+			if d := maxAbsDiff(dst, want); d > parityTol*math.Sqrt(float64(s.k)) {
+				t.Errorf("%s/%s m%d n%d k%d: max diff %g", op, c.kern, s.m, s.n, s.k, d)
+			}
+		}
+	}
+}
+
 // TestMatMulIntoOverwritesDst guards the accumulate-style blocked kernel
 // against leaking prior dst contents.
 func TestMatMulIntoOverwritesDst(t *testing.T) {

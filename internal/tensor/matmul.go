@@ -55,12 +55,17 @@ func (e *gemmEngine) runZero(lo, hi int) {
 
 // runTiles accumulates destination tiles [tlo, thi) against the current
 // packed panel. A tile is MR consecutive destination rows; within it the
-// panel is swept strip by strip, dispatching the full-tile microkernel,
-// the single-row tail kernel, or the generic ragged kernel depending on
-// how much of the tile is in range.
+// panel is swept strip by strip. Full tiles run the full-tile microkernel of
+// the bound tier. On the assembly tier every ragged tile runs the assembly
+// kernels too: an M tail one row at a time through the single-row kernel,
+// an N tail (w < NR) through an MR×NR scratch tile (edgeTile). The pure-Go
+// tier sends every ragged tile to goGemmStrip.
 func (e *gemmEngine) runTiles(tlo, thi int) {
 	mr, nr := e.mr, e.nr
 	kw, lda, n := e.kw, e.lda, e.n
+	// The edge scratch is leased at most once per call: a stack array would
+	// escape through the kernel function variable and allocate per call.
+	var edge *[edgeTileLen]float32
 	for t := tlo; t < thi; t++ {
 		i := t * mr
 		rows := e.m - i
@@ -81,14 +86,54 @@ func (e *gemmEngine) runTiles(tlo, thi int) {
 				e.kern(kw, &ab[0], lda, &bp[0], &cb[0], n)
 			case rows == mr && w == nr:
 				e.goFull(kw, &ab[0], lda, &bp[0], &cb[0], n)
-			case w == nr && e.kern1 != nil:
+			case e.kern == nil:
+				goGemmStrip(kw, ab, lda, rows, bp, nr, cb, n, w)
+			case w == nr:
 				for r := 0; r < rows; r++ {
 					e.kern1(kw, &ab[r*lda], &bp[0], &cb[r*n])
 				}
 			default:
-				goGemmStrip(kw, ab, lda, rows, bp, nr, cb, n, w)
+				if edge == nil {
+					edge = edgeTiles.Get().(*[edgeTileLen]float32)
+				}
+				e.edgeTile(edge[:], ab, rows, bp, cb, w)
 			}
 		}
+	}
+	if edge != nil {
+		edgeTiles.Put(edge)
+	}
+}
+
+// edgeTileLen is MR·NR of both register blocks (4x16 and 8x8).
+const edgeTileLen = 64
+
+// edgeTiles recycles edgeTile scratch. It is its own pool, not the arena:
+// a lease taken and returned in the middle of a GEMM reorders the arena's
+// free list, so the next large lease can draw the 64-float buffer and
+// allocate — plan forwards stopped being allocation-free that way.
+var edgeTiles = sync.Pool{New: func() any { return new([edgeTileLen]float32) }}
+
+// edgeTile accumulates a ragged-N tile (w < NR columns, rows <= MR) with
+// the assembly kernels, BLIS-style: the destination's w columns are copied
+// into the MR×NR scratch tile sc, the full-width kernel runs on sc (the
+// packed strip is zero-padded past w, so the padding lanes never feed a
+// valid column), and only the w valid columns are copied back. The
+// destination is never written past its width or its last row.
+func (e *gemmEngine) edgeTile(sc, ab []float32, rows int, bp, cb []float32, w int) {
+	nr, lda, n := e.nr, e.lda, e.n
+	for r := 0; r < rows; r++ {
+		copy(sc[r*nr:][:w], cb[r*n:][:w])
+	}
+	if rows == e.mr {
+		e.kern(e.kw, &ab[0], lda, &bp[0], &sc[0], nr)
+	} else {
+		for r := 0; r < rows; r++ {
+			e.kern1(e.kw, &ab[r*lda], &bp[0], &sc[r*nr])
+		}
+	}
+	for r := 0; r < rows; r++ {
+		copy(cb[r*n:][:w], sc[r*nr:][:w])
 	}
 }
 
@@ -214,51 +259,37 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // MatMulTransAInto computes dst = aᵀ @ b where a is [k,m], b is [k,n],
-// dst is [m,n]. Used for weight gradients (training only — not a serving
-// hot path, so it keeps the scalar blocked-accumulate structure); a is
-// read with stride m.
+// dst is [m,n]. It is the weight-gradient GEMM of conv and linear
+// training: a is transposed into an arena [m,k] buffer and the product
+// runs through the same packed driver and microkernels as MatMulInto. The
+// transpose moves m·k floats against 2·m·n·k flops.
 func MatMulTransAInto(dst, a, b *Tensor) {
 	k, m := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransAInto shape mismatch %vᵀ @ %v -> %v", a.shape, b.shape, dst.shape))
 	}
-	ad, bd, dd := a.data, b.data, dst.data
-	parallelFor(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			drow := dd[i*n:][:n]
-			for x := range drow {
-				drow[x] = 0
-			}
-			p := 0
-			for ; p+3 < k; p += 4 {
-				a0 := ad[p*m+i]
-				a1 := ad[(p+1)*m+i]
-				a2 := ad[(p+2)*m+i]
-				a3 := ad[(p+3)*m+i]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				b0 := bd[p*n:][:n]
-				b1 := bd[(p+1)*n:][:n]
-				b2 := bd[(p+2)*n:][:n]
-				b3 := bd[(p+3)*n:][:n]
-				for j := range drow {
-					drow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				}
-			}
-			for ; p < k; p++ {
-				av := ad[p*m+i]
-				if av == 0 {
-					continue
-				}
-				brow := bd[p*n:][:n]
-				for j := range drow {
-					drow[j] += av * brow[j]
-				}
+	at := GetBufDirty(m * k)
+	transposeInto(*at, a.data, k, m)
+	gemmBlocked(dst.data, *at, b.data, m, n, k, false, DefaultGemmParams())
+	PutBuf(at)
+}
+
+// transposeInto writes the [cols, rows] transpose of the row-major
+// [rows, cols] matrix src into dst. It walks src in blocks of 32 rows so
+// each destination row segment is written contiguously while the block's
+// source lines stay cache-resident.
+func transposeInto(dst, src []float32, rows, cols int) {
+	const tb = 32
+	for p0 := 0; p0 < rows; p0 += tb {
+		p1 := min(p0+tb, rows)
+		for i := 0; i < cols; i++ {
+			drow := dst[i*rows+p0 : i*rows+p1]
+			for p := range drow {
+				drow[p] = src[(p0+p)*cols+i]
 			}
 		}
-	})
+	}
 }
 
 // MatMulTransBInto computes dst = a @ bᵀ where a is [m,k], b is [n,k],
@@ -284,13 +315,7 @@ func Transpose2D(a *Tensor) *Tensor {
 	if a.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: Transpose2D wants rank 2, got %v", a.shape))
 	}
-	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		row := a.data[i*n : (i+1)*n]
-		for j, v := range row {
-			out.data[j*m+i] = v
-		}
-	}
+	out := New(a.shape[1], a.shape[0])
+	transposeInto(out.data, a.data, a.shape[0], a.shape[1])
 	return out
 }

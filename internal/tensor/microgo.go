@@ -10,10 +10,13 @@ import "unsafe"
 // and the blocked driver in matmul.go never needs to know which is bound.
 //
 // goGemmStrip is the fully general variant (any rows <= MR, any width <=
-// NR) and handles every ragged tile: M tails when no assembly single-row
-// kernel is bound, and N tails always, since the packed strip is
-// zero-padded to NR but the destination must not be written past its true
-// width.
+// NR) and is this tier's only edge kernel: it takes every ragged tile (M
+// and N tails) when the assembly tier is not bound. The assembly tier never
+// reaches it — its N tails run the full-width kernel on a scratch tile
+// (gemmEngine.edgeTile). Routing this tier the same way, through
+// goGemm4x16 on a scratch tile, measured slower: the lane kernel's full
+// 16-wide work on a 2–8-wide tail costs more than the scalar strip, which
+// also keeps its zero-group skip for ReLU-sparse operands.
 
 // goGemm4x16 accumulates a full 4x16 tile: c[r][0:16] += a[r][0:k] @ bp
 // for r in 0..3, with a rows lda floats apart, c rows ldc floats apart,

@@ -9,9 +9,10 @@
 // parameters this machine has ever measured for its exact shape.
 //
 // The cache file groups winners under fingerprint.Machine() + the kernel
-// tier (tensor.VecKind), so copying the file to a different CPU — or
-// rebuilding with the pure-Go fallback tier — invalidates nothing and
-// replays nothing: the new machine simply starts its own section. Second
+// signature (tensor.KernelSignature: tier and kernel generation), so
+// copying the file to a different CPU — or rebuilding with the pure-Go
+// fallback tier, or with changed kernels — invalidates nothing and replays
+// nothing: the new machine simply starts its own section. Second
 // and later compiles of the same model zoo on the same machine perform
 // zero measurements (tune_test.go asserts this), which keeps tuned compiles
 // cheap enough for the SA search loop and serving restarts.
@@ -143,10 +144,11 @@ func New(mode Mode, path string) (*Tuner, error) {
 }
 
 // MachineKey is the cache section key for this process: the CPU signature
-// plus the active kernel tier, so avx2 winners never replay onto the
-// pure-Go fallback build (whose optimum differs) and vice versa.
+// plus the kernel signature (tier and generation), so avx2 winners never
+// replay onto the pure-Go fallback build (whose optimum differs) and vice
+// versa, and winners measured by an older kernel generation never replay.
 func MachineKey() string {
-	return fingerprint.Machine() + " vec=" + tensor.VecKind()
+	return fingerprint.Machine() + " " + tensor.KernelSignature()
 }
 
 // Mode returns the tuner's mode.

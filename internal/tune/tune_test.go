@@ -1,10 +1,12 @@
 package tune
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/fingerprint"
 	"repro/internal/graph"
 	"repro/internal/models"
 	"repro/internal/plan"
@@ -147,48 +149,55 @@ func TestCompileWinnerCacheRoundTrip(t *testing.T) {
 }
 
 // TestSavePreservesOtherMachines guards the invalidation story: a cache
-// written on one machine must survive a save from another machine's
-// section untouched (a CPU change starts a new section, never clobbers).
+// written on one machine — or on this machine by an older kernel generation,
+// whose key carries no kgen field — must survive a save from the current
+// section untouched and replay nothing (a CPU or kernel change starts a new
+// section, never clobbers).
 func TestSavePreservesOtherMachines(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tune.json")
-	seed := []byte(`{"machines":{"other-cpu vec=none":{"gemm m1 n2 k3 tb0":{"kc":128,"nc":128,"kernel":"8x8"}}}}`)
-	if err := os.WriteFile(path, seed, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tn, err := New(ModeFull, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The foreign winner must not leak into this machine's lookups.
-	if _, prov := tn.Gemm(1, 2, 3, false); prov != plan.TuneMeasured {
-		t.Fatalf("foreign machine's winner replayed: provenance %q", prov)
-	}
-	if err := tn.Save(); err != nil {
-		t.Fatal(err)
-	}
-	tn2, err := New(ModeFull, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tn2.Entries() == 0 {
-		t.Fatal("own section not persisted")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !contains(string(data), "other-cpu vec=none") {
-		t.Fatal("other machine's section dropped on save")
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
+	for _, foreign := range []string{
+		"other-cpu vec=none",
+		fingerprint.Machine() + " vec=" + tensor.VecKind(),
+	} {
+		path := filepath.Join(t.TempDir(), "tune.json")
+		seed, err := json.Marshal(map[string]any{"machines": map[string]any{
+			foreign: map[string]any{"gemm m1 n2 k3 tb0": map[string]any{"kc": 128, "nc": 128, "kernel": "8x8"}},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, seed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tn, err := New(ModeFull, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The foreign winner must not leak into this machine's lookups.
+		if _, prov := tn.Gemm(1, 2, 3, false); prov != plan.TuneMeasured {
+			t.Fatalf("%q: foreign winner replayed: provenance %q", foreign, prov)
+		}
+		if err := tn.Save(); err != nil {
+			t.Fatal(err)
+		}
+		tn2, err := New(ModeFull, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tn2.Entries() == 0 {
+			t.Fatalf("%q: own section not persisted", foreign)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f cacheFile
+		if err := json.Unmarshal(data, &f); err != nil {
+			t.Fatal(err)
+		}
+		if f.Machines[foreign]["gemm m1 n2 k3 tb0"].Kernel != "8x8" {
+			t.Fatalf("%q: foreign section dropped on save: %s", foreign, data)
 		}
 	}
-	return false
 }
 
 func TestParseMode(t *testing.T) {
