@@ -128,12 +128,8 @@ type ModelSummary struct {
 	Source     string   `json:"source,omitempty"`
 	InputShape []int    `json:"input_shape"`
 	Tasks      []string `json:"tasks"`
-	// PlanOps/PlannedOps/EagerOps summarize plan coverage: of PlanOps
-	// compiled ops, PlannedOps run on native fused kernels and EagerOps
-	// fell back to eager layer execution.
-	PlanOps    int `json:"plan_ops"`
-	PlannedOps int `json:"planned_ops"`
-	EagerOps   int `json:"eager_ops"`
+	// PlanOps is the number of compiled ops the model's plan runs.
+	PlanOps int `json:"plan_ops"`
 	// QueueDepth and Requests give the listing a live serving pulse.
 	QueueDepth int   `json:"queue_depth"`
 	Requests   int64 `json:"requests"`

@@ -120,8 +120,6 @@ func main() {
 	if *showPlan {
 		p := plan.Compile(g)
 		fmt.Println("\n" + p.String())
-		r := p.Report()
-		fmt.Printf("lowering coverage: %d planned ops, %d eager fallbacks\n", r.Planned, r.Eager)
 		printOpStats(p)
 	}
 
@@ -148,8 +146,8 @@ func main() {
 
 // printOpStats runs a few warm forwards on a zero input (valid for image
 // tensors and for token ids, since id 0 is always in vocab) and prints the
-// per-op timing counters, so every op — planned or eager — shows measured
-// calls and nanoseconds rather than a blank row.
+// per-op timing counters, so every op shows measured calls and nanoseconds
+// rather than a blank row.
 func printOpStats(p *plan.Plan) {
 	const batch, iters = 2, 3
 	inst := p.NewInstance()

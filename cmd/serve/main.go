@@ -196,9 +196,9 @@ func runServer(models modelFlags, defaultName, addr string, opts registry.ModelO
 		if err != nil {
 			return err
 		}
-		log.Printf("model %s (%s): %d tasks, %d blocks, input %v, plan %d/%d native, kernels %d tuned / %d cached / %d default",
+		log.Printf("model %s (%s): %d tasks, %d blocks, input %v, plan %d ops, kernels %d tuned / %d cached / %d default",
 			e.name, snap.Checksum, len(snap.Graph.Heads), snap.Graph.NodeCount(),
-			snap.InputShape, snap.PlannedOps, snap.PlanOps,
+			snap.InputShape, snap.PlanOps,
 			snap.TunedOps, snap.CachedOps, snap.DefaultOps)
 	}
 	if tuner != nil {
@@ -308,9 +308,9 @@ func runClient(url, name string, listModels, info bool, inferRandom int) error {
 			if m.Default {
 				def = "*"
 			}
-			fmt.Printf("%s %-16s v%-3d %s input %v tasks %v plan %d/%d queue %d requests %d\n",
+			fmt.Printf("%s %-16s v%-3d %s input %v tasks %v plan %d ops queue %d requests %d\n",
 				def, m.Name, m.Version, m.Checksum, m.InputShape, m.Tasks,
-				m.PlannedOps, m.PlanOps, m.QueueDepth, m.Requests)
+				m.PlanOps, m.QueueDepth, m.Requests)
 		}
 		return nil
 	}

@@ -201,9 +201,6 @@ type Config struct {
 	// sampled duplicate (the pre-memoization behavior; mainly for A/B
 	// comparisons).
 	DisableSearchCache bool
-	// DisableWarmStart fine-tunes elite-derived candidates under the full
-	// epoch budget instead of the shrunken warm-start budget.
-	DisableWarmStart bool
 	// Seed drives all randomness (default 1).
 	Seed uint64
 	// TimeBudget optionally bounds the search wall-clock.
@@ -255,6 +252,9 @@ type Result struct {
 	// Speedup is original latency / fused latency (1 when !Found).
 	Speedup float64
 	// OriginalLatency and FusedLatency are measured inference times.
+	// OriginalLatency is the search's own measurement of the original, the
+	// number a latency-objective Best had to beat, so a found model reads
+	// Speedup > 1.
 	OriginalLatency, FusedLatency time.Duration
 	// Accuracy is the fused model's per-task test metric.
 	Accuracy map[int]float64
@@ -295,14 +295,13 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 	targets := setup.targets
 
 	coreCfg := core.Config{
-		Rounds:           cfg.Rounds,
-		BatchSize:        cfg.SearchBatch,
-		MaxPairsPerPass:  cfg.MaxPairsPerPass,
-		Seed:             cfg.Seed,
-		TimeBudget:       cfg.TimeBudget,
-		OnRound:          cfg.OnRound,
-		DisableMemo:      cfg.DisableSearchCache,
-		DisableWarmStart: cfg.DisableWarmStart,
+		Rounds:          cfg.Rounds,
+		BatchSize:       cfg.SearchBatch,
+		MaxPairsPerPass: cfg.MaxPairsPerPass,
+		Seed:            cfg.Seed,
+		TimeBudget:      cfg.TimeBudget,
+		OnRound:         cfg.OnRound,
+		DisableMemo:     cfg.DisableSearchCache,
 	}
 	if cfg.OptimizeFLOPs {
 		coreCfg.Metric = core.OptimizeFLOPs
@@ -364,21 +363,21 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 		}
 	}
 	out := &Result{
-		Model:      teachers,
-		Targets:    targets,
-		SearchTime: res.SearchTime,
-		Elites:     res.Elites,
-		Traces:     res.Traces,
-		Stats:      res.Stats,
-		Evaluated:  res.Evaluated,
-		Decisions:  res.Decisions,
-		Speedup:    1,
+		Model:           teachers,
+		Targets:         targets,
+		SearchTime:      res.SearchTime,
+		Elites:          res.Elites,
+		Traces:          res.Traces,
+		Stats:           res.Stats,
+		Evaluated:       res.Evaluated,
+		Decisions:       res.Decisions,
+		Speedup:         1,
+		OriginalLatency: res.OriginalLatency,
 	}
 	if pred != nil {
 		s := pred.Stats()
 		out.Predictor = &s
 	}
-	out.OriginalLatency = estimator.Latency(teachers, estimator.LatencyOptions{})
 	if res.Best != nil {
 		out.Model = res.Best.Graph
 		out.Found = true

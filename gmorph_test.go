@@ -108,6 +108,45 @@ func TestFuseEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFuseSpeedupAgainstIncumbent: a latency-objective Best had to beat
+// the original's measured latency, and Fuse reports against that very
+// measurement, so a found model always reads faster than the original.
+func TestFuseSpeedupAgainstIncumbent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	teachers, ds, _ := buildTinyTeachers(t)
+	found := 0
+	for seed := uint64(1); seed <= 3; seed++ {
+		res, err := gmorph.Fuse(teachers, ds, gmorph.Config{
+			AccuracyDrop:   0.10,
+			Rounds:         4,
+			FineTuneEpochs: 4,
+			LearningRate:   0.003,
+			EvalEvery:      2,
+			Seed:           seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Found {
+			if res.Speedup != 1 || res.FusedLatency != res.OriginalLatency {
+				t.Fatalf("seed %d: nothing found but speedup %.3f, fused %v vs original %v",
+					seed, res.Speedup, res.FusedLatency, res.OriginalLatency)
+			}
+			continue
+		}
+		found++
+		if res.FusedLatency >= res.OriginalLatency || res.Speedup <= 1 {
+			t.Fatalf("seed %d: found a model at %v against original %v (speedup %.3f)",
+				seed, res.FusedLatency, res.OriginalLatency, res.Speedup)
+		}
+	}
+	if found == 0 {
+		t.Fatal("no seed found a model; the check is vacuous")
+	}
+}
+
 // TestFuseSearchSmoke drives a short random-policy search through the public
 // API and checks the search-speed surface added with memoization: the
 // fingerprint helper, the Stats counters, and their bookkeeping identity

@@ -176,10 +176,6 @@ type Config struct {
 	// caches, forcing every sampled duplicate to be re-distilled and
 	// re-measured (the pre-memoization behavior; mainly for A/B tests).
 	DisableMemo bool
-	// DisableWarmStart makes candidates mutated from an elite fine-tune
-	// under the full epoch budget instead of the shrunken warm-start budget
-	// (see estimator.AccuracyOptions.WarmStartFraction).
-	DisableWarmStart bool
 	// Memo is the fingerprint-keyed result store backing the search memo
 	// (nil: a fresh in-process MemoryMemo). Pass a DiskMemo to share one
 	// corpus across processes and runs.
@@ -261,6 +257,9 @@ type Result struct {
 	Traces []Trace
 	// SearchTime is the total wall-clock spent.
 	SearchTime time.Duration
+	// OriginalLatency is the original graph's measured latency: the
+	// incumbent cost a latency-objective Best had to beat.
+	OriginalLatency time.Duration
 	// Evaluated counts candidates that entered evaluation (incl. skipped
 	// and cache-replayed ones).
 	Evaluated int

@@ -114,6 +114,7 @@ func (o *Optimizer) Run() *Result {
 		Latency: estimator.Latency(o.original, cfg.Latency),
 		FLOPs:   estimator.FLOPs(o.original),
 	}
+	res.OriginalLatency = incumbent.Latency
 	origParams := o.original.Capacity().Total
 	// The rule-based filter lives here, not inside the evaluator: skip
 	// decisions are taken serially at sampling time and failures are
@@ -207,7 +208,7 @@ func (o *Optimizer) Run() *Result {
 						// identically — which is what makes a memo replay (or
 						// a remote evaluation) equivalent to re-evaluating.
 						j.seed = memoSeed(cfg.Seed, j.fp)
-						j.warm = j.fromElite && !cfg.DisableWarmStart
+						j.warm = j.fromElite
 						if memo.enabled {
 							batchFp[j.fp] = len(jobs)
 						}

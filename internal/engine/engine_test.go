@@ -1,89 +1,11 @@
 package engine_test
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/graph"
-	"repro/internal/models"
-	"repro/internal/tensor"
 	"repro/internal/testutil"
 )
-
-// Fused execution must agree with the reference engine to float tolerance
-// (conv+BN folding is an exact algebraic rewrite up to rounding).
-func TestFusedMatchesReference(t *testing.T) {
-	ds := testutil.TinyFace(1, 32, 8)
-	g := testutil.TinyMultiDNN(2, ds)
-	// Train a little so BN running stats are meaningful.
-	testutil.PretrainTeachers(g, ds, 3, 0.003, 3)
-
-	ref := engine.NewReference(g)
-	fused := engine.Compile(g)
-
-	x := ds.Test.X
-	or := ref.Forward(x)
-	of := fused.Forward(x)
-	if len(or) != len(of) {
-		t.Fatalf("task counts differ: %d vs %d", len(or), len(of))
-	}
-	for id := range or {
-		a, b := or[id].Data(), of[id].Data()
-		for i := range a {
-			if math.Abs(float64(a[i]-b[i])) > 1e-3*math.Max(1, math.Abs(float64(a[i]))) {
-				t.Fatalf("task %d output %d: reference %v fused %v", id, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-func TestFusedMatchesReferenceResNet(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	g, err := models.SingleTask(rng, models.Config{}, models.ResNet18, graph.Shape{3, 32, 32}, graph.DomainRaw, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Prime BN running stats with a couple of training passes.
-	x := tensor.New(4, 3, 32, 32)
-	rng.FillNormal(x, 0, 1)
-	for i := 0; i < 3; i++ {
-		g.Forward(x, true)
-	}
-
-	ref := engine.NewReference(g)
-	fused := engine.Compile(g)
-	xq := tensor.New(2, 3, 32, 32)
-	rng.FillNormal(xq, 0, 1)
-	or := ref.Forward(xq)[0]
-	of := fused.Forward(xq)[0]
-	for i := range or.Data() {
-		a, b := float64(or.Data()[i]), float64(of.Data()[i])
-		if math.Abs(a-b) > 1e-3*math.Max(1, math.Abs(a)) {
-			t.Fatalf("resnet output %d: reference %v fused %v", i, a, b)
-		}
-	}
-}
-
-func TestFusedMatchesReferenceTransformer(t *testing.T) {
-	rng := tensor.NewRNG(5)
-	g, err := models.SingleTask(rng, models.Config{Vocab: 40}, models.BERTBase, graph.Shape{12}, graph.DomainRaw, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := tensor.New(2, 12)
-	for i := range ids.Data() {
-		ids.Data()[i] = float32(i % 40)
-	}
-	or := engine.NewReference(g).Forward(ids)[0]
-	of := engine.Compile(g).Forward(ids)[0]
-	for i := range or.Data() {
-		a, b := float64(or.Data()[i]), float64(of.Data()[i])
-		if math.Abs(a-b) > 1e-4*math.Max(1, math.Abs(a)) {
-			t.Fatalf("bert output %d: reference %v fused %v", i, a, b)
-		}
-	}
-}
 
 func TestCompileDoesNotMutateGraph(t *testing.T) {
 	ds := testutil.TinyFace(6, 8, 4)

@@ -93,11 +93,6 @@ type AccuracyOptions struct {
 	UseRuleFilter bool
 	// Slack loosens the early-termination decision (see filter package).
 	Slack float64
-	// WarmStartFraction scales the fine-tuning epoch budget for warm-started
-	// candidates (those mutated from an already-trained elite): the budget
-	// becomes round(Epochs * fraction), with the regression fallback of
-	// distill.Config.WarmEpochs. 0 means the default 0.5.
-	WarmStartFraction float64
 }
 
 // AccuracyEstimator fine-tunes one candidate at a time against the teacher
@@ -127,9 +122,9 @@ func NewAccuracyEstimator(ds *data.Dataset, targets map[int]float64, teacher dis
 // FineTuneCandidate fine-tunes the candidate graph in place with
 // distillation and returns the report (Met tells whether every task target
 // was reached). warm marks a candidate mutated from a trained elite: its
-// inherited weights are close, so the epoch budget shrinks to
-// WarmStartFraction of the full budget (with the regression fallback
-// described on distill.Config.WarmEpochs).
+// inherited weights are close, so the epoch budget shrinks to half the
+// full budget, rounded and at least one epoch (with the regression
+// fallback described on distill.Config.WarmEpochs).
 func (a *AccuracyEstimator) FineTuneCandidate(g *graph.Graph, seed uint64, warm bool) *distill.Report {
 	var hook distill.Hook
 	if a.Opts.UseEarlyTermination {
@@ -142,15 +137,7 @@ func (a *AccuracyEstimator) FineTuneCandidate(g *graph.Graph, seed uint64, warm 
 	cfg := a.Opts.FineTune
 	cfg.Seed = seed
 	if warm {
-		frac := a.Opts.WarmStartFraction
-		if frac <= 0 {
-			frac = 0.5
-		}
-		we := int(float64(cfg.Epochs)*frac + 0.5)
-		if we < 1 {
-			we = 1
-		}
-		cfg.WarmEpochs = we
+		cfg.WarmEpochs = max(1, (cfg.Epochs+1)/2)
 	}
 	return distill.FineTune(g, a.TrainX, a.Teacher, a.Eval, cfg, hook)
 }

@@ -284,8 +284,6 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			Source:     snap.Source,
 			InputShape: append([]int(nil), snap.InputShape...),
 			PlanOps:    snap.PlanOps,
-			PlannedOps: snap.PlannedOps,
-			EagerOps:   snap.EagerOps,
 			QueueDepth: st.Batcher.QueueDepth,
 			Requests:   st.Batcher.Requests,
 		}

@@ -30,7 +30,7 @@ const (
 	// quantization payloads (per-layer Quant8 annotations after Conv2d and
 	// Linear parameters, and a graph-level QuantNote after the node tree).
 	// Version-2 checkpoints — everything written before quantization
-	// existed — still load.
+	// existed — still load; nothing writes them any more.
 	version    = 3
 	minVersion = 2
 
@@ -57,27 +57,20 @@ func Save(w io.Writer, g *graph.Graph) error {
 
 // SaveOpts is Save with explicit encoding options.
 func SaveOpts(w io.Writer, g *graph.Graph, opts Options) error {
-	return saveVersion(w, g, opts, version)
-}
-
-// saveVersion writes the graph in an explicit format version. Only the
-// current version is written by the public API; older versions are kept
-// writable so backward-compatibility tests exercise the real decoder path.
-func saveVersion(w io.Writer, g *graph.Graph, opts Options, ver int) error {
-	_, err := saveVersionSum(w, g, opts, ver)
+	_, err := saveSum(w, g, opts)
 	return err
 }
 
-// saveVersionSum is saveVersion returning the payload CRC-32 — the value
-// written as the trailer and reported by LoadSum as the content checksum.
-func saveVersionSum(w io.Writer, g *graph.Graph, opts Options, ver int) (uint32, error) {
+// saveSum is SaveOpts returning the payload CRC-32 — the value written as
+// the trailer and reported by LoadSum as the content checksum.
+func saveSum(w io.Writer, g *graph.Graph, opts Options) (uint32, error) {
 	crc := crc32.NewIEEE()
 	buf := bufio.NewWriter(io.MultiWriter(w, crc))
-	bw := &paramWriter{Writer: buf, f16: opts.Float16, ver: ver}
+	bw := &paramWriter{Writer: buf, f16: opts.Float16}
 	if _, err := io.WriteString(bw, magic); err != nil {
 		return 0, err
 	}
-	writeU32(bw, uint32(ver))
+	writeU32(bw, version)
 
 	names := make([]int, 0, len(g.TaskNames))
 	for id := range g.TaskNames {
@@ -113,9 +106,7 @@ func saveVersionSum(w io.Writer, g *graph.Graph, opts Options, ver int) (uint32,
 	if err := writeNode(g.Root); err != nil {
 		return 0, err
 	}
-	if ver >= 3 {
-		writeQuantNote(bw, g.Quant)
-	}
+	writeQuantNote(bw, g.Quant)
 	if err := buf.Flush(); err != nil {
 		return 0, err
 	}
@@ -288,7 +279,7 @@ func LoadFilePinned(path, pin string) (*graph.Graph, error) {
 // models registered from memory (tests, freshly fused graphs) that
 // matches what LoadFileSum would report after a round trip.
 func Sum(g *graph.Graph) (string, error) {
-	crc, err := saveVersionSum(io.Discard, g, Options{}, version)
+	crc, err := saveSum(io.Discard, g, Options{})
 	if err != nil {
 		return "", err
 	}
@@ -323,20 +314,10 @@ func writeU64(w io.Writer, v uint64) {
 	w.Write(b[:])
 }
 
-// paramWriter carries the tensor encoding choice and the format version
-// alongside the stream.
+// paramWriter carries the tensor encoding choice alongside the stream.
 type paramWriter struct {
 	io.Writer
 	f16 bool
-	ver int
-}
-
-// streamVersion reports the format version the stream is being written in.
-func streamVersion(w io.Writer) int {
-	if pw, ok := w.(*paramWriter); ok {
-		return pw.ver
-	}
-	return version
 }
 
 func writeTensor(w io.Writer, t *tensor.Tensor) {

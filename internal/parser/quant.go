@@ -22,12 +22,8 @@ import (
 // After the node tree, the graph-level QuantNote records the accuracy
 // budget and the per-task metrics measured before and after quantization.
 
-// writeQuant8 appends a layer's quantization annotation. Version-2 streams
-// have no quant block at all, so nothing is written there.
+// writeQuant8 appends a layer's quantization annotation.
 func writeQuant8(w io.Writer, q *nn.Quant8) {
-	if streamVersion(w) < 3 {
-		return
-	}
 	if q == nil {
 		writeU32(w, 0)
 		return

@@ -6,21 +6,16 @@ import (
 	"hash/crc32"
 	"testing"
 
-	"repro/internal/graph"
-	"repro/internal/nn"
 	"repro/internal/testutil"
 )
 
 // TestLoadAcceptsVersion2 keeps the pre-quantization format loadable:
-// checkpoints written before version 3 existed must keep working.
+// checkpoints written before version 3 existed must keep working. The
+// fixture is the version-2 encoding of TinyMultiDNN(22, TinyFace(21, 4, 2)),
+// written by the last release that could still emit that format.
 func TestLoadAcceptsVersion2(t *testing.T) {
-	ds := testutil.TinyFace(21, 4, 2)
-	g := testutil.TinyMultiDNN(22, ds)
-	var buf bytes.Buffer
-	if err := saveVersion(&buf, g, Options{}, 2); err != nil {
-		t.Fatalf("save v2: %v", err)
-	}
-	g2, err := Load(&buf)
+	g := testutil.TinyMultiDNN(22, testutil.TinyFace(21, 4, 2))
+	g2, err := LoadFile("testdata/v2.gmck")
 	if err != nil {
 		t.Fatalf("load v2: %v", err)
 	}
@@ -42,70 +37,6 @@ func TestLoadAcceptsVersion2(t *testing.T) {
 	if g2.Quant != nil {
 		t.Fatal("v2 checkpoint produced a quant note")
 	}
-}
-
-// TestVersion2DropsQuantPayloads: writing an annotated graph in the legacy
-// format silently drops the annotations (v2 has nowhere to put them), and
-// the result still loads.
-func TestVersion2DropsQuantPayloads(t *testing.T) {
-	ds := testutil.TinyFace(23, 4, 2)
-	g := testutil.TinyMultiDNN(24, ds)
-	annotated := false
-	for _, l := range graphLinears(g) {
-		q := &nn.Quant8{
-			Rows: l.Out, K: l.In,
-			W:       make([]int8, l.Out*l.In),
-			WScale:  make([]float32, l.Out),
-			Bias:    make([]float32, l.Out),
-			InScale: 0.02,
-		}
-		for i := range q.W {
-			q.W[i] = int8(i%255 - 127)
-		}
-		l.Quant = q
-		annotated = true
-		break
-	}
-	if !annotated {
-		t.Fatal("fixture has no linear layer to annotate")
-	}
-	var buf bytes.Buffer
-	if err := saveVersion(&buf, g, Options{}, 2); err != nil {
-		t.Fatalf("save v2: %v", err)
-	}
-	g2, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("load v2: %v", err)
-	}
-	for _, l := range graphLinears(g2) {
-		if l.Quant != nil {
-			t.Fatal("quant annotation survived a v2 save")
-		}
-	}
-}
-
-// graphLinears collects every linear layer in the graph, including those
-// nested inside Sequential heads (the fixtures wrap the classifier that
-// way).
-func graphLinears(g *graph.Graph) []*nn.Linear {
-	var out []*nn.Linear
-	var walk func(l nn.Layer)
-	walk = func(l nn.Layer) {
-		switch l := l.(type) {
-		case *nn.Linear:
-			out = append(out, l)
-		case *nn.Sequential:
-			for _, inner := range l.Layers {
-				walk(inner)
-			}
-		}
-	}
-	for _, n := range g.Nodes() {
-		if n.Layer != nil {
-			walk(n.Layer)
-		}
-	}
-	return out
 }
 
 // TestLoadRejectsUnknownVersion patches the version field past the current

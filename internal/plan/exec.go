@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -500,21 +499,4 @@ type interpSpec struct {
 func (s *interpSpec) build(inst *Instance, o *Op) func() {
 	in, out := o.In, o.Out
 	return func() { s.into(inst.regs[out], inst.regs[in]) }
-}
-
-// eagerSpec runs a private clone of an nn layer and copies the result into
-// the planned register. Correct for any layer, but allocating — the safety
-// net for layers with no native kernel. Each instance forwards its own
-// clone, because layers keep per-call state and instances run concurrently.
-type eagerSpec struct {
-	layer nn.Layer
-}
-
-func (s *eagerSpec) build(inst *Instance, o *Op) func() {
-	in, out := o.In, o.Out
-	layer := s.layer.Clone()
-	return func() {
-		y := layer.Forward(inst.regs[in], false)
-		copy(inst.regs[out].Data(), y.Data())
-	}
 }

@@ -13,10 +13,9 @@ import (
 // conv op with folded weights, the residual tail becomes one add+relu op,
 // transformer blocks unroll into packed-QKV/tiled-attention/fused-addln op
 // chains (transformer.go), Dropout disappears entirely — so the executor
-// never re-discovers them. Every zoo layer kind and both Rescale adapters
-// the mutator inserts have a native kernel; the eager fallback (a private clone of the nn layer, correct but
-// allocating) remains only as the safety net for layer types the compiler
-// has never seen.
+// never re-discovers them. Every layer kind the zoo, the mutator and the
+// parser can produce has a native kernel, so the scheduler sees every op; a
+// layer type with none is a compile-time failure, not a hidden fallback.
 
 // lowerNode lowers one graph node's layer, returning its output value id.
 func (c *compiler) lowerNode(n *graph.Node, inVal int) int {
@@ -115,13 +114,7 @@ func (c *compiler) lowerLayer(name string, l nn.Layer, inVal int) int {
 		// producer's value directly.
 		return inVal
 	default:
-		// Eager fallback: run a private clone of the layer and copy its
-		// output into the planned register.
-		out := c.newValue(l.OutShape(c.val(inVal).Shape), false, -1)
-		return c.addOp(&Op{
-			Name: name + " " + l.Name(), Kind: "eager", In: inVal, In2: -1, Out: out,
-			spec: &eagerSpec{layer: l.Clone()},
-		})
+		panic(fmt.Sprintf("plan: %s: layer type %T has no lowering", name, l))
 	}
 }
 

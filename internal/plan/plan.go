@@ -76,7 +76,7 @@ type Op struct {
 	Name string
 	// Kind is the kernel family: conv, bn, relu, maxpool, avgpool, addrelu,
 	// linear, interp, tokenmean, copy, ln, addln, add, qkv, attn, patch,
-	// embed, eager (plus qconv/qlinear/qqkv for the int8 twins).
+	// embed, tokeninterp, gelu (plus qconv/qlinear/qqkv for the int8 twins).
 	Kind string
 	// In is the main input value; In2 is the second input of the two-operand
 	// ops (addrelu, addln, add; -1 otherwise).
@@ -479,10 +479,6 @@ type Report struct {
 	Ops   []OpReport
 	Waves [][]int
 	Slabs int
-	// Planned counts ops lowered onto native kernels; Eager counts ops that
-	// fell back to running the nn layer directly (allocating per call). The
-	// zero-allocation guarantee holds exactly when Eager is 0.
-	Planned, Eager int
 	// PeakBytes is the planned per-sample footprint: the sum of slab
 	// capacities. NaiveBytes is what per-op allocation would use: every
 	// value (outputs and scratch alike) with its own buffer.
@@ -498,11 +494,6 @@ type Report struct {
 func (p *Plan) Report() Report {
 	r := Report{Waves: p.Waves, Slabs: len(p.SlabElems)}
 	for _, o := range p.Ops {
-		if o.Kind == "eager" {
-			r.Eager++
-		} else {
-			r.Planned++
-		}
 		switch o.Tune {
 		case TuneMeasured:
 			r.Tuned++
@@ -538,8 +529,8 @@ func (p *Plan) Report() Report {
 func (p *Plan) String() string {
 	r := p.Report()
 	var b strings.Builder
-	fmt.Fprintf(&b, "execution plan: %d ops (%d planned, %d eager), %d waves, %d slabs\n",
-		len(p.Ops), r.Planned, r.Eager, len(p.Waves), r.Slabs)
+	fmt.Fprintf(&b, "execution plan: %d ops, %d waves, %d slabs\n",
+		len(p.Ops), len(p.Waves), r.Slabs)
 	fmt.Fprintf(&b, "planned bytes/sample: %d (naive per-op allocation: %d, %.1fx)\n",
 		r.PeakBytes, r.NaiveBytes, float64(r.NaiveBytes)/float64(r.PeakBytes))
 	for w, ops := range p.Waves {

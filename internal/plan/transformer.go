@@ -8,8 +8,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// Transformer lowering. A TransformerBlock becomes eight planned ops instead
-// of one eager fallback:
+// Transformer lowering. A TransformerBlock becomes eight planned ops:
 //
 //	ln -> qkv -> attn -> linear(WO) -> addln -> linear(FC1) -> gelu ->
 //	linear(FC2) -> add

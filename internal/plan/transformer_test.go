@@ -1,8 +1,8 @@
 package plan_test
 
 import (
+	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -88,24 +88,16 @@ func TestTransformerOpGranularity(t *testing.T) {
 	g.RefreshCapacities()
 
 	checkParity(t, g, tokenBatch(2, tok, vocab))
-
-	// Every op must have lowered natively; no eager fallbacks remain.
-	if r := plan.Compile(g).Report(); r.Eager != 0 {
-		t.Errorf("op-granularity transformer chain left %d eager ops", r.Eager)
-	}
 }
 
 // TestTransformerLoweringNative: the ViT and BERT zoo profiles must lower
-// without a single eager fallback, with the fused kinds present.
+// onto the fused transformer kinds.
 func TestTransformerLoweringNative(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{"vit": vitGraph(t, 331), "bert": bertGraph(t, 332)} {
 		p := plan.Compile(g)
 		kinds := make(map[string]int)
 		for _, o := range p.Ops {
 			kinds[o.Kind]++
-		}
-		if kinds["eager"] != 0 {
-			t.Errorf("%s: %d eager ops in plan:\n%s", name, kinds["eager"], p)
 		}
 		for _, want := range []string{"qkv", "attn", "addln", "add", "ln", "linear"} {
 			if kinds[want] == 0 {
@@ -140,8 +132,8 @@ func TestTransformerExecuteZeroAllocs(t *testing.T) {
 
 // TestRescaleTokensLowersNative: a cross-width token share (BERT-Base
 // feeding a BERT-Large block, the B6/B7 elite shape) inserts a
-// RescaleTokens adapter; the fused graph must compile without an eager
-// fallback, match graph.Forward, and execute without allocating. A second
+// RescaleTokens adapter; the fused graph must lower it natively, match
+// graph.Forward, and execute without allocating. A second
 // graph resamples the token axis too, which no same-length BERT pair does.
 func TestRescaleTokensLowersNative(t *testing.T) {
 	base := bertGraph(t, 361)
@@ -186,9 +178,6 @@ func TestRescaleTokensLowersNative(t *testing.T) {
 		"token resample":  {resampled, tokenBatch(3, tok, vocab), ") interp"},
 	} {
 		p := plan.Compile(c.g)
-		if r := p.Report(); r.Eager != 0 {
-			t.Errorf("%s: %d eager ops in plan:\n%s", name, r.Eager, p)
-		}
 		found := false
 		for _, o := range p.Ops {
 			found = found || (strings.Contains(o.Name, " RescaleTokens(") && strings.Contains(o.Name, c.op))
@@ -241,13 +230,10 @@ func abs(v int) int {
 	return v
 }
 
-// slowCube is a layer type the lowerer has never seen, forcing the eager
-// fallback — the stats counters must record it like any native op. Like
-// the nn layers it keeps its last input for Backward.
-type slowCube struct{ in *tensor.Tensor }
+// slowCube is a layer type the lowerer has never seen.
+type slowCube struct{}
 
 func (s *slowCube) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	s.in = x
 	y := tensor.New(x.Shape()...)
 	xd, yd := x.Data(), y.Data()
 	for i, v := range xd {
@@ -262,11 +248,10 @@ func (s *slowCube) FLOPs(in []int) int64                     { return 0 }
 func (s *slowCube) Clone() nn.Layer                          { return &slowCube{} }
 func (s *slowCube) Name() string                             { return "SlowCube" }
 
-// TestEagerOpStats: ops on the eager fallback path report calls and nanos
-// through the same counters as native ops, so inspect -plan shows no blank
-// rows for unlowerable layers — also with two instances of the plan running
-// at once, each on its own clone of the stateful layer.
-func TestEagerOpStats(t *testing.T) {
+// TestUnlowerableLayerPanics: every op must be visible to the scheduler, so
+// a layer type with no lowering fails the compile and names its type
+// rather than running hidden behind a fallback.
+func TestUnlowerableLayerPanics(t *testing.T) {
 	rng := tensor.NewRNG(351)
 	g := graph.New(graph.Shape{8}, graph.DomainRaw)
 	g.TaskNames[0] = "cube"
@@ -275,33 +260,11 @@ func TestEagerOpStats(t *testing.T) {
 	g.AppendChain(g.Root, cube, head)
 	g.RefreshCapacities()
 
-	p := plan.Compile(g)
-	if r := p.Report(); r.Eager != 1 || r.Planned != 1 {
-		t.Fatalf("expected 1 eager + 1 planned op, got eager %d planned %d", r.Eager, r.Planned)
-	}
-	x := tensor.New(4, 8)
-	rng.FillNormal(x, 0, 1)
-	const runs = 3
-	insts := []*plan.Instance{p.NewInstance(), p.NewInstance()}
-	var wg sync.WaitGroup
-	for _, inst := range insts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < runs; i++ {
-				inst.Execute(x)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, inst := range insts {
-		for _, st := range inst.OpStats() {
-			if st.Calls != runs {
-				t.Errorf("op %d (%s, kind %s) recorded %d calls, want %d", st.ID, st.Name, st.Kind, st.Calls, runs)
-			}
-			if st.Nanos <= 0 {
-				t.Errorf("op %d (%s, kind %s) recorded no execution time", st.ID, st.Name, st.Kind)
-			}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "*plan_test.slowCube") {
+			t.Fatalf("plan.Compile panic %q does not name the layer type", msg)
 		}
-	}
+	}()
+	plan.Compile(g)
 }

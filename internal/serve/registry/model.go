@@ -46,9 +46,8 @@ type Snapshot struct {
 	SampleSize int
 	Vocab      int
 	Graph      *graph.Graph
-	// PlanOps/PlannedOps/EagerOps describe plan coverage: how many compiled
-	// ops the deployment runs and how many fell back to eager layers.
-	PlanOps, PlannedOps, EagerOps int
+	// PlanOps is how many compiled ops the deployment runs.
+	PlanOps int
 	// TunedOps/CachedOps/DefaultOps split the plan's tunable-kernel ops by
 	// parameter provenance: autotuned during this deployment's compile,
 	// replayed from the winner cache, or running shipped defaults.
@@ -117,7 +116,7 @@ func (m *Model) Snapshot() (Snapshot, error) {
 	return Snapshot{
 		Name: m.name, Version: d.version, Checksum: d.checksum, Source: d.source,
 		InputShape: d.shape, SampleSize: d.per, Vocab: d.vocab, Graph: d.g,
-		PlanOps: len(rep.Ops), PlannedOps: rep.Planned, EagerOps: rep.Eager,
+		PlanOps:  len(rep.Ops),
 		TunedOps: rep.Tuned, CachedOps: rep.Cached, DefaultOps: rep.Defaulted,
 		Shared: d.group.view,
 	}, nil

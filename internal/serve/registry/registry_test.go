@@ -100,8 +100,8 @@ func TestRegistryServesTwoModels(t *testing.T) {
 	if sa.Version != 1 || sb.Version != 1 {
 		t.Fatalf("fresh models at versions %d/%d, want 1/1", sa.Version, sb.Version)
 	}
-	if sa.PlanOps == 0 || sa.PlannedOps == 0 {
-		t.Fatalf("plan coverage missing: %+v", sa)
+	if sa.PlanOps == 0 {
+		t.Fatalf("plan op count missing: %+v", sa)
 	}
 	if st := ma.Stats(); st.Batcher.Requests != 1 {
 		t.Fatalf("model a requests = %d, want 1", st.Batcher.Requests)
