@@ -29,16 +29,29 @@ func (g *Graph) Forward(x *tensor.Tensor, train bool) map[int]*tensor.Tensor {
 	return outputs
 }
 
+// paramBackwarder is a layer that can accumulate its parameter gradients
+// without computing the gradient with respect to its input (nn's
+// convolution layers). BackwardParams replaces Backward, once per Forward.
+type paramBackwarder interface {
+	BackwardParams(gradOut *tensor.Tensor)
+}
+
 // Backward propagates per-task output gradients through the tree,
 // accumulating parameter gradients. Shared nodes receive the sum of their
-// children's input gradients, mirroring autograd over the fused model. It
-// returns the gradient with respect to the graph input.
+// children's input gradients, mirroring autograd over the fused model.
+//
+// The gradient with respect to the graph input is never needed, so the
+// layers that read the input (the root's children) run BackwardParams when
+// they have it: for a branch's first convolution —
+// usually its largest — that skips the input-gradient GEMM and the fold.
 //
 // Backward must follow a Forward with train semantics; layer caches are
 // consumed in reverse order of the Forward traversal.
-func (g *Graph) Backward(taskGrads map[int]*tensor.Tensor) *tensor.Tensor {
-	var walk func(n *Node) *tensor.Tensor
-	walk = func(n *Node) *tensor.Tensor {
+func (g *Graph) Backward(taskGrads map[int]*tensor.Tensor) {
+	// walk returns the gradient at n's input when want is set; otherwise it
+	// only accumulates parameter gradients and returns nil.
+	var walk func(n *Node, want bool) *tensor.Tensor
+	walk = func(n *Node, want bool) *tensor.Tensor {
 		var acc *tensor.Tensor
 		if n.IsHead() {
 			gOut, ok := taskGrads[n.TaskID]
@@ -47,24 +60,34 @@ func (g *Graph) Backward(taskGrads map[int]*tensor.Tensor) *tensor.Tensor {
 			}
 			acc = gOut
 		} else {
+			if len(n.Children) == 0 {
+				panic(fmt.Sprintf("graph: node %s has no children feeding gradients", n.ID()))
+			}
+			// A layerless node hands its children's gradient straight on.
+			childWant := want || n.Layer != nil
 			for _, c := range n.Children {
-				gIn := walk(c)
-				if acc == nil {
+				gIn := walk(c, childWant)
+				switch {
+				case !childWant:
+				case acc == nil:
 					acc = gIn
-				} else {
+				default:
 					tensor.AddInto(acc, acc, gIn)
 				}
-			}
-			if acc == nil {
-				panic(fmt.Sprintf("graph: node %s has no children feeding gradients", n.ID()))
 			}
 		}
 		if n.Layer == nil {
 			return acc
 		}
+		if !want {
+			if pb, ok := n.Layer.(paramBackwarder); ok {
+				pb.BackwardParams(acc)
+				return nil
+			}
+		}
 		return n.Layer.Backward(acc)
 	}
-	return walk(g.Root)
+	walk(g.Root, false)
 }
 
 // ForwardTask executes only the path serving one task, skipping branches

@@ -7,18 +7,18 @@ import (
 )
 
 // ConvBlock is the VGG-style unit: Conv2d + optional BatchNorm + ReLU +
-// optional MaxPool. One ConvBlock is one abstract-graph node.
+// optional MaxPool. One ConvBlock is one abstract-graph node, and it trains
+// and evaluates as one fused body (fused.go).
 type ConvBlock struct {
 	Conv *Conv2d
 	BN   *BatchNorm2d // optional
-	Act  *ReLU
-	Pool *MaxPool2d // optional
+	Pool *MaxPool2d   // optional
 }
 
 // NewConvBlock builds a 3x3 stride-1 pad-1 VGG block. withPool appends a
 // 2x2 max pool; withBN inserts batch normalization.
 func NewConvBlock(rng *tensor.RNG, inC, outC int, withBN, withPool bool) *ConvBlock {
-	b := &ConvBlock{Conv: NewConv2d(rng, inC, outC, 3, 1, 1), Act: NewReLU()}
+	b := &ConvBlock{Conv: NewConv2d(rng, inC, outC, 3, 1, 1)}
 	if withBN {
 		b.BN = NewBatchNorm2d(outC)
 	}
@@ -28,30 +28,24 @@ func NewConvBlock(rng *tensor.RNG, inC, outC int, withBN, withPool bool) *ConvBl
 	return b
 }
 
+func (b *ConvBlock) epilogue() epilogue { return epilogue{bn: b.BN, relu: true, pool: b.Pool} }
+
 // Forward implements Layer.
 func (b *ConvBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	x = b.Conv.Forward(x, train)
-	if b.BN != nil {
-		x = b.BN.Forward(x, train)
-	}
-	x = b.Act.Forward(x, train)
-	if b.Pool != nil {
-		x = b.Pool.Forward(x, train)
-	}
-	return x
+	out := tensor.New(b.Conv.outShape(x, b.epilogue())...)
+	b.Conv.forward(out, x, train, b.epilogue())
+	return out
 }
 
 // Backward implements Layer.
 func (b *ConvBlock) Backward(g *tensor.Tensor) *tensor.Tensor {
-	if b.Pool != nil {
-		g = b.Pool.Backward(g)
-	}
-	g = b.Act.Backward(g)
-	if b.BN != nil {
-		g = b.BN.Backward(g)
-	}
-	return b.Conv.Backward(g)
+	gi := tensor.New(b.Conv.fwd.in[:]...)
+	b.Conv.backward(g, gi)
+	return gi
 }
+
+// BackwardParams is Backward without the input gradient.
+func (b *ConvBlock) BackwardParams(g *tensor.Tensor) { b.Conv.backward(g, nil) }
 
 // Params implements Layer.
 func (b *ConvBlock) Params() []*Param {
@@ -95,7 +89,7 @@ func (b *ConvBlock) FLOPs(in []int) int64 {
 
 // Clone implements Layer.
 func (b *ConvBlock) Clone() Layer {
-	c := &ConvBlock{Conv: b.Conv.Clone().(*Conv2d), Act: NewReLU()}
+	c := &ConvBlock{Conv: b.Conv.Clone().(*Conv2d)}
 	if b.BN != nil {
 		c.BN = b.BN.Clone().(*BatchNorm2d)
 	}
@@ -116,15 +110,16 @@ func (b *ConvBlock) Name() string {
 
 // ResidualBlock is the ResNet basic block: two 3x3 convolutions with batch
 // norm plus an identity (or 1x1 downsample) skip connection. One block is
-// one abstract-graph node.
+// one abstract-graph node. Each conv→BN pair runs as one fused body
+// (Conv1 with the first ReLU fused in); the add and the final ReLU follow.
 type ResidualBlock struct {
 	Conv1, Conv2 *Conv2d
 	BN1, BN2     *BatchNorm2d
-	Act1, Act2   *ReLU
 	Down         *Conv2d      // nil for identity skip
 	DownBN       *BatchNorm2d // paired with Down
 
-	skip *tensor.Tensor
+	// out is the last train-mode output: out > 0 is the final ReLU's mask.
+	out *tensor.Tensor
 }
 
 // NewResidualBlock builds a basic block. stride 2 (or inC != outC) adds a
@@ -134,7 +129,6 @@ func NewResidualBlock(rng *tensor.RNG, inC, outC, stride int) *ResidualBlock {
 		Conv1: NewConv2d(rng, inC, outC, 3, stride, 1),
 		Conv2: NewConv2d(rng, outC, outC, 3, 1, 1),
 		BN1:   NewBatchNorm2d(outC), BN2: NewBatchNorm2d(outC),
-		Act1: NewReLU(), Act2: NewReLU(),
 	}
 	if stride != 1 || inC != outC {
 		b.Down = NewConv2d(rng, inC, outC, 1, stride, 0)
@@ -143,28 +137,67 @@ func NewResidualBlock(rng *tensor.RNG, inC, outC, stride int) *ResidualBlock {
 	return b
 }
 
-// Forward implements Layer.
+// Forward implements Layer. The two intermediate activations and the
+// projected skip are arena scratch: the convolutions that read them keep
+// their own columns.
 func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	identity := x
+	ep1, ep2 := epilogue{bn: b.BN1, relu: true}, epilogue{bn: b.BN2}
+	h1, h1Buf := tensor.GetTensorDirty(b.Conv1.outShape(x, ep1)...)
+	b.Conv1.forward(h1, x, train, ep1)
+	h2, h2Buf := tensor.GetTensorDirty(b.Conv2.outShape(h1, ep2)...)
+	b.Conv2.forward(h2, h1, train, ep2)
+	tensor.PutBuf(h1Buf)
+	skip, skipBuf := x, (*[]float32)(nil)
 	if b.Down != nil {
-		identity = b.DownBN.Forward(b.Down.Forward(x, train), train)
+		epd := epilogue{bn: b.DownBN}
+		skip, skipBuf = tensor.GetTensorDirty(b.Down.outShape(x, epd)...)
+		b.Down.forward(skip, x, train, epd)
 	}
-	b.skip = identity
-	h := b.Act1.Forward(b.BN1.Forward(b.Conv1.Forward(x, train), train), train)
-	h = b.BN2.Forward(b.Conv2.Forward(h, train), train)
-	return b.Act2.Forward(tensor.Add(h, identity), train)
+	out := tensor.New(h2.Shape()...)
+	addReLU(out, h2, skip)
+	tensor.PutBuf(h2Buf)
+	tensor.PutBuf(skipBuf)
+	if train {
+		b.out = out
+	}
+	return out
 }
 
 // Backward implements Layer.
 func (b *ResidualBlock) Backward(g *tensor.Tensor) *tensor.Tensor {
-	g = b.Act2.Backward(g)
-	gMain := b.Conv1.Backward(b.BN1.Backward(b.Act1.Backward(b.Conv2.Backward(b.BN2.Backward(g)))))
-	gSkip := g
-	if b.Down != nil {
-		gSkip = b.Down.Backward(b.DownBN.Backward(g))
+	gi := tensor.New(b.Conv1.fwd.in[:]...)
+	b.backward(g, gi)
+	return gi
+}
+
+// BackwardParams is Backward without the input gradient.
+func (b *ResidualBlock) BackwardParams(g *tensor.Tensor) { b.backward(g, nil) }
+
+// backward accumulates the block's parameter gradients for output gradient
+// g and, when gi is non-nil, writes the input gradient into it.
+func (b *ResidualBlock) backward(g, gi *tensor.Tensor) {
+	if b.out == nil {
+		panic(fmt.Sprintf("nn: %s backward without a train-mode forward", b.Name()))
 	}
-	b.skip = nil
-	return tensor.Add(gMain, gSkip)
+	gm, gmBuf := tensor.GetTensorDirty(g.Shape()...)
+	reluGrad(gm, g, b.out)
+	b.out = nil
+	dh, dhBuf := tensor.GetTensorDirty(b.Conv2.fwd.in[:]...)
+	b.Conv2.backward(gm, dh)
+	b.Conv1.backward(dh, gi)
+	tensor.PutBuf(dhBuf)
+	switch {
+	case b.Down != nil && gi != nil:
+		gs, gsBuf := tensor.GetTensorDirty(gi.Shape()...)
+		b.Down.backward(gm, gs)
+		tensor.AddInto(gi, gi, gs)
+		tensor.PutBuf(gsBuf)
+	case b.Down != nil:
+		b.Down.backward(gm, nil)
+	case gi != nil:
+		tensor.AddInto(gi, gi, gm)
+	}
+	tensor.PutBuf(gmBuf)
 }
 
 // Params implements Layer.
@@ -206,7 +239,6 @@ func (b *ResidualBlock) Clone() Layer {
 	c := &ResidualBlock{
 		Conv1: b.Conv1.Clone().(*Conv2d), Conv2: b.Conv2.Clone().(*Conv2d),
 		BN1: b.BN1.Clone().(*BatchNorm2d), BN2: b.BN2.Clone().(*BatchNorm2d),
-		Act1: NewReLU(), Act2: NewReLU(),
 	}
 	if b.Down != nil {
 		c.Down = b.Down.Clone().(*Conv2d)

@@ -6,7 +6,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Conv2d is a 2-D convolution with optional bias over NCHW tensors.
+// Conv2d is a 2-D convolution with optional bias over NCHW tensors. Its
+// Forward and Backward run the fused convolution body (fused.go) with an
+// empty epilogue; ConvBlock and ResidualBlock run the same body with batch
+// norm, ReLU and pooling behind the GEMM.
 type Conv2d struct {
 	InC, OutC           int
 	Kernel, Stride, Pad int
@@ -17,11 +20,8 @@ type Conv2d struct {
 	// kernel. Training-mode Forward/Backward ignore it.
 	Quant *Quant8
 
-	// forward cache; colsBuf is the arena handle backing cols, released
-	// once the backward pass (or an eval-mode forward) is done with it.
-	cols    *tensor.Tensor
-	colsBuf *[]float32
-	inShape []int
+	// fwd is what the last train-mode forward left for the backward pass.
+	fwd convCache
 }
 
 // NewConv2d constructs a convolution and initializes its weights with
@@ -54,88 +54,21 @@ func sqrt32(v float32) float32 {
 
 // Forward implements Layer.
 func (c *Conv2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 4 || x.Dim(1) != c.InC {
-		panic(fmt.Sprintf("nn: Conv2d(%d->%d) got input %v", c.InC, c.OutC, x.Shape()))
-	}
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	oh := tensor.ConvOut(h, c.Kernel, c.Stride, c.Pad)
-	ow := tensor.ConvOut(w, c.Kernel, c.Stride, c.Pad)
-	if c.colsBuf != nil { // forward without intervening backward
-		tensor.PutBuf(c.colsBuf)
-	}
-	c.cols, c.colsBuf = tensor.GetTensorDirty(n*oh*ow, c.InC*c.Kernel*c.Kernel)
-	tensor.Im2ColInto(c.cols, x, c.Kernel, c.Kernel, c.Stride, c.Pad)
-	c.inShape = append([]int(nil), x.Shape()...)
-	// out[n*oh*ow, outC] = cols @ Wᵀ
-	flat, flatBuf := tensor.GetTensorDirty(n*oh*ow, c.OutC)
-	tensor.MatMulTransBInto(flat, c.cols, c.Weight.Value)
-	if !train {
-		// Eval mode never runs Backward, so the cols cache is dead.
-		tensor.PutBuf(c.colsBuf)
-		c.cols, c.colsBuf = nil, nil
-	}
-	// bias add fused with the [n, oh, ow, outC] -> [n, outC, oh, ow]
-	// rearrange, parallel over output rows.
-	out := tensor.New(n, c.OutC, oh, ow)
-	bd := c.Bias.Value.Data()
-	fd, od := flat.Data(), out.Data()
-	outC := c.OutC
-	tensor.ParallelFor(n*oh, func(lo, hi int) {
-		for noy := lo; noy < hi; noy++ {
-			ni, oy := noy/oh, noy%oh
-			for ox := 0; ox < ow; ox++ {
-				src := fd[(noy*ow+ox)*outC:][:outC]
-				for oc, v := range src {
-					od[((ni*outC+oc)*oh+oy)*ow+ox] = v + bd[oc]
-				}
-			}
-		}
-	})
-	tensor.PutBuf(flatBuf)
+	out := tensor.New(c.outShape(x, epilogue{})...)
+	c.forward(out, x, train, epilogue{})
 	return out
 }
 
 // Backward implements Layer.
 func (c *Conv2d) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	n, oh, ow := gradOut.Dim(0), gradOut.Dim(2), gradOut.Dim(3)
-	outC := c.OutC
-	// rearrange grad to [n*oh*ow, outC], parallel over output rows
-	gflat, gflatBuf := tensor.GetTensorDirty(n*oh*ow, outC)
-	gd, gf := gradOut.Data(), gflat.Data()
-	tensor.ParallelFor(n*oh, func(lo, hi int) {
-		for noy := lo; noy < hi; noy++ {
-			ni, oy := noy/oh, noy%oh
-			for ox := 0; ox < ow; ox++ {
-				dst := gf[(noy*ow+ox)*outC:][:outC]
-				for oc := range dst {
-					dst[oc] = gd[((ni*outC+oc)*oh+oy)*ow+ox]
-				}
-			}
-		}
-	})
-	// dW[outC, inC*k*k] += gflatᵀ @ cols
-	dw, dwBuf := tensor.GetTensorDirty(outC, c.InC*c.Kernel*c.Kernel)
-	tensor.MatMulTransAInto(dw, gflat, c.cols)
-	c.Weight.Grad.AddScaled(1, dw)
-	tensor.PutBuf(dwBuf)
-	// dB[outC] += column sums of gflat
-	bg := c.Bias.Grad.Data()
-	for r := 0; r < n*oh*ow; r++ {
-		row := gf[r*outC : (r+1)*outC]
-		for j, v := range row {
-			bg[j] += v
-		}
-	}
-	// dCols = gflat @ W, then fold back to input
-	dcols, dcolsBuf := tensor.GetTensorDirty(n*oh*ow, c.InC*c.Kernel*c.Kernel)
-	tensor.MatMulInto(dcols, gflat, c.Weight.Value)
-	tensor.PutBuf(gflatBuf)
-	gi := tensor.Col2Im(dcols, c.inShape[0], c.inShape[1], c.inShape[2], c.inShape[3], c.Kernel, c.Kernel, c.Stride, c.Pad)
-	tensor.PutBuf(dcolsBuf)
-	tensor.PutBuf(c.colsBuf)
-	c.cols, c.colsBuf = nil, nil
+	gi := tensor.New(c.fwd.in[:]...)
+	c.backward(gradOut, gi)
 	return gi
 }
+
+// BackwardParams is Backward without the input gradient: it only
+// accumulates parameter gradients, skipping the dcols GEMM and the fold.
+func (c *Conv2d) BackwardParams(gradOut *tensor.Tensor) { c.backward(gradOut, nil) }
 
 // Params implements Layer.
 func (c *Conv2d) Params() []*Param { return []*Param{c.Weight, c.Bias} }
@@ -164,12 +97,14 @@ func (c *Conv2d) Name() string {
 	return fmt.Sprintf("Conv2d(%d->%d,k%d,s%d)", c.InC, c.OutC, c.Kernel, c.Stride)
 }
 
-// MaxPool2d is non-overlapping 2-D max pooling.
+// MaxPool2d is 2-D max pooling over NCHW tensors.
 type MaxPool2d struct {
 	Kernel, Stride int
 
+	// arg is the last train-mode forward's argmax per output element, a
+	// grow-only buffer the backward routes gradients through.
 	arg     []int32
-	inShape []int
+	inShape [4]int
 }
 
 // NewMaxPool2d builds a pooling layer with the given kernel and stride.
@@ -177,19 +112,28 @@ func NewMaxPool2d(kernel, stride int) *MaxPool2d {
 	return &MaxPool2d{Kernel: kernel, Stride: stride}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Only a train-mode forward records the argmax.
 func (m *MaxPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out, arg := tensor.MaxPool(x, m.Kernel, m.Stride)
-	m.arg = arg
-	m.inShape = append([]int(nil), x.Shape()...)
+	if x.Rank() != 4 {
+		panic(fmt.Sprintf("nn: MaxPool2d got input %v", x.Shape()))
+	}
+	out := tensor.New(x.Dim(0), x.Dim(1), tensor.ConvOut(x.Dim(2), m.Kernel, m.Stride, 0), tensor.ConvOut(x.Dim(3), m.Kernel, m.Stride, 0))
+	if !train {
+		tensor.MaxPoolInto(out, x, m.Kernel, m.Stride, nil)
+		return out
+	}
+	if cap(m.arg) < out.Size() {
+		m.arg = make([]int32, out.Size())
+	}
+	m.arg = m.arg[:out.Size()]
+	m.inShape = [4]int(x.Shape())
+	tensor.MaxPoolInto(out, x, m.Kernel, m.Stride, m.arg)
 	return out
 }
 
 // Backward implements Layer.
 func (m *MaxPool2d) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gi := tensor.MaxPoolBackward(gradOut, m.arg, m.inShape)
-	m.arg = nil
-	return gi
+	return tensor.MaxPoolBackward(gradOut, m.arg, m.inShape[:])
 }
 
 // Params implements Layer.

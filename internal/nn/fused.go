@@ -1,0 +1,387 @@
+package nn
+
+import (
+	"fmt"
+	"sync"
+
+	"repro/internal/tensor"
+)
+
+// The fused convolution body. Conv2d, ConvBlock and ResidualBlock all train
+// and evaluate through it: the input is unfolded channel-major
+// (tensor.Im2ColCMInto), one GEMM W[OutC, C·K·K] · cols writes the output as
+// one contiguous row of M = N·OH·OW pixels per channel, and the epilogue —
+// bias, batch norm, ReLU, max pool, in that order — runs on those rows and
+// writes NCHW. The backward runs pool scatter ∘ ReLU mask ∘ BN backward
+// straight into the convolution's [OutC, M] output gradient, then the dW and
+// dcols GEMMs and the channel-major fold.
+//
+// Per-channel reductions (batch statistics, BN and bias gradients) sum in
+// (image, pixel) order and the fold sums taps in (oy, ky, kx, ox) order —
+// the orders the layer-by-layer composition Conv2d → BatchNorm2d → ReLU →
+// MaxPool2d uses — so on the vector tier, whose GEMMs accumulate every
+// element in one ascending-k FMA chain in either orientation, the body
+// matches that composition bit for bit (TestConvBlockMatchesComposition).
+// Elementwise passes run in parallel over (image, channel) planes,
+// reductions over channels.
+
+// epilogue is what the fused body runs on the convolution's output rows: an
+// optional batch norm, an optional ReLU and an optional max pool.
+type epilogue struct {
+	bn   *BatchNorm2d
+	relu bool
+	pool *MaxPool2d
+}
+
+// convCache is what a train-mode forward leaves for its backward: the
+// channel-major columns [C·K·K, M] and, under a non-empty epilogue, the
+// pre-activation rows [OutC, M] — x̂ under batch norm, the biased
+// convolution output without. Both are arena leases, returned at the end of
+// the backward or by the next train-mode forward. No ReLU mask, pool argmax
+// or output copy is kept: the backward recomputes the activation from the
+// rows, exactly, because γ and β only change at the optimizer step.
+type convCache struct {
+	cols, rows *[]float32
+	ep         epilogue
+	in         [4]int    // N, C, H, W of the input
+	invStd     []float32 // batch norm's per-channel 1/σ of the batch
+}
+
+// release returns the cached forward state to the arena.
+func (c *Conv2d) release() {
+	tensor.PutBuf(c.fwd.cols)
+	tensor.PutBuf(c.fwd.rows)
+	c.fwd.cols, c.fwd.rows = nil, nil
+}
+
+// outShape validates x and returns the NCHW shape the body writes for it
+// under ep.
+func (c *Conv2d) outShape(x *tensor.Tensor, ep epilogue) []int {
+	if x.Rank() != 4 || x.Dim(1) != c.InC {
+		panic(fmt.Sprintf("nn: Conv2d(%d->%d) got input %v", c.InC, c.OutC, x.Shape()))
+	}
+	oh := tensor.ConvOut(x.Dim(2), c.Kernel, c.Stride, c.Pad)
+	ow := tensor.ConvOut(x.Dim(3), c.Kernel, c.Stride, c.Pad)
+	if ep.pool != nil {
+		oh, ow = tensor.ConvOut(oh, ep.pool.Kernel, ep.pool.Stride, 0), tensor.ConvOut(ow, ep.pool.Kernel, ep.pool.Stride, 0)
+	}
+	return []int{x.Dim(0), c.OutC, oh, ow}
+}
+
+// forward runs the body on x into dst, whose shape is outShape(x, ep). In
+// train mode it caches what backward needs and uses (and updates) the batch
+// statistics; in eval mode it leaves the layer's state untouched.
+func (c *Conv2d) forward(dst, x *tensor.Tensor, train bool, ep epilogue) {
+	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	if train {
+		c.release() // a forward without an intervening backward
+	}
+	s := c.job(n, h, w, ep)
+	defer s.put()
+	colsBuf := tensor.GetBufDirty(s.k * s.m)
+	cols := s.colsT.Rebind(*colsBuf, s.k, s.m)
+	tensor.Im2ColCMInto(cols, x, c.Kernel, c.Kernel, c.Stride, c.Pad)
+	rowsBuf := tensor.GetBufDirty(c.OutC * s.m)
+	tensor.MatMulInto(s.rowsT.Rebind(*rowsBuf, c.OutC, s.m), c.Weight.Value, cols)
+	s.rows, s.out = *rowsBuf, dst.Data()
+	if train {
+		c.fwd.cols, c.fwd.ep, c.fwd.in = colsBuf, ep, [4]int{n, c.InC, h, w}
+	} else {
+		tensor.PutBuf(colsBuf)
+	}
+	if bn := ep.bn; bn != nil && train {
+		tensor.ParallelTasks(c.OutC, s.stats)
+		c.fwd.invStd = append(c.fwd.invStd[:0], s.inv...)
+		s.normalized = true
+	} else if bn != nil {
+		copy(s.mean, bn.RunningMean.Data())
+		for ch, v := range bn.RunningVar.Data() {
+			s.inv[ch] = float32(1 / stdSqrt(float64(v+bn.Eps)))
+		}
+	}
+	tensor.ParallelFor(n*c.OutC, s.fwdPlanes)
+	if train && ep != (epilogue{}) {
+		c.fwd.rows = rowsBuf
+	} else {
+		tensor.PutBuf(rowsBuf)
+	}
+}
+
+// backward runs the body's backward for gradOut (the forward's output
+// shape), accumulating parameter gradients. gi, when non-nil, receives the
+// gradient with respect to the forward's input; nil skips the dcols GEMM and
+// the fold.
+func (c *Conv2d) backward(gradOut, gi *tensor.Tensor) {
+	if c.fwd.cols == nil {
+		panic(fmt.Sprintf("nn: %s backward without a train-mode forward", c.Name()))
+	}
+	n, h, w := c.fwd.in[0], c.fwd.in[2], c.fwd.in[3]
+	s := c.job(n, h, w, c.fwd.ep)
+	defer s.put()
+	if gradOut.Size() != n*c.OutC*s.ohw {
+		panic(fmt.Sprintf("nn: %s backward got gradient %v for output [%d %d ·%d]", c.Name(), gradOut.Shape(), n, c.OutC, s.ohw))
+	}
+	dzBuf := tensor.GetBufDirty(c.OutC * s.m)
+	if c.fwd.rows != nil {
+		s.rows = *c.fwd.rows
+	}
+	s.out, s.dz = gradOut.Data(), *dzBuf
+	copy(s.inv, c.fwd.invStd)
+	tensor.ParallelFor(n*c.OutC, s.bwdPlanes)
+	tensor.ParallelTasks(c.OutC, s.grads)
+
+	// dWᵀ[K, OutC] = cols · dzᵀ: the pack transposes only dz's OutC rows,
+	// not cols' K rows, and every element sums the same products in the
+	// same order as dz · colsᵀ would.
+	dz := s.dzT.Rebind(*dzBuf, c.OutC, s.m)
+	dwBuf := tensor.GetBufDirty(s.k * c.OutC)
+	tensor.MatMulTransBInto(s.dwT.Rebind(*dwBuf, s.k, c.OutC), s.colsT.Rebind(*c.fwd.cols, s.k, s.m), dz)
+	c.release()
+	wg, dwt := c.Weight.Grad.Data(), *dwBuf
+	for o := 0; o < c.OutC; o++ {
+		for kk, g := range wg[o*s.k:][:s.k] {
+			wg[o*s.k+kk] = g + dwt[kk*c.OutC+o]
+		}
+	}
+	tensor.PutBuf(dwBuf)
+	if gi != nil {
+		dcolsBuf := tensor.GetBufDirty(s.k * s.m)
+		dcols := s.colsT.Rebind(*dcolsBuf, s.k, s.m)
+		tensor.MatMulTransAInto(dcols, c.Weight.Value, dz)
+		tensor.Col2ImCMInto(gi, dcols, c.Kernel, c.Kernel, c.Stride, c.Pad)
+		tensor.PutBuf(dcolsBuf)
+	}
+	tensor.PutBuf(dzBuf)
+}
+
+// grow returns v resized to n, reallocating only when its capacity is short.
+func grow(v []float32, n int) []float32 {
+	if cap(v) < n {
+		return make([]float32, n)
+	}
+	return v[:n]
+}
+
+// convJob is one body call's state: the geometry and per-channel constants
+// its passes share, views of the [OutC, M] rows, and reusable tensor
+// headers for the GEMM operands. Plane p = ni·OutC + ch of the NCHW side is
+// row ch's pixels [ni·OH·OW, (ni+1)·OH·OW). Jobs are recycled through a
+// sync.Pool with their pass bodies bound once, like the tensor kernels'
+// jobs, so a call allocates no closures.
+type convJob struct {
+	ep           epilogue
+	c, k, m      int // channels, C·K·K, row length N·OH·OW
+	hw, ohw      int // conv plane size, output (pooled) plane size
+	oh, ow       int
+	bias         []float32
+	biasGrad     []float32
+	mean, inv    []float32 // batch norm's per-channel statistics in use
+	normalized   bool      // the rows are biased already and become x̂ in place
+	rows         []float32 // [OutC, M]
+	out          []float32 // NCHW output (forward) or output gradient (backward)
+	dz           []float32 // [OutC, M] gradient of the convolution output
+	colsT, rowsT tensor.Tensor
+	dzT, dwT     tensor.Tensor
+	fwdPlanes    func(lo, hi int)
+	bwdPlanes    func(lo, hi int)
+	stats, grads func(ch int)
+}
+
+var convJobs = sync.Pool{New: func() any {
+	s := &convJob{}
+	s.fwdPlanes, s.bwdPlanes = s.forwardPlanes, s.backwardPlanes
+	s.stats, s.grads = s.batchStats, s.channelGrads
+	return s
+}}
+
+// job leases a convJob set up for an N×H×W input under ep.
+func (c *Conv2d) job(n, h, w int, ep epilogue) *convJob {
+	s := convJobs.Get().(*convJob)
+	s.ep, s.c, s.k, s.normalized = ep, c.OutC, c.InC*c.Kernel*c.Kernel, false
+	s.mean, s.inv = grow(s.mean, c.OutC), grow(s.inv, c.OutC)
+	s.bias, s.biasGrad = c.Bias.Value.Data(), c.Bias.Grad.Data()
+	s.oh, s.ow = tensor.ConvOut(h, c.Kernel, c.Stride, c.Pad), tensor.ConvOut(w, c.Kernel, c.Stride, c.Pad)
+	s.hw = s.oh * s.ow
+	s.m, s.ohw = n*s.hw, s.hw
+	if ep.pool != nil {
+		s.ohw = tensor.ConvOut(s.oh, ep.pool.Kernel, ep.pool.Stride, 0) * tensor.ConvOut(s.ow, ep.pool.Kernel, ep.pool.Stride, 0)
+	}
+	return s
+}
+
+// put drops the job's references to layer and arena memory and recycles
+// it; its own mean/inv scratch stays with it.
+func (s *convJob) put() {
+	s.ep, s.bias, s.biasGrad, s.rows, s.out, s.dz = epilogue{}, nil, nil, nil, nil, nil
+	convJobs.Put(s)
+}
+
+// batchStats adds channel ch's bias to its row and computes the row's batch
+// statistics in (image, pixel) order, as BatchNorm2d does, updating the
+// running averages.
+func (s *convJob) batchStats(ch int) {
+	bn := s.ep.bn
+	row, b := s.rows[ch*s.m:][:s.m], s.bias[ch]
+	cnt := float32(s.m)
+	var sum, sq float64
+	for i, v := range row {
+		v += b
+		row[i] = v
+		f := float64(v)
+		sum += f
+		sq += f * f
+	}
+	mean := float32(sum / float64(cnt))
+	variance := float32(sq/float64(cnt)) - mean*mean
+	if variance < 0 {
+		variance = 0
+	}
+	s.mean[ch] = mean
+	s.inv[ch] = float32(1 / stdSqrt(float64(variance+bn.Eps)))
+	rm, rv := bn.RunningMean.Data(), bn.RunningVar.Data()
+	rm[ch] = (1-bn.Momentum)*rm[ch] + bn.Momentum*mean
+	rv[ch] = (1-bn.Momentum)*rv[ch] + bn.Momentum*variance
+}
+
+// bnAffine is batch norm's output x̂·γ+β: one spelling for the forward and
+// for the backward's recomputation, so both round alike.
+func bnAffine(xh, gamma, beta float32) float32 { return xh*gamma + beta }
+
+// forwardPlanes runs the epilogue on planes [lo, hi): bias, normalize, ReLU
+// and pool, writing the NCHW output.
+func (s *convJob) forwardPlanes(lo, hi int) {
+	var scratch *[]float32
+	if s.ep.pool != nil {
+		scratch = tensor.GetBufDirty(s.hw)
+	}
+	for p := lo; p < hi; p++ {
+		ch := p % s.c
+		row := s.rows[ch*s.m+p/s.c*s.hw:][:s.hw]
+		act := s.out[p*s.ohw:][:s.ohw]
+		if scratch != nil {
+			act = *scratch
+		}
+		b := s.bias[ch]
+		switch bn := s.ep.bn; {
+		case bn != nil:
+			mean, inv := s.mean[ch], s.inv[ch]
+			g, be := bn.Gamma.Value.Data()[ch], bn.Beta.Value.Data()[ch]
+			if s.normalized {
+				for i, v := range row {
+					xv := (v - mean) * inv
+					row[i] = xv
+					act[i] = bnAffine(xv, g, be)
+				}
+			} else {
+				for i, v := range row {
+					act[i] = bnAffine((v+b-mean)*inv, g, be)
+				}
+			}
+		default:
+			for i, v := range row {
+				v += b
+				row[i] = v
+				act[i] = v
+			}
+		}
+		if s.ep.relu {
+			relu(act)
+		}
+		if scratch != nil {
+			tensor.MaxPoolPlane(s.out[p*s.ohw:][:s.ohw], act, s.oh, s.ow, s.ep.pool.Kernel, s.ep.pool.Stride, nil)
+		}
+	}
+	tensor.PutBuf(scratch)
+}
+
+// activation recomputes plane row's epilogue output before pooling into
+// act: x̂·γ+β under batch norm (the rows hold x̂), the biased convolution
+// output without, rectified under ReLU.
+func (s *convJob) activation(act, row []float32, ch int) {
+	if bn := s.ep.bn; bn != nil {
+		g, be := bn.Gamma.Value.Data()[ch], bn.Beta.Value.Data()[ch]
+		for i, xh := range row {
+			act[i] = bnAffine(xh, g, be)
+		}
+	} else {
+		copy(act, row)
+	}
+	if s.ep.relu {
+		relu(act)
+	}
+}
+
+// relu rectifies v in place.
+func relu(v []float32) {
+	for i, a := range v {
+		v[i] = relu32(a)
+	}
+}
+
+// backwardPlanes routes the output gradient of planes [lo, hi) back through
+// pool and ReLU into dz: pool scatter onto the recomputed argmax, then the
+// ReLU mask of the recomputed activation.
+func (s *convJob) backwardPlanes(lo, hi int) {
+	var scratch *[]float32
+	if s.ep.relu || s.ep.pool != nil {
+		scratch = tensor.GetBufDirty(s.hw)
+	}
+	for p := lo; p < hi; p++ {
+		ch := p % s.c
+		off := ch*s.m + p/s.c*s.hw
+		dz, g := s.dz[off:][:s.hw], s.out[p*s.ohw:][:s.ohw]
+		if scratch == nil {
+			copy(dz, g)
+			continue
+		}
+		act := *scratch
+		s.activation(act, s.rows[off:][:s.hw], ch)
+		if s.ep.pool != nil {
+			clear(dz)
+			tensor.MaxPoolPlaneBackward(dz, act, g, s.oh, s.ow, s.ep.pool.Kernel, s.ep.pool.Stride)
+		} else {
+			copy(dz, g)
+		}
+		if s.ep.relu {
+			for i, a := range act {
+				dz[i] = keepIfPositive(dz[i], a)
+			}
+		}
+	}
+	tensor.PutBuf(scratch)
+}
+
+// channelGrads finishes channel ch's row of dz: batch norm's backward in
+// place, accumulating γ and β gradients, then the convolution's bias
+// gradient. Both sums run in (image, pixel) order, as BatchNorm2d and a
+// row-major bias sum do.
+func (s *convJob) channelGrads(ch int) {
+	dz := s.dz[ch*s.m:][:s.m]
+	cb := &s.biasGrad[ch]
+	if bn := s.ep.bn; bn != nil {
+		xh := s.rows[ch*s.m:][:s.m]
+		var sumG, sumGX float64
+		for i, g := range dz {
+			sumG += float64(g)
+			sumGX += float64(g) * float64(xh[i])
+		}
+		bn.Gamma.Grad.Data()[ch] += float32(sumGX)
+		bn.Beta.Grad.Data()[ch] += float32(sumG)
+		cnt := float32(s.m)
+		mg, mgx := float32(sumG)/cnt, float32(sumGX)/cnt
+		gs := bn.Gamma.Value.Data()[ch] * s.inv[ch]
+		acc := *cb
+		for i, g := range dz {
+			d := gs * (g - mg - xh[i]*mgx)
+			dz[i] = d
+			acc += d
+		}
+		*cb = acc
+		return
+	}
+	acc := *cb
+	for _, g := range dz {
+		acc += g
+	}
+	*cb = acc
+}

@@ -65,7 +65,9 @@ func hashLine(out []byte) string {
 
 // kernelHash runs the training kernels at the shapes a sim-width search
 // presents — batch 16 of 32x32 images, so M = 16·32·32 GEMM rows against
-// 2–8 output channels — and hashes every output bit.
+// 2–8 output channels — and hashes every output bit: the GEMMs, both
+// unfold/fold layouts, and a fused ConvBlock and stride-2 ResidualBlock
+// train step.
 func kernelHash() uint64 {
 	h := fnv.New64a()
 	put := func(ts ...*tensor.Tensor) {
@@ -105,17 +107,32 @@ func kernelHash() uint64 {
 		y := tensor.New(cols.Shape()...)
 		rng.FillNormal(y, 0, 1)
 		put(cols, tensor.Col2Im(y, g.n, g.c, g.hw, g.hw, g.k, g.k, g.stride, g.pad))
+		// The training convolution's channel-major layout.
+		colsCM := tensor.New(cols.Dim(1), cols.Dim(0))
+		tensor.Im2ColCMInto(colsCM, x, g.k, g.k, g.stride, g.pad)
+		yCM := tensor.New(colsCM.Shape()...)
+		rng.FillNormal(yCM, 0, 1)
+		fold := tensor.New(x.Shape()...)
+		tensor.Col2ImCMInto(fold, yCM, g.k, g.k, g.stride, g.pad)
+		put(colsCM, fold)
 	}
-	blk := NewConvBlock(tensor.NewRNG(5), 3, 8, true, true)
-	x := tensor.New(16, 3, 32, 32)
-	rng.FillNormal(x, 0, 1)
-	out := blk.Forward(x, true)
-	g := tensor.New(out.Shape()...)
-	rng.FillNormal(g, 0, 1)
-	gi := blk.Backward(g)
-	put(out, gi)
-	for _, p := range blk.Params() {
-		put(p.Grad)
+	for _, c := range []struct {
+		l     Layer
+		shape []int
+	}{
+		{NewConvBlock(tensor.NewRNG(5), 3, 8, true, true), []int{16, 3, 32, 32}},
+		{NewResidualBlock(tensor.NewRNG(6), 8, 16, 2), []int{16, 8, 16, 16}},
+	} {
+		x := tensor.New(c.shape...)
+		rng.FillNormal(x, 0, 1)
+		out := c.l.Forward(x, true)
+		g := tensor.New(out.Shape()...)
+		rng.FillNormal(g, 0, 1)
+		put(out, c.l.Backward(g))
+		for _, p := range c.l.Params() {
+			put(p.Grad)
+		}
+		put(StateTensors(c.l)...)
 	}
 	return h.Sum64()
 }

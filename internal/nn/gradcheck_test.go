@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -209,12 +210,22 @@ func TestRescaleTokensGradient(t *testing.T) {
 	checkLayerGrad(t, l, x, true, 2e-2)
 }
 
+// TestConvBlockGradient checks the fused body's input and parameter
+// gradients with every epilogue a ConvBlock can carry. The input gradient
+// is what graph.Backward skips for the graph input; these rows are where it
+// stays checked.
 func TestConvBlockGradient(t *testing.T) {
-	rng := tensor.NewRNG(17)
-	l := NewConvBlock(rng, 2, 3, true, true)
-	x := tensor.New(2, 2, 4, 4)
-	rng.FillNormal(x, 0.3, 1)
-	checkLayerGrad(t, l, x, true, 5e-2)
+	for _, bn := range []bool{true, false} {
+		for _, pool := range []bool{true, false} {
+			t.Run(fmt.Sprintf("bn=%v/pool=%v", bn, pool), func(t *testing.T) {
+				rng := tensor.NewRNG(17)
+				l := NewConvBlock(rng, 2, 3, bn, pool)
+				x := tensor.New(2, 2, 4, 4)
+				rng.FillNormal(x, 0.3, 1)
+				checkLayerGrad(t, l, x, true, 5e-2)
+			})
+		}
+	}
 }
 
 func TestResidualBlockGradient(t *testing.T) {

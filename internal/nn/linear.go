@@ -116,9 +116,10 @@ func (l *Linear) Clone() Layer {
 // Name implements Layer.
 func (l *Linear) Name() string { return fmt.Sprintf("Linear(%d->%d)", l.In, l.Out) }
 
-// ReLU is the elementwise rectifier.
+// ReLU is the elementwise rectifier. It keeps no mask: out > 0 exactly
+// where x > 0, so the backward reads the cached output.
 type ReLU struct {
-	mask []bool
+	out *tensor.Tensor // the last train-mode output
 }
 
 // NewReLU builds the activation.
@@ -127,19 +128,9 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
-	if cap(r.mask) < x.Size() {
-		r.mask = make([]bool, x.Size())
-	}
-	r.mask = r.mask[:x.Size()]
-	xd, od := x.Data(), out.Data()
-	for i, v := range xd {
-		if v > 0 {
-			od[i] = v
-			r.mask[i] = true
-		} else {
-			od[i] = 0
-			r.mask[i] = false
-		}
+	addReLU(out, x, nil)
+	if train {
+		r.out = out
 	}
 	return out
 }
@@ -147,13 +138,44 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gi := tensor.New(gradOut.Shape()...)
-	gd, god := gi.Data(), gradOut.Data()
-	for i, m := range r.mask {
-		if m {
-			gd[i] = god[i]
-		}
-	}
+	reluGrad(gi, gradOut, r.out)
 	return gi
+}
+
+// addReLU writes dst = max(a + b, 0) elementwise, or max(a, 0) when b is
+// nil, in parallel chunks.
+func addReLU(dst, a, b *tensor.Tensor) {
+	d, x := dst.Data(), a.Data()
+	var y []float32
+	if b != nil {
+		y = b.Data()
+	}
+	if len(x) != len(d) || (y != nil && len(y) != len(d)) {
+		panic(fmt.Sprintf("nn: addReLU sizes %d, %d, %d", len(d), len(x), len(y)))
+	}
+	tensor.ParallelFor(len(d), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := x[i]
+			if y != nil {
+				v += y[i]
+			}
+			d[i] = relu32(v)
+		}
+	})
+}
+
+// reluGrad writes dst = g where out > 0 and 0 elsewhere: the rectifier's
+// backward, masked by its own output.
+func reluGrad(dst, g, out *tensor.Tensor) {
+	d, gd, od := dst.Data(), g.Data(), out.Data()
+	if len(gd) != len(d) || len(od) != len(d) {
+		panic(fmt.Sprintf("nn: ReLU backward got gradient %v for output %v", g.Shape(), out.Shape()))
+	}
+	tensor.ParallelFor(len(d), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			d[i] = keepIfPositive(gd[i], od[i])
+		}
+	})
 }
 
 // Params implements Layer.

@@ -5,9 +5,13 @@
 // L1/cross-entropy losses used for distillation fine-tuning and teacher
 // pre-training.
 //
-// Every layer caches whatever state its backward pass needs during Forward;
-// Backward consumes that cache, accumulates parameter gradients into
-// Param.Grad, and returns the gradient with respect to the layer input.
+// Every layer caches what its backward pass needs during a train-mode
+// Forward; Backward consumes that cache, accumulates parameter gradients
+// into Param.Grad, and returns the gradient with respect to the layer input.
+// The convolution layers (Conv2d, ConvBlock, ResidualBlock) share one fused
+// conv→BN→ReLU→pool body that caches only its channel-major im2col columns
+// and pre-activation rows, both arena leases, and recomputes ReLU masks and
+// pool argmaxes from them in the backward pass.
 package nn
 
 import (

@@ -17,10 +17,11 @@ type BatchNorm2d struct {
 	Gamma, Beta             *Param
 	RunningMean, RunningVar *tensor.Tensor
 
-	// forward cache (training)
-	xhat      *tensor.Tensor
+	// forward cache: x̂ is an arena lease, returned by Backward or by the
+	// next Forward.
+	xhat      *[]float32
 	invStd    []float32
-	inShape   []int
+	inShape   [4]int
 	trainMode bool
 }
 
@@ -45,15 +46,16 @@ func (bn *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	cnt := float32(n * h * w)
-	bn.inShape = append([]int(nil), x.Shape()...)
+	bn.inShape = [4]int(x.Shape())
 	bn.trainMode = train
 	out := tensor.New(x.Shape()...)
 	xd, od := x.Data(), out.Data()
 	gd, bd := bn.Gamma.Value.Data(), bn.Beta.Value.Data()
+	tensor.PutBuf(bn.xhat) // a forward without an intervening backward
+	bn.xhat = tensor.GetBufDirty(x.Size())
+	xh := *bn.xhat
 
 	if !train {
-		bn.xhat = tensor.New(x.Shape()...)
-		xh := bn.xhat.Data()
 		for c := 0; c < bn.C; c++ {
 			mean := bn.RunningMean.Data()[c]
 			inv := float32(1 / stdSqrt(float64(bn.RunningVar.Data()[c]+bn.Eps)))
@@ -70,11 +72,9 @@ func (bn *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		return out
 	}
 
-	bn.xhat = tensor.New(x.Shape()...)
-	if bn.invStd == nil || len(bn.invStd) != bn.C {
+	if len(bn.invStd) != bn.C {
 		bn.invStd = make([]float32, bn.C)
 	}
-	xh := bn.xhat.Data()
 	for c := 0; c < bn.C; c++ {
 		var sum, sq float64
 		for ni := 0; ni < n; ni++ {
@@ -112,8 +112,8 @@ func (bn *BatchNorm2d) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if !bn.trainMode {
 		// Eval-mode backward treats running stats as constants.
 		n, h, w := bn.inShape[0], bn.inShape[2], bn.inShape[3]
-		gi := tensor.New(bn.inShape...)
-		gd, god, xh := gi.Data(), gradOut.Data(), bn.xhat.Data()
+		gi := tensor.New(bn.inShape[:]...)
+		gd, god, xh := gi.Data(), gradOut.Data(), *bn.xhat
 		gg, bg := bn.Gamma.Grad.Data(), bn.Beta.Grad.Data()
 		for c := 0; c < bn.C; c++ {
 			scale := bn.Gamma.Value.Data()[c] * float32(1/stdSqrt(float64(bn.RunningVar.Data()[c]+bn.Eps)))
@@ -127,13 +127,14 @@ func (bn *BatchNorm2d) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 				}
 			}
 		}
+		tensor.PutBuf(bn.xhat)
 		bn.xhat = nil
 		return gi
 	}
 	n, h, w := bn.inShape[0], bn.inShape[2], bn.inShape[3]
 	cnt := float32(n * h * w)
-	gi := tensor.New(bn.inShape...)
-	gd, god, xh := gi.Data(), gradOut.Data(), bn.xhat.Data()
+	gi := tensor.New(bn.inShape[:]...)
+	gd, god, xh := gi.Data(), gradOut.Data(), *bn.xhat
 	gg, bg := bn.Gamma.Grad.Data(), bn.Beta.Grad.Data()
 	for c := 0; c < bn.C; c++ {
 		var sumG, sumGX float64
@@ -158,6 +159,7 @@ func (bn *BatchNorm2d) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
+	tensor.PutBuf(bn.xhat)
 	bn.xhat = nil
 	return gi
 }

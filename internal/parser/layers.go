@@ -331,7 +331,7 @@ func decodeLayer(r *reader) (nn.Layer, error) {
 		if err != nil {
 			return nil, err
 		}
-		b := &nn.ConvBlock{Conv: conv, Act: nn.NewReLU()}
+		b := &nn.ConvBlock{Conv: conv}
 		if hasBN {
 			sub, err := decodeLayer(r)
 			if err != nil {
@@ -365,7 +365,7 @@ func decodeLayer(r *reader) (nn.Layer, error) {
 			}
 			parts = append(parts, p)
 		}
-		b := &nn.ResidualBlock{Act1: nn.NewReLU(), Act2: nn.NewReLU()}
+		b := &nn.ResidualBlock{}
 		var err error
 		if b.Conv1, err = as[*nn.Conv2d](parts[0], "residual conv1"); err != nil {
 			return nil, err

@@ -306,7 +306,7 @@ func (s *convSpec) build(inst *Instance, o *Op) func() {
 		if s.pre >= 0 {
 			pre := inst.regs[s.pre]
 			s.f.runP(pre, x, inst.regs[s.cols], inst.regs[s.flat], s.relu, s.gp)
-			tensor.MaxPoolEvalInto(dst, pre, s.poolK, s.poolS)
+			tensor.MaxPoolInto(dst, pre, s.poolK, s.poolS, nil)
 			return
 		}
 		s.f.runP(dst, x, inst.regs[s.cols], inst.regs[s.flat], s.relu, s.gp)
@@ -405,7 +405,7 @@ type maxPoolSpec struct {
 
 func (s *maxPoolSpec) build(inst *Instance, o *Op) func() {
 	in, out := o.In, o.Out
-	return func() { tensor.MaxPoolEvalInto(inst.regs[out], inst.regs[in], s.k, s.stride) }
+	return func() { tensor.MaxPoolInto(inst.regs[out], inst.regs[in], s.k, s.stride, nil) }
 }
 
 // avgPoolSpec is global average pooling [N,C,H,W] -> [N,C].

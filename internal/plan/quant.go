@@ -126,7 +126,7 @@ func (s *qconvSpec) build(inst *Instance, o *Op) func() {
 		tensor.PutBufU8(cols)
 		runBiasAct(flat, dst, s.q.Bias, oh, ow, s.outC, s.relu)
 		if s.pre >= 0 {
-			tensor.MaxPoolEvalInto(inst.regs[out], dst, s.poolK, s.poolS)
+			tensor.MaxPoolInto(inst.regs[out], dst, s.poolK, s.poolS, nil)
 		}
 	}
 }

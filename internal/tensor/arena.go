@@ -1,46 +1,75 @@
 package tensor
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // The arena is a process-wide recycler for large transient float32 buffers:
-// GEMM pack panels, im2col columns, and inference-engine workspace memory
-// all draw from it. During SA search and distillation the same buffer sizes
-// recur millions of times; recycling them keeps the allocation rate (and GC
-// pause pressure) flat regardless of search length.
+// GEMM pack panels, im2col columns, training activations and gradients, and
+// inference-engine workspace memory all draw from it. During SA search and
+// distillation the same buffer sizes recur millions of times; recycling
+// them keeps the allocation rate (and GC pause pressure) flat regardless of
+// search length.
+//
+// It keeps one pool per size class, so a lease only ever meets buffers big
+// enough for it: with a single pool, a small lease taken and returned
+// between two large ones reorders the free list, the next large lease draws
+// the small buffer, and the arena allocates and drops one buffer per
+// mismatch. Classes are quarter powers of two (4, 5, 6, 7, 8, 10, 12, 14,
+// 16, 20, … floats), so a buffer carries at most 25% slack.
 //
 // Entries are *[]float32 so that Put does not allocate a fresh interface
 // box for the slice header on every call (storing a bare []float32 in a
 // sync.Pool heap-allocates the header each time).
 
-var arena = sync.Pool{New: func() any { return new([]float32) }}
+// arenaClasses covers every length an int can address.
+const arenaClasses = 4 * 62
+
+var arena [arenaClasses]sync.Pool
+
+// classCap is the capacity of size class c: (4+q)·2^e for c = 4e+q.
+func classCap(c int) int { return (4 + c%4) << (c / 4) }
+
+// classFor returns the smallest size class whose capacity holds n floats.
+func classFor(n int) int {
+	if n <= 4 {
+		return 0
+	}
+	e := bits.Len(uint(n-1)) - 3 // (n-1)>>e lies in [4, 8)
+	q := (n + 1<<e - 1) >> e     // ceil(n / 2^e), in [5, 8]
+	return 4*e + q - 4
+}
+
+// classOf returns the largest size class whose capacity fits in cap, or -1
+// when cap is below the smallest class.
+func classOf(cap int) int {
+	if cap < 4 {
+		return -1
+	}
+	e := bits.Len(uint(cap)) - 3 // cap>>e lies in [4, 8)
+	return 4*e + cap>>e - 4
+}
 
 // GetBuf returns a zeroed buffer of length n from the arena. The returned
 // pointer must be handed back with PutBuf when the buffer is dead; the
 // slice must not be used after that.
 func GetBuf(n int) *[]float32 {
-	p := arena.Get().(*[]float32)
-	if cap(*p) < n {
-		*p = make([]float32, n)
-		return p
-	}
-	*p = (*p)[:n]
-	b := *p
-	for i := range b {
-		b[i] = 0
-	}
+	p := GetBufDirty(n)
+	clear(*p)
 	return p
 }
 
 // GetBufDirty is GetBuf without the zero fill, for callers that overwrite
 // every element before reading.
 func GetBufDirty(n int) *[]float32 {
-	p := arena.Get().(*[]float32)
-	if cap(*p) < n {
-		*p = make([]float32, n)
-	} else {
+	c := classFor(n)
+	if p, _ := arena[c].Get().(*[]float32); p != nil {
 		*p = (*p)[:n]
+		return p
 	}
-	return p
+	b := make([]float32, n, classCap(c))
+	return &b
 }
 
 // GrowBuf resizes a long-lived arena lease to length n: the buffer is kept
@@ -64,19 +93,18 @@ func PutBuf(p *[]float32) {
 	if p == nil {
 		return
 	}
-	arena.Put(p)
+	if c := classOf(cap(*p)); c >= 0 {
+		arena[c].Put(p)
+	}
 }
 
 // GetTensor returns a tensor backed by an arena buffer, plus the handle to
 // release it. The tensor contents are zeroed. The tensor must not be used
 // after PutBuf(handle).
 func GetTensor(shape ...int) (*Tensor, *[]float32) {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	p := GetBuf(n)
-	return FromSlice(*p, shape...), p
+	t, p := GetTensorDirty(shape...)
+	clear(*p)
+	return t, p
 }
 
 // GetTensorDirty is GetTensor without the zero fill.

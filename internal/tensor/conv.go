@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -29,15 +30,17 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 	return cols
 }
 
-// unfoldJob carries the parallel-body state of Im2ColInto (unfold) and
-// Col2Im (fold) through the pool. Both walk one convolution geometry; taps
-// caches, per kernel column kx, the output columns whose input column is in
-// range, so neither inner loop divides or branches on padding per element.
+// unfoldJob carries the parallel-body state of the unfold and fold kernels
+// through the pool, in both column layouts: row-major (Im2ColInto, Col2Im)
+// and channel-major (Im2ColCMInto, Col2ImCMInto). All four walk one
+// convolution geometry; taps caches, per kernel column kx, the output
+// columns whose input column is in range, so no inner loop divides or
+// branches on padding per element.
 type unfoldJob struct {
-	xd, cd                                       []float32
-	c, h, w, oh, ow, kh, kw, stride, pad, rowLen int
-	taps                                         []convTap
-	unfold, fold                                 func(lo, hi int)
+	xd, cd                                          []float32
+	n, c, h, w, oh, ow, kh, kw, stride, pad, rowLen int
+	taps                                            []convTap
+	unfold, fold, unfoldCM, foldCM                  func(lo, hi int)
 }
 
 // convTap is the in-range stretch of one kernel column kx: output columns
@@ -47,15 +50,16 @@ type convTap struct{ x0, x1, src int }
 var unfoldJobs = sync.Pool{New: func() any {
 	jb := &unfoldJob{}
 	jb.unfold, jb.fold = jb.runUnfold, jb.runFold
+	jb.unfoldCM, jb.foldCM = jb.runUnfoldCM, jb.runFoldCM
 	return jb
 }}
 
-// getUnfoldJob leases a job set up for x [·,C,H,W] data xd and columns cd.
-func getUnfoldJob(xd, cd []float32, c, h, w, kh, kw, stride, pad int) *unfoldJob {
+// getUnfoldJob leases a job set up for x [N,C,H,W] data xd and columns cd.
+func getUnfoldJob(xd, cd []float32, n, c, h, w, kh, kw, stride, pad int) *unfoldJob {
 	jb := unfoldJobs.Get().(*unfoldJob)
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
 	jb.xd, jb.cd = xd, cd
-	jb.c, jb.h, jb.w, jb.oh, jb.ow = c, h, w, oh, ow
+	jb.n, jb.c, jb.h, jb.w, jb.oh, jb.ow = n, c, h, w, oh, ow
 	jb.kh, jb.kw, jb.stride, jb.pad, jb.rowLen = kh, kw, stride, pad, c*kh*kw
 	jb.taps = jb.taps[:0]
 	for kx := 0; kx < kw; kx++ {
@@ -155,8 +159,123 @@ func (jb *unfoldJob) runFold(lo, hi int) {
 	}
 }
 
+// runUnfoldCM fills the channel-major columns of items [lo, hi), where item
+// r·N + ni is column row r = (ci, ky, kx) restricted to image ni: OH·OW
+// contiguous floats. Each output row is one in-range input-row segment — a
+// plain copy at stride 1 — between zero-filled borders; a stride-1 unfold
+// whose output rows are as wide as the input's moves all of them at once
+// (unfoldShifted).
+func (jb *unfoldJob) runUnfoldCM(lo, hi int) {
+	xd, cd, taps := jb.xd, jb.cd, jb.taps
+	n, c, h, w, oh, ow := jb.n, jb.c, jb.h, jb.w, jb.oh, jb.ow
+	kh, kw, stride, pad := jb.kh, jb.kw, jb.stride, jb.pad
+	hw, ohw := h*w, oh*ow
+	for it := lo; it < hi; it++ {
+		r, ni := it/n, it%n
+		ci, ky, tp := r/(kh*kw), r/kw%kh, taps[r%kw]
+		plane := xd[(ni*c+ci)*hw:][:hw]
+		dst := cd[r*n*ohw+ni*ohw:][:ohw]
+		if stride == 1 && ow == w {
+			unfoldShifted(dst, plane, h, w, ky-pad, r%kw-pad)
+			continue
+		}
+		for oy := 0; oy < oh; oy++ {
+			seg := dst[oy*ow:][:ow]
+			iy := oy*stride + ky - pad
+			if iy < 0 || iy >= h {
+				clear(seg)
+				continue
+			}
+			row := plane[iy*w:][:w]
+			clear(seg[:tp.x0])
+			if stride == 1 && tp.x0 < tp.x1 {
+				copy(seg[tp.x0:tp.x1], row[tp.src:])
+			} else {
+				for ox, sx := tp.x0, tp.src; ox < tp.x1; ox, sx = ox+1, sx+stride {
+					seg[ox] = row[sx]
+				}
+			}
+			clear(seg[tp.x1:])
+		}
+	}
+}
+
+// unfoldShifted fills one tap row dst [OH, W] of a stride-1 unfold whose
+// output rows are as wide as the input's: it is the input plane [H, W]
+// shifted by dy rows and dx columns, zeros shifted in. The in-range rows
+// move as one block copy, which drags dx values across each row seam, and
+// then only those dx border columns are zeroed.
+func unfoldShifted(dst, plane []float32, h, w, dy, dx int) {
+	oh := len(dst) / w
+	oy0, oy1 := max(0, -dy), min(oh, h-dy)
+	if oy1 <= oy0 || dx >= w || -dx >= w {
+		clear(dst)
+		return
+	}
+	clear(dst[:oy0*w])
+	clear(dst[oy1*w:])
+	blk, src := dst[oy0*w:oy1*w], plane[(oy0+dy)*w:(oy1+dy)*w]
+	if dx >= 0 {
+		copy(blk, src[dx:])
+		for o := w - dx; o < len(blk); o += w {
+			for i := range blk[o : o+dx] {
+				blk[o+i] = 0
+			}
+		}
+		return
+	}
+	copy(blk[-dx:], src)
+	for o := 0; o < len(blk); o += w {
+		for i := range blk[o : o-dx] {
+			blk[o+i] = 0
+		}
+	}
+}
+
+// runFoldCM folds the (image, channel) planes [lo, hi) of the output from
+// channel-major columns. It sums taps in the same fixed (oy, ky, kx, ox)
+// order as runFold, so both layouts fold to the same bits under any
+// chunking.
+func (jb *unfoldJob) runFoldCM(lo, hi int) {
+	xd, cd, taps := jb.xd, jb.cd, jb.taps
+	n, c, h, w, oh, ow := jb.n, jb.c, jb.h, jb.w, jb.oh, jb.ow
+	kh, kw, stride, pad := jb.kh, jb.kw, jb.stride, jb.pad
+	m := n * oh * ow
+	for pl := lo; pl < hi; pl++ {
+		ni, ci := pl/c, pl%c
+		plane := xd[pl*h*w:][:h*w]
+		clear(plane)
+		for oy := 0; oy < oh; oy++ {
+			col := (ni*oh + oy) * ow
+			for ky := 0; ky < kh; ky++ {
+				iy := oy*stride + ky - pad
+				if iy < 0 || iy >= h {
+					continue
+				}
+				row := plane[iy*w:][:w]
+				r := (ci*kh + ky) * kw
+				for kx, tp := range taps {
+					seg := cd[(r+kx)*m+col:][:ow]
+					if stride == 1 && tp.x0 < tp.x1 {
+						dst := row[tp.src:][:tp.x1-tp.x0]
+						for i, v := range seg[tp.x0:tp.x1] {
+							dst[i] += v
+						}
+						continue
+					}
+					for ox, sx := tp.x0, tp.src; ox < tp.x1; ox, sx = ox+1, sx+stride {
+						row[sx] += seg[ox]
+					}
+				}
+			}
+		}
+	}
+}
+
 // Im2ColInto is Im2Col writing into a caller-provided [N*OH*OW, C*KH*KW]
-// tensor, letting hot paths reuse buffers.
+// tensor, letting hot paths reuse buffers. This row-major layout — rows are
+// output pixels — is the inference plan's and PatchEmbed's; the training
+// convolution unfolds channel-major (Im2ColCMInto).
 func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Im2Col wants NCHW, got %v", x.shape))
@@ -166,75 +285,65 @@ func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
 	if cols.shape[0] != n*oh*ow || cols.shape[1] != c*kh*kw {
 		panic(fmt.Sprintf("tensor: Im2ColInto dst %v, want [%d %d]", cols.shape, n*oh*ow, c*kh*kw))
 	}
-	jb := getUnfoldJob(x.data, cols.data, c, h, w, kh, kw, stride, pad)
+	jb := getUnfoldJob(x.data, cols.data, n, c, h, w, kh, kw, stride, pad)
 	parallelFor(n*oh, jb.unfold)
 	putUnfoldJob(jb)
 }
 
 // Col2Im folds columns [N*OH*OW, C*KH*KW] back into an NCHW tensor of shape
 // [N,C,H,W], accumulating overlapping contributions. It is the adjoint of
-// Im2Col and is used for convolution input gradients. Work is split by
-// (image, channel) plane, so it parallelises even at small batch.
+// Im2Col, used for PatchEmbed's input gradient. Work is split by (image,
+// channel) plane, so it parallelises even at small batch.
 func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
 	if cols.shape[0] != n*oh*ow || cols.shape[1] != c*kh*kw {
 		panic(fmt.Sprintf("tensor: Col2Im shape mismatch cols=%v for out [%d,%d,%d,%d]", cols.shape, n, c, h, w))
 	}
 	out := New(n, c, h, w)
-	jb := getUnfoldJob(out.data, cols.data, c, h, w, kh, kw, stride, pad)
+	jb := getUnfoldJob(out.data, cols.data, n, c, h, w, kh, kw, stride, pad)
 	parallelFor(n*c, jb.fold)
 	putUnfoldJob(jb)
 	return out
 }
 
-// MaxPool applies 2-D max pooling to x [N,C,H,W] and returns the pooled
-// tensor plus the flat argmax index (into x.Data()) of each output element,
-// which the backward pass uses to route gradients.
-func MaxPool(x *Tensor, k, stride int) (*Tensor, []int32) {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oh, ow := ConvOut(h, k, stride, 0), ConvOut(w, k, stride, 0)
-	out := New(n, c, oh, ow)
-	arg := make([]int32, out.Size())
-	xd, od := x.data, out.data
-	parallelFor(n*c, func(lo, hi int) {
-		for nc := lo; nc < hi; nc++ {
-			base := nc * h * w
-			obase := nc * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					bi := base + oy*stride*w + ox*stride
-					best, bidx := xd[bi], bi
-					for ky := 0; ky < k; ky++ {
-						row := base + (oy*stride+ky)*w + ox*stride
-						for kx := 0; kx < k; kx++ {
-							if v := xd[row+kx]; v > best {
-								best, bidx = v, row+kx
-							}
-						}
-					}
-					oi := obase + oy*ow + ox
-					od[oi] = best
-					arg[oi] = int32(bidx)
-				}
-			}
-		}
-	})
-	return out, arg
-}
-
-// MaxPoolBackward scatters gradOut back to input positions recorded in arg.
-func MaxPoolBackward(gradOut *Tensor, arg []int32, inputShape []int) *Tensor {
-	gi := New(inputShape...)
-	gd, god := gi.data, gradOut.data
-	for i, a := range arg {
-		gd[a] += god[i]
+// Im2ColCMInto unfolds x [N,C,H,W] into channel-major columns
+// [C*KH*KW, N*OH*OW]: row (ci, ky, kx) holds that tap's input pixel for
+// every output pixel. It is the training convolution's layout: the forward
+// GEMM W[OutC, C·KH·KW] · cols puts the few output channels on the GEMM's M
+// side and the wide pixel axis on its N side, and the output comes out as
+// one contiguous row per channel.
+func Im2ColCMInto(cols, x *Tensor, kh, kw, stride, pad int) {
+	if x.Rank() != 4 {
+		panic(fmt.Sprintf("tensor: Im2ColCMInto wants NCHW, got %v", x.shape))
 	}
-	return gi
+	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
+	if cols.Rank() != 2 || cols.shape[0] != c*kh*kw || cols.shape[1] != n*oh*ow {
+		panic(fmt.Sprintf("tensor: Im2ColCMInto dst %v, want [%d %d]", cols.shape, c*kh*kw, n*oh*ow))
+	}
+	jb := getUnfoldJob(x.data, cols.data, n, c, h, w, kh, kw, stride, pad)
+	parallelFor(c*kh*kw*n, jb.unfoldCM)
+	putUnfoldJob(jb)
 }
 
-// maxPoolJob carries MaxPoolEvalInto's parallel-body state through the pool.
+// Col2ImCMInto folds channel-major columns [C*KH*KW, N*OH*OW] into dst
+// [N,C,H,W], overwriting it: the adjoint of Im2ColCMInto, and the training
+// convolution's input gradient. Work is split by (image, channel) plane.
+func Col2ImCMInto(dst, cols *Tensor, kh, kw, stride, pad int) {
+	n, c, h, w := dst.shape[0], dst.shape[1], dst.shape[2], dst.shape[3]
+	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
+	if cols.Rank() != 2 || cols.shape[0] != c*kh*kw || cols.shape[1] != n*oh*ow {
+		panic(fmt.Sprintf("tensor: Col2ImCMInto cols %v for out %v", cols.shape, dst.shape))
+	}
+	jb := getUnfoldJob(dst.data, cols.data, n, c, h, w, kh, kw, stride, pad)
+	parallelFor(n*c, jb.foldCM)
+	putUnfoldJob(jb)
+}
+
+// maxPoolJob carries MaxPoolInto's parallel-body state through the pool.
 type maxPoolJob struct {
 	xd, od              []float32
+	arg                 []int32
 	h, w, oh, ow, k, st int
 	body                func(lo, hi int)
 }
@@ -246,57 +355,108 @@ var maxPoolJobs = sync.Pool{New: func() any {
 }}
 
 func (jb *maxPoolJob) run(lo, hi int) {
-	xd, od := jb.xd, jb.od
-	h, w, oh, ow, k, stride := jb.h, jb.w, jb.oh, jb.ow, jb.k, jb.st
+	hw, ohw := jb.h*jb.w, jb.oh*jb.ow
 	for nc := lo; nc < hi; nc++ {
-		base := nc * h * w
-		obase := nc * oh * ow
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := xd[base+oy*stride*w+ox*stride]
-				for ky := 0; ky < k; ky++ {
-					row := base + (oy*stride+ky)*w + ox*stride
-					for kx := 0; kx < k; kx++ {
-						if v := xd[row+kx]; v > best {
-							best = v
-						}
-					}
-				}
-				od[obase+oy*ow+ox] = best
+		var arg []int32
+		if jb.arg != nil {
+			arg = jb.arg[nc*ohw:][:ohw]
+		}
+		MaxPoolPlane(jb.od[nc*ohw:][:ohw], jb.xd[nc*hw:][:hw], jb.h, jb.w, jb.k, jb.st, arg)
+	}
+}
+
+// MaxPoolInto max-pools x [N,C,H,W] into dst [N,C,OH,OW] with a k×k window
+// every stride pixels; ties go to the window's first maximum in row-major
+// order. When arg is non-nil (one entry per output element) it receives
+// each output's argmax as an offset into its (image, channel) plane of x,
+// which MaxPoolBackward routes gradients through; inference passes nil. It
+// allocates nothing.
+func MaxPoolInto(dst, x *Tensor, k, stride int, arg []int32) {
+	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	oh, ow := ConvOut(h, k, stride, 0), ConvOut(w, k, stride, 0)
+	if dst.Rank() != 4 || dst.shape[0] != n || dst.shape[1] != c || dst.shape[2] != oh || dst.shape[3] != ow {
+		panic(fmt.Sprintf("tensor: MaxPoolInto dst %v, want [%d %d %d %d]", dst.shape, n, c, oh, ow))
+	}
+	if arg != nil && len(arg) != len(dst.data) {
+		panic(fmt.Sprintf("tensor: MaxPoolInto arg length %d, want %d", len(arg), len(dst.data)))
+	}
+	jb := maxPoolJobs.Get().(*maxPoolJob)
+	jb.xd, jb.od, jb.arg = x.data, dst.data, arg
+	jb.h, jb.w, jb.oh, jb.ow, jb.k, jb.st = h, w, oh, ow, k, stride
+	parallelFor(n*c, jb.body)
+	jb.xd, jb.od, jb.arg = nil, nil, nil
+	maxPoolJobs.Put(jb)
+}
+
+// MaxPoolBackward scatters gradOut back to the input positions MaxPoolInto
+// recorded in arg.
+func MaxPoolBackward(gradOut *Tensor, arg []int32, inputShape []int) *Tensor {
+	gi := New(inputShape...)
+	gd, god := gi.data, gradOut.data
+	hw, ohw := inputShape[2]*inputShape[3], gradOut.shape[2]*gradOut.shape[3]
+	for i, a := range arg {
+		gd[i/ohw*hw+int(a)] += god[i]
+	}
+	return gi
+}
+
+// MaxPoolPlane max-pools one [h, w] plane src into dst [OH, OW]; when arg
+// is non-nil it receives each output's argmax as an offset into src. It is
+// the one max-pool kernel: MaxPoolInto runs it per plane, and the fused
+// conv→BN→ReLU→pool training step runs it on the planes it produces.
+func MaxPoolPlane(dst, src []float32, h, w, k, stride int, arg []int32) {
+	oh, ow := ConvOut(h, k, stride, 0), ConvOut(w, k, stride, 0)
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			v, i := poolWindow(src, (oy*w+ox)*stride, w, k)
+			dst[oy*ow+ox] = v
+			if arg != nil {
+				arg[oy*ow+ox] = int32(i)
 			}
 		}
 	}
 }
 
-// MaxPoolEvalInto is inference-only max pooling of x [N,C,H,W] into a
-// caller-provided [N,C,OH,OW] tensor: no argmax bookkeeping, no
-// allocations. It is the execution-plan counterpart of MaxPool.
-func MaxPoolEvalInto(dst, x *Tensor, k, stride int) {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+// MaxPoolPlaneBackward adds each g[o] of a pooled [OH, OW] plane to dsrc at
+// the argmax of output o's window in src: the argmax MaxPoolPlane took,
+// recomputed rather than stored.
+func MaxPoolPlaneBackward(dsrc, src, g []float32, h, w, k, stride int) {
 	oh, ow := ConvOut(h, k, stride, 0), ConvOut(w, k, stride, 0)
-	if dst.shape[0] != n || dst.shape[1] != c || dst.shape[2] != oh || dst.shape[3] != ow {
-		panic(fmt.Sprintf("tensor: MaxPoolEvalInto dst %v, want [%d %d %d %d]", dst.shape, n, c, oh, ow))
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			_, i := poolWindow(src, (oy*w+ox)*stride, w, k)
+			dsrc[i] += g[oy*ow+ox]
+		}
 	}
-	jb := maxPoolJobs.Get().(*maxPoolJob)
-	jb.xd, jb.od = x.data, dst.data
-	jb.h, jb.w, jb.oh, jb.ow, jb.k, jb.st = h, w, oh, ow, k, stride
-	parallelFor(n*c, jb.body)
-	jb.xd, jb.od = nil, nil
-	maxPoolJobs.Put(jb)
+}
+
+// poolWindow returns the maximum of the k×k window whose top-left corner is
+// src[off], in a plane w floats wide, and its offset: the first maximum in
+// row-major order. The running maximum is selected on its bits, so the
+// compiler emits conditional moves: which element wins is data-dependent,
+// and as a branch it mispredicts about every other window.
+func poolWindow(src []float32, off, w, k int) (float32, int) {
+	best, bi := src[off], off
+	for ky := 0; ky < k; ky++ {
+		row := off + ky*w
+		for kx, v := range src[row : row+k] {
+			bb, vb, gt := math.Float32bits(best), math.Float32bits(v), v > best
+			if gt {
+				bb = vb
+			}
+			if gt {
+				bi = row + kx
+			}
+			best = math.Float32frombits(bb)
+		}
+	}
+	return best, bi
 }
 
 // AvgPoolGlobal averages x [N,C,H,W] over the spatial dims, returning [N,C].
 func AvgPoolGlobal(x *Tensor) *Tensor {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	out := New(n, c)
-	inv := 1 / float32(h*w)
-	for nc := 0; nc < n*c; nc++ {
-		var s float32
-		for _, v := range x.data[nc*h*w : (nc+1)*h*w] {
-			s += v
-		}
-		out.data[nc] = s * inv
-	}
+	out := New(x.shape[0], x.shape[1])
+	AvgPoolGlobalInto(out, x)
 	return out
 }
 

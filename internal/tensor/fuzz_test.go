@@ -172,6 +172,74 @@ func FuzzCol2ImParity(f *testing.F) {
 	})
 }
 
+// cmGeometry decodes a fuzzed channel-major unfold/fold geometry: batch,
+// channels, kernel, stride and pad, and ragged spatial sizes that may leave
+// whole border rows and columns reading only padding.
+func cmGeometry(nRaw, cRaw, hRaw, wRaw, kRaw, strideRaw, padRaw uint8) (n, c, h, w, k, stride, pad int) {
+	return int(nRaw)%4 + 1, int(cRaw)%5 + 1, int(hRaw)%12 + 1, int(wRaw)%12 + 1,
+		int(kRaw)%5 + 1, int(strideRaw)%3 + 1, int(padRaw) % 3
+}
+
+// FuzzIm2ColCMParity checks the item-parallel channel-major unfold against
+// NaiveIm2ColCM bit for bit (an unfold only copies), starting from a dirty
+// destination so every padding entry must be written.
+func FuzzIm2ColCMParity(f *testing.F) {
+	f.Add(uint8(1), uint8(2), uint8(8), uint8(8), uint8(2), uint8(0), uint8(1), uint64(1))
+	f.Add(uint8(2), uint8(3), uint8(7), uint8(9), uint8(0), uint8(1), uint8(0), uint64(2))
+	f.Add(uint8(0), uint8(0), uint8(5), uint8(4), uint8(4), uint8(2), uint8(2), uint64(3))
+	f.Add(uint8(15), uint8(2), uint8(31), uint8(31), uint8(2), uint8(0), uint8(1), uint64(4))
+	// A kernel wider than the padded row: some taps have no in-range column.
+	f.Add(uint8(0), uint8(0), uint8(3), uint8(0), uint8(4), uint8(0), uint8(2), uint64(5))
+	f.Fuzz(func(t *testing.T, nRaw, cRaw, hRaw, wRaw, kRaw, strideRaw, padRaw uint8, seed uint64) {
+		n, c, h, w, k, stride, pad := cmGeometry(nRaw, cRaw, hRaw, wRaw, kRaw, strideRaw, padRaw)
+		if h+2*pad < k || w+2*pad < k {
+			t.Skip("no output position")
+		}
+		x := New(n, c, h, w)
+		NewRNG(seed).FillNormal(x, 0, 1)
+		want := NaiveIm2ColCM(x, k, k, stride, pad)
+		got := Full(float32(math.NaN()), want.Shape()...)
+		Im2ColCMInto(got, x, k, k, stride, pad)
+		for i, v := range got.Data() {
+			if v != want.Data()[i] {
+				t.Fatalf("im2col-cm n%d c%d %dx%d k%d s%d p%d: element %d = %g, want %g", n, c, h, w, k, stride, pad, i, v, want.Data()[i])
+			}
+		}
+	})
+}
+
+// FuzzCol2ImCMParity checks the plane-parallel channel-major fold against
+// NaiveCol2ImCM over the same geometries, into a dirty destination, and
+// against the row-major Col2Im of the transposed columns bit for bit: both
+// layouts sum each pixel's taps in one fixed order.
+func FuzzCol2ImCMParity(f *testing.F) {
+	f.Add(uint8(1), uint8(2), uint8(8), uint8(8), uint8(2), uint8(0), uint8(1), uint64(1))
+	f.Add(uint8(2), uint8(3), uint8(7), uint8(9), uint8(0), uint8(1), uint8(0), uint64(2))
+	f.Add(uint8(0), uint8(0), uint8(5), uint8(4), uint8(4), uint8(2), uint8(2), uint64(3))
+	f.Add(uint8(3), uint8(1), uint8(1), uint8(1), uint8(2), uint8(2), uint8(1), uint64(4))
+	f.Add(uint8(0), uint8(0), uint8(3), uint8(0), uint8(4), uint8(0), uint8(2), uint64(5))
+	f.Fuzz(func(t *testing.T, nRaw, cRaw, hRaw, wRaw, kRaw, strideRaw, padRaw uint8, seed uint64) {
+		n, c, h, w, k, stride, pad := cmGeometry(nRaw, cRaw, hRaw, wRaw, kRaw, strideRaw, padRaw)
+		if h+2*pad < k || w+2*pad < k {
+			t.Skip("no output position")
+		}
+		oh, ow := ConvOut(h, k, stride, pad), ConvOut(w, k, stride, pad)
+		cols := New(c*k*k, n*oh*ow)
+		NewRNG(seed).FillNormal(cols, 0, 1)
+		got := Full(float32(math.NaN()), n, c, h, w)
+		Col2ImCMInto(got, cols, k, k, stride, pad)
+		if d := maxAbsDiff(got, NaiveCol2ImCM(cols, n, c, h, w, k, k, stride, pad)); d > parityTol*float64(k) {
+			t.Fatalf("col2im-cm n%d c%d %dx%d k%d s%d p%d: max diff %g", n, c, h, w, k, stride, pad, d)
+		}
+		rm := Col2Im(Transpose2D(cols), n, c, h, w, k, k, stride, pad)
+		for i, v := range got.Data() {
+			if v != rm.Data()[i] {
+				t.Fatalf("col2im-cm n%d c%d %dx%d k%d s%d p%d: element %d = %g, row-major fold %g", n, c, h, w, k, stride, pad, i, v, rm.Data()[i])
+			}
+		}
+	})
+}
+
 // FuzzConv2dParity checks the im2col+GEMM convolution pipeline against the
 // direct seven-loop NaiveConv2d over random geometries, strides, and pads.
 func FuzzConv2dParity(f *testing.F) {

@@ -124,6 +124,53 @@ func NaiveCol2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
 	return out
 }
 
+// NaiveIm2ColCM unfolds x [N,C,H,W] into new channel-major columns
+// [C*KH*KW, N*OH*OW] one element at a time, reading zero for padding.
+func NaiveIm2ColCM(x *Tensor, kh, kw, stride, pad int) *Tensor {
+	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
+	cols := New(c*kh*kw, n*oh*ow)
+	for r := 0; r < c*kh*kw; r++ {
+		ci, ky, kx := r/(kh*kw), r/kw%kh, r%kw
+		for ni := 0; ni < n; ni++ {
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					iy, ix := oy*stride+ky-pad, ox*stride+kx-pad
+					if iy < 0 || iy >= h || ix < 0 || ix >= w {
+						continue
+					}
+					cols.data[r*n*oh*ow+(ni*oh+oy)*ow+ox] = x.data[((ni*c+ci)*h+iy)*w+ix]
+				}
+			}
+		}
+	}
+	return cols
+}
+
+// NaiveCol2ImCM folds channel-major columns [C*KH*KW, N*OH*OW] back into a
+// new [N,C,H,W] tensor by scattering every in-range entry onto its input
+// pixel.
+func NaiveCol2ImCM(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
+	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
+	m := n * oh * ow
+	if cols.Rank() != 2 || cols.shape[0] != c*kh*kw || cols.shape[1] != m {
+		panic(fmt.Sprintf("tensor: NaiveCol2ImCM shape mismatch cols=%v for out [%d,%d,%d,%d]", cols.shape, n, c, h, w))
+	}
+	out := New(n, c, h, w)
+	for r := 0; r < c*kh*kw; r++ {
+		ci, ky, kx := r/(kh*kw), r/kw%kh, r%kw
+		for col := 0; col < m; col++ {
+			ni, oy, ox := col/(oh*ow), col/ow%oh, col%ow
+			iy, ix := oy*stride+ky-pad, ox*stride+kx-pad
+			if iy < 0 || iy >= h || ix < 0 || ix >= w {
+				continue
+			}
+			out.data[((ni*c+ci)*h+iy)*w+ix] += cols.data[r*m+col]
+		}
+	}
+	return out
+}
+
 // NaiveConv2d runs a direct (seven-loop, no im2col) 2-D convolution over
 // x [N,C,H,W] with weight [outC, C*KH*KW] (the layout nn.Conv2d uses) and
 // an optional bias of length outC. It returns [N,outC,OH,OW].

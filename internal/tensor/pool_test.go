@@ -132,3 +132,27 @@ func TestArenaRecycles(t *testing.T) {
 	}
 	PutBuf(h)
 }
+
+// TestArenaSizeClasses pins the size-class arithmetic: every length gets
+// the smallest class that holds it, with at most 25% slack, and a buffer
+// returns to the largest class its capacity covers.
+func TestArenaSizeClasses(t *testing.T) {
+	for n := 1; n < 1<<16; n++ {
+		c := classFor(n)
+		if classCap(c) < n || (c > 0 && classCap(c-1) >= n) {
+			t.Fatalf("classFor(%d) = %d (cap %d), previous cap %d", n, c, classCap(c), classCap(c-1))
+		}
+		if n > 4 && 4*classCap(c) > 5*n {
+			t.Fatalf("classFor(%d): cap %d is more than 25%% slack", n, classCap(c))
+		}
+		if o := classOf(n); n >= 4 && (classCap(o) > n || classCap(o+1) <= n) {
+			t.Fatalf("classOf(%d) = %d (cap %d, next %d)", n, o, classCap(o), classCap(o+1))
+		}
+	}
+	// A lease and its return land in the same class.
+	p := GetBufDirty(1000)
+	if c := classOf(cap(*p)); c != classFor(1000) {
+		t.Fatalf("cap %d files under class %d, leased from %d", cap(*p), c, classFor(1000))
+	}
+	PutBuf(p)
+}

@@ -22,27 +22,40 @@ type Tensor struct {
 // New returns a zero-filled tensor with the given shape.
 // A zero-dimensional tensor (no shape) holds a single scalar.
 func New(shape ...int) *Tensor {
+	// Validate the copy, not the argument, so the variadic array stays on
+	// the caller's stack.
+	s := append([]int(nil), shape...)
 	n := 1
-	for _, d := range shape {
+	for _, d := range s {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, s))
 		}
 		n *= d
 	}
-	return &Tensor{shape: append([]int(nil), shape...), data: make([]float32, n)}
+	return &Tensor{shape: s, data: make([]float32, n)}
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); len(data) must equal the shape's element count.
 func FromSlice(data []float32, shape ...int) *Tensor {
+	return new(Tensor).Rebind(data, shape...)
+}
+
+// Rebind points t at data with the given shape, reusing t's header and
+// shape storage, and returns t. Hot paths keep one header per operand and
+// rebind it to each arena lease instead of wrapping every lease with
+// FromSlice. len(data) must equal the shape's element count.
+func (t *Tensor) Rebind(data []float32, shape ...int) *Tensor {
+	t.shape = append(t.shape[:0], shape...)
 	n := 1
-	for _, d := range shape {
+	for _, d := range t.shape {
 		n *= d
 	}
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elements)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elements)", len(data), t.shape, n))
 	}
-	return &Tensor{shape: append([]int(nil), shape...), data: data}
+	t.data = data
+	return t
 }
 
 // Full returns a tensor with every element set to v.

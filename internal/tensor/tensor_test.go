@@ -380,15 +380,33 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	out, arg := MaxPool(x, 2, 2)
+	out, arg := New(1, 1, 2, 2), make([]int32, 4)
+	MaxPoolInto(out, x, 2, 2, arg)
 	want := []float32{6, 8, 14, 16}
 	for i, v := range out.Data() {
 		if v != want[i] {
-			t.Fatalf("MaxPool out = %v, want %v", out.Data(), want)
+			t.Fatalf("MaxPoolInto out = %v, want %v", out.Data(), want)
+		}
+	}
+	// Inference (no argmax) and the per-plane form pool to the same values.
+	eval, plane := New(1, 1, 2, 2), make([]float32, 4)
+	MaxPoolInto(eval, x, 2, 2, nil)
+	MaxPoolPlane(plane, x.Data(), 4, 4, 2, 2, nil)
+	for i, v := range want {
+		if eval.Data()[i] != v || plane[i] != v {
+			t.Fatalf("MaxPoolInto(arg=nil) = %v, MaxPoolPlane = %v, want %v", eval.Data(), plane, want)
 		}
 	}
 	g := Full(1, 1, 1, 2, 2)
 	gi := MaxPoolBackward(g, arg, x.Shape())
+	// The per-plane backward recomputes the argmax and routes identically.
+	gp := make([]float32, 16)
+	MaxPoolPlaneBackward(gp, x.Data(), g.Data(), 4, 4, 2, 2)
+	for i, v := range gi.Data() {
+		if gp[i] != v {
+			t.Fatalf("MaxPoolPlaneBackward = %v, MaxPoolBackward = %v", gp, gi.Data())
+		}
+	}
 	// Gradient lands only on the max positions.
 	var nz int
 	for i, v := range gi.Data() {

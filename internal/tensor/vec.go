@@ -61,11 +61,12 @@ func VecActive() bool { return vecActive }
 // kernelGeneration numbers the kernels' behaviour: bump it whenever a
 // change alters what the GEMM/conv kernels compute bit for bit or how fast
 // they run on some shape. Generation 1 — keys written without a kgen field
-// — ran ragged GEMM tiles and Aᵀ·B on scalar code.
-const kernelGeneration = 2
+// — ran ragged GEMM tiles and Aᵀ·B on scalar code; generation 2 ran the
+// eager convolution layer by layer on row-major im2col columns.
+const kernelGeneration = 3
 
 // KernelSignature names the bound tier and the kernel generation, e.g.
-// "vec=avx2 kgen=2". Anything persisted from a kernel measurement (autotune
+// "vec=avx2 kgen=3". Anything persisted from a kernel measurement (autotune
 // winners, memoised candidate latencies) is keyed by it next to the machine
 // signature, so numbers measured by other kernels are never replayed.
 func KernelSignature() string {
