@@ -27,7 +27,6 @@ import (
 	gmorph "repro"
 	"repro/internal/bench"
 	"repro/internal/engine"
-	"repro/internal/estimator"
 	"repro/internal/graph"
 	"repro/internal/models"
 	"repro/internal/quant"
@@ -281,7 +280,7 @@ func BenchmarkConvForward(b *testing.B) {
 	}
 }
 
-func BenchmarkLatencyEstimator(b *testing.B) {
+func BenchmarkLatency(b *testing.B) {
 	sc := benchScale()
 	spec, _ := bench.SpecByID("B1")
 	w, err := bench.Build(spec, sc)
@@ -290,7 +289,7 @@ func BenchmarkLatencyEstimator(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		estimator.Latency(w.Teacher, estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 3})
+		engine.Latency(w.Teacher)
 	}
 }
 

@@ -63,8 +63,8 @@ func main() {
 		m    *gmorph.Model
 	}
 	for _, r := range []row{{"original", teachers}, {"fused", res.Model}} {
-		refLat := gmorph.MeasureEngine(gmorph.ReferenceEngine(r.m), shape, 4)
-		compLat := gmorph.MeasureEngine(gmorph.CompileFused(r.m), shape, 4)
+		refLat := gmorph.MeasureEngine(gmorph.ReferenceEngine(r.m), shape)
+		compLat := gmorph.MeasureEngine(gmorph.CompileFused(r.m), shape)
 		fmt.Printf("%-8s reference %v | compiled %v\n", r.name, refLat, compLat)
 	}
 }

@@ -19,7 +19,7 @@ func TestFacadeLatencyAndFLOPs(t *testing.T) {
 	if gmorph.Latency(m) <= 0 {
 		t.Fatal("Latency must be positive")
 	}
-	if gmorph.MeasureEngine(gmorph.ReferenceEngine(m), gmorph.Shape{3, 16, 16}, 2) <= 0 {
+	if gmorph.MeasureEngine(gmorph.ReferenceEngine(m), gmorph.Shape{3, 16, 16}) <= 0 {
 		t.Fatal("MeasureEngine must be positive")
 	}
 }

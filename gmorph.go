@@ -36,7 +36,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/distill"
 	"repro/internal/engine"
-	"repro/internal/estimator"
 	"repro/internal/fingerprint"
 	"repro/internal/graph"
 	"repro/internal/models"
@@ -421,7 +420,7 @@ func (cfg Config) searchDefaults() Config {
 type searchSetup struct {
 	targets map[int]float64
 	outs    distill.TeacherOutputs
-	accOpts estimator.AccuracyOptions
+	accOpts core.AccuracyOptions
 }
 
 // newSearchSetup validates the world and derives targets, teacher outputs,
@@ -451,7 +450,7 @@ func newSearchSetup(teachers *Model, ds *Dataset, cfg Config) (*searchSetup, err
 	return &searchSetup{
 		targets: targets,
 		outs:    outs,
-		accOpts: estimator.AccuracyOptions{
+		accOpts: core.AccuracyOptions{
 			FineTune: distill.Config{
 				LR: cfg.LearningRate, Epochs: cfg.FineTuneEpochs,
 				Batch: cfg.BatchSize, EvalEvery: cfg.EvalEvery, Seed: cfg.Seed,
@@ -525,10 +524,10 @@ func Evaluate(m *Model, ds *Dataset) (map[int]float64, error) {
 	return eval.Measure(m)
 }
 
-// Latency measures a model's inference wall-clock on a synthetic batch.
-func Latency(m *Model) time.Duration {
-	return estimator.Latency(m, estimator.LatencyOptions{})
-}
+// Latency measures a model's inference latency the way it is served and
+// the way the search ranks candidates: its compiled plan on a synthetic
+// batch of one, the minimum of 5 timed runs after one warm-up.
+func Latency(m *Model) time.Duration { return engine.Latency(m) }
 
 // FLOPs returns a model's analytic per-sample floating point operations.
 func FLOPs(m *Model) int64 { return m.FLOPs() }
@@ -552,10 +551,11 @@ func CompileFused(m *Model) Engine { return engine.Compile(m) }
 // ReferenceEngine wraps a model in the eager executor.
 func ReferenceEngine(m *Model) Engine { return engine.NewReference(m) }
 
-// MeasureEngine times an engine on a synthetic batch of the given
-// per-sample input shape, returning a trimmed-mean latency.
-func MeasureEngine(e Engine, inputShape Shape, batch int) time.Duration {
-	return engine.Measure(e, inputShape, batch, 1, 5)
+// MeasureEngine times an engine on a synthetic batch of one sample of the
+// given per-sample input shape, returning the minimum of 5 timed runs after
+// one warm-up (the measurement Latency takes of a compiled model).
+func MeasureEngine(e Engine, inputShape Shape) time.Duration {
+	return engine.Measure(e, inputShape)
 }
 
 // NewTensor allocates a zero tensor with the given shape.

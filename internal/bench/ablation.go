@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/estimator"
+	"repro/internal/engine"
 )
 
 // AblationPoint is one configuration of an ablation sweep.
@@ -51,7 +51,7 @@ func runAblation(sc Scale, drop float64, values []int, knob string, cfg func(v i
 	if err != nil {
 		return nil, err
 	}
-	origLat := estimator.Latency(w.Teacher, latOpts)
+	origLat := engine.Latency(w.Teacher)
 	var out []AblationPoint
 	for _, v := range values {
 		c := cfg(v)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/distill"
 	"repro/internal/engine"
-	"repro/internal/estimator"
 	"repro/internal/graph"
 	"repro/internal/models"
 	"repro/internal/mtl"
@@ -23,12 +22,9 @@ const (
 	VariantRandom = "Random Sampling"
 )
 
-// latOpts are the latency measurement settings shared by experiments.
-var latOpts = estimator.LatencyOptions{Batch: 4, Warmup: 1, Runs: 5}
-
 // accOptions translates a variant name into accuracy-estimator options.
-func (w *Workload) accOptions(variant string) estimator.AccuracyOptions {
-	opts := estimator.AccuracyOptions{FineTune: w.FineTuneConfig(), Slack: 0.04}
+func (w *Workload) accOptions(variant string) core.AccuracyOptions {
+	opts := core.AccuracyOptions{FineTune: w.FineTuneConfig(), Slack: 0.04}
 	switch variant {
 	case VariantP:
 		opts.UseEarlyTermination = true
@@ -40,22 +36,19 @@ func (w *Workload) accOptions(variant string) estimator.AccuracyOptions {
 }
 
 // Search runs one GMorph search over the workload with the given accuracy
-// drop threshold and variant, returning the core result plus the original
-// graph's measured latency.
-func (w *Workload) Search(drop float64, variant string, rounds int, seed uint64) (*core.Result, time.Duration) {
+// drop threshold and variant; the result carries the original graph's
+// measured latency (OriginalLatency).
+func (w *Workload) Search(drop float64, variant string, rounds int, seed uint64) *core.Result {
 	var policy core.Policy = core.NewSAPolicy()
 	if variant == VariantRandom {
 		policy = core.RandomPolicy{}
 	}
-	res := w.search(drop, variant, core.Config{Rounds: rounds, Policy: policy, Seed: seed})
-	orig := estimator.Latency(w.Teacher, latOpts)
-	return res, orig
+	return w.search(drop, variant, core.Config{Rounds: rounds, Policy: policy, Seed: seed})
 }
 
 // search runs the optimizer (Algorithm 1: one candidate per round, one
-// in-process evaluator slot) under the experiments' latency settings.
+// in-process evaluator slot).
 func (w *Workload) search(drop float64, variant string, cfg core.Config) *core.Result {
-	cfg.Latency = latOpts
 	return core.NewOptimizer(w.Teacher, w.Dataset, w.Targets(drop), w.Outputs,
 		w.Dataset.Train.X, w.accOptions(variant), cfg).Run()
 }
@@ -107,7 +100,7 @@ func RunFigure1(spec Spec, sc Scale, samples int) ([]Fig1Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	origLat := estimator.Latency(w.Teacher, latOpts)
+	origLat := engine.Latency(w.Teacher)
 	rng := tensor.NewRNG(sc.Seed ^ 0xF16)
 	mut := mutation.NewMutator(rng.Split())
 	// Impossible targets keep fine-tuning running to the epoch budget so
@@ -139,7 +132,7 @@ func RunFigure1(spec Spec, sc Scale, samples int) ([]Fig1Point, error) {
 			cfg := w.FineTuneConfig()
 			cfg.Seed = rng.Uint64()
 			rep := distill.FineTune(res.Graph, w.Dataset.Train.X, w.Outputs, eval, cfg, nil)
-			lat := estimator.Latency(res.Graph, latOpts)
+			lat := engine.Latency(res.Graph)
 			drop := maxDrop(w.TeacherAcc, rep.Final)
 			points = append(points, Fig1Point{
 				Speedup: float64(origLat) / float64(lat),
@@ -186,11 +179,11 @@ func RunFigure2(sc Scale, drop float64) ([]Fig2Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, origLat := w.Search(drop, VariantPlain, sc.Rounds, sc.Seed^0xF2)
+	res := w.Search(drop, VariantPlain, sc.Rounds, sc.Seed^0xF2)
 	var points []Fig2Point
 	for _, e := range res.Elites {
 		points = append(points, Fig2Point{
-			Speedup:         float64(origLat) / float64(e.Latency),
+			Speedup:         float64(res.OriginalLatency) / float64(e.Latency),
 			FineTuneSeconds: e.FineTuneTime.Seconds(),
 			FromElite:       e.FromElite,
 		})
@@ -310,13 +303,13 @@ func RunFigure7(benchIDs []string, drops []float64, variants []string, sc Scale)
 		if err != nil {
 			return nil, err
 		}
-		origLat := estimator.Latency(w.Teacher, latOpts)
+		origLat := engine.Latency(w.Teacher)
 		for _, drop := range drops {
 			row := Fig7Row{Bench: id, Drop: drop, OriginalMS: ms(origLat)}
 			for _, v := range variants {
 				// All variants share one seed so the candidate streams are
 				// identical until filtering changes the elite pool.
-				res, _ := w.Search(drop, v, sc.Rounds, sc.Seed^0xF7)
+				res := w.Search(drop, v, sc.Rounds, sc.Seed^0xF7)
 				out := VariantOutcome{
 					Variant:       v,
 					SearchSeconds: res.SearchTime.Seconds(),
@@ -372,10 +365,10 @@ func RunFigure8(sc Scale, drop float64) ([]Fig8Curve, error) {
 	if err != nil {
 		return nil, err
 	}
-	origLat := estimator.Latency(w.Teacher, latOpts)
+	origLat := engine.Latency(w.Teacher)
 	var curves []Fig8Curve
 	for vi, v := range []string{VariantPlain, VariantP, VariantPR, VariantRandom} {
-		res, _ := w.Search(drop, v, sc.Rounds, sc.Seed^uint64(0xF8+vi))
+		res := w.Search(drop, v, sc.Rounds, sc.Seed^uint64(0xF8+vi))
 		c := Fig8Curve{Variant: v}
 		for _, tr := range res.Traces {
 			c.Seconds = append(c.Seconds, tr.Elapsed.Seconds())
@@ -406,7 +399,8 @@ type Table3Row struct {
 
 // RunTable3 reproduces the compiler-complementarity study: the best model
 // found within the drop threshold is compiled with the fused engine and
-// compared against the original models under both engines.
+// compared against the original models under both engines, each timed by
+// engine.Measure (batch 1).
 func RunTable3(benchIDs []string, drop float64, sc Scale) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, id := range benchIDs {
@@ -418,17 +412,17 @@ func RunTable3(benchIDs []string, drop float64, sc Scale) ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, _ := w.Search(drop, VariantPlain, sc.Rounds, sc.Seed^0x73)
+		res := w.Search(drop, VariantPlain, sc.Rounds, sc.Seed^0x73)
 		best := w.Teacher
 		if res.Best != nil {
 			best = res.Best.Graph
 		}
 		shape := w.Teacher.Root.InputShape
 		row := Table3Row{Bench: id}
-		row.RefOriginalMS = ms(engine.Measure(engine.NewReference(w.Teacher), shape, 4, 1, 5))
-		row.RefGMorphMS = ms(engine.Measure(engine.NewReference(best), shape, 4, 1, 5))
-		row.FusedOriginalMS = ms(engine.Measure(engine.Compile(w.Teacher), shape, 4, 1, 5))
-		row.FusedGMorphMS = ms(engine.Measure(engine.Compile(best), shape, 4, 1, 5))
+		row.RefOriginalMS = ms(engine.Measure(engine.NewReference(w.Teacher), shape))
+		row.RefGMorphMS = ms(engine.Measure(engine.NewReference(best), shape))
+		row.FusedOriginalMS = ms(engine.Measure(engine.Compile(w.Teacher), shape))
+		row.FusedGMorphMS = ms(engine.Measure(engine.Compile(best), shape))
 		row.RefSpeedup = row.RefOriginalMS / row.RefGMorphMS
 		row.FusedSpeedup = row.FusedOriginalMS / row.FusedGMorphMS
 		rows = append(rows, row)
@@ -463,7 +457,7 @@ func RunTable4(benchIDs []string, drop float64, sc Scale) ([]Table4Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		origLat := estimator.Latency(w.Teacher, latOpts)
+		origLat := engine.Latency(w.Teacher)
 		row := Table4Row{Bench: id}
 
 		prefix := mtl.CommonPrefixLen(w.Teacher)
@@ -475,7 +469,7 @@ func RunTable4(benchIDs []string, drop float64, sc Scale) ([]Table4Row, error) {
 			// impossible targets keep the loop running to cfg.Epochs.
 			impossible := &distill.Evaluator{Dataset: w.Dataset, Targets: w.Targets(-10)}
 			rep := distill.FineTune(g, w.Dataset.Train.X, w.Outputs, impossible, cfg, nil)
-			lat := estimator.Latency(g, latOpts)
+			lat := engine.Latency(g)
 			return maxDrop(w.TeacherAcc, rep.Final), float64(origLat) / float64(lat)
 		}
 		if row.Applicable {
@@ -491,7 +485,7 @@ func RunTable4(benchIDs []string, drop float64, sc Scale) ([]Table4Row, error) {
 			row.TreeMTLDrop, row.TreeMTLSpeedup = trainBaseline(recs[0].Graph)
 		}
 
-		res, _ := w.Search(drop, VariantPlain, sc.Rounds, sc.Seed^0x75)
+		res := w.Search(drop, VariantPlain, sc.Rounds, sc.Seed^0x75)
 		if res.Best != nil {
 			row.GMorphDrop = maxDrop(w.TeacherAcc, res.Best.Accuracy)
 			row.GMorphSpeedup = float64(origLat) / float64(res.Best.Latency)

@@ -24,7 +24,8 @@ type ServingRow struct {
 
 // RunServing searches each benchmark within the drop threshold and then
 // measures closed-loop serving throughput of the original multi-DNNs and
-// the fused model.
+// the fused model, each served through its compiled plan (serve.Compare),
+// the engine cmd/serve deploys.
 func RunServing(benchIDs []string, drop float64, sc Scale) ([]ServingRow, error) {
 	var rows []ServingRow
 	opts := serve.Options{Clients: 1, Batch: 2, Duration: 400 * time.Millisecond}
@@ -38,7 +39,7 @@ func RunServing(benchIDs []string, drop float64, sc Scale) ([]ServingRow, error)
 		if err != nil {
 			return nil, err
 		}
-		res, _ := w.Search(drop, VariantPlain, sc.Rounds, sc.Seed^0x5E)
+		res := w.Search(drop, VariantPlain, sc.Rounds, sc.Seed^0x5E)
 		row := ServingRow{Bench: id}
 		best := w.Teacher
 		if res.Best != nil {
@@ -82,7 +83,7 @@ func BestModelDOT(id string, drop float64, sc Scale) (original, fused string, er
 	if err != nil {
 		return "", "", err
 	}
-	res, _ := w.Search(drop, VariantPlain, sc.Rounds, sc.Seed^0xF9)
+	res := w.Search(drop, VariantPlain, sc.Rounds, sc.Seed^0xF9)
 	original = w.Teacher.ToDOT(fmt.Sprintf("%s original multi-DNNs", id))
 	best := w.Teacher
 	if res.Best != nil {

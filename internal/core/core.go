@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/estimator"
 	"repro/internal/graph"
 	"repro/internal/search/explain"
 	"repro/internal/tensor"
@@ -101,7 +100,8 @@ func (RandomPolicy) Observe(int, float64, bool, int) {}
 // Elite is a trained candidate that met the accuracy targets.
 type Elite struct {
 	Graph *graph.Graph
-	// Latency is the measured inference latency.
+	// Latency is the measured inference latency (engine.Latency: the
+	// compiled plan at batch 1).
 	Latency time.Duration
 	// FLOPs is the analytic per-sample cost.
 	FLOPs int64
@@ -158,8 +158,6 @@ type Config struct {
 	Policy Policy
 	// Seed drives all sampling.
 	Seed uint64
-	// Latency measurement settings.
-	Latency estimator.LatencyOptions
 	// TimeBudget optionally stops the search after the given wall-clock
 	// duration (0 = unlimited).
 	TimeBudget time.Duration

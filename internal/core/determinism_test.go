@@ -5,12 +5,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/distill"
-	"repro/internal/estimator"
 )
 
 // ruleFilter6 is the determinism and persistence tests' estimator setup: a
 // short budget with the rule filter on.
-var ruleFilter6 = estimator.AccuracyOptions{
+var ruleFilter6 = core.AccuracyOptions{
 	FineTune:      distill.Config{LR: 0.003, Epochs: 6, Batch: 16, EvalEvery: 2},
 	UseRuleFilter: true,
 }
@@ -36,7 +35,6 @@ func TestOptimizerDeterministicAcrossWorkers(t *testing.T) {
 			Rounds:          16,
 			MaxPairsPerPass: 1,
 			Seed:            7,
-			Latency:         estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 2},
 			Workers:         workers,
 			BatchSize:       4,
 		})

@@ -19,13 +19,14 @@ import (
 
 // latencyMachineKey is the section key persisted latencies live under: the
 // CPU signature plus the kernel signature (tier and generation), the same
-// discipline as internal/tune's winner cache. Candidate outcomes (verdict,
-// accuracy, trained weights) are machine-independent — fine-tuning is
-// deterministic in the seed — but a latency measured on one machine or by
-// other kernels must never replay, so only the current section is ever
-// consulted.
+// discipline as internal/tune's winner cache, plus the measurement
+// (engine.Latency: the compiled plan at batch 1). Candidate outcomes
+// (verdict, accuracy, trained weights) are machine-independent —
+// fine-tuning is deterministic in the seed — but a latency measured on one
+// machine, by other kernels or another way must never replay, so only the
+// current section is ever consulted.
 func latencyMachineKey() string {
-	return fingerprint.Machine() + " " + tensor.KernelSignature()
+	return fingerprint.Machine() + " " + tensor.KernelSignature() + " lat=plan/b1"
 }
 
 // diskMemoEntry is the JSON shape of one persisted candidate outcome. The

@@ -194,11 +194,11 @@ func TestDiskMemoConcurrentSavers(t *testing.T) {
 	})
 }
 
-// TestDiskMemoLatencyIsMachineKeyed pins the satellite requirement: the
-// persisted latency sections are keyed by the machine signature
-// (fingerprint.Machine() + kernel signature), foreign sections survive a
-// Save untouched, and a foreign machine's — or an older kernel
-// generation's — measurements are never consulted.
+// TestDiskMemoLatencyIsMachineKeyed: the persisted latency sections are
+// keyed by the machine signature (fingerprint.Machine() + kernel signature)
+// and the measurement, foreign sections survive a Save untouched, and a
+// foreign machine's — or an older kernel generation's, or an older
+// measurement's — latencies are never consulted.
 func TestDiskMemoLatencyIsMachineKeyed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "memo.json")
 	m, err := NewDiskMemo(path)
@@ -225,12 +225,16 @@ func TestDiskMemoLatencyIsMachineKeyed(t *testing.T) {
 			keys(f.Latencies), latencyMachineKey())
 	}
 
-	// Graft a foreign machine's section, and this machine's section as an
-	// older kernel generation wrote it (no kgen field), then re-save: both
-	// must survive, and neither may leak into this machine's lookups.
+	// Graft a foreign machine's section, this machine's section as an older
+	// kernel generation wrote it (no kgen field), and this machine's section
+	// as an older measurement wrote it (no lat field: the eager walk at
+	// batch 8), then re-save: all must survive, and none may leak into this
+	// machine's lookups.
 	oldGen := fingerprint.Machine() + " vec=" + tensor.VecKind()
+	eager := fingerprint.Machine() + " " + tensor.KernelSignature()
 	f.Latencies["other-cpu vec=none"] = map[string]int64{fpKey(9): 42}
 	f.Latencies[oldGen] = map[string]int64{fpKey(10): 43}
+	f.Latencies[eager] = map[string]int64{fpKey(11): 44}
 	grafted, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
@@ -248,6 +252,9 @@ func TestDiskMemoLatencyIsMachineKeyed(t *testing.T) {
 	}
 	if _, ok := re.Latency(10); ok {
 		t.Fatal("older kernel generation's latency was consulted")
+	}
+	if _, ok := re.Latency(11); ok {
+		t.Fatal("older measurement's latency was consulted")
 	}
 	if d, ok := re.Latency(5); !ok || d != time.Millisecond {
 		t.Fatal("own machine's latency lost")
@@ -269,6 +276,9 @@ func TestDiskMemoLatencyIsMachineKeyed(t *testing.T) {
 	}
 	if after.Latencies[oldGen][fpKey(10)] != 43 {
 		t.Fatal("older kernel generation's latency section did not survive Save")
+	}
+	if after.Latencies[eager][fpKey(11)] != 44 {
+		t.Fatal("older measurement's latency section did not survive Save")
 	}
 }
 

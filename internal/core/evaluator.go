@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/distill"
-	"repro/internal/estimator"
+	"repro/internal/filter"
 	"repro/internal/graph"
 	"repro/internal/tensor"
 )
@@ -48,6 +48,66 @@ type BatchEvaluator interface {
 	EvaluateBatch(jobs []EvalJob) []EvalOutcome
 }
 
+// AccuracyOptions configures the accuracy estimator.
+type AccuracyOptions struct {
+	// FineTune carries the optimizer settings (epochs, lr, batch, delta).
+	FineTune distill.Config
+	// UseEarlyTermination enables the learning-curve hook ("GMorph w P").
+	UseEarlyTermination bool
+	// UseRuleFilter enables capacity-rule skipping ("GMorph w P+R"). The
+	// optimizer reads it; the estimator itself never skips.
+	UseRuleFilter bool
+	// Slack loosens the early-termination decision (see filter package).
+	Slack float64
+}
+
+// AccuracyEstimator fine-tunes one candidate at a time against the teacher
+// outputs and reports whether it meets the per-task accuracy targets,
+// cutting non-promising runs short when early termination is on. It is what
+// one evaluator slot owns; the rule filter, the memo and every counter live
+// with the optimizer, which derives them from the returned reports.
+type AccuracyEstimator struct {
+	Eval    *distill.Evaluator
+	Teacher distill.TeacherOutputs
+	// TrainX is the representative input set (no labels needed).
+	TrainX *tensor.Tensor
+	Opts   AccuracyOptions
+}
+
+// NewAccuracyEstimator builds an estimator over a dataset's train split and
+// precomputed teacher outputs.
+func NewAccuracyEstimator(ds *data.Dataset, targets map[int]float64, teacher distill.TeacherOutputs, trainX *tensor.Tensor, opts AccuracyOptions) *AccuracyEstimator {
+	return &AccuracyEstimator{
+		Eval:    &distill.Evaluator{Dataset: ds, Targets: targets},
+		Teacher: teacher,
+		TrainX:  trainX,
+		Opts:    opts,
+	}
+}
+
+// FineTuneCandidate fine-tunes the candidate graph in place with
+// distillation and returns the report (Met tells whether every task target
+// was reached). warm marks a candidate mutated from a trained elite: its
+// inherited weights are close, so the epoch budget shrinks to half the
+// full budget, rounded and at least one epoch (with the regression
+// fallback described on distill.Config.WarmEpochs).
+func (a *AccuracyEstimator) FineTuneCandidate(g *graph.Graph, seed uint64, warm bool) *distill.Report {
+	var hook distill.Hook
+	if a.Opts.UseEarlyTermination {
+		hook = filter.EarlyTermination{
+			TotalEpochs:      a.Opts.FineTune.Epochs,
+			Slack:            a.Opts.Slack,
+			MinEpochFraction: 0.5,
+		}.Hook()
+	}
+	cfg := a.Opts.FineTune
+	cfg.Seed = seed
+	if warm {
+		cfg.WarmEpochs = max(1, (cfg.Epochs+1)/2)
+	}
+	return distill.FineTune(g, a.TrainX, a.Teacher, a.Eval, cfg, hook)
+}
+
 // LocalEvaluator is the in-process BatchEvaluator: a pool of estimator
 // slots over shared immutable inputs (dataset, teacher outputs). A
 // goroutine owns a slot exclusively from acquire to release, so two
@@ -57,7 +117,7 @@ type BatchEvaluator interface {
 // worker server handles HTTP requests independently) still respect the
 // global slot bound.
 type LocalEvaluator struct {
-	slots chan *estimator.AccuracyEstimator
+	slots chan *AccuracyEstimator
 	n     int
 }
 
@@ -65,13 +125,13 @@ type LocalEvaluator struct {
 // The slots never consult the rule filter: skip decisions belong to the
 // optimizer's serial phase (or to the coordinator, in a distributed run).
 func NewLocalEvaluator(ds *data.Dataset, targets map[int]float64, outs distill.TeacherOutputs,
-	trainX *tensor.Tensor, accOpts estimator.AccuracyOptions, slots int) *LocalEvaluator {
+	trainX *tensor.Tensor, accOpts AccuracyOptions, slots int) *LocalEvaluator {
 	if slots <= 0 {
 		slots = 1
 	}
-	l := &LocalEvaluator{slots: make(chan *estimator.AccuracyEstimator, slots), n: slots}
+	l := &LocalEvaluator{slots: make(chan *AccuracyEstimator, slots), n: slots}
 	for i := 0; i < slots; i++ {
-		l.slots <- estimator.NewAccuracyEstimator(ds, targets, outs, trainX, accOpts)
+		l.slots <- NewAccuracyEstimator(ds, targets, outs, trainX, accOpts)
 	}
 	return l
 }
@@ -88,7 +148,7 @@ func (l *LocalEvaluator) EvaluateBatch(jobs []EvalJob) []EvalOutcome {
 	for ji := range jobs {
 		wg.Add(1)
 		est := <-l.slots
-		go func(ji int, est *estimator.AccuracyEstimator) {
+		go func(ji int, est *AccuracyEstimator) {
 			defer func() { l.slots <- est; wg.Done() }()
 			j := jobs[ji]
 			rep := est.FineTuneCandidate(j.Cand, j.Seed, j.Warm)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/distill"
-	"repro/internal/estimator"
 	"repro/internal/graph"
 	"repro/internal/testutil"
 )
@@ -21,17 +20,17 @@ type world struct {
 	// below it.
 	teach, targets map[int]float64
 	outs           distill.TeacherOutputs
-	accOpts        estimator.AccuracyOptions
+	accOpts        core.AccuracyOptions
 }
 
 // fineTune12 is the fine-tuning budget most search tests share.
-var fineTune12 = estimator.AccuracyOptions{
+var fineTune12 = core.AccuracyOptions{
 	FineTune: distill.Config{LR: 0.003, Epochs: 12, Batch: 16, EvalEvery: 2},
 }
 
 // newWorld builds a two-task TinyFace world: the dataset from seed, the
 // teachers from seed+1, pre-trained for the given epochs with seed+2.
-func newWorld(seed uint64, train, test, pretrainEpochs int, drop float64, accOpts estimator.AccuracyOptions) *world {
+func newWorld(seed uint64, train, test, pretrainEpochs int, drop float64, accOpts core.AccuracyOptions) *world {
 	ds := testutil.TinyFace(seed, train, test)
 	teacher := testutil.TinyMultiDNN(seed+1, ds)
 	teach := testutil.PretrainTeachers(teacher, ds, pretrainEpochs, 0.004, seed+2)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/distill"
-	"repro/internal/estimator"
 )
 
 // TestSearchCacheTransparent is the memoization contract: with the random
@@ -27,7 +26,6 @@ func TestSearchCacheTransparent(t *testing.T) {
 			Policy:          core.RandomPolicy{},
 			Seed:            22,
 			DisableMemo:     disable,
-			Latency:         estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 2},
 		})
 	}
 	cached := run(false)
@@ -94,7 +92,6 @@ func TestSearchCacheReplaysTrainedWeights(t *testing.T) {
 		MaxPairsPerPass: 1,
 		Policy:          core.RandomPolicy{},
 		Seed:            5,
-		Latency:         estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 2},
 	})
 	eval := &distill.Evaluator{Dataset: w.ds}
 	if res.Stats.CacheHits == 0 {

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/distill"
-	"repro/internal/estimator"
+	"repro/internal/engine"
 	"repro/internal/filter"
 	"repro/internal/fingerprint"
 	"repro/internal/graph"
@@ -30,7 +30,7 @@ type Optimizer struct {
 	eval     *distill.Evaluator
 	outs     distill.TeacherOutputs
 	trainX   *tensor.Tensor
-	accOpts  estimator.AccuracyOptions
+	accOpts  AccuracyOptions
 }
 
 // NewOptimizer builds an optimizer over the original multi-DNN graph. It
@@ -38,7 +38,7 @@ type Optimizer struct {
 // outputs, representative inputs, estimator options — so that it can build
 // one estimator per local evaluation slot.
 func NewOptimizer(original *graph.Graph, ds *data.Dataset, targets map[int]float64,
-	outs distill.TeacherOutputs, trainX *tensor.Tensor, accOpts estimator.AccuracyOptions,
+	outs distill.TeacherOutputs, trainX *tensor.Tensor, accOpts AccuracyOptions,
 	cfg Config) *Optimizer {
 	return &Optimizer{
 		cfg: cfg.withDefaults(), original: original, ds: ds,
@@ -111,8 +111,8 @@ func (o *Optimizer) Run() *Result {
 	o.original.RefreshCapacities()
 	incumbent := &Elite{
 		Graph:   o.original,
-		Latency: estimator.Latency(o.original, cfg.Latency),
-		FLOPs:   estimator.FLOPs(o.original),
+		Latency: engine.Latency(o.original),
+		FLOPs:   o.original.FLOPs(),
 	}
 	res.OriginalLatency = incumbent.Latency
 	origParams := o.original.Capacity().Total
@@ -297,7 +297,7 @@ func (o *Optimizer) merge(j *job, evalOuts []EvalOutcome, memo *searchCache,
 		if e.Met {
 			g := replayGraph(j.cand, e)
 			lat := memo.latency(j.fp, &res.Stats, func() time.Duration {
-				return estimator.Latency(g, cfg.Latency)
+				return engine.Latency(g)
 			})
 			acc := copyAccuracy(e.Accuracy)
 			oc.elite = &Elite{
@@ -386,10 +386,10 @@ func (o *Optimizer) merge(j *job, evalOuts []EvalOutcome, memo *searchCache,
 				trained = j.cand
 			}
 			e.Trained = trained
-			e.FLOPs = estimator.FLOPs(trained)
+			e.FLOPs = trained.FLOPs()
 			e.Accuracy = copyAccuracy(out.Report.Final)
 			lat := memo.latency(j.fp, &res.Stats, func() time.Duration {
-				return estimator.Latency(trained, cfg.Latency)
+				return engine.Latency(trained)
 			})
 			latNS = float64(lat)
 			oc.elite = &Elite{

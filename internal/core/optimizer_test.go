@@ -6,20 +6,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/distill"
-	"repro/internal/estimator"
 	"repro/internal/filter"
 	"repro/internal/graph"
 	"repro/internal/search/explain"
 	"repro/internal/tensor"
 )
 
-var testLatency = estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 3}
-
 func TestOptimizerFindsFasterModel(t *testing.T) {
 	forBatchSizes(t, func(t *testing.T, batch int) {
 		w := buildFixture(t)
 		res := w.search(core.Config{
-			Rounds: 12, BatchSize: batch, MaxPairsPerPass: 2, Seed: 7, Latency: testLatency,
+			Rounds: 12, BatchSize: batch, MaxPairsPerPass: 2, Seed: 7,
 		})
 		if res.Evaluated == 0 {
 			t.Fatal("no candidates evaluated")
@@ -83,7 +80,6 @@ func TestOptimizerOnRoundCallback(t *testing.T) {
 				t.Error("trace iteration must be 1-based")
 			}
 		},
-		Latency: testLatency,
 	})
 	if calls == 0 || calls != len(res.Traces) {
 		t.Fatalf("OnRound called %d times for %d traces", calls, len(res.Traces))
@@ -95,7 +91,7 @@ func TestOptimizerOnRoundCallback(t *testing.T) {
 // regression.
 func TestOptimizerNeverRegressesBelowIncumbent(t *testing.T) {
 	w := buildFixture(t)
-	res := w.search(core.Config{Rounds: 8, Seed: 21, Latency: testLatency})
+	res := w.search(core.Config{Rounds: 8, Seed: 21})
 	if res.Best != nil && res.Best.FLOPs > w.teacher.FLOPs() {
 		t.Fatalf("best model costs %d FLOPs, original %d", res.Best.FLOPs, w.teacher.FLOPs())
 	}
@@ -143,7 +139,7 @@ func TestBatchOfOneIsAlgorithm1(t *testing.T) {
 		ev := &batchLog{BatchEvaluator: core.NewLocalEvaluator(w.ds, w.targets, w.outs, w.ds.Train.X, w.accOpts, slots)}
 		res := w.search(core.Config{
 			Rounds: 10, BatchSize: 1, MaxPairsPerPass: 1, Seed: 7,
-			Policy: pol, Evaluator: ev, Latency: testLatency,
+			Policy: pol, Evaluator: ev,
 		})
 		return res, pol, ev
 	}
@@ -211,13 +207,13 @@ func (f *failAll) EvaluateBatch(jobs []core.EvalJob) []core.EvalOutcome {
 // never reaches the evaluator, and no dominated candidate is ever
 // evaluated. With the filter off every candidate is evaluated.
 func TestRuleFilterSkipsDominatedCandidates(t *testing.T) {
-	w := newWorld(7, 16, 8, 0, 0, estimator.AccuracyOptions{UseRuleFilter: true})
+	w := newWorld(7, 16, 8, 0, 0, core.AccuracyOptions{UseRuleFilter: true})
 	search := func(ev *failAll) *core.Result {
 		// No memo: every candidate the rule lets through is evaluated, so
 		// the evaluator's log lines up with the non-skipped decisions.
 		return w.search(core.Config{
 			Rounds: 40, BatchSize: 1, Seed: 3, DisableMemo: true,
-			Policy: core.RandomPolicy{}, Evaluator: ev, Latency: testLatency,
+			Policy: core.RandomPolicy{}, Evaluator: ev,
 		})
 	}
 	ev := &failAll{}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/estimator"
 )
 
 // TestDiskMemoReplayEliminatesDuplicateMeasurements is the persistence
@@ -25,7 +24,6 @@ func TestDiskMemoReplayEliminatesDuplicateMeasurements(t *testing.T) {
 			MaxPairsPerPass: 1,
 			Seed:            7,
 			Memo:            memo,
-			Latency:         estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 2},
 			BatchSize:       4,
 		})
 		if err := memo.Save(); err != nil {

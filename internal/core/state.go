@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/atomicfile"
+	"repro/internal/engine"
 	"repro/internal/parser"
 )
 
@@ -23,10 +24,11 @@ type SearchState struct {
 }
 
 // EliteMeta is the serializable part of an Elite; the graph itself is
-// stored as a sibling checkpoint file.
+// stored as a sibling checkpoint file. Latency is not persisted: it belongs
+// to the machine and the measurement, so LoadState re-measures it (files
+// that still carry a latency_ns field load; the field is ignored).
 type EliteMeta struct {
 	File       string          `json:"file"`
-	LatencyNS  int64           `json:"latency_ns"`
 	FLOPs      int64           `json:"flops"`
 	Accuracy   map[int]float64 `json:"accuracy"`
 	FromElite  bool            `json:"from_elite"`
@@ -44,7 +46,7 @@ func SaveState(dir string, res *Result, lastIteration int) error {
 			return fmt.Errorf("core: saving elite %d: %w", i, err)
 		}
 		st.Elites = append(st.Elites, EliteMeta{
-			File: name, LatencyNS: int64(e.Latency), FLOPs: e.FLOPs,
+			File: name, FLOPs: e.FLOPs,
 			Accuracy: e.Accuracy, FromElite: e.FromElite,
 			FineTuneNS: int64(e.FineTuneTime), Iteration: e.Iteration,
 		})
@@ -53,7 +55,9 @@ func SaveState(dir string, res *Result, lastIteration int) error {
 }
 
 // LoadState restores a persisted search state: the elites (with their
-// trained graphs) and the last completed iteration.
+// trained graphs) and the last completed iteration. Each elite's latency is
+// measured afresh (engine.Latency), so a resumed search ranks its saved
+// elites against new candidates on one measurement.
 func LoadState(dir string) ([]*Elite, int, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, "state.json"))
 	if err != nil {
@@ -70,7 +74,7 @@ func LoadState(dir string) ([]*Elite, int, error) {
 			return nil, 0, fmt.Errorf("core: loading %s: %w", m.File, err)
 		}
 		elites = append(elites, &Elite{
-			Graph: g, Latency: time.Duration(m.LatencyNS), FLOPs: m.FLOPs,
+			Graph: g, Latency: engine.Latency(g), FLOPs: m.FLOPs,
 			Accuracy: m.Accuracy, FromElite: m.FromElite,
 			FineTuneTime: time.Duration(m.FineTuneNS), Iteration: m.Iteration,
 		})

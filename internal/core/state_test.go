@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/parser"
 	"repro/internal/testutil"
 )
 
@@ -37,7 +40,7 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 		t.Fatalf("elites = %d, want 2", len(elites))
 	}
 	e := elites[1]
-	if e.Latency != 4*time.Millisecond || e.FLOPs != 900 || !e.FromElite || e.Iteration != 7 {
+	if e.Latency <= 0 || e.FLOPs != 900 || !e.FromElite || e.Iteration != 7 {
 		t.Fatalf("elite meta lost: %+v", e)
 	}
 	if e.Accuracy[1] != 0.82 {
@@ -59,6 +62,32 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 	}
 }
 
+// A saved latency belongs to the machine and the measurement that took it,
+// so LoadState never trusts one: an elite saved (by an older binary) with a
+// 1 ns latency loads with a fresh measurement of its compiled plan.
+func TestLoadStateRemeasuresLatency(t *testing.T) {
+	ds := testutil.TinyFace(205, 16, 8)
+	dir := t.TempDir()
+	if err := parser.SaveFile(filepath.Join(dir, "elite_000.gmck"), testutil.TinyMultiDNN(206, ds)); err != nil {
+		t.Fatal(err)
+	}
+	state := `{"iteration": 4, "elites": [{"file": "elite_000.gmck", "latency_ns": 1,
+		"flops": 900, "accuracy": {"0": 0.9, "1": 0.8}, "iteration": 4}]}`
+	if err := os.WriteFile(filepath.Join(dir, "state.json"), []byte(state), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	elites, _, err := core.LoadState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(elites) != 1 {
+		t.Fatalf("loaded %d elites, want 1", len(elites))
+	}
+	if lat := elites[0].Latency; lat <= time.Microsecond {
+		t.Fatalf("loaded latency %v: the saved one was trusted, want a re-measurement above 1µs", lat)
+	}
+}
+
 func TestLoadStateMissingDir(t *testing.T) {
 	if _, _, err := core.LoadState(t.TempDir()); err == nil {
 		t.Fatal("missing state accepted")
@@ -72,7 +101,7 @@ func TestLoadStateMissingDir(t *testing.T) {
 func TestResumeSearchFromState(t *testing.T) {
 	forBatchSizes(t, func(t *testing.T, batch int) {
 		w := newWorld(211, 96, 48, 8, 0.12, fineTune12)
-		first := w.search(core.Config{Rounds: 8, BatchSize: batch, Seed: 5, Latency: testLatency})
+		first := w.search(core.Config{Rounds: 8, BatchSize: batch, Seed: 5})
 		if first.Best == nil {
 			t.Fatal("first search found nothing; resume not exercisable")
 		}
@@ -88,7 +117,6 @@ func TestResumeSearchFromState(t *testing.T) {
 		resumed := w.search(core.Config{
 			Rounds: 4, BatchSize: batch, Seed: 6,
 			InitialElites: elites, StartIteration: iter,
-			Latency: testLatency,
 		})
 		if resumed.Best == nil {
 			t.Fatal("resumed search lost the saved best")

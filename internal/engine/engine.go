@@ -107,21 +107,33 @@ func (f *Fused) Plan() *plan.Plan { return f.inst.Plan() }
 // OpStats exposes the instance's cumulative per-op timings.
 func (f *Fused) OpStats() []plan.OpStat { return f.inst.OpStats() }
 
-// Measure times an engine over the given input shape, reporting the
-// minimum of wall-clock runs (see internal/timing for why min, not mean).
-func Measure(e Engine, inputShape graph.Shape, batch, warmup, runs int) time.Duration {
-	if batch <= 0 {
-		batch = 8
+// The one latency measurement: a batch of one sample, the minimum of
+// measureRuns timed forwards after measureWarmup untimed ones (see
+// internal/timing for why min, not mean).
+const (
+	measureBatch  = 1
+	measureWarmup = 1
+	measureRuns   = 5
+)
+
+// Measure times an engine on a synthetic batch of one sample of the given
+// per-sample shape: Gaussian pixels for image inputs, token id zeros for
+// token inputs. The batch is an arena lease — the search measures latency
+// for every accepted candidate, so these short-lived batches would
+// otherwise be pure GC churn.
+func Measure(e Engine, shape graph.Shape) time.Duration {
+	x, handle := tensor.GetTensor(append([]int{measureBatch}, shape...)...)
+	defer tensor.PutBuf(handle)
+	if len(shape) != 1 {
+		tensor.NewRNG(1).FillNormal(x, 0, 1)
 	}
-	if warmup <= 0 {
-		warmup = 1
-	}
-	if runs <= 0 {
-		runs = 5
-	}
-	x := tensor.New(append([]int{batch}, inputShape...)...)
-	if len(inputShape) != 1 {
-		tensor.NewRNG(7).FillNormal(x, 0, 1)
-	}
-	return timing.MinOfRuns(warmup, runs, func() { e.Forward(x) })
+	return timing.MinOfRuns(measureWarmup, measureRuns, func() { e.Forward(x) })
+}
+
+// Latency is a graph's latency as it is served: its compiled plan, timed
+// by Measure. Compilation stays outside the timed region, so when a kernel
+// tuner is installed (plan.SetTuner) any tuning cost is paid before the
+// clock starts and the number is the tuned steady state.
+func Latency(g *graph.Graph) time.Duration {
+	return Measure(Compile(g), g.Root.InputShape)
 }

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/plan"
 	"repro/internal/tensor"
 )
 
@@ -284,17 +285,41 @@ func RunStreams(ctx context.Context, streams []Stream) map[string]Report {
 }
 
 // Compare serves the original and fused models back to back under the
-// same options and returns both reports plus the throughput ratio. The
-// token vocabulary is derived from the models when not set in opts.
+// same options, each through its compiled plan (the engine cmd/serve and
+// the registry deploy), and returns both reports plus the throughput
+// ratio. The token vocabulary is derived from the models when not set in
+// opts.
 func Compare(ctx context.Context, original, fused *graph.Graph, opts Options) (orig, fusedRep Report, gain float64) {
 	shape := original.Root.InputShape
 	if opts.Vocab <= 0 {
 		opts.Vocab = graph.VocabOf(original)
 	}
-	orig = Run(ctx, engine.NewReference(original), shape, opts)
-	fusedRep = Run(ctx, engine.NewReference(fused), shape, opts)
+	orig = RunTarget(ctx, compiled(original, opts), shape, opts)
+	fusedRep = RunTarget(ctx, compiled(fused, opts), shape, opts)
 	if orig.QPS > 0 {
 		gain = fusedRep.QPS / orig.QPS
 	}
 	return orig, fusedRep, gain
+}
+
+// compiled serves g from a pool of compiled engines over one plan, one per
+// request opts can have in flight: a compiled engine runs one forward at a
+// time.
+func compiled(g *graph.Graph, opts Options) Target {
+	opts = opts.withDefaults()
+	n := opts.Clients
+	if opts.Rate > 0 {
+		n = opts.MaxOutstanding
+	}
+	p := plan.Compile(g)
+	pool := make(chan engine.Engine, n)
+	for range n {
+		pool <- engine.NewFused(p, nil, nil)
+	}
+	return func(_ context.Context, x *tensor.Tensor) error {
+		e := <-pool
+		defer func() { pool <- e }()
+		e.Forward(x)
+		return nil
+	}
 }

@@ -170,3 +170,20 @@ func TestFusedModelImprovesThroughput(t *testing.T) {
 		t.Fatalf("fused model throughput gain %.2f, want > 1.05", gain)
 	}
 }
+
+// Compare serves through compiled engines, each of which runs one forward
+// at a time; concurrent clients, closed or open loop, must each get their
+// own (the race detector flags a shared one).
+func TestCompareConcurrentClients(t *testing.T) {
+	ds := testutil.TinyFace(6, 8, 4)
+	g := testutil.TinyMultiDNN(7, ds)
+	for _, opts := range []serve.Options{
+		{Clients: 3, Duration: 60 * time.Millisecond},
+		{Rate: 2000, MaxOutstanding: 3, Duration: 60 * time.Millisecond},
+	} {
+		orig, fused, _ := serve.Compare(context.Background(), g, g, opts)
+		if orig.Requests == 0 || fused.Requests == 0 || orig.Errors+fused.Errors != 0 {
+			t.Fatalf("options %+v: original %+v, fused %+v", opts, orig, fused)
+		}
+	}
+}

@@ -1,6 +1,6 @@
-// Package timing provides the one wall-clock measurement loop shared by
-// engine.Measure and estimator.Latency, which previously each hand-rolled a
-// warmup + repeated-runs loop with subtly different aggregation.
+// Package timing provides the one wall-clock measurement loop: latency
+// (engine.Measure), kernel tuning (internal/tune) and the benchmark
+// harness all time code through it.
 //
 // The aggregate is the MINIMUM over runs, not a mean: latency noise on a
 // shared machine is strictly additive (scheduler preemption, cache
