@@ -256,7 +256,7 @@ func main() {
 	if *verbose {
 		cfg.OnRound = func(tr gmorph.Trace) {
 			log.Printf("round %3d: met=%v skipped=%v terminated=%v fromElite=%v best=%v",
-				tr.Iteration, tr.Met, tr.Skipped, tr.Terminated, tr.FromElite, tr.BestLatency)
+				tr.Iteration, tr.Met(), tr.Skipped(), tr.Terminated, tr.FromElite, tr.BestLatency)
 		}
 	}
 
@@ -292,11 +292,11 @@ func main() {
 		}
 	}
 	if *decisionsPath != "" {
-		if err := gmorph.SaveFusionReport(*decisionsPath, res.Decisions); err != nil {
+		if err := gmorph.SaveFusionReport(*decisionsPath, res.Traces); err != nil {
 			log.Fatalf("writing decisions: %v", err)
 		}
 		log.Printf("wrote %d fusion decisions to %s (view with inspect -fusion)",
-			len(res.Decisions), *decisionsPath)
+			len(res.Traces), *decisionsPath)
 	}
 	if err := gmorph.Save(*outPath, res.Model); err != nil {
 		log.Fatalf("saving checkpoint: %v", err)

@@ -9,9 +9,9 @@ import (
 )
 
 // TestFuseDecisionsExplainEveryRound pins the explanation contract on the
-// facade: every search round yields one FusionDecision, every elite's
-// acceptance is marked, and the report round-trips through the decision
-// file the CLI consumes (gmorph -decisions / inspect -fusion).
+// facade: every sampled candidate's record carries its rationale, every
+// elite's acceptance is marked, and the records round-trip through the
+// decision file the CLI consumes (gmorph -decisions / inspect -fusion).
 func TestFuseDecisionsExplainEveryRound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -33,36 +33,33 @@ func TestFuseDecisionsExplainEveryRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Decisions) == 0 {
-		t.Fatal("search produced no decisions")
+	if len(res.Traces) == 0 {
+		t.Fatal("search produced no records")
 	}
-	if len(res.Decisions) != len(res.Traces) {
-		t.Fatalf("decisions (%d) and traces (%d) disagree", len(res.Decisions), len(res.Traces))
-	}
-	eliteDecisions := 0
-	for _, d := range res.Decisions {
-		if d.Outcome == "" || (d.Outcome != "skipped" && d.Rule == "") {
-			t.Fatalf("decision without rationale: %+v", d)
+	eliteTraces := 0
+	for _, tr := range res.Traces {
+		if tr.Outcome == "" || (tr.Outcome != "skipped" && tr.Rule == "") {
+			t.Fatalf("record without rationale: %+v", tr)
 		}
-		if d.Elite {
-			eliteDecisions++
+		if tr.Elite {
+			eliteTraces++
 		}
 	}
-	if eliteDecisions != len(res.Elites) {
-		t.Fatalf("%d elite-marked decisions for %d elites", eliteDecisions, len(res.Elites))
+	if eliteTraces != len(res.Elites) {
+		t.Fatalf("%d elite-marked records for %d elites", eliteTraces, len(res.Elites))
 	}
 
 	// Round-trip through the CLI's decision file and render the report.
 	path := filepath.Join(t.TempDir(), "decisions.json")
-	if err := gmorph.SaveFusionReport(path, res.Decisions); err != nil {
+	if err := gmorph.SaveFusionReport(path, res.Traces); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := gmorph.LoadFusionReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded) != len(res.Decisions) {
-		t.Fatalf("decision file round-trip lost rounds: %d vs %d", len(loaded), len(res.Decisions))
+	if len(loaded) != len(res.Traces) {
+		t.Fatalf("decision file round-trip lost rounds: %d vs %d", len(loaded), len(res.Traces))
 	}
 	var b strings.Builder
 	gmorph.RenderFusionReport(&b, loaded)

@@ -66,14 +66,13 @@ type (
 	RNG = tensor.RNG
 	// Elite is a trained fusion candidate that met the accuracy targets.
 	Elite = core.Elite
-	// Trace records one search round.
+	// Trace is the search's record of one sampled candidate: what was
+	// mutated, which filter acted, predicted vs measured scores, the
+	// outcome, and where the search stood when it was merged.
 	Trace = core.Trace
 	// SearchStats aggregates a search's filtering, memoization, and
 	// warm-start counters.
 	SearchStats = core.SearchStats
-	// FusionDecision explains one search round: what was mutated, which
-	// filter acted, predicted vs measured scores, and the outcome.
-	FusionDecision = explain.Decision
 	// SearchWorker is a stateless evaluation worker for the distributed
 	// search (serve its Handler, point Config.Workers at it).
 	SearchWorker = worker.Server
@@ -204,14 +203,17 @@ type Config struct {
 	Seed uint64
 	// TimeBudget optionally bounds the search wall-clock.
 	TimeBudget time.Duration
-	// Teachers optionally overrides the per-task accuracy targets; when
-	// nil they are measured from the input model before searching.
+	// Targets optionally overrides the per-task accuracy targets; when nil
+	// they are measured from the input model (the teachers) before
+	// searching.
 	Targets map[int]float64
 	// OnRound observes each search round.
 	OnRound func(Trace)
 	// StateDir, when set, makes the search resumable: existing state in
 	// the directory seeds the elite list and iteration counter, and the
-	// final state is written back after the search.
+	// final state is written back after the search. A directory without
+	// state.json starts afresh; state that fails to load is an error, and
+	// the directory is left untouched.
 	StateDir string
 	// Workers lists worker endpoints ("host:port" or full URLs) for a
 	// distributed search: the coordinator keeps all search state and fans
@@ -263,16 +265,14 @@ type Result struct {
 	SearchTime time.Duration
 	// Elites are all accepted candidates.
 	Elites []*Elite
-	// Traces are the per-round search records.
+	// Traces explain every sampled candidate: mutation tried, filter
+	// outcomes, predicted vs measured scores (see cmd/inspect -fusion).
 	Traces []Trace
 	// Stats aggregates the search's filtering, memoization, and warm-start
 	// counters (cache hit rates, rule skips, epochs spent, ...).
 	Stats SearchStats
 	// Evaluated counts sampled candidates (including skipped ones).
 	Evaluated int
-	// Decisions explains every search round: mutation tried, filter
-	// outcomes, predicted vs measured scores (see cmd/inspect -fusion).
-	Decisions []FusionDecision
 	// Predictor summarizes the learned pre-ranker (nil unless
 	// Config.Predict was set).
 	Predictor *PredictorStats
@@ -309,30 +309,31 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 		coreCfg.Policy = core.RandomPolicy{}
 	}
 	if cfg.StateDir != "" {
-		if elites, iter, err := core.LoadState(cfg.StateDir); err == nil {
+		elites, iter, err := core.LoadState(cfg.StateDir)
+		switch {
+		case err == nil:
 			coreCfg.InitialElites = elites
 			coreCfg.StartIteration = iter
+		case !errors.Is(err, core.ErrNoState):
+			return nil, fmt.Errorf("gmorph: resuming search: %w", err)
 		}
 	}
 
-	// Persistent memo: candidate outcomes and latency measurements survive
-	// across runs, so repeating a search replays instead of re-measuring.
-	var memo *core.DiskMemo
-	if cfg.MemoPath != "" {
-		if memo, err = core.NewDiskMemo(cfg.MemoPath); err != nil {
-			return nil, fmt.Errorf("gmorph: loading search memo: %w", err)
-		}
-		coreCfg.Memo = memo
+	// The search memo. With MemoPath, candidate outcomes and latency
+	// measurements survive across runs, so repeating a search replays
+	// instead of re-measuring.
+	memo, err := core.NewDiskMemo(cfg.MemoPath)
+	if err != nil {
+		return nil, fmt.Errorf("gmorph: loading search memo: %w", err)
 	}
-	// Learned pre-ranker, warm-started from the memo corpus when present.
+	coreCfg.Memo = memo
+	// Learned pre-ranker, warm-started from the memo corpus.
 	var pred *predict.Predictor
 	if cfg.Predict {
 		pred = predict.New(predict.Options{
 			Margin: cfg.PredictMargin, ExploreEvery: cfg.PredictExplore,
 		})
-		if memo != nil {
-			core.PrimePreranker(pred, memo)
-		}
+		core.PrimePreranker(pred, memo)
 		coreCfg.Preranker = pred
 	}
 
@@ -350,14 +351,11 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 	res := core.NewOptimizer(teachers, ds, setup.targets, setup.outs,
 		ds.Train.X, setup.accOpts, coreCfg).Run()
 
-	if memo != nil {
-		if err := memo.Save(); err != nil {
-			return nil, fmt.Errorf("gmorph: saving search memo: %w", err)
-		}
+	if err := memo.Save(); err != nil {
+		return nil, fmt.Errorf("gmorph: saving search memo: %w", err)
 	}
 	if cfg.StateDir != "" {
-		last := coreCfg.StartIteration + cfg.Rounds
-		if err := core.SaveState(cfg.StateDir, res, last); err != nil {
+		if err := core.SaveState(cfg.StateDir, res, res.Iteration); err != nil {
 			return nil, err
 		}
 	}
@@ -369,7 +367,6 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 		Traces:          res.Traces,
 		Stats:           res.Stats,
 		Evaluated:       res.Evaluated,
-		Decisions:       res.Decisions,
 		Speedup:         1,
 		OriginalLatency: res.OriginalLatency,
 	}
@@ -484,19 +481,21 @@ func NewSearchWorker(teachers *Model, ds *Dataset, cfg Config, slots int) (*Sear
 	return worker.NewServer(eval, sum, len(teachers.Heads)), nil
 }
 
-// RenderFusionReport writes a human-readable per-decision fusion report
-// (see also cmd/inspect -fusion over a saved decision file).
-func RenderFusionReport(w io.Writer, decisions []FusionDecision) {
-	explain.Render(w, decisions)
+// RenderFusionReport writes a human-readable per-candidate fusion report
+// of a search's traces (see also cmd/inspect -fusion over a saved
+// decision file).
+func RenderFusionReport(w io.Writer, traces []Trace) {
+	explain.Render(w, traces)
 }
 
-// SaveFusionReport persists a search's decisions as JSON for cmd/inspect.
-func SaveFusionReport(path string, decisions []FusionDecision) error {
-	return explain.Save(path, decisions)
+// SaveFusionReport persists a search's traces as the JSON decision file
+// cmd/inspect -fusion reads.
+func SaveFusionReport(path string, traces []Trace) error {
+	return explain.Save(path, traces)
 }
 
 // LoadFusionReport reads a decision file written by SaveFusionReport.
-func LoadFusionReport(path string) ([]FusionDecision, error) {
+func LoadFusionReport(path string) ([]Trace, error) {
 	return explain.Load(path)
 }
 

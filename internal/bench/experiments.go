@@ -317,7 +317,7 @@ func RunFigure7(benchIDs []string, drops []float64, variants []string, sc Scale)
 					Traces:        res.Traces,
 				}
 				for _, tr := range res.Traces {
-					if tr.Skipped {
+					if tr.Skipped() {
 						out.Skipped++
 					}
 					if tr.Terminated {

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/search/explain"
 	"repro/internal/tensor"
 )
 
@@ -175,9 +174,9 @@ type Config struct {
 	// re-measured (the pre-memoization behavior; mainly for A/B tests).
 	DisableMemo bool
 	// Memo is the fingerprint-keyed result store backing the search memo
-	// (nil: a fresh in-process MemoryMemo). Pass a DiskMemo to share one
-	// corpus across processes and runs.
-	Memo MemoStore
+	// (nil: NewDiskMemo(""), in-process only). A file-backed DiskMemo
+	// shares one corpus across processes and runs.
+	Memo *DiskMemo
 	// Preranker, when non-nil, is consulted for every fresh candidate and
 	// may veto fine-tuning (see Preranker). internal/search/predict
 	// provides the learned implementation.
@@ -209,39 +208,105 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Trace records one optimization round for analysis (Figure 8's
-// latency-vs-search-time curves are plotted from these).
+// Rule names: which filter, budget, or verdict decided a candidate's fate.
+const (
+	// RuleCapacity marks a candidate rejected by the capacity rule filter
+	// before fine-tuning (the paper's "GMorph w P+R" skip).
+	RuleCapacity = "capacity-rule"
+	// RulePredictor marks a candidate the learned pre-ranker predicted to
+	// violate the accuracy budget by more than the configured margin.
+	RulePredictor = "predictor-margin"
+	// RuleMemo marks a candidate whose outcome replayed from the
+	// fingerprint memo instead of being re-measured.
+	RuleMemo = "memo-replay"
+	// RuleAccuracyMet marks a measured candidate that reached every
+	// per-task accuracy target.
+	RuleAccuracyMet = "accuracy-met"
+	// RuleAccuracyBudget marks a measured candidate that missed at least
+	// one per-task accuracy target.
+	RuleAccuracyBudget = "accuracy-budget"
+	// RuleEvalError marks a candidate whose evaluation failed outright
+	// (e.g. a worker transport error in a distributed search).
+	RuleEvalError = "eval-error"
+)
+
+// Outcome values.
+const (
+	OutcomeAccepted = "accepted"
+	OutcomeRejected = "rejected"
+	OutcomeSkipped  = "skipped"
+)
+
+// Scores is a (margin, latency) score pair. Margin is the minimum per-task
+// accuracy headroom over the targets — negative means the budget is
+// violated. LatencyNS is 0 when unknown (the search only measures latency
+// for candidates that meet the targets).
+type Scores struct {
+	Margin    float64 `json:"margin"`
+	LatencyNS float64 `json:"latency_ns,omitempty"`
+}
+
+// Trace is the search's one record per sampled candidate: what was tried,
+// what the pre-ranker guessed, what measurement said, which rule fired, and
+// where the search stood when it was merged. Figure 8's latency-vs-search-
+// time curves are plotted from these, and internal/search/explain persists
+// and renders them (the JSON tags are the decision-file format; Terminated
+// and the wall-clock fields stay out of it).
 type Trace struct {
-	Iteration int
-	// Skipped is true when rule-based filtering rejected the candidate.
-	Skipped bool
-	// Met is true when the candidate reached the accuracy targets.
-	Met bool
-	// Terminated is true when early termination cancelled fine-tuning.
-	Terminated bool
+	// Iteration is the search round that sampled the candidate.
+	Iteration int `json:"iteration"`
+	// Fingerprint is the candidate's canonical structural hash (empty for
+	// rule-skipped candidates, whose fingerprint is never computed).
+	Fingerprint string `json:"fingerprint,omitempty"`
 	// FromElite tells whether the base graph was an elite.
-	FromElite bool
-	// Latency of the candidate (only when Met).
-	Latency time.Duration
+	FromElite bool `json:"from_elite,omitempty"`
+	// Mutation describes the share-point pairs the mutation pass merged.
+	Mutation string `json:"mutation,omitempty"`
+	// Outcome is accepted, rejected, or skipped.
+	Outcome string `json:"outcome"`
+	// Rule names the filter, budget, or verdict that decided the outcome.
+	Rule string `json:"rule"`
+	// CacheHit is true when the verdict replayed from the fingerprint memo
+	// instead of being fine-tuned.
+	CacheHit bool `json:"cache_hit,omitempty"`
+	// Warm is true when fine-tuning ran (or, replayed, had run) under the
+	// shrunken warm-start budget (inherited elite weights).
+	Warm bool `json:"warm,omitempty"`
+	// Forced is true when the predictor wanted to skip the candidate but
+	// periodic forced exploration measured it anyway.
+	Forced bool `json:"forced,omitempty"`
+	// Predicted holds the pre-ranker's scores (nil before it is trained).
+	Predicted *Scores `json:"predicted,omitempty"`
+	// Measured holds the measured scores (nil for skipped candidates).
+	Measured *Scores `json:"measured,omitempty"`
+	// Accuracy is the fine-tuned per-task metric (met candidates only).
+	Accuracy map[int]float64 `json:"accuracy,omitempty"`
+	// EpochsRun counts the fine-tuning epochs spent (or replayed).
+	EpochsRun int `json:"epochs_run,omitempty"`
+	// Elite is true when the candidate joined the elite list.
+	Elite bool `json:"elite,omitempty"`
+	// Best is true when the candidate became the incumbent best when it
+	// was merged.
+	Best bool `json:"best,omitempty"`
+	// Detail carries extra context (error text, replay provenance).
+	Detail string `json:"detail,omitempty"`
+	// Terminated is true when early termination cancelled fine-tuning.
+	Terminated bool `json:"-"`
 	// BestLatency is the best latency found so far, 0 until a candidate
 	// meets the targets.
-	BestLatency time.Duration
+	BestLatency time.Duration `json:"-"`
 	// Elapsed is the cumulative search time when the round finished.
-	Elapsed time.Duration
-	// FineTuneTime is the candidate's training time.
-	FineTuneTime time.Duration
-	// EpochsRun is the number of fine-tuning epochs executed.
-	EpochsRun int
-	// CacheHit is true when the candidate's outcome replayed from the
-	// fingerprint-keyed memo cache instead of being fine-tuned.
-	CacheHit bool
-	// WarmStarted is true when fine-tuning ran under the shrunken
-	// warm-start budget (inherited elite weights).
-	WarmStarted bool
-	// PredictorSkipped is true when the learned pre-ranker rejected the
-	// candidate without fine-tuning.
-	PredictorSkipped bool
+	Elapsed time.Duration `json:"-"`
+	// FineTuneTime is the candidate's training time (replayed: the time
+	// the memoized run spent).
+	FineTuneTime time.Duration `json:"-"`
 }
+
+// Met reports whether the candidate reached the accuracy targets.
+func (t Trace) Met() bool { return t.Outcome == OutcomeAccepted }
+
+// Skipped reports whether the capacity rule filter rejected the candidate.
+func (t Trace) Skipped() bool { return t.Rule == RuleCapacity }
 
 // Result is the outcome of a search.
 type Result struct {
@@ -251,7 +316,7 @@ type Result struct {
 	Best *Elite
 	// Elites holds every accepted candidate (up to the policy capacity).
 	Elites []*Elite
-	// Traces records all rounds.
+	// Traces holds one record per sampled candidate, in merge order.
 	Traces []Trace
 	// SearchTime is the total wall-clock spent.
 	SearchTime time.Duration
@@ -263,9 +328,9 @@ type Result struct {
 	Evaluated int
 	// Stats aggregates filtering, memoization, and warm-start counters.
 	Stats SearchStats
-	// Decisions records one explain.Decision per candidate: which rule
-	// fired, what the predictor guessed, what measurement said.
-	Decisions []explain.Decision
+	// Iteration is the last iteration sampled (StartIteration when none
+	// was): a resumed search continues numbering after it.
+	Iteration int
 }
 
 // describePairs renders the share-point pairs one mutation pass merged, for

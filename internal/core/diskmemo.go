@@ -54,14 +54,20 @@ type diskMemoFile struct {
 	Latencies map[string]map[string]int64 `json:"latencies,omitempty"`
 }
 
-// DiskMemo is the persistent MemoStore: a single JSON file shared by every
-// process searching the same model group. Save is merge-preserving with the
-// same atomic-rename discipline as internal/tune's winner cache — the file
-// is re-read under the lock, on-disk entries win over in-memory duplicates
-// (both are valid: outcomes are a pure function of the fingerprint), other
-// machines' latency sections are preserved untouched — so concurrent
-// coordinators lose nothing and a re-run of the same search replays every
-// outcome without a single duplicate measurement.
+// DiskMemo is the search memo: fingerprint-keyed candidate outcomes and
+// machine-keyed latencies, optionally backed by a single JSON file shared
+// by every process searching the same model group. The optimizer calls it
+// from its serial sample/merge phases only, which keeps the search
+// deterministic in the seed for any evaluation concurrency; the lock is
+// there because Save may race a concurrent process touching the same file.
+//
+// With a path, Save is merge-preserving with the same atomic-rename
+// discipline as internal/tune's winner cache — the file is re-read under
+// the lock, on-disk entries win over in-memory duplicates (both are valid:
+// outcomes are a pure function of the fingerprint), other machines' latency
+// sections are preserved untouched — so concurrent coordinators lose
+// nothing and a re-run of the same search replays every outcome without a
+// single duplicate measurement.
 type DiskMemo struct {
 	mu      sync.Mutex
 	path    string
@@ -77,7 +83,8 @@ type DiskMemo struct {
 
 // NewDiskMemo opens (or initializes) the memo file at path. A missing file
 // is an empty memo; a corrupt one is an error, so a truncated write cannot
-// silently discard a search corpus.
+// silently discard a search corpus. The empty path is an in-process memo:
+// it never reads or writes a file, and Save is a no-op.
 func NewDiskMemo(path string) (*DiskMemo, error) {
 	m := &DiskMemo{
 		path:    path,
@@ -85,6 +92,9 @@ func NewDiskMemo(path string) (*DiskMemo, error) {
 		entries: make(map[uint64]*MemoEntry),
 		encoded: make(map[uint64]string),
 		lat:     make(map[uint64]time.Duration),
+	}
+	if path == "" {
+		return m, nil
 	}
 	f, err := readDiskMemo(path)
 	if err != nil {
@@ -117,17 +127,16 @@ func NewDiskMemo(path string) (*DiskMemo, error) {
 	return m, nil
 }
 
-// Path returns the backing file path.
-func (m *DiskMemo) Path() string { return m.path }
-
-// Lookup implements MemoStore.
+// Lookup returns the entry for a fingerprint, or nil.
 func (m *DiskMemo) Lookup(fp uint64) *MemoEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.entries[fp]
 }
 
-// Insert implements MemoStore (first insert wins).
+// Insert stores an outcome. The first insert of a fingerprint wins; later
+// inserts are dropped, so replay behavior does not depend on evaluation
+// order.
 func (m *DiskMemo) Insert(fp uint64, e *MemoEntry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -138,9 +147,9 @@ func (m *DiskMemo) Insert(fp uint64, e *MemoEntry) {
 	m.dirty = true
 }
 
-// Latency implements MemoStore. Only the current machine's section is ever
-// consulted, so a memo carried to different hardware re-measures latencies
-// while still replaying every verdict.
+// Latency returns the memoized latency for a fingerprint. Only the current
+// machine's section is ever consulted, so a memo carried to different
+// hardware re-measures latencies while still replaying every verdict.
 func (m *DiskMemo) Latency(fp uint64) (time.Duration, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -148,7 +157,7 @@ func (m *DiskMemo) Latency(fp uint64) (time.Duration, bool) {
 	return d, ok
 }
 
-// SetLatency implements MemoStore.
+// SetLatency memoizes a latency measurement (first write wins).
 func (m *DiskMemo) SetLatency(fp uint64, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -159,7 +168,8 @@ func (m *DiskMemo) SetLatency(fp uint64, d time.Duration) {
 	m.dirty = true
 }
 
-// Range implements MemoStore, visiting entries in fingerprint order.
+// Range visits all entries in ascending fingerprint order (so corpus
+// consumers like predictor priming are deterministic).
 func (m *DiskMemo) Range(fn func(fp uint64, e *MemoEntry)) {
 	m.mu.Lock()
 	fps := make([]uint64, 0, len(m.entries))
@@ -177,7 +187,7 @@ func (m *DiskMemo) Range(fn func(fp uint64, e *MemoEntry)) {
 	}
 }
 
-// Len implements MemoStore.
+// Len returns the number of entries.
 func (m *DiskMemo) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -189,11 +199,12 @@ func (m *DiskMemo) Len() int {
 // outcomes are a pure function of the fingerprint, so either copy is
 // valid), and other machines' latency sections survive untouched. The write
 // is atomic (internal/atomicfile); the read-merge-write cycle as a whole is
-// only serialized within this DiskMemo. No-op when nothing changed.
+// only serialized within this DiskMemo. No-op when nothing changed, and for
+// an in-process memo.
 func (m *DiskMemo) Save() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.dirty {
+	if !m.dirty || m.path == "" {
 		return nil
 	}
 	f, err := readDiskMemo(m.path)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/graph"
@@ -68,129 +67,6 @@ type MemoEntry struct {
 	Features []float64
 	// Trained holds the fine-tuned graph (met candidates only).
 	Trained *graph.Graph
-}
-
-// MemoStore is the pluggable fingerprint-keyed result store behind the
-// search memo: the in-process MemoryMemo, or DiskMemo when several worker
-// processes (or successive runs) must converge on one shared corpus.
-//
-// The optimizer calls every method from its serial sample/merge phases
-// only, which is what keeps the search deterministic in the seed regardless
-// of evaluation concurrency; implementations therefore do not need to
-// support concurrent mutation from the search itself (DiskMemo locks anyway
-// because Save may race a concurrent process touching the same file).
-type MemoStore interface {
-	// Lookup returns the entry for a fingerprint, or nil.
-	Lookup(fp uint64) *MemoEntry
-	// Insert stores an outcome. The first insert of a fingerprint wins;
-	// later inserts are dropped, so replay behavior does not depend on
-	// evaluation order.
-	Insert(fp uint64, e *MemoEntry)
-	// Latency returns the memoized latency for a fingerprint. Persistent
-	// stores key latencies by machine signature under the hood: a latency
-	// measured on one machine must never replay on another.
-	Latency(fp uint64) (time.Duration, bool)
-	// SetLatency memoizes a latency measurement (first write wins).
-	SetLatency(fp uint64, d time.Duration)
-	// Range visits all entries in ascending fingerprint order (so corpus
-	// consumers like predictor priming are deterministic).
-	Range(fn func(fp uint64, e *MemoEntry))
-	// Len returns the number of entries.
-	Len() int
-}
-
-// MemoryMemo is the in-process MemoStore: plain maps, no locking (see the
-// MemoStore contract).
-type MemoryMemo struct {
-	entries map[uint64]*MemoEntry
-	lat     map[uint64]time.Duration
-}
-
-// NewMemoryMemo returns an empty in-process store.
-func NewMemoryMemo() *MemoryMemo {
-	return &MemoryMemo{
-		entries: make(map[uint64]*MemoEntry),
-		lat:     make(map[uint64]time.Duration),
-	}
-}
-
-// Lookup implements MemoStore.
-func (m *MemoryMemo) Lookup(fp uint64) *MemoEntry { return m.entries[fp] }
-
-// Insert implements MemoStore (first insert wins).
-func (m *MemoryMemo) Insert(fp uint64, e *MemoEntry) {
-	if _, ok := m.entries[fp]; !ok {
-		m.entries[fp] = e
-	}
-}
-
-// Latency implements MemoStore.
-func (m *MemoryMemo) Latency(fp uint64) (time.Duration, bool) {
-	d, ok := m.lat[fp]
-	return d, ok
-}
-
-// SetLatency implements MemoStore.
-func (m *MemoryMemo) SetLatency(fp uint64, d time.Duration) {
-	if _, ok := m.lat[fp]; !ok {
-		m.lat[fp] = d
-	}
-}
-
-// Range implements MemoStore, visiting entries in fingerprint order.
-func (m *MemoryMemo) Range(fn func(fp uint64, e *MemoEntry)) {
-	fps := make([]uint64, 0, len(m.entries))
-	for fp := range m.entries {
-		fps = append(fps, fp)
-	}
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
-	for _, fp := range fps {
-		fn(fp, m.entries[fp])
-	}
-}
-
-// Len implements MemoStore.
-func (m *MemoryMemo) Len() int { return len(m.entries) }
-
-// searchCache adapts a MemoStore to the optimizer: it owns the
-// enabled/disabled decision and the consultation counters, so the store
-// implementations stay policy-free.
-type searchCache struct {
-	enabled bool
-	store   MemoStore
-}
-
-// newSearchCache wraps the given store (a fresh MemoryMemo when nil).
-func newSearchCache(enabled bool, store MemoStore) *searchCache {
-	if store == nil {
-		store = NewMemoryMemo()
-	}
-	return &searchCache{enabled: enabled, store: store}
-}
-
-// insert stores an outcome (first evaluation of a fingerprint wins).
-func (c *searchCache) insert(fp uint64, e *MemoEntry) {
-	if !c.enabled {
-		return
-	}
-	c.store.Insert(fp, e)
-}
-
-// latency memoizes a latency measurement by fingerprint: structurally
-// identical graphs execute the same op schedule, so re-measuring a duplicate
-// buys noise, not information.
-func (c *searchCache) latency(fp uint64, st *SearchStats, measure func() time.Duration) time.Duration {
-	if !c.enabled {
-		return measure()
-	}
-	if d, ok := c.store.Latency(fp); ok {
-		st.LatencyHits++
-		return d
-	}
-	st.LatencyMisses++
-	d := measure()
-	c.store.SetLatency(fp, d)
-	return d
 }
 
 // replayGraph materializes the trained model for a cache-hit elite. The

@@ -43,42 +43,12 @@ func TestSearchCacheTransparent(t *testing.T) {
 			cached.Stats, uncached.Stats)
 	}
 
-	if cached.Evaluated != uncached.Evaluated {
-		t.Fatalf("Evaluated differs: cached %d, uncached %d", cached.Evaluated, uncached.Evaluated)
-	}
-	if len(cached.Traces) != len(uncached.Traces) {
-		t.Fatalf("trace count differs: %d vs %d", len(cached.Traces), len(uncached.Traces))
-	}
-	for i := range cached.Traces {
-		c, u := cached.Traces[i], uncached.Traces[i]
-		if c.Iteration != u.Iteration || c.Skipped != u.Skipped || c.FromElite != u.FromElite ||
-			c.Met != u.Met || c.Terminated != u.Terminated || c.EpochsRun != u.EpochsRun {
-			t.Fatalf("trace %d differs:\ncached:   %+v\nuncached: %+v", i, c, u)
-		}
+	for i, u := range uncached.Traces {
 		if u.CacheHit {
 			t.Fatalf("trace %d: uncached run reported a cache hit", i)
 		}
 	}
-	if len(cached.Elites) != len(uncached.Elites) {
-		t.Fatalf("elite count differs: %d vs %d", len(cached.Elites), len(uncached.Elites))
-	}
-	for i := range cached.Elites {
-		c, u := cached.Elites[i], uncached.Elites[i]
-		if c.Iteration != u.Iteration || c.FLOPs != u.FLOPs || c.FromElite != u.FromElite {
-			t.Fatalf("elite %d differs: iter %d/%d flops %d/%d", i, c.Iteration, u.Iteration, c.FLOPs, u.FLOPs)
-		}
-		// Replayed accuracies are copies of the first evaluation, and fresh
-		// evaluations are bit-deterministic in (seed, fingerprint), so the
-		// maps must match exactly.
-		for id, acc := range c.Accuracy {
-			if acc != u.Accuracy[id] {
-				t.Fatalf("elite %d task %d accuracy differs: %v vs %v", i, id, acc, u.Accuracy[id])
-			}
-		}
-	}
-	if (cached.Best == nil) != (uncached.Best == nil) {
-		t.Fatalf("Best presence differs: cached %v, uncached %v", cached.Best != nil, uncached.Best != nil)
-	}
+	compareResults(t, "cached vs uncached", cached, uncached, true)
 }
 
 // TestSearchCacheReplaysTrainedWeights checks that a cache-hit elite carries

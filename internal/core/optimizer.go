@@ -10,7 +10,6 @@ import (
 	"repro/internal/fingerprint"
 	"repro/internal/graph"
 	"repro/internal/mutation"
-	"repro/internal/search/explain"
 	"repro/internal/tensor"
 )
 
@@ -79,7 +78,8 @@ type job struct {
 	evalIdx int
 }
 
-// outcome is the result of merging one candidate.
+// outcome is the result of merging one candidate: its record, the elite it
+// produced (nil unless it met the targets), and the policy's drop.
 type outcome struct {
 	trace Trace
 	elite *Elite
@@ -131,7 +131,11 @@ func (o *Optimizer) Run() *Result {
 	// candidates for any evaluation concurrency. Duplicates sampled within
 	// one batch alias the first occurrence (aliasOf) and replay its entry
 	// at merge time — zero duplicate measurements even inside a batch.
-	memo := newSearchCache(!cfg.DisableMemo, cfg.Memo)
+	memo := cfg.Memo
+	if memo == nil {
+		memo, _ = NewDiskMemo("") // the empty path reads no file, so cannot fail
+	}
+	useMemo := !cfg.DisableMemo
 
 	rounds := cfg.Rounds / cfg.BatchSize
 	if rounds == 0 {
@@ -179,8 +183,8 @@ func (o *Optimizer) Run() *Result {
 				res.Stats.SkippedByRule++
 			default:
 				j.fp = fingerprint.Hash(j.cand)
-				if memo.enabled {
-					if j.entry = memo.store.Lookup(j.fp); j.entry != nil {
+				if useMemo {
+					if j.entry = memo.Lookup(j.fp); j.entry != nil {
 						res.Stats.CacheHits++
 					} else if first, ok := batchFp[j.fp]; ok {
 						// An earlier candidate in this batch has the same
@@ -209,7 +213,7 @@ func (o *Optimizer) Run() *Result {
 						// a remote evaluation) equivalent to re-evaluating.
 						j.seed = memoSeed(cfg.Seed, j.fp)
 						j.warm = j.fromElite
-						if memo.enabled {
+						if useMemo {
 							batchFp[j.fp] = len(jobs)
 						}
 						j.evalIdx = len(evalJobs)
@@ -237,8 +241,8 @@ func (o *Optimizer) Run() *Result {
 		// memo, the pre-ranker, latency measurements, policy feedback — is
 		// produced here, in a deterministic order.
 		for ji := range jobs {
-			j := &jobs[ji]
-			oc := o.merge(j, evalOuts, memo, rule, res)
+			oc := o.merge(&jobs[ji], evalOuts, memo, rule, res)
+			tr := oc.trace
 			if oc.elite != nil {
 				res.Elites = append(res.Elites, oc.elite)
 				if len(res.Elites) > maxElites {
@@ -248,12 +252,8 @@ func (o *Optimizer) Run() *Result {
 					(res.Best != nil && better(cfg.Metric, oc.elite, res.Best)) {
 					res.Best = oc.elite
 				}
-				if len(res.Decisions) > 0 {
-					d := &res.Decisions[len(res.Decisions)-1]
-					d.Elite, d.Best = true, res.Best == oc.elite
-				}
+				tr.Elite, tr.Best = true, res.Best == oc.elite
 			}
-			tr := oc.trace
 			if res.Best != nil {
 				tr.BestLatency = res.Best.Latency
 			}
@@ -266,158 +266,160 @@ func (o *Optimizer) Run() *Result {
 		}
 	}
 	res.SearchTime = time.Since(start)
+	res.Iteration = iter
 	return res
 }
 
-// merge folds one job's outcome into the search state and appends its
-// decision. It runs in the serial phase, in candidate order.
-func (o *Optimizer) merge(j *job, evalOuts []EvalOutcome, memo *searchCache,
+// merge folds one job's outcome into the search state and returns its
+// record. It runs in the serial phase, in candidate order.
+func (o *Optimizer) merge(j *job, evalOuts []EvalOutcome, memo *DiskMemo,
 	rule *filter.RuleBased, res *Result) outcome {
-	cfg := o.cfg
 	oc := outcome{drop: 1}
-	oc.trace = Trace{Iteration: j.iteration, Skipped: j.skipped, FromElite: j.fromElite}
-	dec := explain.Decision{
-		Iteration: j.iteration, FromElite: j.fromElite, Mutation: j.mutation,
-	}
+	tr := &oc.trace
+	tr.Iteration, tr.FromElite, tr.Mutation = j.iteration, j.fromElite, j.mutation
 	if !j.skipped {
-		dec.Fingerprint = fpKey(j.fp)
+		tr.Fingerprint = fpKey(j.fp)
 	}
 	if j.score.Trained {
-		dec.Predicted = &explain.Scores{Margin: j.score.Margin, LatencyNS: j.score.LatencyNS}
-	}
-
-	// replay folds a memoized (or batch-aliased) entry into the round.
-	replay := func(e *MemoEntry, detail string) {
-		oc.trace.CacheHit = true
-		oc.trace.Met, oc.trace.Terminated = e.Met, e.Terminated
-		oc.trace.EpochsRun, oc.trace.FineTuneTime = e.EpochsRun, e.TrainTime
-		oc.trace.WarmStarted = e.WarmStarted
-		dec.CacheHit, dec.Rule = true, explain.RuleMemo
-		dec.EpochsRun, dec.Warm, dec.Detail = e.EpochsRun, e.WarmStarted, detail
-		if e.Met {
-			g := replayGraph(j.cand, e)
-			lat := memo.latency(j.fp, &res.Stats, func() time.Duration {
-				return engine.Latency(g)
-			})
-			acc := copyAccuracy(e.Accuracy)
-			oc.elite = &Elite{
-				Graph: g, Latency: lat, FLOPs: e.FLOPs, Accuracy: acc,
-				FromElite: j.fromElite, FineTuneTime: e.TrainTime, Iteration: j.iteration,
-			}
-			oc.trace.Latency = lat
-			if oc.drop = -o.eval.MinMargin(acc); oc.drop < 0 {
-				oc.drop = 0
-			}
-			dec.Outcome = explain.OutcomeAccepted
-			dec.Measured = &explain.Scores{Margin: e.Margin, LatencyNS: float64(lat)}
-			dec.Accuracy = copyAccuracy(e.Accuracy)
-		} else {
-			rule.RecordFailure(j.profile)
-			dec.Outcome = explain.OutcomeRejected
-			dec.Measured = &explain.Scores{Margin: e.Margin}
-		}
+		tr.Predicted = &Scores{Margin: j.score.Margin, LatencyNS: j.score.LatencyNS}
 	}
 
 	switch {
 	case j.skipped:
 		// Rule-skipped candidates record no failure: the rule already
 		// acted on the history that produced it.
-		dec.Outcome, dec.Rule = explain.OutcomeSkipped, explain.RuleCapacity
-
-	case j.entry != nil:
-		replay(j.entry, "")
-
-	case j.aliasOf >= 0:
-		// The first occurrence of this fingerprint merged earlier in this
-		// batch; replay the entry it just published.
-		if e := memo.store.Lookup(j.fp); e != nil {
-			replay(e, "replayed a duplicate evaluated earlier in the same batch")
-		} else {
-			// The original evaluation errored and was not memoized.
-			res.Stats.EvalErrors++
-			dec.Outcome, dec.Rule = explain.OutcomeRejected, explain.RuleEvalError
-			dec.Detail = "duplicate of a candidate whose evaluation failed"
-		}
+		tr.Outcome, tr.Rule = OutcomeSkipped, RuleCapacity
 
 	case j.score.Skip:
 		// Counted in Stats at sampling time.
-		oc.trace.PredictorSkipped = true
-		dec.Outcome, dec.Rule = explain.OutcomeSkipped, explain.RulePredictor
+		tr.Outcome, tr.Rule = OutcomeSkipped, RulePredictor
 		if oc.drop = -j.score.Margin; oc.drop < 0 {
 			oc.drop = 0
 		}
+
+	case j.entry != nil || j.aliasOf >= 0:
+		e := j.entry
+		if e == nil {
+			// The first occurrence of this fingerprint merged earlier in
+			// this batch; replay the entry it just published.
+			if e = memo.Lookup(j.fp); e == nil {
+				// The original evaluation errored and was not memoized.
+				res.Stats.EvalErrors++
+				tr.Outcome, tr.Rule = OutcomeRejected, RuleEvalError
+				tr.Detail = "duplicate of a candidate whose evaluation failed"
+				break
+			}
+			tr.Detail = "replayed a duplicate evaluated earlier in the same batch"
+		}
+		tr.CacheHit = true
+		var g *graph.Graph
+		if e.Met {
+			g = replayGraph(j.cand, e)
+		}
+		o.fold(&oc, j, e, g, memo, rule, res)
 
 	default:
 		out := evalOuts[j.evalIdx]
 		if out.Err != nil {
 			res.Stats.EvalErrors++
-			dec.Outcome, dec.Rule = explain.OutcomeRejected, explain.RuleEvalError
-			dec.Detail = out.Err.Error()
+			tr.Outcome, tr.Rule, tr.Detail = OutcomeRejected, RuleEvalError, out.Err.Error()
 			break
 		}
-		dec.Forced = j.score.Forced
-		res.Stats.FineTuned++
+		tr.Forced = j.score.Forced
 		e := &MemoEntry{Met: out.Met, Margin: -1, Features: j.feats}
 		if rep := out.Report; rep != nil {
-			oc.trace.Met, oc.trace.Terminated = rep.Met, rep.Terminated
-			oc.trace.FineTuneTime, oc.trace.EpochsRun = rep.TrainTime, rep.EpochsRun
-			oc.trace.WarmStarted = rep.WarmStarted
-			e.Terminated, e.EpochsRun = rep.Terminated, rep.EpochsRun
-			e.TrainTime = rep.TrainTime
+			e.Terminated, e.EpochsRun, e.TrainTime = rep.Terminated, rep.EpochsRun, rep.TrainTime
 			e.WarmStarted, e.WarmFellBack = rep.WarmStarted, rep.WarmFellBack
-			res.Stats.TotalEpochs += rep.EpochsRun
-			if rep.Terminated {
-				res.Stats.EarlyTerminated++
-			}
-			if rep.WarmStarted {
-				res.Stats.WarmStarted++
-			}
-			if rep.WarmFellBack {
-				res.Stats.WarmFallbacks++
-			}
 			if len(rep.Final) > 0 {
 				e.Margin = o.eval.MinMargin(rep.Final)
 			}
 		}
-		latNS := -1.0
+		st := &res.Stats
+		st.FineTuned++
+		st.TotalEpochs += e.EpochsRun
+		if e.Terminated {
+			st.EarlyTerminated++
+		}
+		if e.WarmStarted {
+			st.WarmStarted++
+		}
+		if e.WarmFellBack {
+			st.WarmFallbacks++
+		}
+		trained := out.Trained
 		if out.Met {
-			trained := out.Trained
 			if trained == nil {
 				trained = j.cand
 			}
-			e.Trained = trained
-			e.FLOPs = trained.FLOPs()
+			e.Trained, e.FLOPs = trained, trained.FLOPs()
 			e.Accuracy = copyAccuracy(out.Report.Final)
-			lat := memo.latency(j.fp, &res.Stats, func() time.Duration {
-				return engine.Latency(trained)
-			})
-			latNS = float64(lat)
-			oc.elite = &Elite{
-				Graph: trained, Latency: lat, FLOPs: e.FLOPs, Accuracy: out.Report.Final,
-				FromElite: j.fromElite, FineTuneTime: out.Report.TrainTime, Iteration: j.iteration,
-			}
-			oc.trace.Latency = lat
-			if oc.drop = -o.eval.MinMargin(out.Report.Final); oc.drop < 0 {
-				oc.drop = 0
-			}
-			dec.Outcome, dec.Rule = explain.OutcomeAccepted, explain.RuleAccuracyMet
-			dec.Accuracy = copyAccuracy(out.Report.Final)
-		} else {
-			rule.RecordFailure(j.profile)
-			dec.Outcome, dec.Rule = explain.OutcomeRejected, explain.RuleAccuracyBudget
 		}
-		dec.Measured = &explain.Scores{Margin: e.Margin}
-		if latNS > 0 {
-			dec.Measured.LatencyNS = latNS
+		if !o.cfg.DisableMemo {
+			memo.Insert(j.fp, e)
 		}
-		dec.EpochsRun, dec.Warm = oc.trace.EpochsRun, oc.trace.WarmStarted
-		memo.insert(j.fp, e)
-		if cfg.Preranker != nil {
-			cfg.Preranker.Observe(j.feats, latNS, e.Margin)
+		o.fold(&oc, j, e, trained, memo, rule, res)
+		if o.cfg.Preranker != nil {
+			latNS := -1.0
+			if e.Met {
+				latNS = tr.Measured.LatencyNS
+			}
+			o.cfg.Preranker.Observe(j.feats, latNS, e.Margin)
 		}
 	}
-	res.Decisions = append(res.Decisions, dec)
 	return oc
+}
+
+// fold merges one outcome into the round — a fresh evaluation's entry, a
+// memo replay and an in-batch alias alike: the record's verdict, rule and
+// measured scores, the elite (g is its trained graph, met outcomes only)
+// with its memoized latency, the policy's drop, and the rule filter's
+// failure history.
+func (o *Optimizer) fold(oc *outcome, j *job, e *MemoEntry, g *graph.Graph,
+	memo *DiskMemo, rule *filter.RuleBased, res *Result) {
+	tr := &oc.trace
+	tr.Terminated, tr.EpochsRun, tr.FineTuneTime, tr.Warm = e.Terminated, e.EpochsRun, e.TrainTime, e.WarmStarted
+	tr.Measured = &Scores{Margin: e.Margin}
+	switch {
+	case tr.CacheHit:
+		tr.Rule = RuleMemo
+	case e.Met:
+		tr.Rule = RuleAccuracyMet
+	default:
+		tr.Rule = RuleAccuracyBudget
+	}
+	if !e.Met {
+		rule.RecordFailure(j.profile)
+		tr.Outcome = OutcomeRejected
+		return
+	}
+	lat := o.latency(memo, j.fp, g, &res.Stats)
+	acc := copyAccuracy(e.Accuracy)
+	oc.elite = &Elite{
+		Graph: g, Latency: lat, FLOPs: e.FLOPs, Accuracy: acc,
+		FromElite: j.fromElite, FineTuneTime: e.TrainTime, Iteration: j.iteration,
+	}
+	if oc.drop = -o.eval.MinMargin(acc); oc.drop < 0 {
+		oc.drop = 0
+	}
+	tr.Outcome, tr.Accuracy = OutcomeAccepted, copyAccuracy(e.Accuracy)
+	tr.Measured.LatencyNS = float64(lat)
+}
+
+// latency measures a met candidate's trained graph, memoized by fingerprint
+// unless the memo is off: structurally identical graphs execute the same op
+// schedule, so re-measuring a duplicate buys noise, not information.
+func (o *Optimizer) latency(memo *DiskMemo, fp uint64, g *graph.Graph, st *SearchStats) time.Duration {
+	if o.cfg.DisableMemo {
+		return engine.Latency(g)
+	}
+	if d, ok := memo.Latency(fp); ok {
+		st.LatencyHits++
+		return d
+	}
+	st.LatencyMisses++
+	d := engine.Latency(g)
+	memo.SetLatency(fp, d)
+	return d
 }
 
 func better(metric Metric, a, b *Elite) bool {

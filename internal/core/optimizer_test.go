@@ -8,7 +8,6 @@ import (
 	"repro/internal/distill"
 	"repro/internal/filter"
 	"repro/internal/graph"
-	"repro/internal/search/explain"
 	"repro/internal/tensor"
 )
 
@@ -182,7 +181,7 @@ func TestBatchOfOneIsAlgorithm1(t *testing.T) {
 	}
 
 	four, _, _ := run(4)
-	compareResults(t, 4, one, four)
+	compareResults(t, "1 vs 4 evaluator slots", one, four, false)
 }
 
 // failAll is a BatchEvaluator that fails every candidate without training
@@ -210,7 +209,7 @@ func TestRuleFilterSkipsDominatedCandidates(t *testing.T) {
 	w := newWorld(7, 16, 8, 0, 0, core.AccuracyOptions{UseRuleFilter: true})
 	search := func(ev *failAll) *core.Result {
 		// No memo: every candidate the rule lets through is evaluated, so
-		// the evaluator's log lines up with the non-skipped decisions.
+		// the evaluator's log lines up with the non-skipped records.
 		return w.search(core.Config{
 			Rounds: 40, BatchSize: 1, Seed: 3, DisableMemo: true,
 			Policy: core.RandomPolicy{}, Evaluator: ev,
@@ -221,23 +220,23 @@ func TestRuleFilterSkipsDominatedCandidates(t *testing.T) {
 
 	rule := filter.NewRuleBased()
 	skipped := 0
-	for i, d := range res.Decisions {
-		if d.Outcome == explain.OutcomeSkipped {
-			if d.Rule != explain.RuleCapacity || !res.Traces[i].Skipped {
-				t.Fatalf("decision %d skipped by %q, trace %+v", i, d.Rule, res.Traces[i])
+	for i, tr := range res.Traces {
+		if tr.Outcome == core.OutcomeSkipped {
+			if !tr.Skipped() {
+				t.Fatalf("trace %d skipped by %q", i, tr.Rule)
 			}
 			if rule.Failures() == 0 {
-				t.Fatalf("decision %d skipped before any failure was recorded", i)
+				t.Fatalf("trace %d skipped before any failure was recorded", i)
 			}
 			skipped++
 			continue
 		}
-		if d.Outcome != explain.OutcomeRejected || d.Rule != explain.RuleAccuracyBudget {
-			t.Fatalf("decision %d: %s / %s, want a measured rejection", i, d.Outcome, d.Rule)
+		if tr.Outcome != core.OutcomeRejected || tr.Rule != core.RuleAccuracyBudget {
+			t.Fatalf("trace %d: %s / %s, want a measured rejection", i, tr.Outcome, tr.Rule)
 		}
 		p := ev.profiles[i-skipped]
 		if rule.ShouldSkip(p) {
-			t.Fatalf("decision %d: a candidate dominated by a recorded failure was evaluated", i)
+			t.Fatalf("trace %d: a candidate dominated by a recorded failure was evaluated", i)
 		}
 		rule.RecordFailure(p)
 	}

@@ -52,32 +52,5 @@ func TestDiskMemoReplayEliminatesDuplicateMeasurements(t *testing.T) {
 	}
 
 	// The replayed search must retrace the original exactly.
-	if first.Evaluated != second.Evaluated {
-		t.Fatalf("Evaluated differs: %d vs %d", first.Evaluated, second.Evaluated)
-	}
-	if len(first.Traces) != len(second.Traces) {
-		t.Fatalf("trace count differs: %d vs %d", len(first.Traces), len(second.Traces))
-	}
-	for i := range first.Traces {
-		a, b := first.Traces[i], second.Traces[i]
-		if a.Iteration != b.Iteration || a.Skipped != b.Skipped || a.FromElite != b.FromElite ||
-			a.Met != b.Met || a.EpochsRun != b.EpochsRun {
-			t.Fatalf("trace %d differs:\nfirst:  %+v\nsecond: %+v", i, a, b)
-		}
-	}
-	if len(first.Elites) != len(second.Elites) {
-		t.Fatalf("elite count differs: %d vs %d", len(first.Elites), len(second.Elites))
-	}
-	for i := range first.Elites {
-		a, b := first.Elites[i], second.Elites[i]
-		if a.Iteration != b.Iteration || a.FLOPs != b.FLOPs {
-			t.Fatalf("elite %d differs: iter %d/%d flops %d/%d",
-				i, a.Iteration, b.Iteration, a.FLOPs, b.FLOPs)
-		}
-		for id, acc := range a.Accuracy {
-			if d := acc - b.Accuracy[id]; d > 1e-12 || d < -1e-12 {
-				t.Fatalf("elite %d task %d accuracy differs: %v vs %v", i, id, acc, b.Accuracy[id])
-			}
-		}
-	}
+	compareResults(t, "first vs replayed run", first, second, true)
 }

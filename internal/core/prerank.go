@@ -39,17 +39,17 @@ type Preranker interface {
 // fingerprint order, and returns the number of rows fed. Warm-starting the
 // predictor from a persisted memo is what lets a fresh search on a new seed
 // skip bad candidates from round one.
-func PrimePreranker(p Preranker, store MemoStore) int {
-	if p == nil || store == nil {
+func PrimePreranker(p Preranker, memo *DiskMemo) int {
+	if p == nil || memo == nil {
 		return 0
 	}
 	n := 0
-	store.Range(func(fp uint64, e *MemoEntry) {
+	memo.Range(func(fp uint64, e *MemoEntry) {
 		if len(e.Features) == 0 {
 			return
 		}
 		lat := -1.0
-		if d, ok := store.Latency(fp); ok {
+		if d, ok := memo.Latency(fp); ok {
 			lat = float64(d)
 		}
 		p.Observe(e.Features, lat, e.Margin)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,7 +18,7 @@ import (
 // weights) plus the iteration counter driving the temperature schedule.
 // It allows a long search to be stopped and resumed.
 type SearchState struct {
-	// Iteration is the last completed round.
+	// Iteration is the last iteration the search sampled.
 	Iteration int `json:"iteration"`
 	// Elites describes the persisted candidates, in order.
 	Elites []EliteMeta `json:"elites"`
@@ -54,12 +55,21 @@ func SaveState(dir string, res *Result, lastIteration int) error {
 	return atomicfile.WriteJSON(filepath.Join(dir, "state.json"), st)
 }
 
+// ErrNoState reports a directory that holds no saved search (no
+// state.json): a fresh start, unlike a manifest or an elite that fails to
+// load.
+var ErrNoState = errors.New("core: no saved search state")
+
 // LoadState restores a persisted search state: the elites (with their
 // trained graphs) and the last completed iteration. Each elite's latency is
 // measured afresh (engine.Latency), so a resumed search ranks its saved
-// elites against new candidates on one measurement.
+// elites against new candidates on one measurement. A missing state.json
+// is ErrNoState.
 func LoadState(dir string) ([]*Elite, int, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, "state.json"))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, 0, fmt.Errorf("%w in %s", ErrNoState, dir)
+	}
 	if err != nil {
 		return nil, 0, err
 	}

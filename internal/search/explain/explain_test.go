@@ -1,35 +1,39 @@
 package explain_test
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/search/explain"
 )
 
-func sample() []explain.Decision {
-	return []explain.Decision{
+func sample() []core.Trace {
+	return []core.Trace{
 		{
 			Iteration: 1, Fingerprint: "00000000deadbeef",
 			Mutation: "t1/op3/ConvBlock -> t0/op2/ConvBlock",
-			Outcome:  explain.OutcomeAccepted, Rule: explain.RuleAccuracyMet,
-			Predicted: &explain.Scores{Margin: 0.031, LatencyNS: 1.2e6},
-			Measured:  &explain.Scores{Margin: 0.027, LatencyNS: 1.1e6},
+			Outcome:  core.OutcomeAccepted, Rule: core.RuleAccuracyMet,
+			Predicted: &core.Scores{Margin: 0.031, LatencyNS: 1.2e6},
+			Measured:  &core.Scores{Margin: 0.027, LatencyNS: 1.1e6},
 			Accuracy:  map[int]float64{0: 0.91, 1: 0.84},
 			EpochsRun: 6, Elite: true, Best: true,
 		},
 		{
 			Iteration: 2, Fingerprint: "00000000cafef00d",
 			Mutation: "t1/op5/Linear -> t0/op4/Linear",
-			Outcome:  explain.OutcomeSkipped, Rule: explain.RulePredictor,
-			Predicted: &explain.Scores{Margin: -0.12},
+			Outcome:  core.OutcomeSkipped, Rule: core.RulePredictor,
+			Predicted: &core.Scores{Margin: -0.12},
 		},
 		{
 			Iteration: 3, FromElite: true, CacheHit: true, Warm: true,
 			Fingerprint: "00000000deadbeef",
-			Outcome:     explain.OutcomeRejected, Rule: explain.RuleMemo,
-			Measured: &explain.Scores{Margin: -0.04},
+			Outcome:     core.OutcomeRejected, Rule: core.RuleMemo,
+			Measured: &core.Scores{Margin: -0.04},
 			Detail:   "replayed a duplicate evaluated earlier in the same batch",
 		},
 	}
@@ -38,39 +42,46 @@ func sample() []explain.Decision {
 // TestSaveLoadRoundTrip pins the decision file format.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "decisions.json")
-	ds := sample()
-	if err := explain.Save(path, ds); err != nil {
+	if err := explain.Save(path, sample()); err != nil {
 		t.Fatal(err)
 	}
+	checkLoadsSample(t, path)
+}
+
+// TestLoadV1File pins compatibility: testdata/v1.json was written by Save
+// over sample() when the decision file still had its own record type. It
+// must load and render through core.Trace, and Save must still write it
+// byte for byte.
+func TestLoadV1File(t *testing.T) {
+	v1 := filepath.Join("testdata", "v1.json")
+	got := checkLoadsSample(t, v1)
+	var b strings.Builder
+	explain.Render(&b, got)
+	if !strings.Contains(b.String(), "3 candidates (1 accepted, 1 rejected, 1 skipped), 1 elites") {
+		t.Fatalf("v1 report summary wrong:\n%s", b.String())
+	}
+	path := filepath.Join(t.TempDir(), "decisions.json")
+	if err := explain.Save(path, sample()); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := os.ReadFile(v1)
+	if saved, _ := os.ReadFile(path); !bytes.Equal(saved, want) {
+		t.Fatalf("Save no longer writes the v1 file:\n%s", saved)
+	}
+}
+
+// checkLoadsSample loads the decision file at path and checks it holds
+// exactly sample()'s records.
+func checkLoadsSample(t *testing.T, path string) []core.Trace {
+	t.Helper()
 	got, err := explain.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(ds) {
-		t.Fatalf("loaded %d decisions, want %d", len(got), len(ds))
+	if want := sample(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded records differ:\nwant %+v\ngot  %+v", want, got)
 	}
-	for i := range ds {
-		w, g := ds[i], got[i]
-		if g.Iteration != w.Iteration || g.Outcome != w.Outcome || g.Rule != w.Rule ||
-			g.Fingerprint != w.Fingerprint || g.Mutation != w.Mutation ||
-			g.CacheHit != w.CacheHit || g.Warm != w.Warm || g.Elite != w.Elite ||
-			g.Best != w.Best || g.Detail != w.Detail {
-			t.Fatalf("decision %d mismatch:\nwant %+v\ngot  %+v", i, w, g)
-		}
-		if (w.Predicted == nil) != (g.Predicted == nil) ||
-			(w.Predicted != nil && *w.Predicted != *g.Predicted) {
-			t.Fatalf("decision %d predicted scores mismatch", i)
-		}
-		if (w.Measured == nil) != (g.Measured == nil) ||
-			(w.Measured != nil && *w.Measured != *g.Measured) {
-			t.Fatalf("decision %d measured scores mismatch", i)
-		}
-		for id, a := range w.Accuracy {
-			if g.Accuracy[id] != a {
-				t.Fatalf("decision %d accuracy mismatch", i)
-			}
-		}
-	}
+	return got
 }
 
 // TestLoadMissingOrCorrupt pins the failure modes.
@@ -89,7 +100,7 @@ func TestRenderMentionsEveryDecision(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"3 candidates", "accepted", "rejected", "skipped",
-		explain.RuleAccuracyMet, explain.RulePredictor, explain.RuleMemo,
+		core.RuleAccuracyMet, core.RulePredictor, core.RuleMemo,
 		"t1/op3/ConvBlock -> t0/op2/ConvBlock",
 		"elite", "best",
 		"00000000deadbeef",
