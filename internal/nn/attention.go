@@ -291,11 +291,12 @@ func (b *TransformerBlock) Name() string {
 // positional embedding. It is the ViT stem.
 type PatchEmbed struct {
 	C, Patch, D int
-	Proj        *Linear
-	Pos         *Param // [T, D], lazily sized on first forward
+	Proj        *Linear // its weight and bias; PatchEmbed runs the projection itself
+	Pos         *Param  // [T, D], lazily sized on first forward
 
 	inShape []int
 	tokens  int
+	cols    *tensor.Tensor // cached channel-major patch columns [C*P*P, N*T]
 }
 
 // NewPatchEmbed builds a patch embedding for inC channels, patch size p,
@@ -323,15 +324,19 @@ func (pe *PatchEmbed) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if t != pe.Pos.Value.Dim(0) {
 		panic(fmt.Sprintf("nn: PatchEmbed expects %d tokens, input yields %d", pe.Pos.Value.Dim(0), t))
 	}
-	// Unfold patches via Im2Col with kernel=stride=patch.
-	cols := tensor.Im2Col(x, pe.Patch, pe.Patch, pe.Patch, 0) // [n*t, C*P*P]
-	tok := pe.Proj.Forward(cols, train)                       // [n*t, D]
-	out := tok.Reshape(n, t, pe.D)
-	od, pd := out.Data(), pe.Pos.Value.Data()
-	for ni := 0; ni < n; ni++ {
-		base := ni * t * pe.D
-		for i := 0; i < t*pe.D; i++ {
-			od[base+i] += pd[i]
+	// Unfold the patches channel-major (kernel = stride = patch) and project
+	// them: tokens [n*t, D] = colsᵀ · W, plus the bias and the positional
+	// embedding.
+	cols := tensor.New(c*pe.Patch*pe.Patch, n*t)
+	tensor.Im2ColCMInto(cols, x, pe.Patch, pe.Patch, pe.Patch, 0)
+	pe.cols = cols
+	out := tensor.New(n, t, pe.D)
+	tensor.MatMulTransAInto(out.Reshape(n*t, pe.D), cols, pe.Proj.Weight.Value)
+	od, bd, pd := out.Data(), pe.Proj.Bias.Value.Data(), pe.Pos.Value.Data()
+	for r := 0; r < n*t; r++ {
+		row, prow := od[r*pe.D:][:pe.D], pd[r%t*pe.D:][:pe.D]
+		for j := range row {
+			row[j] = row[j] + bd[j] + prow[j]
 		}
 	}
 	return out
@@ -339,17 +344,26 @@ func (pe *PatchEmbed) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (pe *PatchEmbed) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	n := pe.inShape[0]
-	t := pe.tokens
-	gd, pg := gradOut.Data(), pe.Pos.Grad.Data()
-	for ni := 0; ni < n; ni++ {
-		base := ni * t * pe.D
-		for i := 0; i < t*pe.D; i++ {
-			pg[i] += gd[base+i]
+	n, t := pe.inShape[0], pe.tokens
+	g := gradOut.Reshape(n*t, pe.D)
+	gd, pg, bg := g.Data(), pe.Pos.Grad.Data(), pe.Proj.Bias.Grad.Data()
+	for r := 0; r < n*t; r++ {
+		row, prow := gd[r*pe.D:][:pe.D], pg[r%t*pe.D:][:pe.D]
+		for j, v := range row {
+			prow[j] += v
+			bg[j] += v
 		}
 	}
-	gCols := pe.Proj.Backward(gradOut.Reshape(n*t, pe.D))
-	return tensor.Col2Im(gCols, pe.inShape[0], pe.inShape[1], pe.inShape[2], pe.inShape[3], pe.Patch, pe.Patch, pe.Patch, 0)
+	// dW += cols · g; dcols = W · gᵀ, folded back onto the image.
+	dw := tensor.New(pe.Proj.In, pe.D)
+	tensor.MatMulInto(dw, pe.cols, g)
+	pe.Proj.Weight.Grad.AddScaled(1, dw)
+	gCols := tensor.New(pe.cols.Shape()...)
+	tensor.MatMulTransBInto(gCols, pe.Proj.Weight.Value, g)
+	pe.cols = nil
+	gi := tensor.New(pe.inShape...)
+	tensor.Col2ImCMInto(gi, gCols, pe.Patch, pe.Patch, pe.Patch, 0)
+	return gi
 }
 
 // Params implements Layer.

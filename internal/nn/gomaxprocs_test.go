@@ -65,9 +65,9 @@ func hashLine(out []byte) string {
 
 // kernelHash runs the training kernels at the shapes a sim-width search
 // presents — batch 16 of 32x32 images, so M = 16·32·32 GEMM rows against
-// 2–8 output channels — and hashes every output bit: the GEMMs, both
-// unfold/fold layouts, and a fused ConvBlock and stride-2 ResidualBlock
-// train step.
+// 2–8 output channels — and hashes every output bit: the GEMMs, the
+// channel-major unfold and fold, and a fused ConvBlock and stride-2
+// ResidualBlock train step.
 func kernelHash() uint64 {
 	h := fnv.New64a()
 	put := func(ts ...*tensor.Tensor) {
@@ -103,12 +103,8 @@ func kernelHash() uint64 {
 	} {
 		x := tensor.New(g.n, g.c, g.hw, g.hw)
 		rng.FillNormal(x, 0, 1)
-		cols := tensor.Im2Col(x, g.k, g.k, g.stride, g.pad)
-		y := tensor.New(cols.Shape()...)
-		rng.FillNormal(y, 0, 1)
-		put(cols, tensor.Col2Im(y, g.n, g.c, g.hw, g.hw, g.k, g.k, g.stride, g.pad))
-		// The training convolution's channel-major layout.
-		colsCM := tensor.New(cols.Dim(1), cols.Dim(0))
+		oh := tensor.ConvOut(g.hw, g.k, g.stride, g.pad)
+		colsCM := tensor.New(g.c*g.k*g.k, g.n*oh*oh)
 		tensor.Im2ColCMInto(colsCM, x, g.k, g.k, g.stride, g.pad)
 		yCM := tensor.New(colsCM.Shape()...)
 		rng.FillNormal(yCM, 0, 1)

@@ -91,8 +91,8 @@ func (inst *Instance) bind(n int) {
 			continue // the input register is rebound on every Execute
 		}
 		buf := (*inst.slabs[v.Slab])[:v.Elems()*n]
-		if v.Rows2D {
-			inst.regs[v.ID] = tensor.FromSlice(buf, n*v.Shape[0], v.Shape[1])
+		if v.Cols2D {
+			inst.regs[v.ID] = tensor.FromSlice(buf, v.Shape[0], n*v.Shape[1])
 		} else {
 			inst.regs[v.ID] = tensor.FromSlice(buf, append([]int{n}, v.Shape...)...)
 		}
@@ -287,29 +287,68 @@ func (inst *Instance) OpStats() []OpStat {
 // any ParallelFor bodies are created here, once, so the hot path allocates
 // nothing.
 
-// convSpec is the fused conv(+BN)(+ReLU)(+maxpool) kernel. gp is the
-// tuner-stamped blocking for the im2col GEMM.
+// convSpec is the fused conv(+BN)(+ReLU)(+maxpool) kernel: a channel-major
+// unfold into cols [C·K·K, N·OH·OW], one GEMM W · cols that reads the
+// BN-folded weight in place as the A operand and packs only the columns,
+// and an epilogue per (image, channel) plane. At batch 1 without a pool the
+// GEMM's [OutC, OH·OW] output already is NCHW and lands in dst; otherwise
+// it lands in the rows scratch [OutC, N·OH·OW] and the epilogue writes each
+// plane to dst, through the max pool when the op pools. gp is the
+// tuner-stamped GEMM blocking.
 type convSpec struct {
 	f            *FoldedConv
 	relu         bool
-	cols, flat   int // scratch value ids
-	pre          int // pre-pool scratch value id, -1 without pooling
-	poolK, poolS int
+	cols, rows   int // scratch value ids
+	oh, ow       int // conv output plane
+	poolK, poolS int // 0 without pooling
 	gp           tensor.GemmParams
 }
 
 func (s *convSpec) build(inst *Instance, o *Op) func() {
 	in, out := o.In, o.Out
+	f, ohw := s.f, s.oh*s.ow
+	var direct tensor.Tensor // dst viewed as the GEMM's [OutC, OH·OW] output
+	var rd []float32         // the GEMM output the epilogue reads
+	epilogue := func(lo, hi int) { s.epilogue(inst.regs[out].Data(), rd, inst.batch, lo, hi) }
 	return func() {
-		x := inst.regs[in]
-		dst := inst.regs[out]
-		if s.pre >= 0 {
-			pre := inst.regs[s.pre]
-			s.f.runP(pre, x, inst.regs[s.cols], inst.regs[s.flat], s.relu, s.gp)
-			tensor.MaxPoolInto(dst, pre, s.poolK, s.poolS, nil)
-			return
+		dst, rows := inst.regs[out], inst.regs[s.rows]
+		tensor.Im2ColCMInto(inst.regs[s.cols], inst.regs[in], f.K, f.K, f.Stride, f.Pad)
+		if inst.batch == 1 && s.poolK == 0 {
+			rows = direct.Rebind(dst.Data(), f.OutC, ohw)
 		}
-		s.f.runP(dst, x, inst.regs[s.cols], inst.regs[s.flat], s.relu, s.gp)
+		tensor.MatMulIntoP(rows, f.Weight, inst.regs[s.cols], s.gp)
+		rd = rows.Data()
+		tensor.ParallelFor(inst.batch*f.OutC, epilogue)
+	}
+}
+
+// epilogue finishes planes [lo, hi) of an n-image batch into dst. Plane
+// p = ni·OutC + ch is row ch's pixels [ni·OH·OW, (ni+1)·OH·OW) of the GEMM
+// output rows: it adds the bias and applies ReLU, writing dst's plane or,
+// when the op pools, the row in place before max-pooling it into dst.
+func (s *convSpec) epilogue(dst, rows []float32, n, lo, hi int) {
+	outC, ohw := s.f.OutC, s.oh*s.ow
+	m, pohw := n*ohw, ohw
+	if s.poolK > 0 {
+		pohw = tensor.ConvOut(s.oh, s.poolK, s.poolS, 0) * tensor.ConvOut(s.ow, s.poolK, s.poolS, 0)
+	}
+	for p := lo; p < hi; p++ {
+		ch := p % outC
+		src, b := rows[ch*m+p/outC*ohw:][:ohw], s.f.Bias[ch]
+		act := src
+		if s.poolK == 0 {
+			act = dst[p*ohw:][:ohw]
+		}
+		for i, v := range src {
+			v += b
+			if s.relu && v < 0 {
+				v = 0
+			}
+			act[i] = v
+		}
+		if s.poolK > 0 {
+			tensor.MaxPoolPlane(dst[p*pohw:][:pohw], src, s.oh, s.ow, s.poolK, s.poolS, nil)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -12,7 +11,8 @@ import (
 // helpers: the single home of the conv+BN fusion math.
 
 // FoldedConv is a convolution with batch norm folded into its weights and
-// bias, ready for the im2col + GEMM forward path.
+// bias, ready for the channel-major unfold + GEMM forward path: Weight is
+// the GEMM's A operand, read in place.
 type FoldedConv struct {
 	InC, OutC, K, Stride, Pad int
 	Weight                    *tensor.Tensor // [OutC, InC*K*K]
@@ -60,62 +60,4 @@ func FoldBN(bn *nn.BatchNorm2d) (scale, shift []float32) {
 		shift[o] = beta[o] - mean[o]*s
 	}
 	return scale, shift
-}
-
-// runP executes the folded convolution with caller-provided scratch and
-// the planned conv spec's tuner-stamped GEMM blocking parameters: cols is
-// the [N*OH*OW, InC*K*K] im2col buffer, flat the [N*OH*OW, OutC] GEMM
-// output, dst the [N, OutC, OH, OW] destination.
-func (f *FoldedConv) runP(dst, x, cols, flat *tensor.Tensor, relu bool, gp tensor.GemmParams) {
-	tensor.Im2ColInto(cols, x, f.K, f.K, f.Stride, f.Pad)
-	tensor.MatMulTransBIntoP(flat, cols, f.Weight, gp)
-	runBiasAct(flat, dst, f.Bias, dst.Dim(2), dst.Dim(3), f.OutC, relu)
-}
-
-// runBiasAct runs the pooled bias+activation+NCHW-rearrange epilogue over a
-// flat GEMM output [N*OH*OW, outC] into dst [N, outC, OH, OW]. Shared by
-// the f32 conv path and the quantized conv spec (whose GEMM epilogue only
-// dequantizes; bias and ReLU land here).
-func runBiasAct(flat, dst *tensor.Tensor, bias []float32, oh, ow, outC int, relu bool) {
-	jb := biasActJobs.Get().(*biasActJob)
-	jb.fd, jb.od, jb.bias = flat.Data(), dst.Data(), bias
-	jb.oh, jb.ow, jb.outC, jb.relu = oh, ow, outC, relu
-	tensor.ParallelFor(dst.Dim(0)*oh, jb.body)
-	jb.fd, jb.od, jb.bias = nil, nil, nil
-	biasActJobs.Put(jb)
-}
-
-// biasActJob rearranges the GEMM output [N*OH*OW, OutC] into NCHW while
-// adding the folded bias and (optionally) applying ReLU. Pooled for the
-// same zero-allocation reason as the tensor kernels' jobs.
-type biasActJob struct {
-	fd, od       []float32
-	bias         []float32
-	oh, ow, outC int
-	relu         bool
-	body         func(lo, hi int)
-}
-
-var biasActJobs = sync.Pool{New: func() any {
-	jb := &biasActJob{}
-	jb.body = jb.run
-	return jb
-}}
-
-func (jb *biasActJob) run(lo, hi int) {
-	fd, od, bias := jb.fd, jb.od, jb.bias
-	oh, ow, outC, relu := jb.oh, jb.ow, jb.outC, jb.relu
-	for noy := lo; noy < hi; noy++ {
-		ni, oy := noy/oh, noy%oh
-		for ox := 0; ox < ow; ox++ {
-			src := fd[(noy*ow+ox)*outC:][:outC]
-			for oc, v := range src {
-				v += bias[oc]
-				if relu && v < 0 {
-					v = 0
-				}
-				od[((ni*outC+oc)*oh+oy)*ow+ox] = v
-			}
-		}
-	}
 }

@@ -122,7 +122,8 @@ func (c *compiler) lowerLayer(name string, l nn.Layer, inVal int) int {
 func (c *compiler) val(id int) *Value { return c.p.Values[id] }
 
 // lowerConv emits one fused convolution op: folded conv (+ReLU) (+max
-// pool), with im2col and GEMM scratch as rows2d workspace values. src is
+// pool), with the channel-major unfold columns [C·K·K, OH·OW] and the GEMM
+// rows [OutC, OH·OW] as cols2d workspace values, the unfold first. src is
 // the originating graph layer (nil when there is no single source conv);
 // when it carries a matching int8 annotation the op lowers onto the
 // quantized kernel, and every quantizable conv is recorded as a
@@ -137,7 +138,7 @@ func (c *compiler) lowerConv(name string, src *nn.Conv2d, f *FoldedConv, relu bo
 	var op *Op
 	if q := convQuant(src, f); q != nil {
 		qp, prov := tuneQGemm(oh*ow, f.OutC, kdim)
-		flat := c.newValue([]int{oh * ow, f.OutC}, true, -1)
+		flat := c.newValue([]int{oh * ow, f.OutC}, false, -1)
 		scratch := []int{flat}
 		s := &qconvSpec{
 			q: q, inC: f.InC, k: f.K, stride: f.Stride, pad: f.Pad, outC: f.OutC,
@@ -153,20 +154,16 @@ func (c *compiler) lowerConv(name string, src *nn.Conv2d, f *FoldedConv, relu bo
 		op = &Op{Name: name, Kind: "qconv", In: inVal, In2: -1, Out: out, Scratch: scratch,
 			Tune: prov, TuneParams: qp.String(), spec: s}
 	} else {
-		gp, prov := tuneGemm(oh*ow, f.OutC, kdim, true)
-		cols := c.newValue([]int{oh * ow, kdim}, true, -1)
-		flat := c.newValue([]int{oh * ow, f.OutC}, true, -1)
-		scratch := []int{cols, flat}
-		s := &convSpec{f: f, relu: relu, cols: cols, flat: flat, pre: -1, gp: gp}
+		gp, prov := tuneGemm(f.OutC, oh*ow, kdim, true)
+		cols := c.newValue([]int{kdim, oh * ow}, true, -1)
+		rows := c.newValue([]int{f.OutC, oh * ow}, true, -1)
 		if poolK > 0 {
-			pre := c.newValue([]int{f.OutC, oh, ow}, false, -1)
-			scratch = append(scratch, pre)
-			s.pre, s.poolK, s.poolS = pre, poolK, poolS
 			outShape = []int{f.OutC, tensor.ConvOut(oh, poolK, poolS, 0), tensor.ConvOut(ow, poolK, poolS, 0)}
 		}
 		out := c.newValue(outShape, false, -1)
-		op = &Op{Name: name, Kind: "conv", In: inVal, In2: -1, Out: out, Scratch: scratch,
-			Tune: prov, TuneParams: gp.String(), spec: s}
+		op = &Op{Name: name, Kind: "conv", In: inVal, In2: -1, Out: out, Scratch: []int{cols, rows},
+			Tune: prov, TuneParams: gp.String(),
+			spec: &convSpec{f: f, relu: relu, cols: cols, rows: rows, oh: oh, ow: ow, poolK: poolK, poolS: poolS, gp: gp}}
 	}
 	v := c.addOp(op)
 	if src != nil && tensor.QuantDepthOK(kdim) {

@@ -40,11 +40,12 @@ import (
 // scratch. Shapes are per-sample; the batch dimension is bound at run time.
 type Value struct {
 	ID int
-	// Shape is the per-sample shape. When Rows2D is set the runtime layout
-	// is [batch*Shape[0], Shape[1]] (im2col scratch rows scale with batch)
-	// instead of [batch, Shape...].
+	// Shape is the per-sample shape. When Cols2D is set the runtime layout
+	// is [Shape[0], batch*Shape[1]] (channel-major unfold columns and conv
+	// GEMM rows carry the batch on their column axis) instead of
+	// [batch, Shape...].
 	Shape  []int
-	Rows2D bool
+	Cols2D bool
 	// Producer is the op that writes the value; -1 for the graph input.
 	Producer int
 	// Scratch marks op-private workspace (dead as soon as its op retires).
@@ -300,11 +301,11 @@ type compiler struct {
 }
 
 // newValue appends a value and returns its id.
-func (c *compiler) newValue(shape []int, rows2d bool, producer int) int {
+func (c *compiler) newValue(shape []int, cols2d bool, producer int) int {
 	v := &Value{
 		ID:       len(c.p.Values),
 		Shape:    append([]int(nil), shape...),
-		Rows2D:   rows2d,
+		Cols2D:   cols2d,
 		Producer: producer,
 		Head:     -1,
 		Slab:     -1,

@@ -87,6 +87,9 @@ func checkParity(t *testing.T, g *graph.Graph, x *tensor.Tensor) {
 	inst := plan.Compile(g).NewInstance()
 	got := inst.Execute(x)
 	want := g.Forward(x, false)
+	if len(want) == 0 {
+		t.Fatal("graph has no head to compare")
+	}
 	if len(got) != len(want) {
 		t.Fatalf("plan produced %d heads, graph %d", len(got), len(want))
 	}
@@ -138,6 +141,66 @@ func TestPlanBatchRebind(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzPlanConvParity compiles one convolution layer — a bare Conv2d, or a
+// ConvBlock with or without batch norm and max pool — over random batch,
+// channels, spatial size, output channels (below the GEMM's MR and above its
+// NR), kernel, stride and pad, and checks the plan's channel-major conv
+// against nn's eval forward. Without batch norm both run the same unfold,
+// the same GEMM and the same epilogue, so they must agree bit for bit; with
+// it the plan folds the normalisation into the weights at compile time and
+// must agree within tolerance.
+func FuzzPlanConvParity(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(2), uint8(6), uint8(6), uint8(7), uint8(2), uint8(0), uint8(1), uint8(0))
+	f.Add(uint64(2), uint8(2), uint8(3), uint8(9), uint8(4), uint8(20), uint8(2), uint8(0), uint8(1), uint8(4))
+	f.Add(uint64(3), uint8(1), uint8(0), uint8(3), uint8(8), uint8(2), uint8(0), uint8(1), uint8(0), uint8(5))
+	f.Add(uint64(4), uint8(1), uint8(1), uint8(10), uint8(11), uint8(16), uint8(4), uint8(2), uint8(2), uint8(1))
+	f.Add(uint64(5), uint8(2), uint8(3), uint8(12), uint8(12), uint8(23), uint8(2), uint8(0), uint8(1), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, cRaw, hRaw, wRaw, outCRaw, kRaw, strideRaw, padRaw, kindRaw uint8) {
+		n, c, outC := int(nRaw)%3+1, int(cRaw)%4+1, int(outCRaw)%24+1
+		k, stride, pad := int(kRaw)%5+1, int(strideRaw)%3+1, int(padRaw)%3
+		h, w := int(hRaw)%12+k, int(wRaw)%12+k
+		rng := tensor.NewRNG(seed)
+		conv := nn.NewConv2d(rng, c, outC, k, stride, pad)
+		rng.FillUniform(conv.Bias.Value, -0.5, 0.5)
+		oh, ow := tensor.ConvOut(h, k, stride, pad), tensor.ConvOut(w, k, stride, pad)
+		var layer nn.Layer = conv
+		bn := false
+		if kind := int(kindRaw) % 3; kind > 0 {
+			block := &nn.ConvBlock{Conv: conv}
+			if bn = kind == 2; bn {
+				block.BN = nn.NewBatchNorm2d(outC)
+			}
+			if kindRaw/3%2 == 1 && oh >= 2 && ow >= 2 {
+				block.Pool = nn.NewMaxPool2d(2, 2)
+			}
+			layer = block
+		}
+		g := graph.New(graph.Shape{c, h, w}, graph.DomainRaw)
+		g.TaskNames[0] = "conv"
+		g.AppendChain(g.Root, graph.NewBlockNode(0, 0, "Head", g.Root.InputShape, graph.DomainRaw, layer))
+		g.RefreshCapacities()
+		randomizeBN(g, seed+1)
+		x := tensor.New(n, c, h, w)
+		rng.FillNormal(x, 0, 1)
+		got := plan.Compile(g).NewInstance().Execute(x)[0]
+		want := layer.Forward(x, false)
+		if !tensor.SameShape(got, want) {
+			t.Fatalf("plan output %v, nn %v", got.Shape(), want.Shape())
+		}
+		if bn {
+			if d := maxDiff(got, want); d > 1e-4 {
+				t.Fatalf("%s on %v: plan diverges from nn by %g", layer.Name(), x.Shape(), d)
+			}
+			return
+		}
+		for i, v := range got.Data() {
+			if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+				t.Fatalf("%s on %v: element %d = %g, nn %g", layer.Name(), x.Shape(), i, v, want.Data()[i])
+			}
+		}
+	})
 }
 
 // TestExecuteZeroAllocs is the acceptance check for the static buffer plan:

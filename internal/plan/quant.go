@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"sync"
+
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -91,14 +93,15 @@ func combinedScales(q *nn.Quant8) []float32 {
 }
 
 // qconvSpec is the int8 counterpart of convSpec: quantize input, byte
-// im2col, SWAR GEMM with fused requantize, then the shared bias+ReLU+NCHW
-// epilogue (and optional max pool). The float32 cols scratch value
-// disappears; byte workspace comes from the uint8 arena per call.
+// im2col, SWAR GEMM with fused requantize into row-major [N·OH·OW, OutC]
+// pixels, then the bias+ReLU+NCHW epilogue (and optional max pool). The
+// float32 cols scratch value disappears; byte workspace comes from the
+// uint8 arena per call.
 type qconvSpec struct {
 	q                         *nn.Quant8
 	inC, k, stride, pad, outC int
 	relu                      bool
-	flat                      int // [oh*ow, outC] Rows2D scratch value id
+	flat                      int // [oh*ow, outC] scratch value id
 	pre                       int // pre-pool scratch value id, -1 without pooling
 	poolK, poolS              int
 	qp                        tensor.QGemmParams
@@ -108,25 +111,72 @@ func (s *qconvSpec) build(inst *Instance, o *Op) func() {
 	in, out := o.In, o.Out
 	qw := s.q.Packed()
 	scales := combinedScales(s.q)
+	var flat tensor.Tensor // the flat scratch as the GEMM's [N·OH·OW, OutC] output
 	return func() {
 		x := inst.regs[in]
 		dst := inst.regs[out]
 		if s.pre >= 0 {
 			dst = inst.regs[s.pre]
 		}
-		flat := inst.regs[s.flat]
 		n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 		oh, ow := dst.Dim(2), dst.Dim(3)
+		flat.Rebind(inst.regs[s.flat].Data(), n*oh*ow, s.outC)
 		xq := tensor.GetBufU8(x.Size())
 		tensor.QuantizeU8Into(*xq, x.Data(), s.q.InScale)
 		cols := tensor.GetBufU8(n * oh * ow * qw.KP)
 		tensor.Im2ColU8Into(*cols, *xq, n, s.inC, h, w, s.k, s.k, s.stride, s.pad)
 		tensor.PutBufU8(xq)
-		tensor.QGEMMIntoP(flat, *cols, qw, n*oh*ow, scales, nil, false, s.qp)
+		tensor.QGEMMIntoP(&flat, *cols, qw, n*oh*ow, scales, nil, false, s.qp)
 		tensor.PutBufU8(cols)
-		runBiasAct(flat, dst, s.q.Bias, oh, ow, s.outC, s.relu)
+		runBiasAct(flat.Data(), dst.Data(), s.q.Bias, oh, ow, s.outC, s.relu)
 		if s.pre >= 0 {
 			tensor.MaxPoolInto(inst.regs[out], dst, s.poolK, s.poolS, nil)
+		}
+	}
+}
+
+// runBiasAct runs the int8 conv's bias+activation+NCHW-rearrange epilogue
+// over its flat GEMM output fd [N*OH*OW, outC] into od [N, outC, OH, OW].
+func runBiasAct(fd, od, bias []float32, oh, ow, outC int, relu bool) {
+	jb := biasActJobs.Get().(*biasActJob)
+	jb.fd, jb.od, jb.bias = fd, od, bias
+	jb.oh, jb.ow, jb.outC, jb.relu = oh, ow, outC, relu
+	tensor.ParallelFor(len(od)/(outC*ow), jb.body)
+	jb.fd, jb.od, jb.bias = nil, nil, nil
+	biasActJobs.Put(jb)
+}
+
+// biasActJob rearranges the GEMM output [N*OH*OW, OutC] into NCHW while
+// adding the folded bias and (optionally) applying ReLU. Pooled for the
+// same zero-allocation reason as the tensor kernels' jobs.
+type biasActJob struct {
+	fd, od       []float32
+	bias         []float32
+	oh, ow, outC int
+	relu         bool
+	body         func(lo, hi int)
+}
+
+var biasActJobs = sync.Pool{New: func() any {
+	jb := &biasActJob{}
+	jb.body = jb.run
+	return jb
+}}
+
+func (jb *biasActJob) run(lo, hi int) {
+	fd, od, bias := jb.fd, jb.od, jb.bias
+	oh, ow, outC, relu := jb.oh, jb.ow, jb.outC, jb.relu
+	for noy := lo; noy < hi; noy++ {
+		ni, oy := noy/oh, noy%oh
+		for ox := 0; ox < ow; ox++ {
+			src := fd[(noy*ow+ox)*outC:][:outC]
+			for oc, v := range src {
+				v += bias[oc]
+				if relu && v < 0 {
+					v = 0
+				}
+				od[((ni*outC+oc)*oh+oy)*ow+ox] = v
+			}
 		}
 	}
 }

@@ -149,15 +149,16 @@ func (c *compiler) lowerTransformer(name string, b *nn.TransformerBlock, inVal i
 	return c.addOp(&Op{Name: name + " residual", Kind: "add", In: x1, In2: h2, Out: out, spec: &addSpec{}})
 }
 
-// lowerPatchEmbed emits the ViT stem as one op: strided im2col unfolds the
-// patches into the rows2d cols scratch, one GEMM projects them, and the
-// epilogue adds bias and the positional embedding per token row.
+// lowerPatchEmbed emits the ViT stem as one op: a strided channel-major
+// unfold writes the patches into the cols2d scratch, one Aᵀ·B GEMM projects
+// them, and the epilogue adds bias and the positional embedding per token
+// row.
 func (c *compiler) lowerPatchEmbed(name string, pe *nn.PatchEmbed, inVal int) int {
 	in := c.val(inVal)
 	t := (in.Shape[1] / pe.Patch) * (in.Shape[2] / pe.Patch)
 	kdim := pe.C * pe.Patch * pe.Patch
 	gp, prov := tuneGemm(t, pe.D, kdim, false)
-	cols := c.newValue([]int{t, kdim}, true, -1)
+	cols := c.newValue([]int{kdim, t}, true, -1)
 	out := c.newValue([]int{t, pe.D}, false, -1)
 	return c.addOp(&Op{
 		Name: name, Kind: "patch", In: inVal, In2: -1, Out: out, Scratch: []int{cols},
@@ -307,14 +308,14 @@ func (s *attnSpec) build(inst *Instance, o *Op) func() {
 	return func() { tensor.ParallelTasks(inst.batch*s.heads, body) }
 }
 
-// patchSpec is the ViT stem: im2col patch unfold, projection GEMM, then a
-// fused bias+positional epilogue. The 2-D output view is rebuilt only on
-// batch rebinds.
+// patchSpec is the ViT stem: channel-major patch unfold, projection GEMM,
+// then a fused bias+positional epilogue. The 2-D output view is rebuilt
+// only on batch rebinds.
 type patchSpec struct {
 	patch, d, t int
 	w           *tensor.Tensor // [C*P*P, D], plan-owned copy
 	bias, pos   []float32
-	cols        int // rows2d scratch value id
+	cols        int // cols2d scratch value id, [C*P*P, T] per sample
 	gp          tensor.GemmParams
 }
 
@@ -331,8 +332,8 @@ func (s *patchSpec) build(inst *Instance, o *Op) func() {
 			bound = inst.batch
 		}
 		cols := inst.regs[s.cols]
-		tensor.Im2ColInto(cols, x, s.patch, s.patch, s.patch, 0)
-		tensor.MatMulIntoP(y2d, cols, s.w, s.gp)
+		tensor.Im2ColCMInto(cols, x, s.patch, s.patch, s.patch, 0)
+		tensor.MatMulTransAIntoP(y2d, cols, s.w, s.gp)
 		yd := y2d.Data()
 		for r := 0; r < rows; r++ {
 			row := yd[r*s.d:][:s.d]

@@ -213,7 +213,7 @@ func FuzzFusedQKVParity(f *testing.F) {
 		rng := tensor.NewRNG(seed)
 		g := graph.New(graph.Shape{tok, d}, graph.DomainTokens)
 		g.TaskNames[0] = "attn"
-		mha := graph.NewBlockNode(0, 0, "MultiHeadAttention", g.Root.InputShape, graph.DomainTokens,
+		mha := graph.NewBlockNode(0, 0, "Head", g.Root.InputShape, graph.DomainTokens,
 			nn.NewMultiHeadAttention(rng, d, heads))
 		g.AppendChain(g.Root, mha)
 		g.RefreshCapacities()

@@ -7,8 +7,8 @@ import (
 )
 
 // Compile-time kernel tuning hook. Every GEMM-shaped op the compiler lowers
-// (conv im2col GEMM, linear, packed QKV, patch projection, the int8 twins,
-// and tiled attention) asks the installed KernelTuner for its blocking
+// (channel-major conv GEMM, linear, packed QKV, patch projection, the int8
+// twins, and tiled attention) asks the installed KernelTuner for its blocking
 // parameters and stamps the answer into the op's spec, so the executor runs
 // per-layer-shape winners instead of one global constant set. With no tuner
 // installed every op gets the shipped defaults — exactly the pre-tuning
@@ -28,15 +28,17 @@ const (
 
 // KernelTuner supplies kernel parameters for one layer shape at compile
 // time. Implementations return the chosen parameters plus a provenance
-// string (TuneDefault, TuneCache, or TuneMeasured). Shapes are per-sample:
-// m is the GEMM row count for batch 1; the tuner scales to a nominal batch
-// itself if it measures. internal/tune provides the measuring,
-// cache-persisting implementation; the interface lives here so the plan
-// package does not import it (cmds wire the two together via SetTuner).
+// string (TuneDefault, TuneCache, or TuneMeasured). Shapes are per-sample,
+// for batch 1; the tuner scales one side to a nominal batch itself if it
+// measures. internal/tune provides the measuring, cache-persisting
+// implementation; the interface lives here so the plan package does not
+// import it (cmds wire the two together via SetTuner).
 type KernelTuner interface {
-	// Gemm picks f32 blocked-GEMM parameters for dst[m,n] = a[m,k] @ B,
-	// where B is read transposed when transB is set (the conv im2col path).
-	Gemm(m, n, k int, transB bool) (tensor.GemmParams, string)
+	// Gemm picks f32 blocked-GEMM parameters for dst[m,n] = a[m,k] @ b[k,n].
+	// The batch scales the m side (the rows of linear, qkv and patch
+	// projections) unless batchN is set: then it scales the n side, the
+	// pixel columns of the channel-major conv, whose m is OutC.
+	Gemm(m, n, k int, batchN bool) (tensor.GemmParams, string)
 	// QGemm picks int8 SWAR GEMM parameters for an [m,k] @ [k,n] product.
 	QGemm(m, n, k int) (tensor.QGemmParams, string)
 	// Attn picks flash-attention tile sizes for sequence length t and head
@@ -67,9 +69,9 @@ func tuner() KernelTuner {
 }
 
 // tuneGemm resolves f32 GEMM parameters for the given per-sample shape.
-func tuneGemm(m, n, k int, transB bool) (tensor.GemmParams, string) {
+func tuneGemm(m, n, k int, batchN bool) (tensor.GemmParams, string) {
 	if t := tuner(); t != nil {
-		return t.Gemm(m, n, k, transB)
+		return t.Gemm(m, n, k, batchN)
 	}
 	return tensor.DefaultGemmParams(), TuneDefault
 }

@@ -20,27 +20,16 @@ func ConvOut(in, kernel, stride, pad int) int {
 	return (in+2*pad-kernel)/stride + 1
 }
 
-// Im2Col unfolds x [N,C,H,W] into columns [N*OH*OW, C*KH*KW] so a
-// convolution becomes a matmul against a [C*KH*KW, OutC] weight matrix.
-func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
-	cols := New(n*oh*ow, c*kh*kw)
-	Im2ColInto(cols, x, kh, kw, stride, pad)
-	return cols
-}
-
-// unfoldJob carries the parallel-body state of the unfold and fold kernels
-// through the pool, in both column layouts: row-major (Im2ColInto, Col2Im)
-// and channel-major (Im2ColCMInto, Col2ImCMInto). All four walk one
+// unfoldJob carries the parallel-body state of the channel-major unfold and
+// fold kernels (Im2ColCMInto, Col2ImCMInto) through the pool. Both walk one
 // convolution geometry; taps caches, per kernel column kx, the output
 // columns whose input column is in range, so no inner loop divides or
 // branches on padding per element.
 type unfoldJob struct {
-	xd, cd                                          []float32
-	n, c, h, w, oh, ow, kh, kw, stride, pad, rowLen int
-	taps                                            []convTap
-	unfold, fold, unfoldCM, foldCM                  func(lo, hi int)
+	xd, cd                                  []float32
+	n, c, h, w, oh, ow, kh, kw, stride, pad int
+	taps                                    []convTap
+	unfoldCM, foldCM                        func(lo, hi int)
 }
 
 // convTap is the in-range stretch of one kernel column kx: output columns
@@ -49,7 +38,6 @@ type convTap struct{ x0, x1, src int }
 
 var unfoldJobs = sync.Pool{New: func() any {
 	jb := &unfoldJob{}
-	jb.unfold, jb.fold = jb.runUnfold, jb.runFold
 	jb.unfoldCM, jb.foldCM = jb.runUnfoldCM, jb.runFoldCM
 	return jb
 }}
@@ -60,7 +48,7 @@ func getUnfoldJob(xd, cd []float32, n, c, h, w, kh, kw, stride, pad int) *unfold
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
 	jb.xd, jb.cd = xd, cd
 	jb.n, jb.c, jb.h, jb.w, jb.oh, jb.ow = n, c, h, w, oh, ow
-	jb.kh, jb.kw, jb.stride, jb.pad, jb.rowLen = kh, kw, stride, pad, c*kh*kw
+	jb.kh, jb.kw, jb.stride, jb.pad = kh, kw, stride, pad
 	jb.taps = jb.taps[:0]
 	for kx := 0; kx < kw; kx++ {
 		// ox*stride + kx - pad must land in [0, w).
@@ -80,83 +68,6 @@ func getUnfoldJob(xd, cd []float32, n, c, h, w, kh, kw, stride, pad int) *unfold
 func putUnfoldJob(jb *unfoldJob) {
 	jb.xd, jb.cd = nil, nil
 	unfoldJobs.Put(jb)
-}
-
-// runUnfold fills the im2col rows of output rows [lo, hi). Output row noy
-// owns one contiguous block of OW pixel rows × C·KH·KW columns; each (ci,
-// ky, kx) tap fills its column of that block with a strided store.
-func (jb *unfoldJob) runUnfold(lo, hi int) {
-	xd, cd, taps := jb.xd, jb.cd, jb.taps
-	c, h, w, oh, ow := jb.c, jb.h, jb.w, jb.oh, jb.ow
-	kh, kw, stride, pad, rowLen := jb.kh, jb.kw, jb.stride, jb.pad, jb.rowLen
-	for noy := lo; noy < hi; noy++ {
-		ni, oy := noy/oh, noy%oh
-		blk := cd[noy*ow*rowLen:][:ow*rowLen]
-		di := 0
-		for ci := 0; ci < c; ci++ {
-			plane := xd[(ni*c+ci)*h*w:][:h*w]
-			for ky := 0; ky < kh; ky++ {
-				iy := oy*stride + ky - pad
-				if iy < 0 || iy >= h {
-					for kx := 0; kx < kw; kx++ {
-						for o := di + kx; o < len(blk); o += rowLen {
-							blk[o] = 0
-						}
-					}
-					di += kw
-					continue
-				}
-				row := plane[iy*w:][:w]
-				for _, tp := range taps {
-					o := di
-					for ox := 0; ox < tp.x0; ox++ {
-						blk[o] = 0
-						o += rowLen
-					}
-					for ox, sx := tp.x0, tp.src; ox < tp.x1; ox, sx = ox+1, sx+stride {
-						blk[o] = row[sx]
-						o += rowLen
-					}
-					for ox := tp.x1; ox < ow; ox++ {
-						blk[o] = 0
-						o += rowLen
-					}
-					di++
-				}
-			}
-		}
-	}
-}
-
-// runFold folds the (image, channel) planes [lo, hi) of the output. A plane
-// owns its output and gathers from its channel's KH·KW columns in a fixed
-// (oy, ky, kx, ox) order, so every sum is the same under any chunking.
-func (jb *unfoldJob) runFold(lo, hi int) {
-	xd, cd, taps := jb.xd, jb.cd, jb.taps
-	c, h, w, oh, ow := jb.c, jb.h, jb.w, jb.oh, jb.ow
-	kh, kw, stride, pad, rowLen := jb.kh, jb.kw, jb.stride, jb.pad, jb.rowLen
-	for pl := lo; pl < hi; pl++ {
-		ni, ci := pl/c, pl%c
-		plane := xd[pl*h*w:][:h*w]
-		for oy := 0; oy < oh; oy++ {
-			blk := cd[(ni*oh+oy)*ow*rowLen:][:ow*rowLen]
-			for ky := 0; ky < kh; ky++ {
-				iy := oy*stride + ky - pad
-				if iy < 0 || iy >= h {
-					continue
-				}
-				row := plane[iy*w:][:w]
-				di := (ci*kh + ky) * kw
-				for kx, tp := range taps {
-					o := di + kx + tp.x0*rowLen
-					for ox, sx := tp.x0, tp.src; ox < tp.x1; ox, sx = ox+1, sx+stride {
-						row[sx] += blk[o]
-						o += rowLen
-					}
-				}
-			}
-		}
-	}
 }
 
 // runUnfoldCM fills the channel-major columns of items [lo, hi), where item
@@ -233,9 +144,8 @@ func unfoldShifted(dst, plane []float32, h, w, dy, dx int) {
 }
 
 // runFoldCM folds the (image, channel) planes [lo, hi) of the output from
-// channel-major columns. It sums taps in the same fixed (oy, ky, kx, ox)
-// order as runFold, so both layouts fold to the same bits under any
-// chunking.
+// channel-major columns. A plane owns its output and sums taps in a fixed
+// (oy, ky, kx, ox) order, so every sum is the same under any chunking.
 func (jb *unfoldJob) runFoldCM(lo, hi int) {
 	xd, cd, taps := jb.xd, jb.cd, jb.taps
 	n, c, h, w, oh, ow := jb.n, jb.c, jb.h, jb.w, jb.oh, jb.ow
@@ -272,46 +182,13 @@ func (jb *unfoldJob) runFoldCM(lo, hi int) {
 	}
 }
 
-// Im2ColInto is Im2Col writing into a caller-provided [N*OH*OW, C*KH*KW]
-// tensor, letting hot paths reuse buffers. This row-major layout — rows are
-// output pixels — is the inference plan's and PatchEmbed's; the training
-// convolution unfolds channel-major (Im2ColCMInto).
-func Im2ColInto(cols, x *Tensor, kh, kw, stride, pad int) {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: Im2Col wants NCHW, got %v", x.shape))
-	}
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
-	if cols.shape[0] != n*oh*ow || cols.shape[1] != c*kh*kw {
-		panic(fmt.Sprintf("tensor: Im2ColInto dst %v, want [%d %d]", cols.shape, n*oh*ow, c*kh*kw))
-	}
-	jb := getUnfoldJob(x.data, cols.data, n, c, h, w, kh, kw, stride, pad)
-	parallelFor(n*oh, jb.unfold)
-	putUnfoldJob(jb)
-}
-
-// Col2Im folds columns [N*OH*OW, C*KH*KW] back into an NCHW tensor of shape
-// [N,C,H,W], accumulating overlapping contributions. It is the adjoint of
-// Im2Col, used for PatchEmbed's input gradient. Work is split by (image,
-// channel) plane, so it parallelises even at small batch.
-func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
-	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
-	if cols.shape[0] != n*oh*ow || cols.shape[1] != c*kh*kw {
-		panic(fmt.Sprintf("tensor: Col2Im shape mismatch cols=%v for out [%d,%d,%d,%d]", cols.shape, n, c, h, w))
-	}
-	out := New(n, c, h, w)
-	jb := getUnfoldJob(out.data, cols.data, n, c, h, w, kh, kw, stride, pad)
-	parallelFor(n*c, jb.fold)
-	putUnfoldJob(jb)
-	return out
-}
-
 // Im2ColCMInto unfolds x [N,C,H,W] into channel-major columns
 // [C*KH*KW, N*OH*OW]: row (ci, ky, kx) holds that tap's input pixel for
-// every output pixel. It is the training convolution's layout: the forward
-// GEMM W[OutC, C·KH·KW] · cols puts the few output channels on the GEMM's M
-// side and the wide pixel axis on its N side, and the output comes out as
-// one contiguous row per channel.
+// every output pixel. It is the one unfold layout, for training and the
+// compiled plan alike: the forward GEMM W[OutC, C·KH·KW] · cols reads the
+// weight in place as the A operand, puts the output channels on the GEMM's
+// M side and the pixel axis on its N side, and the output comes out as one
+// contiguous row per channel.
 func Im2ColCMInto(cols, x *Tensor, kh, kw, stride, pad int) {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Im2ColCMInto wants NCHW, got %v", x.shape))
@@ -327,8 +204,9 @@ func Im2ColCMInto(cols, x *Tensor, kh, kw, stride, pad int) {
 }
 
 // Col2ImCMInto folds channel-major columns [C*KH*KW, N*OH*OW] into dst
-// [N,C,H,W], overwriting it: the adjoint of Im2ColCMInto, and the training
-// convolution's input gradient. Work is split by (image, channel) plane.
+// [N,C,H,W], overwriting it: the adjoint of Im2ColCMInto, and the input
+// gradient of the training convolution and PatchEmbed. Work is split by
+// (image, channel) plane.
 func Col2ImCMInto(dst, cols *Tensor, kh, kw, stride, pad int) {
 	n, c, h, w := dst.shape[0], dst.shape[1], dst.shape[2], dst.shape[3]
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
@@ -403,7 +281,8 @@ func MaxPoolBackward(gradOut *Tensor, arg []int32, inputShape []int) *Tensor {
 // MaxPoolPlane max-pools one [h, w] plane src into dst [OH, OW]; when arg
 // is non-nil it receives each output's argmax as an offset into src. It is
 // the one max-pool kernel: MaxPoolInto runs it per plane, and the fused
-// conv→BN→ReLU→pool training step runs it on the planes it produces.
+// conv→BN→ReLU→pool body and the compiled plan's conv epilogue run it on
+// the planes they produce.
 func MaxPoolPlane(dst, src []float32, h, w, k, stride int, arg []int32) {
 	oh, ow := ConvOut(h, k, stride, 0), ConvOut(w, k, stride, 0)
 	for oy := 0; oy < oh; oy++ {

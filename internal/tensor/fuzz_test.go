@@ -141,37 +141,6 @@ func FuzzMatMulTransAParity(f *testing.F) {
 	})
 }
 
-// FuzzCol2ImParity checks the plane-parallel Col2Im against the direct
-// scatter NaiveCol2Im over random geometries, strides and pads, including
-// kernels wider than the padded stride (overlapping taps) and strides that
-// skip input pixels.
-func FuzzCol2ImParity(f *testing.F) {
-	f.Add(uint8(1), uint8(2), uint8(8), uint8(8), uint8(2), uint8(0), uint8(1), uint64(1))
-	f.Add(uint8(2), uint8(3), uint8(7), uint8(9), uint8(0), uint8(1), uint8(0), uint64(2))
-	f.Add(uint8(0), uint8(0), uint8(5), uint8(4), uint8(4), uint8(2), uint8(2), uint64(3))
-	f.Add(uint8(3), uint8(1), uint8(1), uint8(1), uint8(2), uint8(2), uint8(1), uint64(4))
-	f.Fuzz(func(t *testing.T, nRaw, cRaw, hRaw, wRaw, kRaw, strideRaw, padRaw uint8, seed uint64) {
-		n := int(nRaw)%4 + 1
-		c := int(cRaw)%5 + 1
-		k := int(kRaw)%5 + 1
-		stride := int(strideRaw)%3 + 1
-		pad := int(padRaw) % 3
-		h := int(hRaw)%12 + 1
-		w := int(wRaw)%12 + 1
-		if h+2*pad < k || w+2*pad < k {
-			t.Skip("no output position")
-		}
-		oh, ow := ConvOut(h, k, stride, pad), ConvOut(w, k, stride, pad)
-		cols := New(n*oh*ow, c*k*k)
-		NewRNG(seed).FillNormal(cols, 0, 1)
-		got := Col2Im(cols, n, c, h, w, k, k, stride, pad)
-		want := NaiveCol2Im(cols, n, c, h, w, k, k, stride, pad)
-		if d := maxAbsDiff(got, want); d > parityTol*float64(k) {
-			t.Fatalf("col2im n%d c%d %dx%d k%d s%d p%d: max diff %g", n, c, h, w, k, stride, pad, d)
-		}
-	})
-}
-
 // cmGeometry decodes a fuzzed channel-major unfold/fold geometry: batch,
 // channels, kernel, stride and pad, and ragged spatial sizes that may leave
 // whole border rows and columns reading only padding.
@@ -209,9 +178,9 @@ func FuzzIm2ColCMParity(f *testing.F) {
 }
 
 // FuzzCol2ImCMParity checks the plane-parallel channel-major fold against
-// NaiveCol2ImCM over the same geometries, into a dirty destination, and
-// against the row-major Col2Im of the transposed columns bit for bit: both
-// layouts sum each pixel's taps in one fixed order.
+// NaiveCol2ImCM over random geometries, strides and pads, into a dirty
+// destination, including kernels wider than the padded stride (overlapping
+// taps) and strides that skip input pixels.
 func FuzzCol2ImCMParity(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(8), uint8(8), uint8(2), uint8(0), uint8(1), uint64(1))
 	f.Add(uint8(2), uint8(3), uint8(7), uint8(9), uint8(0), uint8(1), uint8(0), uint64(2))
@@ -231,17 +200,11 @@ func FuzzCol2ImCMParity(f *testing.F) {
 		if d := maxAbsDiff(got, NaiveCol2ImCM(cols, n, c, h, w, k, k, stride, pad)); d > parityTol*float64(k) {
 			t.Fatalf("col2im-cm n%d c%d %dx%d k%d s%d p%d: max diff %g", n, c, h, w, k, stride, pad, d)
 		}
-		rm := Col2Im(Transpose2D(cols), n, c, h, w, k, k, stride, pad)
-		for i, v := range got.Data() {
-			if v != rm.Data()[i] {
-				t.Fatalf("col2im-cm n%d c%d %dx%d k%d s%d p%d: element %d = %g, row-major fold %g", n, c, h, w, k, stride, pad, i, v, rm.Data()[i])
-			}
-		}
 	})
 }
 
-// FuzzConv2dParity checks the im2col+GEMM convolution pipeline against the
-// direct seven-loop NaiveConv2d over random geometries, strides, and pads.
+// FuzzConv2dParity checks the channel-major unfold + GEMM convolution
+// pipeline against the direct seven-loop NaiveConv2d over random geometries, strides, and pads.
 func FuzzConv2dParity(f *testing.F) {
 	// Model-zoo geometry: 3x3 stride-1 pad-1 over small feature maps, the
 	// 1x1 projection used by residual downsampling, and a strided conv.

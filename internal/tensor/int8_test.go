@@ -97,8 +97,7 @@ func TestIm2ColU8MatchesFloat(t *testing.T) {
 		kp := PadK(rowLen)
 		colsQ := make([]uint8, rows*kp)
 		Im2ColU8Into(colsQ, xq, tc.n, tc.c, tc.h, tc.w, tc.k, tc.k, tc.stride, tc.pad)
-		colsF := New(rows, rowLen)
-		Im2ColInto(colsF, xdq, tc.k, tc.k, tc.stride, tc.pad)
+		colsF := Transpose2D(NaiveIm2ColCM(xdq, tc.k, tc.k, tc.stride, tc.pad))
 		for r := 0; r < rows; r++ {
 			for j := 0; j < kp; j++ {
 				got := float32(int32(colsQ[r*kp+j])-127) * scale
@@ -235,7 +234,7 @@ func absInt(x int) int {
 }
 
 // BenchmarkQuantConvPipeline compares the full f32 conv hot loop
-// (im2col + GEMM) against the int8 one (quantize + byte im2col + SWAR
+// (channel-major unfold + GEMM with the weight as the A operand) against the int8 one (quantize + byte im2col + SWAR
 // QGEMM with fused requantize) on VGG-sized layers.
 func BenchmarkQuantConvPipeline(b *testing.B) {
 	for _, tc := range []struct {
@@ -270,11 +269,11 @@ func BenchmarkQuantConvPipeline(b *testing.B) {
 		out := New(rows, tc.outC)
 
 		b.Run(tc.name+"/f32", func(b *testing.B) {
-			cols := New(rows, rowLen)
+			cols, outCM := New(rowLen, rows), New(tc.outC, rows)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Im2ColInto(cols, x, k, k, stride, pad)
-				MatMulTransBInto(out, cols, wgt)
+				Im2ColCMInto(cols, x, k, k, stride, pad)
+				MatMulInto(outCM, wgt, cols)
 			}
 		})
 		b.Run(tc.name+"/int8", func(b *testing.B) {

@@ -117,31 +117,29 @@ func TestMatMulTransBParity(t *testing.T) {
 	}
 }
 
-// im2colConv runs a convolution the way the nn and engine hot paths do:
-// im2col unfold, blocked GEMM against the transposed weight, NHWC→NCHW
-// rearrange. It is the optimized pipeline the parity test pits against
-// NaiveConv2d.
+// im2colConv runs a convolution the way the nn and plan hot paths do:
+// channel-major unfold, one blocked GEMM with the weight read in place as
+// the A operand, and a bias epilogue per (image, channel) plane. It is the
+// optimized pipeline the parity test pits against NaiveConv2d.
 func im2colConv(x, weight *Tensor, bias []float32, kh, kw, stride, pad int) *Tensor {
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	outC := weight.Dim(0)
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
-	cols := Im2Col(x, kh, kw, stride, pad)
-	flat := New(n*oh*ow, outC)
-	MatMulTransBInto(flat, cols, weight)
+	ohw, m := oh*ow, n*oh*ow
+	cols := New(c*kh*kw, m)
+	Im2ColCMInto(cols, x, kh, kw, stride, pad)
+	rows := New(outC, m)
+	MatMulInto(rows, weight, cols)
 	out := New(n, outC, oh, ow)
-	fd, od := flat.Data(), out.Data()
-	for ni := 0; ni < n; ni++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				src := fd[((ni*oh+oy)*ow+ox)*outC:]
-				for oc := 0; oc < outC; oc++ {
-					v := src[oc]
-					if bias != nil {
-						v += bias[oc]
-					}
-					od[((ni*outC+oc)*oh+oy)*ow+ox] = v
-				}
+	rd, od := rows.Data(), out.Data()
+	for p := 0; p < n*outC; p++ {
+		ni, oc := p/outC, p%outC
+		src, dst := rd[oc*m+ni*ohw:][:ohw], od[p*ohw:][:ohw]
+		for i, v := range src {
+			if bias != nil {
+				v += bias[oc]
 			}
+			dst[i] = v
 		}
 	}
 	return out

@@ -259,11 +259,18 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // MatMulTransAInto computes dst = aᵀ @ b where a is [k,m], b is [k,n],
-// dst is [m,n]. It is the weight-gradient GEMM of conv and linear
-// training: a is transposed into an arena [m,k] buffer and the product
-// runs through the same packed driver and microkernels as MatMulInto. The
-// transpose moves m·k floats against 2·m·n·k flops.
+// dst is [m,n]. It is the conv input-gradient and linear weight-gradient
+// GEMM of training, and the projection of channel-major patch columns
+// (PatchEmbed, the plan's patch op): a is transposed into an arena [m,k]
+// buffer and the product runs through the same packed driver and
+// microkernels as MatMulInto. The transpose moves m·k floats against
+// 2·m·n·k flops.
 func MatMulTransAInto(dst, a, b *Tensor) {
+	MatMulTransAIntoP(dst, a, b, DefaultGemmParams())
+}
+
+// MatMulTransAIntoP is MatMulTransAInto with explicit blocking parameters.
+func MatMulTransAIntoP(dst, a, b *Tensor, gp GemmParams) {
 	k, m := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
@@ -271,7 +278,7 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 	}
 	at := GetBufDirty(m * k)
 	transposeInto(*at, a.data, k, m)
-	gemmBlocked(dst.data, *at, b.data, m, n, k, false, DefaultGemmParams())
+	gemmBlocked(dst.data, *at, b.data, m, n, k, false, gp)
 	PutBuf(at)
 }
 
@@ -293,9 +300,9 @@ func transposeInto(dst, src []float32, rows, cols int) {
 }
 
 // MatMulTransBInto computes dst = a @ bᵀ where a is [m,k], b is [n,k],
-// dst is [m,n]. Used for the im2col convolution forward pass and input
-// gradients; the pack stage transposes B into the strip layout so the
-// same microkernels run as for MatMulInto.
+// dst is [m,n]. Used for the conv weight gradient, PatchEmbed's column
+// gradient and the linear input gradient; the pack stage transposes B into
+// the strip layout so the same microkernels run as for MatMulInto.
 func MatMulTransBInto(dst, a, b *Tensor) {
 	MatMulTransBIntoP(dst, a, b, DefaultGemmParams())
 }

@@ -94,36 +94,6 @@ func NaiveMatMulTransBInto(dst, a, b *Tensor) {
 	}
 }
 
-// NaiveCol2Im folds cols [N*OH*OW, C*KH*KW] back into a new [N,C,H,W]
-// tensor by scattering every in-range column entry onto its input pixel.
-func NaiveCol2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
-	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
-	rowLen := c * kh * kw
-	if cols.Rank() != 2 || cols.shape[0] != n*oh*ow || cols.shape[1] != rowLen {
-		panic(fmt.Sprintf("tensor: NaiveCol2Im shape mismatch cols=%v for out [%d,%d,%d,%d]", cols.shape, n, c, h, w))
-	}
-	out := New(n, c, h, w)
-	for ni := 0; ni < n; ni++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				row := cols.data[((ni*oh+oy)*ow+ox)*rowLen:][:rowLen]
-				for ci := 0; ci < c; ci++ {
-					for ky := 0; ky < kh; ky++ {
-						for kx := 0; kx < kw; kx++ {
-							iy, ix := oy*stride+ky-pad, ox*stride+kx-pad
-							if iy < 0 || iy >= h || ix < 0 || ix >= w {
-								continue
-							}
-							out.data[((ni*c+ci)*h+iy)*w+ix] += row[(ci*kh+ky)*kw+kx]
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
 // NaiveIm2ColCM unfolds x [N,C,H,W] into new channel-major columns
 // [C*KH*KW, N*OH*OW] one element at a time, reading zero for padding.
 func NaiveIm2ColCM(x *Tensor, kh, kw, stride, pad int) *Tensor {

@@ -268,26 +268,24 @@ func TestConvOut(t *testing.T) {
 	}
 }
 
-// Im2Col on a 1x1 kernel with stride 1 is just a layout change.
+// The channel-major unfold of a 1x1 kernel with stride 1 is the input
+// itself: row c holds channel c's plane.
 func TestIm2ColIdentityKernel(t *testing.T) {
 	x := New(1, 2, 2, 2)
 	for i := range x.Data() {
 		x.Data()[i] = float32(i)
 	}
-	cols := Im2Col(x, 1, 1, 1, 0)
-	if cols.Dim(0) != 4 || cols.Dim(1) != 2 {
-		t.Fatalf("cols shape = %v", cols.Shape())
-	}
-	// Column row (y,x) holds [c0(y,x), c1(y,x)].
-	if cols.At(0, 0) != 0 || cols.At(0, 1) != 4 {
-		t.Fatalf("cols = %v", cols.Data())
-	}
-	if cols.At(3, 0) != 3 || cols.At(3, 1) != 7 {
-		t.Fatalf("cols = %v", cols.Data())
+	cols := Full(-1, 2, 4)
+	Im2ColCMInto(cols, x, 1, 1, 1, 0)
+	for i, v := range cols.Data() {
+		if v != float32(i) {
+			t.Fatalf("cols = %v", cols.Data())
+		}
 	}
 }
 
-// Reference convolution computed naively, compared against im2col+matmul.
+// Reference convolution computed naively, compared against the channel-major
+// unfold + matmul.
 func TestIm2ColMatchesNaiveConv(t *testing.T) {
 	rng := NewRNG(42)
 	n, c, h, w := 2, 3, 6, 5
@@ -321,14 +319,14 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 		}
 	}
 
-	cols := Im2Col(x, kh, kw, stride, pad)
-	wmat := wt.Reshape(oc, c*kh*kw)
-	got := MatMul(cols, Transpose2D(wmat)) // [n*oh*ow, oc]
+	cols := New(c*kh*kw, n*oh*ow)
+	Im2ColCMInto(cols, x, kh, kw, stride, pad)
+	got := MatMul(wt.Reshape(oc, c*kh*kw), cols) // [oc, n*oh*ow]
 	for ni := 0; ni < n; ni++ {
 		for o := 0; o < oc; o++ {
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					g := got.At((ni*oh+oy)*ow+ox, o)
+					g := got.At(o, (ni*oh+oy)*ow+ox)
 					wv := want.At(ni, o, oy, ox)
 					if !almostEq(float64(g), float64(wv), 1e-3) {
 						t.Fatalf("conv mismatch at n=%d o=%d y=%d x=%d: %v vs %v", ni, o, oy, ox, g, wv)
@@ -339,7 +337,8 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 	}
 }
 
-// Property: Col2Im is the adjoint of Im2Col: <Im2Col(x), y> == <x, Col2Im(y)>.
+// Property: the channel-major fold is the adjoint of the unfold:
+// <Im2ColCM(x), y> == <x, Col2ImCM(y)>.
 func TestCol2ImAdjointProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := NewRNG(seed)
@@ -353,7 +352,9 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 		}
 		x := New(n, c, h, w)
 		rng.FillNormal(x, 0, 1)
-		cols := Im2Col(x, k, k, stride, pad)
+		oh, ow := ConvOut(h, k, stride, pad), ConvOut(w, k, stride, pad)
+		cols := New(c*k*k, n*oh*ow)
+		Im2ColCMInto(cols, x, k, k, stride, pad)
 		y := New(cols.Shape()...)
 		rng.FillNormal(y, 0, 1)
 
@@ -361,7 +362,8 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 		for i := range cols.Data() {
 			lhs += float64(cols.Data()[i]) * float64(y.Data()[i])
 		}
-		back := Col2Im(y, n, c, h, w, k, k, stride, pad)
+		back := New(n, c, h, w)
+		Col2ImCMInto(back, y, k, k, stride, pad)
 		var rhs float64
 		for i := range x.Data() {
 			rhs += float64(x.Data()[i]) * float64(back.Data()[i])

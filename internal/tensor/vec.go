@@ -62,11 +62,13 @@ func VecActive() bool { return vecActive }
 // change alters what the GEMM/conv kernels compute bit for bit or how fast
 // they run on some shape. Generation 1 — keys written without a kgen field
 // — ran ragged GEMM tiles and Aᵀ·B on scalar code; generation 2 ran the
-// eager convolution layer by layer on row-major im2col columns.
-const kernelGeneration = 3
+// eager convolution layer by layer on row-major im2col columns; generation
+// 3 ran the compiled plan's convolution on row-major columns, re-packing
+// the weight as the B operand on every forward.
+const kernelGeneration = 4
 
 // KernelSignature names the bound tier and the kernel generation, e.g.
-// "vec=avx2 kgen=3". Anything persisted from a kernel measurement (autotune
+// "vec=avx2 kgen=4". Anything persisted from a kernel measurement (autotune
 // winners, memoised candidate latencies) is keyed by it next to the machine
 // signature, so numbers measured by other kernels are never replayed.
 func KernelSignature() string {

@@ -91,8 +91,9 @@ type Tuner struct {
 	mode    Mode
 	path    string
 	machine string
-	// batch is the nominal serving batch GEMM rows are scaled by when
-	// measuring (per-sample m is what the cache key holds).
+	// batch is the nominal serving batch a GEMM's rows (or a conv's pixel
+	// columns) are scaled by when measuring; the cache key holds the
+	// per-sample shape.
 	batch int
 
 	mu      sync.Mutex
@@ -195,16 +196,16 @@ func (t *Tuner) Save() error {
 }
 
 // Gemm picks f32 blocked-GEMM parameters for a per-sample [m,k] @ [k,n]
-// (or @ [n,k] transposed) layer shape.
-func (t *Tuner) Gemm(m, n, k int, transB bool) (tensor.GemmParams, string) {
+// layer shape whose nominal batch scales the m side, or the n side when
+// batchN is set (the channel-major conv).
+func (t *Tuner) Gemm(m, n, k int, batchN bool) (tensor.GemmParams, string) {
 	if t.mode == ModeOff {
 		return tensor.DefaultGemmParams(), plan.TuneDefault
 	}
-	tb := 0
-	if transB {
-		tb = 1
+	key := fmt.Sprintf("gemm m%d n%d k%d", m, n, k)
+	if batchN {
+		key += " nb"
 	}
-	key := fmt.Sprintf("gemm m%d n%d k%d tb%d", m, n, k, tb)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if e, ok := t.winners[key]; ok {
@@ -213,7 +214,7 @@ func (t *Tuner) Gemm(m, n, k int, transB bool) (tensor.GemmParams, string) {
 	if t.mode != ModeFull {
 		return tensor.DefaultGemmParams(), plan.TuneDefault
 	}
-	gp, nanos := t.measureGemm(m, n, k, transB)
+	gp, nanos := t.measureGemm(t.gemmShape(m, n, k, batchN))
 	t.winners[key] = entry{KC: gp.KC, NC: gp.NC, Kernel: gp.Kernel, Nanos: nanos}
 	t.dirty = true
 	return gp, plan.TuneMeasured
@@ -260,25 +261,21 @@ func (t *Tuner) Attn(seq, hd int) (tensor.AttnParams, string) {
 	return ap, plan.TuneMeasured
 }
 
-// measureGemm times every candidate blocking on synthetic operands and
-// returns the winner. Rows are the per-sample m scaled to the nominal
-// batch, clamped so one run stays under gemmFlopBudget flops.
-func (t *Tuner) measureGemm(m, n, k int, transB bool) (tensor.GemmParams, int64) {
-	rows := m * t.batch
-	if maxRows := gemmFlopBudget / (2 * n * k); rows > maxRows {
-		rows = maxRows
+// gemmShape returns the [m,k] @ [k,n] product measureGemm times for a
+// per-sample layer shape: the side the batch scales (n when batchN is set,
+// m otherwise) is multiplied by the nominal batch, clamped so one run stays
+// under gemmFlopBudget flops.
+func (t *Tuner) gemmShape(m, n, k int, batchN bool) (int, int, int) {
+	if batchN {
+		return m, max(1, min(n*t.batch, gemmFlopBudget/(2*m*k))), k
 	}
-	if rows < 1 {
-		rows = 1
-	}
-	a := tensor.New(rows, k)
-	var b *tensor.Tensor
-	if transB {
-		b = tensor.New(n, k)
-	} else {
-		b = tensor.New(k, n)
-	}
-	dst := tensor.New(rows, n)
+	return max(1, min(m*t.batch, gemmFlopBudget/(2*n*k))), n, k
+}
+
+// measureGemm times every candidate blocking on synthetic [m,k] @ [k,n]
+// operands and returns the winner.
+func (t *Tuner) measureGemm(m, n, k int) (tensor.GemmParams, int64) {
+	a, b, dst := tensor.New(m, k), tensor.New(k, n), tensor.New(m, n)
 	rng := tensor.NewRNG(7)
 	rng.FillNormal(a, 0, 1)
 	rng.FillNormal(b, 0, 1)
@@ -288,13 +285,7 @@ func (t *Tuner) measureGemm(m, n, k int, transB bool) (tensor.GemmParams, int64)
 		for _, kc := range []int{128, 256} {
 			for _, nc := range []int{128, 256} {
 				gp := tensor.GemmParams{KC: kc, NC: nc, Kernel: kern}
-				d := timing.MinOfRuns(tuneWarmup, tuneRuns, func() {
-					if transB {
-						tensor.MatMulTransBIntoP(dst, a, b, gp)
-					} else {
-						tensor.MatMulIntoP(dst, a, b, gp)
-					}
-				})
+				d := timing.MinOfRuns(tuneWarmup, tuneRuns, func() { tensor.MatMulIntoP(dst, a, b, gp) })
 				t.measurements.Add(1)
 				if bestNanos < 0 || int64(d) < bestNanos {
 					best, bestNanos = gp, int64(d)

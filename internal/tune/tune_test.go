@@ -9,6 +9,7 @@ import (
 	"repro/internal/fingerprint"
 	"repro/internal/graph"
 	"repro/internal/models"
+	"repro/internal/nn"
 	"repro/internal/plan"
 	"repro/internal/tensor"
 )
@@ -81,6 +82,39 @@ func TestFullMeasuresThenCaches(t *testing.T) {
 	}
 	if tn.Measurements() != before {
 		t.Fatal("cache hit re-measured")
+	}
+}
+
+// TestConvTunesChannelMajor pins the conv's tuning orientation: the plan
+// runs W[OutC, C·K·K] · cols[C·K·K, OH·OW], so the tuned key is that shape
+// marked batch-on-n, and the measured operands scale the pixel columns by
+// the nominal batch, not the output channels.
+func TestConvTunesChannelMajor(t *testing.T) {
+	g := graph.New(graph.Shape{3, 16, 16}, graph.DomainRaw)
+	conv := graph.NewBlockNode(0, 0, "ConvBlock", g.Root.InputShape, graph.DomainRaw,
+		nn.NewConvBlock(tensor.NewRNG(5), 3, 8, true, true))
+	g.AppendChain(g.Root, conv)
+	g.RefreshCapacities()
+	tn, err := New(ModeFull, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn.SetBatch(4)
+	plan.SetTuner(tn)
+	defer plan.SetTuner(nil)
+	p := plan.Compile(g)
+	if o := p.Ops[0]; o.Kind != "conv" || o.Tune != plan.TuneMeasured {
+		t.Fatalf("op 0 is %s with provenance %q, want a measured conv", o.Kind, o.Tune)
+	}
+	const key = "gemm m8 n256 k27 nb"
+	if _, ok := tn.winners[key]; !ok || len(tn.winners) != 1 {
+		t.Fatalf("tuned keys %v, want only %q", tn.winners, key)
+	}
+	if m, n, k := tn.gemmShape(8, 256, 27, true); m != 8 || n != 4*256 || k != 27 {
+		t.Fatalf("conv measured as [%d,%d]·[%d,%d], want [8,27]·[27,1024]", m, k, k, n)
+	}
+	if m, n, k := tn.gemmShape(16, 64, 32, false); m != 4*16 || n != 64 || k != 32 {
+		t.Fatalf("linear measured as [%d,%d]·[%d,%d], want [64,32]·[32,64]", m, k, k, n)
 	}
 }
 
