@@ -40,6 +40,10 @@
 //
 // The coordinator owns all search state; workers are stateless evaluators,
 // and the result is bit-identical to a single-process run.
+//
+// Resuming: run with -memo memo.json, then re-run the same config with a
+// larger "rounds". The first rounds replay from the memo without
+// fine-tuning and the search continues as one uninterrupted run would.
 package main
 
 import (
@@ -120,12 +124,11 @@ func main() {
 	log.SetPrefix("gmorph: ")
 	configPath := flag.String("config", "", "path to the JSON fusion config (required)")
 	outPath := flag.String("out", "fused.gmck", "where to write the fused model checkpoint")
-	stateDir := flag.String("state", "", "optional directory for resumable search state")
 	workerAddr := flag.String("worker", "", "serve as a stateless evaluation worker on this address (e.g. :7070) instead of searching")
 	workerSlots := flag.Int("worker-slots", 1, "evaluation concurrency in -worker mode")
 	workersCSV := flag.String("workers", "", "comma-separated worker addresses for a distributed search")
 	batch := flag.Int("batch", 0, "candidates sampled per search round (0 = 1, the paper's Algorithm 1, or 4 when -workers is set)")
-	memoPath := flag.String("memo", "", "persist the search memo (outcomes, weights, latencies) to this JSON file")
+	memoPath := flag.String("memo", "", "persist the search memo (outcomes, weights, latencies) to this JSON file; re-run with more rounds to resume")
 	predictFlag := flag.Bool("predict", false, "enable the learned pre-ranker (skips candidates predicted to violate the accuracy budget)")
 	predictMargin := flag.Float64("predict-margin", 0, "pre-ranker skip threshold (default 0.02)")
 	predictExplore := flag.Int("predict-explore", 0, "measure every Nth would-be-skipped candidate anyway (default 8)")
@@ -213,7 +216,6 @@ func main() {
 		RandomPolicy:     fc.RandomPolicy,
 		OptimizeFLOPs:    fc.OptimizeFLOPs,
 		Seed:             fc.Seed,
-		StateDir:         *stateDir,
 		Workers:          fc.Workers,
 		SearchBatch:      fc.SearchBatch,
 		MemoPath:         fc.Memo,

@@ -209,12 +209,6 @@ type Config struct {
 	Targets map[int]float64
 	// OnRound observes each search round.
 	OnRound func(Trace)
-	// StateDir, when set, makes the search resumable: existing state in
-	// the directory seeds the elite list and iteration counter, and the
-	// final state is written back after the search. A directory without
-	// state.json starts afresh; state that fails to load is an error, and
-	// the directory is left untouched.
-	StateDir string
 	// Workers lists worker endpoints ("host:port" or full URLs) for a
 	// distributed search: the coordinator keeps all search state and fans
 	// fine-tune/measure jobs across the workers (see NewSearchWorker). The
@@ -229,7 +223,14 @@ type Config struct {
 	// MemoPath persists the search memo (candidate outcomes, trained
 	// weights, machine-keyed latency measurements) to a JSON file: a
 	// re-run of the same search replays it with zero duplicate
-	// measurements, and the learned pre-ranker trains on the corpus.
+	// measurements, and the learned pre-ranker trains on the corpus. It is
+	// also how a search resumes: re-run with the same Seed, SearchBatch
+	// and MemoPath and a larger Rounds, and the first rounds replay
+	// without fine-tuning, so the search continues where an uninterrupted
+	// run would be (with Predict, the pre-ranker is primed from the whole
+	// corpus, so the continuation may differ). A memo file that fails to
+	// load is an error returned before the search, and the file is left
+	// as it was.
 	MemoPath string
 	// Predict enables the learned pre-ranker: ridge models over graph
 	// features, trained on the memo corpus, skip candidates predicted to
@@ -287,6 +288,13 @@ var ErrNoTasks = errors.New("gmorph: model has no task branches")
 // test metric against the dataset).
 func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 	cfg = cfg.searchDefaults()
+	// The search memo. With MemoPath, candidate outcomes and latency
+	// measurements survive across runs, so repeating a search replays
+	// instead of re-measuring.
+	memo, err := core.NewDiskMemo(cfg.MemoPath)
+	if err != nil {
+		return nil, fmt.Errorf("gmorph: loading search memo: %w", err)
+	}
 	setup, err := newSearchSetup(teachers, ds, cfg)
 	if err != nil {
 		return nil, err
@@ -307,24 +315,6 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 	}
 	if cfg.RandomPolicy {
 		coreCfg.Policy = core.RandomPolicy{}
-	}
-	if cfg.StateDir != "" {
-		elites, iter, err := core.LoadState(cfg.StateDir)
-		switch {
-		case err == nil:
-			coreCfg.InitialElites = elites
-			coreCfg.StartIteration = iter
-		case !errors.Is(err, core.ErrNoState):
-			return nil, fmt.Errorf("gmorph: resuming search: %w", err)
-		}
-	}
-
-	// The search memo. With MemoPath, candidate outcomes and latency
-	// measurements survive across runs, so repeating a search replays
-	// instead of re-measuring.
-	memo, err := core.NewDiskMemo(cfg.MemoPath)
-	if err != nil {
-		return nil, fmt.Errorf("gmorph: loading search memo: %w", err)
 	}
 	coreCfg.Memo = memo
 	// Learned pre-ranker, warm-started from the memo corpus.
@@ -353,11 +343,6 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 
 	if err := memo.Save(); err != nil {
 		return nil, fmt.Errorf("gmorph: saving search memo: %w", err)
-	}
-	if cfg.StateDir != "" {
-		if err := core.SaveState(cfg.StateDir, res, res.Iteration); err != nil {
-			return nil, err
-		}
 	}
 	out := &Result{
 		Model:           teachers,

@@ -1,7 +1,7 @@
 // Package atomicfile replaces a file's contents all-or-nothing: readers see
 // either the old bytes or the new ones, never a truncated mix, and a crash
 // mid-write leaves the old file in place. Every persistent artifact in the
-// tree — checkpoints, the search memo and state, the tune winner cache,
+// tree — checkpoints, the search memo, the tune winner cache,
 // decision reports — is written through it.
 //
 // It does not order concurrent read-modify-write cycles: two savers that

@@ -163,12 +163,6 @@ type Config struct {
 	// OnRound, when non-nil, observes each round's trace entry as it is
 	// appended (for live progress reporting).
 	OnRound func(Trace)
-	// InitialElites seeds the elite list, resuming a persisted search
-	// (see SaveState/LoadState).
-	InitialElites []*Elite
-	// StartIteration offsets the temperature schedule when resuming; the
-	// first sampled candidate is iteration StartIteration+1.
-	StartIteration int
 	// DisableMemo turns off the fingerprint-keyed candidate and latency
 	// caches, forcing every sampled duplicate to be re-distilled and
 	// re-measured (the pre-memoization behavior; mainly for A/B tests).
@@ -328,9 +322,6 @@ type Result struct {
 	Evaluated int
 	// Stats aggregates filtering, memoization, and warm-start counters.
 	Stats SearchStats
-	// Iteration is the last iteration sampled (StartIteration when none
-	// was): a resumed search continues numbering after it.
-	Iteration int
 }
 
 // describePairs renders the share-point pairs one mutation pass merged, for

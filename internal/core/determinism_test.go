@@ -52,12 +52,12 @@ func TestOptimizerDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // compareResults asserts two searches agree on everything the search
-// determines: Evaluated, the last iteration sampled, the elites, whether a
-// Best was found, and every field of every record except the wall-clock
-// ones — Best (ranked by measured latency), BestLatency, Elapsed,
-// FineTuneTime and the latencies inside Predicted and Measured. Accuracies
-// and margins must match exactly: fine-tuning is bit-deterministic in
-// (seed, fingerprint), and a replay copies the first evaluation's numbers.
+// determines: Evaluated, the elites, whether a Best was found, and every
+// field of every record except the wall-clock ones — Best (ranked by
+// measured latency), BestLatency, Elapsed, FineTuneTime and the latencies
+// inside Predicted and Measured. Accuracies and margins must match
+// exactly: fine-tuning is bit-deterministic in (seed, fingerprint), and a
+// replay copies the first evaluation's numbers.
 //
 // Runs that differ only in evaluation concurrency also agree on Stats. For
 // a cache on/off pair (cacheToggled), where a duplicate replays instead of
@@ -66,9 +66,8 @@ func TestOptimizerDeterministicAcrossWorkers(t *testing.T) {
 // Detail; each such test checks its own Stats relation.
 func compareResults(t *testing.T, label string, want, got *core.Result, cacheToggled bool) {
 	t.Helper()
-	if want.Evaluated != got.Evaluated || want.Iteration != got.Iteration {
-		t.Fatalf("%s: Evaluated/Iteration differ: %d/%d vs %d/%d",
-			label, want.Evaluated, want.Iteration, got.Evaluated, got.Iteration)
+	if want.Evaluated != got.Evaluated {
+		t.Fatalf("%s: Evaluated differs: %d vs %d", label, want.Evaluated, got.Evaluated)
 	}
 	if len(want.Traces) != len(got.Traces) {
 		t.Fatalf("%s: trace count differs: %d vs %d", label, len(want.Traces), len(got.Traces))

@@ -92,14 +92,7 @@ type outcome struct {
 func (o *Optimizer) Run() *Result {
 	cfg := o.cfg
 	rng := tensor.NewRNG(cfg.Seed)
-	// A resumed search starts from the persisted elites, the best of them
-	// standing as Best until a new candidate beats it.
-	res := &Result{Elites: append([]*Elite(nil), cfg.InitialElites...)}
-	for _, e := range res.Elites {
-		if res.Best == nil || better(cfg.Metric, e, res.Best) {
-			res.Best = e
-		}
-	}
+	res := &Result{}
 	start := time.Now()
 	maxElites := 16
 	if sa, ok := cfg.Policy.(*SAPolicy); ok {
@@ -141,7 +134,7 @@ func (o *Optimizer) Run() *Result {
 	if rounds == 0 {
 		rounds = 1
 	}
-	iter := cfg.StartIteration
+	iter := 0
 	for r := 0; r < rounds; r++ {
 		if cfg.TimeBudget > 0 && time.Since(start) > cfg.TimeBudget {
 			break
@@ -266,7 +259,6 @@ func (o *Optimizer) Run() *Result {
 		}
 	}
 	res.SearchTime = time.Since(start)
-	res.Iteration = iter
 	return res
 }
 

@@ -13,7 +13,6 @@ package data
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
 
@@ -89,25 +88,45 @@ type Dataset struct {
 func (d *Dataset) Score(s *Split, t int, logits *tensor.Tensor) (float64, error) {
 	switch d.Tasks[t].Kind {
 	case Classify:
-		return metrics.Accuracy(logits, s.Labels[t])
+		return accuracy(logits, s.Labels[t])
 	case MultiLabel:
-		return metrics.MeanAveragePrecision(logits, s.Multi[t])
+		return meanAveragePrecision(logits, s.Multi[t])
 	case Matthews:
-		return metrics.MatthewsCorrelation(logits, s.Labels[t])
+		return matthewsCorrelation(logits, s.Labels[t])
 	}
 	return 0, fmt.Errorf("data: unknown task kind %v", d.Tasks[t].Kind)
 }
 
-// ScoreRange reports the metric value of task t over rows [lo,hi) of the
-// split, used when evaluating on subsets.
-func (d *Dataset) ScoreRange(s *Split, t, lo, hi int, logits *tensor.Tensor) (float64, error) {
-	switch d.Tasks[t].Kind {
-	case Classify:
-		return metrics.Accuracy(logits, s.Labels[t][lo:hi])
-	case MultiLabel:
-		return metrics.MeanAveragePrecision(logits, s.Multi[t][lo:hi])
-	case Matthews:
-		return metrics.MatthewsCorrelation(logits, s.Labels[t][lo:hi])
+// ScoreTest runs forward over the test split in batches of batch samples
+// and scores every task it outputs. The logits are gathered over the whole
+// split first and scored once: mAP and MCC are not batch-decomposable.
+func (d *Dataset) ScoreTest(forward func(*tensor.Tensor) map[int]*tensor.Tensor, batch int) (map[int]float64, error) {
+	test := d.Test
+	n := test.Len()
+	logits := make(map[int]*tensor.Tensor)
+	for lo := 0; lo < n; lo += batch {
+		hi := lo + batch
+		if hi > n {
+			hi = n
+		}
+		out := forward(test.Batch(lo, hi))
+		for id, o := range out {
+			dst, ok := logits[id]
+			if !ok {
+				dst = tensor.New(append([]int{n}, o.Shape()[1:]...)...)
+				logits[id] = dst
+			}
+			per := o.Size() / o.Dim(0)
+			copy(dst.Data()[lo*per:hi*per], o.Data())
+		}
 	}
-	return 0, fmt.Errorf("data: unknown task kind %v", d.Tasks[t].Kind)
+	acc := make(map[int]float64, len(logits))
+	for id, l := range logits {
+		a, err := d.Score(test, id, l)
+		if err != nil {
+			return nil, fmt.Errorf("data: scoring task %d: %w", id, err)
+		}
+		acc[id] = a
+	}
+	return acc, nil
 }

@@ -171,59 +171,3 @@ func TestGeneratorsFiniteProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAugmentFlipIsInvolution(t *testing.T) {
-	rng := tensor.NewRNG(41)
-	x := tensor.New(2, 3, 6, 6)
-	rng.FillNormal(x, 0, 1)
-	// Flip twice manually via two Augment calls with forced flips is not
-	// deterministic; test the primitive through a double pass with a
-	// deterministic stream instead: augment with flip twice using the same
-	// seed means either both flip (identity) or neither (identity).
-	a := Augment(x, tensor.NewRNG(7), AugmentOptions{FlipH: true})
-	b := Augment(a, tensor.NewRNG(7), AugmentOptions{FlipH: true})
-	for i := range x.Data() {
-		if x.Data()[i] != b.Data()[i] {
-			t.Fatal("double flip with identical randomness must be identity")
-		}
-	}
-}
-
-func TestAugmentDoesNotMutateInput(t *testing.T) {
-	rng := tensor.NewRNG(42)
-	x := tensor.New(1, 1, 4, 4)
-	rng.FillNormal(x, 0, 1)
-	snap := x.Clone()
-	Augment(x, rng, AugmentOptions{FlipH: true, Jitter: 0.5, MaxShift: 1})
-	for i := range x.Data() {
-		if x.Data()[i] != snap.Data()[i] {
-			t.Fatal("Augment mutated its input")
-		}
-	}
-}
-
-func TestAugmentShiftZeroPads(t *testing.T) {
-	x := tensor.Full(1, 1, 1, 4, 4)
-	// Deterministic shift via MaxShift=0... use the internal primitive
-	// through a rigged RNG is fragile; instead verify that shifting by the
-	// maximum cannot increase the energy (zeros enter, values leave).
-	rng := tensor.NewRNG(43)
-	out := Augment(x, rng, AugmentOptions{MaxShift: 2})
-	if out.Sum() > x.Sum()+1e-6 {
-		t.Fatalf("shift increased total energy: %v -> %v", x.Sum(), out.Sum())
-	}
-}
-
-func TestAugmentJitterChangesValues(t *testing.T) {
-	x := tensor.Full(0.5, 1, 1, 4, 4)
-	out := Augment(x, tensor.NewRNG(44), AugmentOptions{Jitter: 0.3})
-	var changed bool
-	for i := range out.Data() {
-		if out.Data()[i] != 0.5 {
-			changed = true
-		}
-	}
-	if !changed {
-		t.Fatal("jitter changed nothing")
-	}
-}

@@ -167,34 +167,11 @@ func (e *Evaluator) Measure(g *graph.Graph) (map[int]float64, error) {
 	if batch <= 0 {
 		batch = 32
 	}
-	test := e.Dataset.Test
-	n := test.Len()
-	acc := make(map[int]float64)
-	// Collect full-test logits per task, then score once (mAP and MCC are
-	// not batch-decomposable).
-	logits := make(map[int]*tensor.Tensor)
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		out := g.Forward(test.Batch(lo, hi), false)
-		for id, o := range out {
-			dst, ok := logits[id]
-			if !ok {
-				dst = tensor.New(append([]int{n}, o.Shape()[1:]...)...)
-				logits[id] = dst
-			}
-			per := o.Size() / o.Dim(0)
-			copy(dst.Data()[lo*per:hi*per], o.Data())
-		}
-	}
-	for id, l := range logits {
-		a, err := e.Dataset.Score(test, id, l)
-		if err != nil {
-			return nil, fmt.Errorf("distill: scoring task %d: %w", id, err)
-		}
-		acc[id] = a
+	acc, err := e.Dataset.ScoreTest(func(x *tensor.Tensor) map[int]*tensor.Tensor {
+		return g.Forward(x, false)
+	}, batch)
+	if err != nil {
+		return nil, fmt.Errorf("distill: %w", err)
 	}
 	return acc, nil
 }

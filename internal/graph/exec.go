@@ -89,18 +89,3 @@ func (g *Graph) Backward(taskGrads map[int]*tensor.Tensor) {
 	}
 	walk(g.Root, false)
 }
-
-// ForwardTask executes only the path serving one task, skipping branches
-// that do not lead to its head. Used by per-task evaluation.
-func (g *Graph) ForwardTask(x *tensor.Tensor, taskID int, train bool) *tensor.Tensor {
-	head, ok := g.Heads[taskID]
-	if !ok {
-		panic(fmt.Sprintf("graph: unknown task %d", taskID))
-	}
-	path := g.Path(head)
-	out := x
-	for _, n := range path {
-		out = n.Layer.Forward(out, train)
-	}
-	return out
-}

@@ -120,22 +120,6 @@ func TestForwardProducesPerTaskOutputs(t *testing.T) {
 	}
 }
 
-func TestForwardTaskMatchesForward(t *testing.T) {
-	g := buildTwoTaskGraph(9)
-	rng := tensor.NewRNG(10)
-	x := tensor.New(2, 1, 8, 8)
-	rng.FillNormal(x, 0, 1)
-	all := g.Forward(x, false)
-	for _, id := range g.Tasks() {
-		solo := g.ForwardTask(x, id, false)
-		for i := range solo.Data() {
-			if solo.Data()[i] != all[id].Data()[i] {
-				t.Fatalf("ForwardTask(%d) diverges from Forward", id)
-			}
-		}
-	}
-}
-
 // Backward through a graph with a shared trunk must match numeric parameter
 // gradients.
 func TestBackwardSharedTrunkNumeric(t *testing.T) {
@@ -363,16 +347,6 @@ func TestDomainString(t *testing.T) {
 	if DomainSpatial.String() != "spatial" || DomainRaw.String() != "raw" {
 		t.Fatal("Domain.String() broken")
 	}
-}
-
-func TestForwardTaskUnknownPanics(t *testing.T) {
-	g := buildTwoTaskGraph(20)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown task must panic")
-		}
-	}()
-	g.ForwardTask(tensor.New(1, 1, 8, 8), 99, false)
 }
 
 func TestBackwardMissingGradPanics(t *testing.T) {

@@ -31,23 +31,6 @@ func L1Loss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	return loss / float64(len(pd)), grad
 }
 
-// MSELoss returns mean squared error and its gradient with respect to pred.
-func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	if !tensor.SameShape(pred, target) {
-		panic(fmt.Sprintf("nn: MSELoss shape mismatch %v vs %v", pred.Shape(), target.Shape()))
-	}
-	grad := tensor.New(pred.Shape()...)
-	pd, td, gd := pred.Data(), target.Data(), grad.Data()
-	inv := 2 / float32(len(pd))
-	var loss float64
-	for i := range pd {
-		d := pd[i] - td[i]
-		loss += float64(d) * float64(d)
-		gd[i] = inv * d
-	}
-	return loss / float64(len(pd)), grad
-}
-
 // CrossEntropyLoss computes softmax cross entropy for logits [N, K] against
 // integer labels, returning the mean loss and gradient with respect to the
 // logits. It is used to pre-train teacher models.

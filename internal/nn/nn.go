@@ -1,7 +1,7 @@
-// Package nn implements the differentiable layers, optimizers, and loss
+// Package nn implements the differentiable layers, optimizer, and loss
 // functions GMorph needs: convolutional blocks (Conv2d, BatchNorm2d,
 // MaxPool), transformer blocks (LayerNorm, multi-head attention), linear
-// heads, the Rescale adapters inserted by graph mutation, Adam/SGD, and the
+// heads, the Rescale adapters inserted by graph mutation, Adam, and the
 // L1/cross-entropy losses used for distillation fine-tuning and teacher
 // pre-training.
 //

@@ -2,16 +2,6 @@ package nn
 
 import "repro/internal/tensor"
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and leaves gradients untouched.
-	Step()
-	// ZeroGrad clears all managed gradients.
-	ZeroGrad()
-	// Params returns the managed parameters.
-	Params() []*Param
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba), the optimizer used in
 // the paper's fine-tuning configuration.
 type Adam struct {
@@ -35,7 +25,8 @@ func NewAdam(params []*Param, lr float32) *Adam {
 	return a
 }
 
-// Step implements Optimizer.
+// Step applies one update from the accumulated gradients and leaves them
+// untouched.
 func (a *Adam) Step() {
 	a.step++
 	bc1 := 1 - pow32(a.Beta1, a.step)
@@ -57,15 +48,12 @@ func (a *Adam) Step() {
 	}
 }
 
-// ZeroGrad implements Optimizer.
+// ZeroGrad clears every managed gradient.
 func (a *Adam) ZeroGrad() {
 	for _, p := range a.params {
 		p.ZeroGrad()
 	}
 }
-
-// Params implements Optimizer.
-func (a *Adam) Params() []*Param { return a.params }
 
 func pow32(b float32, n int) float32 {
 	r := float32(1)
@@ -74,52 +62,3 @@ func pow32(b float32, n int) float32 {
 	}
 	return r
 }
-
-// SGD is plain stochastic gradient descent with optional momentum, used by
-// ablation experiments.
-type SGD struct {
-	LR, Momentum float32
-
-	params []*Param
-	vel    []*tensor.Tensor
-}
-
-// NewSGD builds an SGD optimizer over the given parameters.
-func NewSGD(params []*Param, lr, momentum float32) *SGD {
-	s := &SGD{LR: lr, Momentum: momentum, params: params}
-	if momentum != 0 {
-		s.vel = make([]*tensor.Tensor, len(params))
-		for i, p := range params {
-			s.vel[i] = tensor.New(p.Value.Shape()...)
-		}
-	}
-	return s
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		pd, gd := p.Value.Data(), p.Grad.Data()
-		if s.vel == nil {
-			for j := range pd {
-				pd[j] -= s.LR * gd[j]
-			}
-			continue
-		}
-		vd := s.vel[i].Data()
-		for j := range pd {
-			vd[j] = s.Momentum*vd[j] + gd[j]
-			pd[j] -= s.LR * vd[j]
-		}
-	}
-}
-
-// ZeroGrad implements Optimizer.
-func (s *SGD) ZeroGrad() {
-	for _, p := range s.params {
-		p.ZeroGrad()
-	}
-}
-
-// Params implements Optimizer.
-func (s *SGD) Params() []*Param { return s.params }

@@ -22,18 +22,6 @@ func TestL1LossValueAndGrad(t *testing.T) {
 	}
 }
 
-func TestMSELossValueAndGrad(t *testing.T) {
-	p := tensor.FromSlice([]float32{2, 0}, 2)
-	q := tensor.FromSlice([]float32{0, 0}, 2)
-	loss, grad := MSELoss(p, q)
-	if math.Abs(loss-2) > 1e-6 {
-		t.Fatalf("MSE loss = %v, want 2", loss)
-	}
-	if grad.Data()[0] != 2 || grad.Data()[1] != 0 {
-		t.Fatalf("MSE grad = %v", grad.Data())
-	}
-}
-
 func TestCrossEntropyUniformLogits(t *testing.T) {
 	logits := tensor.New(2, 4)
 	loss, grad := CrossEntropyLoss(logits, []int{0, 3})
@@ -94,20 +82,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 		if math.Abs(float64(p.Value.Data()[j]-target[j])) > 1e-2 {
 			t.Fatalf("Adam did not converge: %v", p.Value.Data())
 		}
-	}
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	p := NewParam("x", 1)
-	p.Value.Data()[0] = 10
-	opt := NewSGD([]*Param{p}, 0.05, 0.9)
-	for i := 0; i < 300; i++ {
-		opt.ZeroGrad()
-		p.Grad.Data()[0] = 2 * p.Value.Data()[0]
-		opt.Step()
-	}
-	if math.Abs(float64(p.Value.Data()[0])) > 1e-3 {
-		t.Fatalf("SGD did not converge: %v", p.Value.Data()[0])
 	}
 }
 

@@ -116,7 +116,7 @@ func Apply(g *graph.Graph, ds *data.Dataset, cfg Config) (*Report, error) {
 	p = plan.Compile(g)
 	inst := p.NewInstance()
 
-	baseline, err := measure(inst, ds, cfg.Batch)
+	baseline, err := ds.ScoreTest(inst.Execute, cfg.Batch)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +149,7 @@ func Apply(g *graph.Graph, ds *data.Dataset, cfg Config) (*Report, error) {
 	// measured drop fits the budget.
 	var acc map[int]float64
 	for {
-		acc, err = measure(plan.Compile(g).NewInstance(), ds, cfg.Batch)
+		acc, err = ds.ScoreTest(plan.Compile(g).NewInstance().Execute, cfg.Batch)
 		if err != nil {
 			return nil, err
 		}
@@ -188,40 +188,6 @@ func maxDrop(baseline, acc map[int]float64) float64 {
 		}
 	}
 	return m
-}
-
-// measure evaluates every task's metric over the test split through a plan
-// instance, mirroring distill.Evaluator.Measure for the compiled path
-// (mAP and MCC are not batch-decomposable, so logits are gathered first).
-func measure(inst *plan.Instance, ds *data.Dataset, batch int) (map[int]float64, error) {
-	test := ds.Test
-	n := test.Len()
-	logits := make(map[int]*tensor.Tensor)
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		out := inst.Execute(test.Batch(lo, hi))
-		for id, o := range out {
-			dst, ok := logits[id]
-			if !ok {
-				dst = tensor.New(append([]int{n}, o.Shape()[1:]...)...)
-				logits[id] = dst
-			}
-			per := o.Size() / o.Dim(0)
-			copy(dst.Data()[lo*per:hi*per], o.Data())
-		}
-	}
-	acc := make(map[int]float64, len(logits))
-	for id, l := range logits {
-		a, err := ds.Score(test, id, l)
-		if err != nil {
-			return nil, fmt.Errorf("quant: scoring task %d: %w", id, err)
-		}
-		acc[id] = a
-	}
-	return acc, nil
 }
 
 // calibStat accumulates one op's activation statistics across calibration

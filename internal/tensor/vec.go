@@ -55,9 +55,6 @@ var (
 // without AVX2+FMA).
 func VecKind() string { return vecKind }
 
-// VecActive reports whether the assembly tier is bound.
-func VecActive() bool { return vecActive }
-
 // kernelGeneration numbers the kernels' behaviour: bump it whenever a
 // change alters what the GEMM/conv kernels compute bit for bit or how fast
 // they run on some shape. Generation 1 — keys written without a kgen field
