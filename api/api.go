@@ -14,12 +14,31 @@
 // The v1 surface (POST /v1/infer, GET /v1/model, GET /v1/stats) is kept
 // as a permanent alias for the server's default model, so single-model
 // clients written against v1 keep working unchanged.
+//
+// Both infer routes accept the input in one of two encodings, chosen by
+// the request's Content-Type:
+//
+//	application/octet-stream   the flat row-major input as little-endian
+//	(BinaryContentType)        IEEE-754 float32, 4 bytes per value, no
+//	                           header: N samples are N*SampleSize*4 bytes
+//	anything else, or none     JSON, an InferRequest: {"input": [...]}
+//
+// Client sends the binary body; JSON stays for curl and hand-written
+// callers. Responses are always JSON. Bodies over the server's size cap
+// get 413; a NaN or ±Inf value gets 400.
 package api
 
-// InferRequest is the POST /v1/infer body.
+// BinaryContentType is the media type of the binary infer body: the flat
+// row-major input as little-endian float32, 4 bytes per value.
+const BinaryContentType = "application/octet-stream"
+
+// InferRequest is the JSON infer body, sent to POST /v1/infer and
+// POST /v2/models/{name}/infer with any Content-Type but
+// BinaryContentType. Its binary twin is Input alone, each value as 4
+// little-endian bytes.
 type InferRequest struct {
 	// Input is a flat row-major float32 array: one sample of the model's
-	// input shape, or N samples concatenated.
+	// input shape, or N samples concatenated. Every value must be finite.
 	Input []float32 `json:"input"`
 }
 

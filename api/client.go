@@ -3,9 +3,11 @@ package api
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strings"
@@ -62,23 +64,20 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// do issues one request. model annotates any *Error so callers can tell
-// which model a fleet operation failed on.
-func (c *Client) do(ctx context.Context, method, path, model string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		raw, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("api: encoding request: %w", err)
-		}
-		body = bytes.NewReader(raw)
+// do issues one request and decodes the JSON reply into out. A non-nil
+// body is sent as BinaryContentType. model annotates any *Error so callers
+// can tell which model a fleet operation failed on.
+func (c *Client) do(ctx context.Context, method, path, model string, body []byte, out any) error {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
 	if err != nil {
 		return err
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", BinaryContentType)
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
@@ -106,18 +105,23 @@ func modelPath(model, suffix string) string {
 // Infer posts one or more flat row-major samples to the server's default
 // model (v1 shorthand for InferModel with the default model's name).
 func (c *Client) Infer(ctx context.Context, input []float32) (*InferResponse, error) {
-	var out InferResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/infer", "", &InferRequest{Input: input}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return c.infer(ctx, "/v1/infer", "", input)
 }
 
 // InferModel posts one or more flat row-major samples to a named model
 // and returns per-task output rows.
 func (c *Client) InferModel(ctx context.Context, model string, input []float32) (*InferResponse, error) {
+	return c.infer(ctx, modelPath(model, "/infer"), model, input)
+}
+
+// infer posts input as the binary body: 4 little-endian bytes per value.
+func (c *Client) infer(ctx context.Context, path, model string, input []float32) (*InferResponse, error) {
+	body := make([]byte, 4*len(input))
+	for i, v := range input {
+		binary.LittleEndian.PutUint32(body[4*i:], math.Float32bits(v))
+	}
 	var out InferResponse
-	if err := c.do(ctx, http.MethodPost, modelPath(model, "/infer"), model, &InferRequest{Input: input}, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, path, model, body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

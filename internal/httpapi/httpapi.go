@@ -5,12 +5,19 @@
 //
 // Endpoints (wire types are exported from repro/api):
 //
-//	POST /v2/models/{model}/infer  {"input": [...]} -> per-task outputs
+//	POST /v2/models/{model}/infer  input body       -> per-task outputs
 //	GET  /v2/models                                 -> fleet listing
 //	GET  /v2/models/{model}                         -> model metadata
 //	GET  /v2/models/{model}/stats                   -> counters + swaps
 //
 //	POST /v1/infer    GET /v1/model    GET /v1/stats
+//
+// An infer body is either binary — Content-Type api.BinaryContentType,
+// the flat row-major input as little-endian float32 — or JSON,
+// {"input": [...]}, under any other Content-Type or none. Both are capped
+// at MaxInferBytes (413 beyond it) and pass one validation: a whole,
+// non-zero number of samples, every value finite, and for token-id models
+// every value an id in [0, vocab). Replies are JSON.
 //
 // The /v1/* routes are permanent aliases for the registry's default
 // model, so clients written against the single-model surface keep
@@ -26,10 +33,14 @@ package httpapi
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -44,6 +55,10 @@ import (
 // DefaultModelName is the registry name a server with one unnamed model
 // serves it under.
 const DefaultModelName = "default"
+
+// MaxInferBytes caps an infer request body in either encoding: 4 Mi
+// float32 values as binary, about 5 samples of 3x224x224 as JSON.
+const MaxInferBytes = 16 << 20
 
 // Server serves a model registry. It is safe for concurrent use.
 type Server struct {
@@ -137,31 +152,22 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, m *registry
 		http.Error(w, "model is shutting down", http.StatusServiceUnavailable)
 		return
 	}
-	var req api.InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		m.RecordFailure()
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
-		return
-	}
 	per := snap.SampleSize
-	if per == 0 || len(req.Input) == 0 || len(req.Input)%per != 0 {
+	input, err := readInput(w, r)
+	if err == nil {
+		err = checkInput(input, per, snap.Vocab)
+	}
+	if err != nil {
 		m.RecordFailure()
-		http.Error(w, fmt.Sprintf("input length %d is not a multiple of the sample size %d", len(req.Input), per), http.StatusBadRequest)
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body over %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if snap.Vocab > 0 {
-		// Token-id model: reject out-of-vocabulary or fractional ids at
-		// the boundary; the embedding lookup must never see them.
-		for i, v := range req.Input {
-			if v != float32(int(v)) || v < 0 || int(v) >= snap.Vocab {
-				m.RecordFailure()
-				http.Error(w, fmt.Sprintf("input[%d] = %g is not a token id in [0, %d)", i, v, snap.Vocab), http.StatusBadRequest)
-				return
-			}
-		}
-	}
-	batch := len(req.Input) / per
-	x := tensor.FromSlice(req.Input, append([]int{batch}, snap.InputShape...)...)
+	batch := len(input) / per
+	x := tensor.FromSlice(input, append([]int{batch}, snap.InputShape...)...)
 
 	// Honor the client's context so an abandoned request stops occupying
 	// a batch slot, and bound the total time budget when configured.
@@ -205,6 +211,71 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, m *registry
 		resp.Outputs[taskName(snap.Graph, id)] = rows
 	}
 	writeJSON(w, resp)
+}
+
+// readInput decodes an infer body, capped at MaxInferBytes: binary under
+// api.BinaryContentType, JSON otherwise. An over-cap body fails with an
+// *http.MaxBytesError. The input is never leased from an arena: a request
+// whose client went away can still sit in the batch queue.
+func readInput(w http.ResponseWriter, r *http.Request) ([]float32, error) {
+	if r.ContentLength > MaxInferBytes {
+		return nil, &http.MaxBytesError{Limit: MaxInferBytes}
+	}
+	body := http.MaxBytesReader(w, r.Body, MaxInferBytes)
+	if mediaType(r) == api.BinaryContentType {
+		return readBinary(body)
+	}
+	var req api.InferRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			return nil, err
+		}
+		return nil, fmt.Errorf("bad JSON: %w", err)
+	}
+	return req.Input, nil
+}
+
+// mediaType is the request's Content-Type without parameters, lower-cased.
+func mediaType(r *http.Request) string {
+	t, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
+	return strings.ToLower(strings.TrimSpace(t))
+}
+
+// readBinary decodes a little-endian float32 body. The body is read as it
+// arrives, so a declared length costs nothing until its bytes come.
+func readBinary(body io.Reader) ([]float32, error) {
+	raw, err := io.ReadAll(body)
+	if err != nil {
+		return nil, fmt.Errorf("reading binary body: %w", err)
+	}
+	if len(raw)%4 != 0 {
+		return nil, fmt.Errorf("binary body of %d bytes is not a whole number of float32 values", len(raw))
+	}
+	in := make([]float32, len(raw)/4)
+	for i := range in {
+		in[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	return in, nil
+}
+
+// checkInput validates a decoded input in one pass: a whole, non-zero
+// number of samples, every value finite, and for token-id models every
+// value an id in [0, vocab) — the embedding lookup must never see an
+// out-of-vocabulary or fractional id, and no NaN may share a batch or the
+// stem memo's key space.
+func checkInput(in []float32, per, vocab int) error {
+	if per == 0 || len(in) == 0 || len(in)%per != 0 {
+		return fmt.Errorf("input length %d is not a multiple of the sample size %d", len(in), per)
+	}
+	for i, v := range in {
+		if v-v != 0 { // NaN or ±Inf
+			return fmt.Errorf("input[%d] = %g is not finite", i, v)
+		}
+		if vocab > 0 && (v != float32(int(v)) || v < 0 || int(v) >= vocab) {
+			return fmt.Errorf("input[%d] = %g is not a token id in [0, %d)", i, v, vocab)
+		}
+	}
+	return nil
 }
 
 func taskName(g *graph.Graph, id int) string {

@@ -350,7 +350,10 @@ func TestV2SwapUnderHTTPLoad(t *testing.T) {
 
 // Shared-stem serving shows on the wire: /v2/models/{name} reports the
 // group, /v2/models/{name}/stats reports group-wide memo counters.
-func TestV2SharedStemSurface(t *testing.T) {
+// newSharedStemServer serves "vit-a" and "vit-b" as one shared-stem group
+// with a stem memo.
+func newSharedStemServer(t *testing.T) *api.Client {
+	t.Helper()
 	reg := registry.New()
 	ga, gb := testutil.TinySharedStemPair(71)
 	opts := registry.ModelOptions{Pool: 1, ShareStem: 2, StemMemoCap: 32}
@@ -368,7 +371,11 @@ func TestV2SharedStemSurface(t *testing.T) {
 		defer cancel()
 		_ = s.Shutdown(ctx)
 	})
-	c := api.NewClient(srv.URL)
+	return api.NewClient(srv.URL)
+}
+
+func TestV2SharedStemSurface(t *testing.T) {
+	c := newSharedStemServer(t)
 	ctx := context.Background()
 
 	info, err := c.ModelInfo(ctx, "vit-a")
