@@ -68,7 +68,9 @@ func TestPlanBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 
 // planHashes compiles five worlds — ResNet18 at batch 1 and 3, a ViT over
 // 48x48 images (36 tokens) at batch 1, BERT-Base at batch 2, and an int8
-// TinyMultiDNN — and returns one hash of every output bit per world.
+// TinyMultiDNN at batch 1, 4 and 8, whose qconv and qlinear ops split their
+// GEMM over weight rows and activation columns — and returns one hash of
+// every output bit per forward.
 func planHashes(t *testing.T) string {
 	single := func(seed uint64, cfg models.Config, arch string, in graph.Shape) *graph.Graph {
 		g, err := models.SingleTask(tensor.NewRNG(seed), cfg, arch, in, graph.DomainRaw, 4)
@@ -97,6 +99,8 @@ func planHashes(t *testing.T) string {
 		{resnet, imageInput(11, 3, cifar)},
 		{vit, imageInput(12, 1, vitIn)},
 		{bert, tokenInput(2, 12, 40)},
+		{q, ds.Test.Batch(0, 1)},
+		{q, ds.Test.Batch(1, 5)},
 		{q, ds.Test.X},
 	} {
 		outs := engine.Compile(w.g).Forward(w.x)

@@ -10,10 +10,10 @@ import (
 // Linear by internal/quant. It carries everything the plan compiler
 // needs to lower the layer onto the int8 GEMM kernel:
 //
-//   - W is the symmetric per-output-channel quantized weight in the
-//     kernel's [Rows, K] transposed-B layout. For a convolution this is
-//     the BN-folded weight [OutC, InC*K*K]; for a linear layer it is the
-//     transposed weight [Out, In].
+//   - W is the symmetric per-output-channel quantized weight [Rows, K],
+//     one row per output channel: the kernel's A operand (see Packed).
+//     For a convolution this is the BN-folded weight [OutC, InC*K*K]; for
+//     a linear layer it is the transposed weight [Out, In].
 //   - WScale holds one dequantization scale per output channel
 //     (len Rows); w_f32[r][j] ≈ W[r*K+j] * WScale[r].
 //   - Bias is the f32 bias folded alongside the weights (applied after
@@ -32,15 +32,19 @@ type Quant8 struct {
 	InScale float32
 
 	once   sync.Once
-	packed *tensor.QuantWeights
+	packed []int8
 }
 
-// Packed returns the SWAR-packed form of W, building it on first use.
-// The result is immutable and cached, so concurrent plan compiles share
-// one packing.
-func (q *Quant8) Packed() *tensor.QuantWeights {
+// Packed returns W as the int8 GEMM's A operand (tensor.PackWeightsI8):
+// rows at stride tensor.PadK(K) with zero tails, a convolution's taps
+// kernel positions per channel reordered tap-major; linear layers pass
+// taps 1. That is W itself when no reordering or padding is needed, and
+// otherwise one copy at a byte per weight, built on first use and cached —
+// concurrent plan compiles share it, and a layer's callers always pass the
+// same taps.
+func (q *Quant8) Packed(taps int) []int8 {
 	q.once.Do(func() {
-		q.packed = tensor.PackQuantWeights(q.W, q.Rows, q.K, q.WScale)
+		q.packed = tensor.PackWeightsI8(q.W, q.Rows, q.K, taps)
 	})
 	return q.packed
 }

@@ -309,7 +309,7 @@ func (s *convSpec) build(inst *Instance, o *Op) func() {
 	f, ohw := s.f, s.oh*s.ow
 	var direct tensor.Tensor // dst viewed as the GEMM's [OutC, OH·OW] output
 	var rd []float32         // the GEMM output the epilogue reads
-	epilogue := func(lo, hi int) { s.epilogue(inst.regs[out].Data(), rd, inst.batch, lo, hi) }
+	epilogue := func(lo, hi int) { s.epilogue(inst.regs[out].Data(), rd, f.Bias, inst.batch, lo, hi) }
 	return func() {
 		dst, rows := inst.regs[out], inst.regs[s.rows]
 		tensor.Im2ColCMInto(inst.regs[s.cols], inst.regs[in], f.K, f.K, f.Stride, f.Pad)
@@ -324,9 +324,10 @@ func (s *convSpec) build(inst *Instance, o *Op) func() {
 
 // epilogue finishes planes [lo, hi) of an n-image batch into dst. Plane
 // p = ni·OutC + ch is row ch's pixels [ni·OH·OW, (ni+1)·OH·OW) of the GEMM
-// output rows: it adds the bias and applies ReLU, writing dst's plane or,
-// when the op pools, the row in place before max-pooling it into dst.
-func (s *convSpec) epilogue(dst, rows []float32, n, lo, hi int) {
+// output rows: it adds bias[ch] and applies ReLU, writing dst's plane or,
+// when the op pools, the row in place before max-pooling it into dst. The
+// f32 conv passes its folded bias, the int8 conv its annotation's.
+func (s *convSpec) epilogue(dst, rows, bias []float32, n, lo, hi int) {
 	outC, ohw := s.f.OutC, s.oh*s.ow
 	m, pohw := n*ohw, ohw
 	if s.poolK > 0 {
@@ -334,7 +335,7 @@ func (s *convSpec) epilogue(dst, rows []float32, n, lo, hi int) {
 	}
 	for p := lo; p < hi; p++ {
 		ch := p % outC
-		src, b := rows[ch*m+p/outC*ohw:][:ohw], s.f.Bias[ch]
+		src, b := rows[ch*m+p/outC*ohw:][:ohw], bias[ch]
 		act := src
 		if s.poolK == 0 {
 			act = dst[p*ohw:][:ohw]

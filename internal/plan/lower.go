@@ -126,8 +126,9 @@ func (c *compiler) val(id int) *Value { return c.p.Values[id] }
 // rows [OutC, OH·OW] as cols2d workspace values, the unfold first. src is
 // the originating graph layer (nil when there is no single source conv);
 // when it carries a matching int8 annotation the op lowers onto the
-// quantized kernel, and every quantizable conv is recorded as a
-// QuantTarget either way.
+// quantized kernel, whose only workspace value is the GEMM rows (its byte
+// columns come from the int8 arena), and every quantizable conv is
+// recorded as a QuantTarget either way.
 func (c *compiler) lowerConv(name string, src *nn.Conv2d, f *FoldedConv, relu bool, poolK, poolS int, inVal int) int {
 	in := c.val(inVal)
 	h, w := in.Shape[1], in.Shape[2]
@@ -135,35 +136,24 @@ func (c *compiler) lowerConv(name string, src *nn.Conv2d, f *FoldedConv, relu bo
 	ow := tensor.ConvOut(w, f.K, f.Stride, f.Pad)
 	kdim := f.InC * f.K * f.K
 	outShape := []int{f.OutC, oh, ow}
+	if poolK > 0 {
+		outShape = []int{f.OutC, tensor.ConvOut(oh, poolK, poolS, 0), tensor.ConvOut(ow, poolK, poolS, 0)}
+	}
+	cs := &convSpec{f: f, relu: relu, oh: oh, ow: ow, poolK: poolK, poolS: poolS}
 	var op *Op
 	if q := convQuant(src, f); q != nil {
-		qp, prov := tuneQGemm(oh*ow, f.OutC, kdim)
-		flat := c.newValue([]int{oh * ow, f.OutC}, false, -1)
-		scratch := []int{flat}
-		s := &qconvSpec{
-			q: q, inC: f.InC, k: f.K, stride: f.Stride, pad: f.Pad, outC: f.OutC,
-			relu: relu, flat: flat, pre: -1, qp: qp,
-		}
-		if poolK > 0 {
-			pre := c.newValue([]int{f.OutC, oh, ow}, false, -1)
-			scratch = append(scratch, pre)
-			s.pre, s.poolK, s.poolS = pre, poolK, poolS
-			outShape = []int{f.OutC, tensor.ConvOut(oh, poolK, poolS, 0), tensor.ConvOut(ow, poolK, poolS, 0)}
-		}
+		cs.cols, cs.rows = -1, c.newValue([]int{f.OutC, oh * ow}, true, -1)
 		out := c.newValue(outShape, false, -1)
-		op = &Op{Name: name, Kind: "qconv", In: inVal, In2: -1, Out: out, Scratch: scratch,
-			Tune: prov, TuneParams: qp.String(), spec: s}
+		op = &Op{Name: name, Kind: "qconv", In: inVal, In2: -1, Out: out, Scratch: []int{cs.rows},
+			spec: &qconvSpec{convSpec: *cs, q: q}}
 	} else {
 		gp, prov := tuneGemm(f.OutC, oh*ow, kdim, true)
-		cols := c.newValue([]int{kdim, oh * ow}, true, -1)
-		rows := c.newValue([]int{f.OutC, oh * ow}, true, -1)
-		if poolK > 0 {
-			outShape = []int{f.OutC, tensor.ConvOut(oh, poolK, poolS, 0), tensor.ConvOut(ow, poolK, poolS, 0)}
-		}
+		cs.gp = gp
+		cs.cols = c.newValue([]int{kdim, oh * ow}, true, -1)
+		cs.rows = c.newValue([]int{f.OutC, oh * ow}, true, -1)
 		out := c.newValue(outShape, false, -1)
-		op = &Op{Name: name, Kind: "conv", In: inVal, In2: -1, Out: out, Scratch: []int{cols, rows},
-			Tune: prov, TuneParams: gp.String(),
-			spec: &convSpec{f: f, relu: relu, cols: cols, rows: rows, oh: oh, ow: ow, poolK: poolK, poolS: poolS, gp: gp}}
+		op = &Op{Name: name, Kind: "conv", In: inVal, In2: -1, Out: out, Scratch: []int{cs.cols, cs.rows},
+			Tune: prov, TuneParams: gp.String(), spec: cs}
 	}
 	v := c.addOp(op)
 	if src != nil && tensor.QuantDepthOK(kdim) {
@@ -184,11 +174,9 @@ func (c *compiler) lowerLinear(name string, l *nn.Linear, inVal int) int {
 	out := c.newValue(l.OutShape(c.val(inVal).Shape), false, -1)
 	var op *Op
 	if q := linearQuant(l); q != nil {
-		qp, prov := tuneQGemm(rows, l.Out, l.In)
 		op = &Op{
 			Name: name, Kind: "qlinear", In: inVal, In2: -1, Out: out,
-			Tune: prov, TuneParams: qp.String(),
-			spec: &qlinearSpec{q: q, in: l.In, out: l.Out, qp: qp},
+			spec: &qlinearSpec{q: q, in: l.In, out: l.Out},
 		}
 	} else {
 		gp, prov := tuneGemm(rows, l.Out, l.In, false)

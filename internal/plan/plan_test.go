@@ -7,6 +7,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/plan"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
 )
@@ -203,6 +204,121 @@ func FuzzPlanConvParity(f *testing.F) {
 	})
 }
 
+// FuzzPlanQConvParity compiles one int8-annotated convolution — a bare
+// Conv2d, or a ConvBlock with ReLU and optionally a 2x2 max pool — and
+// checks the plan's qconv against a naive composition: quantize the input,
+// unfold it unpadded, NaiveQGEMMTransBInto against the annotation's
+// weights, then bias, ReLU and pool in plain loops. Integer accumulation is
+// exact and the float steps are the same, so they must agree bit for bit,
+// including depths C·K·K that are not a multiple of the kernel's k step
+// (the 3-channel 3x3 stem has 27).
+func FuzzPlanQConvParity(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(2), uint8(6), uint8(6), uint8(7), uint8(1), uint8(0), uint8(1), uint8(0))
+	f.Add(uint64(2), uint8(2), uint8(2), uint8(9), uint8(4), uint8(20), uint8(1), uint8(1), uint8(1), uint8(2))
+	f.Add(uint64(3), uint8(1), uint8(0), uint8(3), uint8(8), uint8(2), uint8(0), uint8(1), uint8(0), uint8(1))
+	f.Add(uint64(4), uint8(1), uint8(33), uint8(10), uint8(11), uint8(16), uint8(0), uint8(0), uint8(0), uint8(2))
+	f.Add(uint64(5), uint8(2), uint8(11), uint8(12), uint8(12), uint8(23), uint8(1), uint8(0), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, cRaw, hRaw, wRaw, outCRaw, kRaw, strideRaw, padRaw, kindRaw uint8) {
+		n, c, outC := int(nRaw)%3+1, int(cRaw)%36+1, int(outCRaw)%24+1
+		k, stride, pad := 2*(int(kRaw)%2)+1, int(strideRaw)%2+1, int(padRaw)%2
+		h, w := int(hRaw)%12+k, int(wRaw)%12+k
+		kdim := c * k * k
+		rng := tensor.NewRNG(seed)
+		conv := nn.NewConv2d(rng, c, outC, k, stride, pad)
+		rng.FillUniform(conv.Bias.Value, -0.5, 0.5)
+		x := tensor.New(n, c, h, w)
+		rng.FillNormal(x, 0, 1)
+		q8, wScales := tensor.QuantizeChannelsI8(conv.Weight.Value.Data(), outC, kdim)
+		q := &nn.Quant8{
+			Rows: outC, K: kdim, W: q8, WScale: wScales,
+			Bias:    append([]float32(nil), conv.Bias.Value.Data()...),
+			InScale: tensor.QuantScale(1.5), // clips the normal input's tails
+		}
+		conv.Quant = q
+		oh, ow := tensor.ConvOut(h, k, stride, pad), tensor.ConvOut(w, k, stride, pad)
+		var layer nn.Layer = conv
+		relu, pool := false, false
+		if kind := int(kindRaw) % 3; kind > 0 {
+			block := &nn.ConvBlock{Conv: conv}
+			relu = true
+			if pool = kind == 2 && oh >= 2 && ow >= 2; pool {
+				block.Pool = nn.NewMaxPool2d(2, 2)
+			}
+			layer = block
+		}
+		g := graph.New(graph.Shape{c, h, w}, graph.DomainRaw)
+		g.TaskNames[0] = "qconv"
+		g.AppendChain(g.Root, graph.NewBlockNode(0, 0, "Head", g.Root.InputShape, graph.DomainRaw, layer))
+		g.RefreshCapacities()
+		p := plan.Compile(g)
+		if kinds := p.Ops[0].Kind; kinds != "qconv" {
+			t.Fatalf("op 0 lowered to %q, want qconv", kinds)
+		}
+		got := p.NewInstance().Execute(x)[0]
+
+		// Naive composition. The flat quantize (one channel) keeps NCHW.
+		xq := make([]int8, x.Size())
+		tensor.QuantizeI8Into(xq, x.Data(), 1, 1, x.Size(), q.InScale)
+		xf := tensor.New(n, c, h, w)
+		for i, v := range xq {
+			xf.Data()[i] = float32(v)
+		}
+		cols := tensor.NaiveIm2ColCM(xf, k, k, stride, pad) // [K, N·OH·OW], unpadded
+		px := n * oh * ow
+		a := make([]int8, px*kdim)
+		for r := 0; r < kdim; r++ {
+			for j := 0; j < px; j++ {
+				a[j*kdim+r] = int8(cols.At(r, j))
+			}
+		}
+		scales := make([]float32, outC)
+		for j, ws := range wScales {
+			scales[j] = q.InScale * ws
+		}
+		gemm := tensor.New(px, outC)
+		tensor.NaiveQGEMMTransBInto(gemm, a, q8, px, kdim, outC, scales, nil)
+		pre := tensor.New(n, outC, oh, ow)
+		for ni := 0; ni < n; ni++ {
+			for oc := 0; oc < outC; oc++ {
+				for i := 0; i < oh*ow; i++ {
+					v := gemm.At(ni*oh*ow+i, oc) + q.Bias[oc]
+					if relu && v < 0 {
+						v = 0
+					}
+					pre.Data()[(ni*outC+oc)*oh*ow+i] = v
+				}
+			}
+		}
+		want := pre
+		if pool {
+			ph, pw := oh/2, ow/2
+			want = tensor.New(n, outC, ph, pw)
+			for pl := 0; pl < n*outC; pl++ {
+				src := pre.Data()[pl*oh*ow:]
+				for oy := 0; oy < ph; oy++ {
+					for ox := 0; ox < pw; ox++ {
+						best := src[2*oy*ow+2*ox]
+						for _, v := range []float32{src[2*oy*ow+2*ox+1], src[(2*oy+1)*ow+2*ox], src[(2*oy+1)*ow+2*ox+1]} {
+							if v > best {
+								best = v
+							}
+						}
+						want.Data()[(pl*ph+oy)*pw+ox] = best
+					}
+				}
+			}
+		}
+		if !tensor.SameShape(got, want) {
+			t.Fatalf("plan output %v, naive %v", got.Shape(), want.Shape())
+		}
+		for i, v := range got.Data() {
+			if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+				t.Fatalf("%s (K=%d) on %v: element %d = %g, naive %g", layer.Name(), kdim, x.Shape(), i, v, want.Data()[i])
+			}
+		}
+	})
+}
+
 // TestExecuteZeroAllocs is the acceptance check for the static buffer plan:
 // once an instance is warm, Execute performs zero heap allocations per
 // forward on a CNN profile — with no stem (where an attached memo goes
@@ -226,6 +342,29 @@ func TestExecuteZeroAllocs(t *testing.T) {
 		inst.Execute(x) // bind slabs and registers
 		if avg := testing.AllocsPerRun(20, func() { inst.Execute(x) }); avg != 0 {
 			t.Errorf("%s: steady-state Execute allocates %.1f objects per run, want 0", name, avg)
+		}
+	}
+}
+
+// TestExecuteZeroAllocsInt8 is TestExecuteZeroAllocs for a quantized
+// plan: its qconv and qlinear ops take their int8 workspace from the
+// pooled arena, so a warm forward allocates nothing at batch 1 or 4.
+func TestExecuteZeroAllocsInt8(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	ds := testutil.TinyFace(44, 32, 8)
+	g := testutil.TinyMultiDNN(45, ds)
+	if rep, err := quant.Apply(g, ds, quant.Config{AccuracyDrop: 1}); err != nil || rep.QuantizedOps == 0 {
+		t.Fatalf("quantizing: %v (report %+v)", err, rep)
+	}
+	inst := plan.Compile(g).NewInstance()
+	for _, batch := range []int{1, 4} {
+		x := tensor.New(batch, 3, 16, 16)
+		tensor.NewRNG(46).FillNormal(x, 0, 1)
+		inst.Execute(x) // bind slabs, registers and the arena's buffers
+		if avg := testing.AllocsPerRun(20, func() { inst.Execute(x) }); avg != 0 {
+			t.Errorf("batch %d: steady-state int8 Execute allocates %.1f objects per run, want 0", batch, avg)
 		}
 	}
 }

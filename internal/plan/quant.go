@@ -1,16 +1,14 @@
 package plan
 
 import (
-	"sync"
-
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
 // Quantization hooks for the plan compiler. Lowering inspects each conv and
 // linear layer for an nn.Quant8 annotation (attached by internal/quant) and,
-// when present, emits a qconv/qlinear op running on the int8 SWAR GEMM
-// instead of the float32 kernel. Quant/dequant boundaries are part of the op
+// when present, emits a qconv/qlinear op running on the int8 GEMM instead
+// of the float32 kernel. Quant/dequant boundaries are part of the op
 // itself: the runner quantizes its float32 input register on entry and the
 // kernel's fused epilogue dequantizes back to float32, so neighbouring ops —
 // norms, attention, heads, anything left at full precision — are untouched.
@@ -92,121 +90,61 @@ func combinedScales(q *nn.Quant8) []float32 {
 	return s
 }
 
-// qconvSpec is the int8 counterpart of convSpec: quantize input, byte
-// im2col, SWAR GEMM with fused requantize into row-major [N·OH·OW, OutC]
-// pixels, then the bias+ReLU+NCHW epilogue (and optional max pool). The
-// float32 cols scratch value disappears; byte workspace comes from the
-// uint8 arena per call.
+// qconvSpec is the int8 counterpart of convSpec and shares its geometry,
+// GEMM-rows scratch and per-plane epilogue: quantize the input
+// channels-last, unfold it pixel-major into int8 columns [N·OH·OW,
+// PadK(C·K·K)], then one int8 GEMM reads the weight in place as the A
+// operand and writes the channel-major rows [OutC, N·OH·OW] — straight into
+// dst at batch 1 without a pool — which the epilogue finishes with the
+// annotation's bias. The byte workspace comes from the int8 arena per call.
 type qconvSpec struct {
-	q                         *nn.Quant8
-	inC, k, stride, pad, outC int
-	relu                      bool
-	flat                      int // [oh*ow, outC] scratch value id
-	pre                       int // pre-pool scratch value id, -1 without pooling
-	poolK, poolS              int
-	qp                        tensor.QGemmParams
+	convSpec
+	q *nn.Quant8
 }
 
 func (s *qconvSpec) build(inst *Instance, o *Op) func() {
 	in, out := o.In, o.Out
-	qw := s.q.Packed()
-	scales := combinedScales(s.q)
-	var flat tensor.Tensor // the flat scratch as the GEMM's [N·OH·OW, OutC] output
+	f, q, ohw := s.f, s.q, s.oh*s.ow
+	w, kp := q.Packed(f.K*f.K), tensor.PadK(q.K)
+	scales := combinedScales(q)
+	var rd []float32 // the GEMM output the epilogue reads
+	epilogue := func(lo, hi int) { s.epilogue(inst.regs[out].Data(), rd, q.Bias, inst.batch, lo, hi) }
 	return func() {
 		x := inst.regs[in]
-		dst := inst.regs[out]
-		if s.pre >= 0 {
-			dst = inst.regs[s.pre]
+		n, h, wd := inst.batch, x.Dim(2), x.Dim(3)
+		rd = inst.regs[s.rows].Data()
+		if n == 1 && s.poolK == 0 {
+			rd = inst.regs[out].Data()
 		}
-		n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-		oh, ow := dst.Dim(2), dst.Dim(3)
-		flat.Rebind(inst.regs[s.flat].Data(), n*oh*ow, s.outC)
-		xq := tensor.GetBufU8(x.Size())
-		tensor.QuantizeU8Into(*xq, x.Data(), s.q.InScale)
-		cols := tensor.GetBufU8(n * oh * ow * qw.KP)
-		tensor.Im2ColU8Into(*cols, *xq, n, s.inC, h, w, s.k, s.k, s.stride, s.pad)
-		tensor.PutBufU8(xq)
-		tensor.QGEMMIntoP(&flat, *cols, qw, n*oh*ow, scales, nil, false, s.qp)
-		tensor.PutBufU8(cols)
-		runBiasAct(flat.Data(), dst.Data(), s.q.Bias, oh, ow, s.outC, s.relu)
-		if s.pre >= 0 {
-			tensor.MaxPoolInto(inst.regs[out], dst, s.poolK, s.poolS, nil)
-		}
+		xq := tensor.GetBufI8(x.Size())
+		tensor.QuantizeI8Into(*xq, x.Data(), n, f.InC, h*wd, q.InScale)
+		cols := tensor.GetBufI8(n * ohw * kp)
+		tensor.Im2ColI8Into(*cols, *xq, n, f.InC, h, wd, f.K, f.K, f.Stride, f.Pad)
+		tensor.PutBufI8(xq)
+		tensor.QGEMMInto(rd, n*ohw, 1, w, f.OutC, *cols, n*ohw, kp, scales, nil)
+		tensor.PutBufI8(cols)
+		tensor.ParallelFor(n*f.OutC, epilogue)
 	}
 }
 
-// runBiasAct runs the int8 conv's bias+activation+NCHW-rearrange epilogue
-// over its flat GEMM output fd [N*OH*OW, outC] into od [N, outC, OH, OW].
-func runBiasAct(fd, od, bias []float32, oh, ow, outC int, relu bool) {
-	jb := biasActJobs.Get().(*biasActJob)
-	jb.fd, jb.od, jb.bias = fd, od, bias
-	jb.oh, jb.ow, jb.outC, jb.relu = oh, ow, outC, relu
-	tensor.ParallelFor(len(od)/(outC*ow), jb.body)
-	jb.fd, jb.od, jb.bias = nil, nil, nil
-	biasActJobs.Put(jb)
-}
-
-// biasActJob rearranges the GEMM output [N*OH*OW, OutC] into NCHW while
-// adding the folded bias and (optionally) applying ReLU. Pooled for the
-// same zero-allocation reason as the tensor kernels' jobs.
-type biasActJob struct {
-	fd, od       []float32
-	bias         []float32
-	oh, ow, outC int
-	relu         bool
-	body         func(lo, hi int)
-}
-
-var biasActJobs = sync.Pool{New: func() any {
-	jb := &biasActJob{}
-	jb.body = jb.run
-	return jb
-}}
-
-func (jb *biasActJob) run(lo, hi int) {
-	fd, od, bias := jb.fd, jb.od, jb.bias
-	oh, ow, outC, relu := jb.oh, jb.ow, jb.outC, jb.relu
-	for noy := lo; noy < hi; noy++ {
-		ni, oy := noy/oh, noy%oh
-		for ox := 0; ox < ow; ox++ {
-			src := fd[(noy*ow+ox)*outC:][:outC]
-			for oc, v := range src {
-				v += bias[oc]
-				if relu && v < 0 {
-					v = 0
-				}
-				od[((ni*outC+oc)*oh+oy)*ow+ox] = v
-			}
-		}
-	}
-}
-
-// qlinearSpec is the int8 counterpart of linearSpec; the bias rides the
-// kernel epilogue, so the runner is quantize + GEMM.
+// qlinearSpec is the int8 counterpart of linearSpec: quantize the input
+// rows, then one int8 GEMM with the weight as A stores the row-major
+// [rows, Out] output with the bias.
 type qlinearSpec struct {
 	q       *nn.Quant8
 	in, out int
-	qp      tensor.QGemmParams
 }
 
 func (s *qlinearSpec) build(inst *Instance, o *Op) func() {
 	inV, outV := o.In, o.Out
-	inputFed := inV == inst.p.InValue
-	qw := s.q.Packed()
+	w, kp := s.q.Packed(1), tensor.PadK(s.in)
 	scales := combinedScales(s.q)
-	var y2d *tensor.Tensor
-	bound := -1
 	return func() {
 		x := inst.regs[inV]
-		y := inst.regs[outV]
 		rows := x.Size() / s.in
-		if bound != inst.batch || inputFed {
-			y2d = tensor.FromSlice(y.Data(), rows, s.out)
-			bound = inst.batch
-		}
-		xq := tensor.GetBufU8(rows * qw.KP)
-		tensor.QuantizeRowsU8Into(*xq, x.Data(), rows, s.in, qw.KP, s.q.InScale)
-		tensor.QGEMMIntoP(y2d, *xq, qw, rows, scales, s.q.Bias, false, s.qp)
-		tensor.PutBufU8(xq)
+		xq := tensor.GetBufI8(rows * kp)
+		tensor.QuantizeRowsI8Into(*xq, x.Data(), rows, s.in, kp, s.q.InScale)
+		tensor.QGEMMInto(inst.regs[outV].Data(), 1, s.out, w, s.out, *xq, rows, kp, scales, s.q.Bias)
+		tensor.PutBufI8(xq)
 	}
 }

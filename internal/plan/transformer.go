@@ -14,7 +14,7 @@ import (
 //	linear(FC2) -> add
 //
 // with three fusions the eager path cannot express: the Q/K/V projections
-// run as ONE packed [D, 3D] GEMM (kind "qkv", or "qqkv" on the int8 SWAR
+// run as ONE packed [D, 3D] GEMM (kind "qkv", or "qqkv" on the int8
 // kernel when calibrated), the attention context is computed by the
 // flash-style tiled kernel streaming over key blocks (kind "attn") whose
 // only working memory is a planned per-(sample,head) workspace slab — the
@@ -72,11 +72,9 @@ func (c *compiler) lowerQKV(name string, m *nn.MultiHeadAttention, inVal int) in
 	out := c.newValue([]int{t, 3 * d}, false, -1)
 	var op *Op
 	if q := qkvQuant(m); q != nil {
-		qp, prov := tuneQGemm(t, 3*d, d)
 		op = &Op{
 			Name: name, Kind: "qqkv", In: inVal, In2: -1, Out: out,
-			Tune: prov, TuneParams: qp.String(),
-			spec: &qlinearSpec{q: q, in: d, out: 3 * d, qp: qp},
+			spec: &qlinearSpec{q: q, in: d, out: 3 * d},
 		}
 	} else {
 		gp, prov := tuneGemm(t, 3*d, d, false)

@@ -6,9 +6,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Compile-time kernel tuning hook. Every GEMM-shaped op the compiler lowers
-// (channel-major conv GEMM, linear, packed QKV, patch projection, the int8
-// twins, and tiled attention) asks the installed KernelTuner for its blocking
+// Compile-time kernel tuning hook. Every f32 GEMM-shaped op the compiler
+// lowers (channel-major conv GEMM, linear, packed QKV, patch projection) and
+// the tiled attention ask the installed KernelTuner for their blocking
 // parameters and stamps the answer into the op's spec, so the executor runs
 // per-layer-shape winners instead of one global constant set. With no tuner
 // installed every op gets the shipped defaults — exactly the pre-tuning
@@ -39,8 +39,6 @@ type KernelTuner interface {
 	// projections) unless batchN is set: then it scales the n side, the
 	// pixel columns of the channel-major conv, whose m is OutC.
 	Gemm(m, n, k int, batchN bool) (tensor.GemmParams, string)
-	// QGemm picks int8 SWAR GEMM parameters for an [m,k] @ [k,n] product.
-	QGemm(m, n, k int) (tensor.QGemmParams, string)
 	// Attn picks flash-attention tile sizes for sequence length t and head
 	// dimension hd.
 	Attn(t, hd int) (tensor.AttnParams, string)
@@ -74,14 +72,6 @@ func tuneGemm(m, n, k int, batchN bool) (tensor.GemmParams, string) {
 		return t.Gemm(m, n, k, batchN)
 	}
 	return tensor.DefaultGemmParams(), TuneDefault
-}
-
-// tuneQGemm resolves int8 GEMM parameters for the given per-sample shape.
-func tuneQGemm(m, n, k int) (tensor.QGemmParams, string) {
-	if t := tuner(); t != nil {
-		return t.QGemm(m, n, k)
-	}
-	return tensor.DefaultQGemmParams(), TuneDefault
 }
 
 // tuneAttn resolves attention tile sizes for sequence length t, head dim hd.

@@ -19,7 +19,7 @@
 //     GMorph applies to fusion candidates, transplanted to precision.
 //
 // The result is a per-op precision map (Report) and a graph whose
-// annotations the plan compiler lowers onto the int8 SWAR kernels.
+// annotations the plan compiler lowers onto the int8 GEMM (tensor.QGEMMInto).
 package quant
 
 import (

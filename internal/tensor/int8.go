@@ -2,58 +2,50 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"sync"
+	"unsafe"
 )
 
 // Post-training-quantization kernels: symmetric int8 with zero-point 0.
 // Activations are quantized per tensor (q = clamp(round(x/s), -127, 127)),
 // weights per output channel, and the int8 x int8 GEMM accumulates exactly
-// in int32 with a fused requantize-to-float32 epilogue, so quantized ops
-// read and write the same float32 registers as every other plan op.
+// in int32 with a fused requantize-to-float32 store, so quantized ops read
+// and write the same float32 registers as every other plan op.
 //
-// The GEMM reaches past the scalar-multiply wall with a SWAR layout: both
-// operands are biased into the unsigned range [0, 254] (v' = v + 127), and
-// three weight columns are packed into one uint64 at 21-bit lanes. One
-// 64-bit multiply by a widened activation byte then produces three partial
-// products at once, and because each lane product is at most 254*254 <
-// 2^17, thirty-two of them accumulate in a lane without overflow. After
-// every 32-step block the lanes are unpacked into int32 accumulators; at
-// the end the bias identity
+// The GEMM is one signed-int8 kernel in dot-product form: both operands are
+// rows of K int8 values stored at stride PadK(K) with zero tails, and
 //
-//	sum(a*b) = sum((a+127)*(b+127)) - 127*sum(a+127) - 127*(sum(b+127) - 127*k)
+//	C[i,j] = float32(Σ_p A[i,p]·B[j,p]) · scales[i] (+ bias[i])
 //
-// recovers the exact signed dot product (rowOff is the activation-row term,
-// colOff the precomputed weight-column term). Everything up to the final
-// float32 multiply is integer and order-independent, so the optimized
-// kernel agrees bit-exactly with NaiveQGEMMTransBInto — asserted by
-// TestQGEMMParity and FuzzQuantizedGEMMParity — and results are identical
-// across worker counts.
+// is stored at c[i·rs + j·cs], so one kernel writes a convolution's
+// channel-major [OutC, N·OH·OW] rows (rs = N·OH·OW, cs = 1) and a linear
+// layer's row-major [rows, Out] output (rs = 1, cs = Out). The plan passes
+// the per-channel weight as A and the activations as B: work splits over the
+// weight's output channels and the activation columns, not over the few
+// pixels of a deep layer. The inner kernel is a 4x2 register block of exact
+// int32 dot products (qdot4x2, bound in vec.go: AVX2 assembly or its pure-Go
+// twin). Everything up to the final float32 multiply is integer and
+// order-independent, so both tiers agree bit-exactly with
+// NaiveQGEMMTransBInto — asserted by TestQGEMMParity and
+// FuzzQuantizedGEMMParity — and results are identical across worker counts.
 const (
 	// QuantClip is the symmetric int8 clipping bound. The range is
-	// [-127, 127] (not -128) so negation stays in range and the biased
-	// domain [0, 254] fits lane arithmetic below.
+	// [-127, 127] (not -128) so negation stays in range.
 	QuantClip = 127
-	// quantBias shifts signed int8 values into the unsigned SWAR domain.
-	quantBias = 127
-	// QuantPadByte is the biased encoding of zero: the value quantized
-	// activations are padded with.
-	QuantPadByte = 127
-	// qgemmLaneShift is the bit width of one packed-weight lane; three
-	// lanes fill 63 of a uint64's 64 bits.
-	qgemmLaneShift = 21
-	qgemmLaneMask  = 1<<qgemmLaneShift - 1
-	// QGEMMBlock is the k-step accumulation block: the largest power of
-	// two with QGEMMBlock * 254 * 254 < 2^21, so a lane cannot overflow
-	// within a block. Quantized activation rows are padded to a multiple
-	// of it.
+	// QGEMMBlock is the kernel's k step: quantized rows, weights and
+	// activations alike, are stored at a multiple of it.
 	QGEMMBlock = 32
-	// qgemmMaxK bounds the padded depth so the unpacked int32 lane
-	// accumulators (at most KP * 254 * 254) cannot overflow.
+	// qgemmMaxK bounds the padded depth so the int32 accumulators (at most
+	// KP * 127 * 127 in magnitude) cannot overflow.
 	qgemmMaxK = 32768
+	// qgemmTileCols is the number of activation columns one parallel GEMM
+	// task sweeps for its four weight rows.
+	qgemmTileCols = 64
 )
 
-// PadK rounds a GEMM depth up to the QGEMMBlock stride quantized
-// activation rows are stored at.
+// PadK rounds a GEMM depth up to the QGEMMBlock stride quantized rows are
+// stored at.
 func PadK(k int) int {
 	return (k + QGEMMBlock - 1) / QGEMMBlock * QGEMMBlock
 }
@@ -62,30 +54,29 @@ func PadK(k int) int {
 // accumulation bound; deeper layers must stay float32.
 func QuantDepthOK(k int) bool { return k > 0 && PadK(k) <= qgemmMaxK }
 
-// arenaU8 recycles transient biased-uint8 buffers (quantized activations,
-// quantized im2col columns) the way the float32 arena recycles GEMM
-// scratch.
-var arenaU8 = sync.Pool{New: func() any { return new([]uint8) }}
+// arenaI8 recycles transient int8 buffers (quantized activations, quantized
+// unfold columns) the way the float32 arena recycles GEMM scratch.
+var arenaI8 = sync.Pool{New: func() any { return new([]int8) }}
 
-// GetBufU8 returns a uint8 buffer of length n from the quantized arena.
+// GetBufI8 returns an int8 buffer of length n from the quantized arena.
 // Contents are unspecified; callers overwrite every element before
-// reading. Release with PutBufU8.
-func GetBufU8(n int) *[]uint8 {
-	p := arenaU8.Get().(*[]uint8)
+// reading. Release with PutBufI8.
+func GetBufI8(n int) *[]int8 {
+	p := arenaI8.Get().(*[]int8)
 	if cap(*p) < n {
-		*p = make([]uint8, n)
+		*p = make([]int8, n)
 	} else {
 		*p = (*p)[:n]
 	}
 	return p
 }
 
-// PutBufU8 returns a buffer to the quantized arena.
-func PutBufU8(p *[]uint8) {
+// PutBufI8 returns a buffer to the quantized arena.
+func PutBufI8(p *[]int8) {
 	if p == nil {
 		return
 	}
-	arenaU8.Put(p)
+	arenaI8.Put(p)
 }
 
 // QuantScale returns the symmetric quantization scale for a tensor whose
@@ -99,106 +90,120 @@ func QuantScale(absMax float32) float32 {
 }
 
 // quantizeOne maps one float32 value onto the symmetric int8 grid with
-// round-half-away-from-zero and saturation.
+// round-half-away-from-zero and saturation. The ±0.5 rounding term takes
+// r's sign bit instead of branching on it, so activations of mixed sign
+// cost no misprediction each; the clamps are branches a network's values
+// predict. The float clamp keeps the conversion in int32 range, and a NaN,
+// which passes it, converts to the integer minimum and saturates to -127.
 func quantizeOne(v, invScale float32) int8 {
 	r := v * invScale
-	var q int32
-	if r >= 0 {
-		q = int32(r + 0.5)
-	} else {
-		q = int32(r - 0.5)
+	if r > QuantClip {
+		r = QuantClip
+	} else if r < -QuantClip {
+		r = -QuantClip
 	}
-	if q > QuantClip {
-		q = QuantClip
-	} else if q < -QuantClip {
+	q := int32(r + math.Float32frombits(0x3f000000|math.Float32bits(r)&(1<<31))) // r ± 0.5
+	if q < -QuantClip {
 		q = -QuantClip
 	}
 	return int8(q)
 }
 
-// quantU8Job carries QuantizeU8Into's parallel-body state through the pool.
-type quantU8Job struct {
-	src  []float32
-	dst  []uint8
-	inv  float32
-	body func(lo, hi int)
+// quantJob carries QuantizeI8Into's and QuantizeRowsI8Into's parallel-body
+// state through the pool.
+type quantJob struct {
+	src               []float32
+	dst               []int8
+	k, kp             int // rows: row length and stride
+	c, hw, tiles      int // channels-last: channels, pixels, pixel tiles per image
+	inv               float32
+	rowsBody, hwcBody func(lo, hi int)
 }
 
-var quantU8Jobs = sync.Pool{New: func() any {
-	jb := &quantU8Job{}
-	jb.body = jb.run
+var quantJobs = sync.Pool{New: func() any {
+	jb := &quantJob{}
+	jb.rowsBody, jb.hwcBody = jb.runRows, jb.runHWC
 	return jb
 }}
 
-func (jb *quantU8Job) run(lo, hi int) {
-	src, dst, inv := jb.src, jb.dst, jb.inv
-	for i := lo; i < hi; i++ {
-		dst[i] = uint8(int32(quantizeOne(src[i], inv)) + quantBias)
-	}
-}
-
-// QuantizeU8Into quantizes src onto the symmetric int8 grid with step
-// scale and stores the biased encoding: dst[i] = clamp(round(src[i]/scale),
-// -127, 127) + 127, in [0, 254]. len(dst) must equal len(src).
-func QuantizeU8Into(dst []uint8, src []float32, scale float32) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("tensor: QuantizeU8Into length mismatch %d vs %d", len(dst), len(src)))
-	}
+func getQuantJob(dst []int8, src []float32, scale float32) *quantJob {
 	if scale == 0 {
 		scale = 1
 	}
-	jb := quantU8Jobs.Get().(*quantU8Job)
+	jb := quantJobs.Get().(*quantJob)
 	jb.src, jb.dst, jb.inv = src, dst, 1/scale
-	parallelFor(len(src), jb.body)
-	jb.src, jb.dst = nil, nil
-	quantU8Jobs.Put(jb)
-}
-
-// quantRowsJob carries QuantizeRowsU8Into's parallel-body state.
-type quantRowsJob struct {
-	src   []float32
-	dst   []uint8
-	k, kp int
-	inv   float32
-	body  func(lo, hi int)
-}
-
-var quantRowsJobs = sync.Pool{New: func() any {
-	jb := &quantRowsJob{}
-	jb.body = jb.run
 	return jb
-}}
+}
 
-func (jb *quantRowsJob) run(lo, hi int) {
+func putQuantJob(jb *quantJob) {
+	jb.src, jb.dst = nil, nil
+	quantJobs.Put(jb)
+}
+
+// runRows quantizes rows [lo, hi) of k values into rows of kp with zero
+// tails.
+func (jb *quantJob) runRows(lo, hi int) {
 	src, dst, k, kp, inv := jb.src, jb.dst, jb.k, jb.kp, jb.inv
 	for i := lo; i < hi; i++ {
-		srow := src[i*k : (i+1)*k]
 		drow := dst[i*kp : (i+1)*kp]
-		for j, v := range srow {
-			drow[j] = uint8(int32(quantizeOne(v, inv)) + quantBias)
+		for j, v := range src[i*k : (i+1)*k] {
+			drow[j] = quantizeOne(v, inv)
 		}
-		for j := k; j < kp; j++ {
-			drow[j] = QuantPadByte
+		clear(drow[k:])
+	}
+}
+
+// quantTile is the pixel run one channels-last quantize task transposes:
+// its c·quantTile destination bytes stay in L1 while each channel's run of
+// source floats is read contiguously.
+const quantTile = 64
+
+// runHWC quantizes pixel tiles [lo, hi), tile t covering pixels
+// [quantTile·(t%tiles), +quantTile) of image t/tiles, into channels-last
+// order.
+func (jb *quantJob) runHWC(lo, hi int) {
+	src, dst, c, hw, inv := jb.src, jb.dst, jb.c, jb.hw, jb.inv
+	for t := lo; t < hi; t++ {
+		ni, p0 := t/jb.tiles, t%jb.tiles*quantTile
+		p1 := min(p0+quantTile, hw)
+		img, out := src[ni*c*hw:][:c*hw], dst[ni*hw*c:][:hw*c]
+		for ci := 0; ci < c; ci++ {
+			for p, v := range img[ci*hw+p0 : ci*hw+p1] {
+				out[(p0+p)*c+ci] = quantizeOne(v, inv)
+			}
 		}
 	}
 }
 
-// QuantizeRowsU8Into quantizes a [rows, k] row-major float32 matrix into
-// biased uint8 rows stored at stride kp (= PadK(k)), padding each row's
-// tail with the biased zero. This is the activation layout QGEMMInto
-// consumes for linear layers. dst must have length rows*kp.
-func QuantizeRowsU8Into(dst []uint8, src []float32, rows, k, kp int, scale float32) {
+// QuantizeI8Into quantizes an NCHW float32 tensor — flat src of logical
+// shape [n, c, hw] — onto the symmetric int8 grid with step scale and
+// stores it channels-last, the layout Im2ColI8Into unfolds:
+//
+//	dst[(ni·hw + p)·c + ci] = clamp(round(src[(ni·c + ci)·hw + p] / scale), -127, 127)
+//
+// With c = 1 the layout is unchanged. len(dst) must equal len(src).
+func QuantizeI8Into(dst []int8, src []float32, n, c, hw int, scale float32) {
+	if len(dst) != len(src) || len(src) != n*c*hw {
+		panic(fmt.Sprintf("tensor: QuantizeI8Into dst %d src %d for [%d,%d,%d]", len(dst), len(src), n, c, hw))
+	}
+	jb := getQuantJob(dst, src, scale)
+	jb.c, jb.hw, jb.tiles = c, hw, (hw+quantTile-1)/quantTile
+	parallelFor(n*jb.tiles, jb.hwcBody)
+	putQuantJob(jb)
+}
+
+// QuantizeRowsI8Into quantizes a [rows, k] row-major float32 matrix into
+// int8 rows stored at stride kp (= PadK(k)) with zero tails: the B operand
+// layout QGEMMInto consumes for linear layers. dst must have length
+// rows*kp.
+func QuantizeRowsI8Into(dst []int8, src []float32, rows, k, kp int, scale float32) {
 	if len(src) != rows*k || len(dst) != rows*kp || kp < k {
-		panic(fmt.Sprintf("tensor: QuantizeRowsU8Into src %d dst %d for [%d,%d] kp=%d", len(src), len(dst), rows, k, kp))
+		panic(fmt.Sprintf("tensor: QuantizeRowsI8Into src %d dst %d for [%d,%d] kp=%d", len(src), len(dst), rows, k, kp))
 	}
-	if scale == 0 {
-		scale = 1
-	}
-	jb := quantRowsJobs.Get().(*quantRowsJob)
-	jb.src, jb.dst, jb.k, jb.kp, jb.inv = src, dst, k, kp, 1/scale
-	parallelFor(rows, jb.body)
-	jb.src, jb.dst = nil, nil
-	quantRowsJobs.Put(jb)
+	jb := getQuantJob(dst, src, scale)
+	jb.k, jb.kp = k, kp
+	parallelFor(rows, jb.rowsBody)
+	putQuantJob(jb)
 }
 
 // QuantizeChannelsI8 quantizes a [rows, k] row-major float32 weight matrix
@@ -232,59 +237,48 @@ func QuantizeChannelsI8(w []float32, rows, k int) (q []int8, scales []float32) {
 	return q, scales
 }
 
-// QuantWeights is a weight matrix prepacked for QGEMMInto: rows (output
-// channels) in groups of three across the 21-bit lanes of a uint64 stream,
-// depth padded to KP and encoded in the biased domain, plus per-row
-// correction terms and dequantization scales.
-type QuantWeights struct {
-	Rows, K, KP int
-	Packed      []uint64  // [ceil(Rows/3) * KP], lane l of group g = row g*3+l
-	ColOff      []int32   // [Rows]: 127 * (sum(b+127) - 127*KP)
-	Scales      []float32 // [Rows]: per-row (per-output-channel) weight scale
-}
-
-// PackQuantWeights packs per-channel-quantized int8 weights (row-major
-// [rows, k]) into the SWAR layout. scales is retained, not copied.
-func PackQuantWeights(q []int8, rows, k int, scales []float32) *QuantWeights {
-	if len(q) != rows*k || len(scales) != rows {
-		panic(fmt.Sprintf("tensor: PackQuantWeights got %d values, %d scales for [%d,%d]", len(q), len(scales), rows, k))
+// PackWeightsI8 lays a [rows, k] int8 weight matrix out as QGEMMInto's A
+// operand: rows at stride PadK(k) with zero tails. A convolution's row is
+// (channel, tap) ordered, taps = kh·kw kernel positions per channel; it is
+// reordered tap-major, (tap, channel), to match Im2ColI8Into's columns. The
+// dot products are exact integer sums, so the order changes no bit. With
+// one tap and k a multiple of QGEMMBlock this is q itself; otherwise it is
+// one copy at a byte per weight.
+func PackWeightsI8(q []int8, rows, k, taps int) []int8 {
+	if len(q) != rows*k || taps < 1 || k%taps != 0 {
+		panic(fmt.Sprintf("tensor: PackWeightsI8 got %d values for [%d,%d] with %d taps", len(q), rows, k, taps))
 	}
 	kp := PadK(k)
 	if kp > qgemmMaxK {
-		panic(fmt.Sprintf("tensor: PackQuantWeights depth %d exceeds the %d int32-accumulation bound", kp, qgemmMaxK))
+		panic(fmt.Sprintf("tensor: PackWeightsI8 depth %d exceeds the %d int32-accumulation bound", kp, qgemmMaxK))
 	}
-	groups := (rows + 2) / 3
-	qw := &QuantWeights{
-		Rows: rows, K: k, KP: kp,
-		Packed: make([]uint64, groups*kp),
-		ColOff: make([]int32, rows),
-		Scales: scales,
+	if kp == k && taps == 1 {
+		return q
 	}
-	for j := 0; j < rows; j++ {
-		var sum int32
-		lane := uint(qgemmLaneShift * (j % 3))
-		stream := qw.Packed[(j/3)*kp:][:kp]
-		for p := 0; p < kp; p++ {
-			bp := int32(quantBias)
-			if p < k {
-				bp = int32(q[j*k+p]) + quantBias
+	c := k / taps
+	out := make([]int8, rows*kp)
+	for r := 0; r < rows; r++ {
+		src, dst := q[r*k:][:k], out[r*kp:][:k]
+		for ci := 0; ci < c; ci++ {
+			for t := 0; t < taps; t++ {
+				dst[t*c+ci] = src[ci*taps+t]
 			}
-			sum += bp
-			stream[p] |= uint64(uint32(bp)) << lane
 		}
-		qw.ColOff[j] = quantBias * (sum - quantBias*int32(kp))
 	}
-	return qw
+	return out
 }
 
-// qgemmJob carries QGEMMInto's parallel-body state through the pool.
+// qgemmJob carries QGEMMInto's parallel-body state through the pool. Task t
+// covers weight rows [4·(t/tiles), +4) against activation columns
+// [qgemmTileCols·(t%tiles), +qgemmTileCols): consecutive tasks share their
+// four A rows, which stay L1-resident while the B columns stream past.
 type qgemmJob struct {
-	a            []uint8
-	w            *QuantWeights
-	dd           []float32
+	c            []float32
+	rs, cs       int
+	a, b         []int8
+	m, n, kp     int
+	tiles        int // column tiles per row block
 	scales, bias []float32
-	relu         bool
-	tileM        int
 	body         func(lo, hi int)
 }
 
@@ -294,191 +288,183 @@ var qgemmJobs = sync.Pool{New: func() any {
 	return jb
 }}
 
-// The activation-row tile (QGemmParams.TileM, default 8): one pass over a
-// weight group's packed stream is shared by this many rows. Wide layers
-// pack megabytes of weights — far past cache — so per-row streaming makes
-// the kernel memory-bound; tiling divides that weight traffic by the tile
-// size, while the 32-step weight block a tile is working on stays L1-hot.
-// The on-stack accumulators are sized for QGemmMaxTileM (params.go) so the
-// tile is a runtime knob the autotuner can search.
-
 func (jb *qgemmJob) run(lo, hi int) {
-	w := jb.w
-	kp, n := w.KP, w.Rows
-	packed, colOff := w.Packed, w.ColOff
-	scales, bias, relu := jb.scales, jb.bias, jb.relu
-	tileM := jb.tileM
-	groups := (n + 2) / 3
-	var rowOff [QGemmMaxTileM]int32
-	for i0 := lo; i0 < hi; i0 += tileM {
-		tm := hi - i0
-		if tm > tileM {
-			tm = tileM
-		}
-		for r := 0; r < tm; r++ {
-			arow := jb.a[(i0+r)*kp:][:kp]
-			var sumA int32
-			for _, av := range arow {
-				sumA += int32(av)
+	for t := lo; t < hi; t++ {
+		m0, n0 := t/jb.tiles*4, t%jb.tiles*qgemmTileCols
+		n1 := min(n0+qgemmTileCols, jb.n)
+		if jb.m < 4 {
+			// Fewer than four rows in all: one call per row, lda 0 making
+			// the block's four rows that one row.
+			for i := 0; i < jb.m; i++ {
+				jb.block(i, 0, i, i+1, n0, n1)
 			}
-			rowOff[r] = quantBias * sumA
+			continue
 		}
-		for g := 0; g < groups; g++ {
-			pk := packed[g*kp:][:kp]
-			var lanes [QGemmMaxTileM][3]int32
-			for p0 := 0; p0 < kp; p0 += QGEMMBlock {
-				q0 := (*[QGEMMBlock]uint64)(pk[p0:])
-				for r := 0; r < tm; r++ {
-					aa := (*[QGEMMBlock]uint8)(jb.a[(i0+r)*kp+p0:])
-					var acc uint64
-					for t := 0; t < QGEMMBlock; t += 4 {
-						acc += uint64(aa[t])*q0[t] + uint64(aa[t+1])*q0[t+1] +
-							uint64(aa[t+2])*q0[t+2] + uint64(aa[t+3])*q0[t+3]
-					}
-					lanes[r][0] += int32(acc & qgemmLaneMask)
-					lanes[r][1] += int32((acc >> qgemmLaneShift) & qgemmLaneMask)
-					lanes[r][2] += int32(acc >> (2 * qgemmLaneShift))
+		// A ragged last block recomputes rows of the one before it and
+		// stores only its own.
+		jb.block(min(m0, jb.m-4), jb.kp, m0, min(m0+4, jb.m), n0, n1)
+	}
+}
+
+// block runs the 4x2 kernel over columns [n0, n1) for the four A rows
+// starting at ma, lda bytes apart, and stores rows [mlo, mhi). A ragged last
+// column pair is computed one column early and stores only its new column;
+// with one column in all, ldb 0 makes both block columns that column.
+func (jb *qgemmJob) block(ma, lda, mlo, mhi, n0, n1 int) {
+	kp, rs, cs, c := jb.kp, jb.rs, jb.cs, jb.c
+	a, scales, bias := &jb.a[ma*kp], jb.scales[mlo:mhi], jb.bias
+	if bias != nil {
+		bias = bias[mlo:mhi]
+	}
+	for j := n0; j < n1; j += 2 {
+		jb0, ldb := j, kp
+		if j+2 > n1 {
+			if jb.n == 1 {
+				ldb = 0
+			} else {
+				jb0 = n1 - 2
+			}
+		}
+		acc := qdot4x2(kp, a, lda, &jb.b[jb0*kp], ldb)
+		for r, s := range scales {
+			i := mlo + r
+			for jj := j; jj < min(jb0+2, n1); jj++ {
+				v := float32(acc[(i-ma)*2+jj-jb0]) * s
+				if bias != nil {
+					v += bias[r]
 				}
-			}
-			for r := 0; r < tm; r++ {
-				drow := jb.dd[(i0+r)*n : (i0+r+1)*n]
-				qgemmEpilogue(drow, lanes[r][:], g*3, n, rowOff[r], colOff, scales, bias, relu)
+				c[i*rs+jj*cs] = v
 			}
 		}
 	}
 }
 
-// qgemmEpilogue dequantizes unpacked lane accumulators for columns
-// [j0, min(j0+len(lanes), n)) into drow.
-func qgemmEpilogue(drow []float32, lanes []int32, j0, n int, rowOff int32, colOff []int32, scales, bias []float32, relu bool) {
-	for t, l := range lanes {
-		j := j0 + t
-		if j >= n {
-			break
-		}
-		v := float32(l-rowOff-colOff[j]) * scales[j]
-		if bias != nil {
-			v += bias[j]
-		}
-		if relu && v < 0 {
-			v = 0
-		}
-		drow[j] = v
-	}
-}
-
-// QGEMMInto computes the quantized GEMM dst = a @ wᵀ with a fused
-// requantize epilogue. a holds m biased-uint8 activation rows at stride
-// w.KP (tails padded with QuantPadByte, as produced by QuantizeRowsU8Into
-// or Im2ColU8Into); w is a packed weight matrix; scales must fold the
-// activation scale with the per-channel weight scale (sIn * w.Scales[j]);
-// bias may be nil; relu clamps the epilogue. dst must be [m, w.Rows]
-// float32. Accumulation is exact in int32, so output is bit-identical to
-// NaiveQGEMMTransBInto on the unbiased operands.
-func QGEMMInto(dst *Tensor, a []uint8, w *QuantWeights, m int, scales, bias []float32, relu bool) {
-	QGEMMIntoP(dst, a, w, m, scales, bias, relu, DefaultQGemmParams())
-}
-
-// QGEMMIntoP is QGEMMInto with an explicit activation-row tile parameter.
-// The tile only changes the work schedule — accumulation stays exact in
-// int32 — so output is bit-identical across tile sizes.
-func QGEMMIntoP(dst *Tensor, a []uint8, w *QuantWeights, m int, scales, bias []float32, relu bool, qp QGemmParams) {
-	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != w.Rows {
-		panic(fmt.Sprintf("tensor: QGEMMInto dst %v, want [%d %d]", dst.shape, m, w.Rows))
-	}
-	if len(a) != m*w.KP || len(scales) != w.Rows || (bias != nil && len(bias) != w.Rows) {
-		panic(fmt.Sprintf("tensor: QGEMMInto a=%d scales=%d bias=%d for m=%d kp=%d rows=%d", len(a), len(scales), len(bias), m, w.KP, w.Rows))
+// QGEMMInto computes the quantized GEMM in dot-product form:
+//
+//	c[i·rs + j·cs] = float32(Σ_p a[i·kp+p]·b[j·kp+p]) · scales[i] (+ bias[i])
+//
+// for i < m, j < n. a holds m signed int8 rows and b n rows, both at stride
+// kp (a multiple of QGEMMBlock, tails zero); scales folds the activation
+// scale with the per-row weight scale; bias may be nil. Accumulation is
+// exact in int32, so the output is bit-identical to NaiveQGEMMTransBInto
+// with the operands swapped and the store transposed.
+func QGEMMInto(c []float32, rs, cs int, a []int8, m int, b []int8, n, kp int, scales, bias []float32) {
+	if m <= 0 || n <= 0 || kp <= 0 || kp%QGEMMBlock != 0 || kp > qgemmMaxK ||
+		len(a) < m*kp || len(b) < n*kp || len(scales) != m || (bias != nil && len(bias) != m) ||
+		len(c) <= (m-1)*rs+(n-1)*cs {
+		panic(fmt.Sprintf("tensor: QGEMMInto c=%d rs=%d cs=%d a=%d b=%d scales=%d bias=%d for m=%d n=%d kp=%d",
+			len(c), rs, cs, len(a), len(b), len(scales), len(bias), m, n, kp))
 	}
 	jb := qgemmJobs.Get().(*qgemmJob)
-	jb.a, jb.w, jb.dd, jb.scales, jb.bias, jb.relu = a, w, dst.data, scales, bias, relu
-	jb.tileM = qp.norm()
-	parallelFor(m, jb.body)
-	jb.a, jb.w, jb.dd, jb.scales, jb.bias = nil, nil, nil, nil, nil
+	jb.c, jb.rs, jb.cs, jb.a, jb.b = c, rs, cs, a, b
+	jb.m, jb.n, jb.kp, jb.scales, jb.bias = m, n, kp, scales, bias
+	jb.tiles = (n + qgemmTileCols - 1) / qgemmTileCols
+	parallelFor((m+3)/4*jb.tiles, jb.body)
+	jb.c, jb.a, jb.b, jb.scales, jb.bias = nil, nil, nil, nil, nil
 	qgemmJobs.Put(jb)
 }
 
-// im2colU8Job carries Im2ColU8Into's parallel-body state through the pool.
-type im2colU8Job struct {
-	xd, cd                                   []uint8
+// goQDot4x2 is the portable twin of the AVX2 int8 kernel: the same 4x2
+// block of exact int32 dot products, c[2i+j] = Σ_{p<k} a[i·lda+p]·b[j·ldb+p].
+// One 64-bit multiply forms two of them: x = b0 + b1·2³² packs the two
+// column bytes, so a·x = a·b0 + a·b1·2³². Each half of the sum stays below
+// 2³¹ in magnitude (qgemmMaxK·127² < 2³⁰), so the low 32 bits read as a
+// signed value are Σ a·b0 exactly, and removing them leaves Σ a·b1 in the
+// high half.
+func goQDot4x2(k int, a *int8, lda int, b *int8, ldb int) [8]int32 {
+	as := unsafe.Slice(a, 3*lda+k)
+	bs := unsafe.Slice(b, ldb+k)
+	a0, a1, a2, a3 := as[:k], as[lda:][:k], as[2*lda:][:k], as[3*lda:][:k]
+	b0, b1 := bs[:k], bs[ldb:][:k]
+	var s0, s1, s2, s3 int64
+	for p, v := range b0 {
+		x := int64(v) + int64(b1[p])<<32
+		s0 += int64(a0[p]) * x
+		s1 += int64(a1[p]) * x
+		s2 += int64(a2[p]) * x
+		s3 += int64(a3[p]) * x
+	}
+	var c [8]int32
+	for i, v := range [4]int64{s0, s1, s2, s3} {
+		lo := int32(v)
+		c[2*i], c[2*i+1] = lo, int32((v-int64(lo))>>32)
+	}
+	return c
+}
+
+// im2colI8Job carries Im2ColI8Into's parallel-body state through the pool.
+type im2colI8Job struct {
+	xd, cd                                   []int8
 	c, h, w, oh, ow, kh, kw, stride, pad, kp int
 	body                                     func(lo, hi int)
 }
 
-var im2colU8Jobs = sync.Pool{New: func() any {
-	jb := &im2colU8Job{}
+var im2colI8Jobs = sync.Pool{New: func() any {
+	jb := &im2colI8Job{}
 	jb.body = jb.run
 	return jb
 }}
 
-func (jb *im2colU8Job) run(lo, hi int) {
+// run fills the columns of output rows [lo, hi), item ni·OH + oy. For one
+// pixel and one kernel row, the in-range taps read consecutive input pixels
+// whatever the stride, so each is one copy of channels-last bytes between
+// zeroed borders.
+func (jb *im2colI8Job) run(lo, hi int) {
 	xd, cd := jb.xd, jb.cd
 	c, h, w, oh, ow := jb.c, jb.h, jb.w, jb.oh, jb.ow
 	kh, kw, stride, pad, kp := jb.kh, jb.kw, jb.stride, jb.pad, jb.kp
+	rowLen := kw * c
 	for noy := lo; noy < hi; noy++ {
 		ni, oy := noy/oh, noy%oh
-		base := ni * c * h * w
+		img := xd[ni*h*w*c:][:h*w*c]
 		for ox := 0; ox < ow; ox++ {
 			dst := cd[(noy*ow+ox)*kp:][:kp]
-			di := 0
-			for ci := 0; ci < c; ci++ {
-				cb := base + ci*h*w
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride + ky - pad
-					if iy < 0 || iy >= h {
-						for kx := 0; kx < kw; kx++ {
-							dst[di] = QuantPadByte
-							di++
-						}
-						continue
-					}
-					rb := cb + iy*w
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride + kx - pad
-						if ix < 0 || ix >= w {
-							dst[di] = QuantPadByte
-						} else {
-							dst[di] = xd[rb+ix]
-						}
-						di++
-					}
+			x0 := ox*stride - pad
+			kx0, kx1 := max(0, -x0), min(kw, w-x0)
+			for ky := 0; ky < kh; ky++ {
+				seg := dst[ky*rowLen:][:rowLen]
+				iy := oy*stride + ky - pad
+				if iy < 0 || iy >= h || kx0 >= kx1 {
+					clear(seg)
+					continue
 				}
+				clear(seg[:kx0*c])
+				copy(seg[kx0*c:kx1*c], img[(iy*w+x0+kx0)*c:])
+				clear(seg[kx1*c:])
 			}
-			for ; di < kp; di++ {
-				dst[di] = QuantPadByte
-			}
+			clear(dst[kh*rowLen:])
 		}
 	}
 }
 
-// Im2ColU8Into unfolds a quantized NCHW input (flat biased uint8, logical
-// shape [n,c,h,w]) into columns [n*oh*ow, c*kh*kw] stored at row stride
-// kp = PadK(c*kh*kw), the quantized counterpart of Im2ColInto. Spatial
-// padding and the row tail write the biased zero, which is exact under
-// symmetric quantization. Moving bytes instead of float32s cuts the
-// unfold's memory traffic 4x — for a 3x3 stride-1 convolution the columns
-// buffer rewrites each input element nine times, so this is a meaningful
-// share of the int8 path's win.
-func Im2ColU8Into(cols, x []uint8, n, c, h, w, kh, kw, stride, pad int) {
+// Im2ColI8Into unfolds a quantized channels-last input (flat int8 of
+// logical shape [n, h, w, c], as QuantizeI8Into stores it) pixel-major into
+// columns [n·oh·ow, kh·kw·c] at row stride kp = PadK(c·kh·kw): each output
+// pixel's receptive field is one K-contiguous row, ordered (ky, kx, ci), the
+// B operand of QGEMMInto against PackWeightsI8's tap-major weights. Spatial
+// padding and the row tail are zero, which is exact under symmetric
+// quantization.
+func Im2ColI8Into(cols, x []int8, n, c, h, w, kh, kw, stride, pad int) {
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
 	kp := PadK(c * kh * kw)
 	if len(x) != n*c*h*w || len(cols) != n*oh*ow*kp {
-		panic(fmt.Sprintf("tensor: Im2ColU8Into x len %d cols len %d for [%d,%d,%d,%d] k=%dx%d kp=%d", len(x), len(cols), n, c, h, w, kh, kw, kp))
+		panic(fmt.Sprintf("tensor: Im2ColI8Into x len %d cols len %d for [%d,%d,%d,%d] k=%dx%d kp=%d", len(x), len(cols), n, c, h, w, kh, kw, kp))
 	}
-	jb := im2colU8Jobs.Get().(*im2colU8Job)
+	jb := im2colI8Jobs.Get().(*im2colI8Job)
 	jb.xd, jb.cd = x, cols
 	jb.c, jb.h, jb.w, jb.oh, jb.ow = c, h, w, oh, ow
 	jb.kh, jb.kw, jb.stride, jb.pad, jb.kp = kh, kw, stride, pad, kp
 	parallelFor(n*oh, jb.body)
 	jb.xd, jb.cd = nil, nil
-	im2colU8Jobs.Put(jb)
+	im2colI8Jobs.Put(jb)
 }
 
 // NaiveQGEMMTransBInto is the reference quantized GEMM: signed int8
 // operands (a [m,k], b [n,k] row-major), textbook loops, exact int32
-// accumulation, same epilogue. The packed SWAR kernel must match it
-// bit-exactly — integer accumulation is order-independent and the epilogue
-// performs the identical float operations per element.
-func NaiveQGEMMTransBInto(dst *Tensor, a, b []int8, m, k, n int, scales, bias []float32, relu bool) {
+// accumulation, a per-column scale, then bias. QGEMMInto must
+// match it bit-exactly — integer accumulation is order-independent and the
+// store performs the identical float operations per element.
+func NaiveQGEMMTransBInto(dst *Tensor, a, b []int8, m, k, n int, scales, bias []float32) {
 	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: NaiveQGEMMTransBInto dst %v, want [%d %d]", dst.shape, m, n))
 	}
@@ -492,9 +478,6 @@ func NaiveQGEMMTransBInto(dst *Tensor, a, b []int8, m, k, n int, scales, bias []
 			v := float32(s) * scales[j]
 			if bias != nil {
 				v += bias[j]
-			}
-			if relu && v < 0 {
-				v = 0
 			}
 			dd[i*n+j] = v
 		}

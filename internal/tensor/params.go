@@ -1,10 +1,10 @@
 package tensor
 
 // Tunable kernel parameters. Every hot-path kernel that used to bake its
-// tile constants into the source (gemmKC/gemmNC panels, the qgemmTileM
-// activation tile, the attention bq/bk blocks) now accepts a parameter
-// struct, so the autotuner (internal/tune) can search the space per layer
-// shape and the plan compiler can stamp per-op winners. The zero value of
+// tile constants into the source (gemmKC/gemmNC panels, the attention bq/bk
+// blocks) now accepts a parameter struct, so the autotuner (internal/tune)
+// can search the space per layer shape and the plan compiler can stamp
+// per-op winners. The zero value of
 // each struct is invalid; use the Default* constructors, which reproduce
 // the hand-picked constants the previous PRs shipped.
 
@@ -65,34 +65,6 @@ func (g GemmParams) String() string {
 	kc, nc, mr, nr := g.norm()
 	return "kc=" + itoa(kc) + " nc=" + itoa(nc) + " kern=" + itoa(mr) + "x" + itoa(nr)
 }
-
-// QGemmParams are the int8 SWAR GEMM parameters.
-type QGemmParams struct {
-	// TileM is the activation-row tile: one pass over a weight group's
-	// packed stream is shared by this many rows. Must be in [1, QGemmMaxTileM].
-	TileM int
-}
-
-// QGemmMaxTileM bounds the activation tile (the kernel's on-stack lane
-// accumulator array is sized for it).
-const QGemmMaxTileM = 32
-
-// DefaultQGemmParams returns the shipped default (tile of 8 rows).
-func DefaultQGemmParams() QGemmParams { return QGemmParams{TileM: 8} }
-
-func (q QGemmParams) norm() int {
-	t := q.TileM
-	if t <= 0 {
-		t = 8
-	}
-	if t > QGemmMaxTileM {
-		t = QGemmMaxTileM
-	}
-	return t
-}
-
-// String renders the parameters for kernel reports.
-func (q QGemmParams) String() string { return "tile_m=" + itoa(q.norm()) }
 
 // AttnParams are the flash-attention tile sizes: BQ query rows stream over
 // BK-wide key blocks (tensor.FlashAttendHead's bq/bk arguments).

@@ -1,9 +1,10 @@
 package tensor
 
-// Vector kernel dispatch. The blocked GEMM, the attention kernel, and the
-// conv epilogue all bottom out in the small set of primitives declared
-// here as function variables. The package default binds the pure-Go
-// 8-wide-lane implementations from microgo.go; on amd64 with AVX2+FMA the
+// Vector kernel dispatch. The blocked GEMM, the int8 GEMM, the attention
+// kernel, and the conv epilogue all bottom out in the small set of
+// primitives declared here as function variables. The package default
+// binds the pure-Go implementations from microgo.go and int8.go; on amd64
+// with AVX2+FMA the
 // init in vec_amd64.go rebinds them to hand-written assembly microkernels
 // (vec_amd64.s). The binding is decided once at process start, so kernel
 // selection never changes mid-run and results stay deterministic across
@@ -17,8 +18,8 @@ package tensor
 //     binary).
 //
 // Parity with naive.go is enforced for both tiers by
-// kernels_parity_test.go and the fuzz harness; CI runs the suite with the
-// vector tier enabled and forced off.
+// kernels_parity_test.go, int8_test.go and the fuzz harness; CI runs the
+// suite with the vector tier enabled and forced off.
 
 // microFn is an MR x NR GEMM microkernel: c[0:MR][0:NR] += a[0:MR][0:k] @
 // bp, where a rows are lda floats apart, c rows ldc floats apart, and bp
@@ -27,6 +28,11 @@ type microFn func(k int, a *float32, lda int, bp *float32, c *float32, ldc int)
 
 // micro1Fn is the single-row variant for MR tails: c[0:NR] += a[0:k] @ bp.
 type micro1Fn func(k int, a *float32, bp *float32, c *float32)
+
+// qdotFn is the int8 GEMM's 4x2 block of exact int32 dot products: it
+// returns c[2i+j] = Σ_{p<k} a[i·lda+p]·b[j·ldb+p] for i < 4, j < 2, over
+// signed int8 rows and k a positive multiple of QGEMMBlock.
+type qdotFn func(k int, a *int8, lda int, b *int8, ldb int) [8]int32
 
 var (
 	// vecActive reports whether the assembly microkernel tier was
@@ -41,6 +47,9 @@ var (
 	microGemm8x8  microFn
 	microGemm1x16 micro1Fn
 	microGemm1x8  micro1Fn
+
+	// The int8 GEMM's block kernel (int8.go).
+	qdot4x2 qdotFn = goQDot4x2
 
 	// Attention / epilogue primitives. Contracts: vdot requires
 	// len(b) >= len(a); vaxpy requires len(x) >= len(y).
@@ -61,11 +70,12 @@ func VecKind() string { return vecKind }
 // — ran ragged GEMM tiles and Aᵀ·B on scalar code; generation 2 ran the
 // eager convolution layer by layer on row-major im2col columns; generation
 // 3 ran the compiled plan's convolution on row-major columns, re-packing
-// the weight as the B operand on every forward.
-const kernelGeneration = 4
+// the weight as the B operand on every forward; generation 4 ran the int8
+// GEMM as a SWAR kernel over biased-uint8 activation rows.
+const kernelGeneration = 5
 
 // KernelSignature names the bound tier and the kernel generation, e.g.
-// "vec=avx2 kgen=4". Anything persisted from a kernel measurement (autotune
+// "vec=avx2 kgen=5". Anything persisted from a kernel measurement (autotune
 // winners, memoised candidate latencies) is keyed by it next to the machine
 // signature, so numbers measured by other kernels are never replayed.
 func KernelSignature() string {

@@ -28,6 +28,9 @@ func avx2Gemm1x16(k int, a *float32, bp *float32, c *float32)
 func avx2Gemm1x8(k int, a *float32, bp *float32, c *float32)
 
 //go:noescape
+func avx2QDot4x2(k int, a *int8, lda int, b *int8, ldb int) [8]int32
+
+//go:noescape
 func avx2Dot(a, b *float32, n int) float32
 
 //go:noescape
@@ -72,6 +75,7 @@ func init() {
 	microGemm8x8 = avx2Gemm8x8
 	microGemm1x16 = avx2Gemm1x16
 	microGemm1x8 = avx2Gemm1x8
+	qdot4x2 = avx2QDot4x2
 	vdot = dotAVX2
 	vaxpy = axpyAVX2
 	vscale = scaleAVX2

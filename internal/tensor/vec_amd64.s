@@ -356,3 +356,101 @@ loop8:
 	JG      loop8
 	VZEROUPPER
 	RET
+
+// func avx2QDot4x2(k int, a *int8, lda int, b *int8, ldb int) [8]int32
+//
+// The int8 GEMM's 4x2 block: it returns c[2i+j] = Σ_{p<k} a[i·lda+p]·b[j·ldb+p] over
+// signed int8 rows, k a positive multiple of 32. Each 16-byte step
+// sign-extends the two B rows and then each A row to int16 (VPMOVSXBW), and
+// VPMADDWD forms int32 sums of adjacent int16 products, which no int8
+// operand can saturate; eight YMM accumulators hold the row x column
+// partial sums. The accumulation is exact integer arithmetic, so its order
+// does not matter. The tail folds the eight accumulators into one vector of
+// eight sums with two rounds of VPHADDD and one cross-lane add.
+TEXT ·avx2QDot4x2(SB), NOSPLIT, $0-72
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), AX
+	MOVQ lda+16(FP), R8
+	MOVQ b+24(FP), BX
+	MOVQ ldb+32(FP), R9
+
+	// A row pointers AX, R10, R11, R12; B row pointers BX, DX.
+	LEAQ (AX)(R8*1), R10
+	LEAQ (AX)(R8*2), R11
+	LEAQ (R10)(R8*2), R12
+	LEAQ (BX)(R9*1), DX
+
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	XORQ  SI, SI
+
+qloop:
+	VPMOVSXBW (BX)(SI*1), Y8
+	VPMOVSXBW (DX)(SI*1), Y9
+	VPMOVSXBW (AX)(SI*1), Y10
+	VPMADDWD  Y8, Y10, Y12
+	VPADDD    Y12, Y0, Y0
+	VPMADDWD  Y9, Y10, Y13
+	VPADDD    Y13, Y1, Y1
+	VPMOVSXBW (R10)(SI*1), Y11
+	VPMADDWD  Y8, Y11, Y14
+	VPADDD    Y14, Y2, Y2
+	VPMADDWD  Y9, Y11, Y15
+	VPADDD    Y15, Y3, Y3
+	VPMOVSXBW (R11)(SI*1), Y10
+	VPMADDWD  Y8, Y10, Y12
+	VPADDD    Y12, Y4, Y4
+	VPMADDWD  Y9, Y10, Y13
+	VPADDD    Y13, Y5, Y5
+	VPMOVSXBW (R12)(SI*1), Y11
+	VPMADDWD  Y8, Y11, Y14
+	VPADDD    Y14, Y6, Y6
+	VPMADDWD  Y9, Y11, Y15
+	VPADDD    Y15, Y7, Y7
+
+	VPMOVSXBW 16(BX)(SI*1), Y8
+	VPMOVSXBW 16(DX)(SI*1), Y9
+	VPMOVSXBW 16(AX)(SI*1), Y10
+	VPMADDWD  Y8, Y10, Y12
+	VPADDD    Y12, Y0, Y0
+	VPMADDWD  Y9, Y10, Y13
+	VPADDD    Y13, Y1, Y1
+	VPMOVSXBW 16(R10)(SI*1), Y11
+	VPMADDWD  Y8, Y11, Y14
+	VPADDD    Y14, Y2, Y2
+	VPMADDWD  Y9, Y11, Y15
+	VPADDD    Y15, Y3, Y3
+	VPMOVSXBW 16(R11)(SI*1), Y10
+	VPMADDWD  Y8, Y10, Y12
+	VPADDD    Y12, Y4, Y4
+	VPMADDWD  Y9, Y10, Y13
+	VPADDD    Y13, Y5, Y5
+	VPMOVSXBW 16(R12)(SI*1), Y11
+	VPMADDWD  Y8, Y11, Y14
+	VPADDD    Y14, Y6, Y6
+	VPMADDWD  Y9, Y11, Y15
+	VPADDD    Y15, Y7, Y7
+
+	ADDQ $32, SI
+	CMPQ SI, CX
+	JLT  qloop
+
+	// Per 128-bit lane: Y0 <- [Σ Y0, Σ Y1, Σ Y2, Σ Y3], Y4 <- [Σ Y4 .. Σ Y7].
+	VPHADDD    Y1, Y0, Y0
+	VPHADDD    Y3, Y2, Y2
+	VPHADDD    Y5, Y4, Y4
+	VPHADDD    Y7, Y6, Y6
+	VPHADDD    Y2, Y0, Y0
+	VPHADDD    Y6, Y4, Y4
+	VPERM2I128 $0x20, Y4, Y0, Y8
+	VPERM2I128 $0x31, Y4, Y0, Y9
+	VPADDD     Y9, Y8, Y8
+	VMOVDQU    Y8, ret+40(FP)
+	VZEROUPPER
+	RET

@@ -1,5 +1,5 @@
 // Package tune implements the compile-time kernel autotuner: it searches
-// the blocked-GEMM, int8-GEMM, and flash-attention parameter spaces per
+// the blocked-GEMM and flash-attention parameter spaces per
 // distinct layer shape by timing candidate configurations on synthetic
 // operands (timing.MinOfRuns, so a scheduler hiccup cannot crown the wrong
 // winner), and persists winners in a JSON cache keyed by
@@ -65,13 +65,12 @@ const (
 	tuneRuns       = 2
 )
 
-// entry is one cached winner. A single struct covers all three kernel
+// entry is one cached winner. A single struct covers both kernel
 // families; the shape key's prefix says which fields are meaningful.
 type entry struct {
 	KC     int    `json:"kc,omitempty"`
 	NC     int    `json:"nc,omitempty"`
 	Kernel string `json:"kernel,omitempty"`
-	TileM  int    `json:"tile_m,omitempty"`
 	BQ     int    `json:"bq,omitempty"`
 	BK     int    `json:"bk,omitempty"`
 	// Nanos records the winner's measured time, for inspection only.
@@ -220,27 +219,6 @@ func (t *Tuner) Gemm(m, n, k int, batchN bool) (tensor.GemmParams, string) {
 	return gp, plan.TuneMeasured
 }
 
-// QGemm picks int8 SWAR GEMM parameters for a per-sample [m,k] @ [k,n]
-// layer shape.
-func (t *Tuner) QGemm(m, n, k int) (tensor.QGemmParams, string) {
-	if t.mode == ModeOff {
-		return tensor.DefaultQGemmParams(), plan.TuneDefault
-	}
-	key := fmt.Sprintf("qgemm m%d n%d k%d", m, n, k)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, ok := t.winners[key]; ok {
-		return tensor.QGemmParams{TileM: e.TileM}, plan.TuneCache
-	}
-	if t.mode != ModeFull {
-		return tensor.DefaultQGemmParams(), plan.TuneDefault
-	}
-	qp, nanos := t.measureQGemm(m, n, k)
-	t.winners[key] = entry{TileM: qp.TileM, Nanos: nanos}
-	t.dirty = true
-	return qp, plan.TuneMeasured
-}
-
 // Attn picks flash-attention tiles for sequence length seq and head dim hd.
 func (t *Tuner) Attn(seq, hd int) (tensor.AttnParams, string) {
 	if t.mode == ModeOff {
@@ -291,41 +269,6 @@ func (t *Tuner) measureGemm(m, n, k int) (tensor.GemmParams, int64) {
 					best, bestNanos = gp, int64(d)
 				}
 			}
-		}
-	}
-	return best, bestNanos
-}
-
-// measureQGemm times the int8 kernel's activation-tile candidates against a
-// synthetic packed weight.
-func (t *Tuner) measureQGemm(m, n, k int) (tensor.QGemmParams, int64) {
-	rows := m * t.batch
-	if maxRows := gemmFlopBudget / (2 * n * k); rows > maxRows {
-		rows = maxRows
-	}
-	if rows < 1 {
-		rows = 1
-	}
-	rng := tensor.NewRNG(7)
-	w := tensor.New(n, k)
-	rng.FillNormal(w, 0, 1)
-	q, scales := tensor.QuantizeChannelsI8(w.Data(), n, k)
-	qw := tensor.PackQuantWeights(q, n, k, scales)
-	act := make([]uint8, rows*qw.KP)
-	for i := range act {
-		act[i] = uint8(rng.Intn(256))
-	}
-	dst := tensor.New(rows, n)
-	best := tensor.DefaultQGemmParams()
-	bestNanos := int64(-1)
-	for _, tileM := range []int{4, 8, 16, 32} {
-		qp := tensor.QGemmParams{TileM: tileM}
-		d := timing.MinOfRuns(tuneWarmup, tuneRuns, func() {
-			tensor.QGEMMIntoP(dst, act, qw, rows, scales, nil, false, qp)
-		})
-		t.measurements.Add(1)
-		if bestNanos < 0 || int64(d) < bestNanos {
-			best, bestNanos = qp, int64(d)
 		}
 	}
 	return best, bestNanos

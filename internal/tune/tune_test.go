@@ -14,7 +14,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// vitGraph builds a small single-task ViT — it exercises all three tunable
+// vitGraph builds a small single-task ViT — it exercises both tunable
 // kernel families in one compile: patch/qkv/linear GEMMs and the tiled
 // attention.
 func vitGraph(t *testing.T) *graph.Graph {
@@ -35,9 +35,6 @@ func TestModeOffReturnsDefaults(t *testing.T) {
 	gp, prov := tn.Gemm(64, 64, 64, false)
 	if prov != plan.TuneDefault || gp != tensor.DefaultGemmParams() {
 		t.Fatalf("off mode: got %v %q", gp, prov)
-	}
-	if _, prov := tn.QGemm(64, 64, 64); prov != plan.TuneDefault {
-		t.Fatalf("off mode qgemm provenance %q", prov)
 	}
 	if _, prov := tn.Attn(64, 32); prov != plan.TuneDefault {
 		t.Fatalf("off mode attn provenance %q", prov)
