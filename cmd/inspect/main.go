@@ -6,7 +6,6 @@
 // Usage:
 //
 //	inspect -model fused.gmck [-dot fused.dot] [-plan] [-quant]
-//	inspect -model fused.gmck -kernels [-tune off|load|full] [-tune-cache path]
 //	inspect -shared a.gmck b.gmck [...]
 //	inspect -fusion decisions.json
 //
@@ -14,11 +13,6 @@
 // by gmorph -decisions): for every search round, the mutation tried, which
 // filter acted (capacity rule, memo replay, learned pre-ranker), predicted
 // vs measured accuracy margin and latency, and the outcome.
-//
-// -kernels prints the compiled plan's per-layer kernel report: the kernel
-// family each op lowered onto, its tile parameters, and whether they were
-// autotuned during this run, replayed from the persistent winner cache, or
-// are the shipped defaults.
 //
 // The -shared form compares two or more checkpoints' prefix fingerprint
 // chains and reports how deep a weight-identical stem they share, each
@@ -39,7 +33,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/search/explain"
 	"repro/internal/tensor"
-	"repro/internal/tune"
 )
 
 func main() {
@@ -49,9 +42,6 @@ func main() {
 	dotPath := flag.String("dot", "", "optional path to write a Graphviz DOT rendering")
 	showPlan := flag.Bool("plan", false, "print the compiled execution plan (op list, wave schedule, buffer plan)")
 	showQuant := flag.Bool("quant", false, "print the quantization report (per-op precision, scales, accuracy delta)")
-	showKernels := flag.Bool("kernels", false, "print the kernel report: per-layer kernel choice, tuned tile parameters, and their provenance")
-	tuneMode := flag.String("tune", "off", "kernel autotune mode: off (shipped defaults), load (replay cached winners), full (measure cache misses and persist)")
-	tuneCache := flag.String("tune-cache", "gmorph-tune.json", "autotune winner-cache path")
 	shared := flag.Bool("shared", false, "compare the positional checkpoints' stems and report shared-prefix serving potential")
 	fusionPath := flag.String("fusion", "", "render a fusion decision report written by gmorph -decisions")
 	flag.Parse()
@@ -75,17 +65,6 @@ func main() {
 	if *modelPath == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	var tuner *tune.Tuner
-	if mode, err := tune.ParseMode(*tuneMode); err != nil {
-		log.Fatal(err)
-	} else if mode != tune.ModeOff {
-		tuner, err = tune.New(mode, *tuneCache)
-		if err != nil {
-			log.Fatal(err)
-		}
-		plan.SetTuner(tuner)
 	}
 
 	g, err := parser.LoadFile(*modelPath)
@@ -119,21 +98,13 @@ func main() {
 
 	if *showPlan {
 		p := plan.Compile(g)
-		fmt.Println("\n" + p.String())
+		fmt.Printf("\nkernels: %s\n", tensor.KernelSignature())
+		fmt.Println(p.String())
 		printOpStats(p)
 	}
 
 	if *showQuant {
 		printQuant(g)
-	}
-
-	if *showKernels {
-		printKernels(plan.Compile(g), tuner)
-		if tuner != nil {
-			if err := tuner.Save(); err != nil {
-				log.Printf("autotune: %v", err)
-			}
-		}
 	}
 
 	if *dotPath != "" {
@@ -163,36 +134,6 @@ func printOpStats(p *plan.Plan) {
 		}
 		fmt.Printf("  %-3d %-10s %-5s calls %-3d %9dns/call  %s\n",
 			st.ID, st.Kind, st.Precision, st.Calls, perCall, st.Name)
-	}
-}
-
-// printKernels reports the per-op kernel choices of a compiled plan: the
-// kernel family, precision, stamped tile parameters, and where those
-// parameters came from (tuned this run / winner-cache hit / shipped
-// defaults). Ops whose kernels have no tunable blocking are summarized in
-// one count instead of listed.
-func printKernels(p *plan.Plan, tuner *tune.Tuner) {
-	fmt.Println("\nkernel report:")
-	if tuner != nil {
-		fmt.Printf("  autotune cache: %s, machine %q\n", tuner.CachePath(), tune.MachineKey())
-	} else {
-		fmt.Println("  autotune off (pass -tune load or -tune full)")
-	}
-	fmt.Printf("  vector tier: %s\n", tensor.VecKind())
-	r := p.Report()
-	untunable := 0
-	for _, o := range r.Ops {
-		if o.Tune == "" {
-			untunable++
-			continue
-		}
-		fmt.Printf("  %-3d %-8s %-5s %-8s %-28s %s\n",
-			o.ID, o.Kind, o.Precision, o.Tune, o.TuneParams, o.Name)
-	}
-	fmt.Printf("  %d tuned here, %d cache hits, %d defaults; %d ops without tunable kernels\n",
-		r.Tuned, r.Cached, r.Defaulted, untunable)
-	if tuner != nil && tuner.Measurements() > 0 {
-		fmt.Printf("  %d candidate measurements this run\n", tuner.Measurements())
 	}
 }
 

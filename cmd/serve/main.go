@@ -6,12 +6,7 @@
 //
 //	serve -model face=face.gmck -model nlp=nlp.gmck -default nlp \
 //	      -addr :8080 -pool 2 -max-batch 8 -max-wait 2ms -queue 64 \
-//	      -slo 50ms -deadline 2s -tune load -tune-cache gmorph-tune.json
-//
-// -tune controls compile-time kernel autotuning: "off" runs shipped
-// default tile parameters, "load" (the default) replays winners from the
-// -tune-cache file without ever measuring, and "full" measures cache
-// misses once at model load and persists the winners for future starts.
+//	      -slo 50ms -deadline 2s
 //
 // A bare -model path (no name=) serves the checkpoint as "default".
 // Each model gets its own batcher and bounded queue: concurrent
@@ -49,10 +44,8 @@ import (
 	"repro/api"
 	"repro/internal/graph"
 	"repro/internal/httpapi"
-	"repro/internal/plan"
 	"repro/internal/quant"
 	"repro/internal/serve/registry"
-	"repro/internal/tune"
 )
 
 // modelFlags collects repeatable -model name=path arguments.
@@ -101,8 +94,6 @@ func main() {
 	quantized := flag.Bool("quant", false, "serve each checkpoint's int8 quantization (error if absent); default strips annotations and serves f32")
 	shareStem := flag.Int("share-stem", 0, "fuse models whose weight-identical prefix reaches this depth into one shared-stem plan (0 = off)")
 	stemMemo := flag.Int("stem-memo", 0, "stem-activation memo entries per shared group (0 = no memoisation)")
-	tuneMode := flag.String("tune", "load", "kernel autotune mode: off (shipped defaults), load (replay cached winners, never measure), full (measure cache misses at load and persist winners)")
-	tuneCache := flag.String("tune-cache", "gmorph-tune.json", "autotune winner-cache path (per-machine sections; safe to share across hosts)")
 
 	url := flag.String("url", "", "server URL (client mode)")
 	name := flag.String("name", "", "client: model name to target (default: server's default model)")
@@ -117,10 +108,6 @@ func main() {
 			log.Fatal(err)
 		}
 	case len(models) > 0:
-		tuner, err := setupTuner(*tuneMode, *tuneCache)
-		if err != nil {
-			log.Fatal(err)
-		}
 		opts := registry.ModelOptions{
 			Pool:        *pool,
 			MaxBatch:    *maxBatch,
@@ -131,7 +118,7 @@ func main() {
 			ShareStem:   *shareStem,
 			StemMemoCap: *stemMemo,
 		}
-		if err := runServer(models, *defaultName, *addr, opts, *deadline, *drain, tuner); err != nil {
+		if err := runServer(models, *defaultName, *addr, opts, *deadline, *drain); err != nil {
 			log.Fatal(err)
 		}
 	default:
@@ -163,29 +150,7 @@ func prepare(quantized bool) func(*graph.Graph) error {
 	}
 }
 
-// setupTuner builds the kernel autotuner for the requested mode and
-// installs it as the plan compiler's tuner. Off mode installs nothing and
-// returns nil.
-func setupTuner(mode, cachePath string) (*tune.Tuner, error) {
-	m, err := tune.ParseMode(mode)
-	if err != nil {
-		return nil, err
-	}
-	if m == tune.ModeOff {
-		log.Printf("kernel autotune off: all plans run shipped default parameters")
-		return nil, nil
-	}
-	tuner, err := tune.New(m, cachePath)
-	if err != nil {
-		return nil, err
-	}
-	plan.SetTuner(tuner)
-	log.Printf("kernel autotune %s: cache %s (%d winners for machine %q)",
-		m, tuner.CachePath(), tuner.Entries(), tune.MachineKey())
-	return tuner, nil
-}
-
-func runServer(models modelFlags, defaultName, addr string, opts registry.ModelOptions, deadline, drain time.Duration, tuner *tune.Tuner) error {
+func runServer(models modelFlags, defaultName, addr string, opts registry.ModelOptions, deadline, drain time.Duration) error {
 	reg := registry.New()
 	for _, e := range models {
 		m, err := reg.Load(e.name, e.path, opts)
@@ -196,18 +161,9 @@ func runServer(models modelFlags, defaultName, addr string, opts registry.ModelO
 		if err != nil {
 			return err
 		}
-		log.Printf("model %s (%s): %d tasks, %d blocks, input %v, plan %d ops, kernels %d tuned / %d cached / %d default",
+		log.Printf("model %s (%s): %d tasks, %d blocks, input %v, plan %d ops",
 			e.name, snap.Checksum, len(snap.Graph.Heads), snap.Graph.NodeCount(),
-			snap.InputShape, snap.PlanOps,
-			snap.TunedOps, snap.CachedOps, snap.DefaultOps)
-	}
-	if tuner != nil {
-		if err := tuner.Save(); err != nil {
-			log.Printf("autotune: %v", err)
-		} else if tuner.Measurements() > 0 {
-			log.Printf("autotune: %d measurements at load, %d winners persisted to %s",
-				tuner.Measurements(), tuner.Entries(), tuner.CachePath())
-		}
+			snap.InputShape, snap.PlanOps)
 	}
 	if defaultName != "" {
 		if err := reg.SetDefault(defaultName); err != nil {

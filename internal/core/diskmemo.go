@@ -18,9 +18,8 @@ import (
 )
 
 // latencyMachineKey is the section key persisted latencies live under: the
-// CPU signature plus the kernel signature (tier and generation), the same
-// discipline as internal/tune's winner cache, plus the measurement
-// (engine.Latency: the compiled plan at batch 1). Candidate outcomes
+// CPU signature plus the kernel signature (tier and generation), plus the
+// measurement (engine.Latency: the compiled plan at batch 1). Candidate outcomes
 // (verdict, accuracy, trained weights) are machine-independent —
 // fine-tuning is deterministic in the seed — but a latency measured on one
 // machine, by other kernels or another way must never replay, so only the
@@ -61,9 +60,8 @@ type diskMemoFile struct {
 // deterministic in the seed for any evaluation concurrency; the lock is
 // there because Save may race a concurrent process touching the same file.
 //
-// With a path, Save is merge-preserving with the same atomic-rename
-// discipline as internal/tune's winner cache — the file is re-read under
-// the lock, on-disk entries win over in-memory duplicates (both are valid:
+// With a path, Save is merge-preserving through an atomic rename — the
+// file is re-read under the lock, on-disk entries win over in-memory duplicates (both are valid:
 // outcomes are a pure function of the fingerprint), other machines' latency
 // sections are preserved untouched — so concurrent coordinators lose
 // nothing and a re-run of the same search replays every outcome without a

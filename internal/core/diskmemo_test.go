@@ -91,8 +91,8 @@ func TestDiskMemoCorruptFileIsError(t *testing.T) {
 
 // TestDiskMemoMergePreservesConcurrentWrites loads two memos from the same
 // (initially empty) file, saves both, and expects the union on disk with
-// the first-written copy winning conflicts — the same discipline as the
-// autotune winner cache, so concurrent coordinators lose nothing.
+// the first-written copy winning conflicts, so concurrent coordinators
+// lose nothing.
 func TestDiskMemoMergePreservesConcurrentWrites(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "memo.json")
 	a, err := NewDiskMemo(path)

@@ -131,9 +131,7 @@ func Measure(e Engine, shape graph.Shape) time.Duration {
 }
 
 // Latency is a graph's latency as it is served: its compiled plan, timed
-// by Measure. Compilation stays outside the timed region, so when a kernel
-// tuner is installed (plan.SetTuner) any tuning cost is paid before the
-// clock starts and the number is the tuned steady state.
+// by Measure. Compilation stays outside the timed region.
 func Latency(g *graph.Graph) time.Duration {
 	return Measure(Compile(g), g.Root.InputShape)
 }

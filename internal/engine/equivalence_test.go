@@ -16,7 +16,6 @@ import (
 	"repro/internal/quant"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
-	"repro/internal/tune"
 )
 
 // The executor-equivalence matrix. Each Test below is a row: it builds one
@@ -24,7 +23,8 @@ import (
 // the world as a subtest:
 //
 //	reference    each graph's plan ≡ the eager Reference engine
-//	tuned        a plan compiled under the autotuner ≡ the untuned plan
+//	layer        a one-conv plan ≡ the layer's eval forward, bit for bit,
+//	             at batch 1 and at x's batch
 //	int8         the quantized plan within its calibrated tolerance of its
 //	             f32 twin, one qqkv op per int8 qkv target, accuracy within
 //	             budget; the n= legs then run on the quantized graphs
@@ -46,8 +46,9 @@ type world struct {
 	x  *tensor.Tensor
 	// stem is the depth of the stem the group gs shares; 0 for one model.
 	stem int
-	// tuned enables the tuned leg.
-	tuned bool
+	// layer enables the layer leg: gs[0] is this one conv block, without
+	// batch norm.
+	layer nn.Layer
 	// ds and drop enable the int8 leg: gs[0] is quantized against ds under
 	// accuracy budget drop, and x is ds.Test.X.
 	ds   *data.Dataset
@@ -126,10 +127,12 @@ func TestFusedMatchesReferenceTransformer(t *testing.T) {
 	equivalent(t, world{gs: []*graph.Graph{g}, x: tokenInput(2, 12, 40)})
 }
 
-// TestTunedPlanParity covers every tunable kernel family: conv im2col GEMM
-// and linear through ResNet18, packed QKV and flash attention through a
-// ViT whose 48x48 inputs make 36 tokens, so attention streams several
-// query tiles per head.
+// TestTunedPlanParity covers every kernel whose tiling follows the shape:
+// conv GEMM and linear through ResNet18; packed QKV and flash attention
+// through a ViT whose 48x48 inputs make 36 tokens, so attention streams
+// several query tiles per head; and a 512->12 conv on 2x2 and 4x4 planes,
+// whose C·K·K = 4608 deep, N·OH·OW <= 16 wide GEMMs take the driver's 8x8
+// register block (at batch 4 the 4x4 one is 64 wide and takes 4x16).
 func TestTunedPlanParity(t *testing.T) {
 	for _, c := range []struct {
 		name, arch string
@@ -145,7 +148,20 @@ func TestTunedPlanParity(t *testing.T) {
 			}
 			x := imageInput(9, 2, c.shape)
 			primeBN(g, x)
-			equivalent(t, world{gs: []*graph.Graph{g}, x: x, tuned: true})
+			equivalent(t, world{gs: []*graph.Graph{g}, x: x})
+		})
+	}
+	for _, hw := range []int{2, 4} {
+		t.Run(fmt.Sprintf("deepconv%dx%d", hw, hw), func(t *testing.T) {
+			rng := tensor.NewRNG(uint64(hw))
+			block := &nn.ConvBlock{Conv: nn.NewConv2d(rng, 512, 12, 3, 1, 1)}
+			rng.FillUniform(block.Conv.Bias.Value, -0.5, 0.5)
+			in := graph.Shape{512, hw, hw}
+			g := graph.New(in, graph.DomainRaw)
+			g.TaskNames[0] = "conv"
+			g.AppendChain(g.Root, graph.NewBlockNode(0, 0, "Head", in, graph.DomainRaw, block))
+			g.RefreshCapacities()
+			equivalent(t, world{gs: []*graph.Graph{g}, x: imageInput(uint64(10+hw), 4, in), layer: block})
 		})
 	}
 }
@@ -194,8 +210,8 @@ func equivalent(t *testing.T, w world) {
 			within(t, "plan vs reference", engine.Compile(g).Forward(w.x), engine.NewReference(g).Forward(w.x), tol)
 		}
 	})
-	if w.tuned {
-		t.Run("tuned", func(t *testing.T) { tunedLeg(t, w) })
+	if w.layer != nil {
+		t.Run("layer", func(t *testing.T) { layerLeg(t, w) })
 	}
 	gs, int8 := w.gs, w.ds != nil
 	if int8 {
@@ -316,23 +332,23 @@ func groupOfMany(t *testing.T, w world, gs []*graph.Graph, memoOn, int8 bool) {
 	}
 }
 
-// tunedLeg: compiling under the kernel autotuner (a fresh one per graph,
-// so each compile measures) changes only blocking parameters, never
-// results, across whatever winners this machine measures.
-func tunedLeg(t *testing.T, w world) {
-	for _, g := range w.gs {
-		base := engine.Compile(g).Forward(w.x)
-		tuner, err := tune.New(tune.ModeFull, "")
-		if err != nil {
-			t.Fatal(err)
+// layerLeg: without batch norm to fold, the plan's conv runs the layer's
+// own unfold, GEMM and epilogue, so the two agree bit for bit — on the
+// first sample alone and on the whole batch.
+func layerLeg(t *testing.T, w world) {
+	inst := plan.Compile(w.gs[0]).NewInstance()
+	shape := w.x.Shape()
+	one := tensor.FromSlice(w.x.Data()[:w.x.Size()/shape[0]], append([]int{1}, shape[1:]...)...)
+	for _, x := range []*tensor.Tensor{one, w.x} {
+		got, want := inst.Execute(x)[0], w.layer.Forward(x, false)
+		if !tensor.SameShape(got, want) {
+			t.Fatalf("batch %d: plan output %v, layer %v", x.Dim(0), got.Shape(), want.Shape())
 		}
-		plan.SetTuner(tuner)
-		tuned := engine.Compile(g)
-		plan.SetTuner(nil)
-		if tuned.Plan().Report().Tuned == 0 {
-			t.Fatal("tuner installed but no ops carry tuned parameters")
+		for i, v := range got.Data() {
+			if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+				t.Fatalf("batch %d (%s tier): element %d = %g, layer %g", x.Dim(0), tensor.VecKind(), i, v, want.Data()[i])
+			}
 		}
-		within(t, "tuned vs untuned", tuned.Forward(w.x), base, tol)
 	}
 }
 

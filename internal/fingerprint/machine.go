@@ -8,12 +8,13 @@ import (
 	"sync"
 )
 
-// Machine signature: the hardware half of the autotune winner-cache key.
-// Tuned tile parameters are only valid on the CPU they were measured on,
-// so the persistent cache (internal/tune) namespaces every entry by this
-// string — moving the cache file to a different machine, changing the
-// core count, or switching kernel tiers (avx2 vs the pure-Go fallback)
-// silently invalidates old winners instead of replaying them.
+// Machine signature: the hardware half of the key persisted measurements
+// live under. A latency is only valid on the CPU it was measured on, so
+// the search memo (core.DiskMemo) namespaces its latencies by this string
+// plus tensor.KernelSignature — moving the memo file to a different
+// machine, changing the core count, or switching kernel tiers (avx2 vs
+// the pure-Go fallback) silently invalidates old latencies instead of
+// replaying them.
 
 var (
 	machineOnce sync.Once
@@ -21,10 +22,10 @@ var (
 )
 
 // Machine returns a stable signature for the executing machine:
-// GOOS/GOARCH, the logical CPU count, the kernel tier supplied by the
-// caller-visible tensor package at init (folded in by internal/tune, not
-// here, to keep this package dependency-light), and the CPU model name
-// from /proc/cpuinfo when available. The value is computed once; it
+// GOOS/GOARCH, the logical CPU count, and the CPU model name from
+// /proc/cpuinfo when available. The kernel tier is not part of it: callers
+// append tensor.KernelSignature, which keeps this package free of the
+// tensor dependency. The value is computed once; it
 // contains no spaces-sensitive framing beyond single spaces, and is safe
 // to embed in JSON map keys.
 func Machine() string {

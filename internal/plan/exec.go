@@ -293,15 +293,13 @@ func (inst *Instance) OpStats() []OpStat {
 // and an epilogue per (image, channel) plane. At batch 1 without a pool the
 // GEMM's [OutC, OH·OW] output already is NCHW and lands in dst; otherwise
 // it lands in the rows scratch [OutC, N·OH·OW] and the epilogue writes each
-// plane to dst, through the max pool when the op pools. gp is the
-// tuner-stamped GEMM blocking.
+// plane to dst, through the max pool when the op pools.
 type convSpec struct {
 	f            *FoldedConv
 	relu         bool
 	cols, rows   int // scratch value ids
 	oh, ow       int // conv output plane
 	poolK, poolS int // 0 without pooling
-	gp           tensor.GemmParams
 }
 
 func (s *convSpec) build(inst *Instance, o *Op) func() {
@@ -316,7 +314,7 @@ func (s *convSpec) build(inst *Instance, o *Op) func() {
 		if inst.batch == 1 && s.poolK == 0 {
 			rows = direct.Rebind(dst.Data(), f.OutC, ohw)
 		}
-		tensor.MatMulIntoP(rows, f.Weight, inst.regs[s.cols], s.gp)
+		tensor.MatMulInto(rows, f.Weight, inst.regs[s.cols])
 		rd = rows.Data()
 		tensor.ParallelFor(inst.batch*f.OutC, epilogue)
 	}
@@ -494,12 +492,11 @@ func (s *copySpec) build(inst *Instance, o *Op) func() {
 
 // linearSpec is a fully connected layer with folded bias; token inputs
 // [N,T,D] are viewed as [N*T,D]. The 2-D views are tensor headers rebuilt
-// only when the batch changes. gp is the tuner-stamped GEMM blocking.
+// only when the batch changes.
 type linearSpec struct {
 	in, out int
 	w       *tensor.Tensor // [in, out], plan-owned copy
 	bias    []float32
-	gp      tensor.GemmParams
 }
 
 func (s *linearSpec) build(inst *Instance, o *Op) func() {
@@ -518,7 +515,7 @@ func (s *linearSpec) build(inst *Instance, o *Op) func() {
 			y2d = tensor.FromSlice(y.Data(), rows, s.out)
 			bound = inst.batch
 		}
-		tensor.MatMulIntoP(y2d, x2d, s.w, s.gp)
+		tensor.MatMulInto(y2d, x2d, s.w)
 		yd := y2d.Data()
 		for r := 0; r < rows; r++ {
 			row := yd[r*s.out:][:s.out]

@@ -147,13 +147,10 @@ func (c *compiler) lowerConv(name string, src *nn.Conv2d, f *FoldedConv, relu bo
 		op = &Op{Name: name, Kind: "qconv", In: inVal, In2: -1, Out: out, Scratch: []int{cs.rows},
 			spec: &qconvSpec{convSpec: *cs, q: q}}
 	} else {
-		gp, prov := tuneGemm(f.OutC, oh*ow, kdim, true)
-		cs.gp = gp
 		cs.cols = c.newValue([]int{kdim, oh * ow}, true, -1)
 		cs.rows = c.newValue([]int{f.OutC, oh * ow}, true, -1)
 		out := c.newValue(outShape, false, -1)
-		op = &Op{Name: name, Kind: "conv", In: inVal, In2: -1, Out: out, Scratch: []int{cs.cols, cs.rows},
-			Tune: prov, TuneParams: gp.String(), spec: cs}
+		op = &Op{Name: name, Kind: "conv", In: inVal, In2: -1, Out: out, Scratch: []int{cs.cols, cs.rows}, spec: cs}
 	}
 	v := c.addOp(op)
 	if src != nil && tensor.QuantDepthOK(kdim) {
@@ -168,9 +165,6 @@ func (c *compiler) lowerConv(name string, src *nn.Conv2d, f *FoldedConv, relu bo
 // lowerLinear emits one fully connected op, on the int8 kernel when the
 // layer carries a matching annotation, and records the quantization target.
 func (c *compiler) lowerLinear(name string, l *nn.Linear, inVal int) int {
-	// rows is the per-sample GEMM row count (token count for [T,D] inputs,
-	// 1 for flat vectors) — the m the tuner keys the layer shape on.
-	rows := c.val(inVal).Elems() / l.In
 	out := c.newValue(l.OutShape(c.val(inVal).Shape), false, -1)
 	var op *Op
 	if q := linearQuant(l); q != nil {
@@ -179,13 +173,11 @@ func (c *compiler) lowerLinear(name string, l *nn.Linear, inVal int) int {
 			spec: &qlinearSpec{q: q, in: l.In, out: l.Out},
 		}
 	} else {
-		gp, prov := tuneGemm(rows, l.Out, l.In, false)
 		bias := make([]float32, l.Out)
 		copy(bias, l.Bias.Value.Data())
 		op = &Op{
 			Name: name, Kind: "linear", In: inVal, In2: -1, Out: out,
-			Tune: prov, TuneParams: gp.String(),
-			spec: &linearSpec{in: l.In, out: l.Out, w: l.Weight.Value.Clone(), bias: bias, gp: gp},
+			spec: &linearSpec{in: l.In, out: l.Out, w: l.Weight.Value.Clone(), bias: bias},
 		}
 	}
 	v := c.addOp(op)

@@ -93,13 +93,6 @@ type Op struct {
 	// Wave is the stage the op executes in; ops sharing a wave have no data
 	// dependencies and run concurrently.
 	Wave int
-	// Tune is the provenance of the op's kernel parameters: TuneDefault,
-	// TuneCache, or TuneMeasured for ops with tunable kernels, "" for ops
-	// whose kernels have no tunable blocking.
-	Tune string
-	// TuneParams renders the stamped kernel parameters for reports, e.g.
-	// "kc=256 nc=256 kern=4x16".
-	TuneParams string
 
 	spec spec
 }
@@ -469,10 +462,6 @@ type OpReport struct {
 	OutBytes int64
 	// Precision is "int8" for quantized ops, "f32" otherwise.
 	Precision string
-	// Tune and TuneParams mirror the op's kernel-parameter provenance and
-	// rendered parameters ("" for ops without tunable kernels).
-	Tune       string
-	TuneParams string
 }
 
 // Report summarizes the plan's schedule and memory economics.
@@ -485,33 +474,19 @@ type Report struct {
 	// value (outputs and scratch alike) with its own buffer.
 	PeakBytes  int64
 	NaiveBytes int64
-	// Tuned, Cached, and Defaulted count ops with tunable kernels by
-	// parameter provenance: measured this compile, winner-cache hit, and
-	// shipped defaults respectively.
-	Tuned, Cached, Defaulted int
 }
 
 // Report derives the plan's inspection summary.
 func (p *Plan) Report() Report {
 	r := Report{Waves: p.Waves, Slabs: len(p.SlabElems)}
 	for _, o := range p.Ops {
-		switch o.Tune {
-		case TuneMeasured:
-			r.Tuned++
-		case TuneCache:
-			r.Cached++
-		case TuneDefault:
-			r.Defaulted++
-		}
 		out := p.Values[o.Out]
 		r.Ops = append(r.Ops, OpReport{
 			ID: o.ID, Name: o.Name, Kind: o.Kind, Wave: o.Wave,
-			Slab:       out.Slab,
-			OutShape:   out.Shape,
-			OutBytes:   int64(out.Elems()) * 4,
-			Precision:  o.Precision(),
-			Tune:       o.Tune,
-			TuneParams: o.TuneParams,
+			Slab:      out.Slab,
+			OutShape:  out.Shape,
+			OutBytes:  int64(out.Elems()) * 4,
+			Precision: o.Precision(),
 		})
 	}
 	for _, e := range p.SlabElems {

@@ -25,19 +25,15 @@ import (
 // and "embed" ops, so whole transformer graphs execute with zero
 // steady-state allocations like the CNN families.
 
-// Attention tile sizes: bq query rows stream over bk-wide key blocks. The
-// workspace per (sample, head) is bq*bk + 2*bq floats (score tile + running
-// max + running sum), accounted as a scratch value so the slab planner
-// reserves it. Tiles come from the kernel tuner (tune.go) clamped to the
-// sequence length; with no tuner installed they are the shipped
-// tensor.DefaultAttnParams (32x64).
+// Attention tile sizes: attnBQ query rows stream over attnBK-wide key
+// blocks. The workspace per (sample, head) is bq*bk + 2*bq floats (score
+// tile + running max + running sum), accounted as a scratch value so the
+// slab planner reserves it.
+const attnBQ, attnBK = 32, 64
 
-// attnTiles resolves the attention tiles for sequence length t and head
-// dimension hd, returning the clamped tiles plus tuning provenance.
-func attnTiles(t, hd int) (bq, bk int, prov string) {
-	ap, prov := tuneAttn(t, hd)
-	bq, bk = ap.Norm(t)
-	return bq, bk, prov
+// attnTiles clamps the attention tiles to sequence length t.
+func attnTiles(t int) (bq, bk int) {
+	return min(attnBQ, t), min(attnBK, t)
 }
 
 // lowerLayerNorm emits a standalone layer norm op (op-granularity graphs;
@@ -77,11 +73,9 @@ func (c *compiler) lowerQKV(name string, m *nn.MultiHeadAttention, inVal int) in
 			spec: &qlinearSpec{q: q, in: d, out: 3 * d},
 		}
 	} else {
-		gp, prov := tuneGemm(t, 3*d, d, false)
 		op = &Op{
 			Name: name, Kind: "qkv", In: inVal, In2: -1, Out: out,
-			Tune: prov, TuneParams: gp.String(),
-			spec: &linearSpec{in: d, out: 3 * d, w: w, bias: bias, gp: gp},
+			spec: &linearSpec{in: d, out: 3 * d, w: w, bias: bias},
 		}
 	}
 	v := c.addOp(op)
@@ -101,13 +95,12 @@ func (c *compiler) lowerAttention(name string, m *nn.MultiHeadAttention, inVal i
 	in := c.val(inVal)
 	t, d := in.Shape[0], m.D
 	qkv := c.lowerQKV(fmt.Sprintf("%s qkv(%d->%d)", name, d, 3*d), m, inVal)
-	bq, bk, prov := attnTiles(t, d/m.Heads)
+	bq, bk := attnTiles(t)
 	ws := c.newValue([]int{m.Heads * tensor.AttendWorkspace(bq, bk)}, false, -1)
 	ctx := c.newValue([]int{t, d}, false, -1)
 	c.addOp(&Op{
 		Name: fmt.Sprintf("%s attn(h%d,%dx%d)", name, m.Heads, bq, bk),
 		Kind: "attn", In: qkv, In2: -1, Out: ctx, Scratch: []int{ws},
-		Tune: prov, TuneParams: tensor.AttnParams{BQ: bq, BK: bk}.String(),
 		spec: &attnSpec{heads: m.Heads, t: t, d: d, bq: bq, bk: bk, ws: ws},
 	})
 	return c.lowerLinear(name+" proj "+m.WO.Name(), m.WO, ctx)
@@ -121,13 +114,12 @@ func (c *compiler) lowerTransformer(name string, b *nn.TransformerBlock, inVal i
 	in := c.val(inVal)
 	ln1 := c.lowerLayerNorm(name+" ln1", b.LN1, inVal)
 	qkv := c.lowerQKV(fmt.Sprintf("%s qkv(%d->%d)", name, b.D, 3*b.D), b.Attn, ln1)
-	bq, bk, prov := attnTiles(in.Shape[0], b.D/b.Heads)
+	bq, bk := attnTiles(in.Shape[0])
 	ws := c.newValue([]int{b.Heads * tensor.AttendWorkspace(bq, bk)}, false, -1)
 	ctx := c.newValue(in.Shape, false, -1)
 	c.addOp(&Op{
 		Name: fmt.Sprintf("%s attn(h%d,%dx%d)", name, b.Heads, bq, bk),
 		Kind: "attn", In: qkv, In2: -1, Out: ctx, Scratch: []int{ws},
-		Tune: prov, TuneParams: tensor.AttnParams{BQ: bq, BK: bk}.String(),
 		spec: &attnSpec{heads: b.Heads, t: in.Shape[0], d: b.D, bq: bq, bk: bk, ws: ws},
 	})
 	proj := c.lowerLinear(name+" proj "+b.Attn.WO.Name(), b.Attn.WO, ctx)
@@ -155,19 +147,16 @@ func (c *compiler) lowerPatchEmbed(name string, pe *nn.PatchEmbed, inVal int) in
 	in := c.val(inVal)
 	t := (in.Shape[1] / pe.Patch) * (in.Shape[2] / pe.Patch)
 	kdim := pe.C * pe.Patch * pe.Patch
-	gp, prov := tuneGemm(t, pe.D, kdim, false)
 	cols := c.newValue([]int{kdim, t}, true, -1)
 	out := c.newValue([]int{t, pe.D}, false, -1)
 	return c.addOp(&Op{
 		Name: name, Kind: "patch", In: inVal, In2: -1, Out: out, Scratch: []int{cols},
-		Tune: prov, TuneParams: gp.String(),
 		spec: &patchSpec{
 			patch: pe.Patch, d: pe.D, t: t,
 			w:    pe.Proj.Weight.Value.Clone(),
 			bias: cloneF32(pe.Proj.Bias.Value.Data()),
 			pos:  cloneF32(pe.Pos.Value.Data()),
 			cols: cols,
-			gp:   gp,
 		},
 	})
 }
@@ -314,7 +303,6 @@ type patchSpec struct {
 	w           *tensor.Tensor // [C*P*P, D], plan-owned copy
 	bias, pos   []float32
 	cols        int // cols2d scratch value id, [C*P*P, T] per sample
-	gp          tensor.GemmParams
 }
 
 func (s *patchSpec) build(inst *Instance, o *Op) func() {
@@ -331,7 +319,7 @@ func (s *patchSpec) build(inst *Instance, o *Op) func() {
 		}
 		cols := inst.regs[s.cols]
 		tensor.Im2ColCMInto(cols, x, s.patch, s.patch, s.patch, 0)
-		tensor.MatMulTransAIntoP(y2d, cols, s.w, s.gp)
+		tensor.MatMulTransAInto(y2d, cols, s.w)
 		yd := y2d.Data()
 		for r := 0; r < rows; r++ {
 			row := yd[r*s.d:][:s.d]

@@ -8,6 +8,7 @@ package worker
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -16,6 +17,12 @@ import (
 	"repro/internal/fingerprint"
 	"repro/internal/search/coord"
 )
+
+// MaxEvalBytes bounds an /eval request body; a larger one gets 413 and is
+// never decoded. The largest paper-width candidate, B2's unfused
+// 3xVGG-16 (44.2M parameters), encodes to 225 MiB, so the bound holds it
+// twice over.
+const MaxEvalBytes = 512 << 20
 
 // Server serves POST /eval and GET /info over a core.LocalEvaluator. The
 // evaluator owns the slot pool, so concurrent HTTP requests share one
@@ -40,10 +47,13 @@ func NewServer(eval *core.LocalEvaluator, worldSum string, tasks int) *Server {
 }
 
 // Handler returns the worker's HTTP handler.
-func (s *Server) Handler() http.Handler {
+func (s *Server) Handler() http.Handler { return s.handler(MaxEvalBytes) }
+
+// handler is Handler with /eval bodies bounded at maxEval bytes.
+func (s *Server) handler(maxEval int64) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/info", s.handleInfo)
-	mux.HandleFunc("/eval", s.handleEval)
+	mux.HandleFunc("/eval", func(w http.ResponseWriter, r *http.Request) { s.handleEval(w, r, maxEval) })
 	return mux
 }
 
@@ -56,13 +66,22 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(s.info)
 }
 
-func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, maxEval int64) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
+	tooBig := fmt.Sprintf("request body over %d bytes", maxEval)
+	if r.ContentLength > maxEval {
+		http.Error(w, tooBig, http.StatusRequestEntityTooLarge)
+		return
+	}
 	var req coord.EvalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEval)).Decode(&req); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			http.Error(w, tooBig, http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, fmt.Sprintf("decode request: %v", err), http.StatusBadRequest)
 		return
 	}

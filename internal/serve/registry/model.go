@@ -48,10 +48,6 @@ type Snapshot struct {
 	Graph      *graph.Graph
 	// PlanOps is how many compiled ops the deployment runs.
 	PlanOps int
-	// TunedOps/CachedOps/DefaultOps split the plan's tunable-kernel ops by
-	// parameter provenance: autotuned during this deployment's compile,
-	// replayed from the winner cache, or running shipped defaults.
-	TunedOps, CachedOps, DefaultOps int
 	// Shared describes the model's shared-stem group — members, depth and
 	// stem fingerprint, fixed when the group was published — nil in a
 	// group of one. It is shared between members and must not be
@@ -116,9 +112,7 @@ func (m *Model) Snapshot() (Snapshot, error) {
 	return Snapshot{
 		Name: m.name, Version: d.version, Checksum: d.checksum, Source: d.source,
 		InputShape: d.shape, SampleSize: d.per, Vocab: d.vocab, Graph: d.g,
-		PlanOps:  len(rep.Ops),
-		TunedOps: rep.Tuned, CachedOps: rep.Cached, DefaultOps: rep.Defaulted,
-		Shared: d.group.view,
+		PlanOps: len(rep.Ops), Shared: d.group.view,
 	}, nil
 }
 

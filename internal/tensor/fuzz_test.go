@@ -51,14 +51,15 @@ func FuzzMatMulParity(f *testing.F) {
 	})
 }
 
-// FuzzGemmParamsParity checks the parameterised blocked GEMM — both the
-// plain and the transposed-B entry points — against the naive reference
-// under fuzzed tile parameters. Dimensions reach past the packed-panel
-// extents the fuzzed KC/NC select, so panel seams, ragged tail tiles, and
-// both microkernel register blocks are all crossed. Any parameter choice
-// must agree with the naive reference AND with the default parameters to
-// the parity tolerance (panel seams regroup the k sum, so agreement is
-// within rounding, not bit-exact).
+// FuzzGemmParamsParity checks the blocked GEMM driver — both the plain and
+// the transposed-B products — against the naive reference under fuzzed
+// forced blockings. Dimensions reach past the packed-panel extents the
+// fuzzed KC/NC select, so panel seams, ragged tail tiles, and both
+// microkernel register blocks are all crossed. Any blocking must agree
+// with the naive reference AND with the exported entry point's own
+// blocking to the parity tolerance. At the entry point's KC it must agree
+// bit for bit, whatever its NC and, on the assembly tier, whatever its
+// register block — gemmBlocking's rule swaps the block on that promise.
 func FuzzGemmParamsParity(f *testing.F) {
 	// Panel-crossing seeds: k and n past one KC/NC panel, ragged remainders
 	// against both register blocks, and degenerate single-element shapes.
@@ -68,13 +69,19 @@ func FuzzGemmParamsParity(f *testing.F) {
 	f.Add(uint16(1), uint16(1), uint16(1), uint8(0), uint8(0), false, uint64(4), false)
 	f.Fuzz(func(t *testing.T, mRaw, kRaw, nRaw uint16, kcRaw, ncRaw uint8, transB bool, seed uint64, eightWide bool) {
 		m := int(mRaw)%80 + 1
-		k := int(kRaw)%160 + 1
+		k := int(kRaw)%320 + 1
 		n := int(nRaw)%160 + 1
-		// Small panels force seam crossings inside fuzz-sized problems; zero
-		// fields exercise the norm()-to-default path.
-		gp := GemmParams{KC: int(kcRaw) % 4 * 32, NC: int(ncRaw) % 4 * 32}
+		// Small panels force seam crossings inside fuzz-sized problems; a
+		// zero draw takes the full gemmPanel.
+		gp := gemmParams{kc: int(kcRaw) % 4 * 32, nc: int(ncRaw) % 4 * 32, mr: 4, nr: 16}
+		if gp.kc == 0 {
+			gp.kc = gemmPanel
+		}
+		if gp.nc == 0 {
+			gp.nc = gemmPanel
+		}
 		if eightWide {
-			gp.Kernel = Kernel8x8
+			gp.mr, gp.nr = 8, 8
 		}
 		rng := NewRNG(seed)
 		want := New(m, n)
@@ -83,22 +90,31 @@ func FuzzGemmParamsParity(f *testing.F) {
 			a, b := New(m, k), New(n, k)
 			rng.FillNormal(a, 0, 1)
 			rng.FillNormal(b, 0, 1)
-			MatMulTransBIntoP(got, a, b, gp)
-			MatMulTransBIntoP(gotDefault, a, b, DefaultGemmParams())
+			gemmBlocked(got.data, a.data, b.data, m, n, k, true, gp)
+			MatMulTransBInto(gotDefault, a, b)
 			NaiveMatMulTransBInto(want, a, b)
 		} else {
 			a, b := New(m, k), New(k, n)
 			rng.FillNormal(a, 0, 1)
 			rng.FillNormal(b, 0, 1)
-			MatMulIntoP(got, a, b, gp)
-			MatMulIntoP(gotDefault, a, b, DefaultGemmParams())
+			gemmBlocked(got.data, a.data, b.data, m, n, k, false, gp)
+			MatMulInto(gotDefault, a, b)
 			NaiveMatMulInto(want, a, b)
 		}
 		if d := maxAbsDiff(got, want); d > parityTol*math.Sqrt(float64(k)) {
-			t.Fatalf("GEMM m%d k%d n%d transB=%v %s: max diff vs naive %g", m, k, n, transB, gp.String(), d)
+			t.Fatalf("GEMM m%d k%d n%d transB=%v %+v: max diff vs naive %g", m, k, n, transB, gp, d)
 		}
 		if d := maxAbsDiff(got, gotDefault); d > parityTol*math.Sqrt(float64(k)) {
-			t.Fatalf("GEMM m%d k%d n%d transB=%v %s: max diff vs default params %g", m, k, n, transB, gp.String(), d)
+			t.Fatalf("GEMM m%d k%d n%d transB=%v %+v: max diff vs own blocking %g", m, k, n, transB, gp, d)
+		}
+		if gp.kc != gemmPanel || (!vecActive && gp.nr != gemmBlocking(n, k).nr) {
+			return
+		}
+		for i, v := range got.data {
+			if math.Float32bits(v) != math.Float32bits(gotDefault.data[i]) {
+				t.Fatalf("GEMM m%d k%d n%d transB=%v %+v (%s tier): element %d = %g, own blocking %g",
+					m, k, n, transB, gp, VecKind(), i, v, gotDefault.data[i])
+			}
 		}
 	})
 }

@@ -191,6 +191,43 @@ func TestConv2dParity(t *testing.T) {
 	}
 }
 
+// TestGemmBlockingKeepsBits pins the blocking rule's promise on shapes
+// inside its region (n <= 16, k >= 2304: the deep convs at small batch,
+// with M tails and N tails against both register blocks): whatever block
+// gemmBlocking picks, the product is bit-identical to the 4x16 block at
+// the same panels, which every shape ran before the rule.
+func TestGemmBlockingKeepsBits(t *testing.T) {
+	rng := NewRNG(19)
+	type shape struct{ m, n, k int }
+	for _, s := range []shape{{512, 4, 4608}, {512, 16, 4608}, {12, 16, 2304}, {7, 9, 2304}, {64, 12, 2560}} {
+		gp := gemmBlocking(s.n, s.k)
+		if vecActive && gp.nr != 8 {
+			t.Fatalf("m%d n%d k%d: rule picked %dx%d on the assembly tier, want 8x8", s.m, s.n, s.k, gp.mr, gp.nr)
+		}
+		old := gemmParams{kc: gemmPanel, nc: gemmPanel, mr: 4, nr: 16}
+		for _, transB := range []bool{false, true} {
+			a, b := New(s.m, s.k), New(s.k, s.n)
+			if transB {
+				b = New(s.n, s.k)
+			}
+			fillRandom(rng, a, b)
+			got, want := New(s.m, s.n), New(s.m, s.n)
+			if transB {
+				MatMulTransBInto(got, a, b)
+			} else {
+				MatMulInto(got, a, b)
+			}
+			gemmBlocked(want.data, a.data, b.data, s.m, s.n, s.k, transB, old)
+			for i, v := range got.data {
+				if math.Float32bits(v) != math.Float32bits(want.data[i]) {
+					t.Fatalf("m%d n%d k%d transB=%v (%s tier, %dx%d): element %d = %g, 4x16 %g",
+						s.m, s.n, s.k, transB, VecKind(), gp.mr, gp.nr, i, v, want.data[i])
+				}
+			}
+		}
+	}
+}
+
 // TestEdgeTileWritesNothingPastDst guards the ragged-tile paths against
 // writing outside the destination. dst is a window into a larger slice
 // whose surrounding floats hold a signalling NaN: an overrun that stores a
@@ -204,12 +241,15 @@ func TestEdgeTileWritesNothingPastDst(t *testing.T) {
 	rng := NewRNG(18)
 	type shape struct{ m, n, k int }
 	for _, s := range []shape{{7, 5, 9}, {13, 21, 33}, {5, 3, 300}, {9, 37, 17}, {2, 10, 260}} {
-		for _, c := range []struct{ op, kern string }{
-			{"MatMul", Kernel4x16}, {"MatMul", Kernel8x8},
-			{"TransB", Kernel4x16}, {"TransB", Kernel8x8},
-			{"TransA", Kernel4x16}, // default parameters only
+		for _, c := range []struct {
+			op     string
+			mr, nr int
+		}{
+			{"MatMul", 4, 16}, {"MatMul", 8, 8},
+			{"TransB", 4, 16}, {"TransB", 8, 8},
+			{"TransA", 4, 16}, // the entry point's own blocking only
 		} {
-			op, gp := c.op, GemmParams{Kernel: c.kern}
+			op, gp := c.op, gemmParams{kc: gemmPanel, nc: gemmPanel, mr: c.mr, nr: c.nr}
 			backing := make([]float32, pad+s.m*s.n+pad)
 			for i := range backing {
 				backing[i] = sentinel
@@ -220,12 +260,12 @@ func TestEdgeTileWritesNothingPastDst(t *testing.T) {
 			case "MatMul":
 				a, b := New(s.m, s.k), New(s.k, s.n)
 				fillRandom(rng, a, b)
-				MatMulIntoP(dst, a, b, gp)
+				gemmBlocked(dst.data, a.data, b.data, s.m, s.n, s.k, false, gp)
 				NaiveMatMulInto(want, a, b)
 			case "TransB":
 				a, b := New(s.m, s.k), New(s.n, s.k)
 				fillRandom(rng, a, b)
-				MatMulTransBIntoP(dst, a, b, gp)
+				gemmBlocked(dst.data, a.data, b.data, s.m, s.n, s.k, true, gp)
 				NaiveMatMulTransBInto(want, a, b)
 			case "TransA":
 				a, b := New(s.k, s.m), New(s.k, s.n)
@@ -238,12 +278,12 @@ func TestEdgeTileWritesNothingPastDst(t *testing.T) {
 					continue
 				}
 				if math.Float32bits(v) != math.Float32bits(sentinel) {
-					t.Fatalf("%s/%s m%d n%d k%d (%s tier): float %d outside dst overwritten with %v",
-						op, c.kern, s.m, s.n, s.k, VecKind(), i-pad, v)
+					t.Fatalf("%s/%dx%d m%d n%d k%d (%s tier): float %d outside dst overwritten with %v",
+						op, c.mr, c.nr, s.m, s.n, s.k, VecKind(), i-pad, v)
 				}
 			}
 			if d := maxAbsDiff(dst, want); d > parityTol*math.Sqrt(float64(s.k)) {
-				t.Errorf("%s/%s m%d n%d k%d: max diff %g", op, c.kern, s.m, s.n, s.k, d)
+				t.Errorf("%s/%dx%d m%d n%d k%d: max diff %g", op, c.mr, c.nr, s.m, s.n, s.k, d)
 			}
 		}
 	}

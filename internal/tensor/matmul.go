@@ -14,13 +14,11 @@ import (
 // shared worker pool by absolute tile index, and every kernel accumulates k
 // in ascending order, so each output element sees an identical accumulation
 // order no matter how tiles are chunked: results are deterministic across
-// GOMAXPROCS settings. NaiveMatMulInto in naive.go preserves the reference
-// semantics; kernels_parity_test.go holds the two within 1e-4 across both
-// kernel tiers and arbitrary GemmParams.
-//
-// MatMulInto/MatMulTransBInto run the shipped default parameters; the
-// *P variants take explicit GemmParams so the autotuner (internal/tune)
-// can stamp per-layer-shape winners into compiled plans.
+// GOMAXPROCS settings. The panels and the register block come from one
+// rule over the product's shape (gemmBlocking in params.go).
+// NaiveMatMulInto in naive.go preserves the reference semantics;
+// kernels_parity_test.go holds the two within 1e-4 across both kernel
+// tiers and forced blockings.
 
 // gemmEngine carries the blocked driver's parallel-body state (the zeroing
 // pass and the per-panel tile sweep) through the worker pool without
@@ -141,8 +139,8 @@ func (e *gemmEngine) edgeTile(sc, ab []float32, rows int, bp, cb []float32, w in
 // b[k,n] (transB false) or b[n,k] read transposed (transB true). dst is
 // zeroed first; each (column panel, k panel) pair is packed once and then
 // accumulated by all destination tiles.
-func gemmBlocked(dd, ad, bd []float32, m, n, k int, transB bool, gp GemmParams) {
-	kc, nc, mr, nr := gp.norm()
+func gemmBlocked(dd, ad, bd []float32, m, n, k int, transB bool, gp gemmParams) {
+	kc, nc, mr, nr := gp.kc, gp.nc, gp.mr, gp.nr
 	e := gemmEngines.Get().(*gemmEngine)
 	e.dd, e.ad = dd, ad
 	e.m, e.n, e.lda = m, n, k
@@ -235,11 +233,6 @@ func packPanelBT(panel, bd []float32, k, j0, jw, p0, kw, nr int) {
 // MatMulInto computes dst = a @ b for 2-D tensors: a is [m,k], b is [k,n],
 // dst is [m,n]. dst is overwritten.
 func MatMulInto(dst, a, b *Tensor) {
-	MatMulIntoP(dst, a, b, DefaultGemmParams())
-}
-
-// MatMulIntoP is MatMulInto with explicit blocking parameters.
-func MatMulIntoP(dst, a, b *Tensor, gp GemmParams) {
 	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulInto wants rank-2 operands, got %v @ %v -> %v", a.shape, b.shape, dst.shape))
 	}
@@ -248,7 +241,7 @@ func MatMulIntoP(dst, a, b *Tensor, gp GemmParams) {
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch %v @ %v -> %v", a.shape, b.shape, dst.shape))
 	}
-	gemmBlocked(dst.data, a.data, b.data, m, n, k, false, gp)
+	gemmBlocked(dst.data, a.data, b.data, m, n, k, false, gemmBlocking(n, k))
 }
 
 // MatMul returns a @ b as a new [m,n] tensor.
@@ -266,11 +259,6 @@ func MatMul(a, b *Tensor) *Tensor {
 // microkernels as MatMulInto. The transpose moves m·k floats against
 // 2·m·n·k flops.
 func MatMulTransAInto(dst, a, b *Tensor) {
-	MatMulTransAIntoP(dst, a, b, DefaultGemmParams())
-}
-
-// MatMulTransAIntoP is MatMulTransAInto with explicit blocking parameters.
-func MatMulTransAIntoP(dst, a, b *Tensor, gp GemmParams) {
 	k, m := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
@@ -278,7 +266,7 @@ func MatMulTransAIntoP(dst, a, b *Tensor, gp GemmParams) {
 	}
 	at := GetBufDirty(m * k)
 	transposeInto(*at, a.data, k, m)
-	gemmBlocked(dst.data, *at, b.data, m, n, k, false, gp)
+	gemmBlocked(dst.data, *at, b.data, m, n, k, false, gemmBlocking(n, k))
 	PutBuf(at)
 }
 
@@ -304,17 +292,12 @@ func transposeInto(dst, src []float32, rows, cols int) {
 // gradient and the linear input gradient; the pack stage transposes B into
 // the strip layout so the same microkernels run as for MatMulInto.
 func MatMulTransBInto(dst, a, b *Tensor) {
-	MatMulTransBIntoP(dst, a, b, DefaultGemmParams())
-}
-
-// MatMulTransBIntoP is MatMulTransBInto with explicit blocking parameters.
-func MatMulTransBIntoP(dst, a, b *Tensor, gp GemmParams) {
 	m, k := a.shape[0], a.shape[1]
 	n, k2 := b.shape[0], b.shape[1]
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto shape mismatch %v @ %vᵀ -> %v", a.shape, b.shape, dst.shape))
 	}
-	gemmBlocked(dst.data, a.data, b.data, m, n, k, true, gp)
+	gemmBlocked(dst.data, a.data, b.data, m, n, k, true, gemmBlocking(n, k))
 }
 
 // Transpose2D returns the transpose of a 2-D tensor as a new tensor.

@@ -1,104 +1,37 @@
 package tensor
 
-// Tunable kernel parameters. Every hot-path kernel that used to bake its
-// tile constants into the source (gemmKC/gemmNC panels, the attention bq/bk
-// blocks) now accepts a parameter struct, so the autotuner (internal/tune)
-// can search the space per layer shape and the plan compiler can stamp
-// per-op winners. The zero value of
-// each struct is invalid; use the Default* constructors, which reproduce
-// the hand-picked constants the previous PRs shipped.
+// gemmParams is the blocked GEMM's tiling: B is packed and consumed in
+// kc x nc panels, and the microkernel holds an mr x nr block of the
+// destination in registers across the k loop. Both kernel tiers implement
+// two register blocks, 4x16 and 8x8.
+type gemmParams struct{ kc, nc, mr, nr int }
 
-// Microkernel register-blocking shapes. MR is the number of destination
-// rows held in accumulator registers across the k loop, NR the number of
-// destination columns (NR lanes of 8 float32). The AVX2 path implements
-// 4x16 (8 YMM accumulators, the general-purpose shape) and 8x8 (better for
-// narrow outputs: classifier heads, small channel counts); the pure-Go
-// fallback implements the same shapes over [8]float32 lanes.
-const (
-	Kernel4x16 = "4x16"
-	Kernel8x8  = "8x8"
-)
+// gemmPanel is the k and n extent of a packed B panel: a full panel is
+// 256 KiB, sized to stay L2-resident.
+const gemmPanel = 256
 
-// GemmParams are the blocked-GEMM tile parameters: B is packed and consumed
-// in KC x NC panels, and the inner microkernel is the MR x NR register
-// block named by Kernel.
-type GemmParams struct {
-	// KC is the k-extent of a packed B panel (rows of B per panel).
-	KC int
-	// NC is the n-extent of a packed B panel (columns of B per panel).
-	NC int
-	// Kernel selects the microkernel register block: Kernel4x16 or
-	// Kernel8x8.
-	Kernel string
+// gemmBlocking is the driver's one blocking rule, read off the real shape
+// of dst[m,n] = a[m,k]·B. Panels are always gemmPanel square. The register
+// block is 8x8 for narrow, deep products — n <= 16 columns over k >= 2304,
+// the deep convs at small batch, where m = OutC, n = N·OH·OW and
+// k = C·K·K, and a 4x16 strip would carry 12 padding lanes of a 4-pixel
+// plane — and 4x16 everywhere else.
+//
+// The rule never changes the panels, so it never regroups a k sum. On the
+// assembly tier every kernel loads C and adds k in order with one FMA per
+// step, so the two blocks give the same bits (FuzzGemmParamsParity holds
+// them to it). The pure-Go tier keeps 4x16 everywhere: its ragged-tile
+// kernel adds four k steps at a time where its full-tile kernels add one,
+// and a block swap moves elements between the two.
+func gemmBlocking(n, k int) gemmParams {
+	if vecActive && n <= 16 && k >= 2304 {
+		return gemmParams{kc: gemmPanel, nc: gemmPanel, mr: 8, nr: 8}
+	}
+	return gemmParams{kc: gemmPanel, nc: gemmPanel, mr: 4, nr: 16}
 }
-
-// DefaultGemmParams returns the shipped defaults: 256x256 panels (a full
-// panel is 256 KiB, sized to stay L2-resident) with the 4x16 microkernel.
-func DefaultGemmParams() GemmParams {
-	return GemmParams{KC: 256, NC: 256, Kernel: Kernel4x16}
-}
-
-// norm clamps the parameters to a usable configuration, mapping unknown or
-// zero fields onto the defaults. mr/nr are the resolved register block.
-func (g GemmParams) norm() (kc, nc, mr, nr int) {
-	kc, nc = g.KC, g.NC
-	if kc <= 0 {
-		kc = 256
-	}
-	if nc <= 0 {
-		nc = 256
-	}
-	switch g.Kernel {
-	case Kernel8x8:
-		mr, nr = 8, 8
-	default:
-		mr, nr = 4, 16
-	}
-	if nc < nr {
-		nc = nr
-	}
-	return kc, nc, mr, nr
-}
-
-// String renders the parameters for kernel reports.
-func (g GemmParams) String() string {
-	kc, nc, mr, nr := g.norm()
-	return "kc=" + itoa(kc) + " nc=" + itoa(nc) + " kern=" + itoa(mr) + "x" + itoa(nr)
-}
-
-// AttnParams are the flash-attention tile sizes: BQ query rows stream over
-// BK-wide key blocks (tensor.FlashAttendHead's bq/bk arguments).
-type AttnParams struct {
-	BQ, BK int
-}
-
-// DefaultAttnParams returns the shipped defaults (32 query rows x 64 keys).
-func DefaultAttnParams() AttnParams { return AttnParams{BQ: 32, BK: 64} }
-
-// Norm clamps the tiles to the sequence length, mapping zero fields onto
-// the defaults.
-func (a AttnParams) Norm(t int) (bq, bk int) {
-	bq, bk = a.BQ, a.BK
-	if bq <= 0 {
-		bq = 32
-	}
-	if bk <= 0 {
-		bk = 64
-	}
-	if bq > t {
-		bq = t
-	}
-	if bk > t {
-		bk = t
-	}
-	return bq, bk
-}
-
-// String renders the parameters for kernel reports.
-func (a AttnParams) String() string { return "bq=" + itoa(a.BQ) + " bk=" + itoa(a.BK) }
 
 // itoa is a minimal positive-int formatter, avoiding a strconv import in
-// this hot-path package for the report strings alone.
+// this hot-path package for KernelSignature alone.
 func itoa(v int) string {
 	if v == 0 {
 		return "0"

@@ -71,12 +71,14 @@ func VecKind() string { return vecKind }
 // eager convolution layer by layer on row-major im2col columns; generation
 // 3 ran the compiled plan's convolution on row-major columns, re-packing
 // the weight as the B operand on every forward; generation 4 ran the int8
-// GEMM as a SWAR kernel over biased-uint8 activation rows.
-const kernelGeneration = 5
+// GEMM as a SWAR kernel over biased-uint8 activation rows; generation 5
+// ran every f32 GEMM on the 4x16 register block unless a kernel autotuner
+// stamped another one per op.
+const kernelGeneration = 6
 
 // KernelSignature names the bound tier and the kernel generation, e.g.
-// "vec=avx2 kgen=5". Anything persisted from a kernel measurement (autotune
-// winners, memoised candidate latencies) is keyed by it next to the machine
+// "vec=avx2 kgen=6". Anything persisted from a kernel measurement
+// (memoised candidate latencies) is keyed by it next to the machine
 // signature, so numbers measured by other kernels are never replayed.
 func KernelSignature() string {
 	return "vec=" + vecKind + " kgen=" + itoa(kernelGeneration)

@@ -1,6 +1,5 @@
 // Package timing provides the one wall-clock measurement loop: latency
-// (engine.Measure), kernel tuning (internal/tune) and the benchmark
-// harness all time code through it.
+// (engine.Measure) and the benchmark harness both time code through it.
 //
 // The aggregate is the MINIMUM over runs, not a mean: latency noise on a
 // shared machine is strictly additive (scheduler preemption, cache
