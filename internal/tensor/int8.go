@@ -24,11 +24,12 @@ import (
 // the per-channel weight as A and the activations as B: work splits over the
 // weight's output channels and the activation columns, not over the few
 // pixels of a deep layer. The inner kernel is a 4x2 register block of exact
-// int32 dot products (qdot4x2, bound in vec.go: AVX2 assembly or its pure-Go
-// twin). Everything up to the final float32 multiply is integer and
-// order-independent, so both tiers agree bit-exactly with
-// NaiveQGEMMTransBInto — asserted by TestQGEMMParity and
-// FuzzQuantizedGEMMParity — and results are identical across worker counts.
+// int32 dot products (qdot4x2, bound in vec.go: AVX512-VNNI or AVX2
+// assembly, or its pure-Go twin). Everything up to the final float32
+// multiply is integer and order-independent, so every variant agrees
+// bit-exactly with NaiveQGEMMTransBInto — asserted by TestQGEMMParity and
+// FuzzQuantizedGEMMParity on each one — and results are identical across
+// worker counts.
 const (
 	// QuantClip is the symmetric int8 clipping bound. The range is
 	// [-127, 127] (not -128) so negation stays in range.

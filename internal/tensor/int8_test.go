@@ -217,25 +217,60 @@ func qgemmCase(t *testing.T, seed int64, m, k, n int, bias bool) {
 	checkQGEMM(t, x, w, m, k, n, st.Data(), bs)
 }
 
-// TestQGEMMParity covers the kernel's ragged edges: fewer than four weight
-// rows, a ragged last row block, one activation column, odd column counts
-// and more columns than one parallel tile.
-func TestQGEMMParity(t *testing.T) {
-	for _, tc := range []struct{ m, k, n int }{
-		{1, 1, 1}, {3, 5, 7}, {4, 16, 4}, {17, 33, 9}, {8, 64, 31},
-		{16, 144, 32}, {2, 7, 4}, {5, 96, 6}, {3, 64, 3}, {9, 100, 12},
-		{1, 27, 64}, {130, 27, 6}, {129, 40, 2}, {64, 576, 13},
-	} {
-		for _, bias := range []bool{false, true} {
-			qgemmCase(t, int64(tc.m*1000+tc.k*10+tc.n), tc.m, tc.k, tc.n, bias)
-		}
+// qdotVariant is one int8 block kernel that tests and benchmarks bind in
+// place of qdot4x2; skip, if set, says why this CPU or build cannot run it.
+// qdotVariants (vec_amd64_test.go, vec_other_test.go) lists them.
+type qdotVariant struct {
+	name string
+	fn   qdotFn
+	skip string
+}
+
+// bindQDot binds qdot4x2 to fn and returns the function that restores the
+// startup binding.
+func bindQDot(fn qdotFn) (restore func()) {
+	old := qdot4x2
+	qdot4x2 = fn
+	return func() { qdot4x2 = old }
+}
+
+// forEachQDot runs body as one subtest per int8 block kernel variant, with
+// qdot4x2 bound to it, and skips — naming the reason in the log — each
+// variant this CPU or build cannot run.
+func forEachQDot(t *testing.T, body func(t *testing.T)) {
+	for _, v := range qdotVariants() {
+		t.Run(v.name, func(t *testing.T) {
+			if v.skip != "" {
+				t.Skip(v.skip)
+			}
+			defer bindQDot(v.fn)()
+			body(t)
+		})
 	}
+}
+
+// TestQGEMMParity covers the kernel's ragged edges on every int8 variant:
+// fewer than four weight rows, a ragged last row block, one activation
+// column, odd column counts and more columns than one parallel tile.
+func TestQGEMMParity(t *testing.T) {
+	t.Logf("startup binding: %s", KernelSignature())
+	forEachQDot(t, func(t *testing.T) {
+		for _, tc := range []struct{ m, k, n int }{
+			{1, 1, 1}, {3, 5, 7}, {4, 16, 4}, {17, 33, 9}, {8, 64, 31},
+			{16, 144, 32}, {2, 7, 4}, {5, 96, 6}, {3, 64, 3}, {9, 100, 12},
+			{1, 27, 64}, {130, 27, 6}, {129, 40, 2}, {64, 576, 13},
+		} {
+			for _, bias := range []bool{false, true} {
+				qgemmCase(t, int64(tc.m*1000+tc.k*10+tc.n), tc.m, tc.k, tc.n, bias)
+			}
+		}
+	})
 }
 
 // TestQGEMMSaturatedExtremes drives every operand to ±127 at the deepest K
 // QuantDepthOK admits, so the int32 accumulators reach ±K·127² — the bound
-// qgemmMaxK is sized for — and any int16 saturation inside the kernel would
-// show. Both store orientations are checked.
+// qgemmMaxK is sized for — and any int16 saturation or int32 overflow
+// inside a kernel variant would show. Both store orientations are checked.
 func TestQGEMMSaturatedExtremes(t *testing.T) {
 	k := qgemmMaxK
 	if !QuantDepthOK(k) || QuantDepthOK(k+1) {
@@ -268,19 +303,21 @@ func TestQGEMMSaturatedExtremes(t *testing.T) {
 	for i := range scales {
 		scales[i] = 1
 	}
-	checkQGEMM(t, x, w, m, k, n, scales, nil)
-	// Rows with the same sign pattern reach the positive bound exactly.
-	c := make([]float32, m*n)
-	QGEMMInto(c, 1, n, PackWeightsI8(w, n, k, 1), n, padRows(x, m, k, k), m, k, scales, nil)
-	if got, want := c[2*n+2], float32(k*QuantClip*QuantClip); got != want {
-		t.Fatalf("saturated dot = %g, want %g", got, want)
-	}
+	forEachQDot(t, func(t *testing.T) {
+		checkQGEMM(t, x, w, m, k, n, scales, nil)
+		// Rows with the same sign pattern reach the positive bound exactly.
+		c := make([]float32, m*n)
+		QGEMMInto(c, 1, n, PackWeightsI8(w, n, k, 1), n, padRows(x, m, k, k), m, k, scales, nil)
+		if got, want := c[2*n+2], float32(k*QuantClip*QuantClip); got != want {
+			t.Fatalf("saturated dot = %g, want %g", got, want)
+		}
+	})
 }
 
-// FuzzQuantizedGEMMParity fuzzes shapes on the bound kernel tier: the int8
-// GEMM must be bit-exact against the naive reference in both store
-// orientations, with ragged row blocks, ragged column pairs and several
-// parallel column tiles in between.
+// FuzzQuantizedGEMMParity fuzzes shapes on every int8 kernel variant the
+// CPU runs: the int8 GEMM must be bit-exact against the naive reference in
+// both store orientations, with ragged row blocks, ragged column pairs and
+// several parallel column tiles in between.
 func FuzzQuantizedGEMMParity(f *testing.F) {
 	f.Add(int64(1), 4, 9, 6, true)
 	f.Add(int64(2), 1, 1, 1, false)
@@ -289,7 +326,7 @@ func FuzzQuantizedGEMMParity(f *testing.F) {
 	f.Add(int64(5), 129, 80, 7, true)
 	f.Fuzz(func(t *testing.T, seed int64, m, k, n int, bias bool) {
 		m, k, n = 1+absInt(m)%150, 1+absInt(k)%200, 1+absInt(n)%24
-		qgemmCase(t, seed, m, k, n, bias)
+		forEachQDot(t, func(t *testing.T) { qgemmCase(t, seed, m, k, n, bias) })
 	})
 }
 
@@ -303,7 +340,11 @@ func absInt(x int) int {
 // BenchmarkQuantConvPipeline compares the full f32 conv hot loop
 // (channel-major unfold + GEMM with the weight as the A operand) against
 // the int8 one (quantize + pixel-major int8 unfold + int8 GEMM with the
-// weight as A and a fused requantize) on VGG-sized layers.
+// weight as A and a fused requantize) on VGG-sized layers, the last one a
+// weight-bound branch conv at batch 1. The int8 leg runs once per kernel
+// variant the CPU can run (int8/go, int8/avx2, int8/vnni), bound the way the
+// tests bind them, so one box compares the variants without an env switch.
+// GMAC/s counts the conv's unpadded multiply-adds.
 func BenchmarkQuantConvPipeline(b *testing.B) {
 	for _, tc := range []struct {
 		name             string
@@ -312,11 +353,16 @@ func BenchmarkQuantConvPipeline(b *testing.B) {
 		{"c64x32x32_o64", 1, 64, 32, 32, 64},
 		{"c128x16x16_o128", 1, 128, 16, 16, 128},
 		{"c512x4x4_o512", 1, 512, 4, 4, 512},
+		{"c512x2x2_o512", 1, 512, 2, 2, 512},
 		{"c64x32x32_o64_n8", 8, 64, 32, 32, 64},
 	} {
 		k, stride, pad := 3, 1, 1
 		oh, ow := ConvOut(tc.h, k, stride, pad), ConvOut(tc.w, k, stride, pad)
 		rows, rowLen := tc.n*oh*ow, tc.c*k*k
+		macs := float64(tc.outC * rows * rowLen)
+		gmacs := func(b *testing.B) {
+			b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		}
 		rng := NewRNG(11)
 		x := New(tc.n, tc.c, tc.h, tc.w)
 		rng.FillNormal(x, 0, 1)
@@ -344,17 +390,25 @@ func BenchmarkQuantConvPipeline(b *testing.B) {
 				Im2ColCMInto(cols, x, k, k, stride, pad)
 				MatMulInto(outCM, wgt, cols)
 			}
+			gmacs(b)
 		})
-		b.Run(tc.name+"/int8", func(b *testing.B) {
-			xq := make([]int8, x.Size())
-			cols := make([]int8, rows*kp)
-			out := make([]float32, tc.outC*rows)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				QuantizeI8Into(xq, x.Data(), tc.n, tc.c, tc.h*tc.w, xScale)
-				Im2ColI8Into(cols, xq, tc.n, tc.c, tc.h, tc.w, k, k, stride, pad)
-				QGEMMInto(out, rows, 1, qw, tc.outC, cols, rows, kp, scales, nil)
-			}
-		})
+		for _, v := range qdotVariants() {
+			b.Run(tc.name+"/int8/"+v.name, func(b *testing.B) {
+				if v.skip != "" {
+					b.Skip(v.skip)
+				}
+				defer bindQDot(v.fn)()
+				xq := make([]int8, x.Size())
+				cols := make([]int8, rows*kp)
+				out := make([]float32, tc.outC*rows)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					QuantizeI8Into(xq, x.Data(), tc.n, tc.c, tc.h*tc.w, xScale)
+					Im2ColI8Into(cols, xq, tc.n, tc.c, tc.h, tc.w, k, k, stride, pad)
+					QGEMMInto(out, rows, 1, qw, tc.outC, cols, rows, kp, scales, nil)
+				}
+				gmacs(b)
+			})
+		}
 	}
 }

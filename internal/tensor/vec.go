@@ -4,11 +4,13 @@ package tensor
 // kernel, and the conv epilogue all bottom out in the small set of
 // primitives declared here as function variables. The package default
 // binds the pure-Go implementations from microgo.go and int8.go; on amd64
-// with AVX2+FMA the
-// init in vec_amd64.go rebinds them to hand-written assembly microkernels
-// (vec_amd64.s). The binding is decided once at process start, so kernel
-// selection never changes mid-run and results stay deterministic across
-// worker counts.
+// with AVX2+FMA the init in vec_amd64.go rebinds them to hand-written
+// assembly microkernels (vec_amd64.s). Inside that tier the int8 block
+// kernel has two variants: the AVX512-VNNI one (one VPDPBUSD per 32 MACs)
+// where CPUID and XCR0 allow it, the AVX2 one elsewhere; both return the
+// same exact int32 sums, so the variant changes speed, never a bit. The
+// binding is decided once at process start, so kernel selection never
+// changes mid-run and results stay deterministic across worker counts.
 //
 // Forcing the pure-Go tier:
 //
@@ -48,8 +50,10 @@ var (
 	microGemm1x16 micro1Fn
 	microGemm1x8  micro1Fn
 
-	// The int8 GEMM's block kernel (int8.go).
+	// The int8 GEMM's block kernel (int8.go) and the name of the bound
+	// variant: "go", "avx2" or "vnni".
 	qdot4x2 qdotFn = goQDot4x2
+	q8Kind         = "go"
 
 	// Attention / epilogue primitives. Contracts: vdot requires
 	// len(b) >= len(a); vaxpy requires len(x) >= len(y).
@@ -73,13 +77,16 @@ func VecKind() string { return vecKind }
 // the weight as the B operand on every forward; generation 4 ran the int8
 // GEMM as a SWAR kernel over biased-uint8 activation rows; generation 5
 // ran every f32 GEMM on the 4x16 register block unless a kernel autotuner
-// stamped another one per op.
-const kernelGeneration = 6
+// stamped another one per op; generation 6 ran the int8 block kernel on
+// AVX2 even where AVX512-VNNI was available, and its signature did not
+// name the int8 variant.
+const kernelGeneration = 7
 
-// KernelSignature names the bound tier and the kernel generation, e.g.
-// "vec=avx2 kgen=6". Anything persisted from a kernel measurement
-// (memoised candidate latencies) is keyed by it next to the machine
-// signature, so numbers measured by other kernels are never replayed.
+// KernelSignature names the bound tier, the int8 block kernel's variant and
+// the kernel generation, e.g. "vec=avx2 q8=vnni kgen=7". Anything persisted
+// from a kernel measurement (memoised candidate latencies) is keyed by it
+// next to the machine signature, so numbers measured by other kernels are
+// never replayed.
 func KernelSignature() string {
-	return "vec=" + vecKind + " kgen=" + itoa(kernelGeneration)
+	return "vec=" + vecKind + " q8=" + q8Kind + " kgen=" + itoa(kernelGeneration)
 }

@@ -7,10 +7,12 @@ import "os"
 // AVX2+FMA tier: CPUID feature detection and the Go-side bindings for the
 // assembly microkernels in vec_amd64.s. When the CPU qualifies (AVX2, FMA,
 // and OS-enabled YMM state) the init below rebinds the dispatch variables
-// in vec.go; otherwise the pure-Go lane tier stays in place. Set
-// GMORPH_NOVEC=1 to keep the pure-Go tier on a qualifying CPU without
-// rebuilding (CI uses the gmorph_novec build tag for the same purpose,
-// which drops this file entirely).
+// in vec.go; otherwise the pure-Go lane tier stays in place. Within the
+// tier, the int8 block kernel is the AVX512-VNNI variant when the CPU and
+// OS allow it (vnniUsable), and the AVX2 one otherwise. Set GMORPH_NOVEC=1
+// to keep the pure-Go tier on a qualifying CPU without rebuilding (CI uses
+// the gmorph_novec build tag for the same purpose, which drops this file
+// entirely).
 
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
@@ -29,6 +31,9 @@ func avx2Gemm1x8(k int, a *float32, bp *float32, c *float32)
 
 //go:noescape
 func avx2QDot4x2(k int, a *int8, lda int, b *int8, ldb int) [8]int32
+
+//go:noescape
+func vnniQDot4x2(k int, a *int8, lda int, b *int8, ldb int) [8]int32
 
 //go:noescape
 func avx2Dot(a, b *float32, n int) float32
@@ -65,6 +70,31 @@ func cpuHasAVX2FMA() bool {
 	return ebx7&avx2Bit != 0
 }
 
+// vnniUsable decides, from CPUID leaf 7's EBX and ECX and from XCR0, whether
+// vnniQDot4x2 may run: it needs AVX512F and AVX512VL (the EVEX encoding on
+// YMM registers, Y16-Y31 included), AVX512_VNNI (VPDPBUSD), and the OS
+// saving the opmask and ZMM state (XCR0 bits 5-7) next to XMM and YMM
+// (bits 1-2). A VM that reports the instructions but keeps the AVX-512
+// state off fails the last test and stays on the AVX2 kernel.
+func vnniUsable(ebx7, ecx7, xcr0 uint32) bool {
+	const (
+		avx512fBit    = 1 << 16 // leaf 7 EBX
+		avx512vlBit   = 1 << 31 // leaf 7 EBX
+		avx512vnniBit = 1 << 11 // leaf 7 ECX
+		zmmState      = 0xE6    // XCR0: XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM
+	)
+	return ebx7&avx512fBit != 0 && ebx7&avx512vlBit != 0 &&
+		ecx7&avx512vnniBit != 0 && xcr0&zmmState == zmmState
+}
+
+// cpuHasVNNI applies vnniUsable to this CPU. Only called once
+// cpuHasAVX2FMA has passed, so leaf 7 exists and XGETBV is allowed.
+func cpuHasVNNI() bool {
+	_, ebx7, ecx7, _ := cpuidAsm(7, 0)
+	xcr0, _ := xgetbvAsm()
+	return vnniUsable(ebx7, ecx7, xcr0)
+}
+
 func init() {
 	if os.Getenv("GMORPH_NOVEC") != "" || !cpuHasAVX2FMA() {
 		return
@@ -75,7 +105,10 @@ func init() {
 	microGemm8x8 = avx2Gemm8x8
 	microGemm1x16 = avx2Gemm1x16
 	microGemm1x8 = avx2Gemm1x8
-	qdot4x2 = avx2QDot4x2
+	qdot4x2, q8Kind = avx2QDot4x2, "avx2"
+	if cpuHasVNNI() {
+		qdot4x2, q8Kind = vnniQDot4x2, "vnni"
+	}
 	vdot = dotAVX2
 	vaxpy = axpyAVX2
 	vscale = scaleAVX2

@@ -454,3 +454,94 @@ qloop:
 	VMOVDQU    Y8, ret+40(FP)
 	VZEROUPPER
 	RET
+
+// func vnniQDot4x2(k int, a *int8, lda int, b *int8, ldb int) [8]int32
+//
+// The AVX512-VNNI form of avx2QDot4x2: same block, same contract, same
+// result bit for bit. VPDPBUSD multiplies unsigned bytes by signed bytes
+// and adds each group of four products into an int32 lane: one instruction
+// per 32 MACs. The two B rows are made unsigned by flipping their sign bit
+// (b XOR 0x80 = b + 128), so each accumulator collects Σ a·(b+128); a third
+// VPDPBUSD per A row, of the row against the 128-byte constant, collects
+// 128·Σ a, which the tail subtracts before the same VPHADDD fold. Every
+// partial sum stays below 255·128·32768 < 2³¹ in magnitude, and int32
+// arithmetic wraps anyway, so the difference is the exact signed dot
+// product. The row sums live in Y16-Y19, which only EVEX encodings reach.
+TEXT ·vnniQDot4x2(SB), NOSPLIT, $0-72
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), AX
+	MOVQ lda+16(FP), R8
+	MOVQ b+24(FP), BX
+	MOVQ ldb+32(FP), R9
+
+	LEAQ (AX)(R8*1), R10
+	LEAQ (AX)(R8*2), R11
+	LEAQ (R10)(R8*2), R12
+	LEAQ (BX)(R9*1), DX
+
+	// Y14 = 0x80 in every byte: the sign-bit flip, and 128 as an unsigned
+	// multiplier.
+	MOVL         $0x80808080, DI
+	MOVQ         DI, X14
+	VPBROADCASTD X14, Y14
+
+	VPXOR  Y0, Y0, Y0
+	VPXOR  Y1, Y1, Y1
+	VPXOR  Y2, Y2, Y2
+	VPXOR  Y3, Y3, Y3
+	VPXOR  Y4, Y4, Y4
+	VPXOR  Y5, Y5, Y5
+	VPXOR  Y6, Y6, Y6
+	VPXOR  Y7, Y7, Y7
+	VPXORD Y16, Y16, Y16
+	VPXORD Y17, Y17, Y17
+	VPXORD Y18, Y18, Y18
+	VPXORD Y19, Y19, Y19
+	XORQ   SI, SI
+
+vloop:
+	// Y8, Y9 = B rows + 128 as unsigned bytes; A rows are the signed operand.
+	VPXOR    (BX)(SI*1), Y14, Y8
+	VPXOR    (DX)(SI*1), Y14, Y9
+	VMOVDQU  (AX)(SI*1), Y10
+	VPDPBUSD Y10, Y8, Y0
+	VPDPBUSD Y10, Y9, Y1
+	VPDPBUSD Y10, Y14, Y16
+	VMOVDQU  (R10)(SI*1), Y11
+	VPDPBUSD Y11, Y8, Y2
+	VPDPBUSD Y11, Y9, Y3
+	VPDPBUSD Y11, Y14, Y17
+	VMOVDQU  (R11)(SI*1), Y10
+	VPDPBUSD Y10, Y8, Y4
+	VPDPBUSD Y10, Y9, Y5
+	VPDPBUSD Y10, Y14, Y18
+	VMOVDQU  (R12)(SI*1), Y11
+	VPDPBUSD Y11, Y8, Y6
+	VPDPBUSD Y11, Y9, Y7
+	VPDPBUSD Y11, Y14, Y19
+	ADDQ     $32, SI
+	CMPQ     SI, CX
+	JLT      vloop
+
+	// Row i's sums each carry 128·Σ a[i,·] too much.
+	VPSUBD Y16, Y0, Y0
+	VPSUBD Y16, Y1, Y1
+	VPSUBD Y17, Y2, Y2
+	VPSUBD Y17, Y3, Y3
+	VPSUBD Y18, Y4, Y4
+	VPSUBD Y18, Y5, Y5
+	VPSUBD Y19, Y6, Y6
+	VPSUBD Y19, Y7, Y7
+
+	VPHADDD    Y1, Y0, Y0
+	VPHADDD    Y3, Y2, Y2
+	VPHADDD    Y5, Y4, Y4
+	VPHADDD    Y7, Y6, Y6
+	VPHADDD    Y2, Y0, Y0
+	VPHADDD    Y6, Y4, Y4
+	VPERM2I128 $0x20, Y4, Y0, Y8
+	VPERM2I128 $0x31, Y4, Y0, Y9
+	VPADDD     Y9, Y8, Y8
+	VMOVDQU    Y8, ret+40(FP)
+	VZEROUPPER
+	RET
