@@ -19,8 +19,6 @@ package gmorph_test
 // Plus microbenchmarks of the substrate hot paths.
 
 import (
-	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -511,10 +509,7 @@ func BenchmarkPlanQuantVsF32(b *testing.B) {
 //     reference wall-clock);
 //   - memo-warm runs the identical search over a pre-populated persistent
 //     memo: every outcome and latency replays, zero fine-tuning runs, and
-//     the elites are asserted fingerprint-identical to the baseline's;
-//   - predict-off / predict-on run a fresh-seed search over a memo corpus
-//     with the learned pre-ranker disabled vs enabled, reporting how many
-//     candidates each actually measured (fine-tuned).
+//     the elites are asserted fingerprint-identical to the baseline's.
 func BenchmarkFuseSearchDist(b *testing.B) {
 	pr4 := func(seed uint64) gmorph.Config {
 		return gmorph.Config{
@@ -588,80 +583,4 @@ func BenchmarkFuseSearchDist(b *testing.B) {
 			b.ReportMetric(float64(res.Stats.FineTuned), "measured-candidates")
 		}
 	})
-
-	// The predictor legs search a fresh seed over a corpus accumulated from
-	// three prior single-pair searches under a tight accuracy budget (more
-	// failing candidates, which is what the pre-ranker learns to skip). The
-	// measurement run allows two-pair mutations, so its space is a superset
-	// of the corpus's: single-pair candidates replay from the memo while the
-	// fresh, more aggressive two-pair fusions are the ones the trained model
-	// gets to veto.
-	tight := func(seed uint64) gmorph.Config {
-		c := pr4(seed)
-		c.AccuracyDrop = 0.02
-		c.Rounds = 36
-		return c
-	}
-	buildCorpus := func(b *testing.B, teachers *gmorph.Model, ds *gmorph.Dataset) string {
-		b.Helper()
-		path := filepath.Join(b.TempDir(), "corpus.json")
-		for _, seed := range []uint64{29, 31, 37} {
-			c := tight(seed)
-			c.MemoPath = path
-			if _, err := gmorph.Fuse(teachers, ds, c); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return path
-	}
-	var offFps []string
-	for _, mode := range []struct {
-		name    string
-		predict bool
-	}{{"predict-off", false}, {"predict-on", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			teachers, ds := world(b)
-			corpus := buildCorpus(b, teachers, ds)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				// Fresh copy per iteration so replays of this run's own
-				// outcomes don't contaminate the measured-candidate count.
-				path := filepath.Join(b.TempDir(), fmt.Sprintf("memo-%d.json", i))
-				raw, err := os.ReadFile(corpus)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := os.WriteFile(path, raw, 0o644); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				c := tight(23)
-				c.MaxPairsPerPass = 2
-				c.MemoPath = path
-				c.Predict = mode.predict
-				res, err := gmorph.Fuse(teachers, ds, c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fps := eliteFps(res)
-				if !mode.predict {
-					offFps = fps
-				} else if len(offFps) > 0 {
-					// "Unchanged accuracy": skipping must not cost elites.
-					if len(fps) != len(offFps) {
-						b.Fatalf("predictor changed elite count: %d vs %d", len(fps), len(offFps))
-					}
-					for j := range fps {
-						if fps[j] != offFps[j] {
-							b.Fatalf("predictor changed elite %d", j)
-						}
-					}
-				}
-				b.ReportMetric(float64(res.Stats.FineTuned), "measured-candidates")
-				b.ReportMetric(float64(res.Stats.PredictorSkipped), "predictor-skipped")
-				b.ReportMetric(float64(len(res.Elites)), "elites")
-			}
-		})
-	}
 }

@@ -47,9 +47,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -91,9 +93,26 @@ type fileConfig struct {
 	Workers          []string       `json:"workers"`
 	SearchBatch      int            `json:"search_batch"`
 	Memo             string         `json:"memo"`
-	Predict          bool           `json:"predict"`
-	PredictMargin    float64        `json:"predict_margin"`
-	PredictExplore   int            `json:"predict_explore"`
+}
+
+// readConfig decodes the config file strictly: an unknown key is an error
+// that names it, so a mistyped or retired option cannot silently run a
+// different search.
+func readConfig(path string) (*fileConfig, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var fc fileConfig
+	if err := dec.Decode(&fc); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%s: data after the config object", path)
+	}
+	return &fc, nil
 }
 
 func buildDataset(dc *datasetConfig) (*data.Dataset, error) {
@@ -129,9 +148,6 @@ func main() {
 	workersCSV := flag.String("workers", "", "comma-separated worker addresses for a distributed search")
 	batch := flag.Int("batch", 0, "candidates sampled per search round (0 = 1, the paper's Algorithm 1, or 4 when -workers is set)")
 	memoPath := flag.String("memo", "", "persist the search memo (outcomes, weights, latencies) to this JSON file; re-run with more rounds to resume")
-	predictFlag := flag.Bool("predict", false, "enable the learned pre-ranker (skips candidates predicted to violate the accuracy budget)")
-	predictMargin := flag.Float64("predict-margin", 0, "pre-ranker skip threshold (default 0.02)")
-	predictExplore := flag.Int("predict-explore", 0, "measure every Nth would-be-skipped candidate anyway (default 8)")
 	statsPath := flag.String("stats", "", "write the search stats (core.SearchStats) as JSON to this file, - for stdout")
 	decisionsPath := flag.String("decisions", "", "write the per-decision fusion report (for cmd/inspect -fusion) to this file")
 	verbose := flag.Bool("v", false, "log every search round")
@@ -141,13 +157,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	raw, err := os.ReadFile(*configPath)
+	fc, err := readConfig(*configPath)
 	if err != nil {
 		log.Fatalf("reading config: %v", err)
-	}
-	var fc fileConfig
-	if err := json.Unmarshal(raw, &fc); err != nil {
-		log.Fatalf("parsing config: %v", err)
 	}
 
 	var teachers *gmorph.Model
@@ -219,9 +231,6 @@ func main() {
 		Workers:          fc.Workers,
 		SearchBatch:      fc.SearchBatch,
 		MemoPath:         fc.Memo,
-		Predict:          fc.Predict,
-		PredictMargin:    fc.PredictMargin,
-		PredictExplore:   fc.PredictExplore,
 	}
 	if *workersCSV != "" {
 		cfg.Workers = nil
@@ -236,15 +245,6 @@ func main() {
 	}
 	if *memoPath != "" {
 		cfg.MemoPath = *memoPath
-	}
-	if *predictFlag {
-		cfg.Predict = true
-	}
-	if *predictMargin > 0 {
-		cfg.PredictMargin = *predictMargin
-	}
-	if *predictExplore > 0 {
-		cfg.PredictExplore = *predictExplore
 	}
 
 	if *workerAddr != "" {

@@ -11,8 +11,8 @@
 //
 // The -fusion form renders a fusion search's per-decision report (written
 // by gmorph -decisions): for every search round, the mutation tried, which
-// filter acted (capacity rule, memo replay, learned pre-ranker), predicted
-// vs measured accuracy margin and latency, and the outcome.
+// filter acted (capacity rule, memo replay), the measured accuracy margin
+// and latency, and the outcome.
 //
 // The -shared form compares two or more checkpoints' prefix fingerprint
 // chains and reports how deep a weight-identical stem they share, each

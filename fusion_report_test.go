@@ -17,7 +17,6 @@ func TestFuseDecisionsExplainEveryRound(t *testing.T) {
 		t.Skip("short mode")
 	}
 	teachers, ds, _ := buildTinyTeachers(t)
-	memoPath := filepath.Join(t.TempDir(), "memo.json")
 	cfg := gmorph.Config{
 		AccuracyDrop:    0.08,
 		Rounds:          10,
@@ -27,7 +26,6 @@ func TestFuseDecisionsExplainEveryRound(t *testing.T) {
 		EvalEvery:       2,
 		RandomPolicy:    true,
 		Seed:            3,
-		MemoPath:        memoPath,
 	}
 	res, err := gmorph.Fuse(teachers, ds, cfg)
 	if err != nil {
@@ -65,24 +63,5 @@ func TestFuseDecisionsExplainEveryRound(t *testing.T) {
 	gmorph.RenderFusionReport(&b, loaded)
 	if !strings.Contains(b.String(), "fusion decisions:") {
 		t.Fatalf("report missing summary:\n%s", b.String())
-	}
-
-	// Second search on a fresh seed: the persisted memo primes the learned
-	// pre-ranker, which must come back trained and consulted.
-	cfg2 := cfg
-	cfg2.Seed = 4
-	cfg2.Predict = true
-	res2, err := gmorph.Fuse(teachers, ds, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Predictor == nil {
-		t.Fatal("Predict run returned no predictor stats")
-	}
-	if res2.Predictor.Observed == 0 {
-		t.Fatal("predictor was not primed from the memo corpus")
-	}
-	if res2.Predictor.Assessed == 0 && res2.Stats.CacheHits == 0 {
-		t.Fatalf("predictor neither assessed nor memo replayed: %+v", res2.Predictor)
 	}
 }

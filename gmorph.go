@@ -44,7 +44,6 @@ import (
 	"repro/internal/quant"
 	"repro/internal/search/coord"
 	"repro/internal/search/explain"
-	"repro/internal/search/predict"
 	"repro/internal/search/worker"
 	"repro/internal/tensor"
 )
@@ -67,8 +66,8 @@ type (
 	// Elite is a trained fusion candidate that met the accuracy targets.
 	Elite = core.Elite
 	// Trace is the search's record of one sampled candidate: what was
-	// mutated, which filter acted, predicted vs measured scores, the
-	// outcome, and where the search stood when it was merged.
+	// mutated, which filter acted, the measured scores, the outcome, and
+	// where the search stood when it was merged.
 	Trace = core.Trace
 	// SearchStats aggregates a search's filtering, memoization, and
 	// warm-start counters.
@@ -76,8 +75,6 @@ type (
 	// SearchWorker is a stateless evaluation worker for the distributed
 	// search (serve its Handler, point Config.Workers at it).
 	SearchWorker = worker.Server
-	// PredictorStats summarizes the learned pre-ranker's activity.
-	PredictorStats = predict.Stats
 	// Engine runs inference for a Model.
 	Engine = engine.Engine
 )
@@ -223,25 +220,12 @@ type Config struct {
 	// MemoPath persists the search memo (candidate outcomes, trained
 	// weights, machine-keyed latency measurements) to a JSON file: a
 	// re-run of the same search replays it with zero duplicate
-	// measurements, and the learned pre-ranker trains on the corpus. It is
-	// also how a search resumes: re-run with the same Seed, SearchBatch
-	// and MemoPath and a larger Rounds, and the first rounds replay
-	// without fine-tuning, so the search continues where an uninterrupted
-	// run would be (with Predict, the pre-ranker is primed from the whole
-	// corpus, so the continuation may differ). A memo file that fails to
-	// load is an error returned before the search, and the file is left
-	// as it was.
+	// measurements. It is also how a search resumes: re-run with the same
+	// Seed, SearchBatch and MemoPath and a larger Rounds, and the first
+	// rounds replay without fine-tuning, so the search continues where an
+	// uninterrupted run would be. A memo file that fails to load is an
+	// error returned before the search, and the file is left as it was.
 	MemoPath string
-	// Predict enables the learned pre-ranker: ridge models over graph
-	// features, trained on the memo corpus, skip candidates predicted to
-	// violate the accuracy budget (with periodic forced exploration).
-	Predict bool
-	// PredictMargin is the pre-ranker's skip threshold (default 0.02):
-	// skip only when the predicted margin is below -PredictMargin.
-	PredictMargin float64
-	// PredictExplore forces every Nth would-be-skipped candidate through
-	// to measurement (default 8).
-	PredictExplore int
 }
 
 // Result is the outcome of Fuse.
@@ -267,16 +251,13 @@ type Result struct {
 	// Elites are all accepted candidates.
 	Elites []*Elite
 	// Traces explain every sampled candidate: mutation tried, filter
-	// outcomes, predicted vs measured scores (see cmd/inspect -fusion).
+	// outcomes, measured scores (see cmd/inspect -fusion).
 	Traces []Trace
 	// Stats aggregates the search's filtering, memoization, and warm-start
 	// counters (cache hit rates, rule skips, epochs spent, ...).
 	Stats SearchStats
 	// Evaluated counts sampled candidates (including skipped ones).
 	Evaluated int
-	// Predictor summarizes the learned pre-ranker (nil unless
-	// Config.Predict was set).
-	Predictor *PredictorStats
 }
 
 // ErrNoTasks reports a model with no task branches.
@@ -309,22 +290,13 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 		TimeBudget:      cfg.TimeBudget,
 		OnRound:         cfg.OnRound,
 		DisableMemo:     cfg.DisableSearchCache,
+		Memo:            memo,
 	}
 	if cfg.OptimizeFLOPs {
 		coreCfg.Metric = core.OptimizeFLOPs
 	}
 	if cfg.RandomPolicy {
 		coreCfg.Policy = core.RandomPolicy{}
-	}
-	coreCfg.Memo = memo
-	// Learned pre-ranker, warm-started from the memo corpus.
-	var pred *predict.Predictor
-	if cfg.Predict {
-		pred = predict.New(predict.Options{
-			Margin: cfg.PredictMargin, ExploreEvery: cfg.PredictExplore,
-		})
-		core.PrimePreranker(pred, memo)
-		coreCfg.Preranker = pred
 	}
 
 	if len(cfg.Workers) > 0 {
@@ -354,10 +326,6 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 		Evaluated:       res.Evaluated,
 		Speedup:         1,
 		OriginalLatency: res.OriginalLatency,
-	}
-	if pred != nil {
-		s := pred.Stats()
-		out.Predictor = &s
 	}
 	if res.Best != nil {
 		out.Model = res.Best.Graph

@@ -171,10 +171,6 @@ type Config struct {
 	// (nil: NewDiskMemo(""), in-process only). A file-backed DiskMemo
 	// shares one corpus across processes and runs.
 	Memo *DiskMemo
-	// Preranker, when non-nil, is consulted for every fresh candidate and
-	// may veto fine-tuning (see Preranker). internal/search/predict
-	// provides the learned implementation.
-	Preranker Preranker
 }
 
 func (c Config) withDefaults() Config {
@@ -207,9 +203,6 @@ const (
 	// RuleCapacity marks a candidate rejected by the capacity rule filter
 	// before fine-tuning (the paper's "GMorph w P+R" skip).
 	RuleCapacity = "capacity-rule"
-	// RulePredictor marks a candidate the learned pre-ranker predicted to
-	// violate the accuracy budget by more than the configured margin.
-	RulePredictor = "predictor-margin"
 	// RuleMemo marks a candidate whose outcome replayed from the
 	// fingerprint memo instead of being re-measured.
 	RuleMemo = "memo-replay"
@@ -241,11 +234,11 @@ type Scores struct {
 }
 
 // Trace is the search's one record per sampled candidate: what was tried,
-// what the pre-ranker guessed, what measurement said, which rule fired, and
-// where the search stood when it was merged. Figure 8's latency-vs-search-
-// time curves are plotted from these, and internal/search/explain persists
-// and renders them (the JSON tags are the decision-file format; Terminated
-// and the wall-clock fields stay out of it).
+// what measurement said, which rule fired, and where the search stood when
+// it was merged. Figure 8's latency-vs-search-time curves are plotted from
+// these, and internal/search/explain persists and renders them (the JSON
+// tags are the decision-file format; Terminated and the wall-clock fields
+// stay out of it).
 type Trace struct {
 	// Iteration is the search round that sampled the candidate.
 	Iteration int `json:"iteration"`
@@ -266,11 +259,6 @@ type Trace struct {
 	// Warm is true when fine-tuning ran (or, replayed, had run) under the
 	// shrunken warm-start budget (inherited elite weights).
 	Warm bool `json:"warm,omitempty"`
-	// Forced is true when the predictor wanted to skip the candidate but
-	// periodic forced exploration measured it anyway.
-	Forced bool `json:"forced,omitempty"`
-	// Predicted holds the pre-ranker's scores (nil before it is trained).
-	Predicted *Scores `json:"predicted,omitempty"`
 	// Measured holds the measured scores (nil for skipped candidates).
 	Measured *Scores `json:"measured,omitempty"`
 	// Accuracy is the fine-tuned per-task metric (met candidates only).

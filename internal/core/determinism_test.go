@@ -54,8 +54,8 @@ func TestOptimizerDeterministicAcrossWorkers(t *testing.T) {
 // compareResults asserts two searches agree on everything the search
 // determines: Evaluated, the elites, whether a Best was found, and every
 // field of every record except the wall-clock ones — Best (ranked by
-// measured latency), BestLatency, Elapsed, FineTuneTime and the latencies
-// inside Predicted and Measured. Accuracies and margins must match
+// measured latency), BestLatency, Elapsed, FineTuneTime and the latency
+// inside Measured. Accuracies and margins must match
 // exactly: fine-tuning is bit-deterministic in (seed, fingerprint), and a
 // replay copies the first evaluation's numbers.
 //
@@ -107,10 +107,8 @@ func compareResults(t *testing.T, label string, want, got *core.Result, cacheTog
 // evaluation of the same candidate writes.
 func searchDetermined(tr core.Trace, cacheToggled bool) core.Trace {
 	tr.Best, tr.BestLatency, tr.Elapsed, tr.FineTuneTime = false, 0, 0, 0
-	for _, sc := range []**core.Scores{&tr.Predicted, &tr.Measured} {
-		if *sc != nil {
-			*sc = &core.Scores{Margin: (*sc).Margin}
-		}
+	if tr.Measured != nil {
+		tr.Measured = &core.Scores{Margin: tr.Measured.Margin}
 	}
 	if cacheToggled && tr.Rule == core.RuleMemo {
 		tr.CacheHit, tr.Detail, tr.Rule = false, "", core.RuleAccuracyBudget

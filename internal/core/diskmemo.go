@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -41,7 +40,6 @@ type diskMemoEntry struct {
 	Accuracy     map[int]float64 `json:"accuracy,omitempty"`
 	Margin       float64         `json:"margin"`
 	FLOPs        int64           `json:"flops,omitempty"`
-	Features     []float64       `json:"features,omitempty"`
 	Trained      string          `json:"trained,omitempty"`
 }
 
@@ -166,25 +164,6 @@ func (m *DiskMemo) SetLatency(fp uint64, d time.Duration) {
 	m.dirty = true
 }
 
-// Range visits all entries in ascending fingerprint order (so corpus
-// consumers like predictor priming are deterministic).
-func (m *DiskMemo) Range(fn func(fp uint64, e *MemoEntry)) {
-	m.mu.Lock()
-	fps := make([]uint64, 0, len(m.entries))
-	for fp := range m.entries {
-		fps = append(fps, fp)
-	}
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
-	entries := make([]*MemoEntry, len(fps))
-	for i, fp := range fps {
-		entries[i] = m.entries[fp]
-	}
-	m.mu.Unlock()
-	for i, fp := range fps {
-		fn(fp, entries[i])
-	}
-}
-
 // Len returns the number of entries.
 func (m *DiskMemo) Len() int {
 	m.mu.Lock()
@@ -256,7 +235,6 @@ func (m *DiskMemo) encodeEntry(fp uint64, e *MemoEntry) (diskMemoEntry, error) {
 		WarmStarted: e.WarmStarted, WarmFellBack: e.WarmFellBack,
 		EpochsRun: e.EpochsRun, TrainNS: int64(e.TrainTime),
 		Accuracy: e.Accuracy, Margin: e.Margin, FLOPs: e.FLOPs,
-		Features: e.Features,
 	}
 	if e.Trained == nil {
 		return de, nil
@@ -281,7 +259,6 @@ func (de diskMemoEntry) decode() (*MemoEntry, error) {
 		WarmStarted: de.WarmStarted, WarmFellBack: de.WarmFellBack,
 		EpochsRun: de.EpochsRun, TrainTime: time.Duration(de.TrainNS),
 		Accuracy: de.Accuracy, Margin: de.Margin, FLOPs: de.FLOPs,
-		Features: de.Features,
 	}
 	if de.Trained == "" {
 		return e, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -8,15 +9,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/distill"
 	"repro/internal/fingerprint"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
 )
 
 // TestDiskMemoRoundTrip persists outcomes — including a trained graph — and
-// reloads them: verdicts, margins, features, latencies, and the trained
-// weights must all survive, with the reloaded graph structurally identical
-// to the original (the lossless checkpoint encoding).
+// reloads them: verdicts, margins, latencies, and the trained weights must
+// all survive, with the reloaded graph structurally identical to the
+// original (the lossless checkpoint encoding). A version-1 file whose
+// entries still carry a "features" array loads too, and the search that
+// wrote it replays from it without a single fine-tune.
 func TestDiskMemoRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "memo.json")
 	ds := testutil.TinyFace(21, 16, 8)
@@ -33,10 +37,10 @@ func TestDiskMemoRoundTrip(t *testing.T) {
 	met := &MemoEntry{
 		Met: true, EpochsRun: 4, TrainTime: 5 * time.Millisecond,
 		Accuracy: map[int]float64{0: 0.9, 1: 0.8}, Margin: 0.05,
-		FLOPs: g.FLOPs(), Features: []float64{1, 2, 3}, Trained: g,
+		FLOPs: g.FLOPs(), Trained: g,
 	}
 	m.Insert(fpTrained, met)
-	m.Insert(77, &MemoEntry{Met: false, Margin: -0.2, Features: []float64{4, 5, 6}})
+	m.Insert(77, &MemoEntry{Met: false, Margin: -0.2})
 	m.SetLatency(fpTrained, 123*time.Microsecond)
 	if err := m.Save(); err != nil {
 		t.Fatal(err)
@@ -56,9 +60,6 @@ func TestDiskMemoRoundTrip(t *testing.T) {
 	if e.Accuracy[0] != 0.9 || e.Accuracy[1] != 0.8 {
 		t.Fatalf("accuracy mismatch: %v", e.Accuracy)
 	}
-	if len(e.Features) != 3 || e.Features[2] != 3 {
-		t.Fatalf("features mismatch: %v", e.Features)
-	}
 	if e.Trained == nil || fingerprint.Hash(e.Trained) != fpTrained {
 		t.Fatal("trained graph did not round-trip")
 	}
@@ -74,6 +75,54 @@ func TestDiskMemoRoundTrip(t *testing.T) {
 	if got := re.Lookup(fpTrained); !got.Met {
 		t.Fatal("second insert overwrote the first")
 	}
+
+	// testdata/memo-features.json was written by memoFixtureSearch when
+	// every entry also stored a "features" array.
+	raw, err := os.ReadFile(filepath.Join("testdata", "memo-features.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"features"`)) {
+		t.Fatal("the fixture has no features arrays")
+	}
+	old := filepath.Join(t.TempDir(), "memo.json")
+	if err := os.WriteFile(old, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	om, err := NewDiskMemo(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := memoFixtureSearch(om)
+	if res.Stats.FineTuned != 0 || res.Stats.CacheMisses != 0 || len(res.Elites) == 0 {
+		t.Fatalf("the old memo did not replay the search that wrote it: %+v, %d elites",
+			res.Stats, len(res.Elites))
+	}
+	// The next Save rewrites every entry without the column, still as
+	// version 1.
+	om.Insert(78, &MemoEntry{Margin: -1})
+	if err := om.Save(); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(saved, []byte(`"features"`)) || !bytes.Contains(saved, []byte(`"version": 1`)) {
+		t.Fatalf("re-saved memo: %.200s", saved)
+	}
+}
+
+// memoFixtureSearch is the search that wrote testdata/memo-features.json:
+// untrained teachers under fixed targets, so its trajectory over the
+// memo depends on nothing the machine or the kernel tier computes.
+func memoFixtureSearch(memo *DiskMemo) *Result {
+	ds := testutil.TinyFace(61, 16, 8)
+	g := testutil.TinyMultiDNN(62, ds)
+	opts := AccuracyOptions{FineTune: distill.Config{LR: 0.003, Epochs: 6, Batch: 8, EvalEvery: 1}}
+	return NewOptimizer(g, ds, map[int]float64{0: 0.6, 1: 0.4},
+		distill.ComputeTeacherOutputs(g, ds.Train.X, 16), ds.Train.X, opts,
+		Config{Rounds: 4, BatchSize: 2, Seed: 1, Metric: OptimizeFLOPs, Memo: memo}).Run()
 }
 
 // TestDiskMemoCorruptFileIsError guards the failure mode: a truncated or
@@ -186,11 +235,18 @@ func TestDiskMemoConcurrentSavers(t *testing.T) {
 		if n := re.Len(); n < 1 || n > savers {
 			t.Fatalf("file holds %d entries, want 1..%d", n, savers)
 		}
-		re.Range(func(fp uint64, e *MemoEntry) {
-			if fp < 1 || fp > savers || e.EpochsRun != int(fp) {
-				t.Errorf("entry %d is not one a saver wrote: %+v", fp, e)
+		found := 0
+		for fp := uint64(1); fp <= savers; fp++ {
+			if e := re.Lookup(fp); e != nil {
+				found++
+				if e.EpochsRun != int(fp) {
+					t.Errorf("entry %d is not the one its saver wrote: %+v", fp, e)
+				}
 			}
-		})
+		}
+		if found != re.Len() {
+			t.Fatalf("file holds %d entries, %d of them a saver's", re.Len(), found)
+		}
 	})
 }
 
@@ -288,32 +344,4 @@ func keys(m map[string]map[string]int64) []string {
 		out = append(out, k)
 	}
 	return out
-}
-
-// TestFeaturesShape pins the feature vector against its declared names and
-// checks the load-bearing columns on a real graph.
-func TestFeaturesShape(t *testing.T) {
-	ds := testutil.TinyFace(31, 16, 8)
-	g := testutil.TinyMultiDNN(32, ds)
-	g.RefreshCapacities()
-	feats := Features(g, g.Capacity(), g.FLOPs(), g.Capacity().Total)
-	names := FeatureNames()
-	if len(feats) != len(names) {
-		t.Fatalf("feature vector length %d != %d names", len(feats), len(names))
-	}
-	byName := make(map[string]float64, len(names))
-	for i, n := range names {
-		byName[n] = feats[i]
-	}
-	if byName["tasks"] != float64(len(g.Heads)) {
-		t.Fatalf("tasks feature %v, want %d", byName["tasks"], len(g.Heads))
-	}
-	// Against its own baseline the ratios are exactly 1.
-	if byName["flops_ratio"] != 1 || byName["param_ratio"] != 1 {
-		t.Fatalf("self ratios should be 1: flops %v params %v",
-			byName["flops_ratio"], byName["param_ratio"])
-	}
-	if byName["nodes"] <= 0 || byName["gflops"] <= 0 {
-		t.Fatalf("degenerate features: %v", byName)
-	}
 }

@@ -30,11 +30,6 @@ type SearchStats struct {
 	EarlyTerminated int `json:"early_terminated"`
 	FineTuned       int `json:"fine_tuned"`
 	TotalEpochs     int `json:"total_epochs"`
-	// PredictorSkipped counts candidates the learned pre-ranker rejected
-	// without fine-tuning; PredictorForced counts predictor-rejected
-	// candidates that periodic forced exploration measured anyway.
-	PredictorSkipped int `json:"predictor_skipped"`
-	PredictorForced  int `json:"predictor_forced"`
 	// EvalErrors counts candidates whose evaluation failed outright (e.g.
 	// a worker transport error in a distributed search). Always 0 for
 	// in-process evaluation.
@@ -45,10 +40,8 @@ type SearchStats struct {
 // fingerprint. It stores everything a replay needs to reproduce the round
 // bookkeeping of the original evaluation — the verdict, the fine-tuning
 // counters, the measured accuracy, and, for candidates that met the
-// targets, the trained graph for direct weight transfer — plus the graph
-// features and accuracy margin the learned pre-ranker trains on (recorded
-// for failed candidates too: misses are exactly what the predictor must
-// learn to veto).
+// targets, the trained graph for direct weight transfer — plus the
+// accuracy margin (recorded for failed candidates too).
 type MemoEntry struct {
 	Met          bool
 	Terminated   bool
@@ -62,9 +55,6 @@ type MemoEntry struct {
 	// produced no final accuracy at all).
 	Margin float64
 	FLOPs  int64
-	// Features is the candidate's feature vector (see Features), the
-	// predictor's training row.
-	Features []float64
 	// Trained holds the fine-tuned graph (met candidates only).
 	Trained *graph.Graph
 }

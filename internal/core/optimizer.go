@@ -17,10 +17,10 @@ import (
 // three phases: sample BatchSize candidates serially, evaluate the ones that
 // survive the filters through the batch evaluator, merge the outcomes
 // serially. All stateful search machinery — candidate sampling, the
-// rule-based filter, the memo, the pre-ranker, elite merging, policy
-// observation — lives in the serial phases, which makes the search
-// deterministic in (Seed, BatchSize) regardless of evaluation concurrency
-// (local slots or remote workers). With BatchSize 1 a round is one
+// rule-based filter, the memo, elite merging, policy observation — lives
+// in the serial phases, which makes the search deterministic in (Seed,
+// BatchSize) regardless of evaluation concurrency (local slots or remote
+// workers). With BatchSize 1 a round is one
 // iteration of the paper's Algorithm 1: sample, evaluate, merge, observe.
 type Optimizer struct {
 	cfg      Config
@@ -69,10 +69,6 @@ type job struct {
 	// merged memo entry instead of re-evaluating, so a duplicate-heavy
 	// batch measures each structure exactly once.
 	aliasOf int
-	// feats is the candidate's feature vector (fresh candidates only).
-	feats []float64
-	// score is the pre-ranker's assessment (fresh candidates only).
-	score PrerankScore
 	// evalIdx indexes this job's EvalOutcome in the round's evaluation
 	// batch, -1 when the job does not evaluate.
 	evalIdx int
@@ -108,7 +104,6 @@ func (o *Optimizer) Run() *Result {
 		FLOPs:   o.original.FLOPs(),
 	}
 	res.OriginalLatency = incumbent.Latency
-	origParams := o.original.Capacity().Total
 	// The rule-based filter lives here, not inside the evaluator: skip
 	// decisions are taken serially at sampling time and failures are
 	// recorded serially at merge time, so the filter sees an identical
@@ -142,7 +137,7 @@ func (o *Optimizer) Run() *Result {
 		// Phase 1 (serial): sample the round's candidates. Every draw —
 		// base pick, pair choice, per-candidate mutator stream, fine-tune
 		// seed — comes from the master rng in a fixed order, and every
-		// filter (rule, memo, batch alias, pre-ranker) decides here.
+		// filter (rule, memo, batch alias) decides here.
 		var jobs []job
 		var evalJobs []EvalJob
 		batchFp := make(map[uint64]int)
@@ -190,30 +185,19 @@ func (o *Optimizer) Run() *Result {
 					}
 				}
 				if j.entry == nil && j.aliasOf < 0 {
-					j.feats = Features(j.cand, j.profile, incumbent.FLOPs, origParams)
-					if cfg.Preranker != nil {
-						j.score = cfg.Preranker.Assess(j.feats)
+					// The fine-tune seed is a function of the search seed and
+					// the structural fingerprint, so duplicates train
+					// identically — which is what makes a memo replay (or a
+					// remote evaluation) equivalent to re-evaluating.
+					j.seed = memoSeed(cfg.Seed, j.fp)
+					j.warm = j.fromElite
+					if useMemo {
+						batchFp[j.fp] = len(jobs)
 					}
-					if j.score.Skip {
-						res.Stats.PredictorSkipped++
-					} else {
-						if j.score.Forced {
-							res.Stats.PredictorForced++
-						}
-						// The fine-tune seed is a function of the search seed
-						// and the structural fingerprint, so duplicates train
-						// identically — which is what makes a memo replay (or
-						// a remote evaluation) equivalent to re-evaluating.
-						j.seed = memoSeed(cfg.Seed, j.fp)
-						j.warm = j.fromElite
-						if useMemo {
-							batchFp[j.fp] = len(jobs)
-						}
-						j.evalIdx = len(evalJobs)
-						evalJobs = append(evalJobs, EvalJob{
-							Cand: j.cand, Seed: j.seed, Warm: j.warm,
-						})
-					}
+					j.evalIdx = len(evalJobs)
+					evalJobs = append(evalJobs, EvalJob{
+						Cand: j.cand, Seed: j.seed, Warm: j.warm,
+					})
 				}
 			}
 			jobs = append(jobs, j)
@@ -231,8 +215,8 @@ func (o *Optimizer) Run() *Result {
 
 		// Phase 3 (serial): merge outcomes in candidate order. Everything the
 		// next round's sampling can observe — elites, filter history, the
-		// memo, the pre-ranker, latency measurements, policy feedback — is
-		// produced here, in a deterministic order.
+		// memo, latency measurements, policy feedback — is produced here,
+		// in a deterministic order.
 		for ji := range jobs {
 			oc := o.merge(&jobs[ji], evalOuts, memo, rule, res)
 			tr := oc.trace
@@ -272,22 +256,12 @@ func (o *Optimizer) merge(j *job, evalOuts []EvalOutcome, memo *DiskMemo,
 	if !j.skipped {
 		tr.Fingerprint = fpKey(j.fp)
 	}
-	if j.score.Trained {
-		tr.Predicted = &Scores{Margin: j.score.Margin, LatencyNS: j.score.LatencyNS}
-	}
 
 	switch {
 	case j.skipped:
 		// Rule-skipped candidates record no failure: the rule already
 		// acted on the history that produced it.
 		tr.Outcome, tr.Rule = OutcomeSkipped, RuleCapacity
-
-	case j.score.Skip:
-		// Counted in Stats at sampling time.
-		tr.Outcome, tr.Rule = OutcomeSkipped, RulePredictor
-		if oc.drop = -j.score.Margin; oc.drop < 0 {
-			oc.drop = 0
-		}
 
 	case j.entry != nil || j.aliasOf >= 0:
 		e := j.entry
@@ -317,8 +291,7 @@ func (o *Optimizer) merge(j *job, evalOuts []EvalOutcome, memo *DiskMemo,
 			tr.Outcome, tr.Rule, tr.Detail = OutcomeRejected, RuleEvalError, out.Err.Error()
 			break
 		}
-		tr.Forced = j.score.Forced
-		e := &MemoEntry{Met: out.Met, Margin: -1, Features: j.feats}
+		e := &MemoEntry{Met: out.Met, Margin: -1}
 		if rep := out.Report; rep != nil {
 			e.Terminated, e.EpochsRun, e.TrainTime = rep.Terminated, rep.EpochsRun, rep.TrainTime
 			e.WarmStarted, e.WarmFellBack = rep.WarmStarted, rep.WarmFellBack
@@ -350,13 +323,6 @@ func (o *Optimizer) merge(j *job, evalOuts []EvalOutcome, memo *DiskMemo,
 			memo.Insert(j.fp, e)
 		}
 		o.fold(&oc, j, e, trained, memo, rule, res)
-		if o.cfg.Preranker != nil {
-			latNS := -1.0
-			if e.Met {
-				latNS = tr.Measured.LatencyNS
-			}
-			o.cfg.Preranker.Observe(j.feats, latNS, e.Margin)
-		}
 	}
 	return oc
 }

@@ -1,11 +1,11 @@
 // Package explain persists and renders why the fusion search accepted,
 // rejected, or skipped each candidate. Every decision the optimizer takes —
-// a capacity rule firing, a predictor veto, a memo replay, a measured
-// verdict — is recorded on the candidate's core.Trace; this package saves
-// those records as a decision file and renders them human-readably for
-// `inspect -fusion`. The motivation follows "Applying Graph Explanation to
-// Operator Fusion" (PAPERS.md): a fusion system that cannot say why a share
-// point won is very hard to trust or debug.
+// a capacity rule firing, a memo replay, a measured verdict — is recorded
+// on the candidate's core.Trace; this package saves those records as a
+// decision file and renders them human-readably for `inspect -fusion`.
+// The motivation follows "Applying Graph Explanation to Operator Fusion"
+// (PAPERS.md): a fusion system that cannot say why a share point won is
+// very hard to trust or debug.
 package explain
 
 import (
@@ -51,7 +51,7 @@ func Load(path string) ([]core.Trace, error) {
 
 // Render writes a human-readable fusion report: a summary of how the
 // candidate stream was triaged, then one block per decision with the
-// rationale (who fired, what the predictor guessed, what measurement said).
+// rationale (who fired, what measurement said).
 func Render(w io.Writer, ds []core.Trace) {
 	counts := map[string]int{}
 	rules := map[string]int{}
@@ -91,9 +91,6 @@ func renderOne(w io.Writer, d core.Trace) {
 	if d.Best {
 		flags += " [best]"
 	}
-	if d.Forced {
-		flags += " [forced-explore]"
-	}
 	fmt.Fprintf(w, "iter %4d  %s  %-8s %s%s\n", d.Iteration, fp, d.Outcome, d.Rule, flags)
 	if d.Mutation != "" {
 		base := "original"
@@ -101,16 +98,6 @@ func renderOne(w io.Writer, d core.Trace) {
 			base = "elite"
 		}
 		fmt.Fprintf(w, "           mutated %s: %s\n", base, d.Mutation)
-	}
-	if d.Predicted != nil {
-		line := fmt.Sprintf("predictor: margin %+.4f", d.Predicted.Margin)
-		if d.Predicted.LatencyNS > 0 {
-			line += fmt.Sprintf(", latency %s", time.Duration(d.Predicted.LatencyNS))
-		}
-		if d.Measured != nil {
-			line += fmt.Sprintf(" (residual %+.4f)", d.Predicted.Margin-d.Measured.Margin)
-		}
-		fmt.Fprintf(w, "           %s\n", line)
 	}
 	if d.Measured != nil {
 		line := fmt.Sprintf("measured:  margin %+.4f", d.Measured.Margin)

@@ -93,13 +93,9 @@ func TestFuseResumeFromMemo(t *testing.T) {
 
 // searchDetermined strips a record's wall-clock fields: the Best mark
 // (ranked by measured latency), BestLatency, Elapsed, FineTuneTime and the
-// latencies inside Predicted and Measured.
+// latency inside Measured.
 func searchDetermined(tr gmorph.Trace) gmorph.Trace {
 	tr.Best, tr.BestLatency, tr.Elapsed, tr.FineTuneTime = false, 0, 0, 0
-	if tr.Predicted != nil {
-		sc := *tr.Predicted
-		sc.LatencyNS, tr.Predicted = 0, &sc
-	}
 	if tr.Measured != nil {
 		sc := *tr.Measured
 		sc.LatencyNS, tr.Measured = 0, &sc
