@@ -101,9 +101,10 @@ func (c *Conv2d) Name() string {
 type MaxPool2d struct {
 	Kernel, Stride int
 
-	// arg is the last train-mode forward's argmax per output element, a
-	// grow-only buffer the backward routes gradients through.
-	arg     []int32
+	// arg is the last train-mode forward's argmax per output element (its
+	// window offset), a grow-only buffer the backward routes gradients
+	// through.
+	arg     []byte
 	inShape [4]int
 }
 
@@ -123,7 +124,7 @@ func (m *MaxPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		return out
 	}
 	if cap(m.arg) < out.Size() {
-		m.arg = make([]int32, out.Size())
+		m.arg = make([]byte, out.Size())
 	}
 	m.arg = m.arg[:out.Size()]
 	m.inShape = [4]int(x.Shape())
@@ -133,7 +134,7 @@ func (m *MaxPool2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (m *MaxPool2d) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	return tensor.MaxPoolBackward(gradOut, m.arg, m.inShape[:])
+	return tensor.MaxPoolBackward(gradOut, m.arg, m.inShape[:], m.Kernel, m.Stride)
 }
 
 // Params implements Layer.

@@ -8,13 +8,18 @@ import (
 )
 
 // The fused convolution body. Conv2d, ConvBlock and ResidualBlock all train
-// and evaluate through it: the input is unfolded channel-major
-// (tensor.Im2ColCMInto), one GEMM W[OutC, C·K·K] · cols writes the output as
-// one contiguous row of M = N·OH·OW pixels per channel, and the epilogue —
-// bias, batch norm, ReLU, max pool, in that order — runs on those rows and
-// writes NCHW. The backward runs pool scatter ∘ ReLU mask ∘ BN backward
-// straight into the convolution's [OutC, M] output gradient, then the dW and
-// dcols GEMMs and the channel-major fold.
+// and evaluate through it: tensor.ConvRowsInto writes the convolution as one
+// contiguous row of M = N·OH·OW pixels per channel, W[OutC, C·K·K] times the
+// input's channel-major columns — an implicit GEMM over a zero-padded copy
+// of the input on the shapes it takes, the unfold and the GEMM driver on the
+// rest — and the epilogue — bias, batch norm, ReLU, max pool, in that order
+// — runs on those rows and writes NCHW. A train-mode forward keeps the
+// padded input copy, not the columns, and its pool's argmax as one byte per
+// output. The backward runs pool scatter ∘ ReLU mask ∘ BN backward straight
+// into the convolution's [OutC, M] output gradient, then
+// tensor.ConvWeightGradInto over the padded copy (an implicit GEMM where the
+// shape allows, one unfold elsewhere), the dcols GEMM and the channel-major
+// fold.
 //
 // Per-channel reductions (batch statistics, BN and bias gradients) sum in
 // (image, pixel) order and the fold sums taps in (oy, ky, kx, ox) order —
@@ -33,15 +38,25 @@ type epilogue struct {
 	pool *MaxPool2d
 }
 
-// convCache is what a train-mode forward leaves for its backward: the
-// channel-major columns [C·K·K, M] and, under a non-empty epilogue, the
-// pre-activation rows [OutC, M] — x̂ under batch norm, the biased
-// convolution output without. Both are arena leases, returned at the end of
-// the backward or by the next train-mode forward. No ReLU mask, pool argmax
-// or output copy is kept: the backward recomputes the activation from the
-// rows, exactly, because γ and β only change at the optimizer step.
+// convCache is what a train-mode forward leaves for its backward, all in
+// arena leases returned by the backward or by the next train-mode forward:
+//   - work: one lease holding the column space [C·K·K, M] the backward's
+//     dcols GEMM writes, followed by the input zero-padded by the layer's
+//     padding, [N, C, H+2·pad, W+2·pad], whose columns at pad 0 are the
+//     forward's. Leasing the column space with the forward keeps the
+//     body's largest buffer checked out across the step rather than parked
+//     in the arena's sync.Pool, where a GC between two steps can drop it;
+//   - rows, under a non-empty epilogue: the pre-activation rows [OutC, M] —
+//     x̂ under batch norm, the biased convolution output without;
+//   - arg, under a pool: each pooled output's argmax as one byte, its
+//     offset in the pool window.
+//
+// No ReLU mask or output copy is kept: the backward recomputes the
+// activation from the rows where it needs it, exactly, because γ and β only
+// change at the optimizer step.
 type convCache struct {
-	cols, rows *[]float32
+	work, rows *[]float32
+	arg        *[]byte
 	ep         epilogue
 	in         [4]int    // N, C, H, W of the input
 	invStd     []float32 // batch norm's per-channel 1/σ of the batch
@@ -49,9 +64,16 @@ type convCache struct {
 
 // release returns the cached forward state to the arena.
 func (c *Conv2d) release() {
-	tensor.PutBuf(c.fwd.cols)
+	tensor.PutBuf(c.fwd.work)
 	tensor.PutBuf(c.fwd.rows)
-	c.fwd.cols, c.fwd.rows = nil, nil
+	tensor.PutBufU8(c.fwd.arg)
+	c.fwd.work, c.fwd.rows, c.fwd.arg = nil, nil, nil
+}
+
+// padded rebinds s.srcT to the padded input in the work lease of an
+// N×C×H×W input.
+func (c *Conv2d) padded(s *convJob, n, h, w int) *tensor.Tensor {
+	return s.srcT.Rebind((*c.fwd.work)[s.k*s.m:], n, c.InC, h+2*c.Pad, w+2*c.Pad)
 }
 
 // outShape validates x and returns the NCHW shape the body writes for it
@@ -78,17 +100,21 @@ func (c *Conv2d) forward(dst, x *tensor.Tensor, train bool, ep epilogue) {
 	}
 	s := c.job(n, h, w, ep)
 	defer s.put()
-	colsBuf := tensor.GetBufDirty(s.k * s.m)
-	cols := s.colsT.Rebind(*colsBuf, s.k, s.m)
-	tensor.Im2ColCMInto(cols, x, c.Kernel, c.Kernel, c.Stride, c.Pad)
-	rowsBuf := tensor.GetBufDirty(c.OutC * s.m)
-	tensor.MatMulInto(s.rowsT.Rebind(*rowsBuf, c.OutC, s.m), c.Weight.Value, cols)
-	s.rows, s.out = *rowsBuf, dst.Data()
+	pad := c.Pad
 	if train {
-		c.fwd.cols, c.fwd.ep, c.fwd.in = colsBuf, ep, [4]int{n, c.InC, h, w}
-	} else {
-		tensor.PutBuf(colsBuf)
+		c.fwd.work = tensor.GetBufDirty(s.k*s.m + n*c.InC*(h+2*pad)*(w+2*pad))
+		c.fwd.ep, c.fwd.in = ep, [4]int{n, c.InC, h, w}
+		src := c.padded(s, n, h, w)
+		tensor.PadInto(src, x, pad)
+		x, pad = src, 0
+		if ep.pool != nil {
+			c.fwd.arg = tensor.GetBufU8(n * c.OutC * s.ohw)
+			s.arg = *c.fwd.arg
+		}
 	}
+	rowsBuf := tensor.GetBufDirty(c.OutC * s.m)
+	tensor.ConvRowsInto(s.rowsT.Rebind(*rowsBuf, c.OutC, s.m), c.Weight.Value, x, c.Kernel, c.Stride, pad)
+	s.rows, s.out = *rowsBuf, dst.Data()
 	if bn := ep.bn; bn != nil && train {
 		tensor.ParallelTasks(c.OutC, s.stats)
 		c.fwd.invStd = append(c.fwd.invStd[:0], s.inv...)
@@ -112,7 +138,7 @@ func (c *Conv2d) forward(dst, x *tensor.Tensor, train bool, ep epilogue) {
 // gradient with respect to the forward's input; nil skips the dcols GEMM and
 // the fold.
 func (c *Conv2d) backward(gradOut, gi *tensor.Tensor) {
-	if c.fwd.cols == nil {
+	if c.fwd.work == nil {
 		panic(fmt.Sprintf("nn: %s backward without a train-mode forward", c.Name()))
 	}
 	n, h, w := c.fwd.in[0], c.fwd.in[2], c.fwd.in[3]
@@ -125,18 +151,20 @@ func (c *Conv2d) backward(gradOut, gi *tensor.Tensor) {
 	if c.fwd.rows != nil {
 		s.rows = *c.fwd.rows
 	}
+	if c.fwd.arg != nil {
+		s.arg = *c.fwd.arg
+	}
 	s.out, s.dz = gradOut.Data(), *dzBuf
 	copy(s.inv, c.fwd.invStd)
 	tensor.ParallelFor(n*c.OutC, s.bwdPlanes)
 	tensor.ParallelTasks(c.OutC, s.grads)
 
-	// dWᵀ[K, OutC] = cols · dzᵀ: the pack transposes only dz's OutC rows,
-	// not cols' K rows, and every element sums the same products in the
-	// same order as dz · colsᵀ would.
+	// dWᵀ[K, OutC] = cols · dzᵀ over the padded input's columns at pad 0:
+	// every element sums the same products in the same order as dz · colsᵀ
+	// would, and ConvWeightGradInto's implicit form keeps that order.
 	dz := s.dzT.Rebind(*dzBuf, c.OutC, s.m)
 	dwBuf := tensor.GetBufDirty(s.k * c.OutC)
-	tensor.MatMulTransBInto(s.dwT.Rebind(*dwBuf, s.k, c.OutC), s.colsT.Rebind(*c.fwd.cols, s.k, s.m), dz)
-	c.release()
+	tensor.ConvWeightGradInto(s.dwT.Rebind(*dwBuf, s.k, c.OutC), dz, c.padded(s, n, h, w), c.Kernel, c.Stride, 0)
 	wg, dwt := c.Weight.Grad.Data(), *dwBuf
 	for o := 0; o < c.OutC; o++ {
 		for kk, g := range wg[o*s.k:][:s.k] {
@@ -145,12 +173,11 @@ func (c *Conv2d) backward(gradOut, gi *tensor.Tensor) {
 	}
 	tensor.PutBuf(dwBuf)
 	if gi != nil {
-		dcolsBuf := tensor.GetBufDirty(s.k * s.m)
-		dcols := s.colsT.Rebind(*dcolsBuf, s.k, s.m)
-		tensor.MatMulTransAInto(dcols, c.Weight.Value, dz)
-		tensor.Col2ImCMInto(gi, dcols, c.Kernel, c.Kernel, c.Stride, c.Pad)
-		tensor.PutBuf(dcolsBuf)
+		cols := s.colsT.Rebind((*c.fwd.work)[:s.k*s.m], s.k, s.m)
+		tensor.MatMulTransAInto(cols, c.Weight.Value, dz)
+		tensor.Col2ImCMInto(gi, cols, c.Kernel, c.Kernel, c.Stride, c.Pad)
 	}
+	c.release()
 	tensor.PutBuf(dzBuf)
 }
 
@@ -172,7 +199,7 @@ type convJob struct {
 	ep           epilogue
 	c, k, m      int // channels, C·K·K, row length N·OH·OW
 	hw, ohw      int // conv plane size, output (pooled) plane size
-	oh, ow       int
+	oh, ow, pw   int // conv plane extents, pooled plane width
 	bias         []float32
 	biasGrad     []float32
 	mean, inv    []float32 // batch norm's per-channel statistics in use
@@ -180,8 +207,10 @@ type convJob struct {
 	rows         []float32 // [OutC, M]
 	out          []float32 // NCHW output (forward) or output gradient (backward)
 	dz           []float32 // [OutC, M] gradient of the convolution output
+	arg          []byte    // pool argmax per output; nil in eval mode
 	colsT, rowsT tensor.Tensor
 	dzT, dwT     tensor.Tensor
+	srcT         tensor.Tensor
 	fwdPlanes    func(lo, hi int)
 	bwdPlanes    func(lo, hi int)
 	stats, grads func(ch int)
@@ -202,9 +231,10 @@ func (c *Conv2d) job(n, h, w int, ep epilogue) *convJob {
 	s.bias, s.biasGrad = c.Bias.Value.Data(), c.Bias.Grad.Data()
 	s.oh, s.ow = tensor.ConvOut(h, c.Kernel, c.Stride, c.Pad), tensor.ConvOut(w, c.Kernel, c.Stride, c.Pad)
 	s.hw = s.oh * s.ow
-	s.m, s.ohw = n*s.hw, s.hw
+	s.m, s.ohw, s.pw = n*s.hw, s.hw, s.ow
 	if ep.pool != nil {
-		s.ohw = tensor.ConvOut(s.oh, ep.pool.Kernel, ep.pool.Stride, 0) * tensor.ConvOut(s.ow, ep.pool.Kernel, ep.pool.Stride, 0)
+		s.pw = tensor.ConvOut(s.ow, ep.pool.Kernel, ep.pool.Stride, 0)
+		s.ohw = tensor.ConvOut(s.oh, ep.pool.Kernel, ep.pool.Stride, 0) * s.pw
 	}
 	return s
 }
@@ -212,7 +242,7 @@ func (c *Conv2d) job(n, h, w int, ep epilogue) *convJob {
 // put drops the job's references to layer and arena memory and recycles
 // it; its own mean/inv scratch stays with it.
 func (s *convJob) put() {
-	s.ep, s.bias, s.biasGrad, s.rows, s.out, s.dz = epilogue{}, nil, nil, nil, nil, nil
+	s.ep, s.bias, s.biasGrad, s.rows, s.out, s.dz, s.arg = epilogue{}, nil, nil, nil, nil, nil, nil
 	convJobs.Put(s)
 }
 
@@ -288,27 +318,14 @@ func (s *convJob) forwardPlanes(lo, hi int) {
 			relu(act)
 		}
 		if scratch != nil {
-			tensor.MaxPoolPlane(s.out[p*s.ohw:][:s.ohw], act, s.oh, s.ow, s.ep.pool.Kernel, s.ep.pool.Stride, nil)
+			var arg []byte
+			if s.arg != nil {
+				arg = s.arg[p*s.ohw:][:s.ohw]
+			}
+			tensor.MaxPoolPlane(s.out[p*s.ohw:][:s.ohw], act, s.oh, s.ow, s.ep.pool.Kernel, s.ep.pool.Stride, arg)
 		}
 	}
 	tensor.PutBuf(scratch)
-}
-
-// activation recomputes plane row's epilogue output before pooling into
-// act: x̂·γ+β under batch norm (the rows hold x̂), the biased convolution
-// output without, rectified under ReLU.
-func (s *convJob) activation(act, row []float32, ch int) {
-	if bn := s.ep.bn; bn != nil {
-		g, be := bn.Gamma.Value.Data()[ch], bn.Beta.Value.Data()[ch]
-		for i, xh := range row {
-			act[i] = bnAffine(xh, g, be)
-		}
-	} else {
-		copy(act, row)
-	}
-	if s.ep.relu {
-		relu(act)
-	}
 }
 
 // relu rectifies v in place.
@@ -319,36 +336,57 @@ func relu(v []float32) {
 }
 
 // backwardPlanes routes the output gradient of planes [lo, hi) back through
-// pool and ReLU into dz: pool scatter onto the recomputed argmax, then the
-// ReLU mask of the recomputed activation.
+// pool and ReLU into dz. Under a pool, g scatters onto the forward's argmax
+// bytes in output order, and the ReLU mask is applied only at those
+// positions, after every add (a position shared by overlapping windows is
+// masked once its sum is whole); the rest of dz is zero. Without a pool the
+// mask runs over the whole plane. The mask is the sign of the recomputed
+// activation the ReLU saw: x̂·γ+β under batch norm (the rows hold x̂), the
+// biased convolution output without.
 func (s *convJob) backwardPlanes(lo, hi int) {
-	var scratch *[]float32
-	if s.ep.relu || s.ep.pool != nil {
-		scratch = tensor.GetBufDirty(s.hw)
-	}
+	pool := s.ep.pool
 	for p := lo; p < hi; p++ {
 		ch := p % s.c
 		off := ch*s.m + p/s.c*s.hw
 		dz, g := s.dz[off:][:s.hw], s.out[p*s.ohw:][:s.ohw]
-		if scratch == nil {
-			copy(dz, g)
-			continue
-		}
-		act := *scratch
-		s.activation(act, s.rows[off:][:s.hw], ch)
-		if s.ep.pool != nil {
-			clear(dz)
-			tensor.MaxPoolPlaneBackward(dz, act, g, s.oh, s.ow, s.ep.pool.Kernel, s.ep.pool.Stride)
-		} else {
-			copy(dz, g)
-		}
+		var row []float32 // the rows are kept under a non-empty epilogue only
+		gam, bet := float32(1), float32(0)
 		if s.ep.relu {
-			for i, a := range act {
-				dz[i] = keepIfPositive(dz[i], a)
+			row = s.rows[off:][:s.hw]
+		}
+		if bn := s.ep.bn; bn != nil {
+			gam, bet = bn.Gamma.Value.Data()[ch], bn.Beta.Value.Data()[ch]
+		}
+		switch {
+		case pool != nil:
+			arg := s.arg[p*s.ohw:][:s.ohw]
+			clear(dz)
+			tensor.MaxPoolScatter(dz, g, arg, s.ow, s.pw, pool.Kernel, pool.Stride)
+			if !s.ep.relu {
+				continue
 			}
+			for o, a := range arg {
+				i := tensor.MaxPoolArgPos(o, a, s.ow, s.pw, pool.Kernel, pool.Stride)
+				dz[i] = keepIfPositive(dz[i], s.preReLU(row[i], gam, bet))
+			}
+		case s.ep.relu:
+			for i, v := range row {
+				dz[i] = keepIfPositive(g[i], s.preReLU(v, gam, bet))
+			}
+		default:
+			copy(dz, g)
 		}
 	}
-	tensor.PutBuf(scratch)
+}
+
+// preReLU is the activation the ReLU saw at a row element v of a channel
+// with batch-norm affine (gam, bet): the forward's own bnAffine under batch
+// norm, v itself without.
+func (s *convJob) preReLU(v, gam, bet float32) float32 {
+	if s.ep.bn != nil {
+		return bnAffine(v, gam, bet)
+	}
+	return v
 }
 
 // channelGrads finishes channel ch's row of dz: batch norm's backward in

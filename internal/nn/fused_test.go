@@ -167,6 +167,21 @@ func TestConvBlockMatchesComposition(t *testing.T) {
 	}
 }
 
+// TestConvBlockOverlappingPoolMatchesComposition runs the composition check
+// with a 3×3 stride-2 pool, whose windows share a row and a column: the
+// fused backward scatters through the argmax bytes in output order and
+// masks only afterwards, so a shared position's gradient is summed whole
+// before the ReLU mask, as the composition's MaxPool2d then ReLU do.
+func TestConvBlockOverlappingPoolMatchesComposition(t *testing.T) {
+	for _, bn := range []bool{true, false} {
+		t.Run(fmt.Sprintf("bn=%v", bn), func(t *testing.T) {
+			b := NewConvBlock(tensor.NewRNG(45), 3, 5, bn, true)
+			b.Pool = NewMaxPool2d(3, 2)
+			matchComposition(t, b, composeConvBlock(b), []int{4, 3, 11, 9})
+		})
+	}
+}
+
 // TestBackwardParamsMatchesBackward pins the graph input's shortcut: a
 // layer's BackwardParams accumulates exactly the parameter gradients its
 // Backward does.

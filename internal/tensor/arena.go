@@ -98,6 +98,33 @@ func PutBuf(p *[]float32) {
 	}
 }
 
+// arenaU8 is the arena's byte side, with the same size classes: per-output
+// bookkeeping such as a training max pool's argmax (one byte per output).
+var arenaU8 [arenaClasses]sync.Pool
+
+// GetBufU8 returns a byte buffer of length n from the arena. Contents are
+// unspecified; callers overwrite every element before reading. Release
+// with PutBufU8.
+func GetBufU8(n int) *[]byte {
+	c := classFor(n)
+	if p, _ := arenaU8[c].Get().(*[]byte); p != nil {
+		*p = (*p)[:n]
+		return p
+	}
+	b := make([]byte, n, classCap(c))
+	return &b
+}
+
+// PutBufU8 returns a byte buffer to the arena.
+func PutBufU8(p *[]byte) {
+	if p == nil {
+		return
+	}
+	if c := classOf(cap(*p)); c >= 0 {
+		arenaU8[c].Put(p)
+	}
+}
+
 // GetTensor returns a tensor backed by an arena buffer, plus the handle to
 // release it. The tensor contents are zeroed. The tensor must not be used
 // after PutBuf(handle).

@@ -75,21 +75,40 @@ func putUnfoldJob(jb *unfoldJob) {
 // contiguous floats. Each output row is one in-range input-row segment — a
 // plain copy at stride 1 — between zero-filled borders; a stride-1 unfold
 // whose output rows are as wide as the input's moves all of them at once
-// (unfoldShifted).
+// (unfoldShifted), and one without padding (an input PadInto padded) has no
+// borders to fill.
 func (jb *unfoldJob) runUnfoldCM(lo, hi int) {
 	xd, cd, taps := jb.xd, jb.cd, jb.taps
 	n, c, h, w, oh, ow := jb.n, jb.c, jb.h, jb.w, jb.oh, jb.ow
 	kh, kw, stride, pad := jb.kh, jb.kw, jb.stride, jb.pad
 	hw, ohw := h*w, oh*ow
-	for it := lo; it < hi; it++ {
-		r, ni := it/n, it%n
-		ci, ky, tp := r/(kh*kw), r/kw%kh, taps[r%kw]
+	r, ni := lo/n, lo%n
+	for it := lo; it < hi; it, ni = it+1, ni+1 {
+		if ni == n {
+			r, ni = r+1, 0
+		}
+		ci, ky, kx := r/(kh*kw), r/kw%kh, r%kw
 		plane := xd[(ni*c+ci)*hw:][:hw]
-		dst := cd[r*n*ohw+ni*ohw:][:ohw]
+		dst := cd[it*ohw:][:ohw] // item it = r·N + ni starts at r·M + ni·OH·OW
 		if stride == 1 && ow == w {
-			unfoldShifted(dst, plane, h, w, ky-pad, r%kw-pad)
+			unfoldShifted(dst, plane, h, w, ky-pad, kx-pad)
 			continue
 		}
+		if stride == 1 && pad == 0 { // every tap in range: one copy per row
+			src := plane[ky*w+kx:]
+			for oy := 0; oy < oh; oy++ {
+				d, s := dst[oy*ow:][:ow], src[oy*w:][:ow]
+				if ow >= 16 {
+					copy(d, s)
+					continue
+				}
+				for i := range d { // a short row costs less than a memmove call
+					d[i] = s[i]
+				}
+			}
+			continue
+		}
+		tp := taps[kx]
 		for oy := 0; oy < oh; oy++ {
 			seg := dst[oy*ow:][:ow]
 			iy := oy*stride + ky - pad
@@ -221,7 +240,7 @@ func Col2ImCMInto(dst, cols *Tensor, kh, kw, stride, pad int) {
 // maxPoolJob carries MaxPoolInto's parallel-body state through the pool.
 type maxPoolJob struct {
 	xd, od              []float32
-	arg                 []int32
+	arg                 []byte
 	h, w, oh, ow, k, st int
 	body                func(lo, hi int)
 }
@@ -235,7 +254,7 @@ var maxPoolJobs = sync.Pool{New: func() any {
 func (jb *maxPoolJob) run(lo, hi int) {
 	hw, ohw := jb.h*jb.w, jb.oh*jb.ow
 	for nc := lo; nc < hi; nc++ {
-		var arg []int32
+		var arg []byte
 		if jb.arg != nil {
 			arg = jb.arg[nc*ohw:][:ohw]
 		}
@@ -245,11 +264,11 @@ func (jb *maxPoolJob) run(lo, hi int) {
 
 // MaxPoolInto max-pools x [N,C,H,W] into dst [N,C,OH,OW] with a k×k window
 // every stride pixels; ties go to the window's first maximum in row-major
-// order. When arg is non-nil (one entry per output element) it receives
-// each output's argmax as an offset into its (image, channel) plane of x,
-// which MaxPoolBackward routes gradients through; inference passes nil. It
+// order. When arg is non-nil (one byte per output element) it receives
+// each output's argmax as its offset ky·k+kx in the window, which
+// MaxPoolBackward routes gradients through; inference passes nil. It
 // allocates nothing.
-func MaxPoolInto(dst, x *Tensor, k, stride int, arg []int32) {
+func MaxPoolInto(dst, x *Tensor, k, stride int, arg []byte) {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oh, ow := ConvOut(h, k, stride, 0), ConvOut(w, k, stride, 0)
 	if dst.Rank() != 4 || dst.shape[0] != n || dst.shape[1] != c || dst.shape[2] != oh || dst.shape[3] != ow {
@@ -266,56 +285,66 @@ func MaxPoolInto(dst, x *Tensor, k, stride int, arg []int32) {
 	maxPoolJobs.Put(jb)
 }
 
-// MaxPoolBackward scatters gradOut back to the input positions MaxPoolInto
-// recorded in arg.
-func MaxPoolBackward(gradOut *Tensor, arg []int32, inputShape []int) *Tensor {
+// MaxPoolBackward scatters gradOut back to the input positions whose
+// window offsets MaxPoolInto recorded in arg, for a k×k window every
+// stride pixels over an input of inputShape.
+func MaxPoolBackward(gradOut *Tensor, arg []byte, inputShape []int, k, stride int) *Tensor {
 	gi := New(inputShape...)
 	gd, god := gi.data, gradOut.data
-	hw, ohw := inputShape[2]*inputShape[3], gradOut.shape[2]*gradOut.shape[3]
-	for i, a := range arg {
-		gd[i/ohw*hw+int(a)] += god[i]
+	w, oh, ow := inputShape[3], gradOut.shape[2], gradOut.shape[3]
+	hw, ohw := inputShape[2]*w, oh*ow
+	for pl := 0; pl < len(god)/ohw; pl++ {
+		MaxPoolScatter(gd[pl*hw:][:hw], god[pl*ohw:][:ohw], arg[pl*ohw:][:ohw], w, ow, k, stride)
 	}
 	return gi
 }
 
+// MaxPoolScatter adds each g[o] of a pooled plane, OW outputs wide, to dsrc
+// (its source plane, w floats wide) at output o's argmax: window offset
+// arg[o] of a k×k window every stride pixels. Outputs are added in order,
+// so overlapping windows sum a position's gradients as a per-output
+// recomputation would.
+func MaxPoolScatter(dsrc, g []float32, arg []byte, w, ow, k, stride int) {
+	for o, a := range arg {
+		dsrc[MaxPoolArgPos(o, a, w, ow, k, stride)] += g[o]
+	}
+}
+
+// MaxPoolArgPos is the offset in the source plane (w floats wide) of output
+// o's argmax, window offset a of a k×k window every stride pixels, in a
+// pooled plane OW outputs wide.
+func MaxPoolArgPos(o int, a byte, w, ow, k, stride int) int {
+	return (o/ow*stride+int(a)/k)*w + o%ow*stride + int(a)%k
+}
+
 // MaxPoolPlane max-pools one [h, w] plane src into dst [OH, OW]; when arg
-// is non-nil it receives each output's argmax as an offset into src. It is
-// the one max-pool kernel: MaxPoolInto runs it per plane, and the fused
-// conv→BN→ReLU→pool body and the compiled plan's conv epilogue run it on
-// the planes they produce.
-func MaxPoolPlane(dst, src []float32, h, w, k, stride int, arg []int32) {
+// is non-nil it receives each output's argmax as its window offset ky·k+kx
+// (a byte, so k is at most 16). It is the one max-pool kernel: MaxPoolInto
+// runs it per plane, and the fused conv→BN→ReLU→pool body and the compiled
+// plan's conv epilogue run it on the planes they produce.
+func MaxPoolPlane(dst, src []float32, h, w, k, stride int, arg []byte) {
+	if arg != nil && k > 16 {
+		panic(fmt.Sprintf("tensor: max-pool argmax of a %dx%d window does not fit a byte", k, k))
+	}
 	oh, ow := ConvOut(h, k, stride, 0), ConvOut(w, k, stride, 0)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
 			v, i := poolWindow(src, (oy*w+ox)*stride, w, k)
 			dst[oy*ow+ox] = v
 			if arg != nil {
-				arg[oy*ow+ox] = int32(i)
+				arg[oy*ow+ox] = byte(i)
 			}
 		}
 	}
 }
 
-// MaxPoolPlaneBackward adds each g[o] of a pooled [OH, OW] plane to dsrc at
-// the argmax of output o's window in src: the argmax MaxPoolPlane took,
-// recomputed rather than stored.
-func MaxPoolPlaneBackward(dsrc, src, g []float32, h, w, k, stride int) {
-	oh, ow := ConvOut(h, k, stride, 0), ConvOut(w, k, stride, 0)
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			_, i := poolWindow(src, (oy*w+ox)*stride, w, k)
-			dsrc[i] += g[oy*ow+ox]
-		}
-	}
-}
-
 // poolWindow returns the maximum of the k×k window whose top-left corner is
-// src[off], in a plane w floats wide, and its offset: the first maximum in
-// row-major order. The running maximum is selected on its bits, so the
-// compiler emits conditional moves: which element wins is data-dependent,
-// and as a branch it mispredicts about every other window.
+// src[off], in a plane w floats wide, and its window offset ky·k+kx: the
+// first maximum in row-major order. The running maximum is selected on its
+// bits, so the compiler emits conditional moves: which element wins is
+// data-dependent, and as a branch it mispredicts about every other window.
 func poolWindow(src []float32, off, w, k int) (float32, int) {
-	best, bi := src[off], off
+	best, bi := src[off], 0
 	for ky := 0; ky < k; ky++ {
 		row := off + ky*w
 		for kx, v := range src[row : row+k] {
@@ -324,7 +353,7 @@ func poolWindow(src []float32, off, w, k int) (float32, int) {
 				bb = vb
 			}
 			if gt {
-				bi = row + kx
+				bi = ky*k + kx
 			}
 			best = math.Float32frombits(bb)
 		}

@@ -382,31 +382,32 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	out, arg := New(1, 1, 2, 2), make([]int32, 4)
+	out, arg := New(1, 1, 2, 2), make([]byte, 4)
 	MaxPoolInto(out, x, 2, 2, arg)
 	want := []float32{6, 8, 14, 16}
 	for i, v := range out.Data() {
-		if v != want[i] {
-			t.Fatalf("MaxPoolInto out = %v, want %v", out.Data(), want)
+		if v != want[i] || arg[i] != 3 { // the window's bottom-right: ky·2+kx = 3
+			t.Fatalf("MaxPoolInto out = %v, arg = %v, want %v, all 3", out.Data(), arg, want)
 		}
 	}
-	// Inference (no argmax) and the per-plane form pool to the same values.
-	eval, plane := New(1, 1, 2, 2), make([]float32, 4)
+	// Inference (no argmax) and the per-plane form pool to the same values,
+	// and the per-plane form records the same window offsets.
+	eval, plane, parg := New(1, 1, 2, 2), make([]float32, 4), make([]byte, 4)
 	MaxPoolInto(eval, x, 2, 2, nil)
-	MaxPoolPlane(plane, x.Data(), 4, 4, 2, 2, nil)
+	MaxPoolPlane(plane, x.Data(), 4, 4, 2, 2, parg)
 	for i, v := range want {
-		if eval.Data()[i] != v || plane[i] != v {
-			t.Fatalf("MaxPoolInto(arg=nil) = %v, MaxPoolPlane = %v, want %v", eval.Data(), plane, want)
+		if eval.Data()[i] != v || plane[i] != v || parg[i] != arg[i] {
+			t.Fatalf("MaxPoolInto(arg=nil) = %v, MaxPoolPlane = %v (arg %v), want %v", eval.Data(), plane, parg, want)
 		}
 	}
 	g := Full(1, 1, 1, 2, 2)
-	gi := MaxPoolBackward(g, arg, x.Shape())
-	// The per-plane backward recomputes the argmax and routes identically.
+	gi := MaxPoolBackward(g, arg, x.Shape(), 2, 2)
+	// The per-plane scatter routes identically.
 	gp := make([]float32, 16)
-	MaxPoolPlaneBackward(gp, x.Data(), g.Data(), 4, 4, 2, 2)
+	MaxPoolScatter(gp, g.Data(), parg, 4, 2, 2, 2)
 	for i, v := range gi.Data() {
 		if gp[i] != v {
-			t.Fatalf("MaxPoolPlaneBackward = %v, MaxPoolBackward = %v", gp, gi.Data())
+			t.Fatalf("MaxPoolScatter = %v, MaxPoolBackward = %v", gp, gi.Data())
 		}
 	}
 	// Gradient lands only on the max positions.
@@ -421,6 +422,38 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 	}
 	if nz != 4 {
 		t.Fatalf("expected 4 nonzero grads, got %d", nz)
+	}
+}
+
+// TestMaxPoolArgOverlapping holds the byte argmax to a recomputed one on
+// overlapping windows (stride below the kernel) and on ties: each output's
+// gradient lands on its window's first maximum, and a position shared by
+// several windows sums their gradients in output order, bit for bit.
+func TestMaxPoolArgOverlapping(t *testing.T) {
+	rng := NewRNG(11)
+	for _, geo := range []struct{ h, w, k, stride int }{{7, 9, 3, 1}, {6, 6, 2, 1}, {9, 7, 3, 2}, {8, 8, 2, 2}} {
+		x := New(2, 3, geo.h, geo.w)
+		for i := range x.data {
+			x.data[i] = float32(int(rng.Float32() * 4)) // ties in most windows
+		}
+		oh, ow := ConvOut(geo.h, geo.k, geo.stride, 0), ConvOut(geo.w, geo.k, geo.stride, 0)
+		out, g := New(2, 3, oh, ow), New(2, 3, oh, ow)
+		rng.FillNormal(g, 0, 1)
+		arg := make([]byte, out.Size())
+		MaxPoolInto(out, x, geo.k, geo.stride, arg)
+		got := MaxPoolBackward(g, arg, x.Shape(), geo.k, geo.stride)
+		want := New(x.Shape()...)
+		hw := geo.h * geo.w
+		for o := range out.data {
+			pl, q := o/(oh*ow), o%(oh*ow)
+			_, i := poolWindow(x.data[pl*hw:][:hw], (q/ow*geo.w+q%ow)*geo.stride, geo.w, geo.k)
+			want.data[pl*hw+(q/ow*geo.stride+i/geo.k)*geo.w+q%ow*geo.stride+i%geo.k] += g.data[o]
+		}
+		for i, v := range got.data {
+			if math.Float32bits(v) != math.Float32bits(want.data[i]) {
+				t.Fatalf("%+v: gradient[%d] = %v, recomputed argmax gives %v", geo, i, v, want.data[i])
+			}
+		}
 	}
 }
 

@@ -1,14 +1,16 @@
 package tensor
 
-// Vector kernel dispatch. The blocked GEMM, the int8 GEMM, the attention
-// kernel, and the conv epilogue all bottom out in the small set of
-// primitives declared here as function variables. The package default
-// binds the pure-Go implementations from microgo.go and int8.go; on amd64
-// with AVX2+FMA the init in vec_amd64.go rebinds them to hand-written
-// assembly microkernels (vec_amd64.s). Inside that tier the int8 block
-// kernel has two variants: the AVX512-VNNI one (one VPDPBUSD per 32 MACs)
-// where CPUID and XCR0 allow it, the AVX2 one elsewhere; both return the
-// same exact int32 sums, so the variant changes speed, never a bit. The
+// Vector kernel dispatch. The blocked GEMM, the training convolution's
+// implicit GEMM, the int8 GEMM, the attention kernel, and the conv
+// epilogue all bottom out in the small set of primitives declared here as
+// function variables. The package default binds the pure-Go
+// implementations from microgo.go and int8.go; on amd64 with AVX2+FMA the
+// init in vec_amd64.go rebinds them to hand-written assembly microkernels
+// (vec_amd64.s); the implicit-GEMM conv kernels exist on that tier only.
+// Inside that tier the int8 block kernel has two variants: the
+// AVX512-VNNI one (one VPDPBUSD per 32 MACs) where CPUID and XCR0 allow
+// it, the AVX2 one elsewhere; both return the same exact int32 sums, so
+// the variant changes speed, never a bit. The
 // binding is decided once at process start, so kernel selection never
 // changes mid-run and results stay deterministic across worker counts.
 //
@@ -31,6 +33,17 @@ type microFn func(k int, a *float32, lda int, bp *float32, c *float32, ldc int)
 // micro1Fn is the single-row variant for MR tails: c[0:NR] += a[0:k] @ bp.
 type micro1Fn func(k int, a *float32, bp *float32, c *float32)
 
+// convImpFn is an MR x NR implicit-GEMM conv microkernel: c[0:MR][0:NR] =
+// a[0:MR][0:k] @ B, where B row p is the NR contiguous floats at b+off[p],
+// a rows are lda floats apart and c rows ldc floats apart (ConvRowsInto).
+type convImpFn func(k int, a *float32, lda int, b *float32, off *int32, c *float32, ldc int)
+
+// convDWFn is the implicit-GEMM weight-gradient kernel: c[0:8][0:8] +=
+// A[0:8][0:k] @ bp, where A row r is the k contiguous floats at a+aoff[r],
+// bp is a packed 8-wide strip and c rows are ldc floats apart
+// (ConvWeightGradInto).
+type convDWFn func(k int, a *float32, aoff *int32, bp *float32, c *float32, ldc int)
+
 // qdotFn is the int8 GEMM's 4x2 block of exact int32 dot products: it
 // returns c[2i+j] = Σ_{p<k} a[i·lda+p]·b[j·ldb+p] for i < 4, j < 2, over
 // signed int8 rows and k a positive multiple of QGEMMBlock.
@@ -49,6 +62,12 @@ var (
 	microGemm8x8  microFn
 	microGemm1x16 micro1Fn
 	microGemm1x8  micro1Fn
+
+	// Implicit-GEMM conv microkernels; nil unless the assembly tier is
+	// active (ConvRowsInto then unfolds and runs the GEMM driver).
+	convImp4x16 convImpFn
+	convImp8x8  convImpFn
+	convDW8x8   convDWFn
 
 	// The int8 GEMM's block kernel (int8.go) and the name of the bound
 	// variant: "go", "avx2" or "vnni".
@@ -79,7 +98,10 @@ func VecKind() string { return vecKind }
 // ran every f32 GEMM on the 4x16 register block unless a kernel autotuner
 // stamped another one per op; generation 6 ran the int8 block kernel on
 // AVX2 even where AVX512-VNNI was available, and its signature did not
-// name the int8 variant.
+// name the int8 variant. The training convolution's implicit GEMM
+// (ConvRowsInto, ConvWeightGradInto) does not bump it: it gives the
+// unfold's bits, and the latencies keyed by the generation are timings of
+// the compiled plan, which still unfolds and runs the GEMM driver.
 const kernelGeneration = 7
 
 // KernelSignature names the bound tier, the int8 block kernel's variant and

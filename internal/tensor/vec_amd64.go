@@ -30,6 +30,15 @@ func avx2Gemm1x16(k int, a *float32, bp *float32, c *float32)
 func avx2Gemm1x8(k int, a *float32, bp *float32, c *float32)
 
 //go:noescape
+func avx2ConvImp4x16(k int, a *float32, lda int, b *float32, off *int32, c *float32, ldc int)
+
+//go:noescape
+func avx2ConvImp8x8(k int, a *float32, lda int, b *float32, off *int32, c *float32, ldc int)
+
+//go:noescape
+func avx2ConvDW8x8(k int, a *float32, aoff *int32, bp *float32, c *float32, ldc int)
+
+//go:noescape
 func avx2QDot4x2(k int, a *int8, lda int, b *int8, ldb int) [8]int32
 
 //go:noescape
@@ -105,6 +114,8 @@ func init() {
 	microGemm8x8 = avx2Gemm8x8
 	microGemm1x16 = avx2Gemm1x16
 	microGemm1x8 = avx2Gemm1x8
+	convImp4x16, convImp8x8 = avx2ConvImp4x16, avx2ConvImp8x8
+	convDW8x8 = avx2ConvDW8x8
 	qdot4x2, q8Kind = avx2QDot4x2, "avx2"
 	if cpuHasVNNI() {
 		qdot4x2, q8Kind = vnniQDot4x2, "vnni"

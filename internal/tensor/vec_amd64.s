@@ -4,11 +4,12 @@
 
 // AVX2+FMA microkernels. Layout contract (shared with microgo.go): bp is a
 // packed strip of k rows x NR contiguous floats; a rows are lda floats
-// apart; c rows are ldc floats apart. Every kernel loads the destination
-// tile into YMM accumulators, runs the k loop in strictly ascending p
-// order (so accumulation order per element matches the pure-Go strip
-// kernel's panel ordering and stays deterministic across worker counts),
-// and stores the tile back once.
+// apart; c rows are ldc floats apart. Every GEMM kernel loads the
+// destination tile into YMM accumulators (the implicit-GEMM conv forward
+// kernels start them at zero instead), runs the k loop in strictly
+// ascending p order (so accumulation order per element matches the
+// pure-Go strip kernel's panel ordering and stays deterministic across
+// worker counts), and stores the tile back once.
 
 // func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
@@ -273,6 +274,239 @@ kloop:
 
 store:
 	VMOVUPS Y0, (DI)
+	VZEROUPPER
+	RET
+
+// Implicit-GEMM conv kernels. The same two tiles as avx2Gemm4x16 and
+// avx2Gemm8x8, with two differences: B row p is not a packed strip row but
+// the NR floats at b + off[p] (a tap of the zero-padded input,
+// ConvRowsInto), and the accumulators start at zero and are stored, not
+// added to C. Each C element is still one VFMADD231PS per k step in
+// ascending p. A partial tile of rows runs on a scratch C (the caller
+// pads A), so there is no single-row form. The 4x16 kernel walks k with
+// one index register for both the A rows and the offset table.
+
+// func avx2ConvImp4x16(k int, a *float32, lda int, b *float32, off *int32, c *float32, ldc int)
+//
+// C[4][16] = A[4][k] @ B, B row p at b + off[p].
+TEXT ·avx2ConvImp4x16(SB), NOSPLIT, $0-56
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), AX
+	MOVQ lda+16(FP), R8
+	MOVQ b+24(FP), BX
+	MOVQ off+32(FP), SI
+	MOVQ c+40(FP), DI
+	MOVQ ldc+48(FP), R9
+	SHLQ $2, R8
+	SHLQ $2, R9
+	MOVQ AX, R10
+	LEAQ (AX)(R8*1), R11
+	LEAQ (AX)(R8*2), R12
+	LEAQ (R11)(R8*2), R13
+	XORQ R8, R8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+kloop:
+	MOVLQSX      (SI)(R8*4), DX
+	VMOVUPS      (BX)(DX*4), Y8
+	VMOVUPS      32(BX)(DX*4), Y9
+	VBROADCASTSS (R10)(R8*4), Y10
+	VBROADCASTSS (R11)(R8*4), Y11
+	VBROADCASTSS (R12)(R8*4), Y12
+	VBROADCASTSS (R13)(R8*4), Y13
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+	VFMADD231PS  Y8, Y11, Y2
+	VFMADD231PS  Y9, Y11, Y3
+	VFMADD231PS  Y8, Y12, Y4
+	VFMADD231PS  Y9, Y12, Y5
+	VFMADD231PS  Y8, Y13, Y6
+	VFMADD231PS  Y9, Y13, Y7
+	INCQ         R8
+	CMPQ         R8, CX
+	JLT          kloop
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    R9, DI
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y3, 32(DI)
+	ADDQ    R9, DI
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	ADDQ    R9, DI
+	VMOVUPS Y6, (DI)
+	VMOVUPS Y7, 32(DI)
+	VZEROUPPER
+	RET
+
+// func avx2ConvImp8x8(k int, a *float32, lda int, b *float32, off *int32, c *float32, ldc int)
+//
+// C[8][8] = A[8][k] @ B, B row p at b + off[p]. A rows addressed through
+// two bases (rows 0-3 off R10, rows 4-7 off R11) with 1x/2x/3x lda index
+// forms, as in avx2Gemm8x8.
+TEXT ·avx2ConvImp8x8(SB), NOSPLIT, $0-56
+	MOVQ   k+0(FP), CX
+	MOVQ   a+8(FP), R10
+	MOVQ   lda+16(FP), R8
+	MOVQ   b+24(FP), BX
+	MOVQ   off+32(FP), SI
+	MOVQ   c+40(FP), DI
+	MOVQ   ldc+48(FP), R9
+	SHLQ   $2, R8
+	SHLQ   $2, R9
+	LEAQ   (R8)(R8*2), R12      // 3*lda bytes
+	LEAQ   (R10)(R8*4), R11     // rows 4-7 base
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+kloop:
+	MOVLQSX      (SI), DX
+	VMOVUPS      (BX)(DX*4), Y8
+	VBROADCASTSS (R10), Y9
+	VFMADD231PS  Y8, Y9, Y0
+	VBROADCASTSS (R10)(R8*1), Y10
+	VFMADD231PS  Y8, Y10, Y1
+	VBROADCASTSS (R10)(R8*2), Y11
+	VFMADD231PS  Y8, Y11, Y2
+	VBROADCASTSS (R10)(R12*1), Y12
+	VFMADD231PS  Y8, Y12, Y3
+	VBROADCASTSS (R11), Y9
+	VFMADD231PS  Y8, Y9, Y4
+	VBROADCASTSS (R11)(R8*1), Y10
+	VFMADD231PS  Y8, Y10, Y5
+	VBROADCASTSS (R11)(R8*2), Y11
+	VFMADD231PS  Y8, Y11, Y6
+	VBROADCASTSS (R11)(R12*1), Y12
+	VFMADD231PS  Y8, Y12, Y7
+	ADDQ         $4, SI
+	ADDQ         $4, R10
+	ADDQ         $4, R11
+	DECQ         CX
+	JNZ          kloop
+
+	VMOVUPS Y0, (DI)
+	ADDQ    R9, DI
+	VMOVUPS Y1, (DI)
+	ADDQ    R9, DI
+	VMOVUPS Y2, (DI)
+	ADDQ    R9, DI
+	VMOVUPS Y3, (DI)
+	ADDQ    R9, DI
+	VMOVUPS Y4, (DI)
+	ADDQ    R9, DI
+	VMOVUPS Y5, (DI)
+	ADDQ    R9, DI
+	VMOVUPS Y6, (DI)
+	ADDQ    R9, DI
+	VMOVUPS Y7, (DI)
+	VZEROUPPER
+	RET
+
+// func avx2ConvDW8x8(k int, a *float32, aoff *int32, bp *float32, c *float32, ldc int)
+//
+// C[8][8] += A[8][k] @ BP with A row r the k contiguous floats at
+// a + aoff[r] (one tap of the padded input along an output row) and BP a
+// packed strip as in avx2Gemm8x8: the implicit-GEMM weight gradient,
+// ConvWeightGradInto. Like every kernel here it loads C and adds k in
+// ascending order with one FMA per step.
+TEXT ·avx2ConvDW8x8(SB), NOSPLIT, $0-48
+	MOVQ    a+8(FP), AX
+	MOVQ    aoff+16(FP), BX
+	MOVLQSX (BX), DX
+	LEAQ    (AX)(DX*4), DX
+	MOVLQSX 4(BX), SI
+	LEAQ    (AX)(SI*4), SI
+	MOVLQSX 8(BX), R8
+	LEAQ    (AX)(R8*4), R8
+	MOVLQSX 12(BX), R9
+	LEAQ    (AX)(R9*4), R9
+	MOVLQSX 16(BX), R10
+	LEAQ    (AX)(R10*4), R10
+	MOVLQSX 20(BX), R11
+	LEAQ    (AX)(R11*4), R11
+	MOVLQSX 24(BX), R12
+	LEAQ    (AX)(R12*4), R12
+	MOVLQSX 28(BX), R13
+	LEAQ    (AX)(R13*4), R13
+	MOVQ    k+0(FP), CX
+	MOVQ    bp+24(FP), BX
+	MOVQ    c+32(FP), DI
+	MOVQ    ldc+40(FP), AX
+	SHLQ    $2, AX
+
+	// Load the C tile.
+	VMOVUPS (DI), Y0
+	ADDQ    AX, DI
+	VMOVUPS (DI), Y1
+	ADDQ    AX, DI
+	VMOVUPS (DI), Y2
+	ADDQ    AX, DI
+	VMOVUPS (DI), Y3
+	ADDQ    AX, DI
+	VMOVUPS (DI), Y4
+	ADDQ    AX, DI
+	VMOVUPS (DI), Y5
+	ADDQ    AX, DI
+	VMOVUPS (DI), Y6
+	ADDQ    AX, DI
+	VMOVUPS (DI), Y7
+	XORQ    AX, AX
+
+kloop:
+	VMOVUPS      (BX), Y8
+	VBROADCASTSS (DX)(AX*4), Y9
+	VFMADD231PS  Y8, Y9, Y0
+	VBROADCASTSS (SI)(AX*4), Y10
+	VFMADD231PS  Y8, Y10, Y1
+	VBROADCASTSS (R8)(AX*4), Y11
+	VFMADD231PS  Y8, Y11, Y2
+	VBROADCASTSS (R9)(AX*4), Y12
+	VFMADD231PS  Y8, Y12, Y3
+	VBROADCASTSS (R10)(AX*4), Y9
+	VFMADD231PS  Y8, Y9, Y4
+	VBROADCASTSS (R11)(AX*4), Y10
+	VFMADD231PS  Y8, Y10, Y5
+	VBROADCASTSS (R12)(AX*4), Y11
+	VFMADD231PS  Y8, Y11, Y6
+	VBROADCASTSS (R13)(AX*4), Y12
+	VFMADD231PS  Y8, Y12, Y7
+	ADDQ         $32, BX
+	INCQ         AX
+	CMPQ         AX, CX
+	JLT          kloop
+
+	MOVQ    c+32(FP), DI
+	MOVQ    ldc+40(FP), AX
+	SHLQ    $2, AX
+	VMOVUPS Y0, (DI)
+	ADDQ    AX, DI
+	VMOVUPS Y1, (DI)
+	ADDQ    AX, DI
+	VMOVUPS Y2, (DI)
+	ADDQ    AX, DI
+	VMOVUPS Y3, (DI)
+	ADDQ    AX, DI
+	VMOVUPS Y4, (DI)
+	ADDQ    AX, DI
+	VMOVUPS Y5, (DI)
+	ADDQ    AX, DI
+	VMOVUPS Y6, (DI)
+	ADDQ    AX, DI
+	VMOVUPS Y7, (DI)
 	VZEROUPPER
 	RET
 
