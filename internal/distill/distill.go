@@ -77,8 +77,6 @@ type Config struct {
 	Batch int
 	// EvalEvery is delta: test accuracy is measured every EvalEvery epochs.
 	EvalEvery int
-	// TaskWeights weights each task's l1 loss; nil means uniform.
-	TaskWeights map[int]float64
 	// Seed shuffles minibatches deterministically.
 	Seed uint64
 	// WarmEpochs, when in (0, Epochs), marks the run as warm-started: the
@@ -245,18 +243,9 @@ func FineTune(g *graph.Graph, x *tensor.Tensor, teacher TeacherOutputs, eval *Ev
 			grads := make(map[int]*tensor.Tensor, len(outs))
 			for id, o := range outs {
 				tb, th := gatherRows(teacher[id], perm[lo:hi])
-				w := 1.0
-				if cfg.TaskWeights != nil {
-					if tw, ok := cfg.TaskWeights[id]; ok {
-						w = tw
-					}
-				}
 				l, gr := nn.L1Loss(o, tb)
 				tensor.PutBuf(th)
-				if w != 1.0 {
-					gr.Scale(float32(w))
-				}
-				epochLoss += w * l
+				epochLoss += l
 				grads[id] = gr
 			}
 			batches++

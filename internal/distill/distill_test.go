@@ -119,23 +119,6 @@ func TestEvaluatorMinMargin(t *testing.T) {
 	}
 }
 
-func TestTaskWeightsChangeTraining(t *testing.T) {
-	ds := testutil.TinyFace(21, 32, 16)
-	teacher := testutil.TinyMultiDNN(22, ds)
-	outs := distill.ComputeTeacherOutputs(teacher, ds.Train.X, 16)
-	eval := &distill.Evaluator{Dataset: ds, Targets: map[int]float64{0: 2, 1: 2}}
-
-	s1 := testutil.TinyMultiDNN(23, ds)
-	s2 := testutil.TinyMultiDNN(23, ds)
-	cfg := distill.Config{LR: 0.002, Epochs: 2, Batch: 16, EvalEvery: 2, Seed: 4}
-	rep1 := distill.FineTune(s1, ds.Train.X, outs, eval, cfg, nil)
-	cfg.TaskWeights = map[int]float64{0: 5, 1: 0.1}
-	rep2 := distill.FineTune(s2, ds.Train.X, outs, eval, cfg, nil)
-	if rep1.FinalLoss == rep2.FinalLoss {
-		t.Fatal("task weights had no effect on the loss")
-	}
-}
-
 // A diverging run (NaN loss) must abort and report failure instead of
 // training on garbage.
 func TestFineTuneDivergenceGuard(t *testing.T) {

@@ -231,19 +231,6 @@ func TestShapeSimilar(t *testing.T) {
 	}
 }
 
-func TestShapeDictGroupsByShape(t *testing.T) {
-	g := buildTwoTaskGraph(13)
-	d := g.ShapeDict()
-	// Both first blocks consume [1,8,8].
-	if got := len(d[Shape{1, 8, 8}.Key()]); got != 2 {
-		t.Fatalf("shape dict [1,8,8] has %d nodes, want 2", got)
-	}
-	// t0 block1 and t1 head consume [4,4,4].
-	if got := len(d[Shape{4, 4, 4}.Key()]); got != 2 {
-		t.Fatalf("shape dict [4,4,4] has %d nodes, want 2", got)
-	}
-}
-
 func TestShareablePairsLegality(t *testing.T) {
 	g := buildTwoTaskGraph(14)
 	pairs := g.ShareablePairs()

@@ -9,20 +9,6 @@ type Pair struct {
 	Host, Guest *Node
 }
 
-// ShapeDict maps a shape key to the nodes consuming features of that exact
-// shape — the D component of the abs-graph definition.
-func (g *Graph) ShapeDict() map[string][]*Node {
-	d := make(map[string][]*Node)
-	for _, n := range g.Nodes() {
-		if n.Domain == DomainRaw {
-			continue
-		}
-		k := n.InputShape.Key()
-		d[k] = append(d[k], n)
-	}
-	return d
-}
-
 // ShareablePairs enumerates every legal input-shareable node pair in the
 // graph. A pair (host, guest) is legal when:
 //

@@ -237,60 +237,3 @@ func TestLayerNames(t *testing.T) {
 		}
 	}
 }
-
-func TestDropoutTrainEvalBehaviour(t *testing.T) {
-	rng := tensor.NewRNG(90)
-	d := NewDropout(rng, 0.5)
-	x := tensor.Full(1, 4, 100)
-
-	// Eval mode: identity.
-	y := d.Forward(x, false)
-	for i := range x.Data() {
-		if y.Data()[i] != 1 {
-			t.Fatal("eval-mode dropout must be the identity")
-		}
-	}
-
-	// Train mode: roughly half zeroed, survivors scaled by 2, mean ~1.
-	y = d.Forward(x, true)
-	var zeros int
-	var sum float64
-	for _, v := range y.Data() {
-		if v == 0 {
-			zeros++
-		} else if v != 2 {
-			t.Fatalf("survivor value %v, want 2", v)
-		}
-		sum += float64(v)
-	}
-	frac := float64(zeros) / float64(x.Size())
-	if frac < 0.35 || frac > 0.65 {
-		t.Fatalf("dropped fraction %v, want ~0.5", frac)
-	}
-	mean := sum / float64(x.Size())
-	if mean < 0.7 || mean > 1.3 {
-		t.Fatalf("inverted dropout mean %v, want ~1", mean)
-	}
-
-	// Backward routes gradients through the same mask.
-	g := tensor.Full(1, 4, 100)
-	gi := d.Backward(g)
-	for i, v := range y.Data() {
-		want := float32(0)
-		if v != 0 {
-			want = 2
-		}
-		if gi.Data()[i] != want {
-			t.Fatal("dropout backward mask mismatch")
-		}
-	}
-}
-
-func TestDropoutBadProbabilityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("p=1 must panic")
-		}
-	}()
-	NewDropout(tensor.NewRNG(1), 1)
-}

@@ -108,16 +108,3 @@ func BCEWithLogitsLoss(logits *tensor.Tensor, targets [][]int) (float64, *tensor
 	}
 	return loss / float64(n*k), grad
 }
-
-// BinaryAccuracy computes the fraction of rows whose argmax equals the
-// label; used as the generic classification accuracy metric.
-func BinaryAccuracy(logits *tensor.Tensor, labels []int) float64 {
-	pred := tensor.ArgMaxRow(logits)
-	var correct int
-	for i, p := range pred {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(labels))
-}

@@ -82,15 +82,6 @@ func StateTensors(l Layer) []*tensor.Tensor {
 	return nil
 }
 
-// ParamCount sums the number of scalar parameters in a layer.
-func ParamCount(l Layer) int64 {
-	var n int64
-	for _, p := range l.Params() {
-		n += int64(p.Value.Size())
-	}
-	return n
-}
-
 // shapeEq reports whether two per-sample shapes are identical.
 func shapeEq(a, b []int) bool {
 	if len(a) != len(b) {

@@ -34,7 +34,9 @@ const (
 	version    = 3
 	minVersion = 2
 
-	// encF32 and encF16 tag how parameter tensors are encoded.
+	// encF32 and encF16 tag how parameter tensors are encoded. Save writes
+	// only encF32; encF16 (IEEE-754 half precision) is still read, for
+	// checkpoints written by earlier versions.
 	encF32 = uint32(0)
 	encF16 = uint32(1)
 )
@@ -42,31 +44,18 @@ const (
 // ErrBadCheckpoint reports a corrupt or incompatible checkpoint.
 var ErrBadCheckpoint = errors.New("parser: bad checkpoint")
 
-// Options tunes checkpoint encoding.
-type Options struct {
-	// Float16 stores parameter tensors as IEEE-754 half precision, halving
-	// checkpoint size at the cost of ~1e-3 relative weight error.
-	Float16 bool
-}
-
 // Save writes the graph to w: header, task names, node tree (pre-order),
 // layer configs and weights, and a trailing CRC-32 of everything written.
 func Save(w io.Writer, g *graph.Graph) error {
-	return SaveOpts(w, g, Options{})
-}
-
-// SaveOpts is Save with explicit encoding options.
-func SaveOpts(w io.Writer, g *graph.Graph, opts Options) error {
-	_, err := saveSum(w, g, opts)
+	_, err := saveSum(w, g)
 	return err
 }
 
-// saveSum is SaveOpts returning the payload CRC-32 — the value written as
-// the trailer and reported by LoadSum as the content checksum.
-func saveSum(w io.Writer, g *graph.Graph, opts Options) (uint32, error) {
+// saveSum is Save returning the payload CRC-32 — the value written as the
+// trailer and reported by LoadSum as the content checksum.
+func saveSum(w io.Writer, g *graph.Graph) (uint32, error) {
 	crc := crc32.NewIEEE()
-	buf := bufio.NewWriter(io.MultiWriter(w, crc))
-	bw := &paramWriter{Writer: buf, f16: opts.Float16}
+	bw := bufio.NewWriter(io.MultiWriter(w, crc))
 	if _, err := io.WriteString(bw, magic); err != nil {
 		return 0, err
 	}
@@ -107,7 +96,7 @@ func saveSum(w io.Writer, g *graph.Graph, opts Options) (uint32, error) {
 		return 0, err
 	}
 	writeQuantNote(bw, g.Quant)
-	if err := buf.Flush(); err != nil {
+	if err := bw.Flush(); err != nil {
 		return 0, err
 	}
 	// CRC of the flushed payload.
@@ -117,10 +106,6 @@ func saveSum(w io.Writer, g *graph.Graph, opts Options) (uint32, error) {
 	_, err := w.Write(tail[:])
 	return sum, err
 }
-
-// ErrChecksumMismatch reports a checkpoint whose content checksum does
-// not match the pin the caller supplied to LoadFilePinned.
-var ErrChecksumMismatch = errors.New("parser: checksum mismatch")
 
 // FormatSum renders a CRC-32 content checksum in the canonical
 // "crc32:xxxxxxxx" form used across the serving API.
@@ -232,12 +217,7 @@ func decodeBody(body []byte) (*graph.Graph, error) {
 
 // SaveFile writes the graph to path atomically (temp file + rename).
 func SaveFile(path string, g *graph.Graph) error {
-	return SaveFileOpts(path, g, Options{})
-}
-
-// SaveFileOpts is SaveFile with explicit encoding options.
-func SaveFileOpts(path string, g *graph.Graph, opts Options) error {
-	return atomicfile.Write(path, func(w io.Writer) error { return SaveOpts(w, g, opts) })
+	return atomicfile.Write(path, func(w io.Writer) error { return Save(w, g) })
 }
 
 // LoadFile reads a graph checkpoint from path.
@@ -257,29 +237,13 @@ func LoadFileSum(path string) (*graph.Graph, string, error) {
 	return LoadSum(f)
 }
 
-// LoadFilePinned reads a checkpoint and verifies its content checksum
-// against a pin recorded earlier (e.g. at deploy time). A mismatch —
-// the file was replaced or tampered with since the pin was taken — fails
-// with ErrChecksumMismatch even though the checkpoint is internally
-// consistent.
-func LoadFilePinned(path, pin string) (*graph.Graph, error) {
-	g, sum, err := LoadFileSum(path)
-	if err != nil {
-		return nil, err
-	}
-	if sum != pin {
-		return nil, fmt.Errorf("%w: %s has checksum %s, pinned %s", ErrChecksumMismatch, path, sum, pin)
-	}
-	return g, nil
-}
-
 // Sum computes the content checksum a graph would have on disk, without
 // materializing the checkpoint: Save's byte stream is fed straight into
 // the CRC and discarded. It lets the registry assign a stable identity to
 // models registered from memory (tests, freshly fused graphs) that
 // matches what LoadFileSum would report after a round trip.
 func Sum(g *graph.Graph) (string, error) {
-	crc, err := saveSum(io.Discard, g, Options{})
+	crc, err := saveSum(io.Discard, g)
 	if err != nil {
 		return "", err
 	}
@@ -314,61 +278,11 @@ func writeU64(w io.Writer, v uint64) {
 	w.Write(b[:])
 }
 
-// paramWriter carries the tensor encoding choice alongside the stream.
-type paramWriter struct {
-	io.Writer
-	f16 bool
-}
-
 func writeTensor(w io.Writer, t *tensor.Tensor) {
-	enc := encF32
-	if pw, ok := w.(*paramWriter); ok && pw.f16 {
-		enc = encF16
-	}
-	writeU32(w, enc)
+	writeU32(w, encF32)
 	writeShape(w, graph.Shape(t.Shape()))
-	if enc == encF16 {
-		var b [2]byte
-		for _, v := range t.Data() {
-			binary.LittleEndian.PutUint16(b[:], f32tof16(v))
-			w.Write(b[:])
-		}
-		return
-	}
 	for _, v := range t.Data() {
 		writeU32(w, math.Float32bits(v))
-	}
-}
-
-// f32tof16 converts to IEEE 754 half precision with round-to-nearest-even.
-func f32tof16(f float32) uint16 {
-	bits := math.Float32bits(f)
-	sign := uint16(bits>>16) & 0x8000
-	exp := int32(bits>>23&0xFF) - 127 + 15
-	mant := bits & 0x7FFFFF
-	switch {
-	case exp >= 0x1F: // overflow or inf/nan
-		if bits&0x7FFFFFFF > 0x7F800000 {
-			return sign | 0x7E00 // nan
-		}
-		return sign | 0x7C00 // inf
-	case exp <= 0:
-		if exp < -10 {
-			return sign // underflow to zero
-		}
-		mant |= 0x800000
-		shift := uint32(14 - exp)
-		half := uint16(mant >> shift)
-		if mant>>(shift-1)&1 == 1 { // round
-			half++
-		}
-		return sign | half
-	default:
-		half := sign | uint16(exp)<<10 | uint16(mant>>13)
-		if mant&0x1000 != 0 { // round to nearest
-			half++
-		}
-		return half
 	}
 }
 

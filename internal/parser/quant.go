@@ -15,9 +15,8 @@ import (
 // Each Conv2d and Linear carries an optional Quant8 block directly after
 // its parameters: a presence flag, then Rows, K, InScale, the per-channel
 // WScale, the folded Bias, and the raw int8 weights. Scales and biases are
-// written as exact f32 bit patterns and weights as raw bytes — never
-// through the f16 tensor path — so a quantized model round-trips
-// bit-exactly regardless of Options.Float16.
+// written as exact f32 bit patterns and weights as raw bytes, outside the
+// tensor encoding, so a quantized model round-trips bit-exactly.
 //
 // After the node tree, the graph-level QuantNote records the accuracy
 // budget and the per-task metrics measured before and after quantization.

@@ -97,63 +97,60 @@ func collectQuants(g *graph.Graph) []*nn.Quant8 {
 
 // TestRoundTripQuantizedBitExact: int8 payloads, per-channel scales, biases,
 // the activation scale, and the QuantNote must survive Save/Load without a
-// single bit changing — with and without Float16 weight encoding (quant
-// blocks never go through the f16 path).
+// single bit changing.
 func TestRoundTripQuantizedBitExact(t *testing.T) {
-	for _, opts := range []Options{{}, {Float16: true}} {
-		g := buildSmallGraph(31)
-		if annotateQuant(g, 32) < 2 {
-			t.Fatal("fixture annotated fewer than 2 layers")
+	g := buildSmallGraph(31)
+	if annotateQuant(g, 32) < 2 {
+		t.Fatal("fixture annotated fewer than 2 layers")
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, g); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	g2, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	want, got := collectQuants(g), collectQuants(g2)
+	if len(want) != len(got) {
+		t.Fatalf("annotation count %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		a, b := want[i], got[i]
+		if a.Rows != b.Rows || a.K != b.K {
+			t.Fatalf("quant %d shape (%d,%d) != (%d,%d)", i, b.Rows, b.K, a.Rows, a.K)
 		}
-		var buf bytes.Buffer
-		if err := SaveOpts(&buf, g, opts); err != nil {
-			t.Fatalf("save (f16=%v): %v", opts.Float16, err)
+		if math.Float32bits(a.InScale) != math.Float32bits(b.InScale) {
+			t.Fatalf("quant %d InScale bits diverge", i)
 		}
-		g2, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("load (f16=%v): %v", opts.Float16, err)
-		}
-		want, got := collectQuants(g), collectQuants(g2)
-		if len(want) != len(got) {
-			t.Fatalf("annotation count %d, want %d", len(got), len(want))
-		}
-		for i := range want {
-			a, b := want[i], got[i]
-			if a.Rows != b.Rows || a.K != b.K {
-				t.Fatalf("quant %d shape (%d,%d) != (%d,%d)", i, b.Rows, b.K, a.Rows, a.K)
-			}
-			if math.Float32bits(a.InScale) != math.Float32bits(b.InScale) {
-				t.Fatalf("quant %d InScale bits diverge", i)
-			}
-			for j := range a.W {
-				if a.W[j] != b.W[j] {
-					t.Fatalf("quant %d int8 weight %d diverges", i, j)
-				}
-			}
-			for j := range a.WScale {
-				if math.Float32bits(a.WScale[j]) != math.Float32bits(b.WScale[j]) {
-					t.Fatalf("quant %d WScale %d bits diverge", i, j)
-				}
-				if math.Float32bits(a.Bias[j]) != math.Float32bits(b.Bias[j]) {
-					t.Fatalf("quant %d Bias %d bits diverge", i, j)
-				}
+		for j := range a.W {
+			if a.W[j] != b.W[j] {
+				t.Fatalf("quant %d int8 weight %d diverges", i, j)
 			}
 		}
-		if g2.Quant == nil {
-			t.Fatal("QuantNote lost")
-		}
-		if g2.Quant.Budget != g.Quant.Budget {
-			t.Fatalf("QuantNote budget %v != %v", g2.Quant.Budget, g.Quant.Budget)
-		}
-		for id, v := range g.Quant.Baseline {
-			if g2.Quant.Baseline[id] != v {
-				t.Fatalf("baseline metric %d diverges", id)
+		for j := range a.WScale {
+			if math.Float32bits(a.WScale[j]) != math.Float32bits(b.WScale[j]) {
+				t.Fatalf("quant %d WScale %d bits diverge", i, j)
+			}
+			if math.Float32bits(a.Bias[j]) != math.Float32bits(b.Bias[j]) {
+				t.Fatalf("quant %d Bias %d bits diverge", i, j)
 			}
 		}
-		for id, v := range g.Quant.Quantized {
-			if g2.Quant.Quantized[id] != v {
-				t.Fatalf("quantized metric %d diverges", id)
-			}
+	}
+	if g2.Quant == nil {
+		t.Fatal("QuantNote lost")
+	}
+	if g2.Quant.Budget != g.Quant.Budget {
+		t.Fatalf("QuantNote budget %v != %v", g2.Quant.Budget, g.Quant.Budget)
+	}
+	for id, v := range g.Quant.Baseline {
+		if g2.Quant.Baseline[id] != v {
+			t.Fatalf("baseline metric %d diverges", id)
+		}
+	}
+	for id, v := range g.Quant.Quantized {
+		if g2.Quant.Quantized[id] != v {
+			t.Fatalf("quantized metric %d diverges", id)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package parser_test
 
 import (
-	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,9 +10,8 @@ import (
 )
 
 // The checkpoint checksum is the model's deploy identity: Sum on the
-// in-memory graph, the trailer reported by LoadFileSum, and the pin
-// accepted by LoadFilePinned must all agree, and any content change must
-// produce a different identity.
+// in-memory graph and the trailer LoadFileSum reports after SaveFile must
+// agree, and any content change must produce a different identity.
 func TestChecksumIdentity(t *testing.T) {
 	ds := testutil.TinyFace(1, 4, 2)
 	g := testutil.TinyMultiDNN(2, ds)
@@ -37,12 +35,6 @@ func TestChecksumIdentity(t *testing.T) {
 	if sum != want {
 		t.Fatalf("file checksum %s, Sum said %s", sum, want)
 	}
-	if _, err := parser.LoadFilePinned(path, want); err != nil {
-		t.Fatalf("LoadFilePinned with matching pin: %v", err)
-	}
-	if _, err := parser.LoadFilePinned(path, "crc32:deadbeef"); !errors.Is(err, parser.ErrChecksumMismatch) {
-		t.Fatalf("stale pin error = %v, want ErrChecksumMismatch", err)
-	}
 
 	// Content changes move the identity: perturb one weight and re-save.
 	g2.Params()[0].Value.Data()[0] += 1
@@ -55,8 +47,5 @@ func TestChecksumIdentity(t *testing.T) {
 	}
 	if sum2 == want {
 		t.Fatal("checksum unchanged after weight change")
-	}
-	if _, err := parser.LoadFilePinned(path, want); !errors.Is(err, parser.ErrChecksumMismatch) {
-		t.Fatalf("pin against changed file error = %v, want ErrChecksumMismatch", err)
 	}
 }

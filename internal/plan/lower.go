@@ -12,10 +12,10 @@ import (
 // happen here, at compile time — conv+BN+ReLU(+pool) collapse into a single
 // conv op with folded weights, the residual tail becomes one add+relu op,
 // transformer blocks unroll into packed-QKV/tiled-attention/fused-addln op
-// chains (transformer.go), Dropout disappears entirely — so the executor
-// never re-discovers them. Every layer kind the zoo, the mutator and the
-// parser can produce has a native kernel, so the scheduler sees every op; a
-// layer type with none is a compile-time failure, not a hidden fallback.
+// chains (transformer.go) — so the executor never re-discovers them. Every
+// layer kind the zoo, the mutator and the parser can produce has a native
+// kernel, so the scheduler sees every op; a layer type with none is a
+// compile-time failure, not a hidden fallback.
 
 // lowerNode lowers one graph node's layer, returning its output value id.
 func (c *compiler) lowerNode(n *graph.Node, inVal int) int {
@@ -109,10 +109,6 @@ func (c *compiler) lowerLayer(name string, l nn.Layer, inVal int) int {
 			v = c.lowerLinear(name+" proj "+l.Proj.Name(), l.Proj, v)
 		}
 		return v
-	case *nn.Dropout:
-		// Identity at inference: the op vanishes and consumers read the
-		// producer's value directly.
-		return inVal
 	default:
 		panic(fmt.Sprintf("plan: %s: layer type %T has no lowering", name, l))
 	}

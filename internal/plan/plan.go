@@ -216,7 +216,9 @@ func CompileShared(gs []*graph.Graph, depth int) (*Plan, error) {
 	}
 	p := lower(gs, depth, chains[0][depth-1])
 	if p.StemWaves == 0 {
-		// A stem of pure identity nodes (e.g. Dropout) shares no compute.
+		// A stem whose layers all lower to no op (an empty Sequential, a
+		// RescaleTokens that neither resamples nor projects) shares no
+		// compute.
 		return nil, fmt.Errorf("plan: %d-node stem lowered to zero ops", depth)
 	}
 	return p, nil

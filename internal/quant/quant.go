@@ -6,8 +6,7 @@
 //
 //  1. Calibration streams a sample of training inputs through the compiled
 //     f32 plan and records, for every quantizable conv/linear op, the
-//     absolute maximum (optionally percentile-clipped) and the mean square
-//     of its input activations.
+//     absolute maximum and the mean square of its input activations.
 //  2. Quantization attaches an nn.Quant8 annotation to each eligible
 //     layer: symmetric per-output-channel int8 weights and a per-tensor
 //     activation scale. Task heads and depth-limited ops stay f32.
@@ -41,10 +40,6 @@ type Config struct {
 	// CalibSamples caps how many training samples feed calibration
 	// (default 64).
 	CalibSamples int
-	// Percentile, when < 1, clips each activation range to the smallest
-	// magnitude covering that fraction of observed values instead of the
-	// absolute maximum (default 1: pure absmax).
-	Percentile float64
 	// Batch is the calibration and evaluation batch size (default 32).
 	Batch int
 }
@@ -55,9 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CalibSamples <= 0 {
 		c.CalibSamples = 64
-	}
-	if c.Percentile <= 0 || c.Percentile > 1 {
-		c.Percentile = 1
 	}
 	if c.Batch <= 0 {
 		c.Batch = 32
@@ -197,34 +189,15 @@ type calibStat struct {
 	absMax float32
 	sumSq  float64
 	count  int64
-	hist   []int64
-	clip   float32
 }
 
-// calibBins is the histogram resolution for percentile clipping.
-const calibBins = 2048
-
 // calibrate streams training samples through the f32 instance with an
-// observer recording per-target-op input ranges; a second pass builds
-// magnitude histograms when percentile clipping is requested.
+// observer recording per-target-op input ranges.
 func calibrate(inst *plan.Instance, p *plan.Plan, ds *data.Dataset, cfg Config) map[int]*calibStat {
 	stats := make(map[int]*calibStat, len(p.QuantTargets))
 	for _, t := range p.QuantTargets {
 		if !t.Head {
 			stats[t.OpID] = &calibStat{}
-		}
-	}
-	run := func() {
-		n := cfg.CalibSamples
-		if l := ds.Train.Len(); n > l {
-			n = l
-		}
-		for lo := 0; lo < n; lo += cfg.Batch {
-			hi := lo + cfg.Batch
-			if hi > n {
-				hi = n
-			}
-			inst.Execute(ds.Train.Batch(lo, hi))
 		}
 	}
 	inst.SetObserver(func(opID int, in *tensor.Tensor) {
@@ -251,51 +224,11 @@ func calibrate(inst *plan.Instance, p *plan.Plan, ds *data.Dataset, cfg Config) 
 		st.count += int64(in.Size())
 		st.mu.Unlock()
 	})
-	run()
-	if cfg.Percentile < 1 {
-		for _, st := range stats {
-			st.hist = make([]int64, calibBins)
-		}
-		inst.SetObserver(func(opID int, in *tensor.Tensor) {
-			st := stats[opID]
-			if st == nil || st.absMax <= 0 {
-				return
-			}
-			scale := calibBins / float64(st.absMax)
-			local := make([]int64, calibBins)
-			for _, v := range in.Data() {
-				if v < 0 {
-					v = -v
-				}
-				b := int(float64(v) * scale)
-				if b >= calibBins {
-					b = calibBins - 1
-				}
-				local[b]++
-			}
-			st.mu.Lock()
-			for i, c := range local {
-				st.hist[i] += c
-			}
-			st.mu.Unlock()
-		})
-		run()
+	n := min(cfg.CalibSamples, ds.Train.Len())
+	for lo := 0; lo < n; lo += cfg.Batch {
+		inst.Execute(ds.Train.Batch(lo, min(lo+cfg.Batch, n)))
 	}
 	inst.SetObserver(nil)
-	for _, st := range stats {
-		st.clip = st.absMax
-		if st.hist != nil && st.count > 0 {
-			want := int64(cfg.Percentile * float64(st.count))
-			var cum int64
-			for b, c := range st.hist {
-				cum += c
-				if cum >= want {
-					st.clip = st.absMax * float32(b+1) / calibBins
-					break
-				}
-			}
-		}
-	}
 	return stats
 }
 
@@ -327,7 +260,7 @@ func quantizeTarget(t *plan.QuantTarget, st *calibStat) (*nn.Quant8, float64) {
 	q := &nn.Quant8{
 		Rows: t.Rows, K: t.K, W: q8, WScale: scales,
 		Bias:    append([]float32(nil), t.Bias...),
-		InScale: tensor.QuantScale(st.clip),
+		InScale: tensor.QuantScale(st.absMax),
 	}
 	var wErr, wPow float64
 	for i, v := range w {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/plan"
 	"repro/internal/quant"
 	"repro/internal/testutil"
@@ -53,17 +54,20 @@ func TestApplyQuantizesWithinBudget(t *testing.T) {
 	}
 }
 
-// TestGuardDequantizesUnderTightBudget stresses the accuracy guard: an
-// aggressive percentile clip saturates activations hard enough to break
-// accuracy, and a near-zero budget forces the guard to walk ops back to
-// f32 until the model recovers.
+// TestGuardDequantizesUnderTightBudget stresses the accuracy guard:
+// calibrating on training inputs scaled down 20x sets activation scales that
+// saturate at test time, hard enough to break accuracy, and a near-zero
+// budget forces the guard to walk ops back to f32 until the model recovers.
 func TestGuardDequantizesUnderTightBudget(t *testing.T) {
 	ds := testutil.TinyFace(41, 96, 64)
 	g := testutil.TinyMultiDNN(42, ds)
 	testutil.PretrainTeachers(g, ds, 4, 1e-2, 43)
 
-	cfg := quant.Config{AccuracyDrop: 1e-6, Percentile: 0.5}
-	rep, err := quant.Apply(g, ds, cfg)
+	calib := *ds
+	calib.Train = &data.Split{X: ds.Train.X.Clone(), Labels: ds.Train.Labels}
+	calib.Train.X.Scale(0.05)
+	cfg := quant.Config{AccuracyDrop: 1e-6}
+	rep, err := quant.Apply(g, &calib, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,10 +47,11 @@ type Options struct {
 	MaxWait time.Duration
 	// QueueCap bounds the request queue (default 8*MaxBatch).
 	QueueCap int
-	// LatencyWindow is how many recent request latencies feed the
-	// percentile estimates (default 4096).
-	LatencyWindow int
 }
+
+// latencyWindow is how many recent request latencies feed the percentile
+// estimates.
+const latencyWindow = 4096
 
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
@@ -61,9 +62,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 8 * o.MaxBatch
-	}
-	if o.LatencyWindow <= 0 {
-		o.LatencyWindow = 4096
 	}
 	return o
 }
@@ -167,7 +165,7 @@ func New(sample graph.Shape, engines []engine.Engine, opts Options) (*Batcher, e
 		stopCh:  make(chan struct{}),
 		drained: make(chan struct{}),
 		hist:    make(map[int]int64),
-		lat:     make([]time.Duration, opts.LatencyWindow),
+		lat:     make([]time.Duration, latencyWindow),
 	}
 	for _, e := range engines {
 		b.engines <- e

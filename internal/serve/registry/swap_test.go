@@ -3,6 +3,7 @@ package registry_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -51,17 +52,12 @@ func TestHotSwapUnderLoad(t *testing.T) {
 
 	var backpressure, hard atomic.Int64
 	shape := graph.Shape{3, 16, 16}
-	done := make(chan map[string]serve.Report, 1)
+	done := make(chan serve.Report, 1)
 	go func() {
-		done <- serve.RunStreams(context.Background(), []serve.Stream{{
-			Name:   "face",
-			Target: hammerTarget(m, &backpressure, &hard),
-			Shape:  shape,
-			Opts: serve.Options{
-				Rate: 500, Duration: 700 * time.Millisecond,
-				MaxOutstanding: 16, Warmup: 4,
-			},
-		}})
+		done <- serve.RunTarget(context.Background(), hammerTarget(m, &backpressure, &hard), shape, serve.Options{
+			Rate: 500, Duration: 700 * time.Millisecond,
+			MaxOutstanding: 16, Warmup: 4,
+		})
 	}()
 
 	// Two swaps in the middle of the window, with traffic in flight.
@@ -82,8 +78,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	reports := <-done
-	rep := reports["face"]
+	rep := <-done
 	if rep.Requests == 0 {
 		t.Fatal("open-loop stream completed no requests")
 	}
@@ -158,26 +153,21 @@ func TestNoisyNeighbourIsolation(t *testing.T) {
 
 	var nbp, nhard, vbp, vhard atomic.Int64
 	shape := graph.Shape{3, 16, 16}
-	reports := serve.RunStreams(context.Background(), []serve.Stream{
-		{
-			Name:   "noisy",
-			Target: hammerTarget(noisy, &nbp, &nhard),
-			Shape:  shape,
-			Opts: serve.Options{
-				Rate: 4000, Duration: 500 * time.Millisecond, MaxOutstanding: 64,
-			},
-		},
-		{
-			Name:   "victim",
-			Target: hammerTarget(victim, &vbp, &vhard),
-			Shape:  shape,
-			Opts: serve.Options{
-				Rate: 100, Duration: 500 * time.Millisecond, MaxOutstanding: 8,
-			},
-		},
+	// Both tenants' open-loop streams run at once.
+	var nr, vr serve.Report
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		nr = serve.RunTarget(context.Background(), hammerTarget(noisy, &nbp, &nhard), shape, serve.Options{
+			Rate: 4000, Duration: 500 * time.Millisecond, MaxOutstanding: 64,
+		})
+	}()
+	vr = serve.RunTarget(context.Background(), hammerTarget(victim, &vbp, &vhard), shape, serve.Options{
+		Rate: 100, Duration: 500 * time.Millisecond, MaxOutstanding: 8,
 	})
+	wg.Wait()
 
-	nr, vr := reports["noisy"], reports["victim"]
 	if nr.Requests == 0 || vr.Requests == 0 {
 		t.Fatalf("streams starved: noisy %d, victim %d requests", nr.Requests, vr.Requests)
 	}

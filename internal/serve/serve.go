@@ -250,40 +250,6 @@ func minInt(a, b int) int {
 	return b
 }
 
-// Stream is one independently-parameterized load stream against a named
-// target — one model or tenant in a fleet experiment. Opts controls the
-// stream's own regime (open loop via Rate, closed loop otherwise), so a
-// steady tenant and a flooding one can run side by side.
-type Stream struct {
-	Name   string
-	Target Target
-	Shape  graph.Shape
-	Opts   Options
-}
-
-// RunStreams drives every stream concurrently against its own target and
-// returns the per-stream reports keyed by name. This is the fleet-side
-// harness: per-model open-loop traffic for hot-swap-under-load and
-// noisy-neighbour experiments, where each tenant's arrivals, drops, and
-// latency percentiles must be attributed separately.
-func RunStreams(ctx context.Context, streams []Stream) map[string]Report {
-	reports := make([]Report, len(streams))
-	var wg sync.WaitGroup
-	for i, s := range streams {
-		wg.Add(1)
-		go func(i int, s Stream) {
-			defer wg.Done()
-			reports[i] = RunTarget(ctx, s.Target, s.Shape, s.Opts)
-		}(i, s)
-	}
-	wg.Wait()
-	out := make(map[string]Report, len(streams))
-	for i, s := range streams {
-		out[s.Name] = reports[i]
-	}
-	return out
-}
-
 // Compare serves the original and fused models back to back under the
 // same options, each through its compiled plan (the engine cmd/serve and
 // the registry deploy), and returns both reports plus the throughput

@@ -5,28 +5,59 @@ import (
 	"sync"
 )
 
-// The arena is a process-wide recycler for large transient float32 buffers:
-// GEMM pack panels, im2col columns, training activations and gradients, and
-// inference-engine workspace memory all draw from it. During SA search and
-// distillation the same buffer sizes recur millions of times; recycling
-// them keeps the allocation rate (and GC pause pressure) flat regardless of
-// search length.
+// The arena is a process-wide recycler for large transient buffers: GEMM
+// pack panels, im2col columns, training activations and gradients, and
+// inference-engine workspace memory draw float32 buffers from it, a
+// training max pool's argmax bytes, and the int8 kernels' quantized
+// activations and columns. During SA search and distillation the same
+// buffer sizes recur millions of times; recycling them keeps the
+// allocation rate (and GC pause pressure) flat regardless of search length.
 //
-// It keeps one pool per size class, so a lease only ever meets buffers big
-// enough for it: with a single pool, a small lease taken and returned
-// between two large ones reorders the free list, the next large lease draws
-// the small buffer, and the arena allocates and drops one buffer per
-// mismatch. Classes are quarter powers of two (4, 5, 6, 7, 8, 10, 12, 14,
-// 16, 20, … floats), so a buffer carries at most 25% slack.
+// Each element type has its own arenaOf, which keeps one pool per size
+// class, so a lease only ever meets buffers big enough for it: with a
+// single pool, a small lease taken and returned between two large ones
+// reorders the free list, the next large lease draws the small buffer, and
+// the arena allocates and drops one buffer per mismatch. Classes are
+// quarter powers of two (4, 5, 6, 7, 8, 10, 12, 14, 16, 20, … elements), so
+// a buffer carries at most 25% slack.
 //
-// Entries are *[]float32 so that Put does not allocate a fresh interface
-// box for the slice header on every call (storing a bare []float32 in a
-// sync.Pool heap-allocates the header each time).
+// Entries are *[]T so that Put does not allocate a fresh interface box for
+// the slice header on every call (storing a bare slice in a sync.Pool
+// heap-allocates the header each time).
 
 // arenaClasses covers every length an int can address.
 const arenaClasses = 4 * 62
 
-var arena [arenaClasses]sync.Pool
+// arenaOf is the size-classed recycler for buffers of one element type.
+type arenaOf[T any] [arenaClasses]sync.Pool
+
+var (
+	arena   arenaOf[float32]
+	arenaU8 arenaOf[byte]
+	arenaI8 arenaOf[int8]
+)
+
+// get returns a buffer of length n with unspecified contents.
+func (a *arenaOf[T]) get(n int) *[]T {
+	c := classFor(n)
+	if p, _ := a[c].Get().(*[]T); p != nil {
+		*p = (*p)[:n]
+		return p
+	}
+	b := make([]T, n, classCap(c))
+	return &b
+}
+
+// put returns a buffer to the pool of the largest class its capacity
+// covers; nil and buffers below the smallest class are dropped.
+func (a *arenaOf[T]) put(p *[]T) {
+	if p == nil {
+		return
+	}
+	if c := classOf(cap(*p)); c >= 0 {
+		a[c].Put(p)
+	}
+}
 
 // classCap is the capacity of size class c: (4+q)·2^e for c = 4e+q.
 func classCap(c int) int { return (4 + c%4) << (c / 4) }
@@ -62,15 +93,7 @@ func GetBuf(n int) *[]float32 {
 
 // GetBufDirty is GetBuf without the zero fill, for callers that overwrite
 // every element before reading.
-func GetBufDirty(n int) *[]float32 {
-	c := classFor(n)
-	if p, _ := arena[c].Get().(*[]float32); p != nil {
-		*p = (*p)[:n]
-		return p
-	}
-	b := make([]float32, n, classCap(c))
-	return &b
-}
+func GetBufDirty(n int) *[]float32 { return arena.get(n) }
 
 // GrowBuf resizes a long-lived arena lease to length n: the buffer is kept
 // when its capacity already suffices, and exchanged through the arena
@@ -89,41 +112,23 @@ func GrowBuf(p *[]float32, n int) *[]float32 {
 }
 
 // PutBuf returns a buffer to the arena.
-func PutBuf(p *[]float32) {
-	if p == nil {
-		return
-	}
-	if c := classOf(cap(*p)); c >= 0 {
-		arena[c].Put(p)
-	}
-}
-
-// arenaU8 is the arena's byte side, with the same size classes: per-output
-// bookkeeping such as a training max pool's argmax (one byte per output).
-var arenaU8 [arenaClasses]sync.Pool
+func PutBuf(p *[]float32) { arena.put(p) }
 
 // GetBufU8 returns a byte buffer of length n from the arena. Contents are
 // unspecified; callers overwrite every element before reading. Release
 // with PutBufU8.
-func GetBufU8(n int) *[]byte {
-	c := classFor(n)
-	if p, _ := arenaU8[c].Get().(*[]byte); p != nil {
-		*p = (*p)[:n]
-		return p
-	}
-	b := make([]byte, n, classCap(c))
-	return &b
-}
+func GetBufU8(n int) *[]byte { return arenaU8.get(n) }
 
 // PutBufU8 returns a byte buffer to the arena.
-func PutBufU8(p *[]byte) {
-	if p == nil {
-		return
-	}
-	if c := classOf(cap(*p)); c >= 0 {
-		arenaU8[c].Put(p)
-	}
-}
+func PutBufU8(p *[]byte) { arenaU8.put(p) }
+
+// GetBufI8 returns an int8 buffer of length n from the arena. Contents are
+// unspecified; callers overwrite every element before reading. Release
+// with PutBufI8.
+func GetBufI8(n int) *[]int8 { return arenaI8.get(n) }
+
+// PutBufI8 returns an int8 buffer to the arena.
+func PutBufI8(p *[]int8) { arenaI8.put(p) }
 
 // GetTensor returns a tensor backed by an arena buffer, plus the handle to
 // release it. The tensor contents are zeroed. The tensor must not be used

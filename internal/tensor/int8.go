@@ -55,31 +55,6 @@ func PadK(k int) int {
 // accumulation bound; deeper layers must stay float32.
 func QuantDepthOK(k int) bool { return k > 0 && PadK(k) <= qgemmMaxK }
 
-// arenaI8 recycles transient int8 buffers (quantized activations, quantized
-// unfold columns) the way the float32 arena recycles GEMM scratch.
-var arenaI8 = sync.Pool{New: func() any { return new([]int8) }}
-
-// GetBufI8 returns an int8 buffer of length n from the quantized arena.
-// Contents are unspecified; callers overwrite every element before
-// reading. Release with PutBufI8.
-func GetBufI8(n int) *[]int8 {
-	p := arenaI8.Get().(*[]int8)
-	if cap(*p) < n {
-		*p = make([]int8, n)
-	} else {
-		*p = (*p)[:n]
-	}
-	return p
-}
-
-// PutBufI8 returns a buffer to the quantized arena.
-func PutBufI8(p *[]int8) {
-	if p == nil {
-		return
-	}
-	arenaI8.Put(p)
-}
-
 // QuantScale returns the symmetric quantization scale for a tensor whose
 // values span [-absMax, absMax]: one int8 step in real units. A zero or
 // negative absMax yields scale 1 (everything quantizes to 0).

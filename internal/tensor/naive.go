@@ -39,13 +39,6 @@ func NaiveMatMulInto(dst, a, b *Tensor) {
 	}
 }
 
-// NaiveMatMul returns a @ b as a new [m,n] tensor via NaiveMatMulInto.
-func NaiveMatMul(a, b *Tensor) *Tensor {
-	out := New(a.shape[0], b.shape[1])
-	NaiveMatMulInto(out, a, b)
-	return out
-}
-
 // NaiveMatMulTransAInto computes dst = aᵀ @ b where a is [k,m].
 func NaiveMatMulTransAInto(dst, a, b *Tensor) {
 	k, m := a.shape[0], a.shape[1]

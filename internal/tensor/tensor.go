@@ -201,33 +201,10 @@ func AddInto(dst, a, b *Tensor) {
 	}
 }
 
-// SubInto computes dst = a - b elementwise.
-func SubInto(dst, a, b *Tensor) {
-	checkSameSize("SubInto", dst, a, b)
-	for i := range dst.data {
-		dst.data[i] = a.data[i] - b.data[i]
-	}
-}
-
-// MulInto computes dst = a * b elementwise.
-func MulInto(dst, a, b *Tensor) {
-	checkSameSize("MulInto", dst, a, b)
-	for i := range dst.data {
-		dst.data[i] = a.data[i] * b.data[i]
-	}
-}
-
 // Add returns a + b as a new tensor.
 func Add(a, b *Tensor) *Tensor {
 	out := New(a.shape...)
 	AddInto(out, a, b)
-	return out
-}
-
-// Sub returns a - b as a new tensor.
-func Sub(a, b *Tensor) *Tensor {
-	out := New(a.shape...)
-	SubInto(out, a, b)
 	return out
 }
 
@@ -264,26 +241,6 @@ func (t *Tensor) Sum() float64 {
 		s += float64(v)
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.data))
-}
-
-// MaxAbs returns the largest absolute element value.
-func (t *Tensor) MaxAbs() float64 {
-	var m float64
-	for _, v := range t.data {
-		a := math.Abs(float64(v))
-		if a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // ArgMaxRow returns, for a 2-D [rows, cols] tensor, the argmax of each row.
