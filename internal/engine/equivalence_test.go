@@ -127,13 +127,13 @@ func TestFusedMatchesReferenceTransformer(t *testing.T) {
 	equivalent(t, world{gs: []*graph.Graph{g}, x: tokenInput(2, 12, 40)})
 }
 
-// TestTunedPlanParity covers every kernel whose tiling follows the shape:
+// TestTiledKernelParity covers every kernel whose tiling follows the shape:
 // conv GEMM and linear through ResNet18; packed QKV and flash attention
 // through a ViT whose 48x48 inputs make 36 tokens, so attention streams
 // several query tiles per head; and a 512->12 conv on 2x2 and 4x4 planes,
 // whose C·K·K = 4608 deep, N·OH·OW <= 16 wide GEMMs take the driver's 8x8
 // register block (at batch 4 the 4x4 one is 64 wide and takes 4x16).
-func TestTunedPlanParity(t *testing.T) {
+func TestTiledKernelParity(t *testing.T) {
 	for _, c := range []struct {
 		name, arch string
 		shape      graph.Shape

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/tensor"
 )
@@ -20,9 +21,9 @@ type MultiHeadAttention struct {
 	// the eager Forward. WO carries its own annotation like any Linear.
 	QKVQuant *Quant8
 
-	// forward cache
+	// forward cache: the projections the backward recomputes the
+	// attention probabilities from
 	q, k, v *tensor.Tensor // [N, T, D]
-	attn    *tensor.Tensor // [N*H, T, T] softmax weights
 	inShape []int
 }
 
@@ -45,130 +46,51 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 		panic(fmt.Sprintf("nn: MultiHeadAttention(%d) got input %v", m.D, x.Shape()))
 	}
 	n, t := x.Dim(0), x.Dim(1)
-	hd := m.D / m.Heads
 	m.inShape = append([]int(nil), x.Shape()...)
 	m.q = m.WQ.Forward(x, train)
 	m.k = m.WK.Forward(x, train)
 	m.v = m.WV.Forward(x, train)
 
-	scale := float32(1 / stdSqrt(float64(hd)))
-	m.attn = tensor.New(n*m.Heads, t, t)
 	ctx := tensor.New(n, t, m.D)
-	qd, kd, vd := m.q.Data(), m.k.Data(), m.v.Data()
-	ad, cd := m.attn.Data(), ctx.Data()
-
-	for ni := 0; ni < n; ni++ {
-		for h := 0; h < m.Heads; h++ {
-			ho := h * hd
-			ab := (ni*m.Heads + h) * t * t
-			// scores and softmax
-			for i := 0; i < t; i++ {
-				qrow := qd[(ni*t+i)*m.D+ho : (ni*t+i)*m.D+ho+hd]
-				arow := ad[ab+i*t : ab+(i+1)*t]
-				maxv := float32(-1e30)
-				for j := 0; j < t; j++ {
-					krow := kd[(ni*t+j)*m.D+ho : (ni*t+j)*m.D+ho+hd]
-					var s float32
-					for p := 0; p < hd; p++ {
-						s += qrow[p] * krow[p]
-					}
-					s *= scale
-					arow[j] = s
-					if s > maxv {
-						maxv = s
-					}
-				}
-				var sum float32
-				for j := 0; j < t; j++ {
-					e := float32(stdExp(float64(arow[j] - maxv)))
-					arow[j] = e
-					sum += e
-				}
-				inv := 1 / sum
-				for j := 0; j < t; j++ {
-					arow[j] *= inv
-				}
-				// context = attn @ V
-				crow := cd[(ni*t+i)*m.D+ho : (ni*t+i)*m.D+ho+hd]
-				for j := 0; j < t; j++ {
-					a := arow[j]
-					if a == 0 {
-						continue
-					}
-					vrow := vd[(ni*t+j)*m.D+ho : (ni*t+j)*m.D+ho+hd]
-					for p := 0; p < hd; p++ {
-						crow[p] += a * vrow[p]
-					}
-				}
-			}
-		}
-	}
+	bq, bk := tensor.AttendTiles(t)
+	unit := tensor.AttendWorkspace(bq, bk)
+	ws := tensor.GetBufDirty(n * m.Heads * unit)
+	m.eachHead(n, t, func(u, off int, scale float32) {
+		tensor.FlashAttendHead(ctx.Data()[off:], m.D, m.q.Data()[off:], m.k.Data()[off:], m.v.Data()[off:],
+			m.D, t, m.D/m.Heads, scale, bq, bk, (*ws)[u*unit:][:unit])
+	})
+	tensor.PutBuf(ws)
 	return m.WO.Forward(ctx, train)
+}
+
+// eachHead runs body once per (sample, head) unit u on the worker pool,
+// with off the offset of the unit's first element in an [N, T, D] tensor
+// and the attention scale 1/√hd. Units own disjoint column bands.
+func (m *MultiHeadAttention) eachHead(n, t int, body func(u, off int, scale float32)) {
+	hd := m.D / m.Heads
+	scale := float32(1 / math.Sqrt(float64(hd)))
+	tensor.ParallelTasks(n*m.Heads, func(u int) {
+		body(u, u/m.Heads*t*m.D+u%m.Heads*hd, scale)
+	})
 }
 
 // Backward implements Layer.
 func (m *MultiHeadAttention) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	n, t := m.inShape[0], m.inShape[1]
-	hd := m.D / m.Heads
-	scale := float32(1 / stdSqrt(float64(hd)))
-
 	gCtx := m.WO.Backward(gradOut) // [N,T,D]
-	gq := tensor.New(n, t, m.D)
-	gk := tensor.New(n, t, m.D)
-	gv := tensor.New(n, t, m.D)
-	qd, kd, vd := m.q.Data(), m.k.Data(), m.v.Data()
-	ad := m.attn.Data()
-	gcd, gqd, gkd, gvd := gCtx.Data(), gq.Data(), gk.Data(), gv.Data()
-
-	gRow := make([]float32, t) // dL/dattn for one query row
-	for ni := 0; ni < n; ni++ {
-		for h := 0; h < m.Heads; h++ {
-			ho := h * hd
-			ab := (ni*m.Heads + h) * t * t
-			for i := 0; i < t; i++ {
-				arow := ad[ab+i*t : ab+(i+1)*t]
-				gcrow := gcd[(ni*t+i)*m.D+ho : (ni*t+i)*m.D+ho+hd]
-				// dV += attnᵀ applied per row; dAttn = gc @ Vᵀ
-				for j := 0; j < t; j++ {
-					vrow := vd[(ni*t+j)*m.D+ho : (ni*t+j)*m.D+ho+hd]
-					gvrow := gvd[(ni*t+j)*m.D+ho : (ni*t+j)*m.D+ho+hd]
-					a := arow[j]
-					var s float32
-					for p := 0; p < hd; p++ {
-						gvrow[p] += a * gcrow[p]
-						s += gcrow[p] * vrow[p]
-					}
-					gRow[j] = s
-				}
-				// softmax backward: dscore_j = a_j * (g_j - sum_k a_k g_k)
-				var dot float32
-				for j := 0; j < t; j++ {
-					dot += arow[j] * gRow[j]
-				}
-				qrow := qd[(ni*t+i)*m.D+ho : (ni*t+i)*m.D+ho+hd]
-				gqrow := gqd[(ni*t+i)*m.D+ho : (ni*t+i)*m.D+ho+hd]
-				for j := 0; j < t; j++ {
-					ds := arow[j] * (gRow[j] - dot) * scale
-					if ds == 0 {
-						continue
-					}
-					krow := kd[(ni*t+j)*m.D+ho : (ni*t+j)*m.D+ho+hd]
-					gkrow := gkd[(ni*t+j)*m.D+ho : (ni*t+j)*m.D+ho+hd]
-					for p := 0; p < hd; p++ {
-						gqrow[p] += ds * krow[p]
-						gkrow[p] += ds * qrow[p]
-					}
-				}
-			}
-		}
-	}
+	gq, gk, gv := tensor.New(n, t, m.D), tensor.New(n, t, m.D), tensor.New(n, t, m.D)
+	unit := tensor.AttendBackwardWorkspace(t)
+	ws := tensor.GetBufDirty(n * m.Heads * unit)
+	m.eachHead(n, t, func(u, off int, scale float32) {
+		tensor.AttendHeadBackward(gq.Data()[off:], gk.Data()[off:], gv.Data()[off:], gCtx.Data()[off:], m.D,
+			m.q.Data()[off:], m.k.Data()[off:], m.v.Data()[off:], m.D, t, m.D/m.Heads, scale, (*ws)[u*unit:][:unit])
+	})
+	tensor.PutBuf(ws)
 
 	gi := m.WQ.Backward(gq)
-	giK := m.WK.Backward(gk)
-	giV := m.WV.Backward(gv)
-	tensor.AddInto(gi, gi, giK)
-	tensor.AddInto(gi, gi, giV)
-	m.q, m.k, m.v, m.attn = nil, nil, nil, nil
+	tensor.AddInto(gi, gi, m.WK.Backward(gk))
+	tensor.AddInto(gi, gi, m.WV.Backward(gv))
+	m.q, m.k, m.v = nil, nil, nil
 	return gi
 }
 
@@ -324,21 +246,10 @@ func (pe *PatchEmbed) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if t != pe.Pos.Value.Dim(0) {
 		panic(fmt.Sprintf("nn: PatchEmbed expects %d tokens, input yields %d", pe.Pos.Value.Dim(0), t))
 	}
-	// Unfold the patches channel-major (kernel = stride = patch) and project
-	// them: tokens [n*t, D] = colsᵀ · W, plus the bias and the positional
-	// embedding.
 	cols := tensor.New(c*pe.Patch*pe.Patch, n*t)
-	tensor.Im2ColCMInto(cols, x, pe.Patch, pe.Patch, pe.Patch, 0)
-	pe.cols = cols
 	out := tensor.New(n, t, pe.D)
-	tensor.MatMulTransAInto(out.Reshape(n*t, pe.D), cols, pe.Proj.Weight.Value)
-	od, bd, pd := out.Data(), pe.Proj.Bias.Value.Data(), pe.Pos.Value.Data()
-	for r := 0; r < n*t; r++ {
-		row, prow := od[r*pe.D:][:pe.D], pd[r%t*pe.D:][:pe.D]
-		for j := range row {
-			row[j] = row[j] + bd[j] + prow[j]
-		}
-	}
+	tensor.PatchEmbedInto(out.Reshape(n*t, pe.D), cols, x, pe.Proj.Weight.Value, pe.Proj.Bias.Value.Data(), pe.Pos.Value.Data(), pe.Patch)
+	pe.cols = cols
 	return out
 }
 
@@ -398,8 +309,7 @@ type Embedding struct {
 	Table       *Param // [Vocab, D]
 	Pos         *Param // [T, D]
 
-	ids []int
-	n   int
+	ids *tensor.Tensor // the forward's [N, T] token ids
 }
 
 // NewEmbedding builds an embedding with the given vocabulary size, model
@@ -416,31 +326,17 @@ func (e *Embedding) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(1) != e.T {
 		panic(fmt.Sprintf("nn: Embedding(T=%d) got input %v", e.T, x.Shape()))
 	}
-	n := x.Dim(0)
-	e.n = n
-	e.ids = make([]int, n*e.T)
-	out := tensor.New(n, e.T, e.D)
-	xd, od, td, pd := x.Data(), out.Data(), e.Table.Value.Data(), e.Pos.Value.Data()
-	for i := 0; i < n*e.T; i++ {
-		id := int(xd[i])
-		if id < 0 || id >= e.Vocab {
-			panic(fmt.Sprintf("nn: Embedding token id %d out of vocab %d", id, e.Vocab))
-		}
-		e.ids[i] = id
-		dst := od[i*e.D : (i+1)*e.D]
-		src := td[id*e.D : (id+1)*e.D]
-		pos := pd[(i%e.T)*e.D : (i%e.T+1)*e.D]
-		for p := 0; p < e.D; p++ {
-			dst[p] = src[p] + pos[p]
-		}
-	}
+	out := tensor.New(x.Dim(0), e.T, e.D)
+	tensor.EmbedRows(out.Data(), x.Data(), e.Table.Value.Data(), e.Pos.Value.Data(), e.D, e.T)
+	e.ids = x
 	return out
 }
 
 // Backward implements Layer.
 func (e *Embedding) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gd, tg, pg := gradOut.Data(), e.Table.Grad.Data(), e.Pos.Grad.Data()
-	for i, id := range e.ids {
+	for i, x := range e.ids.Data() {
+		id := int(x)
 		src := gd[i*e.D : (i+1)*e.D]
 		dst := tg[id*e.D : (id+1)*e.D]
 		pos := pg[(i%e.T)*e.D : (i%e.T+1)*e.D]
@@ -450,7 +346,7 @@ func (e *Embedding) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// Token ids are not differentiable; return a zero grad of input shape.
-	return tensor.New(e.n, e.T)
+	return tensor.New(e.ids.Shape()...)
 }
 
 // Params implements Layer.

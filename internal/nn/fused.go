@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/tensor"
@@ -122,7 +123,7 @@ func (c *Conv2d) forward(dst, x *tensor.Tensor, train bool, ep epilogue) {
 	} else if bn != nil {
 		copy(s.mean, bn.RunningMean.Data())
 		for ch, v := range bn.RunningVar.Data() {
-			s.inv[ch] = float32(1 / stdSqrt(float64(v+bn.Eps)))
+			s.inv[ch] = float32(1 / math.Sqrt(float64(v+bn.Eps)))
 		}
 	}
 	tensor.ParallelFor(n*c.OutC, s.fwdPlanes)
@@ -267,7 +268,7 @@ func (s *convJob) batchStats(ch int) {
 		variance = 0
 	}
 	s.mean[ch] = mean
-	s.inv[ch] = float32(1 / stdSqrt(float64(variance+bn.Eps)))
+	s.inv[ch] = float32(1 / math.Sqrt(float64(variance+bn.Eps)))
 	rm, rv := bn.RunningMean.Data(), bn.RunningVar.Data()
 	rm[ch] = (1-bn.Momentum)*rm[ch] + bn.Momentum*mean
 	rv[ch] = (1-bn.Momentum)*rv[ch] + bn.Momentum*variance

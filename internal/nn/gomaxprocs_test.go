@@ -66,8 +66,10 @@ func hashLine(out []byte) string {
 // kernelHash runs the training kernels at the shapes a sim-width search
 // presents — batch 16 of 32x32 images, so M = 16·32·32 GEMM rows against
 // 2–8 output channels — and hashes every output bit: the GEMMs, the
-// channel-major unfold and fold, and a fused ConvBlock and stride-2
-// ResidualBlock train step.
+// channel-major unfold and fold, a fused ConvBlock and stride-2
+// ResidualBlock train step, and a TransformerBlock train step over 40
+// tokens, whose attention runs (sample, head) units on the pool and crosses
+// the 32-row query tile.
 func kernelHash() uint64 {
 	h := fnv.New64a()
 	put := func(ts ...*tensor.Tensor) {
@@ -118,6 +120,7 @@ func kernelHash() uint64 {
 	}{
 		{NewConvBlock(tensor.NewRNG(5), 3, 8, true, true), []int{16, 3, 32, 32}},
 		{NewResidualBlock(tensor.NewRNG(6), 8, 16, 2), []int{16, 8, 16, 16}},
+		{NewTransformerBlock(tensor.NewRNG(7), 24, 3, 48), []int{4, 40, 24}},
 	} {
 		x := tensor.New(c.shape...)
 		rng.FillNormal(x, 0, 1)

@@ -118,12 +118,20 @@ func TestReLUGradient(t *testing.T) {
 	checkLayerGrad(t, l, x, true, 2e-2)
 }
 
+// TestGELUGradient checks the derivative over normal draws and over a grid
+// out to |x| = 20, where tanh saturates.
 func TestGELUGradient(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	l := NewGELU()
 	x := tensor.New(2, 10)
 	rng.FillNormal(x, 0, 1.5)
 	checkLayerGrad(t, l, x, true, 2e-2)
+	grid := tensor.New(1, 41)
+	for i := range grid.Data() {
+		grid.Data()[i] = float32(i-20) + 0.25
+	}
+	grid.Data()[0], grid.Data()[40] = -20, 20
+	checkLayerGrad(t, l, grid, true, 2e-2)
 }
 
 func TestBatchNorm2dGradient(t *testing.T) {
@@ -170,12 +178,24 @@ func TestGlobalAvgPoolGradient(t *testing.T) {
 	checkLayerGrad(t, l, x, true, 2e-2)
 }
 
+// TestMultiHeadAttentionGradient covers one tile, ragged last query tiles
+// (33 and 65 tokens against 32-row tiles, 65 also past the 64-key tile) and
+// odd head dims.
 func TestMultiHeadAttentionGradient(t *testing.T) {
-	rng := tensor.NewRNG(12)
-	l := NewMultiHeadAttention(rng, 8, 2)
-	x := tensor.New(2, 3, 8)
-	rng.FillNormal(x, 0, 0.5)
-	checkLayerGrad(t, l, x, true, 3e-2)
+	for _, c := range []struct{ tok, d, heads int }{
+		{3, 8, 2},
+		{33, 6, 2},
+		{65, 10, 2},
+		{33, 9, 3},
+	} {
+		t.Run(fmt.Sprintf("T%d_D%d_H%d", c.tok, c.d, c.heads), func(t *testing.T) {
+			rng := tensor.NewRNG(12)
+			l := NewMultiHeadAttention(rng, c.d, c.heads)
+			x := tensor.New(2, c.tok, c.d)
+			rng.FillNormal(x, 0, 0.5)
+			checkLayerGrad(t, l, x, true, 3e-2)
+		})
+	}
 }
 
 func TestTransformerBlockGradient(t *testing.T) {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/tensor"
 )
@@ -178,6 +179,26 @@ func reluGrad(dst, g, out *tensor.Tensor) {
 	})
 }
 
+// relu32 is the rectifier a > 0 ? a : +0 (zero, negatives and NaN all map
+// to +0), computed on the bits so the compiler emits a conditional move:
+// activations are about half negative in no pattern a branch predictor can
+// learn, and the branchy form mispredicts on every other element.
+func relu32(a float32) float32 {
+	return keepIfPositive(a, a)
+}
+
+// keepIfPositive returns v where a > 0 and +0 elsewhere (a zero, negative or
+// NaN), branch-free like relu32: the rectifier's backward mask.
+func keepIfPositive(v, a float32) float32 {
+	b := math.Float32bits(v)
+	// a > 0 exactly when its bits lie in [1, 0x7f800000]: positive
+	// subnormals through +Inf; +0, the sign bit and NaNs fall outside.
+	if math.Float32bits(a)-1 >= 0x7f800000 {
+		b = 0
+	}
+	return math.Float32frombits(b)
+}
+
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
 
@@ -202,49 +223,12 @@ type GELU struct {
 // NewGELU builds the activation.
 func NewGELU() *GELU { return &GELU{} }
 
-const (
-	geluC0 = 0.7978845608028654 // sqrt(2/pi)
-	geluC1 = 0.044715
-)
-
-func geluFwd(x float64) float64 {
-	t := tanh(geluC0 * (x + geluC1*x*x*x))
-	return 0.5 * x * (1 + t)
-}
-
-func geluGrad(x float64) float64 {
-	u := geluC0 * (x + geluC1*x*x*x)
-	t := tanh(u)
-	du := geluC0 * (1 + 3*geluC1*x*x)
-	return 0.5*(1+t) + 0.5*x*(1-t*t)*du
-}
-
-func tanh(x float64) float64 {
-	if x > 20 {
-		return 1
-	}
-	if x < -20 {
-		return -1
-	}
-	e2 := exp(2 * x)
-	return (e2 - 1) / (e2 + 1)
-}
-
-// exp is a small wrapper to keep math usage local.
-func exp(x float64) float64 {
-	// Delegate to the standard library via math.Exp equivalent; implemented
-	// here with the stdlib to avoid precision surprises.
-	return stdExp(x)
-}
-
 // Forward implements Layer.
 func (g *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g.in = x
 	out := tensor.New(x.Shape()...)
 	xd, od := x.Data(), out.Data()
-	for i, v := range xd {
-		od[i] = float32(geluFwd(float64(v)))
-	}
+	tensor.ParallelFor(len(xd), func(lo, hi int) { tensor.GELURow(od[lo:hi], xd[lo:hi]) })
 	return out
 }
 
@@ -252,9 +236,7 @@ func (g *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (g *GELU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gi := tensor.New(gradOut.Shape()...)
 	xd, gd, god := g.in.Data(), gi.Data(), gradOut.Data()
-	for i := range gd {
-		gd[i] = god[i] * float32(geluGrad(float64(xd[i])))
-	}
+	tensor.ParallelFor(len(gd), func(lo, hi int) { tensor.GELUGradRow(gd[lo:hi], god[lo:hi], xd[lo:hi]) })
 	g.in = nil
 	return gi
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/tensor"
 )
@@ -54,7 +55,7 @@ func CrossEntropyLoss(logits *tensor.Tensor, labels []int) (float64, *tensor.Ten
 		}
 		var sum float64
 		for j, v := range row {
-			e := stdExp(float64(v - maxv))
+			e := math.Exp(float64(v - maxv))
 			grow[j] = float32(e)
 			sum += e
 		}
@@ -62,7 +63,7 @@ func CrossEntropyLoss(logits *tensor.Tensor, labels []int) (float64, *tensor.Ten
 		if y < 0 || y >= k {
 			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, k))
 		}
-		loss += stdLog(sum) - float64(row[y]-maxv)
+		loss += math.Log(sum) - float64(row[y]-maxv)
 		invSum := float32(1 / sum)
 		for j := range grow {
 			grow[j] *= invSum * invN
@@ -101,8 +102,8 @@ func BCEWithLogitsLoss(logits *tensor.Tensor, targets [][]int) (float64, *tensor
 			if az < 0 {
 				az = -az
 			}
-			loss += m - z*y + stdLog(1+stdExp(-az))
-			sig := 1 / (1 + stdExp(-z))
+			loss += m - z*y + math.Log(1+math.Exp(-az))
+			sig := 1 / (1 + math.Exp(-z))
 			gd[i*k+j] = float32(sig-y) * inv
 		}
 	}

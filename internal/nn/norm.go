@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/tensor"
 )
@@ -58,7 +59,7 @@ func (bn *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train {
 		for c := 0; c < bn.C; c++ {
 			mean := bn.RunningMean.Data()[c]
-			inv := float32(1 / stdSqrt(float64(bn.RunningVar.Data()[c]+bn.Eps)))
+			inv := float32(1 / math.Sqrt(float64(bn.RunningVar.Data()[c]+bn.Eps)))
 			g, b := gd[c], bd[c]
 			for ni := 0; ni < n; ni++ {
 				base := (ni*bn.C + c) * h * w
@@ -90,7 +91,7 @@ func (bn *BatchNorm2d) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		if variance < 0 {
 			variance = 0
 		}
-		inv := float32(1 / stdSqrt(float64(variance+bn.Eps)))
+		inv := float32(1 / math.Sqrt(float64(variance+bn.Eps)))
 		bn.invStd[c] = inv
 		bn.RunningMean.Data()[c] = (1-bn.Momentum)*bn.RunningMean.Data()[c] + bn.Momentum*mean
 		bn.RunningVar.Data()[c] = (1-bn.Momentum)*bn.RunningVar.Data()[c] + bn.Momentum*variance
@@ -116,7 +117,7 @@ func (bn *BatchNorm2d) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		gd, god, xh := gi.Data(), gradOut.Data(), *bn.xhat
 		gg, bg := bn.Gamma.Grad.Data(), bn.Beta.Grad.Data()
 		for c := 0; c < bn.C; c++ {
-			scale := bn.Gamma.Value.Data()[c] * float32(1/stdSqrt(float64(bn.RunningVar.Data()[c]+bn.Eps)))
+			scale := bn.Gamma.Value.Data()[c] * float32(1/math.Sqrt(float64(bn.RunningVar.Data()[c]+bn.Eps)))
 			for ni := 0; ni < n; ni++ {
 				base := (ni*bn.C + c) * h * w
 				for i := 0; i < h*w; i++ {
@@ -228,27 +229,13 @@ func (ln *LayerNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	out := tensor.New(x.Shape()...)
 	xd, od, xh := x.Data(), out.Data(), ln.xhat.Data()
-	gd, bd := ln.Gamma.Value.Data(), ln.Beta.Value.Data()
-	for r := 0; r < rows; r++ {
-		row := xd[r*ln.D : (r+1)*ln.D]
-		var sum, sq float64
-		for _, v := range row {
-			sum += float64(v)
-			sq += float64(v) * float64(v)
+	d := ln.D
+	tensor.ParallelFor(rows, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			ln.invStd[r] = tensor.LayerNormRow(od[r*d:][:d], xh[r*d:][:d], xd[r*d:][:d],
+				ln.Gamma.Value.Data(), ln.Beta.Value.Data(), ln.Eps)
 		}
-		mean := float32(sum / float64(ln.D))
-		variance := float32(sq/float64(ln.D)) - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		inv := float32(1 / stdSqrt(float64(variance+ln.Eps)))
-		ln.invStd[r] = inv
-		for i, v := range row {
-			xv := (v - mean) * inv
-			xh[r*ln.D+i] = xv
-			od[r*ln.D+i] = xv*gd[i] + bd[i]
-		}
-	}
+	})
 	return out
 }
 

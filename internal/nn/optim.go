@@ -1,6 +1,10 @@
 package nn
 
-import "repro/internal/tensor"
+import (
+	"math"
+
+	"repro/internal/tensor"
+)
 
 // Adam implements the Adam optimizer (Kingma & Ba), the optimizer used in
 // the paper's fine-tuning configuration.
@@ -43,7 +47,7 @@ func (a *Adam) Step() {
 			vd[j] = a.Beta2*vd[j] + (1-a.Beta2)*g*g
 			mhat := md[j] / bc1
 			vhat := vd[j] / bc2
-			pd[j] -= a.LR * mhat / (float32(stdSqrt(float64(vhat))) + a.Eps)
+			pd[j] -= a.LR * mhat / (float32(math.Sqrt(float64(vhat))) + a.Eps)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -376,16 +375,11 @@ func (s *bnSpec) build(inst *Instance, o *Op) func() {
 	return func() { tensor.ParallelFor(inst.batch*s.c, body) }
 }
 
-// ewSpec is an elementwise activation: ReLU when relu is set, GELU (tanh
-// approximation, matching nn.GELU) otherwise.
+// ewSpec is an elementwise activation: ReLU when relu is set, GELU
+// (tensor.GELURow, as nn.GELU) otherwise.
 type ewSpec struct {
 	relu bool
 }
-
-const (
-	geluC0 = 0.7978845608028654 // sqrt(2/pi)
-	geluC1 = 0.044715
-)
 
 func (s *ewSpec) build(inst *Instance, o *Op) func() {
 	in, out := o.In, o.Out
@@ -404,13 +398,7 @@ func (s *ewSpec) build(inst *Instance, o *Op) func() {
 		}
 	} else {
 		body = func(lo, hi int) {
-			xd := inst.regs[in].Data()
-			dd := inst.regs[out].Data()
-			for i := lo; i < hi; i++ {
-				v := float64(xd[i])
-				t := math.Tanh(geluC0 * (v + geluC1*v*v*v))
-				dd[i] = float32(0.5 * v * (1 + t))
-			}
+			tensor.GELURow(inst.regs[out].Data()[lo:hi], inst.regs[in].Data()[lo:hi])
 		}
 	}
 	return func() { tensor.ParallelFor(inst.regs[out].Size(), body) }

@@ -8,33 +8,23 @@ import (
 	"repro/internal/tensor"
 )
 
-// Transformer lowering. A TransformerBlock becomes eight planned ops:
+// Transformer lowering. A TransformerBlock becomes nine planned ops:
 //
 //	ln -> qkv -> attn -> linear(WO) -> addln -> linear(FC1) -> gelu ->
 //	linear(FC2) -> add
 //
-// with three fusions the eager path cannot express: the Q/K/V projections
-// run as ONE packed [D, 3D] GEMM (kind "qkv", or "qqkv" on the int8
-// kernel when calibrated), the attention context is computed by the
-// flash-style tiled kernel streaming over key blocks (kind "attn") whose
-// only working memory is a planned per-(sample,head) workspace slab — the
-// full TxT score matrix never exists — and the first residual join fuses
-// with the second layer norm into one dual-output op (kind "addln") that
-// publishes both the residual sum x1 (Out2, re-read by the closing "add")
-// and LN2(x1) (Out, feeding the MLP). The ViT/BERT stems lower to "patch"
-// and "embed" ops, so whole transformer graphs execute with zero
-// steady-state allocations like the CNN families.
-
-// Attention tile sizes: attnBQ query rows stream over attnBK-wide key
-// blocks. The workspace per (sample, head) is bq*bk + 2*bq floats (score
-// tile + running max + running sum), accounted as a scratch value so the
-// slab planner reserves it.
-const attnBQ, attnBK = 32, 64
-
-// attnTiles clamps the attention tiles to sequence length t.
-func attnTiles(t int) (bq, bk int) {
-	return min(attnBQ, t), min(attnBK, t)
-}
+// Each op's math is the tensor function nn's layer calls too (GELURow,
+// LayerNormRow, FlashAttendHead at AttendTiles, EmbedRows,
+// PatchEmbedInto), so the plan differs from the eager walk only in three
+// fusions: the Q/K/V projections run as ONE packed [D, 3D] GEMM (kind
+// "qkv", or "qqkv" on the int8 kernel when calibrated), the attention
+// (kind "attn") reads its heads straight out of that packed buffer and
+// works in a planned per-(sample,head) workspace slab, and the first
+// residual join fuses with the second layer norm into one dual-output op
+// (kind "addln") that publishes both the residual sum x1 (Out2, re-read by
+// the closing "add") and LN2(x1) (Out, feeding the MLP). The ViT/BERT
+// stems lower to "patch" and "embed" ops, so whole transformer graphs
+// execute with zero steady-state allocations like the CNN families.
 
 // lowerLayerNorm emits a standalone layer norm op (op-granularity graphs;
 // block-granularity norms fuse into their transformer block's addln).
@@ -88,14 +78,15 @@ func (c *compiler) lowerQKV(name string, m *nn.MultiHeadAttention, inVal int) in
 	return v
 }
 
-// lowerAttention emits a standalone multi-head attention: packed QKV, tiled
-// attention, then the output projection (which records its own linear quant
-// target, covering WO).
+// lowerAttention emits multi-head attention, standalone or as a
+// TransformerBlock's first half: packed QKV, tiled attention, then the
+// output projection (which records its own linear quant target, covering
+// WO).
 func (c *compiler) lowerAttention(name string, m *nn.MultiHeadAttention, inVal int) int {
 	in := c.val(inVal)
 	t, d := in.Shape[0], m.D
 	qkv := c.lowerQKV(fmt.Sprintf("%s qkv(%d->%d)", name, d, 3*d), m, inVal)
-	bq, bk := attnTiles(t)
+	bq, bk := tensor.AttendTiles(t)
 	ws := c.newValue([]int{m.Heads * tensor.AttendWorkspace(bq, bk)}, false, -1)
 	ctx := c.newValue([]int{t, d}, false, -1)
 	c.addOp(&Op{
@@ -113,16 +104,7 @@ func (c *compiler) lowerAttention(name string, m *nn.MultiHeadAttention, inVal i
 func (c *compiler) lowerTransformer(name string, b *nn.TransformerBlock, inVal int) int {
 	in := c.val(inVal)
 	ln1 := c.lowerLayerNorm(name+" ln1", b.LN1, inVal)
-	qkv := c.lowerQKV(fmt.Sprintf("%s qkv(%d->%d)", name, b.D, 3*b.D), b.Attn, ln1)
-	bq, bk := attnTiles(in.Shape[0])
-	ws := c.newValue([]int{b.Heads * tensor.AttendWorkspace(bq, bk)}, false, -1)
-	ctx := c.newValue(in.Shape, false, -1)
-	c.addOp(&Op{
-		Name: fmt.Sprintf("%s attn(h%d,%dx%d)", name, b.Heads, bq, bk),
-		Kind: "attn", In: qkv, In2: -1, Out: ctx, Scratch: []int{ws},
-		spec: &attnSpec{heads: b.Heads, t: in.Shape[0], d: b.D, bq: bq, bk: bk, ws: ws},
-	})
-	proj := c.lowerLinear(name+" proj "+b.Attn.WO.Name(), b.Attn.WO, ctx)
+	proj := c.lowerAttention(name, b.Attn, ln1)
 	// addln: Out = LN2(x + proj), Out2 = x + proj (read again by the final
 	// residual add, after the MLP).
 	normed := c.newValue(in.Shape, false, -1)
@@ -167,7 +149,7 @@ func (c *compiler) lowerEmbedding(name string, e *nn.Embedding, inVal int) int {
 	return c.addOp(&Op{
 		Name: name, Kind: "embed", In: inVal, In2: -1, Out: out,
 		spec: &embedSpec{
-			vocab: e.Vocab, d: e.D, t: e.T,
+			d: e.D, t: e.T,
 			table: cloneF32(e.Table.Value.Data()),
 			pos:   cloneF32(e.Pos.Value.Data()),
 		},
@@ -177,27 +159,6 @@ func (c *compiler) lowerEmbedding(name string, e *nn.Embedding, inVal int) int {
 func cloneF32(s []float32) []float32 { return append([]float32(nil), s...) }
 
 // ---- transformer kernel specs ----
-
-// lnRow mirrors nn.LayerNorm.Forward's per-row math exactly: float64
-// sum/square accumulation, biased variance clamped at zero, float32
-// normalize-scale-shift.
-func lnRow(dst, src, gamma, beta []float32, eps float32) {
-	var sum, sq float64
-	for _, v := range src {
-		sum += float64(v)
-		sq += float64(v) * float64(v)
-	}
-	d := float64(len(src))
-	mean := float32(sum / d)
-	variance := float32(sq/d) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	inv := float32(1 / math.Sqrt(float64(variance+eps)))
-	for i, v := range src {
-		dst[i] = (v-mean)*inv*gamma[i] + beta[i]
-	}
-}
 
 // lnSpec is a standalone layer norm over the last dimension.
 type lnSpec struct {
@@ -212,7 +173,7 @@ func (s *lnSpec) build(inst *Instance, o *Op) func() {
 		xd := inst.regs[in].Data()
 		dd := inst.regs[out].Data()
 		for r := lo; r < hi; r++ {
-			lnRow(dd[r*s.d:][:s.d], xd[r*s.d:][:s.d], s.gamma, s.beta, s.eps)
+			tensor.LayerNormRow(dd[r*s.d:][:s.d], nil, xd[r*s.d:][:s.d], s.gamma, s.beta, s.eps)
 		}
 	}
 	return func() { tensor.ParallelFor(inst.regs[out].Size()/s.d, body) }
@@ -241,7 +202,7 @@ func (s *addLNSpec) build(inst *Instance, o *Op) func() {
 			for i := range srow {
 				srow[i] = arow[i] + brow[i]
 			}
-			lnRow(dd[r*s.d:][:s.d], srow, s.gamma, s.beta, s.eps)
+			tensor.LayerNormRow(dd[r*s.d:][:s.d], nil, srow, s.gamma, s.beta, s.eps)
 		}
 	}
 	return func() { tensor.ParallelFor(inst.regs[out].Size()/s.d, body) }
@@ -295,9 +256,8 @@ func (s *attnSpec) build(inst *Instance, o *Op) func() {
 	return func() { tensor.ParallelTasks(inst.batch*s.heads, body) }
 }
 
-// patchSpec is the ViT stem: channel-major patch unfold, projection GEMM,
-// then a fused bias+positional epilogue. The 2-D output view is rebuilt
-// only on batch rebinds.
+// patchSpec is the ViT stem, tensor.PatchEmbedInto over the cols2d
+// scratch. The 2-D output view is rebuilt only on batch rebinds.
 type patchSpec struct {
 	patch, d, t int
 	w           *tensor.Tensor // [C*P*P, D], plan-owned copy
@@ -310,51 +270,25 @@ func (s *patchSpec) build(inst *Instance, o *Op) func() {
 	var y2d *tensor.Tensor
 	bound := -1
 	return func() {
-		x := inst.regs[in]
-		y := inst.regs[out]
-		rows := inst.batch * s.t
 		if bound != inst.batch {
-			y2d = tensor.FromSlice(y.Data(), rows, s.d)
+			y2d = tensor.FromSlice(inst.regs[out].Data(), inst.batch*s.t, s.d)
 			bound = inst.batch
 		}
-		cols := inst.regs[s.cols]
-		tensor.Im2ColCMInto(cols, x, s.patch, s.patch, s.patch, 0)
-		tensor.MatMulTransAInto(y2d, cols, s.w)
-		yd := y2d.Data()
-		for r := 0; r < rows; r++ {
-			row := yd[r*s.d:][:s.d]
-			prow := s.pos[(r%s.t)*s.d:][:s.d]
-			for j := range row {
-				row[j] = row[j] + s.bias[j] + prow[j]
-			}
-		}
+		tensor.PatchEmbedInto(y2d, inst.regs[s.cols], inst.regs[in], s.w, s.bias, s.pos, s.patch)
 	}
 }
 
-// embedSpec is the BERT stem: table gather plus positional add. The loop
-// stays on the Execute goroutine (not a worker pool) so the out-of-vocab
-// panic surfaces to the caller exactly like nn.Embedding.Forward's.
+// embedSpec is the BERT stem, tensor.EmbedRows. It runs on the Execute
+// goroutine (not the worker pool) so an out-of-vocab panic surfaces to the
+// caller exactly like nn.Embedding.Forward's.
 type embedSpec struct {
-	vocab, d, t int
-	table, pos  []float32
+	d, t       int
+	table, pos []float32
 }
 
 func (s *embedSpec) build(inst *Instance, o *Op) func() {
 	in, out := o.In, o.Out
 	return func() {
-		xd := inst.regs[in].Data()
-		od := inst.regs[out].Data()
-		for i := 0; i < inst.batch*s.t; i++ {
-			id := int(xd[i])
-			if id < 0 || id >= s.vocab {
-				panic(fmt.Sprintf("plan: embed token id %d out of vocab %d", id, s.vocab))
-			}
-			dst := od[i*s.d:][:s.d]
-			src := s.table[id*s.d:][:s.d]
-			prow := s.pos[(i%s.t)*s.d:][:s.d]
-			for p := range dst {
-				dst[p] = src[p] + prow[p]
-			}
-		}
+		tensor.EmbedRows(inst.regs[out].Data(), inst.regs[in].Data(), s.table, s.pos, s.d, s.t)
 	}
 }

@@ -14,9 +14,8 @@ import (
 )
 
 // Transformer lowering tests: the plan executor's fused qkv/attn/addln op
-// chain against graph.Forward, whose eager MultiHeadAttention materializes
-// the full score matrix — so block- and graph-level parity here is also
-// flash-vs-naive parity.
+// chain against graph.Forward, whose eager MultiHeadAttention runs the
+// same tiled attention kernel over three separate projections.
 
 // vitGraph builds a single-task ViT over a [3,48,48] input: 36 tokens, so
 // the attention streams multiple query tiles (bq=32) per head.

@@ -15,9 +15,25 @@ import (
 // FuzzTiledSoftmaxParity hold the two within 1e-4 across arbitrary sequence
 // lengths, head dims, and tile sizes.
 //
-// Both kernels read Q, K, V rows through a common row stride, so a head can
+// AttendHeadBackward is the training backward of the same head; it
+// recomputes each query row's probabilities rather than keeping a [T, T]
+// matrix from the forward.
+//
+// The kernels read Q, K, V rows through a common row stride, so a head can
 // address its hd-wide column band inside a packed [T, 3*D] QKV projection
-// (stride 3*D) or a plain [T, D] tensor (stride D) without any copying.
+// (stride 3*D, the plan's attn op) or a plain [T, D] tensor (stride D,
+// nn.MultiHeadAttention) without any copying.
+
+// Attention tiles: attnBQ query rows stream over attnBK-wide key blocks.
+const attnBQ, attnBK = 32, 64
+
+// AttendTiles returns the query and key tile sizes FlashAttendHead runs
+// with over t tokens: 32 query rows by 64 keys, each clamped to t. nn's
+// MultiHeadAttention and the plan's attn op both read it, so the two run
+// the same tiles and round alike.
+func AttendTiles(t int) (bq, bk int) {
+	return min(attnBQ, t), min(attnBK, t)
+}
 
 // AttendWorkspace returns the float32 workspace length FlashAttendHead
 // needs for query tile bq and key tile bk: the score tile plus the running
@@ -114,10 +130,72 @@ func FlashAttendHead(out []float32, outStride int, q, k, v []float32, stride, t,
 	}
 }
 
+// AttendBackwardWorkspace returns the float32 workspace length
+// AttendHeadBackward needs over t tokens: one probability row and one
+// probability-gradient row.
+func AttendBackwardWorkspace(t int) int { return 2 * t }
+
+// AttendHeadBackward is the backward of FlashAttendHead for one head. Given
+// Q, K, V and the output gradient gout (rows addressed as FlashAttendHead
+// addresses them: q, k, v, gq, gk, gv through stride, gout through
+// outStride), it overwrites the hd-wide rows of gq, gk and gv with the
+// gradients of softmax(scale·QKᵀ)·V. It recomputes each query row's
+// probabilities instead of reading a stored [t, t] matrix: with p the row's
+// softmax and dp_j = gout_i·v_j, it adds p_j·gout_i to gv_j and, with
+// ds_j = p_j·(dp_j − Σ p·dp)·scale, ds_j·k_j to gq_i and ds_j·q_i to gk_j.
+// ws must have AttendBackwardWorkspace(t) elements and is clobbered. Like
+// the forward it is single-threaded; a caller running (batch, head) units
+// in parallel gives each its own column band and workspace, so the result
+// does not depend on the schedule.
+func AttendHeadBackward(gq, gk, gv, gout []float32, outStride int, q, k, v []float32, stride, t, hd int, scale float32, ws []float32) {
+	if len(ws) < AttendBackwardWorkspace(t) {
+		panic(fmt.Sprintf("tensor: AttendHeadBackward workspace %d, need %d", len(ws), AttendBackwardWorkspace(t)))
+	}
+	p, dp := ws[:t], ws[t:2*t]
+	for j := 0; j < t; j++ {
+		clear(gk[j*stride:][:hd])
+		clear(gv[j*stride:][:hd])
+	}
+	for i := 0; i < t; i++ {
+		qrow := q[i*stride:][:hd]
+		maxv := float32(math.MaxFloat32) * -1
+		for j := range p {
+			s := vdot(qrow, k[j*stride:][:hd]) * scale
+			p[j] = s
+			maxv = max(maxv, s)
+		}
+		var sum float32
+		for j, s := range p {
+			e := float32(math.Exp(float64(s - maxv)))
+			p[j] = e
+			sum += e
+		}
+		inv := 1 / sum
+		grow := gout[i*outStride:][:hd]
+		var dot float32
+		for j := range p {
+			p[j] *= inv
+			dp[j] = vdot(grow, v[j*stride:][:hd])
+			dot += p[j] * dp[j]
+		}
+		gqrow := gq[i*stride:][:hd]
+		clear(gqrow)
+		for j, a := range p {
+			if a == 0 {
+				continue
+			}
+			vaxpy(gv[j*stride:][:hd], a, grow)
+			ds := a * (dp[j] - dot) * scale
+			vaxpy(gqrow, ds, k[j*stride:][:hd])
+			vaxpy(gk[j*stride:][:hd], ds, qrow)
+		}
+	}
+}
+
 // NaiveAttendHead is the reference attention for one head: it materializes
 // the full [t, t] score matrix, runs a max-subtracted two-pass softmax per
-// row, then multiplies by V — the same math nn.MultiHeadAttention.Forward
-// performs. It allocates and is single-threaded; reference/test use only.
+// row, then multiplies by V. It allocates and is single-threaded;
+// reference/test use only.
 func NaiveAttendHead(out []float32, outStride int, q, k, v []float32, stride, t, hd int, scale float32) {
 	scores := make([]float32, t*t)
 	for i := 0; i < t; i++ {

@@ -99,6 +99,83 @@ func FuzzTiledSoftmaxParity(f *testing.F) {
 	})
 }
 
+// attendBackwardDiff runs AttendHeadBackward over a packed [t, 3·hd] Q|K|V
+// layout, writing a packed gradient buffer prefilled with garbage (the
+// kernel must overwrite, not accumulate), and returns the largest
+// divergence from the textbook float64 backward of softmax(scale·QKᵀ)·V,
+// relative to max(1, |reference|).
+func attendBackwardDiff(seed uint64, tokens, hd int) float64 {
+	rng := tensor.NewRNG(seed)
+	stride := 3 * hd
+	qkv, gout := tensor.New(tokens*stride), tensor.New(tokens*hd)
+	rng.FillNormal(qkv, 0, 1)
+	rng.FillNormal(gout, 0, 1)
+	d, g := qkv.Data(), gout.Data()
+	grad := make([]float32, tokens*stride)
+	for i := range grad {
+		grad[i] = 1e6
+	}
+	scale := float32(1 / math.Sqrt(float64(hd)))
+	ws := make([]float32, tensor.AttendBackwardWorkspace(tokens))
+	tensor.AttendHeadBackward(grad, grad[hd:], grad[2*hd:], g, hd, d, d[hd:], d[2*hd:], stride, tokens, hd, scale, ws)
+
+	at := func(row, band, p int) float64 { return float64(d[row*stride+band*hd+p]) }
+	want := make([]float64, tokens*stride)
+	for i := 0; i < tokens; i++ {
+		prob, dp := make([]float64, tokens), make([]float64, tokens)
+		maxv, sum, dot := math.Inf(-1), 0.0, 0.0
+		for j := range prob {
+			for p := 0; p < hd; p++ {
+				prob[j] += at(i, 0, p) * at(j, 1, p)
+			}
+			prob[j] *= float64(scale)
+			maxv = math.Max(maxv, prob[j])
+		}
+		for j := range prob {
+			prob[j] = math.Exp(prob[j] - maxv)
+			sum += prob[j]
+		}
+		for j := range prob {
+			prob[j] /= sum
+			for p := 0; p < hd; p++ {
+				dp[j] += float64(g[i*hd+p]) * at(j, 2, p)
+			}
+			dot += prob[j] * dp[j]
+		}
+		for j := range prob {
+			ds := prob[j] * (dp[j] - dot) * float64(scale)
+			for p := 0; p < hd; p++ {
+				want[i*stride+p] += ds * at(j, 1, p)
+				want[j*stride+hd+p] += ds * at(i, 0, p)
+				want[j*stride+2*hd+p] += prob[j] * float64(g[i*hd+p])
+			}
+		}
+	}
+	var m float64
+	for i, w := range want {
+		m = math.Max(m, math.Abs(float64(grad[i])-w)/math.Max(1, math.Abs(w)))
+	}
+	return m
+}
+
+// FuzzAttendHeadBackwardParity drives the attention backward kernel against
+// the float64 reference across random sequence lengths and head dims. The
+// seeds include ragged 33- and 65-token sequences and odd head dims.
+func FuzzAttendHeadBackwardParity(f *testing.F) {
+	f.Add(uint64(1), 8, 4)
+	f.Add(uint64(2), 33, 7)
+	f.Add(uint64(3), 1, 1)
+	f.Add(uint64(4), 33, 3)
+	f.Add(uint64(5), 65, 8)
+	f.Fuzz(func(t *testing.T, seed uint64, tokens, hd int) {
+		tokens = 1 + abs(tokens)%80
+		hd = 1 + abs(hd)%24
+		if d := attendBackwardDiff(seed, tokens, hd); d > 1e-4 {
+			t.Fatalf("t=%d hd=%d: backward diverges from the float64 reference by %g", tokens, hd, d)
+		}
+	})
+}
+
 func abs(v int) int {
 	if v < 0 {
 		return -v

@@ -1,0 +1,113 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+)
+
+// Transformer row kernels. nn's layers (training and the eager reference)
+// and the compiled plan's ops call these same functions, so each op has one
+// definition of its math: the GELU activation and its derivative, the
+// LayerNorm row, the embedding gather and the patch projection with its
+// bias+positional epilogue. The attention kernels are in attention.go.
+// Every function is single-threaded over the rows it is handed; callers
+// split rows or elements over the worker pool, and each output element
+// depends only on its own row, so the bits do not depend on the split.
+
+// GELU tanh-approximation constants.
+const (
+	geluC0 = 0.7978845608028654 // sqrt(2/pi)
+	geluC1 = 0.044715
+)
+
+// GELURow writes dst[i] = GELU(src[i]), the tanh approximation
+// 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))) evaluated in float64.
+func GELURow(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		v := float64(x)
+		t := math.Tanh(geluC0 * (v + geluC1*v*v*v))
+		dst[i] = float32(0.5 * v * (1 + t))
+	}
+}
+
+// GELUGradRow writes dst[i] = g[i]·GELU'(x[i]), the derivative of GELURow's
+// formula evaluated in float64.
+func GELUGradRow(dst, g, x []float32) {
+	dst, g = dst[:len(x)], g[:len(x)]
+	for i, xv := range x {
+		v := float64(xv)
+		t := math.Tanh(geluC0 * (v + geluC1*v*v*v))
+		du := geluC0 * (1 + 3*geluC1*v*v)
+		dst[i] = g[i] * float32(0.5*(1+t)+0.5*v*(1-t*t)*du)
+	}
+}
+
+// LayerNormRow normalizes one row: with the mean and the biased variance of
+// src accumulated in float64 (the variance clamped at zero) and inv =
+// 1/√(variance+eps), it writes x̂ = (src[i]−mean)·inv into xhat[i] when xhat
+// is non-nil and x̂·gamma[i] + beta[i] into dst[i]. It returns inv, which
+// the layer's backward needs with x̂.
+func LayerNormRow(dst, xhat, src, gamma, beta []float32, eps float32) float32 {
+	var sum, sq float64
+	for _, v := range src {
+		sum += float64(v)
+		sq += float64(v) * float64(v)
+	}
+	d := float64(len(src))
+	mean := float32(sum / d)
+	variance := float32(sq/d) - mean*mean
+	if variance < 0 {
+		variance = 0
+	}
+	inv := float32(1 / math.Sqrt(float64(variance+eps)))
+	dst, gamma, beta = dst[:len(src)], gamma[:len(src)], beta[:len(src)]
+	for i, v := range src {
+		xv := (v - mean) * inv
+		if xhat != nil {
+			xhat[i] = xv
+		}
+		dst[i] = xv*gamma[i] + beta[i]
+	}
+	return inv
+}
+
+// EmbedRows is the token stem's gather: for each token id in ids (integral
+// float32 values, t tokens per sample), row i of dst (d floats) becomes
+// row ids[i] of the [vocab, d] table plus row i mod t of the [t, d]
+// positional table. An id outside [0, vocab) panics.
+func EmbedRows(dst, ids, table, pos []float32, d, t int) {
+	vocab := len(table) / d
+	for i, x := range ids {
+		id := int(x)
+		if id < 0 || id >= vocab {
+			panic(fmt.Sprintf("tensor: embedding token id %d out of vocab %d", id, vocab))
+		}
+		row := dst[i*d:][:d]
+		src := table[id*d:][:d]
+		prow := pos[(i%t)*d:][:d]
+		for p := range row {
+			row[p] = src[p] + prow[p]
+		}
+	}
+}
+
+// PatchEmbedInto is the image stem: it unfolds x [N, C, H, W] into
+// non-overlapping patch×patch patches channel-major (cols, [C·P·P, N·T]),
+// projects them with w [C·P·P, D] into y [N·T, D], and adds bias and the
+// [T, D] positional table row by row. cols is left holding the patches for
+// the caller's weight gradient.
+func PatchEmbedInto(y, cols, x, w *Tensor, bias, pos []float32, patch int) {
+	Im2ColCMInto(cols, x, patch, patch, patch, 0)
+	MatMulTransAInto(y, cols, w)
+	d := y.Dim(1)
+	t := len(pos) / d
+	yd := y.Data()
+	for r := 0; r < y.Dim(0); r++ {
+		row := yd[r*d:][:d]
+		prow := pos[(r%t)*d:][:d]
+		for j := range row {
+			row[j] = row[j] + bias[j] + prow[j]
+		}
+	}
+}
