@@ -189,19 +189,23 @@ type SharedStem struct {
 	StemBatchHist map[int]int64 `json:"stem_batch_hist,omitempty"`
 }
 
-// SwapRecord is one completed hot swap in a model's history.
+// SwapRecord is one completed hot swap in a model's history, as the
+// registry records it and the stats endpoint serves it.
 type SwapRecord struct {
-	FromVersion  int    `json:"from_version"`
-	ToVersion    int    `json:"to_version"`
+	// FromVersion/ToVersion are the registry-assigned deploy generations.
+	FromVersion int `json:"from_version"`
+	ToVersion   int `json:"to_version"`
+	// FromChecksum/ToChecksum are the checkpoint content identities.
 	FromChecksum string `json:"from_checksum"`
 	ToChecksum   string `json:"to_checksum"`
-	// DrainMicros is how long the old deployment took to finish its
-	// admitted requests after the new version was published; Abandoned
-	// counts in-flight requests the drain gave up on (zero on every clean
-	// swap); UnixMicros timestamps the swap.
+	// DrainMicros is how long the old deployment took to answer its
+	// admitted requests after the new version was published.
 	DrainMicros int64 `json:"drain_us"`
-	Abandoned   int   `json:"abandoned"`
-	UnixMicros  int64 `json:"unix_us"`
+	// Abandoned counts in-flight requests the drain gave up on because its
+	// context expired — zero on every clean swap.
+	Abandoned int `json:"abandoned"`
+	// UnixMicros timestamps the swap's completion.
+	UnixMicros int64 `json:"unix_us"`
 }
 
 // ModelStats is the GET /v2/models/{name}/stats response: the same

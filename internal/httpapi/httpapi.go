@@ -397,18 +397,8 @@ func (s *Server) handleModelStats(w http.ResponseWriter, r *http.Request, m *reg
 		Checksum:   st.Checksum,
 		Pending:    st.Pending,
 		Stats:      statsFor(m),
+		Swaps:      st.Swaps,
 		SharedStem: sharedWire(st.Shared),
-	}
-	for _, rec := range st.Swaps {
-		resp.Swaps = append(resp.Swaps, api.SwapRecord{
-			FromVersion:  rec.FromVersion,
-			ToVersion:    rec.ToVersion,
-			FromChecksum: rec.FromChecksum,
-			ToChecksum:   rec.ToChecksum,
-			DrainMicros:  rec.DrainMicros,
-			Abandoned:    rec.Abandoned,
-			UnixMicros:   rec.UnixMicros,
-		})
 	}
 	writeJSON(w, resp)
 }

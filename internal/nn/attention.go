@@ -69,8 +69,10 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 func (m *MultiHeadAttention) eachHead(n, t int, body func(u, off int, scale float32)) {
 	hd := m.D / m.Heads
 	scale := float32(1 / math.Sqrt(float64(hd)))
-	tensor.ParallelTasks(n*m.Heads, func(u int) {
-		body(u, u/m.Heads*t*m.D+u%m.Heads*hd, scale)
+	tensor.ParallelFor(n*m.Heads, t*t*hd, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			body(u, u/m.Heads*t*m.D+u%m.Heads*hd, scale)
+		}
 	})
 }
 
@@ -379,17 +381,7 @@ func (tp *TokenMeanPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, t, d := x.Dim(0), x.Dim(1), x.Dim(2)
 	tp.t = t
 	out := tensor.New(n, d)
-	xd, od := x.Data(), out.Data()
-	inv := 1 / float32(t)
-	for ni := 0; ni < n; ni++ {
-		dst := od[ni*d : (ni+1)*d]
-		for ti := 0; ti < t; ti++ {
-			src := xd[(ni*t+ti)*d : (ni*t+ti+1)*d]
-			for p := 0; p < d; p++ {
-				dst[p] += src[p] * inv
-			}
-		}
-	}
+	tensor.TokenMeanRows(out.Data(), x.Data(), t, d)
 	return out
 }
 

@@ -117,7 +117,7 @@ func (c *Conv2d) forward(dst, x *tensor.Tensor, train bool, ep epilogue) {
 	tensor.ConvRowsInto(s.rowsT.Rebind(*rowsBuf, c.OutC, s.m), c.Weight.Value, x, c.Kernel, c.Stride, pad)
 	s.rows, s.out = *rowsBuf, dst.Data()
 	if bn := ep.bn; bn != nil && train {
-		tensor.ParallelTasks(c.OutC, s.stats)
+		tensor.ParallelFor(c.OutC, s.m, s.stats)
 		c.fwd.invStd = append(c.fwd.invStd[:0], s.inv...)
 		s.normalized = true
 	} else if bn != nil {
@@ -126,7 +126,7 @@ func (c *Conv2d) forward(dst, x *tensor.Tensor, train bool, ep epilogue) {
 			s.inv[ch] = float32(1 / math.Sqrt(float64(v+bn.Eps)))
 		}
 	}
-	tensor.ParallelFor(n*c.OutC, s.fwdPlanes)
+	tensor.ParallelFor(n*c.OutC, s.hw, s.fwdPlanes)
 	if train && ep != (epilogue{}) {
 		c.fwd.rows = rowsBuf
 	} else {
@@ -157,8 +157,8 @@ func (c *Conv2d) backward(gradOut, gi *tensor.Tensor) {
 	}
 	s.out, s.dz = gradOut.Data(), *dzBuf
 	copy(s.inv, c.fwd.invStd)
-	tensor.ParallelFor(n*c.OutC, s.bwdPlanes)
-	tensor.ParallelTasks(c.OutC, s.grads)
+	tensor.ParallelFor(n*c.OutC, s.hw, s.bwdPlanes)
+	tensor.ParallelFor(c.OutC, s.m, s.grads)
 
 	// dWᵀ[K, OutC] = cols · dzᵀ over the padded input's columns at pad 0:
 	// every element sums the same products in the same order as dz · colsᵀ
@@ -214,7 +214,7 @@ type convJob struct {
 	srcT         tensor.Tensor
 	fwdPlanes    func(lo, hi int)
 	bwdPlanes    func(lo, hi int)
-	stats, grads func(ch int)
+	stats, grads func(lo, hi int)
 }
 
 var convJobs = sync.Pool{New: func() any {
@@ -247,31 +247,33 @@ func (s *convJob) put() {
 	convJobs.Put(s)
 }
 
-// batchStats adds channel ch's bias to its row and computes the row's batch
-// statistics in (image, pixel) order, as BatchNorm2d does, updating the
-// running averages.
-func (s *convJob) batchStats(ch int) {
+// batchStats adds each channel's bias in [lo, hi) to its row and computes
+// the row's batch statistics in (image, pixel) order, as BatchNorm2d does,
+// updating the running averages.
+func (s *convJob) batchStats(lo, hi int) {
 	bn := s.ep.bn
-	row, b := s.rows[ch*s.m:][:s.m], s.bias[ch]
 	cnt := float32(s.m)
-	var sum, sq float64
-	for i, v := range row {
-		v += b
-		row[i] = v
-		f := float64(v)
-		sum += f
-		sq += f * f
-	}
-	mean := float32(sum / float64(cnt))
-	variance := float32(sq/float64(cnt)) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	s.mean[ch] = mean
-	s.inv[ch] = float32(1 / math.Sqrt(float64(variance+bn.Eps)))
 	rm, rv := bn.RunningMean.Data(), bn.RunningVar.Data()
-	rm[ch] = (1-bn.Momentum)*rm[ch] + bn.Momentum*mean
-	rv[ch] = (1-bn.Momentum)*rv[ch] + bn.Momentum*variance
+	for ch := lo; ch < hi; ch++ {
+		row, b := s.rows[ch*s.m:][:s.m], s.bias[ch]
+		var sum, sq float64
+		for i, v := range row {
+			v += b
+			row[i] = v
+			f := float64(v)
+			sum += f
+			sq += f * f
+		}
+		mean := float32(sum / float64(cnt))
+		variance := float32(sq/float64(cnt)) - mean*mean
+		if variance < 0 {
+			variance = 0
+		}
+		s.mean[ch] = mean
+		s.inv[ch] = float32(1 / math.Sqrt(float64(variance+bn.Eps)))
+		rm[ch] = (1-bn.Momentum)*rm[ch] + bn.Momentum*mean
+		rv[ch] = (1-bn.Momentum)*rv[ch] + bn.Momentum*variance
+	}
 }
 
 // bnAffine is batch norm's output x̂·γ+β: one spelling for the forward and
@@ -390,14 +392,23 @@ func (s *convJob) preReLU(v, gam, bet float32) float32 {
 	return v
 }
 
-// channelGrads finishes channel ch's row of dz: batch norm's backward in
-// place, accumulating γ and β gradients, then the convolution's bias
-// gradient. Both sums run in (image, pixel) order, as BatchNorm2d and a
-// row-major bias sum do.
-func (s *convJob) channelGrads(ch int) {
-	dz := s.dz[ch*s.m:][:s.m]
-	cb := &s.biasGrad[ch]
-	if bn := s.ep.bn; bn != nil {
+// channelGrads finishes each channel's row of dz in [lo, hi): batch norm's
+// backward in place, accumulating γ and β gradients, then the
+// convolution's bias gradient. Both sums run in (image, pixel) order, as
+// BatchNorm2d and a row-major bias sum do.
+func (s *convJob) channelGrads(lo, hi int) {
+	bn := s.ep.bn
+	cnt := float32(s.m)
+	for ch := lo; ch < hi; ch++ {
+		dz := s.dz[ch*s.m:][:s.m]
+		acc := s.biasGrad[ch]
+		if bn == nil {
+			for _, g := range dz {
+				acc += g
+			}
+			s.biasGrad[ch] = acc
+			continue
+		}
 		xh := s.rows[ch*s.m:][:s.m]
 		var sumG, sumGX float64
 		for i, g := range dz {
@@ -406,21 +417,13 @@ func (s *convJob) channelGrads(ch int) {
 		}
 		bn.Gamma.Grad.Data()[ch] += float32(sumGX)
 		bn.Beta.Grad.Data()[ch] += float32(sumG)
-		cnt := float32(s.m)
 		mg, mgx := float32(sumG)/cnt, float32(sumGX)/cnt
 		gs := bn.Gamma.Value.Data()[ch] * s.inv[ch]
-		acc := *cb
 		for i, g := range dz {
 			d := gs * (g - mg - xh[i]*mgx)
 			dz[i] = d
 			acc += d
 		}
-		*cb = acc
-		return
+		s.biasGrad[ch] = acc
 	}
-	acc := *cb
-	for _, g := range dz {
-		acc += g
-	}
-	*cb = acc
 }

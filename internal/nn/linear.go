@@ -154,7 +154,7 @@ func addReLU(dst, a, b *tensor.Tensor) {
 	if len(x) != len(d) || (y != nil && len(y) != len(d)) {
 		panic(fmt.Sprintf("nn: addReLU sizes %d, %d, %d", len(d), len(x), len(y)))
 	}
-	tensor.ParallelFor(len(d), func(lo, hi int) {
+	tensor.ParallelFor(len(d), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := x[i]
 			if y != nil {
@@ -172,7 +172,7 @@ func reluGrad(dst, g, out *tensor.Tensor) {
 	if len(gd) != len(d) || len(od) != len(d) {
 		panic(fmt.Sprintf("nn: ReLU backward got gradient %v for output %v", g.Shape(), out.Shape()))
 	}
-	tensor.ParallelFor(len(d), func(lo, hi int) {
+	tensor.ParallelFor(len(d), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			d[i] = keepIfPositive(gd[i], od[i])
 		}
@@ -228,7 +228,7 @@ func (g *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g.in = x
 	out := tensor.New(x.Shape()...)
 	xd, od := x.Data(), out.Data()
-	tensor.ParallelFor(len(xd), func(lo, hi int) { tensor.GELURow(od[lo:hi], xd[lo:hi]) })
+	tensor.ParallelFor(len(xd), tensor.GELUWork, func(lo, hi int) { tensor.GELURow(od[lo:hi], xd[lo:hi]) })
 	return out
 }
 
@@ -236,7 +236,7 @@ func (g *GELU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (g *GELU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gi := tensor.New(gradOut.Shape()...)
 	xd, gd, god := g.in.Data(), gi.Data(), gradOut.Data()
-	tensor.ParallelFor(len(gd), func(lo, hi int) { tensor.GELUGradRow(gd[lo:hi], god[lo:hi], xd[lo:hi]) })
+	tensor.ParallelFor(len(gd), tensor.GELUWork, func(lo, hi int) { tensor.GELUGradRow(gd[lo:hi], god[lo:hi], xd[lo:hi]) })
 	g.in = nil
 	return gi
 }

@@ -230,7 +230,7 @@ func (ln *LayerNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
 	xd, od, xh := x.Data(), out.Data(), ln.xhat.Data()
 	d := ln.D
-	tensor.ParallelFor(rows, func(lo, hi int) {
+	tensor.ParallelFor(rows, d, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			ln.invStd[r] = tensor.LayerNormRow(od[r*d:][:d], xh[r*d:][:d], xd[r*d:][:d],
 				ln.Gamma.Value.Data(), ln.Beta.Value.Data(), ln.Eps)

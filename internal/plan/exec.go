@@ -27,8 +27,9 @@ type Instance struct {
 	regs  []*tensor.Tensor // value id -> tensor view over its slab
 	outs  map[int]*tensor.Tensor
 
-	runners    []func()      // op id -> bound kernel
-	waveBodies []func(i int) // per wave, dispatch body for ParallelTasks
+	runners    []func()           // op id -> bound kernel
+	waveBodies []func(lo, hi int) // per wave, the ParallelFor body running its ops [lo, hi)
+	waveWork   []int              // per wave, the floats one of its ops touches per sample
 
 	nanos []atomic.Int64 // op id -> cumulative execution nanoseconds
 	calls []atomic.Int64 // op id -> cumulative invocations
@@ -64,11 +65,21 @@ func (p *Plan) NewInstance() *Instance {
 	for _, o := range p.Ops {
 		inst.runners[o.ID] = o.spec.build(inst, o)
 	}
-	inst.waveBodies = make([]func(i int), len(p.Waves))
+	inst.waveBodies = make([]func(lo, hi int), len(p.Waves))
+	inst.waveWork = make([]int, len(p.Waves))
 	for w, ops := range p.Waves {
-		if len(ops) > 1 {
-			ops := ops
-			inst.waveBodies[w] = func(i int) { inst.runOp(ops[i]) }
+		inst.waveBodies[w] = func(lo, hi int) {
+			for _, id := range ops[lo:hi] {
+				inst.runOp(id)
+			}
+		}
+		for _, id := range ops { // an op's work: the floats of its main input, output and scratch
+			o := p.Ops[id]
+			f := p.Values[o.In].Elems() + p.Values[o.Out].Elems()
+			for _, v := range o.Scratch {
+				f += p.Values[v].Elems()
+			}
+			inst.waveWork[w] += f / len(ops)
 		}
 	}
 	return inst
@@ -243,12 +254,7 @@ func (inst *Instance) checkInput(x *tensor.Tensor) {
 // waves).
 func (inst *Instance) runWaves(lo, hi int) {
 	for w := lo; w < hi; w++ {
-		ops := inst.p.Waves[w]
-		if len(ops) == 1 {
-			inst.runOp(ops[0])
-		} else {
-			tensor.ParallelTasks(len(ops), inst.waveBodies[w])
-		}
+		tensor.ParallelFor(len(inst.p.Waves[w]), inst.batch*inst.waveWork[w], inst.waveBodies[w])
 	}
 }
 
@@ -315,7 +321,7 @@ func (s *convSpec) build(inst *Instance, o *Op) func() {
 		}
 		tensor.MatMulInto(rows, f.Weight, inst.regs[s.cols])
 		rd = rows.Data()
-		tensor.ParallelFor(inst.batch*f.OutC, epilogue)
+		tensor.ParallelFor(inst.batch*f.OutC, ohw, epilogue)
 	}
 }
 
@@ -372,7 +378,7 @@ func (s *bnSpec) build(inst *Instance, o *Op) func() {
 			}
 		}
 	}
-	return func() { tensor.ParallelFor(inst.batch*s.c, body) }
+	return func() { tensor.ParallelFor(inst.batch*s.c, s.hw, body) }
 }
 
 // ewSpec is an elementwise activation: ReLU when relu is set, GELU
@@ -384,7 +390,9 @@ type ewSpec struct {
 func (s *ewSpec) build(inst *Instance, o *Op) func() {
 	in, out := o.In, o.Out
 	var body func(lo, hi int)
+	work := tensor.GELUWork
 	if s.relu {
+		work = 1
 		body = func(lo, hi int) {
 			xd := inst.regs[in].Data()
 			dd := inst.regs[out].Data()
@@ -401,7 +409,7 @@ func (s *ewSpec) build(inst *Instance, o *Op) func() {
 			tensor.GELURow(inst.regs[out].Data()[lo:hi], inst.regs[in].Data()[lo:hi])
 		}
 	}
-	return func() { tensor.ParallelFor(inst.regs[out].Size(), body) }
+	return func() { tensor.ParallelFor(inst.regs[out].Size(), work, body) }
 }
 
 // addReluSpec fuses the residual join: dst = max(a + b, 0).
@@ -421,7 +429,7 @@ func (s *addReluSpec) build(inst *Instance, o *Op) func() {
 			}
 		}
 	}
-	return func() { tensor.ParallelFor(inst.regs[out].Size(), body) }
+	return func() { tensor.ParallelFor(inst.regs[out].Size(), 1, body) }
 }
 
 // maxPoolSpec is standalone max pooling (op-granularity graphs).
@@ -442,32 +450,15 @@ func (s *avgPoolSpec) build(inst *Instance, o *Op) func() {
 	return func() { tensor.AvgPoolGlobalInto(inst.regs[out], inst.regs[in]) }
 }
 
-// tokenMeanSpec averages tokens [N,T,D] -> [N,D].
+// tokenMeanSpec averages tokens [N,T,D] -> [N,D] (tensor.TokenMeanRows,
+// as nn.TokenMeanPool).
 type tokenMeanSpec struct {
 	t, d int
 }
 
 func (s *tokenMeanSpec) build(inst *Instance, o *Op) func() {
 	in, out := o.In, o.Out
-	inv := 1 / float32(s.t)
-	return func() {
-		xd := inst.regs[in].Data()
-		dd := inst.regs[out].Data()
-		for ni := 0; ni < inst.batch; ni++ {
-			dst := dd[ni*s.d : (ni+1)*s.d]
-			src := xd[ni*s.t*s.d : (ni*s.t+1)*s.d]
-			copy(dst, src)
-			for ti := 1; ti < s.t; ti++ {
-				row := xd[(ni*s.t+ti)*s.d:][:s.d]
-				for p, v := range row {
-					dst[p] += v
-				}
-			}
-			for p := range dst {
-				dst[p] *= inv
-			}
-		}
-	}
+	return func() { tensor.TokenMeanRows(inst.regs[out].Data(), inst.regs[in].Data(), s.t, s.d) }
 }
 
 // copySpec forwards data unchanged under a new shape (Flatten).

@@ -11,8 +11,8 @@ import (
 )
 
 // TestTransformerOpsMatchEagerBitForBit runs a compiled ViT, BERT and lone
-// GELU op by op and feeds each gelu, ln, addln, embed and patch op's own inputs to the
-// nn layer it was lowered from, rebuilt from the op's parameters. The plan
+// GELU op by op and feeds each gelu, ln, addln, embed, patch and tokenmean
+// op's own inputs to the nn layer it was lowered from, rebuilt from the op's parameters. The plan
 // op and the eager layer call the same tensor function, so every output
 // element must match exactly, on either kernel tier.
 func TestTransformerOpsMatchEagerBitForBit(t *testing.T) {
@@ -71,8 +71,8 @@ func TestTransformerOpsMatchEagerBitForBit(t *testing.T) {
 				}
 			}
 			for _, kind := range map[string][]string{
-				"bert":  {"gelu", "ln", "addln", "embed"},
-				"vit":   {"gelu", "ln", "addln", "patch"},
+				"bert":  {"gelu", "ln", "addln", "embed", "tokenmean"},
+				"vit":   {"gelu", "ln", "addln", "patch", "tokenmean"},
 				"tails": {"gelu"},
 			}[name] {
 				if checked[kind] == 0 {
@@ -109,6 +109,8 @@ func eagerOp(o *Op, in, in2 *tensor.Tensor) []*tensor.Tensor {
 		copy(e.Table.Value.Data(), s.table)
 		copy(e.Pos.Value.Data(), s.pos)
 		return []*tensor.Tensor{e.Forward(in, false)}
+	case *tokenMeanSpec:
+		return []*tensor.Tensor{nn.NewTokenMeanPool().Forward(in, false)}
 	case *patchSpec:
 		pe := nn.NewPatchEmbed(tensor.NewRNG(0), in.Dim(1), s.patch, s.d, s.t)
 		pe.Proj.Weight.Value = s.w.Clone()

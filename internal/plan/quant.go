@@ -123,7 +123,7 @@ func (s *qconvSpec) build(inst *Instance, o *Op) func() {
 		tensor.PutBufI8(xq)
 		tensor.QGEMMInto(rd, n*ohw, 1, w, f.OutC, *cols, n*ohw, kp, scales, nil)
 		tensor.PutBufI8(cols)
-		tensor.ParallelFor(n*f.OutC, epilogue)
+		tensor.ParallelFor(n*f.OutC, ohw, epilogue)
 	}
 }
 

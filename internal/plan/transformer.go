@@ -176,7 +176,7 @@ func (s *lnSpec) build(inst *Instance, o *Op) func() {
 			tensor.LayerNormRow(dd[r*s.d:][:s.d], nil, xd[r*s.d:][:s.d], s.gamma, s.beta, s.eps)
 		}
 	}
-	return func() { tensor.ParallelFor(inst.regs[out].Size()/s.d, body) }
+	return func() { tensor.ParallelFor(inst.regs[out].Size()/s.d, s.d, body) }
 }
 
 // addLNSpec fuses the residual join with the following layer norm: it
@@ -205,7 +205,7 @@ func (s *addLNSpec) build(inst *Instance, o *Op) func() {
 			tensor.LayerNormRow(dd[r*s.d:][:s.d], nil, srow, s.gamma, s.beta, s.eps)
 		}
 	}
-	return func() { tensor.ParallelFor(inst.regs[out].Size()/s.d, body) }
+	return func() { tensor.ParallelFor(inst.regs[out].Size()/s.d, s.d, body) }
 }
 
 // addSpec is the plain residual join: dst = a + b.
@@ -221,7 +221,7 @@ func (s *addSpec) build(inst *Instance, o *Op) func() {
 			dd[i] = ad[i] + bd[i]
 		}
 	}
-	return func() { tensor.ParallelFor(inst.regs[out].Size(), body) }
+	return func() { tensor.ParallelFor(inst.regs[out].Size(), 1, body) }
 }
 
 // attnSpec runs tiled flash attention over the packed [T, 3D] QKV
@@ -241,19 +241,21 @@ func (s *attnSpec) build(inst *Instance, o *Op) func() {
 	scale := float32(1 / math.Sqrt(float64(hd)))
 	unit := tensor.AttendWorkspace(s.bq, s.bk)
 	stride := 3 * s.d
-	body := func(u int) {
+	body := func(lo, hi int) {
 		qkv := inst.regs[in].Data()
 		ctx := inst.regs[out].Data()
 		wsd := inst.regs[s.ws].Data()
-		ni, h := u/s.heads, u%s.heads
-		base := ni * s.t * stride
-		q := qkv[base+h*hd:]
-		k := qkv[base+s.d+h*hd:]
-		v := qkv[base+2*s.d+h*hd:]
-		dst := ctx[ni*s.t*s.d+h*hd:]
-		tensor.FlashAttendHead(dst, s.d, q, k, v, stride, s.t, hd, scale, s.bq, s.bk, wsd[u*unit:][:unit])
+		for u := lo; u < hi; u++ {
+			ni, h := u/s.heads, u%s.heads
+			base := ni * s.t * stride
+			q := qkv[base+h*hd:]
+			k := qkv[base+s.d+h*hd:]
+			v := qkv[base+2*s.d+h*hd:]
+			dst := ctx[ni*s.t*s.d+h*hd:]
+			tensor.FlashAttendHead(dst, s.d, q, k, v, stride, s.t, hd, scale, s.bq, s.bk, wsd[u*unit:][:unit])
+		}
 	}
-	return func() { tensor.ParallelTasks(inst.batch*s.heads, body) }
+	return func() { tensor.ParallelFor(inst.batch*s.heads, s.t*s.t*hd, body) }
 }
 
 // patchSpec is the ViT stem, tensor.PatchEmbedInto over the cols2d

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/api"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/parser"
@@ -15,24 +16,6 @@ import (
 	"repro/internal/serve/batcher"
 	"repro/internal/tensor"
 )
-
-// SwapRecord is one completed hot swap in a model's history.
-type SwapRecord struct {
-	// FromVersion/ToVersion are the registry-assigned deploy generations.
-	FromVersion int `json:"from_version"`
-	ToVersion   int `json:"to_version"`
-	// FromChecksum/ToChecksum are the checkpoint content identities.
-	FromChecksum string `json:"from_checksum"`
-	ToChecksum   string `json:"to_checksum"`
-	// DrainMicros is how long the old deployment took to answer its
-	// admitted requests after the new one was published.
-	DrainMicros int64 `json:"drain_us"`
-	// Abandoned counts in-flight requests the drain gave up on because its
-	// context expired — zero on every clean swap.
-	Abandoned int `json:"abandoned"`
-	// UnixMicros timestamps the swap's completion.
-	UnixMicros int64 `json:"unix_us"`
-}
 
 // Snapshot is a read-only view of a model's current deployment, stable
 // for the duration of one request. Taking one costs an atomic load: no
@@ -67,7 +50,7 @@ type ModelStats struct {
 	// sheds (503); Failures counts malformed requests the API layer
 	// recorded against this model.
 	Rejected, Shed, Failures int64
-	Swaps                    []SwapRecord
+	Swaps                    []api.SwapRecord
 	// Pending is the number of admitted-but-unanswered requests.
 	Pending int
 	// Shared describes the model's shared-stem group, nil in a group of
@@ -95,7 +78,7 @@ type Model struct {
 	ewmaNS   atomic.Int64 // recent successful-request latency EWMA
 
 	hmu     sync.Mutex
-	history []SwapRecord
+	history []api.SwapRecord
 }
 
 // Name returns the registered model name.
@@ -208,7 +191,7 @@ func (m *Model) Stats() ModelStats {
 		st.Shared = d.group.sharedStats(st.Batcher.MixedBatches)
 	}
 	m.hmu.Lock()
-	st.Swaps = append([]SwapRecord(nil), m.history...)
+	st.Swaps = append([]api.SwapRecord(nil), m.history...)
 	m.hmu.Unlock()
 	return st
 }
@@ -259,11 +242,11 @@ func (m *Model) OpStats() (*plan.Plan, []plan.OpStat) {
 //
 // checksum may be "" for an in-memory graph, in which case the identity
 // is computed as parser.Sum would.
-func (m *Model) Swap(ctx context.Context, g *graph.Graph, checksum string) (SwapRecord, error) {
+func (m *Model) Swap(ctx context.Context, g *graph.Graph, checksum string) (api.SwapRecord, error) {
 	if checksum == "" {
 		sum, err := parser.Sum(g)
 		if err != nil {
-			return SwapRecord{}, fmt.Errorf("registry: checksumming swap of %q: %w", m.name, err)
+			return api.SwapRecord{}, fmt.Errorf("registry: checksumming swap of %q: %w", m.name, err)
 		}
 		checksum = sum
 	}
@@ -272,7 +255,7 @@ func (m *Model) Swap(ctx context.Context, g *graph.Graph, checksum string) (Swap
 
 // swapTo places the model with its next version, then drains what the
 // placement replaced and records the swap.
-func (m *Model) swapTo(ctx context.Context, g *graph.Graph, checksum, source string) (SwapRecord, error) {
+func (m *Model) swapTo(ctx context.Context, g *graph.Graph, checksum, source string) (api.SwapRecord, error) {
 	r := m.reg
 	r.topoMu.Lock()
 	old := m.cur.Load()
@@ -283,12 +266,12 @@ func (m *Model) swapTo(ctx context.Context, g *graph.Graph, checksum, source str
 	}
 	r.topoMu.Unlock()
 	if err != nil {
-		return SwapRecord{}, err
+		return api.SwapRecord{}, err
 	}
 	t0 := time.Now()
 	abandoned, stopErr := drainBatchers(ctx, stale)
 	drain := time.Since(t0)
-	rec := SwapRecord{
+	rec := api.SwapRecord{
 		FromVersion: old.version, ToVersion: old.version + 1,
 		FromChecksum: old.checksum, ToChecksum: checksum,
 		DrainMicros: drain.Microseconds(),
@@ -311,24 +294,24 @@ func (m *Model) swapTo(ctx context.Context, g *graph.Graph, checksum, source str
 // the content checksum changed. It reports whether a swap happened;
 // (false, zero, nil) means the file still has the serving version's
 // checksum. Models registered from memory cannot Reload.
-func (m *Model) Reload(ctx context.Context) (bool, SwapRecord, error) {
+func (m *Model) Reload(ctx context.Context) (bool, api.SwapRecord, error) {
 	if m.path == "" {
-		return false, SwapRecord{}, fmt.Errorf("registry: model %q has no source checkpoint", m.name)
+		return false, api.SwapRecord{}, fmt.Errorf("registry: model %q has no source checkpoint", m.name)
 	}
 	d := m.cur.Load()
 	if d == nil {
-		return false, SwapRecord{}, ErrClosed
+		return false, api.SwapRecord{}, ErrClosed
 	}
 	g, sum, err := parser.LoadFileSum(m.path)
 	if err != nil {
-		return false, SwapRecord{}, fmt.Errorf("registry: reloading %q: %w", m.name, err)
+		return false, api.SwapRecord{}, fmt.Errorf("registry: reloading %q: %w", m.name, err)
 	}
 	if sum == d.checksum {
-		return false, SwapRecord{}, nil
+		return false, api.SwapRecord{}, nil
 	}
 	if m.opts.Prepare != nil {
 		if err := m.opts.Prepare(g); err != nil {
-			return false, SwapRecord{}, fmt.Errorf("registry: preparing %q: %w", m.name, err)
+			return false, api.SwapRecord{}, fmt.Errorf("registry: preparing %q: %w", m.name, err)
 		}
 	}
 	rec, err := m.swapTo(ctx, g, sum, m.path)

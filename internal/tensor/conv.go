@@ -218,7 +218,7 @@ func Im2ColCMInto(cols, x *Tensor, kh, kw, stride, pad int) {
 		panic(fmt.Sprintf("tensor: Im2ColCMInto dst %v, want [%d %d]", cols.shape, c*kh*kw, n*oh*ow))
 	}
 	jb := getUnfoldJob(x.data, cols.data, n, c, h, w, kh, kw, stride, pad)
-	parallelFor(c*kh*kw*n, jb.unfoldCM)
+	ParallelFor(c*kh*kw*n, oh*ow, jb.unfoldCM)
 	putUnfoldJob(jb)
 }
 
@@ -233,7 +233,7 @@ func Col2ImCMInto(dst, cols *Tensor, kh, kw, stride, pad int) {
 		panic(fmt.Sprintf("tensor: Col2ImCMInto cols %v for out %v", cols.shape, dst.shape))
 	}
 	jb := getUnfoldJob(dst.data, cols.data, n, c, h, w, kh, kw, stride, pad)
-	parallelFor(n*c, jb.foldCM)
+	ParallelFor(n*c, kh*kw*oh*ow, jb.foldCM)
 	putUnfoldJob(jb)
 }
 
@@ -280,7 +280,7 @@ func MaxPoolInto(dst, x *Tensor, k, stride int, arg []byte) {
 	jb := maxPoolJobs.Get().(*maxPoolJob)
 	jb.xd, jb.od, jb.arg = x.data, dst.data, arg
 	jb.h, jb.w, jb.oh, jb.ow, jb.k, jb.st = h, w, oh, ow, k, stride
-	parallelFor(n*c, jb.body)
+	ParallelFor(n*c, h*w, jb.body)
 	jb.xd, jb.od, jb.arg = nil, nil, nil
 	maxPoolJobs.Put(jb)
 }
@@ -483,7 +483,7 @@ func InterpolateInto(dst, x *Tensor) {
 	jb := interpJobs.Get().(*interpJob)
 	jb.xd, jb.od = x.data, dst.data
 	jb.h, jb.w, jb.outH, jb.outW = h, w, outH, outW
-	parallelFor(n*c, jb.body)
+	ParallelFor(n*c, outH*outW, jb.body)
 	jb.xd, jb.od = nil, nil
 	interpJobs.Put(jb)
 }
@@ -537,7 +537,7 @@ func InterpolateBackward(gradOut *Tensor, h, w int) *Tensor {
 	sy := float32(h) / float32(outH)
 	sx := float32(w) / float32(outW)
 	gd, god := gi.data, gradOut.data
-	parallelFor(n*c, func(lo, hi int) {
+	ParallelFor(n*c, outH*outW, func(lo, hi int) {
 		for nc := lo; nc < hi; nc++ {
 			base := nc * h * w
 			obase := nc * outH * outW

@@ -110,10 +110,10 @@ func ConvRowsInto(dst, w, x *Tensor, k, stride, pad int) {
 		jb.span = (oh-1)*wp + ow
 		gridBuf := GetBufDirty(jb.oc * n * jb.span)
 		jb.gd = *gridBuf
-		parallelFor(n, jb.tiles)
+		ParallelFor(n, jb.oc*kk*jb.span, jb.tiles)
 		PutBuf(gridBuf)
 	} else {
-		parallelFor(n*oh, jb.tiles)
+		ParallelFor(n*oh, jb.oc*kk*ow, jb.tiles)
 	}
 	jb.xd, jb.wd, jb.dd, jb.sd, jb.gd = nil, nil, nil, nil, nil
 	PutBuf(xpBuf)
@@ -166,8 +166,8 @@ func ConvWeightGradInto(dst, dz, x *Tensor, k, stride, pad int) {
 	clear(jb.gd)
 	jb.oc, jb.kk, jb.m, jb.strips = oc, kk, m, strips
 	jb.img, jb.hp, jb.wp, jb.oh, jb.ow = c*hp*wp, hp, wp, oh, ow
-	parallelFor(m, jb.packDz)
-	ParallelTasks(tiles, jb.dwTile)
+	ParallelFor(m, strips*8, jb.packDz)
+	ParallelFor(tiles, 64*strips*m, jb.dwTile)
 	for r := 0; r < kk; r++ {
 		copy(dst.data[r*oc:][:oc], jb.gd[r*strips*8:])
 	}
@@ -190,7 +190,7 @@ func PadInto(dst, x *Tensor, pad int) {
 	}
 	jb := convRowsJobs.Get().(*convRowsJob)
 	jb.setPad(dst.data, x.data, h, w, pad)
-	parallelFor(n*c, jb.pad)
+	ParallelFor(n*c, jb.hp*jb.wp, jb.pad)
 	jb.xd, jb.sd = nil, nil
 	convRowsJobs.Put(jb)
 }
@@ -215,7 +215,7 @@ type convRowsJob struct {
 	own                []float32 // grow-only: the padded weight, or ConvWeightGradInto's packed dz and gradient tiles
 	colsT              Tensor    // the unfold's columns, where a shape takes it
 	pad, tiles, packDz func(lo, hi int)
-	dwTile             func(i int)
+	dwTile             func(lo, hi int)
 }
 
 var convRowsJobs = sync.Pool{New: func() any {
@@ -234,7 +234,7 @@ func (jb *convRowsJob) padInput(x *Tensor, pad int) *[]float32 {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	buf := GetBufDirty(n * c * (h + 2*pad) * (w + 2*pad))
 	jb.setPad(*buf, x.data, h, w, pad)
-	parallelFor(n*c, jb.pad)
+	ParallelFor(n*c, jb.hp*jb.wp, jb.pad)
 	return buf
 }
 
@@ -280,17 +280,20 @@ func (jb *convRowsJob) runPackDz(lo, hi int) {
 	}
 }
 
-// runDWTile accumulates weight-gradient tile i, taps 8i..8i+7. Output rows
-// run in order, so every element sums the pixels in ascending order. The
-// last tile may run past the last tap: its extra rows read the last tap
-// again (the offset table repeats it) into rows of gd that are dropped.
-func (jb *convRowsJob) runDWTile(i int) {
+// runDWTile accumulates weight-gradient tiles [lo, hi), tile i being taps
+// 8i..8i+7. Output rows run in order, so every element sums the pixels in
+// ascending order. The last tile may run past the last tap: its extra rows
+// read the last tap again (the offset table repeats it) into rows of gd
+// that are dropped.
+func (jb *convRowsJob) runDWTile(lo, hi int) {
 	ldc, m, ow, wp, oh := jb.strips*8, jb.m, jb.ow, jb.wp, jb.oh
-	for s := 0; s < jb.strips; s++ {
-		c := &jb.gd[i*8*ldc+s*8]
-		for ro := 0; ro < m/ow; ro++ {
-			q, bp := ro/oh*jb.img+ro%oh*wp, &jb.dd[(s*m+ro*ow)*8]
-			convDW8x8(ow, &jb.xd[q], &jb.off[i*8], bp, c, ldc)
+	for i := lo; i < hi; i++ {
+		for s := 0; s < jb.strips; s++ {
+			c := &jb.gd[i*8*ldc+s*8]
+			for ro := 0; ro < m/ow; ro++ {
+				q, bp := ro/oh*jb.img+ro%oh*wp, &jb.dd[(s*m+ro*ow)*8]
+				convDW8x8(ow, &jb.xd[q], &jb.off[i*8], bp, c, ldc)
+			}
 		}
 	}
 }

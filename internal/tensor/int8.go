@@ -164,7 +164,7 @@ func QuantizeI8Into(dst []int8, src []float32, n, c, hw int, scale float32) {
 	}
 	jb := getQuantJob(dst, src, scale)
 	jb.c, jb.hw, jb.tiles = c, hw, (hw+quantTile-1)/quantTile
-	parallelFor(n*jb.tiles, jb.hwcBody)
+	ParallelFor(n*jb.tiles, c*quantTile, jb.hwcBody)
 	putQuantJob(jb)
 }
 
@@ -178,7 +178,7 @@ func QuantizeRowsI8Into(dst []int8, src []float32, rows, k, kp int, scale float3
 	}
 	jb := getQuantJob(dst, src, scale)
 	jb.k, jb.kp = k, kp
-	parallelFor(rows, jb.rowsBody)
+	ParallelFor(rows, kp, jb.rowsBody)
 	putQuantJob(jb)
 }
 
@@ -335,7 +335,7 @@ func QGEMMInto(c []float32, rs, cs int, a []int8, m int, b []int8, n, kp int, sc
 	jb.c, jb.rs, jb.cs, jb.a, jb.b = c, rs, cs, a, b
 	jb.m, jb.n, jb.kp, jb.scales, jb.bias = m, n, kp, scales, bias
 	jb.tiles = (n + qgemmTileCols - 1) / qgemmTileCols
-	parallelFor((m+3)/4*jb.tiles, jb.body)
+	ParallelFor((m+3)/4*jb.tiles, 4*qgemmTileCols*kp, jb.body)
 	jb.c, jb.a, jb.b, jb.scales, jb.bias = nil, nil, nil, nil, nil
 	qgemmJobs.Put(jb)
 }
@@ -430,7 +430,7 @@ func Im2ColI8Into(cols, x []int8, n, c, h, w, kh, kw, stride, pad int) {
 	jb.xd, jb.cd = x, cols
 	jb.c, jb.h, jb.w, jb.oh, jb.ow = c, h, w, oh, ow
 	jb.kh, jb.kw, jb.stride, jb.pad, jb.kp = kh, kw, stride, pad, kp
-	parallelFor(n*oh, jb.body)
+	ParallelFor(n*oh, ow*kp, jb.body)
 	jb.xd, jb.cd = nil, nil
 	im2colI8Jobs.Put(jb)
 }

@@ -158,7 +158,7 @@ func gemmBlocked(dd, ad, bd []float32, m, n, k int, transB bool, gp gemmParams) 
 	} else {
 		e.goFull = goGemm8x8
 	}
-	parallelFor(m, e.zero)
+	ParallelFor(m, n, e.zero)
 	maxW := nc
 	if n < maxW {
 		maxW = n
@@ -178,7 +178,7 @@ func gemmBlocked(dd, ad, bd []float32, m, n, k int, transB bool, gp gemmParams) 
 			}
 			e.j0, e.jw, e.p0, e.kw = j0, jw, p0, kw
 			e.nstrips = (jw + nr - 1) / nr
-			parallelFor(ntiles, e.tiles)
+			ParallelFor(ntiles, mr*jw*kw, e.tiles)
 		}
 	}
 	PutBuf(buf)

@@ -6,67 +6,78 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the persistent worker pool behind every parallel
-// kernel in the package. The previous design spawned fresh goroutines on
-// each parallelFor call, which showed up as scheduler and stack-allocation
-// overhead during simulated-annealing search where kernels fire millions of
-// times. The pool starts GOMAXPROCS long-lived workers on first use and
-// feeds them chunk tasks over a channel.
+// This file is the persistent worker pool and its one loop, ParallelFor,
+// behind every parallel kernel in the program. The pool starts GOMAXPROCS
+// long-lived workers on first use, so a call spawns no goroutines.
 //
-// Determinism note: a task computes a half-open index range [lo,hi) of
-// independent outputs, so the floating-point result of a kernel is
-// identical no matter how chunks are distributed over workers (or run
-// inline). The optimizer determinism test in internal/core relies
-// on this.
+// A caller states what one index of its loop costs, and ParallelFor alone
+// turns that into a split: a loop of at most one grain runs inline, an
+// index of a grain or more is a chunk of its own, and anything between
+// splits into equal chunks, at most one per worker. No caller reads the
+// pool's width or picks a primitive. Workers join a call through a helper
+// token on a shared queue and then claim its chunks one at a time from an
+// atomic counter, so a call costs one queue operation per helper, not per
+// chunk, and a worker that finishes early takes the next chunk.
+//
+// Determinism: a chunk computes a half-open index range [lo,hi) of
+// independent outputs, so the floating-point result of a kernel is the
+// same however its chunks are distributed over workers (or run inline).
+// A split never changes what a body computes or the order in which it
+// reduces.
 
-// join tracks the outstanding tasks of one ParallelFor/ParallelTasks call.
-// Joins are recycled through a sync.Pool so the steady-state execution-plan
-// path (plan.Instance.Execute) performs zero allocations per forward; done
-// therefore carries a single completion token — sent by whichever goroutine
-// finishes the last task, consumed exactly once by the waiter — instead of
-// being closed (a closed channel could not be reused).
-type join struct {
-	remaining atomic.Int32
-	done      chan struct{}
+// grain is the least work, in floats touched or FMAs, worth handing to
+// another worker: about 10 µs of streaming work, several times the cost of
+// waking one. It is set from the table of calls and work per call site
+// measured on the benchmark's search, CNN, BERT and shared-stem serving
+// workloads (CHANGES.md): the plan's and nn's elementwise loops fall below
+// it; the training fold, epilogue planes and pad at the search's first
+// stages, and GEMM tiles, lie above it.
+const grain = 1 << 14
+
+// job is one ParallelFor call: chunk c is [c·per, min((c+1)·per, n)).
+// Jobs are recycled through a sync.Pool so the steady-state execution-plan
+// path (plan.Instance.Execute) performs zero allocations per forward. done
+// carries a single completion token — sent by whichever goroutine finishes
+// the last chunk, consumed exactly once by the caller — instead of being
+// closed (a closed channel could not be reused). refs counts the caller and
+// the helper tokens still to be dequeued; the last to let go recycles the
+// job, so a token dequeued after the call returned finds no chunk left
+// rather than a later call's.
+type job struct {
+	body         func(lo, hi int)
+	n, per, size int // indices, indices per chunk, chunks
+	next         atomic.Int64
+	remaining    atomic.Int32 // chunks not yet finished
+	refs         atomic.Int32
+	done         chan struct{}
 }
 
-var joinPool = sync.Pool{New: func() any {
-	return &join{done: make(chan struct{}, 1)}
+var jobPool = sync.Pool{New: func() any {
+	return &job{done: make(chan struct{}, 1)}
 }}
 
-// newJoin leases a join expecting n task completions.
-func newJoin(n int32) *join {
-	j := joinPool.Get().(*join)
-	j.remaining.Store(n)
-	return j
-}
-
-func (j *join) finish() {
-	if j.remaining.Add(-1) == 0 {
-		j.done <- struct{}{}
+// work claims and runs chunks until none is left.
+func (j *job) work() {
+	for c := int(j.next.Add(1) - 1); c < j.size; c = int(j.next.Add(1) - 1) {
+		j.body(c*j.per, min((c+1)*j.per, j.n))
+		if j.remaining.Add(-1) == 0 {
+			j.done <- struct{}{}
+		}
 	}
 }
 
-// poolTask is one unit of pool work: either a [lo,hi) chunk of a
-// ParallelFor body, or (when idxBody is set) a single ParallelTasks index.
-type poolTask struct {
-	lo, hi  int
-	body    func(lo, hi int)
-	idxBody func(i int)
-	join    *join
-}
-
-func (t *poolTask) run() {
-	if t.idxBody != nil {
-		t.idxBody(t.lo)
-	} else {
-		t.body(t.lo, t.hi)
+func (j *job) release() {
+	if j.refs.Add(-1) == 0 {
+		j.body = nil
+		jobPool.Put(j)
 	}
 }
 
 var (
-	poolOnce  sync.Once
-	poolTasks chan poolTask
+	poolOnce sync.Once
+	// poolHelpers queues helper tokens: a worker that dequeues one works
+	// on that job.
+	poolHelpers chan *job
 	// poolWorkers is the number of persistent workers, fixed at first use.
 	poolWorkers int
 )
@@ -76,127 +87,94 @@ var (
 func startPool() {
 	poolOnce.Do(func() {
 		poolWorkers = runtime.GOMAXPROCS(0)
-		poolTasks = make(chan poolTask, 4*poolWorkers)
+		poolHelpers = make(chan *job, 4*poolWorkers)
 		for i := 0; i < poolWorkers; i++ {
 			go func() {
-				for t := range poolTasks {
-					t.run()
-					t.join.finish()
+				for j := range poolHelpers {
+					j.work()
+					j.release()
 				}
 			}()
 		}
 	})
 }
 
-// Workers returns the parallel width of the kernel worker pool.
-func Workers() int {
+// ParallelFor runs body over [0,n) on the shared worker pool, in disjoint
+// ascending ranges [lo,hi) that cover every index exactly once. work is the
+// caller's estimate of one index's cost, in floats touched or FMAs, from
+// shapes it already holds. The split depends on n·work and the pool alone:
+// at most one grain runs inline as body(0, n); an index of a grain or more
+// is a chunk of its own; otherwise the range splits into one equal chunk
+// per grain started, at most one per worker.
+//
+// The pool is safe to enter from any number of goroutines at once, and
+// bodies may themselves call ParallelFor (the plan's waves run ops that
+// do). The caller runs the first chunk itself, then claims chunks beside
+// its helpers. Helper tokens are enqueued without blocking — with the queue
+// full the caller runs the chunks itself — and while its last chunks finish
+// elsewhere the caller helps with whatever is queued instead of parking
+// (see wait). A call allocates nothing.
+func ParallelFor(n, work int, body func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
 	startPool()
-	return poolWorkers
+	work = max(work, 1)
+	total := n * work
+	if n == 1 || poolWorkers == 1 || total <= grain {
+		body(0, n)
+		return
+	}
+	per := 1 // a heavy index is a chunk of its own
+	if work < grain {
+		chunks := min(poolWorkers, (total+grain-1)/grain)
+		per = (n + chunks - 1) / chunks
+	}
+	j := jobPool.Get().(*job)
+	j.body, j.n, j.per, j.size = body, n, per, (n+per-1)/per
+	j.next.Store(1) // chunk 0 is the caller's
+	j.remaining.Store(int32(j.size))
+	j.refs.Store(1)
+	// The caller holds one core, so the other workers are enough helpers.
+	for h := min(j.size, poolWorkers) - 1; h > 0; h-- {
+		j.refs.Add(1)
+		select {
+		case poolHelpers <- j:
+			continue
+		default:
+		}
+		j.refs.Add(-1) // queue full (heavy concurrent load)
+		break
+	}
+	body(0, per)
+	if j.remaining.Add(-1) == 0 {
+		j.done <- struct{}{}
+	}
+	j.work()
+	j.wait()
 }
 
-// waitJoin blocks until j's completion token arrives, then recycles j.
-// While waiting it executes whatever is queued — its own tasks, or another
-// caller's. A nested parallel call whose tasks were stolen by workers that
-// are themselves blocked here still completes, because those workers are
-// draining the queue too; every waiter makes global progress, which is what
-// rules out deadlock under nesting.
-func waitJoin(j *join) {
+// wait blocks until the job's completion token arrives, then lets go of
+// the job. While waiting it works on whatever is queued — its own job's
+// helper tokens, or another caller's. A nested call whose chunks were
+// claimed by workers that are themselves waiting here still completes,
+// because those workers keep working too; every waiter makes progress,
+// which is what rules out deadlock under nesting.
+func (j *job) wait() {
 	for {
 		select {
 		case <-j.done:
-			joinPool.Put(j)
+			j.release()
 			return
 		default:
 		}
 		select {
 		case <-j.done:
-			joinPool.Put(j)
+			j.release()
 			return
-		case t := <-poolTasks:
-			t.run()
-			t.join.finish()
+		case h := <-poolHelpers:
+			h.work()
+			h.release()
 		}
 	}
 }
-
-// ParallelFor splits [0,n) into chunks and runs body on each concurrently
-// using the shared worker pool. body must treat its [lo,hi) range as
-// exclusive: ranges never overlap, and every index in [0,n) is covered
-// exactly once. Small n runs inline with no synchronization.
-//
-// The pool is safe to enter from any number of goroutines at once, and
-// bodies may themselves call ParallelFor (the fused-engine branch pattern).
-// Chunks are enqueued without blocking — a full queue falls back to inline
-// execution — and a caller waiting for its chunks helps drain the shared
-// queue instead of parking (see waitJoin).
-func ParallelFor(n int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	startPool()
-	w := poolWorkers
-	if w > n {
-		w = n
-	}
-	if w <= 1 || n < 64 {
-		body(0, n)
-		return
-	}
-	chunk := (n + w - 1) / w
-	nsub := (n - 1) / chunk // chunks beyond the first, which runs on the caller
-	if nsub == 0 {
-		body(0, n)
-		return
-	}
-	j := newJoin(int32(nsub))
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		select {
-		case poolTasks <- poolTask{lo: lo, hi: hi, body: body, join: j}:
-		default:
-			// Queue full (heavy concurrent load): execute inline.
-			body(lo, hi)
-			j.finish()
-		}
-	}
-	// Run the first chunk inline so the submitting goroutine contributes
-	// work instead of just blocking.
-	body(0, chunk)
-	waitJoin(j)
-}
-
-// ParallelTasks runs body(i) for each i in [0,n) concurrently, dispatching
-// every index as its own pool task. Unlike ParallelFor — whose n<64 inline
-// cutoff is tuned for per-element loops — ParallelTasks parallelizes even
-// tiny n, because each index is a coarse work item: the execution plan's
-// wave schedule runs two or three whole fused ops per call. Index 0 runs on
-// the caller; the wait helps drain the shared queue like ParallelFor.
-func ParallelTasks(n int, body func(i int)) {
-	if n <= 0 {
-		return
-	}
-	startPool()
-	if n == 1 || poolWorkers <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	j := newJoin(int32(n - 1))
-	for i := 1; i < n; i++ {
-		select {
-		case poolTasks <- poolTask{lo: i, idxBody: body, join: j}:
-		default:
-			body(i)
-			j.finish()
-		}
-	}
-	body(0)
-	waitJoin(j)
-}
-
-// parallelFor is the package-internal spelling used by the kernels.
-func parallelFor(n int, body func(lo, hi int)) { ParallelFor(n, body) }

@@ -6,51 +6,111 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestMain raises GOMAXPROCS so the worker pool runs genuinely parallel
 // even on single-core CI machines; the pool sizes itself at first use, and
-// inline fallbacks would otherwise hide races from -race runs.
+// inline fallbacks would otherwise hide races from -race runs. A GOMAXPROCS
+// set in the environment is kept, so the pool can be tested at any width.
 func TestMain(m *testing.M) {
-	if runtime.GOMAXPROCS(0) < 4 {
+	if os.Getenv("GOMAXPROCS") == "" && runtime.GOMAXPROCS(0) < 4 {
 		runtime.GOMAXPROCS(4)
 	}
 	os.Exit(m.Run())
 }
 
-func TestWorkersAtLeastOne(t *testing.T) {
-	if w := Workers(); w < 1 {
-		t.Fatalf("Workers() = %d", w)
-	}
-}
-
-// TestParallelForCoversRange asserts the chunking covers every index
-// exactly once, for sizes around the inline cutoff and chunk boundaries.
+// TestParallelForCoversRange asserts the split covers every index exactly
+// once, in non-empty ranges, for sizes around chunk boundaries and for a
+// light (one float per index) and a heavy (a grain per index) body.
 func TestParallelForCoversRange(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 127, 1000, 4096} {
-		visits := make([]int32, n)
-		ParallelFor(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&visits[i], 1)
-			}
-		})
-		for i, v := range visits {
-			if v != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, v)
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 100000} {
+		for _, work := range []int{1, grain} {
+			visits := make([]int32, n)
+			ParallelFor(n, work, func(lo, hi int) {
+				if lo >= hi {
+					t.Errorf("n=%d work=%d: empty range [%d,%d)", n, work, lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&visits[i], 1)
+				}
+			})
+			for i, v := range visits {
+				if v != 1 {
+					t.Fatalf("n=%d work=%d: index %d visited %d times", n, work, i, v)
+				}
 			}
 		}
 	}
 }
 
+// TestParallelForHeavyPairSplits asserts two heavy indices run on two
+// goroutines at once: each waits for the other to start, which a single
+// goroutine running both in turn never sees.
+func TestParallelForHeavyPairSplits(t *testing.T) {
+	startPool()
+	if poolWorkers < 2 {
+		t.Skipf("pool has %d worker", poolWorkers)
+	}
+	var started atomic.Int32
+	ParallelFor(2, grain, func(lo, hi int) {
+		if hi-lo != 1 {
+			t.Errorf("heavy index range [%d,%d), want one index", lo, hi)
+		}
+		started.Add(1)
+		for deadline := time.Now().Add(10 * time.Second); started.Load() < 2; {
+			if time.Now().After(deadline) {
+				t.Errorf("index %d: the other index never started alongside it", lo)
+				return
+			}
+			runtime.Gosched()
+		}
+	})
+}
+
+// TestParallelForLightRunsInline asserts a large loop of at most one grain
+// of work is one call body(0, n); ParallelFor always runs its first chunk
+// on the caller, so that call ran there. One float past the grain splits.
+func TestParallelForLightRunsInline(t *testing.T) {
+	startPool()
+	for _, tc := range []struct{ n, calls int }{{grain, 1}, {grain + 1, min(2, poolWorkers)}} {
+		var calls atomic.Int32
+		ParallelFor(tc.n, 1, func(lo, hi int) {
+			calls.Add(1)
+			if tc.calls == 1 && (lo != 0 || hi != tc.n) {
+				t.Errorf("n=%d: inline call ran [%d,%d)", tc.n, lo, hi)
+			}
+		})
+		if got := int(calls.Load()); got != tc.calls {
+			t.Errorf("n=%d light loop ran in %d calls, want %d", tc.n, got, tc.calls)
+		}
+	}
+}
+
+// TestParallelForAllocatesNothing asserts a call allocates nothing, inline
+// and dispatched.
+func TestParallelForAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items, so joins reallocate")
+	}
+	var sink atomic.Int64
+	body := func(lo, hi int) { sink.Add(int64(hi - lo)) }
+	for _, work := range []int{1, grain} {
+		if a := testing.AllocsPerRun(100, func() { ParallelFor(64, work, body) }); a != 0 {
+			t.Errorf("work %d: %v allocations per call, want 0", work, a)
+		}
+	}
+}
+
 // TestParallelForNested asserts a ParallelFor body may itself call
-// ParallelFor (the fused-engine branch pattern) without deadlock and with
+// ParallelFor (the plan's waves run ops that do) without deadlock and with
 // full coverage.
 func TestParallelForNested(t *testing.T) {
 	const outer, inner = 256, 256
 	var total atomic.Int64
-	ParallelFor(outer, func(lo, hi int) {
+	ParallelFor(outer, grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ParallelFor(inner, func(jlo, jhi int) {
+			ParallelFor(inner, grain, func(jlo, jhi int) {
 				total.Add(int64(jhi - jlo))
 			})
 		}
@@ -71,7 +131,7 @@ func TestParallelForConcurrent(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 50; rep++ {
 				visits := make([]int32, 512)
-				ParallelFor(len(visits), func(lo, hi int) {
+				ParallelFor(len(visits), grain/64, func(lo, hi int) {
 					for i := lo; i < hi; i++ {
 						atomic.AddInt32(&visits[i], 1)
 					}

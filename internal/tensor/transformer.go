@@ -20,6 +20,12 @@ const (
 	geluC1 = 0.044715
 )
 
+// GELUWork is what one element of GELURow or GELUGradRow costs, in the
+// units ParallelFor's work counts: its float64 tanh takes about 60 ns, as
+// long as streaming 80 floats through an add (0.75 ns each on a 2-core
+// Xeon).
+const GELUWork = 80
+
 // GELURow writes dst[i] = GELU(src[i]), the tanh approximation
 // 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))) evaluated in float64.
 func GELURow(dst, src []float32) {
@@ -70,6 +76,25 @@ func LayerNormRow(dst, xhat, src, gamma, beta []float32, eps float32) float32 {
 		dst[i] = xv*gamma[i] + beta[i]
 	}
 	return inv
+}
+
+// TokenMeanRows averages each sample's t token rows of d floats in src into
+// its row of dst: the tokens are summed in order, then the sum is scaled by
+// 1/t.
+func TokenMeanRows(dst, src []float32, t, d int) {
+	inv := 1 / float32(t)
+	for ni := 0; ni < len(dst)/d; ni++ {
+		row := dst[ni*d:][:d]
+		copy(row, src[ni*t*d:][:d])
+		for ti := 1; ti < t; ti++ {
+			for p, v := range src[(ni*t+ti)*d:][:d] {
+				row[p] += v
+			}
+		}
+		for p := range row {
+			row[p] *= inv
+		}
+	}
 }
 
 // EmbedRows is the token stem's gather: for each token id in ids (integral
