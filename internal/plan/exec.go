@@ -471,11 +471,13 @@ func (s *copySpec) build(inst *Instance, o *Op) func() {
 
 // linearSpec is a fully connected layer with folded bias; token inputs
 // [N,T,D] are viewed as [N*T,D]. The 2-D views are tensor headers rebuilt
-// only when the batch changes.
+// only when the batch changes. The bias and the optional GELU or residual
+// add run in the row epilogue.
 type linearSpec struct {
 	in, out int
 	w       *tensor.Tensor // [in, out], plan-owned copy
 	bias    []float32
+	gelu    bool
 }
 
 func (s *linearSpec) build(inst *Instance, o *Op) func() {
@@ -485,6 +487,7 @@ func (s *linearSpec) build(inst *Instance, o *Op) func() {
 	inputFed := inV == inst.p.InValue
 	var x2d, y2d *tensor.Tensor
 	bound := -1
+	epilogue := rowEpilogue(inst, o, s.bias, s.out, s.gelu)
 	return func() {
 		x := inst.regs[inV]
 		y := inst.regs[outV]
@@ -495,14 +498,53 @@ func (s *linearSpec) build(inst *Instance, o *Op) func() {
 			bound = inst.batch
 		}
 		tensor.MatMulInto(y2d, x2d, s.w)
-		yd := y2d.Data()
-		for r := 0; r < rows; r++ {
-			row := yd[r*s.out:][:s.out]
-			for j := range row {
-				row[j] += s.bias[j]
+		epilogue(rows)
+	}
+}
+
+// rowEpilogue returns the linear ops' row tail, run on the worker pool over
+// the d-wide rows of o.Out once the GEMM has stored them: add bias (nil when
+// the GEMM stored it, as the int8 one does), then apply GELU when gelu is
+// set, or add the same row of the residual input o.In2 when the op has one.
+// Each element sees the ops of Linear -> GELU or Linear -> add in the same
+// order, so the fusion moves no bit. It returns a no-op when there is
+// nothing to do.
+func rowEpilogue(inst *Instance, o *Op, bias []float32, d int, gelu bool) func(rows int) {
+	out, res := o.Out, o.In2
+	if bias == nil && !gelu && res < 0 {
+		return func(int) {}
+	}
+	work := d
+	if gelu {
+		work += d * tensor.GELUWork
+	}
+	if res >= 0 {
+		work += d
+	}
+	body := func(lo, hi int) {
+		yd := inst.regs[out].Data()
+		var rd []float32
+		if res >= 0 {
+			rd = inst.regs[res].Data()
+		}
+		for r := lo; r < hi; r++ {
+			row := yd[r*d:][:d]
+			if bias != nil {
+				for j := range row {
+					row[j] += bias[j]
+				}
+			}
+			if gelu {
+				tensor.GELURow(row, row)
+			}
+			if res >= 0 {
+				for j, v := range rd[r*d:][:d] {
+					row[j] += v
+				}
 			}
 		}
 	}
+	return func(rows int) { tensor.ParallelFor(rows, work, body) }
 }
 
 // interpSpec is the resampling front half of a Rescale adapter: bilinear

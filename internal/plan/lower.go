@@ -80,7 +80,7 @@ func (c *compiler) lowerLayer(name string, l nn.Layer, inVal int) int {
 		out := c.newValue([]int{c.val(inVal).Elems()}, false, -1)
 		return c.addOp(&Op{Name: name + " Flatten", Kind: "copy", In: inVal, In2: -1, Out: out, spec: &copySpec{}})
 	case *nn.Linear:
-		return c.lowerLinear(name+" "+l.Name(), l, inVal)
+		return c.lowerLinear(name+" "+l.Name(), l, inVal, false, -1)
 	case *nn.LayerNorm:
 		return c.lowerLayerNorm(name+" "+l.Name(), l, inVal)
 	case *nn.MultiHeadAttention:
@@ -106,7 +106,7 @@ func (c *compiler) lowerLayer(name string, l nn.Layer, inVal int) int {
 			v = c.addOp(&Op{Name: name + " interp", Kind: "tokeninterp", In: inVal, In2: -1, Out: v, spec: &interpSpec{into: tensor.InterpolateTokensInto}})
 		}
 		if l.Proj != nil {
-			v = c.lowerLinear(name+" proj "+l.Proj.Name(), l.Proj, v)
+			v = c.lowerLinear(name+" proj "+l.Proj.Name(), l.Proj, v, false, -1)
 		}
 		return v
 	default:
@@ -160,20 +160,20 @@ func (c *compiler) lowerConv(name string, src *nn.Conv2d, f *FoldedConv, relu bo
 
 // lowerLinear emits one fully connected op, on the int8 kernel when the
 // layer carries a matching annotation, and records the quantization target.
-func (c *compiler) lowerLinear(name string, l *nn.Linear, inVal int) int {
+// The op's row epilogue applies GELU to the output when gelu is set, or adds
+// the value res (same shape as the output) when res >= 0.
+func (c *compiler) lowerLinear(name string, l *nn.Linear, inVal int, gelu bool, res int) int {
 	out := c.newValue(l.OutShape(c.val(inVal).Shape), false, -1)
 	var op *Op
 	if q := linearQuant(l); q != nil {
 		op = &Op{
-			Name: name, Kind: "qlinear", In: inVal, In2: -1, Out: out,
-			spec: &qlinearSpec{q: q, in: l.In, out: l.Out},
+			Name: name, Kind: "qlinear", In: inVal, In2: res, Out: out,
+			spec: &qlinearSpec{q: q, in: l.In, out: l.Out, gelu: gelu},
 		}
 	} else {
-		bias := make([]float32, l.Out)
-		copy(bias, l.Bias.Value.Data())
 		op = &Op{
-			Name: name, Kind: "linear", In: inVal, In2: -1, Out: out,
-			spec: &linearSpec{in: l.In, out: l.Out, w: l.Weight.Value.Clone(), bias: bias},
+			Name: name, Kind: "linear", In: inVal, In2: res, Out: out,
+			spec: &linearSpec{in: l.In, out: l.Out, w: l.Weight.Value.Clone(), bias: cloneF32(l.Bias.Value.Data()), gelu: gelu},
 		}
 	}
 	v := c.addOp(op)

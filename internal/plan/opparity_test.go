@@ -11,10 +11,13 @@ import (
 )
 
 // TestTransformerOpsMatchEagerBitForBit runs a compiled ViT, BERT and lone
-// GELU op by op and feeds each gelu, ln, addln, embed, patch and tokenmean
-// op's own inputs to the nn layer it was lowered from, rebuilt from the op's parameters. The plan
-// op and the eager layer call the same tensor function, so every output
-// element must match exactly, on either kernel tier.
+// GELU op by op and feeds each gelu, ln, addln, embed, patch, tokenmean and
+// f32 linear op's own inputs to the nn layers it was lowered from, rebuilt
+// from the op's parameters: a plain linear (qkv, attention projection,
+// head) to Linear, the FFN's fused FC1 to Linear -> GELU and its fused FC2
+// to Linear -> add with the residual. The plan op and the eager layers call
+// the same tensor functions in the same order, so every output element must
+// match exactly, on either kernel tier.
 func TestTransformerOpsMatchEagerBitForBit(t *testing.T) {
 	bert, err := models.SingleTask(tensor.NewRNG(51), models.Config{Vocab: 40}, models.BERTBase,
 		graph.Shape{12}, graph.DomainRaw, 2)
@@ -32,6 +35,16 @@ func TestTransformerOpsMatchEagerBitForBit(t *testing.T) {
 	}
 	img := tensor.New(2, 3, 48, 48)
 	tensor.NewRNG(53).FillNormal(img, 0, 1)
+	// Fresh layers have zero biases, which would hide a bias added out of
+	// order in a fused epilogue.
+	for i, g := range []*graph.Graph{bert, vit} {
+		rng := tensor.NewRNG(uint64(54 + i))
+		for _, p := range g.Params() {
+			if p.Name == "bias" {
+				rng.FillNormal(p.Value, 0, 0.5)
+			}
+		}
+	}
 	// A lone GELU over a grid out to |x| = 20: in the negative tail 1+tanh
 	// cancels, so a second tanh formula would show there.
 	tails := graph.New(graph.Shape{16, 16}, graph.DomainTokens)
@@ -66,13 +79,13 @@ func TestTransformerOpsMatchEagerBitForBit(t *testing.T) {
 						sameBits(t, o.Name, inst.regs[out], want[i])
 					}
 					if len(want) > 0 {
-						checked[o.Kind]++
+						checked[opLabel(o)]++
 					}
 				}
 			}
 			for _, kind := range map[string][]string{
-				"bert":  {"gelu", "ln", "addln", "embed", "tokenmean"},
-				"vit":   {"gelu", "ln", "addln", "patch", "tokenmean"},
+				"bert":  {"linear", "linear+gelu", "linear+residual", "ln", "addln", "embed", "tokenmean"},
+				"vit":   {"linear", "linear+gelu", "linear+residual", "ln", "addln", "patch", "tokenmean"},
 				"tails": {"gelu"},
 			}[name] {
 				if checked[kind] == 0 {
@@ -81,6 +94,19 @@ func TestTransformerOpsMatchEagerBitForBit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// opLabel is o's kind, with a linear's fused epilogue named.
+func opLabel(o *Op) string {
+	if s, ok := o.spec.(*linearSpec); ok {
+		switch {
+		case s.gelu:
+			return "linear+gelu"
+		case o.In2 >= 0:
+			return "linear+residual"
+		}
+	}
+	return o.Kind
 }
 
 // eagerOp runs the nn layer behind op o on its inputs and returns its
@@ -99,6 +125,18 @@ func eagerOp(o *Op, in, in2 *tensor.Tensor) []*tensor.Tensor {
 		if !s.relu {
 			return []*tensor.Tensor{nn.NewGELU().Forward(in, false)}
 		}
+	case *linearSpec:
+		l := nn.NewLinear(tensor.NewRNG(0), s.in, s.out)
+		l.Weight.Value = s.w.Clone()
+		copy(l.Bias.Value.Data(), s.bias)
+		y := l.Forward(in, false)
+		if s.gelu {
+			y = nn.NewGELU().Forward(y, false)
+		}
+		if in2 != nil {
+			y = tensor.Add(in2.Reshape(y.Shape()...), y)
+		}
+		return []*tensor.Tensor{y}
 	case *lnSpec:
 		return []*tensor.Tensor{layerNorm(s.d, s.eps, s.gamma, s.beta).Forward(in, false)}
 	case *addLNSpec:

@@ -76,11 +76,14 @@ type Op struct {
 	// Name locates the op in reports, e.g. "t0/op2 conv3x3(6->12)+bn+relu+pool".
 	Name string
 	// Kind is the kernel family: conv, bn, relu, maxpool, avgpool, addrelu,
-	// linear, interp, tokenmean, copy, ln, addln, add, qkv, attn, patch,
-	// embed, tokeninterp, gelu (plus qconv/qlinear/qqkv for the int8 twins).
+	// linear, interp, tokenmean, copy, ln, addln, qkv, attn, patch, embed,
+	// tokeninterp, gelu (plus qconv/qlinear/qqkv for the int8 twins). A
+	// linear's row epilogue may apply GELU or add a residual (In2); its Name
+	// then ends in "+gelu" or "+residual".
 	Kind string
 	// In is the main input value; In2 is the second input of the two-operand
-	// ops (addrelu, addln, add; -1 otherwise).
+	// ops (addrelu, addln, and a linear/qlinear with a residual epilogue;
+	// -1 otherwise).
 	In, In2 int
 	// Out is the output value.
 	Out int

@@ -129,16 +129,19 @@ func (s *qconvSpec) build(inst *Instance, o *Op) func() {
 
 // qlinearSpec is the int8 counterpart of linearSpec: quantize the input
 // rows, then one int8 GEMM with the weight as A stores the row-major
-// [rows, Out] output with the bias.
+// [rows, Out] output with the bias; linearSpec's row epilogue applies the
+// optional GELU or residual add.
 type qlinearSpec struct {
 	q       *nn.Quant8
 	in, out int
+	gelu    bool
 }
 
 func (s *qlinearSpec) build(inst *Instance, o *Op) func() {
 	inV, outV := o.In, o.Out
 	w, kp := s.q.Packed(1), tensor.PadK(s.in)
 	scales := combinedScales(s.q)
+	epilogue := rowEpilogue(inst, o, nil, s.out, s.gelu)
 	return func() {
 		x := inst.regs[inV]
 		rows := x.Size() / s.in
@@ -146,5 +149,6 @@ func (s *qlinearSpec) build(inst *Instance, o *Op) func() {
 		tensor.QuantizeRowsI8Into(*xq, x.Data(), rows, s.in, kp, s.q.InScale)
 		tensor.QGEMMInto(inst.regs[outV].Data(), 1, s.out, w, s.out, *xq, rows, kp, scales, s.q.Bias)
 		tensor.PutBufI8(xq)
+		epilogue(rows)
 	}
 }

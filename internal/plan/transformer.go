@@ -8,23 +8,24 @@ import (
 	"repro/internal/tensor"
 )
 
-// Transformer lowering. A TransformerBlock becomes nine planned ops:
+// Transformer lowering. A TransformerBlock becomes seven planned ops:
 //
-//	ln -> qkv -> attn -> linear(WO) -> addln -> linear(FC1) -> gelu ->
-//	linear(FC2) -> add
+//	ln -> qkv -> attn -> linear(WO) -> addln -> linear(FC1)+gelu ->
+//	linear(FC2)+residual
 //
 // Each op's math is the tensor function nn's layer calls too (GELURow,
 // LayerNormRow, FlashAttendHead at AttendTiles, EmbedRows,
-// PatchEmbedInto), so the plan differs from the eager walk only in three
+// PatchEmbedInto), so the plan differs from the eager walk only in four
 // fusions: the Q/K/V projections run as ONE packed [D, 3D] GEMM (kind
 // "qkv", or "qqkv" on the int8 kernel when calibrated), the attention
 // (kind "attn") reads its heads straight out of that packed buffer and
-// works in a planned per-(sample,head) workspace slab, and the first
-// residual join fuses with the second layer norm into one dual-output op
-// (kind "addln") that publishes both the residual sum x1 (Out2, re-read by
-// the closing "add") and LN2(x1) (Out, feeding the MLP). The ViT/BERT
-// stems lower to "patch" and "embed" ops, so whole transformer graphs
-// execute with zero steady-state allocations like the CNN families.
+// works in a planned per-(sample,head) workspace slab, the first residual
+// join fuses with the second layer norm into one dual-output op (kind
+// "addln") that publishes both the residual sum x1 (Out2) and LN2(x1)
+// (Out, feeding the MLP), and the FFN's GELU and closing residual add
+// (x1, read through In2) run in the row epilogues of FC1 and FC2. The
+// ViT/BERT stems lower to "patch" and "embed" ops, so whole transformer
+// graphs execute with zero steady-state allocations like the CNN families.
 
 // lowerLayerNorm emits a standalone layer norm op (op-granularity graphs;
 // block-granularity norms fuse into their transformer block's addln).
@@ -94,13 +95,14 @@ func (c *compiler) lowerAttention(name string, m *nn.MultiHeadAttention, inVal i
 		Kind: "attn", In: qkv, In2: -1, Out: ctx, Scratch: []int{ws},
 		spec: &attnSpec{heads: m.Heads, t: t, d: d, bq: bq, bk: bk, ws: ws},
 	})
-	return c.lowerLinear(name+" proj "+m.WO.Name(), m.WO, ctx)
+	return c.lowerLinear(name+" proj "+m.WO.Name(), m.WO, ctx, false, -1)
 }
 
 // lowerTransformer emits the pre-norm encoder block. The first residual add
 // fuses with LN2 into the dual-output addln op; FC1/FC2/WO ride the shared
 // linear lowering, so they pick up int8 annotations and record quant targets
-// exactly like CNN classifier layers.
+// exactly like CNN classifier layers, and FC1's epilogue applies the GELU
+// and FC2's adds the residual x1.
 func (c *compiler) lowerTransformer(name string, b *nn.TransformerBlock, inVal int) int {
 	in := c.val(inVal)
 	ln1 := c.lowerLayerNorm(name+" ln1", b.LN1, inVal)
@@ -113,12 +115,8 @@ func (c *compiler) lowerTransformer(name string, b *nn.TransformerBlock, inVal i
 		Name: name + " add+ln2", Kind: "addln", In: inVal, In2: proj, Out: normed, Out2: x1,
 		spec: &addLNSpec{d: b.D, eps: b.LN2.Eps, gamma: cloneF32(b.LN2.Gamma.Value.Data()), beta: cloneF32(b.LN2.Beta.Value.Data())},
 	})
-	h := c.lowerLinear(name+" fc1 "+b.FC1.Name(), b.FC1, normed)
-	g := c.newValue(c.val(h).Shape, false, -1)
-	g = c.addOp(&Op{Name: name + " gelu", Kind: "gelu", In: h, In2: -1, Out: g, spec: &ewSpec{relu: false}})
-	h2 := c.lowerLinear(name+" fc2 "+b.FC2.Name(), b.FC2, g)
-	out := c.newValue(in.Shape, false, -1)
-	return c.addOp(&Op{Name: name + " residual", Kind: "add", In: x1, In2: h2, Out: out, spec: &addSpec{}})
+	g := c.lowerLinear(name+" fc1 "+b.FC1.Name()+"+gelu", b.FC1, normed, true, -1)
+	return c.lowerLinear(name+" fc2 "+b.FC2.Name()+"+residual", b.FC2, g, false, x1)
 }
 
 // lowerPatchEmbed emits the ViT stem as one op: a strided channel-major
@@ -206,22 +204,6 @@ func (s *addLNSpec) build(inst *Instance, o *Op) func() {
 		}
 	}
 	return func() { tensor.ParallelFor(inst.regs[out].Size()/s.d, s.d, body) }
-}
-
-// addSpec is the plain residual join: dst = a + b.
-type addSpec struct{}
-
-func (s *addSpec) build(inst *Instance, o *Op) func() {
-	a, b, out := o.In, o.In2, o.Out
-	body := func(lo, hi int) {
-		ad := inst.regs[a].Data()
-		bd := inst.regs[b].Data()
-		dd := inst.regs[out].Data()
-		for i := lo; i < hi; i++ {
-			dd[i] = ad[i] + bd[i]
-		}
-	}
-	return func() { tensor.ParallelFor(inst.regs[out].Size(), 1, body) }
 }
 
 // attnSpec runs tiled flash attention over the packed [T, 3D] QKV

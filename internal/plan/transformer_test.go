@@ -90,18 +90,32 @@ func TestTransformerOpGranularity(t *testing.T) {
 }
 
 // TestTransformerLoweringNative: the ViT and BERT zoo profiles must lower
-// onto the fused transformer kinds.
+// onto the fused transformer kinds, seven ops a block: the FFN's GELU rides
+// FC1's epilogue and the closing residual add FC2's, so no standalone gelu
+// or add op is left.
 func TestTransformerLoweringNative(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{"vit": vitGraph(t, 331), "bert": bertGraph(t, 332)} {
 		p := plan.Compile(g)
 		kinds := make(map[string]int)
+		residual := 0
 		for _, o := range p.Ops {
 			kinds[o.Kind]++
+			if o.Kind == "linear" && o.In2 >= 0 {
+				residual++
+			}
 		}
-		for _, want := range []string{"qkv", "attn", "addln", "add", "ln", "linear"} {
+		for _, want := range []string{"qkv", "attn", "addln", "ln", "linear"} {
 			if kinds[want] == 0 {
 				t.Errorf("%s: no %q ops lowered (kinds %v)", name, want, kinds)
 			}
+		}
+		for _, gone := range []string{"add", "gelu"} {
+			if kinds[gone] != 0 {
+				t.Errorf("%s: %d standalone %q ops lowered, want them fused into the FFN linears", name, kinds[gone], gone)
+			}
+		}
+		if residual != kinds["addln"] {
+			t.Errorf("%s: %d linears carry a residual, want one per block (%d)", name, residual, kinds["addln"])
 		}
 	}
 }

@@ -20,9 +20,9 @@ import (
 // kernels_parity_test.go holds the two within 1e-4 across both kernel
 // tiers and forced blockings.
 
-// gemmEngine carries the blocked driver's parallel-body state (the zeroing
-// pass and the per-panel tile sweep) through the worker pool without
-// per-call closure captures.
+// gemmEngine carries the blocked driver's parallel-body state (the
+// per-panel tile sweep) through the worker pool without per-call closure
+// captures.
 type gemmEngine struct {
 	dd, ad, panel []float32
 	m, n, lda     int
@@ -33,27 +33,21 @@ type gemmEngine struct {
 	kern          microFn  // full-tile kernel, assembly tier (nil when unbound)
 	kern1         micro1Fn // single-row M-tail kernel, assembly tier
 	goFull        microFn  // full-tile kernel, pure-Go lane tier
-	zero          func(lo, hi int)
 	tiles         func(lo, hi int)
 }
 
 var gemmEngines = sync.Pool{New: func() any {
 	e := &gemmEngine{}
-	e.zero = e.runZero
 	e.tiles = e.runTiles
 	return e
 }}
 
-func (e *gemmEngine) runZero(lo, hi int) {
-	row := e.dd[lo*e.n : hi*e.n]
-	for x := range row {
-		row[x] = 0
-	}
-}
-
 // runTiles accumulates destination tiles [tlo, thi) against the current
 // packed panel. A tile is MR consecutive destination rows; within it the
-// panel is swept strip by strip. Full tiles run the full-tile microkernel of
+// panel is swept strip by strip. On the first k panel (p0 == 0) a tile
+// first zeroes its rows of the column panel, so the accumulation starts
+// from +0 without a separate pass over dst; an edge tile copies those zeros
+// into its scratch. Full tiles run the full-tile microkernel of
 // the bound tier. On the assembly tier every ragged tile runs the assembly
 // kernels too: an M tail one row at a time through the single-row kernel,
 // an N tail (w < NR) through an MR×NR scratch tile (edgeTile). The pure-Go
@@ -69,6 +63,11 @@ func (e *gemmEngine) runTiles(tlo, thi int) {
 		rows := e.m - i
 		if rows > mr {
 			rows = mr
+		}
+		if e.p0 == 0 {
+			for r := i; r < i+rows; r++ {
+				clear(e.dd[r*n+e.j0:][:e.jw])
+			}
 		}
 		ab := e.ad[i*lda+e.p0:]
 		for s := 0; s < e.nstrips; s++ {
@@ -136,10 +135,14 @@ func (e *gemmEngine) edgeTile(sc, ab []float32, rows int, bp, cb []float32, w in
 }
 
 // gemmBlocked is the shared panel loop: dst[m,n] = a[m,k] @ B where B is
-// b[k,n] (transB false) or b[n,k] read transposed (transB true). dst is
-// zeroed first; each (column panel, k panel) pair is packed once and then
-// accumulated by all destination tiles.
+// b[k,n] (transB false) or b[n,k] read transposed (transB true). Each
+// (column panel, k panel) pair is packed once and then accumulated by all
+// destination tiles; the first k panel's tiles zero their region first.
 func gemmBlocked(dd, ad, bd []float32, m, n, k int, transB bool, gp gemmParams) {
+	if k == 0 {
+		clear(dd[:m*n])
+		return
+	}
 	kc, nc, mr, nr := gp.kc, gp.nc, gp.mr, gp.nr
 	e := gemmEngines.Get().(*gemmEngine)
 	e.dd, e.ad = dd, ad
@@ -158,7 +161,6 @@ func gemmBlocked(dd, ad, bd []float32, m, n, k int, transB bool, gp gemmParams) 
 	} else {
 		e.goFull = goGemm8x8
 	}
-	ParallelFor(m, n, e.zero)
 	maxW := nc
 	if n < maxW {
 		maxW = n

@@ -1,6 +1,9 @@
 package tensor
 
-import "unsafe"
+import (
+	"math"
+	"unsafe"
+)
 
 // Pure-Go 8-wide-lane kernels: the portable tier behind the dispatch
 // variables in vec.go, and the only tier on non-amd64, under the
@@ -167,5 +170,68 @@ func goScale(y []float32, a float32) {
 	}
 	for ; p < len(y); p++ {
 		y[p] *= a
+	}
+}
+
+// GELU lane kernels. Both tiers evaluate GELU(x) = 0.5·x·(1 + tanh(u)),
+// u = √(2/π)·(x + 0.044715·x³), in float32 as x·σ(2u) = x / (1 + e) with
+// e = exp(−2u) = exp(x·(geluK0 + geluK1·x²)), and its derivative
+// σ(2u) + 2x·u'·σ(2u)·(1 − σ(2u)) as q·(1 + a·e·q) with q = 1/(1 + e) and
+// a = x·(geluD0 + geluD1·x²). Writing 1 − σ as e·q keeps its relative
+// accuracy where σ rounds to 1. The exponential is the Cephes expf form: a
+// Cody–Waite reduction z = n·ln2 + r with n = round(z·log2e) (the
+// 1.5·2²³ shifter rounds to nearest and leaves n in the low mantissa bits),
+// a degree-7 polynomial in r, and 2ⁿ built from exponent bits. z is clamped
+// to [−87, 87], so 2ⁿ, e and q all stay normal floats. A NaN input gives a
+// NaN output. The AVX2 kernels (vec_amd64.s) run the same steps, fusing
+// the multiply-adds, so the tiers agree to rounding, not bit for bit
+// (TestGELUAccuracy holds each within 1e-6 of the float64 formula).
+const (
+	geluK0 = -2 * geluC0
+	geluK1 = -2 * geluC0 * geluC1
+	geluD0 = 2 * geluC0
+	geluD1 = 6 * geluC0 * geluC1
+
+	expClamp   = 87
+	expLog2e   = 1.44269504088896341
+	expShifter = 12582912 // 1.5·2²³
+	expLn2Hi   = 0.693359375
+	expLn2Lo   = -2.12194440e-4
+	expP0      = 1.9875691500e-4
+	expP1      = 1.3981999507e-3
+	expP2      = 8.3334519073e-3
+	expP3      = 4.1665795894e-2
+	expP4      = 1.6666665459e-1
+	expP5      = 5.0000001201e-1
+)
+
+// geluExp returns e = exp(x·(geluK0 + geluK1·x²)) for one lane.
+func geluExp(x float32) float32 {
+	z := min(max(x*(geluK0+geluK1*(x*x)), -expClamp), expClamp)
+	t := z*expLog2e + expShifter
+	n := t - expShifter
+	r := z - n*expLn2Hi
+	r -= n * expLn2Lo
+	p := ((((expP0*r+expP1)*r+expP2)*r+expP3)*r+expP4)*r + expP5
+	p = p*(r*r) + r + 1
+	return p * math.Float32frombits((math.Float32bits(t)-math.Float32bits(expShifter)+127)<<23)
+}
+
+// goGELURow writes dst[i] = GELU(src[i]); dst may alias src.
+func goGELURow(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = x / (1 + geluExp(x))
+	}
+}
+
+// goGELUGradRow writes dst[i] = g[i]·GELU'(x[i]); dst may alias g or x.
+func goGELUGradRow(dst, g, x []float32) {
+	dst, g = dst[:len(x)], g[:len(x)]
+	for i, xv := range x {
+		e := geluExp(xv)
+		q := 1 / (1 + e)
+		a := xv * (geluD0 + geluD1*(xv*xv))
+		dst[i] = g[i] * (q * (a*(e*q) + 1))
 	}
 }

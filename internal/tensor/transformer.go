@@ -21,33 +21,23 @@ const (
 )
 
 // GELUWork is what one element of GELURow or GELUGradRow costs, in the
-// units ParallelFor's work counts: its float64 tanh takes about 60 ns, as
-// long as streaming 80 floats through an add (0.75 ns each on a 2-core
-// Xeon).
-const GELUWork = 80
+// units ParallelFor's work counts: an add streams a float in about 0.75 ns
+// on a 2-core Xeon. It is bound at init with the kernels. BenchmarkGELURow
+// there reads the AVX2 kernel at 0.73–0.83 ns an element (1 unit) and the
+// pure-Go twin at 14–17 ns (20 units); the float64 tanh they replaced took
+// 61–67 ns (80 units).
+var GELUWork = 20
 
 // GELURow writes dst[i] = GELU(src[i]), the tanh approximation
-// 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))) evaluated in float64.
-func GELURow(dst, src []float32) {
-	dst = dst[:len(src)]
-	for i, x := range src {
-		v := float64(x)
-		t := math.Tanh(geluC0 * (v + geluC1*v*v*v))
-		dst[i] = float32(0.5 * v * (1 + t))
-	}
-}
+// 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))), in float32 on the bound
+// kernel tier (microgo.go has the formula). dst may alias src. Every
+// element is within 1e-6 of the formula in float64, and its bits depend
+// only on its input, not on how the caller splits rows.
+func GELURow(dst, src []float32) { geluRow(dst, src) }
 
 // GELUGradRow writes dst[i] = g[i]·GELU'(x[i]), the derivative of GELURow's
-// formula evaluated in float64.
-func GELUGradRow(dst, g, x []float32) {
-	dst, g = dst[:len(x)], g[:len(x)]
-	for i, xv := range x {
-		v := float64(xv)
-		t := math.Tanh(geluC0 * (v + geluC1*v*v*v))
-		du := geluC0 * (1 + 3*geluC1*v*v)
-		dst[i] = g[i] * float32(0.5*(1+t)+0.5*v*(1-t*t)*du)
-	}
-}
+// formula, on the bound kernel tier; dst may alias g or x.
+func GELUGradRow(dst, g, x []float32) { geluGradRow(dst, g, x) }
 
 // LayerNormRow normalizes one row: with the mean and the biased variance of
 // src accumulated in float64 (the variance clamped at zero) and inv =

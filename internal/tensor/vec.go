@@ -1,8 +1,8 @@
 package tensor
 
 // Vector kernel dispatch. The blocked GEMM, the training convolution's
-// implicit GEMM, the int8 GEMM, the attention kernel, and the conv
-// epilogue all bottom out in the small set of primitives declared here as
+// implicit GEMM, the int8 GEMM, the attention kernel, the GELU rows and the
+// conv epilogue all bottom out in the small set of primitives declared here as
 // function variables. The package default binds the pure-Go
 // implementations from microgo.go and int8.go; on amd64 with AVX2+FMA the
 // init in vec_amd64.go rebinds them to hand-written assembly microkernels
@@ -79,6 +79,10 @@ var (
 	vdot   func(a, b []float32) float32              = goDot
 	vaxpy  func(y []float32, a float32, x []float32) = goAxpy
 	vscale func(y []float32, a float32)              = goScale
+
+	// GELU row kernels behind GELURow and GELUGradRow (transformer.go).
+	geluRow     func(dst, src []float32)  = goGELURow
+	geluGradRow func(dst, g, x []float32) = goGELUGradRow
 )
 
 // VecKind reports which kernel tier this process bound at startup: "avx2"
@@ -98,14 +102,16 @@ func VecKind() string { return vecKind }
 // ran every f32 GEMM on the 4x16 register block unless a kernel autotuner
 // stamped another one per op; generation 6 ran the int8 block kernel on
 // AVX2 even where AVX512-VNNI was available, and its signature did not
-// name the int8 variant. The training convolution's implicit GEMM
+// name the int8 variant; generation 7 ran GELU as float64 tanh in an op of
+// its own after the FFN's first linear, and the closing residual add as
+// another. The training convolution's implicit GEMM
 // (ConvRowsInto, ConvWeightGradInto) does not bump it: it gives the
 // unfold's bits, and the latencies keyed by the generation are timings of
 // the compiled plan, which still unfolds and runs the GEMM driver.
-const kernelGeneration = 7
+const kernelGeneration = 8
 
 // KernelSignature names the bound tier, the int8 block kernel's variant and
-// the kernel generation, e.g. "vec=avx2 q8=vnni kgen=7". Anything persisted
+// the kernel generation, e.g. "vec=avx2 q8=vnni kgen=8". Anything persisted
 // from a kernel measurement (memoised candidate latencies) is keyed by it
 // next to the machine signature, so numbers measured by other kernels are
 // never replayed.

@@ -53,6 +53,12 @@ func avx2Axpy(y, x *float32, a float32, n int)
 //go:noescape
 func avx2Scale(y *float32, a float32, n int)
 
+//go:noescape
+func avx2GELU(dst, src *float32, n int)
+
+//go:noescape
+func avx2GELUGrad(dst, gr, x *float32, n int)
+
 // cpuHasAVX2FMA reports whether the CPU and OS support the assembly tier:
 // AVX2 and FMA instruction sets, plus XMM/YMM state enabled in XCR0 (the
 // OSXSAVE check guards the XGETBV read).
@@ -123,6 +129,7 @@ func init() {
 	vdot = dotAVX2
 	vaxpy = axpyAVX2
 	vscale = scaleAVX2
+	geluRow, geluGradRow, GELUWork = geluAVX2, geluGradAVX2, 1
 }
 
 // dotAVX2 is the slice-level dot product: the assembly runs the 8-aligned
@@ -158,5 +165,38 @@ func scaleAVX2(y []float32, a float32) {
 	}
 	for p := n; p < len(y); p++ {
 		y[p] *= a
+	}
+}
+
+// geluAVX2 is the slice-level GELU: the assembly runs the 8-aligned prefix,
+// and a ragged tail runs through it too, zero-padded in a stack buffer, so
+// an element's bits never depend on where a caller's rows or chunks split.
+func geluAVX2(dst, src []float32) {
+	dst = dst[:len(src)]
+	n := len(src) &^ 7
+	if n > 0 {
+		avx2GELU(&dst[0], &src[0], n)
+	}
+	if n < len(src) {
+		var buf [8]float32
+		copy(buf[:], src[n:])
+		avx2GELU(&buf[0], &buf[0], 8)
+		copy(dst[n:], buf[:])
+	}
+}
+
+// geluGradAVX2 is geluAVX2's derivative twin: dst = g·GELU'(x).
+func geluGradAVX2(dst, g, x []float32) {
+	dst, g = dst[:len(x)], g[:len(x)]
+	n := len(x) &^ 7
+	if n > 0 {
+		avx2GELUGrad(&dst[0], &g[0], &x[0], n)
+	}
+	if n < len(x) {
+		var gb, xb [8]float32
+		copy(gb[:], g[n:])
+		copy(xb[:], x[n:])
+		avx2GELUGrad(&gb[0], &gb[0], &xb[0], 8)
+		copy(dst[n:], gb[:])
 	}
 }

@@ -779,3 +779,129 @@ vloop:
 	VMOVDQU    Y8, ret+40(FP)
 	VZEROUPPER
 	RET
+
+// GELU kernels: the lane math of goGELURow and goGELUGradRow (microgo.go),
+// eight floats per step with the multiply-adds fused. n is a positive
+// multiple of 8 (the Go wrappers run a ragged tail through an 8-float
+// stack buffer, so every element takes these same instructions). The
+// constants stay in Y7-Y15; the polynomial's and the derivative's are
+// broadcast from geluConst per step.
+DATA geluConst<>+0(SB)/4, $0xbfcc422a  // geluK0 = −2√(2/π)
+DATA geluConst<>+4(SB)/4, $0xbd922279  // geluK1 = −2√(2/π)·0.044715
+DATA geluConst<>+8(SB)/4, $0xc2ae0000  // −87
+DATA geluConst<>+12(SB)/4, $0x42ae0000 // 87
+DATA geluConst<>+16(SB)/4, $0x3fb8aa3b // log2 e
+DATA geluConst<>+20(SB)/4, $0x4b400000 // 1.5·2²³
+DATA geluConst<>+24(SB)/4, $0x3f318000 // ln 2, high part
+DATA geluConst<>+28(SB)/4, $0xb95e8083 // ln 2, low part
+DATA geluConst<>+32(SB)/4, $0x3f800000 // 1
+DATA geluConst<>+36(SB)/4, $0x4b3fff81 // bits(1.5·2²³) − 127
+DATA geluConst<>+40(SB)/4, $0x39506967 // expP0
+DATA geluConst<>+44(SB)/4, $0x3ab743ce // expP1
+DATA geluConst<>+48(SB)/4, $0x3c088908 // expP2
+DATA geluConst<>+52(SB)/4, $0x3d2aa9c1 // expP3
+DATA geluConst<>+56(SB)/4, $0x3e2aaaaa // expP4
+DATA geluConst<>+60(SB)/4, $0x3f000000 // expP5
+DATA geluConst<>+64(SB)/4, $0x3fcc422a // geluD0 = 2√(2/π)
+DATA geluConst<>+68(SB)/4, $0x3e5b33b6 // geluD1 = 6√(2/π)·0.044715
+GLOBL geluConst<>(SB), RODATA|NOPTR, $72
+
+#define GELU_CONSTS \
+	VBROADCASTSS geluConst<>+0(SB), Y7; \
+	VBROADCASTSS geluConst<>+4(SB), Y8; \
+	VBROADCASTSS geluConst<>+8(SB), Y9; \
+	VBROADCASTSS geluConst<>+12(SB), Y10; \
+	VBROADCASTSS geluConst<>+16(SB), Y11; \
+	VBROADCASTSS geluConst<>+20(SB), Y12; \
+	VBROADCASTSS geluConst<>+24(SB), Y13; \
+	VBROADCASTSS geluConst<>+28(SB), Y14; \
+	VBROADCASTSS geluConst<>+32(SB), Y15
+
+// GELU_EXP: Y0 = x in, Y1 = x² and Y5 = e = exp(x·(geluK0 + geluK1·x²))
+// out; clobbers Y2-Y4 and Y6. The clamp keeps z as VMAXPS/VMINPS's second
+// source, so a NaN passes through.
+#define GELU_EXP \
+	VMULPS       Y0, Y0, Y1; \
+	VMOVAPS      Y7, Y2; \
+	VFMADD231PS  Y8, Y1, Y2; \
+	VMULPS       Y2, Y0, Y2; \
+	VMAXPS       Y2, Y9, Y2; \
+	VMINPS       Y2, Y10, Y2; \
+	VMULPS       Y11, Y2, Y3; \
+	VADDPS       Y12, Y3, Y3; \
+	VSUBPS       Y12, Y3, Y4; \
+	VFNMADD231PS Y13, Y4, Y2; \
+	VFNMADD231PS Y14, Y4, Y2; \
+	VBROADCASTSS geluConst<>+40(SB), Y5; \
+	VBROADCASTSS geluConst<>+44(SB), Y6; \
+	VFMADD213PS  Y6, Y2, Y5; \
+	VBROADCASTSS geluConst<>+48(SB), Y6; \
+	VFMADD213PS  Y6, Y2, Y5; \
+	VBROADCASTSS geluConst<>+52(SB), Y6; \
+	VFMADD213PS  Y6, Y2, Y5; \
+	VBROADCASTSS geluConst<>+56(SB), Y6; \
+	VFMADD213PS  Y6, Y2, Y5; \
+	VBROADCASTSS geluConst<>+60(SB), Y6; \
+	VFMADD213PS  Y6, Y2, Y5; \
+	VMULPS       Y2, Y2, Y6; \
+	VFMADD213PS  Y2, Y6, Y5; \
+	VADDPS       Y15, Y5, Y5; \
+	VPBROADCASTD geluConst<>+36(SB), Y6; \
+	VPSUBD       Y6, Y3, Y3; \
+	VPSLLD       $23, Y3, Y3; \
+	VMULPS       Y3, Y5, Y5
+
+// func avx2GELU(dst, src *float32, n int)
+//
+// dst[i] = x / (1 + e) over n floats; dst may alias src.
+TEXT ·avx2GELU(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	GELU_CONSTS
+
+gloop:
+	VMOVUPS (SI), Y0
+	GELU_EXP
+	VADDPS  Y15, Y5, Y5
+	VDIVPS  Y5, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JG      gloop
+	VZEROUPPER
+	RET
+
+// func avx2GELUGrad(dst, gr, x *float32, n int)
+//
+// dst[i] = gr·q·(a·e·q + 1) over n floats, q = 1/(1 + e) and
+// a = x·(geluD0 + geluD1·x²); dst may alias gr or x.
+TEXT ·avx2GELUGrad(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ gr+8(FP), BX
+	MOVQ x+16(FP), SI
+	MOVQ n+24(FP), CX
+	GELU_CONSTS
+
+dloop:
+	VMOVUPS      (SI), Y0
+	GELU_EXP
+	VADDPS       Y15, Y5, Y6
+	VDIVPS       Y6, Y15, Y6
+	VMULPS       Y6, Y5, Y5
+	VBROADCASTSS geluConst<>+64(SB), Y4
+	VBROADCASTSS geluConst<>+68(SB), Y3
+	VFMADD231PS  Y3, Y1, Y4
+	VMULPS       Y4, Y0, Y4
+	VFMADD213PS  Y15, Y5, Y4
+	VMULPS       Y6, Y4, Y4
+	VMULPS       (BX), Y4, Y4
+	VMOVUPS      Y4, (DI)
+	ADDQ         $32, SI
+	ADDQ         $32, BX
+	ADDQ         $32, DI
+	SUBQ         $8, CX
+	JG           dloop
+	VZEROUPPER
+	RET

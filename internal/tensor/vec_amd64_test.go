@@ -21,6 +21,18 @@ func qdotVariants() []qdotVariant {
 	}
 }
 
+// geluVariants lists every GELU kernel pair this build holds.
+func geluVariants() []geluVariant {
+	avx2 := ""
+	if !cpuHasAVX2FMA() {
+		avx2 = "CPU or OS lacks AVX2+FMA with YMM state"
+	}
+	return []geluVariant{
+		{"go", goGELURow, goGELUGradRow, ""},
+		{"avx2", geluAVX2, geluGradAVX2, avx2},
+	}
+}
+
 // TestVNNIGate pins the CPUID/XCR0 decision: every feature bit and the
 // opmask and ZMM XSAVE state are required, so a CPU or VM missing any of
 // them keeps the AVX2 kernel instead of faulting on VPDPBUSD.

@@ -12,3 +12,12 @@ func qdotVariants() []qdotVariant {
 		{"vnni", nil, reason},
 	}
 }
+
+// geluVariants lists every GELU kernel pair: this build holds only the
+// pure-Go one.
+func geluVariants() []geluVariant {
+	return []geluVariant{
+		{"go", goGELURow, goGELUGradRow, ""},
+		{"avx2", nil, nil, "assembly not built (non-amd64 or gmorph_novec)"},
+	}
+}
