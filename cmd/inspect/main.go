@@ -149,7 +149,7 @@ func printQuant(g *graph.Graph) {
 	}
 	int8Ops := 0
 	for _, t := range p.QuantTargets {
-		q := layerQuant(t.Layer)
+		q := *nn.QuantSlot(t.Layer)
 		switch {
 		case q != nil:
 			int8Ops++
@@ -184,19 +184,6 @@ func printQuant(g *graph.Graph) {
 				id, g.TaskNames[id], base, after, after-base)
 		}
 	}
-}
-
-// layerQuant extracts the int8 annotation of a quantizable layer.
-func layerQuant(l nn.Layer) *nn.Quant8 {
-	switch l := l.(type) {
-	case *nn.Conv2d:
-		return l.Quant
-	case *nn.Linear:
-		return l.Quant
-	case *nn.MultiHeadAttention:
-		return l.QKVQuant
-	}
-	return nil
 }
 
 // sharedReport loads every checkpoint, intersects their prefix fingerprint

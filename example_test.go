@@ -56,7 +56,7 @@ func ExampleQuantize() {
 	}
 	// rep.QuantizedOps ops run at int8, rep.Drop is the measured drop.
 	fmt.Printf("%d ops at int8, drop %.3f\n", rep.QuantizedOps, rep.Drop)
-	err = gmorph.Save("fused.gmck", res.Model) // format v3 carries the int8 state
+	err = gmorph.Save("fused.gmck", res.Model) // format v4 carries the int8 state
 	if err != nil {
 		panic(err)
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -28,8 +26,9 @@ func latencyMachineKey() string {
 }
 
 // diskMemoEntry is the JSON shape of one persisted candidate outcome. The
-// trained graph is a base64-wrapped checkpoint in the parser's lossless f32
-// format, so replayed weights are bit-identical to the original evaluation.
+// trained graph is a checkpoint in parser.SaveBase64's form (the lossless
+// f32 format), so replayed weights are bit-identical to the original
+// evaluation.
 type diskMemoEntry struct {
 	Met          bool            `json:"met"`
 	Terminated   bool            `json:"terminated,omitempty"`
@@ -243,12 +242,12 @@ func (m *DiskMemo) encodeEntry(fp uint64, e *MemoEntry) (diskMemoEntry, error) {
 		de.Trained = enc
 		return de, nil
 	}
-	var buf bytes.Buffer
-	if err := parser.Save(&buf, e.Trained); err != nil {
+	enc, err := parser.SaveBase64(e.Trained)
+	if err != nil {
 		return de, err
 	}
-	de.Trained = base64.StdEncoding.EncodeToString(buf.Bytes())
-	m.encoded[fp] = de.Trained
+	de.Trained = enc
+	m.encoded[fp] = enc
 	return de, nil
 }
 
@@ -263,11 +262,7 @@ func (de diskMemoEntry) decode() (*MemoEntry, error) {
 	if de.Trained == "" {
 		return e, nil
 	}
-	raw, err := base64.StdEncoding.DecodeString(de.Trained)
-	if err != nil {
-		return nil, err
-	}
-	g, err := parser.Load(bytes.NewReader(raw))
+	g, err := parser.LoadBase64(de.Trained)
 	if err != nil {
 		return nil, err
 	}

@@ -179,15 +179,7 @@ func TestParityQuantized(t *testing.T) {
 // QKV projections, WO and the FFN GEMMs are all int8 candidates.
 func TestParityQuantizedTransformer(t *testing.T) {
 	ds := testutil.TinyFace(211, 96, 64)
-	rng := tensor.NewRNG(212)
-	g := graph.New(graph.Shape{3, 16, 16}, graph.DomainRaw)
-	for i, spec := range ds.Tasks {
-		g.TaskNames[i] = spec.Name
-		if _, err := models.AddBranch(g, rng, models.Config{}, models.ViTBase, i, spec.Classes); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g.RefreshCapacities()
+	g := testutil.TinyViT(212, ds)
 	testutil.PretrainTeachers(g, ds, 2, 1e-2, 213)
 	equivalent(t, world{gs: []*graph.Graph{g}, x: ds.Test.X, ds: ds, drop: 0.02})
 }
@@ -388,25 +380,18 @@ func int8Leg(t *testing.T, w world, q *graph.Graph, rep *quant.Report) {
 	i8 := engine.Compile(q)
 	got := i8.Forward(w.x)
 
-	// The quantized attention projections must run on the int8 kernel: one
-	// qqkv op per qkv target left at int8.
+	// Every target left at int8 (a transformer's packed QKV projections
+	// among them) must lower to an int8 op.
 	var noise float64
-	qkv, qqkv := 0, 0
+	ops := i8.Plan().Ops
 	for _, d := range rep.Ops {
-		if d.Precision == "int8" {
-			noise += d.ErrScore
-			if d.Kind == "qkv" {
-				qkv++
-			}
+		if d.Precision != "int8" {
+			continue
 		}
-	}
-	for _, o := range i8.Plan().Ops {
-		if o.Kind == "qqkv" {
-			qqkv++
+		noise += d.ErrScore
+		if o := ops[d.OpID]; o.Name != d.Name || o.Precision() != "int8" {
+			t.Errorf("int8 target %d %q lowered to %s op %q", d.OpID, d.Name, o.Kind, o.Name)
 		}
-	}
-	if qqkv != qkv {
-		t.Errorf("%d qkv targets at int8 but %d qqkv ops lowered", qkv, qqkv)
 	}
 
 	// Calibrated tolerance: each int8 op's ErrScore is its predicted relative

@@ -315,28 +315,9 @@ func (s *Server) handleModelInfo(w http.ResponseWriter, r *http.Request, m *regi
 	}
 	if snap.Shared != nil {
 		// The group's counters live in the model's stats, not its snapshot.
-		info.SharedStem = sharedWire(m.Stats().Shared)
+		info.SharedStem = m.Stats().Shared
 	}
 	writeJSON(w, info)
-}
-
-// sharedWire converts the registry's shared-stem view to the wire type.
-func sharedWire(s *registry.SharedStemInfo) *api.SharedStem {
-	if s == nil {
-		return nil
-	}
-	return &api.SharedStem{
-		Members:       append([]string(nil), s.Members...),
-		Depth:         s.Depth,
-		Fingerprint:   s.Fingerprint,
-		MemoHits:      s.MemoHits,
-		MemoMisses:    s.MemoMisses,
-		MemoEvictions: s.MemoEvictions,
-		MemoFiltered:  s.MemoFiltered,
-		MemoEntries:   s.MemoEntries,
-		MixedBatches:  s.MixedBatches,
-		StemBatchHist: s.StemBatchHist,
-	}
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -398,7 +379,7 @@ func (s *Server) handleModelStats(w http.ResponseWriter, r *http.Request, m *reg
 		Pending:    st.Pending,
 		Stats:      statsFor(m),
 		Swaps:      st.Swaps,
-		SharedStem: sharedWire(st.Shared),
+		SharedStem: st.Shared,
 	}
 	writeJSON(w, resp)
 }

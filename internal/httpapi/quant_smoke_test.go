@@ -2,11 +2,13 @@ package httpapi_test
 
 import (
 	"context"
+	"math"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
 	"repro/api"
+	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/parser"
@@ -19,13 +21,36 @@ import (
 // End-to-end quantize-and-serve smoke: train a tiny model, quantize it
 // under an accuracy budget, save the checkpoint, reload it, and serve
 // inference over HTTP from the int8 plan. This is the CI smoke for the
-// quantization pipeline's deployment path.
+// quantization pipeline's deployment path, over a CNN and a ViT, whose
+// int8 linears sit inside transformer blocks.
 func TestQuantizeAndServeSmoke(t *testing.T) {
-	ds := testutil.TinyFace(71, 64, 32)
-	g := testutil.TinyMultiDNN(72, ds)
-	testutil.PretrainTeachers(g, ds, 3, 1e-2, 73)
+	for _, w := range []struct {
+		name  string
+		build func() (*graph.Graph, *data.Dataset)
+		drop  float64
+	}{
+		{"cnn", func() (*graph.Graph, *data.Dataset) {
+			ds := testutil.TinyFace(71, 64, 32)
+			g := testutil.TinyMultiDNN(72, ds)
+			testutil.PretrainTeachers(g, ds, 3, 1e-2, 73)
+			return g, ds
+		}, 0.05},
+		{"vit", func() (*graph.Graph, *data.Dataset) {
+			ds := testutil.TinyFace(211, 96, 64)
+			g := testutil.TinyViT(212, ds)
+			testutil.PretrainTeachers(g, ds, 2, 1e-2, 213)
+			return g, ds
+		}, 0.5},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			g, ds := w.build()
+			quantizeAndServe(t, g, ds, w.drop)
+		})
+	}
+}
 
-	rep, err := quant.Apply(g, ds, quant.Config{AccuracyDrop: 0.05})
+func quantizeAndServe(t *testing.T, g *graph.Graph, ds *data.Dataset, drop float64) {
+	rep, err := quant.Apply(g, ds, quant.Config{AccuracyDrop: drop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +72,14 @@ func TestQuantizeAndServeSmoke(t *testing.T) {
 	if g2.Quant == nil {
 		t.Fatal("reloaded checkpoint lost its quant note")
 	}
+	direct := directForward(g2)
+	for name, want := range directForward(g) {
+		for i, v := range direct[name] {
+			if math.Float32bits(v) != math.Float32bits(want[i]) {
+				t.Fatalf("task %q elem %d: reloaded %v, saved %v", name, i, v, want[i])
+			}
+		}
+	}
 
 	s := newServer(t, g2, registry.ModelOptions{Pool: 1, MaxBatch: 4}, 0)
 	srv := httptest.NewServer(s.Handler())
@@ -63,7 +96,6 @@ func TestQuantizeAndServeSmoke(t *testing.T) {
 
 	// The served outputs come from the same int8 plan quant.Apply
 	// validated; spot-check they match a direct engine forward.
-	direct := directForward(g2)
 	for name, rows := range resp.Outputs {
 		want, ok := direct[name]
 		if !ok {

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 )
@@ -12,32 +11,49 @@ import (
 type MultiHeadAttention struct {
 	D, Heads int
 
-	WQ, WK, WV, WO *Linear
+	// QKV is the packed Q|K|V projection D -> 3D: output columns [0, D)
+	// are the queries, [D, 2D) the keys and [2D, 3D) the values, so one
+	// GEMM projects all three and head h reads its band of each at stride
+	// 3D. WO projects the concatenated heads back to D.
+	QKV, WO *Linear
 
-	// QKVQuant, when set, is the int8 annotation for the PACKED [D, 3D]
-	// Q|K|V projection the plan compiler fuses into one GEMM. It lives on
-	// the attention layer (not the three Linears) because the packed weight
-	// only exists at lowering time. Attached by internal/quant; ignored by
-	// the eager Forward. WO carries its own annotation like any Linear.
-	QKVQuant *Quant8
-
-	// forward cache: the projections the backward recomputes the
-	// attention probabilities from
-	q, k, v *tensor.Tensor // [N, T, D]
+	// forward cache: the packed projection [N, T, 3D] the backward
+	// recomputes the attention probabilities from
+	qkv     *tensor.Tensor
 	inShape []int
 }
 
 // NewMultiHeadAttention constructs self-attention with model dim d and
-// heads h (d must be divisible by h).
+// heads h (d must be divisible by h). The Q, K, V and output projections
+// draw from rng in that order, each as its own D×D Xavier-uniform matrix,
+// the first three into their bands of QKV.
 func NewMultiHeadAttention(rng *tensor.RNG, d, heads int) *MultiHeadAttention {
 	if d%heads != 0 {
 		panic(fmt.Sprintf("nn: attention dim %d not divisible by %d heads", d, heads))
 	}
-	return &MultiHeadAttention{
+	m := &MultiHeadAttention{
 		D: d, Heads: heads,
-		WQ: NewLinear(rng, d, d), WK: NewLinear(rng, d, d),
-		WV: NewLinear(rng, d, d), WO: NewLinear(rng, d, d),
+		QKV: &Linear{In: d, Out: 3 * d, Weight: NewParam("weight", d, 3*d), Bias: NewParam("bias", 3*d)},
 	}
+	w := tensor.New(d, d)
+	for band := 0; band < 3; band++ {
+		xavier(rng, w, d, d)
+		m.PackQKVBand(band, w.Data(), nil)
+	}
+	m.WO = NewLinear(rng, d, d)
+	return m
+}
+
+// PackQKVBand copies a D -> D projection's [D, D] weight w and bias b (nil
+// leaves the band's bias as it is) into column band i of QKV: 0 for the
+// queries, 1 the keys, 2 the values.
+func (m *MultiHeadAttention) PackQKVBand(i int, w, b []float32) {
+	d := m.D
+	wd := m.QKV.Weight.Value.Data()
+	for p := 0; p < d; p++ {
+		copy(wd[p*3*d+i*d:][:d], w[p*d:][:d])
+	}
+	copy(m.QKV.Bias.Value.Data()[i*d:][:d], b)
 }
 
 // Forward implements Layer.
@@ -47,62 +63,37 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 	}
 	n, t := x.Dim(0), x.Dim(1)
 	m.inShape = append([]int(nil), x.Shape()...)
-	m.q = m.WQ.Forward(x, train)
-	m.k = m.WK.Forward(x, train)
-	m.v = m.WV.Forward(x, train)
+	m.qkv = m.QKV.Forward(x, train)
 
 	ctx := tensor.New(n, t, m.D)
 	bq, bk := tensor.AttendTiles(t)
-	unit := tensor.AttendWorkspace(bq, bk)
-	ws := tensor.GetBufDirty(n * m.Heads * unit)
-	m.eachHead(n, t, func(u, off int, scale float32) {
-		tensor.FlashAttendHead(ctx.Data()[off:], m.D, m.q.Data()[off:], m.k.Data()[off:], m.v.Data()[off:],
-			m.D, t, m.D/m.Heads, scale, bq, bk, (*ws)[u*unit:][:unit])
+	ws := tensor.GetBufDirty(n * m.Heads * tensor.AttendWorkspace(bq, bk))
+	qkv, cd := m.qkv.Data(), ctx.Data()
+	tensor.ParallelFor(n*m.Heads, t*t*(m.D/m.Heads), func(lo, hi int) {
+		tensor.FlashAttendUnits(cd, qkv, *ws, t, m.D, m.Heads, bq, bk, lo, hi)
 	})
 	tensor.PutBuf(ws)
 	return m.WO.Forward(ctx, train)
-}
-
-// eachHead runs body once per (sample, head) unit u on the worker pool,
-// with off the offset of the unit's first element in an [N, T, D] tensor
-// and the attention scale 1/√hd. Units own disjoint column bands.
-func (m *MultiHeadAttention) eachHead(n, t int, body func(u, off int, scale float32)) {
-	hd := m.D / m.Heads
-	scale := float32(1 / math.Sqrt(float64(hd)))
-	tensor.ParallelFor(n*m.Heads, t*t*hd, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			body(u, u/m.Heads*t*m.D+u%m.Heads*hd, scale)
-		}
-	})
 }
 
 // Backward implements Layer.
 func (m *MultiHeadAttention) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	n, t := m.inShape[0], m.inShape[1]
 	gCtx := m.WO.Backward(gradOut) // [N,T,D]
-	gq, gk, gv := tensor.New(n, t, m.D), tensor.New(n, t, m.D), tensor.New(n, t, m.D)
-	unit := tensor.AttendBackwardWorkspace(t)
-	ws := tensor.GetBufDirty(n * m.Heads * unit)
-	m.eachHead(n, t, func(u, off int, scale float32) {
-		tensor.AttendHeadBackward(gq.Data()[off:], gk.Data()[off:], gv.Data()[off:], gCtx.Data()[off:], m.D,
-			m.q.Data()[off:], m.k.Data()[off:], m.v.Data()[off:], m.D, t, m.D/m.Heads, scale, (*ws)[u*unit:][:unit])
+	gQKV := tensor.New(n, t, 3*m.D)
+	ws := tensor.GetBufDirty(n * m.Heads * tensor.AttendBackwardWorkspace(t))
+	g, gc, qkv := gQKV.Data(), gCtx.Data(), m.qkv.Data()
+	tensor.ParallelFor(n*m.Heads, t*t*(m.D/m.Heads), func(lo, hi int) {
+		tensor.AttendBackwardUnits(g, gc, qkv, *ws, t, m.D, m.Heads, lo, hi)
 	})
 	tensor.PutBuf(ws)
-
-	gi := m.WQ.Backward(gq)
-	tensor.AddInto(gi, gi, m.WK.Backward(gk))
-	tensor.AddInto(gi, gi, m.WV.Backward(gv))
-	m.q, m.k, m.v = nil, nil, nil
-	return gi
+	m.qkv = nil
+	return m.QKV.Backward(gQKV)
 }
 
 // Params implements Layer.
 func (m *MultiHeadAttention) Params() []*Param {
-	var ps []*Param
-	for _, l := range []*Linear{m.WQ, m.WK, m.WV, m.WO} {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
+	return append(m.QKV.Params(), m.WO.Params()...)
 }
 
 // OutShape implements Layer.
@@ -119,9 +110,7 @@ func (m *MultiHeadAttention) FLOPs(in []int) int64 {
 func (m *MultiHeadAttention) Clone() Layer {
 	return &MultiHeadAttention{
 		D: m.D, Heads: m.Heads,
-		WQ: m.WQ.Clone().(*Linear), WK: m.WK.Clone().(*Linear),
-		WV: m.WV.Clone().(*Linear), WO: m.WO.Clone().(*Linear),
-		QKVQuant: m.QKVQuant.Clone(),
+		QKV: m.QKV.Clone().(*Linear), WO: m.WO.Clone().(*Linear),
 	}
 }
 

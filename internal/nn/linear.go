@@ -25,9 +25,14 @@ type Linear struct {
 // NewLinear constructs a linear layer with Xavier-uniform initialization.
 func NewLinear(rng *tensor.RNG, in, out int) *Linear {
 	l := &Linear{In: in, Out: out, Weight: NewParam("weight", in, out), Bias: NewParam("bias", out)}
-	bound := sqrt32(6 / float32(in+out))
-	rng.FillUniform(l.Weight.Value, -bound, bound)
+	xavier(rng, l.Weight.Value, in, out)
 	return l
+}
+
+// xavier fills an in×out weight with Xavier-uniform values.
+func xavier(rng *tensor.RNG, w *tensor.Tensor, in, out int) {
+	bound := sqrt32(6 / float32(in+out))
+	rng.FillUniform(w, -bound, bound)
 }
 
 func (l *Linear) flatten(x *tensor.Tensor) *tensor.Tensor {

@@ -63,3 +63,16 @@ func (q *Quant8) Clone() *Quant8 {
 		InScale: q.InScale,
 	}
 }
+
+// QuantSlot returns the int8 annotation slot of a Conv2d or Linear, the
+// layers internal/quant annotates and the plan compiler lowers onto the
+// int8 kernel, and nil for any other layer.
+func QuantSlot(l Layer) **Quant8 {
+	switch l := l.(type) {
+	case *Conv2d:
+		return &l.Quant
+	case *Linear:
+		return &l.Quant
+	}
+	return nil
+}

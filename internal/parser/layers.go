@@ -39,14 +39,12 @@ func encodeLayer(w io.Writer, l nn.Layer) error {
 		for _, d := range []int{v.InC, v.OutC, v.Kernel, v.Stride, v.Pad} {
 			writeI32(w, int32(d))
 		}
-		writeParams(w, v.Params())
-		writeQuant8(w, v.Quant)
+		writeParams(w, v)
 	case *nn.Linear:
 		writeString(w, tagLinear)
 		writeI32(w, int32(v.In))
 		writeI32(w, int32(v.Out))
-		writeParams(w, v.Params())
-		writeQuant8(w, v.Quant)
+		writeParams(w, v)
 	case *nn.ReLU:
 		writeString(w, tagReLU)
 	case *nn.GELU:
@@ -54,13 +52,13 @@ func encodeLayer(w io.Writer, l nn.Layer) error {
 	case *nn.BatchNorm2d:
 		writeString(w, tagBatchNorm)
 		writeI32(w, int32(v.C))
-		writeParams(w, v.Params())
+		writeParams(w, v)
 		writeTensor(w, v.RunningMean)
 		writeTensor(w, v.RunningVar)
 	case *nn.LayerNorm:
 		writeString(w, tagLayerNorm)
 		writeI32(w, int32(v.D))
-		writeParams(w, v.Params())
+		writeParams(w, v)
 	case *nn.MaxPool2d:
 		writeString(w, tagMaxPool)
 		writeI32(w, int32(v.Kernel))
@@ -73,25 +71,25 @@ func encodeLayer(w io.Writer, l nn.Layer) error {
 		writeString(w, tagMHA)
 		writeI32(w, int32(v.D))
 		writeI32(w, int32(v.Heads))
-		writeParams(w, v.Params())
+		writeParams(w, v)
 	case *nn.TransformerBlock:
 		writeString(w, tagTransformer)
 		for _, d := range []int{v.D, v.Heads, v.MLPDim} {
 			writeI32(w, int32(d))
 		}
-		writeParams(w, v.Params())
+		writeParams(w, v)
 	case *nn.PatchEmbed:
 		writeString(w, tagPatchEmbed)
 		for _, d := range []int{v.C, v.Patch, v.D, v.Pos.Value.Dim(0)} {
 			writeI32(w, int32(d))
 		}
-		writeParams(w, v.Params())
+		writeParams(w, v)
 	case *nn.Embedding:
 		writeString(w, tagEmbedding)
 		for _, d := range []int{v.Vocab, v.D, v.T} {
 			writeI32(w, int32(d))
 		}
-		writeParams(w, v.Params())
+		writeParams(w, v)
 	case *nn.TokenMeanPool:
 		writeString(w, tagTokenPool)
 	case *nn.Rescale2D:
@@ -99,13 +97,13 @@ func encodeLayer(w io.Writer, l nn.Layer) error {
 		for _, d := range []int{v.InC, v.OutC, v.OutH, v.OutW} {
 			writeI32(w, int32(d))
 		}
-		writeParams(w, v.Params())
+		writeParams(w, v)
 	case *nn.RescaleTokens:
 		writeString(w, tagRescaleTok)
 		for _, d := range []int{v.InT, v.InD, v.OutT, v.OutD} {
 			writeI32(w, int32(d))
 		}
-		writeParams(w, v.Params())
+		writeParams(w, v)
 	case *nn.ConvBlock:
 		writeString(w, tagConvBlock)
 		hasBN, hasPool := int32(0), int32(0)
@@ -207,22 +205,14 @@ func decodeLayer(r *reader) (nn.Layer, error) {
 			return nil, r.err
 		}
 		l := nn.NewConv2d(rng, inC, outC, k, s, p)
-		if err := r.readParamsInto(l.Params()); err != nil {
-			return nil, err
-		}
-		l.Quant = r.quant8()
-		return l, r.err
+		return l, r.readParams(l)
 	case tagLinear:
 		in, out := r.dim(), r.dim()
 		if !r.elems(mulDims(in, out)) {
 			return nil, r.err
 		}
 		l := nn.NewLinear(rng, in, out)
-		if err := r.readParamsInto(l.Params()); err != nil {
-			return nil, err
-		}
-		l.Quant = r.quant8()
-		return l, r.err
+		return l, r.readParams(l)
 	case tagReLU:
 		return nn.NewReLU(), nil
 	case tagGELU:
@@ -233,7 +223,7 @@ func decodeLayer(r *reader) (nn.Layer, error) {
 			return nil, r.err
 		}
 		l := nn.NewBatchNorm2d(c)
-		if err := r.readParamsInto(l.Params()); err != nil {
+		if err := r.readParams(l); err != nil {
 			return nil, err
 		}
 		rm, rv := r.tensor(), r.tensor()
@@ -252,7 +242,7 @@ func decodeLayer(r *reader) (nn.Layer, error) {
 			return nil, r.err
 		}
 		l := nn.NewLayerNorm(d)
-		return l, r.readParamsInto(l.Params())
+		return l, r.readParams(l)
 	case tagMaxPool:
 		k, s := r.dimPos(), r.dimPos()
 		if r.err != nil {
@@ -272,7 +262,7 @@ func decodeLayer(r *reader) (nn.Layer, error) {
 			return nil, r.err
 		}
 		l := nn.NewMultiHeadAttention(rng, d, h)
-		return l, r.readParamsInto(l.Params())
+		return l, r.readParams(l)
 	case tagTransformer:
 		d, h, mlp := r.dim(), r.dimPos(), r.dim()
 		if r.err == nil && d%h != 0 {
@@ -282,21 +272,21 @@ func decodeLayer(r *reader) (nn.Layer, error) {
 			return nil, r.err
 		}
 		l := nn.NewTransformerBlock(rng, d, h, mlp)
-		return l, r.readParamsInto(l.Params())
+		return l, r.readParams(l)
 	case tagPatchEmbed:
 		c, p, d, tks := r.dim(), r.dimPos(), r.dim(), r.dim()
 		if !r.elems(mulDims(c, p, p, d)) || !r.elems(mulDims(tks, d)) {
 			return nil, r.err
 		}
 		l := nn.NewPatchEmbed(rng, c, p, d, tks)
-		return l, r.readParamsInto(l.Params())
+		return l, r.readParams(l)
 	case tagEmbedding:
 		v, d, tt := r.dim(), r.dim(), r.dim()
 		if !r.elems(mulDims(v, d)) || !r.elems(mulDims(tt, d)) {
 			return nil, r.err
 		}
 		l := nn.NewEmbedding(rng, v, d, tt)
-		return l, r.readParamsInto(l.Params())
+		return l, r.readParams(l)
 	case tagTokenPool:
 		return nn.NewTokenMeanPool(), nil
 	case tagRescale2D:
@@ -310,7 +300,7 @@ func decodeLayer(r *reader) (nn.Layer, error) {
 			return nil, r.err
 		}
 		l := nn.NewRescale2D(rng, inC, outC, oh, ow)
-		return l, r.readParamsInto(l.Params())
+		return l, r.readParams(l)
 	case tagRescaleTok:
 		it, id, ot, od := r.dim(), r.dim(), r.dim(), r.dim()
 		if id != od && !r.elems(mulDims(id, od)) {
@@ -320,7 +310,7 @@ func decodeLayer(r *reader) (nn.Layer, error) {
 			return nil, r.err
 		}
 		l := nn.NewRescaleTokens(rng, it, id, ot, od)
-		return l, r.readParamsInto(l.Params())
+		return l, r.readParams(l)
 	case tagConvBlock:
 		hasBN, hasPool := r.i32() == 1, r.i32() == 1
 		sub, err := decodeLayer(r)

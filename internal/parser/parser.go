@@ -8,6 +8,8 @@ package parser
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,6 +17,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/atomicfile"
@@ -27,11 +30,15 @@ import (
 const (
 	magic = "GMCK"
 	// version is the format written by Save. Version 3 added optional int8
-	// quantization payloads (per-layer Quant8 annotations after Conv2d and
-	// Linear parameters, and a graph-level QuantNote after the node tree).
-	// Version-2 checkpoints — everything written before quantization
-	// existed — still load; nothing writes them any more.
-	version    = 3
+	// quantization payloads (Quant8 annotations after Conv2d and Linear
+	// parameters, and a graph-level QuantNote after the node tree). Version
+	// 4 stores an attention's packed QKV projection as one parameter pair
+	// where earlier versions held Q, K and V apart, and writes the
+	// annotation of every Conv2d and Linear part of a layer (a transformer
+	// block's four linears, an adapter's projection), not only of a bare
+	// Conv2d or Linear. Version-2 and -3 checkpoints still load; nothing
+	// writes them any more.
+	version    = 4
 	minVersion = 2
 
 	// encF32 and encF16 tag how parameter tensors are encoded. Save writes
@@ -105,6 +112,26 @@ func saveSum(w io.Writer, g *graph.Graph) (uint32, error) {
 	binary.LittleEndian.PutUint32(tail[:], sum)
 	_, err := w.Write(tail[:])
 	return sum, err
+}
+
+// SaveBase64 returns the checkpoint Save writes, base64-encoded with the
+// standard alphabet: the form a graph takes inside JSON, in memo files and
+// on the distributed search's wire.
+func SaveBase64(g *graph.Graph) (string, error) {
+	var buf bytes.Buffer
+	if err := Save(&buf, g); err != nil {
+		return "", err
+	}
+	return base64.StdEncoding.EncodeToString(buf.Bytes()), nil
+}
+
+// LoadBase64 reads a graph from the form SaveBase64 writes.
+func LoadBase64(s string) (*graph.Graph, error) {
+	raw, err := base64.StdEncoding.DecodeString(s)
+	if err != nil {
+		return nil, fmt.Errorf("%w: base64: %v", ErrBadCheckpoint, err)
+	}
+	return Load(bytes.NewReader(raw))
 }
 
 // FormatSum renders a CRC-32 content checksum in the canonical
@@ -311,11 +338,19 @@ func f16tof32(h uint16) float32 {
 	}
 }
 
-func writeParams(w io.Writer, ps []*nn.Param) {
+// writeParams writes l's parameters, then the int8 annotation of each of
+// its Conv2d and Linear parts (quantParts).
+func writeParams(w io.Writer, l nn.Layer) {
+	ps := l.Params()
 	writeU32(w, uint32(len(ps)))
 	for _, p := range ps {
 		writeString(w, p.Name)
 		writeTensor(w, p.Value)
+	}
+	for _, part := range quantParts(l) {
+		if s := nn.QuantSlot(part); s != nil {
+			writeQuant8(w, *s)
+		}
 	}
 }
 
@@ -476,11 +511,33 @@ func (r *reader) tensor() *tensor.Tensor {
 	return t
 }
 
-// readParamsInto loads serialized parameters into an already-constructed
-// layer, verifying count, names, and shapes.
-func (r *reader) readParamsInto(ps []*nn.Param) error {
-	n := int(r.u32())
-	if n != len(ps) {
+// readParams loads what writeParams wrote into an already-constructed
+// layer, verifying parameter count, names, and shapes. Streams before
+// version 4 hold an attention's Q, K and V projections as three D -> D
+// linears where version 4 holds the packed QKV; they are read into
+// temporaries and packed. Before version 4 only a Conv2d or Linear itself
+// carries an annotation block (version 3), never a part of a larger layer.
+func (r *reader) readParams(l nn.Layer) error {
+	ps := l.Params()
+	var attn *nn.MultiHeadAttention
+	switch v := l.(type) {
+	case *nn.MultiHeadAttention:
+		attn = v
+	case *nn.TransformerBlock:
+		attn = v.Attn
+	}
+	var qkv []*nn.Linear
+	if attn != nil && r.ver < 4 {
+		var split []*nn.Param
+		for i := 0; i < 3; i++ {
+			part := nn.NewLinear(tensor.NewRNG(1), attn.D, attn.D)
+			qkv = append(qkv, part)
+			split = append(split, part.Params()...)
+		}
+		at := slices.Index(ps, attn.QKV.Weight)
+		ps = slices.Replace(ps, at, at+2, split...)
+	}
+	if n := int(r.u32()); n != len(ps) {
 		return fmt.Errorf("param count %d, want %d", n, len(ps))
 	}
 	for _, p := range ps {
@@ -497,5 +554,13 @@ func (r *reader) readParamsInto(ps []*nn.Param) error {
 		}
 		p.Value.CopyFrom(t)
 	}
-	return nil
+	for i, part := range qkv {
+		attn.PackQKVBand(i, part.Weight.Value.Data(), part.Bias.Value.Data())
+	}
+	for _, part := range quantParts(l) {
+		if s := nn.QuantSlot(part); s != nil && (r.ver >= 4 || part == l) {
+			*s = r.quant8()
+		}
+	}
+	return r.err
 }

@@ -10,16 +10,45 @@ import (
 	"repro/internal/nn"
 )
 
-// Quantization payloads (format version 3).
+// Quantization payloads (format versions 3 and 4).
 //
-// Each Conv2d and Linear carries an optional Quant8 block directly after
-// its parameters: a presence flag, then Rows, K, InScale, the per-channel
-// WScale, the folded Bias, and the raw int8 weights. Scales and biases are
-// written as exact f32 bit patterns and weights as raw bytes, outside the
-// tensor encoding, so a quantized model round-trips bit-exactly.
+// Every layer's parameters are followed by one optional Quant8 block per
+// Conv2d or Linear part (quantParts): a presence flag, then Rows, K,
+// InScale, the per-channel WScale, the folded Bias, and the raw int8
+// weights. Scales and biases are written as exact f32 bit patterns and
+// weights as raw bytes, outside the tensor encoding, so a quantized model
+// round-trips bit-exactly. Version 3 wrote the block only for a bare
+// Conv2d or Linear.
 //
 // After the node tree, the graph-level QuantNote records the accuracy
 // budget and the per-task metrics measured before and after quantization.
+
+// quantParts lists the Conv2d and Linear parts of l whose annotations
+// follow its parameters, in stream order: the layer itself for a Conv2d or
+// Linear, the projections the plan lowers as convs or linears for an
+// attention, a transformer block or an adapter. Layers a container encodes
+// as sublayers of their own (ConvBlock, ResidualBlock, Sequential) are not
+// parts. Any other layer is its own only part and, having no annotation
+// slot, writes none; PatchEmbed's Proj only holds the patch op's weights.
+func quantParts(l nn.Layer) []nn.Layer {
+	switch v := l.(type) {
+	case *nn.MultiHeadAttention:
+		return []nn.Layer{v.QKV, v.WO}
+	case *nn.TransformerBlock:
+		return []nn.Layer{v.Attn.QKV, v.Attn.WO, v.FC1, v.FC2}
+	case *nn.Rescale2D:
+		if v.Proj != nil {
+			return []nn.Layer{v.Proj}
+		}
+		return nil
+	case *nn.RescaleTokens:
+		if v.Proj != nil {
+			return []nn.Layer{v.Proj}
+		}
+		return nil
+	}
+	return []nn.Layer{l}
+}
 
 // writeQuant8 appends a layer's quantization annotation.
 func writeQuant8(w io.Writer, q *nn.Quant8) {
@@ -45,8 +74,8 @@ func writeQuant8(w io.Writer, q *nn.Quant8) {
 	w.Write(raw)
 }
 
-// quant8 reads the optional quantization block of a Conv2d or Linear.
-// Pre-v3 streams have no block; absence decodes to nil.
+// quant8 reads one optional quantization block. Pre-v3 streams have no
+// block; absence decodes to nil.
 func (r *reader) quant8() *nn.Quant8 {
 	if r.ver < 3 || r.err != nil {
 		return nil

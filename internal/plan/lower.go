@@ -11,7 +11,7 @@ import (
 // Lowering: one graph node becomes one or more plan ops. Fusion decisions
 // happen here, at compile time — conv+BN+ReLU(+pool) collapse into a single
 // conv op with folded weights, the residual tail becomes one add+relu op,
-// transformer blocks unroll into packed-QKV/tiled-attention/fused-addln op
+// transformer blocks unroll into linear/tiled-attention/fused-addln op
 // chains (transformer.go) — so the executor never re-discovers them. Every
 // layer kind the zoo, the mutator and the parser can produce has a native
 // kernel, so the scheduler sees every op; a layer type with none is a

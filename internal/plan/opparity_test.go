@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -13,9 +14,9 @@ import (
 // TestTransformerOpsMatchEagerBitForBit runs a compiled ViT, BERT and lone
 // GELU op by op and feeds each gelu, ln, addln, embed, patch, tokenmean and
 // f32 linear op's own inputs to the nn layers it was lowered from, rebuilt
-// from the op's parameters: a plain linear (qkv, attention projection,
-// head) to Linear, the FFN's fused FC1 to Linear -> GELU and its fused FC2
-// to Linear -> add with the residual. The plan op and the eager layers call
+// from the op's parameters: a plain linear (the packed QKV projection, the
+// attention's output projection, a head) to Linear, the FFN's fused FC1 to
+// Linear -> GELU and its fused FC2 to Linear -> add with the residual. The plan op and the eager layers call
 // the same tensor functions in the same order, so every output element must
 // match exactly, on either kernel tier.
 func TestTransformerOpsMatchEagerBitForBit(t *testing.T) {
@@ -84,8 +85,8 @@ func TestTransformerOpsMatchEagerBitForBit(t *testing.T) {
 				}
 			}
 			for _, kind := range map[string][]string{
-				"bert":  {"linear", "linear+gelu", "linear+residual", "ln", "addln", "embed", "tokenmean"},
-				"vit":   {"linear", "linear+gelu", "linear+residual", "ln", "addln", "patch", "tokenmean"},
+				"bert":  {"linear", "linear qkv", "linear+gelu", "linear+residual", "ln", "addln", "embed", "tokenmean"},
+				"vit":   {"linear", "linear qkv", "linear+gelu", "linear+residual", "ln", "addln", "patch", "tokenmean"},
 				"tails": {"gelu"},
 			}[name] {
 				if checked[kind] == 0 {
@@ -96,7 +97,8 @@ func TestTransformerOpsMatchEagerBitForBit(t *testing.T) {
 	}
 }
 
-// opLabel is o's kind, with a linear's fused epilogue named.
+// opLabel is o's kind, with a linear's fused epilogue or its role as the
+// packed QKV projection named.
 func opLabel(o *Op) string {
 	if s, ok := o.spec.(*linearSpec); ok {
 		switch {
@@ -104,6 +106,8 @@ func opLabel(o *Op) string {
 			return "linear+gelu"
 		case o.In2 >= 0:
 			return "linear+residual"
+		case strings.Contains(o.Name, " qkv("):
+			return "linear qkv"
 		}
 	}
 	return o.Kind

@@ -76,8 +76,8 @@ type Op struct {
 	// Name locates the op in reports, e.g. "t0/op2 conv3x3(6->12)+bn+relu+pool".
 	Name string
 	// Kind is the kernel family: conv, bn, relu, maxpool, avgpool, addrelu,
-	// linear, interp, tokenmean, copy, ln, addln, qkv, attn, patch, embed,
-	// tokeninterp, gelu (plus qconv/qlinear/qqkv for the int8 twins). A
+	// linear, interp, tokenmean, copy, ln, addln, attn, patch, embed,
+	// tokeninterp, gelu (plus qconv/qlinear for the int8 twins). A
 	// linear's row epilogue may apply GELU or add a residual (In2); its Name
 	// then ends in "+gelu" or "+residual".
 	Kind string
@@ -103,7 +103,7 @@ type Op struct {
 // Precision reports the op's execution precision, derived from its kind:
 // int8 for the quantized kernels, f32 for everything else.
 func (o *Op) Precision() string {
-	if o.Kind == "qconv" || o.Kind == "qlinear" || o.Kind == "qqkv" {
+	if o.Kind == "qconv" || o.Kind == "qlinear" {
 		return "int8"
 	}
 	return "f32"

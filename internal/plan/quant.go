@@ -22,16 +22,15 @@ type QuantTarget struct {
 	OpID int
 	// Name matches the op's Name for reports.
 	Name string
-	// Kind is "conv", "linear", or "qkv" (the packed attention projection).
+	// Kind is "conv" or "linear".
 	Kind string
-	// Layer is the graph layer an int8 annotation attaches to: a
-	// *nn.Conv2d for conv targets, a *nn.Linear for linear targets, a
-	// *nn.MultiHeadAttention for qkv targets.
+	// Layer is the graph layer an int8 annotation attaches to (through
+	// nn.QuantSlot): a *nn.Conv2d for conv targets, a *nn.Linear for
+	// linear targets.
 	Layer nn.Layer
 	// W is the op's effective float32 weight: for convs the BN-folded
 	// [Rows, K] matrix (a plan-owned copy), for linears the layer's live
-	// [K, Rows] weight, for qkv the plan-owned packed [K, Rows] = [D, 3D]
-	// concatenation (callers transpose the latter two into kernel layout).
+	// [K, Rows] weight (callers transpose it into kernel layout).
 	W *tensor.Tensor
 	// Bias is the effective float32 bias (folded for convs).
 	Bias []float32
@@ -57,15 +56,6 @@ func convQuant(src *nn.Conv2d, f *FoldedConv) *nn.Quant8 {
 // linearQuant returns the layer's annotation when it matches its shape.
 func linearQuant(l *nn.Linear) *nn.Quant8 {
 	if q := l.Quant; q != nil && q.Rows == l.Out && q.K == l.In {
-		return q
-	}
-	return nil
-}
-
-// qkvQuant returns the attention's packed-projection annotation when it
-// matches the packed [D, 3D] geometry.
-func qkvQuant(m *nn.MultiHeadAttention) *nn.Quant8 {
-	if q := m.QKVQuant; q != nil && q.Rows == 3*m.D && q.K == m.D {
 		return q
 	}
 	return nil

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -10,20 +9,18 @@ import (
 
 // Transformer lowering. A TransformerBlock becomes seven planned ops:
 //
-//	ln -> qkv -> attn -> linear(WO) -> addln -> linear(FC1)+gelu ->
-//	linear(FC2)+residual
+//	ln -> linear(QKV) -> attn -> linear(WO) -> addln ->
+//	linear(FC1)+gelu -> linear(FC2)+residual
 //
 // Each op's math is the tensor function nn's layer calls too (GELURow,
-// LayerNormRow, FlashAttendHead at AttendTiles, EmbedRows,
-// PatchEmbedInto), so the plan differs from the eager walk only in four
-// fusions: the Q/K/V projections run as ONE packed [D, 3D] GEMM (kind
-// "qkv", or "qqkv" on the int8 kernel when calibrated), the attention
-// (kind "attn") reads its heads straight out of that packed buffer and
-// works in a planned per-(sample,head) workspace slab, the first residual
-// join fuses with the second layer norm into one dual-output op (kind
-// "addln") that publishes both the residual sum x1 (Out2) and LN2(x1)
-// (Out, feeding the MLP), and the FFN's GELU and closing residual add
-// (x1, read through In2) run in the row epilogues of FC1 and FC2. The
+// LayerNormRow, FlashAttendUnits at AttendTiles, EmbedRows,
+// PatchEmbedInto), so the plan differs from the eager walk only in two
+// fusions: the first residual join fuses with the second layer norm into
+// one dual-output op (kind "addln") that publishes both the residual sum
+// x1 (Out2) and LN2(x1) (Out, feeding the MLP), and the FFN's GELU and
+// closing residual add (x1, read through In2) run in the row epilogues of
+// FC1 and FC2. The attention (kind "attn") reads its heads straight out of
+// the packed QKV projection and works in a planned workspace slab. The
 // ViT/BERT stems lower to "patch" and "embed" ops, so whole transformer
 // graphs execute with zero steady-state allocations like the CNN families.
 
@@ -37,56 +34,15 @@ func (c *compiler) lowerLayerNorm(name string, l *nn.LayerNorm, inVal int) int {
 	})
 }
 
-// lowerQKV emits the packed Q/K/V projection: the three [D, D] weights
-// concatenate column-wise into one [D, 3D] matrix so a single GEMM produces
-// the [T, 3D] packed projection the attention kernel reads by column band.
-// Column j of the packed weight equals column j of WQ (j < D), WK, or WV,
-// so each output element sees the identical accumulation as the separate
-// GEMMs. The target is recorded for int8 calibration like any linear.
-func (c *compiler) lowerQKV(name string, m *nn.MultiHeadAttention, inVal int) int {
-	in := c.val(inVal)
-	t, d := in.Shape[0], m.D
-	w := tensor.New(d, 3*d)
-	bias := make([]float32, 3*d)
-	wd := w.Data()
-	for bi, l := range []*nn.Linear{m.WQ, m.WK, m.WV} {
-		src := l.Weight.Value.Data()
-		for p := 0; p < d; p++ {
-			copy(wd[p*3*d+bi*d:][:d], src[p*d:][:d])
-		}
-		copy(bias[bi*d:][:d], l.Bias.Value.Data())
-	}
-	out := c.newValue([]int{t, 3 * d}, false, -1)
-	var op *Op
-	if q := qkvQuant(m); q != nil {
-		op = &Op{
-			Name: name, Kind: "qqkv", In: inVal, In2: -1, Out: out,
-			spec: &qlinearSpec{q: q, in: d, out: 3 * d},
-		}
-	} else {
-		op = &Op{
-			Name: name, Kind: "qkv", In: inVal, In2: -1, Out: out,
-			spec: &linearSpec{in: d, out: 3 * d, w: w, bias: bias},
-		}
-	}
-	v := c.addOp(op)
-	if tensor.QuantDepthOK(d) {
-		c.p.QuantTargets = append(c.p.QuantTargets, QuantTarget{
-			OpID: op.ID, Name: name, Kind: "qkv", Layer: m,
-			W: w, Bias: bias, Rows: 3 * d, K: d,
-		})
-	}
-	return v
-}
-
 // lowerAttention emits multi-head attention, standalone or as a
-// TransformerBlock's first half: packed QKV, tiled attention, then the
-// output projection (which records its own linear quant target, covering
-// WO).
+// TransformerBlock's first half: the packed QKV projection and the output
+// projection WO through the shared linear lowering (so each picks up its
+// int8 annotation and records its quant target like any linear), with the
+// tiled attention between them.
 func (c *compiler) lowerAttention(name string, m *nn.MultiHeadAttention, inVal int) int {
 	in := c.val(inVal)
 	t, d := in.Shape[0], m.D
-	qkv := c.lowerQKV(fmt.Sprintf("%s qkv(%d->%d)", name, d, 3*d), m, inVal)
+	qkv := c.lowerLinear(fmt.Sprintf("%s qkv(%d->%d)", name, d, 3*d), m.QKV, inVal, false, -1)
 	bq, bk := tensor.AttendTiles(t)
 	ws := c.newValue([]int{m.Heads * tensor.AttendWorkspace(bq, bk)}, false, -1)
 	ctx := c.newValue([]int{t, d}, false, -1)
@@ -207,10 +163,10 @@ func (s *addLNSpec) build(inst *Instance, o *Op) func() {
 }
 
 // attnSpec runs tiled flash attention over the packed [T, 3D] QKV
-// projection. Each (sample, head) unit is an independent task: head h of
-// sample ni reads its hd-wide column band of the Q, K, and V thirds through
-// stride 3D, writes its band of the [T, D] context, and owns a disjoint
-// slice of the planned workspace slab, so the units parallelize freely.
+// projection through tensor.FlashAttendUnits: each (sample, head) unit
+// reads its head's bands at stride 3D, writes its band of the [T, D]
+// context and owns a disjoint slice of the planned workspace slab, so the
+// units parallelize freely.
 type attnSpec struct {
 	heads, t, d int
 	bq, bk      int
@@ -219,25 +175,11 @@ type attnSpec struct {
 
 func (s *attnSpec) build(inst *Instance, o *Op) func() {
 	in, out := o.In, o.Out
-	hd := s.d / s.heads
-	scale := float32(1 / math.Sqrt(float64(hd)))
-	unit := tensor.AttendWorkspace(s.bq, s.bk)
-	stride := 3 * s.d
 	body := func(lo, hi int) {
-		qkv := inst.regs[in].Data()
-		ctx := inst.regs[out].Data()
-		wsd := inst.regs[s.ws].Data()
-		for u := lo; u < hi; u++ {
-			ni, h := u/s.heads, u%s.heads
-			base := ni * s.t * stride
-			q := qkv[base+h*hd:]
-			k := qkv[base+s.d+h*hd:]
-			v := qkv[base+2*s.d+h*hd:]
-			dst := ctx[ni*s.t*s.d+h*hd:]
-			tensor.FlashAttendHead(dst, s.d, q, k, v, stride, s.t, hd, scale, s.bq, s.bk, wsd[u*unit:][:unit])
-		}
+		tensor.FlashAttendUnits(inst.regs[out].Data(), inst.regs[in].Data(), inst.regs[s.ws].Data(),
+			s.t, s.d, s.heads, s.bq, s.bk, lo, hi)
 	}
-	return func() { tensor.ParallelFor(inst.batch*s.heads, s.t*s.t*hd, body) }
+	return func() { tensor.ParallelFor(inst.batch*s.heads, s.t*s.t*(s.d/s.heads), body) }
 }
 
 // patchSpec is the ViT stem, tensor.PatchEmbedInto over the cols2d

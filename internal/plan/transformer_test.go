@@ -13,9 +13,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Transformer lowering tests: the plan executor's fused qkv/attn/addln op
-// chain against graph.Forward, whose eager MultiHeadAttention runs the
-// same tiled attention kernel over three separate projections.
+// Transformer lowering tests: the plan executor's fused linear/attn/addln
+// op chain against graph.Forward, whose eager MultiHeadAttention runs the
+// same packed projection and tiled attention kernel.
 
 // vitGraph builds a single-task ViT over a [3,48,48] input: 36 tokens, so
 // the attention streams multiple query tiles (bq=32) per head.
@@ -90,7 +90,8 @@ func TestTransformerOpGranularity(t *testing.T) {
 }
 
 // TestTransformerLoweringNative: the ViT and BERT zoo profiles must lower
-// onto the fused transformer kinds, seven ops a block: the FFN's GELU rides
+// onto the fused transformer kinds, seven ops a block: every attention
+// reads a plain linear op, the packed QKV projection, the FFN's GELU rides
 // FC1's epilogue and the closing residual add FC2's, so no standalone gelu
 // or add op is left.
 func TestTransformerLoweringNative(t *testing.T) {
@@ -103,8 +104,13 @@ func TestTransformerLoweringNative(t *testing.T) {
 			if o.Kind == "linear" && o.In2 >= 0 {
 				residual++
 			}
+			if o.Kind == "attn" {
+				if src := p.Ops[p.Values[o.In].Producer]; src.Kind != "linear" || !strings.Contains(src.Name, " qkv(") {
+					t.Errorf("%s: %s reads %s op %q, want the linear QKV projection", name, o.Name, src.Kind, src.Name)
+				}
+			}
 		}
-		for _, want := range []string{"qkv", "attn", "addln", "ln", "linear"} {
+		for _, want := range []string{"attn", "addln", "ln", "linear"} {
 			if kinds[want] == 0 {
 				t.Errorf("%s: no %q ops lowered (kinds %v)", name, want, kinds)
 			}
@@ -210,9 +216,9 @@ func TestRescaleTokensLowersNative(t *testing.T) {
 	}
 }
 
-// FuzzFusedQKVParity drives the packed-QKV + tiled-attention lowering
-// against the eager MultiHeadAttention across random head counts, head
-// dims, and sequence lengths.
+// FuzzFusedQKVParity drives the packed-QKV linear + tiled-attention
+// lowering against the eager MultiHeadAttention across random head counts,
+// head dims, and sequence lengths.
 func FuzzFusedQKVParity(f *testing.F) {
 	f.Add(uint64(1), 2, 4, 8)
 	f.Add(uint64(2), 4, 8, 33)

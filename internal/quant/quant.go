@@ -61,7 +61,7 @@ func (c Config) withDefaults() Config {
 type OpDecision struct {
 	OpID int
 	Name string
-	Kind string // "conv", "linear", or "qkv"
+	Kind string // "conv" or "linear"
 	// Precision is "int8" or "f32".
 	Precision string
 	// Reason explains the choice: "quantized", "head output", "accuracy
@@ -103,7 +103,7 @@ func Apply(g *graph.Graph, ds *data.Dataset, cfg Config) (*Report, error) {
 	// full precision, then compile the worklist.
 	p := plan.Compile(g)
 	for _, t := range p.QuantTargets {
-		setQuant(t.Layer, nil)
+		*nn.QuantSlot(t.Layer) = nil
 	}
 	p = plan.Compile(g)
 	inst := p.NewInstance()
@@ -129,7 +129,7 @@ func Apply(g *graph.Graph, ds *data.Dataset, cfg Config) (*Report, error) {
 			d.Reason = "no calibration data"
 		default:
 			q, score := quantizeTarget(t, st)
-			setQuant(t.Layer, q)
+			*nn.QuantSlot(t.Layer) = q
 			d.Precision, d.Reason = "int8", "quantized"
 			d.InScale, d.ErrScore = q.InScale, score
 			rep.QuantizedOps++
@@ -160,7 +160,7 @@ func Apply(g *graph.Graph, ds *data.Dataset, cfg Config) (*Report, error) {
 			break // nothing left to revert; the residual drop is noise
 		}
 		d := &rep.Ops[worst]
-		setQuant(targets[d.OpID].Layer, nil)
+		*nn.QuantSlot(targets[d.OpID].Layer) = nil
 		d.Precision = "f32"
 		d.Reason = fmt.Sprintf("accuracy guard (drop %.4f > budget %.4f)", rep.Drop, cfg.AccuracyDrop)
 		rep.QuantizedOps--
@@ -244,9 +244,8 @@ func calibrate(inst *plan.Instance, p *plan.Plan, ds *data.Dataset, cfg Config) 
 // only to order removals; accuracy is always re-measured.
 func quantizeTarget(t *plan.QuantTarget, st *calibStat) (*nn.Quant8, float64) {
 	w := t.W.Data()
-	if t.Kind == "linear" || t.Kind == "qkv" {
-		// The live linear weight (and the packed [D, 3D] QKV concatenation)
-		// is [K, Rows]; the kernel wants [Rows, K].
+	if t.Kind == "linear" {
+		// The live linear weight is [K, Rows]; the kernel wants [Rows, K].
 		wt := make([]float32, t.Rows*t.K)
 		for p := 0; p < t.K; p++ {
 			row := w[p*t.Rows : (p+1)*t.Rows]
@@ -300,37 +299,11 @@ func QuantizedOps(g *graph.Graph) int {
 func Strip(g *graph.Graph) int {
 	n := 0
 	for _, t := range plan.Compile(g).QuantTargets {
-		if hasQuant(t.Layer) {
-			setQuant(t.Layer, nil)
+		if s := nn.QuantSlot(t.Layer); *s != nil {
+			*s = nil
 			n++
 		}
 	}
 	g.Quant = nil
 	return n
-}
-
-// hasQuant reports whether a target layer carries an annotation.
-func hasQuant(l nn.Layer) bool {
-	switch l := l.(type) {
-	case *nn.Conv2d:
-		return l.Quant != nil
-	case *nn.Linear:
-		return l.Quant != nil
-	case *nn.MultiHeadAttention:
-		return l.QKVQuant != nil
-	}
-	return false
-}
-
-// setQuant attaches (or, with nil, removes) an annotation on a target
-// layer.
-func setQuant(l nn.Layer, q *nn.Quant8) {
-	switch l := l.(type) {
-	case *nn.Conv2d:
-		l.Quant = q
-	case *nn.Linear:
-		l.Quant = q
-	case *nn.MultiHeadAttention:
-		l.QKVQuant = q
-	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/parser"
 )
 
 // workerRef is one registered worker endpoint.
@@ -121,7 +122,7 @@ func (p *Pool) EvaluateBatch(jobs []core.EvalJob) []core.EvalOutcome {
 // evalOne runs one job on one worker, retrying once on transport errors
 // (a retry is safe: evaluation is a pure function of the request).
 func (p *Pool) evalOne(url string, job core.EvalJob) core.EvalOutcome {
-	enc, err := EncodeGraph(job.Cand)
+	enc, err := parser.SaveBase64(job.Cand)
 	if err != nil {
 		return core.EvalOutcome{Err: fmt.Errorf("encode candidate: %w", err)}
 	}
@@ -145,7 +146,7 @@ func (p *Pool) evalOne(url string, job core.EvalJob) core.EvalOutcome {
 	}
 	out := core.EvalOutcome{Met: reply.Met, Report: FromWire(reply.Report)}
 	if reply.Met && reply.Trained != "" {
-		g, err := DecodeGraph(reply.Trained)
+		g, err := parser.LoadBase64(reply.Trained)
 		if err != nil {
 			return core.EvalOutcome{Err: fmt.Errorf("worker %s: decode trained graph: %w", url, err)}
 		}

@@ -11,15 +11,11 @@
 package coord
 
 import (
-	"bytes"
-	"encoding/base64"
 	"fmt"
 	"strconv"
 	"time"
 
 	"repro/internal/distill"
-	"repro/internal/graph"
-	"repro/internal/parser"
 )
 
 // EvalRequest is one fine-tune/measure job posted to a worker's /eval.
@@ -73,24 +69,6 @@ type Info struct {
 	Tasks int `json:"tasks"`
 	// Slots is the worker's evaluation concurrency.
 	Slots int `json:"slots"`
-}
-
-// EncodeGraph serializes a graph to the base64 wire form.
-func EncodeGraph(g *graph.Graph) (string, error) {
-	var buf bytes.Buffer
-	if err := parser.Save(&buf, g); err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(buf.Bytes()), nil
-}
-
-// DecodeGraph parses the base64 wire form back into a graph.
-func DecodeGraph(s string) (*graph.Graph, error) {
-	raw, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("decode graph: %w", err)
-	}
-	return parser.Load(bytes.NewReader(raw))
 }
 
 // ToWire flattens a distill.Report.

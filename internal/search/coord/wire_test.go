@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/nn"
-	"repro/internal/search/coord"
+	"repro/internal/parser"
 	"repro/internal/tensor"
 )
 
@@ -32,7 +32,7 @@ func tinyWire(t testing.TB) string {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	s64, err := coord.EncodeGraph(g)
+	s64, err := parser.SaveBase64(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +50,12 @@ func FuzzDecodeGraph(f *testing.F) {
 	f.Add("not base64!")
 	f.Fuzz(func(t *testing.T, s string) {
 		check := func(s string) {
-			g, err := coord.DecodeGraph(s)
+			g, err := parser.LoadBase64(s)
 			if err != nil {
 				return
 			}
 			if verr := g.Validate(); verr != nil {
-				t.Fatalf("DecodeGraph returned a graph that fails Validate: %v", verr)
+				t.Fatalf("LoadBase64 returned a graph that fails Validate: %v", verr)
 			}
 		}
 		check(s)

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fingerprint"
+	"repro/internal/parser"
 	"repro/internal/search/coord"
 )
 
@@ -91,7 +92,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, maxEval int6
 }
 
 func (s *Server) evalOne(req *coord.EvalRequest) *coord.EvalReply {
-	g, err := coord.DecodeGraph(req.Graph)
+	g, err := parser.LoadBase64(req.Graph)
 	if err != nil {
 		return &coord.EvalReply{Error: err.Error()}
 	}
@@ -103,7 +104,7 @@ func (s *Server) evalOne(req *coord.EvalRequest) *coord.EvalReply {
 	}
 	reply := &coord.EvalReply{Met: out.Met, Report: coord.ToWire(out.Report)}
 	if out.Met && out.Trained != nil {
-		enc, err := coord.EncodeGraph(out.Trained)
+		enc, err := parser.SaveBase64(out.Trained)
 		if err != nil {
 			return &coord.EvalReply{Error: fmt.Sprintf("encode trained graph: %v", err)}
 		}

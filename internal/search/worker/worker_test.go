@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/distill"
+	"repro/internal/parser"
 	"repro/internal/search/coord"
 	"repro/internal/testutil"
 )
@@ -25,7 +26,7 @@ func TestOversizedEvalBodyGets413(t *testing.T) {
 	opts := core.AccuracyOptions{FineTune: distill.Config{LR: 0.003, Epochs: 1, Batch: 16, EvalEvery: 1}}
 	s := NewServer(core.NewLocalEvaluator(ds, map[int]float64{}, outs, ds.Train.X, opts, 1), "crc32:test", len(g.Heads))
 
-	enc, err := coord.EncodeGraph(g)
+	enc, err := parser.SaveBase64(g)
 	if err != nil {
 		t.Fatal(err)
 	}

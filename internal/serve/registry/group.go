@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/api"
 	"repro/internal/engine"
 	"repro/internal/fingerprint"
 	"repro/internal/graph"
@@ -37,31 +38,9 @@ type group struct {
 }
 
 // SharedStemInfo is the serving view of a model's shared-stem group,
-// surfaced through Snapshot and ModelStats (and from there the v2 API).
+// surfaced through Snapshot and ModelStats and served as is by the v2 API.
 // Counters are group-wide: every member reports the same numbers.
-type SharedStemInfo struct {
-	// Members lists the group's model names in membership order.
-	Members []string `json:"members"`
-	// Depth is the number of stem nodes compiled once for the group.
-	Depth int `json:"depth"`
-	// Fingerprint is the stem's cumulative prefix hash, hex-encoded.
-	Fingerprint string `json:"fingerprint"`
-	// MemoHits/MemoMisses/MemoEvictions/MemoEntries describe the
-	// stem-activation memo (zero when memoisation is disabled);
-	// MemoFiltered counts rows the admission doorkeeper held out on
-	// their first sighting.
-	MemoHits      int64 `json:"memo_hits"`
-	MemoMisses    int64 `json:"memo_misses"`
-	MemoEvictions int64 `json:"memo_evictions"`
-	MemoFiltered  int64 `json:"memo_filtered"`
-	MemoEntries   int   `json:"memo_entries"`
-	// MixedBatches counts fused batches that coalesced requests from more
-	// than one member — the cross-model sharing actually happening.
-	MixedBatches int64 `json:"mixed_batches"`
-	// StemBatchHist histograms the stem batch sizes actually computed;
-	// bucket 0 counts batches served entirely from the memo.
-	StemBatchHist map[int]int64 `json:"stem_batch_hist,omitempty"`
-}
+type SharedStemInfo = api.SharedStem
 
 // sharedStats is the group's view with its counters filled in, nil for a
 // group of one. mixed is the group batcher's MixedBatches.

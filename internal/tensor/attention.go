@@ -19,10 +19,12 @@ import (
 // recomputes each query row's probabilities rather than keeping a [T, T]
 // matrix from the forward.
 //
-// The kernels read Q, K, V rows through a common row stride, so a head can
-// address its hd-wide column band inside a packed [T, 3*D] QKV projection
-// (stride 3*D, the plan's attn op) or a plain [T, D] tensor (stride D,
-// nn.MultiHeadAttention) without any copying.
+// The kernels read Q, K, V rows through a common row stride, so a head
+// addresses its hd-wide column band inside a packed [T, 3*D] QKV projection
+// (stride 3*D) without any copying. FlashAttendUnits and
+// AttendBackwardUnits drive them over the (sample, head) units of a whole
+// packed projection; nn.MultiHeadAttention and the plan's attn op both run
+// through them.
 
 // Attention tiles: attnBQ query rows stream over attnBK-wide key blocks.
 const attnBQ, attnBK = 32, 64
@@ -127,6 +129,48 @@ func FlashAttendHead(out []float32, outStride int, q, k, v []float32, stride, t,
 		for r := 0; r < qn; r++ {
 			vscale(out[(i0+r)*outStride:][:hd], 1/l[r])
 		}
+	}
+}
+
+// attendUnit returns the offsets of (sample, head) unit u of multi-head
+// attention with heads heads over model width d and t tokens: in, the
+// unit's first query element in a packed [N, t, 3d] projection (its keys
+// and values sit d and 2d further, every row at stride 3d), and out, its
+// first element in the [N, t, d] context. It also returns the head width
+// and the attention scale 1/√hd.
+func attendUnit(u, t, d, heads int) (in, out, hd int, scale float32) {
+	hd = d / heads
+	ni, h := u/heads, u%heads
+	return ni*t*3*d + h*hd, ni*t*d + h*hd, hd, float32(1 / math.Sqrt(float64(hd)))
+}
+
+// FlashAttendUnits runs FlashAttendHead, at tiles bq × bk, over the
+// (sample, head) units [lo, hi) of multi-head attention with heads heads
+// over model width d and t tokens. qkv is the packed projection, t rows of
+// 3d floats per sample: queries in columns [0, d), keys in [d, 2d), values
+// in [2d, 3d). Unit u = sample·heads + head reads its head's band of each,
+// writes that band of the [N, t, d] context ctx, and works in
+// ws[u·AttendWorkspace(bq, bk):]. Units own disjoint outputs and
+// workspace, so callers split the units over the worker pool freely.
+func FlashAttendUnits(ctx, qkv, ws []float32, t, d, heads, bq, bk, lo, hi int) {
+	unit := AttendWorkspace(bq, bk)
+	for u := lo; u < hi; u++ {
+		in, out, hd, scale := attendUnit(u, t, d, heads)
+		FlashAttendHead(ctx[out:], d, qkv[in:], qkv[in+d:], qkv[in+2*d:], 3*d, t, hd, scale, bq, bk, ws[u*unit:][:unit])
+	}
+}
+
+// AttendBackwardUnits is the backward of FlashAttendUnits over units
+// [lo, hi): from the context gradient gctx ([N, t, d]) and the forward's
+// packed projection qkv, it overwrites each unit's head bands of the
+// packed gradient gqkv (laid out like qkv) through AttendHeadBackward,
+// working in ws[u·AttendBackwardWorkspace(t):].
+func AttendBackwardUnits(gqkv, gctx, qkv, ws []float32, t, d, heads, lo, hi int) {
+	unit := AttendBackwardWorkspace(t)
+	for u := lo; u < hi; u++ {
+		in, out, hd, scale := attendUnit(u, t, d, heads)
+		AttendHeadBackward(gqkv[in:], gqkv[in+d:], gqkv[in+2*d:], gctx[out:], d,
+			qkv[in:], qkv[in+d:], qkv[in+2*d:], 3*d, t, hd, scale, ws[u*unit:][:unit])
 	}
 }
 

@@ -176,6 +176,66 @@ func FuzzAttendHeadBackwardParity(f *testing.F) {
 	})
 }
 
+// TestAttendUnitsMatchPerHeadKernels holds the (sample, head) driver to
+// the per-head kernels: FlashAttendUnits and AttendBackwardUnits over a
+// packed [n, t, 3d] projection, split into two unit ranges, must write
+// exactly what FlashAttendHead and AttendHeadBackward write for each head
+// run alone on its Q, K and V bands copied out contiguous, and must
+// overwrite every output element.
+func TestAttendUnitsMatchPerHeadKernels(t *testing.T) {
+	const n, tokens, d, heads, bq, bk = 2, 9, 12, 3, 4, 8
+	hd := d / heads
+	rng := tensor.NewRNG(91)
+	qkv, gctx := tensor.New(n*tokens*3*d), tensor.New(n*tokens*d)
+	rng.FillNormal(qkv, 0, 1)
+	rng.FillNormal(gctx, 0, 1)
+	ctx, gqkv := make([]float32, n*tokens*d), make([]float32, n*tokens*3*d)
+	for _, buf := range [][]float32{ctx, gqkv} {
+		for i := range buf {
+			buf[i] = float32(math.NaN())
+		}
+	}
+	fws := make([]float32, n*heads*tensor.AttendWorkspace(bq, bk))
+	bws := make([]float32, n*heads*tensor.AttendBackwardWorkspace(tokens))
+	for _, r := range [][2]int{{0, 1}, {1, n * heads}} {
+		tensor.FlashAttendUnits(ctx, qkv.Data(), fws, tokens, d, heads, bq, bk, r[0], r[1])
+		tensor.AttendBackwardUnits(gqkv, gctx.Data(), qkv.Data(), bws, tokens, d, heads, r[0], r[1])
+	}
+
+	scale := float32(1 / math.Sqrt(float64(hd)))
+	for ni := 0; ni < n; ni++ {
+		for h := 0; h < heads; h++ {
+			// band b of (sample ni, head h) copied out at stride hd
+			band := func(src []float32, width, off int) []float32 {
+				out := make([]float32, tokens*hd)
+				for r := 0; r < tokens; r++ {
+					copy(out[r*hd:][:hd], src[(ni*tokens+r)*width+off+h*hd:][:hd])
+				}
+				return out
+			}
+			q, k, v := band(qkv.Data(), 3*d, 0), band(qkv.Data(), 3*d, d), band(qkv.Data(), 3*d, 2*d)
+			want := make([]float32, tokens*hd)
+			tensor.FlashAttendHead(want, hd, q, k, v, hd, tokens, hd, scale, bq, bk, make([]float32, tensor.AttendWorkspace(bq, bk)))
+			gq, gk, gv := make([]float32, tokens*hd), make([]float32, tokens*hd), make([]float32, tokens*hd)
+			tensor.AttendHeadBackward(gq, gk, gv, band(gctx.Data(), d, 0), hd, q, k, v, hd, tokens, hd, scale,
+				make([]float32, tensor.AttendBackwardWorkspace(tokens)))
+			for _, c := range []struct {
+				what      string
+				got, want []float32
+			}{
+				{"context", band(ctx, d, 0), want},
+				{"dQ", band(gqkv, 3*d, 0), gq}, {"dK", band(gqkv, 3*d, d), gk}, {"dV", band(gqkv, 3*d, 2*d), gv},
+			} {
+				for i, g := range c.got {
+					if math.Float32bits(g) != math.Float32bits(c.want[i]) {
+						t.Fatalf("sample %d head %d %s element %d = %v, per-head kernel %v", ni, h, c.what, i, g, c.want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func abs(v int) int {
 	if v < 0 {
 		return -v

@@ -7,6 +7,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/distill"
 	"repro/internal/graph"
+	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -46,6 +47,21 @@ func TinyMultiDNN(seed uint64, ds *data.Dataset) *graph.Graph {
 	for i, spec := range ds.Tasks {
 		g.TaskNames[i] = spec.Name
 		TinyCNNBranch(g, rng, i, spec.Classes)
+	}
+	g.RefreshCapacities()
+	return g
+}
+
+// TinyViT builds a ViT-Base teacher per task of ds over its 16x16 images:
+// four tokens of width 32, four transformer blocks a branch.
+func TinyViT(seed uint64, ds *data.Dataset) *graph.Graph {
+	rng := tensor.NewRNG(seed)
+	g := graph.New(graph.Shape{3, 16, 16}, graph.DomainRaw)
+	for i, spec := range ds.Tasks {
+		g.TaskNames[i] = spec.Name
+		if _, err := models.AddBranch(g, rng, models.Config{}, models.ViTBase, i, spec.Classes); err != nil {
+			panic(err)
+		}
 	}
 	g.RefreshCapacities()
 	return g
