@@ -31,7 +31,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/distill"
@@ -159,7 +158,7 @@ func NewTextDataset(train, test, seqLen int, seed uint64) *Dataset {
 // standing in for loading pre-trained checkpoints. It returns each task's
 // test metric.
 func Pretrain(m *Model, ds *Dataset, epochs int, lr float32, seed uint64) (map[int]float64, error) {
-	return bench.Pretrain(m, ds, epochs, lr, seed)
+	return distill.Pretrain(m, ds, epochs, lr, seed)
 }
 
 // Config controls a fusion search, mirroring the paper's configuration

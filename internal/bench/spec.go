@@ -12,7 +12,6 @@ import (
 	"repro/internal/distill"
 	"repro/internal/graph"
 	"repro/internal/models"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -200,7 +199,7 @@ func Build(spec Spec, sc Scale) (*Workload, error) {
 		return nil, fmt.Errorf("bench %s: teacher graph invalid: %w", spec.ID, err)
 	}
 
-	acc, err := Pretrain(g, ds, sc.PretrainEpochs, sc.LR, sc.Seed^0xFACE)
+	acc, err := distill.Pretrain(g, ds, sc.PretrainEpochs, sc.LR, sc.Seed^0xFACE)
 	if err != nil {
 		return nil, fmt.Errorf("bench %s: pre-training teachers: %w", spec.ID, err)
 	}
@@ -209,63 +208,6 @@ func Build(spec Spec, sc Scale) (*Workload, error) {
 		Spec: spec, Scale: sc, Dataset: ds, Teacher: g,
 		TeacherAcc: acc, Outputs: outs, Vocab: 40,
 	}, nil
-}
-
-// Pretrain trains a multi-branch graph on its dataset labels (cross entropy
-// for classification, BCE for multi-label) and returns the per-task test
-// metrics. It is the stand-in for the paper's downloaded pre-trained
-// checkpoints.
-func Pretrain(g *graph.Graph, ds *data.Dataset, epochs int, lr float32, seed uint64) (map[int]float64, error) {
-	rng := tensor.NewRNG(seed)
-	opt := nn.NewAdam(g.Params(), lr)
-	train := ds.Train
-	n := train.Len()
-	batch := 16
-	for e := 0; e < epochs; e++ {
-		perm := rng.Perm(n)
-		for lo := 0; lo < n; lo += batch {
-			hi := lo + batch
-			if hi > n {
-				hi = n
-			}
-			idx := perm[lo:hi]
-			xb := gatherRows(train.X, idx)
-			opt.ZeroGrad()
-			outs := g.Forward(xb, true)
-			grads := make(map[int]*tensor.Tensor, len(outs))
-			for id, o := range outs {
-				var gr *tensor.Tensor
-				switch ds.Tasks[id].Kind {
-				case data.MultiLabel:
-					rows := make([][]int, len(idx))
-					for i, r := range idx {
-						rows[i] = train.Multi[id][r]
-					}
-					_, gr = nn.BCEWithLogitsLoss(o, rows)
-				default:
-					labels := make([]int, len(idx))
-					for i, r := range idx {
-						labels[i] = train.Labels[id][r]
-					}
-					_, gr = nn.CrossEntropyLoss(o, labels)
-				}
-				grads[id] = gr
-			}
-			g.Backward(grads)
-			opt.Step()
-		}
-	}
-	eval := &distill.Evaluator{Dataset: ds}
-	return eval.Measure(g)
-}
-
-func gatherRows(x *tensor.Tensor, rows []int) *tensor.Tensor {
-	per := x.Size() / x.Dim(0)
-	out := tensor.New(append([]int{len(rows)}, x.Shape()[1:]...)...)
-	for i, r := range rows {
-		copy(out.Data()[i*per:(i+1)*per], x.Data()[r*per:(r+1)*per])
-	}
-	return out
 }
 
 // Targets derives per-task accuracy targets from the teacher metrics and an

@@ -101,32 +101,47 @@ func (d *Dataset) Score(s *Split, t int, logits *tensor.Tensor) (float64, error)
 // and scores every task it outputs. The logits are gathered over the whole
 // split first and scored once: mAP and MCC are not batch-decomposable.
 func (d *Dataset) ScoreTest(forward func(*tensor.Tensor) map[int]*tensor.Tensor, batch int) (map[int]float64, error) {
-	test := d.Test
-	n := test.Len()
-	logits := make(map[int]*tensor.Tensor)
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		out := forward(test.Batch(lo, hi))
-		for id, o := range out {
-			dst, ok := logits[id]
-			if !ok {
-				dst = tensor.New(append([]int{n}, o.Shape()[1:]...)...)
-				logits[id] = dst
-			}
-			per := o.Size() / o.Dim(0)
-			copy(dst.Data()[lo*per:hi*per], o.Data())
-		}
-	}
+	logits := ForwardBatches(d.Test.X, batch, forward)
 	acc := make(map[int]float64, len(logits))
 	for id, l := range logits {
-		a, err := d.Score(test, id, l)
+		a, err := d.Score(d.Test, id, l)
 		if err != nil {
 			return nil, fmt.Errorf("data: scoring task %d: %w", id, err)
 		}
 		acc[id] = a
 	}
 	return acc, nil
+}
+
+// ForwardBatches runs forward over x's rows in batches of batch rows (all
+// of them when batch <= 0) and returns each output concatenated over every
+// row. A batch is an arena lease, released once its outputs are copied
+// out, so forward must not keep its input past the call. ForwardBatches
+// holds no state: concurrent calls are safe whenever their forwards are.
+func ForwardBatches(x *tensor.Tensor, batch int, forward func(*tensor.Tensor) map[int]*tensor.Tensor) map[int]*tensor.Tensor {
+	n := x.Dim(0)
+	if batch <= 0 || batch > n {
+		batch = n
+	}
+	per := 1
+	for _, d := range x.Shape()[1:] {
+		per *= d
+	}
+	outs := make(map[int]*tensor.Tensor)
+	for lo := 0; lo < n; lo += batch {
+		hi := min(lo+batch, n)
+		xb, handle := tensor.GetTensorDirty(append([]int{hi - lo}, x.Shape()[1:]...)...)
+		copy(xb.Data(), x.Data()[lo*per:hi*per])
+		for id, o := range forward(xb) {
+			dst, ok := outs[id]
+			if !ok {
+				dst = tensor.New(append([]int{n}, o.Shape()[1:]...)...)
+				outs[id] = dst
+			}
+			op := o.Size() / o.Dim(0)
+			copy(dst.Data()[lo*op:hi*op], o.Data())
+		}
+		tensor.PutBuf(handle)
+	}
+	return outs
 }

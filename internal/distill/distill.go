@@ -1,9 +1,11 @@
-// Package distill implements GMorph's distillation-based fine-tuning
-// (Section 5.2): a mutated multi-task model is trained to reproduce the
-// output features of the original task-specific DNNs under a weighted
-// per-task l1 loss, so no task labels are needed. Fine-tuning stops early
-// once the measured test accuracy meets the user's requirement, or when a
-// caller-provided hook (predictive early termination) cancels it.
+// Package distill is the one trainer. FineTune is GMorph's
+// distillation-based fine-tuning (Section 5.2): a mutated multi-task model
+// is trained to reproduce the output features of the original task-specific
+// DNNs under a per-task l1 loss, so no task labels are needed. Fine-tuning
+// stops early once the measured test accuracy meets the user's requirement,
+// or when a caller-provided hook (predictive early termination) cancels it.
+// Pretrain trains the teachers themselves on the task labels. Both run the
+// same minibatch loop (trainer) and differ only in the loss.
 package distill
 
 import (
@@ -25,44 +27,9 @@ type TeacherOutputs map[int]*tensor.Tensor
 // ComputeTeacherOutputs runs the teacher graph over x in batches and
 // returns the concatenated per-task outputs.
 func ComputeTeacherOutputs(teacher *graph.Graph, x *tensor.Tensor, batch int) TeacherOutputs {
-	n := x.Dim(0)
-	if batch <= 0 || batch > n {
-		batch = n
-	}
-	out := make(TeacherOutputs)
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		xb, handle := sliceBatch(x, lo, hi)
-		res := teacher.Forward(xb, false)
-		for id, o := range res {
-			dst, ok := out[id]
-			if !ok {
-				shape := append([]int{n}, o.Shape()[1:]...)
-				dst = tensor.New(shape...)
-				out[id] = dst
-			}
-			per := o.Size() / o.Dim(0)
-			copy(dst.Data()[lo*per:hi*per], o.Data())
-		}
-		tensor.PutBuf(handle)
-	}
-	return out
-}
-
-// sliceBatch copies rows [lo,hi) of x into a tensor drawn from the arena;
-// the handle must be released with tensor.PutBuf once the batch is dead.
-func sliceBatch(x *tensor.Tensor, lo, hi int) (*tensor.Tensor, *[]float32) {
-	shape := append([]int{hi - lo}, x.Shape()[1:]...)
-	per := 1
-	for _, d := range x.Shape()[1:] {
-		per *= d
-	}
-	out, handle := tensor.GetTensorDirty(shape...)
-	copy(out.Data(), x.Data()[lo*per:hi*per])
-	return out, handle
+	return data.ForwardBatches(x, batch, func(xb *tensor.Tensor) map[int]*tensor.Tensor {
+		return teacher.Forward(xb, false)
+	})
 }
 
 // Config controls one fine-tuning run. The defaults mirror the paper's
@@ -115,34 +82,37 @@ type Sample struct {
 	MinMargin float64
 }
 
-// Report summarizes a fine-tuning run.
+// Report summarizes a fine-tuning run. It is also the report a search
+// worker's /eval reply carries: JSON writes Final's task ids as decimal
+// strings and TrainTime as nanoseconds.
 type Report struct {
 	// Met reports whether every task reached its target metric.
-	Met bool
+	Met bool `json:"met"`
 	// Terminated reports whether the hook cancelled the run early.
-	Terminated bool
+	Terminated bool `json:"terminated"`
 	// Diverged reports that training produced a non-finite loss and the
 	// run was aborted; the candidate counts as failed.
-	Diverged bool
+	Diverged bool `json:"diverged"`
 	// EpochsRun counts completed epochs.
-	EpochsRun int
+	EpochsRun int `json:"epochs_run"`
 	// Final holds the last measured per-task accuracy.
-	Final map[int]float64
-	// Curve is the accuracy trajectory, one sample per evaluation.
-	Curve []Sample
+	Final map[int]float64 `json:"final,omitempty"`
+	// Curve is the accuracy trajectory, one sample per evaluation. It
+	// stays with the process that trained.
+	Curve []Sample `json:"-"`
 	// TrainTime is the wall-clock spent fine-tuning.
-	TrainTime time.Duration
+	TrainTime time.Duration `json:"train_ns"`
 	// FinalLoss is the last epoch's mean distillation loss.
-	FinalLoss float64
+	FinalLoss float64 `json:"final_loss"`
 	// WarmStarted reports that the run used a shrunken warm-start budget
 	// (Config.WarmEpochs); the Curve then begins with an Epoch-0 baseline.
-	WarmStarted bool
+	WarmStarted bool `json:"warm_started"`
 	// WarmFellBack reports that the warm-start guard restored the full
 	// epoch budget because the first evaluation regressed below baseline.
-	WarmFellBack bool
+	WarmFellBack bool `json:"warm_fell_back"`
 	// Err is set when evaluation failed (e.g. a metric shape mismatch);
 	// the run is aborted and the candidate counts as failed.
-	Err error
+	Err string `json:"err,omitempty"`
 }
 
 // Hook inspects the learning curve after each evaluation and may cancel
@@ -198,9 +168,11 @@ func (e *Evaluator) MinMargin(acc map[int]float64) float64 {
 func FineTune(g *graph.Graph, x *tensor.Tensor, teacher TeacherOutputs, eval *Evaluator, cfg Config, hook Hook) *Report {
 	cfg = cfg.withDefaults()
 	start := time.Now()
-	rng := tensor.NewRNG(cfg.Seed)
-	opt := nn.NewAdam(g.Params(), cfg.LR)
-	n := x.Dim(0)
+	tr := newTrainer(g, x, cfg.Batch, cfg.LR, cfg.Seed, func(id int, out *tensor.Tensor, rows []int) (float64, *tensor.Tensor) {
+		tb, th := gatherRows(teacher[id], rows)
+		defer tensor.PutBuf(th)
+		return nn.L1Loss(out, tb)
+	})
 	rep := &Report{Final: make(map[int]float64)}
 
 	budget := cfg.Epochs
@@ -211,7 +183,7 @@ func FineTune(g *graph.Graph, x *tensor.Tensor, teacher TeacherOutputs, eval *Ev
 		// at its best — zero fine-tuning epochs.
 		acc, err := eval.Measure(g)
 		if err != nil {
-			rep.Err = err
+			rep.Err = err.Error()
 			rep.TrainTime = time.Since(start)
 			return rep
 		}
@@ -229,47 +201,21 @@ func FineTune(g *graph.Graph, x *tensor.Tensor, teacher TeacherOutputs, eval *Ev
 
 	warmChecked := false
 	for epoch := 1; epoch <= budget; epoch++ {
-		perm := rng.Perm(n)
-		var epochLoss float64
-		var batches int
-		for lo := 0; lo < n; lo += cfg.Batch {
-			hi := lo + cfg.Batch
-			if hi > n {
-				hi = n
-			}
-			xb, xh := gatherRows(x, perm[lo:hi])
-			opt.ZeroGrad()
-			outs := g.Forward(xb, true)
-			grads := make(map[int]*tensor.Tensor, len(outs))
-			for id, o := range outs {
-				tb, th := gatherRows(teacher[id], perm[lo:hi])
-				l, gr := nn.L1Loss(o, tb)
-				tensor.PutBuf(th)
-				epochLoss += l
-				grads[id] = gr
-			}
-			batches++
-			if math.IsNaN(epochLoss) || math.IsInf(epochLoss, 0) {
-				// Diverged (e.g. too-high learning rate on an unstable
-				// mutation): abort; the candidate is non-promising.
-				tensor.PutBuf(xh)
-				rep.Diverged = true
-				rep.TrainTime = time.Since(start)
-				return rep
-			}
-			g.Backward(grads)
-			opt.Step()
-			// The layers cached xb for the backward pass, so the buffer can
-			// only return to the arena after Backward has consumed it.
-			tensor.PutBuf(xh)
+		loss, ok := tr.epoch()
+		if !ok {
+			// Diverged (e.g. too-high learning rate on an unstable
+			// mutation): abort; the candidate is non-promising.
+			rep.Diverged = true
+			rep.TrainTime = time.Since(start)
+			return rep
 		}
 		rep.EpochsRun = epoch
-		rep.FinalLoss = epochLoss / float64(batches)
+		rep.FinalLoss = loss
 
 		if epoch%cfg.EvalEvery == 0 || epoch == budget {
 			acc, err := eval.Measure(g)
 			if err != nil {
-				rep.Err = err
+				rep.Err = err.Error()
 				rep.TrainTime = time.Since(start)
 				return rep
 			}
@@ -301,10 +247,92 @@ func FineTune(g *graph.Graph, x *tensor.Tensor, teacher TeacherOutputs, eval *Ev
 	return rep
 }
 
+// Pretrain trains g's branches on ds's task labels for epochs epochs —
+// cross entropy, or BCE for multi-label tasks — in minibatches of 16, and
+// returns each task's test metric. It stands in for the paper's downloaded
+// pre-trained checkpoints. A non-finite loss stops it with an error.
+func Pretrain(g *graph.Graph, ds *data.Dataset, epochs int, lr float32, seed uint64) (map[int]float64, error) {
+	train := ds.Train
+	tr := newTrainer(g, train.X, 16, lr, seed, func(id int, out *tensor.Tensor, rows []int) (float64, *tensor.Tensor) {
+		if ds.Tasks[id].Kind == data.MultiLabel {
+			multi := make([][]int, len(rows))
+			for i, r := range rows {
+				multi[i] = train.Multi[id][r]
+			}
+			return nn.BCEWithLogitsLoss(out, multi)
+		}
+		labels := make([]int, len(rows))
+		for i, r := range rows {
+			labels[i] = train.Labels[id][r]
+		}
+		return nn.CrossEntropyLoss(out, labels)
+	})
+	for e := 1; e <= epochs; e++ {
+		if _, ok := tr.epoch(); !ok {
+			return nil, fmt.Errorf("distill: pre-training diverged in epoch %d", e)
+		}
+	}
+	return (&Evaluator{Dataset: ds}).Measure(g)
+}
+
+// lossFunc returns task id's loss and its gradient with respect to out,
+// the task's output over the minibatch of the given rows of x.
+type lossFunc func(id int, out *tensor.Tensor, rows []int) (float64, *tensor.Tensor)
+
+// trainer is the one minibatch training loop, FineTune's and Pretrain's.
+type trainer struct {
+	g     *graph.Graph
+	x     *tensor.Tensor
+	batch int
+	rng   *tensor.RNG
+	opt   *nn.Adam
+	loss  lossFunc
+}
+
+func newTrainer(g *graph.Graph, x *tensor.Tensor, batch int, lr float32, seed uint64, loss lossFunc) *trainer {
+	return &trainer{g: g, x: x, batch: batch, rng: tensor.NewRNG(seed), opt: nn.NewAdam(g.Params(), lr), loss: loss}
+}
+
+// epoch shuffles x's rows with one rng.Perm and, for each minibatch of
+// batch rows, runs ZeroGrad → Forward(train) → loss per task → Backward →
+// Step. It returns the mean over minibatches of the summed task losses,
+// or false, before any step on that batch, once the running sum is not
+// finite.
+func (t *trainer) epoch() (float64, bool) {
+	n := t.x.Dim(0)
+	perm := t.rng.Perm(n)
+	var sum float64
+	var batches int
+	for lo := 0; lo < n; lo += t.batch {
+		rows := perm[lo:min(lo+t.batch, n)]
+		xb, xh := gatherRows(t.x, rows)
+		t.opt.ZeroGrad()
+		outs := t.g.Forward(xb, true)
+		grads := make(map[int]*tensor.Tensor, len(outs))
+		for id, o := range outs {
+			l, gr := t.loss(id, o, rows)
+			sum += l
+			grads[id] = gr
+		}
+		batches++
+		if math.IsNaN(sum) || math.IsInf(sum, 0) {
+			tensor.PutBuf(xh)
+			return sum, false
+		}
+		t.g.Backward(grads)
+		t.opt.Step()
+		// The layers cached xb for the backward pass, so the buffer can
+		// only return to the arena after Backward has consumed it.
+		tensor.PutBuf(xh)
+	}
+	return sum / float64(batches), true
+}
+
 // gatherRows copies the given rows of x into a tensor drawn from the arena.
-// Fine-tuning gathers one input and one teacher batch per minibatch per
-// epoch — recycled here, those would be the search's dominant allocation
-// source. The handle must be released with tensor.PutBuf.
+// Training gathers one input and, when distilling, one teacher batch per
+// minibatch per epoch — recycled here, those would be the search's
+// dominant allocation source. The handle must be released with
+// tensor.PutBuf.
 func gatherRows(x *tensor.Tensor, rows []int) (*tensor.Tensor, *[]float32) {
 	per := x.Size() / x.Dim(0)
 	out, handle := tensor.GetTensorDirty(append([]int{len(rows)}, x.Shape()[1:]...)...)

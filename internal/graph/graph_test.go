@@ -179,7 +179,7 @@ func TestBackwardSharedTrunkNumeric(t *testing.T) {
 		lm := lossOf()
 		c.p.Value.Data()[c.idx] = orig
 		numeric := (lp - lm) / (2 * eps)
-		analytic := float64(c.p.Grad.Data()[c.idx])
+		analytic := float64(c.p.Grad().Data()[c.idx])
 		if math.Abs(numeric-analytic) > 2e-2*math.Max(1, math.Abs(numeric)) {
 			t.Fatalf("trunk %s[%d] grad mismatch: numeric %v analytic %v", c.p.Name, c.idx, numeric, analytic)
 		}

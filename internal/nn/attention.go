@@ -248,7 +248,7 @@ func (pe *PatchEmbed) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (pe *PatchEmbed) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	n, t := pe.inShape[0], pe.tokens
 	g := gradOut.Reshape(n*t, pe.D)
-	gd, pg, bg := g.Data(), pe.Pos.Grad.Data(), pe.Proj.Bias.Grad.Data()
+	gd, pg, bg := g.Data(), pe.Pos.Grad().Data(), pe.Proj.Bias.Grad().Data()
 	for r := 0; r < n*t; r++ {
 		row, prow := gd[r*pe.D:][:pe.D], pg[r%t*pe.D:][:pe.D]
 		for j, v := range row {
@@ -259,7 +259,7 @@ func (pe *PatchEmbed) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	// dW += cols · g; dcols = W · gᵀ, folded back onto the image.
 	dw := tensor.New(pe.Proj.In, pe.D)
 	tensor.MatMulInto(dw, pe.cols, g)
-	pe.Proj.Weight.Grad.AddScaled(1, dw)
+	pe.Proj.Weight.Grad().AddScaled(1, dw)
 	gCols := tensor.New(pe.cols.Shape()...)
 	tensor.MatMulTransBInto(gCols, pe.Proj.Weight.Value, g)
 	pe.cols = nil
@@ -325,7 +325,7 @@ func (e *Embedding) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (e *Embedding) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gd, tg, pg := gradOut.Data(), e.Table.Grad.Data(), e.Pos.Grad.Data()
+	gd, tg, pg := gradOut.Data(), e.Table.Grad().Data(), e.Pos.Grad().Data()
 	for i, x := range e.ids.Data() {
 		id := int(x)
 		src := gd[i*e.D : (i+1)*e.D]

@@ -199,7 +199,7 @@ func TestGradientAccumulation(t *testing.T) {
 
 	l.Forward(x, true)
 	l.Backward(g)
-	once := l.Weight.Grad.Clone()
+	once := l.Weight.Grad().Clone()
 
 	for _, p := range l.Params() {
 		p.ZeroGrad()
@@ -210,7 +210,7 @@ func TestGradientAccumulation(t *testing.T) {
 	l.Backward(g)
 	for i := range once.Data() {
 		want := 2 * once.Data()[i]
-		got := l.Weight.Grad.Data()[i]
+		got := l.Weight.Grad().Data()[i]
 		if math.Abs(float64(got-want)) > 1e-4*math.Max(1, math.Abs(float64(want))) {
 			t.Fatalf("gradient accumulation broken at %d: %v vs %v", i, got, want)
 		}

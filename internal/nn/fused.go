@@ -157,6 +157,10 @@ func (c *Conv2d) backward(gradOut, gi *tensor.Tensor) {
 	}
 	s.out, s.dz = gradOut.Data(), *dzBuf
 	copy(s.inv, c.fwd.invStd)
+	s.biasGrad = c.Bias.Grad().Data()
+	if bn := s.ep.bn; bn != nil {
+		s.gammaGrad, s.betaGrad = bn.Gamma.Grad().Data(), bn.Beta.Grad().Data()
+	}
 	tensor.ParallelFor(n*c.OutC, s.hw, s.bwdPlanes)
 	tensor.ParallelFor(c.OutC, s.m, s.grads)
 
@@ -166,7 +170,7 @@ func (c *Conv2d) backward(gradOut, gi *tensor.Tensor) {
 	dz := s.dzT.Rebind(*dzBuf, c.OutC, s.m)
 	dwBuf := tensor.GetBufDirty(s.k * c.OutC)
 	tensor.ConvWeightGradInto(s.dwT.Rebind(*dwBuf, s.k, c.OutC), dz, c.padded(s, n, h, w), c.Kernel, c.Stride, 0)
-	wg, dwt := c.Weight.Grad.Data(), *dwBuf
+	wg, dwt := c.Weight.Grad().Data(), *dwBuf
 	for o := 0; o < c.OutC; o++ {
 		for kk, g := range wg[o*s.k:][:s.k] {
 			wg[o*s.k+kk] = g + dwt[kk*c.OutC+o]
@@ -202,7 +206,9 @@ type convJob struct {
 	hw, ohw      int // conv plane size, output (pooled) plane size
 	oh, ow, pw   int // conv plane extents, pooled plane width
 	bias         []float32
-	biasGrad     []float32
+	biasGrad     []float32 // backward only, like γ's and β's gradients
+	gammaGrad    []float32
+	betaGrad     []float32
 	mean, inv    []float32 // batch norm's per-channel statistics in use
 	normalized   bool      // the rows are biased already and become x̂ in place
 	rows         []float32 // [OutC, M]
@@ -229,7 +235,7 @@ func (c *Conv2d) job(n, h, w int, ep epilogue) *convJob {
 	s := convJobs.Get().(*convJob)
 	s.ep, s.c, s.k, s.normalized = ep, c.OutC, c.InC*c.Kernel*c.Kernel, false
 	s.mean, s.inv = grow(s.mean, c.OutC), grow(s.inv, c.OutC)
-	s.bias, s.biasGrad = c.Bias.Value.Data(), c.Bias.Grad.Data()
+	s.bias = c.Bias.Value.Data()
 	s.oh, s.ow = tensor.ConvOut(h, c.Kernel, c.Stride, c.Pad), tensor.ConvOut(w, c.Kernel, c.Stride, c.Pad)
 	s.hw = s.oh * s.ow
 	s.m, s.ohw, s.pw = n*s.hw, s.hw, s.ow
@@ -244,6 +250,7 @@ func (c *Conv2d) job(n, h, w int, ep epilogue) *convJob {
 // it; its own mean/inv scratch stays with it.
 func (s *convJob) put() {
 	s.ep, s.bias, s.biasGrad, s.rows, s.out, s.dz, s.arg = epilogue{}, nil, nil, nil, nil, nil, nil
+	s.gammaGrad, s.betaGrad = nil, nil
 	convJobs.Put(s)
 }
 
@@ -415,8 +422,8 @@ func (s *convJob) channelGrads(lo, hi int) {
 			sumG += float64(g)
 			sumGX += float64(g) * float64(xh[i])
 		}
-		bn.Gamma.Grad.Data()[ch] += float32(sumGX)
-		bn.Beta.Grad.Data()[ch] += float32(sumG)
+		s.gammaGrad[ch] += float32(sumGX)
+		s.betaGrad[ch] += float32(sumG)
 		mg, mgx := float32(sumG)/cnt, float32(sumGX)/cnt
 		gs := bn.Gamma.Value.Data()[ch] * s.inv[ch]
 		for i, g := range dz {

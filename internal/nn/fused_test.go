@@ -119,7 +119,7 @@ func matchComposition(t *testing.T, fused Layer, ref unfused, shape []int) {
 		rng.FillNormal(g, 0, 1)
 		sameBits(t, fmt.Sprintf("step %d input gradient", step), fused.Backward(g).Data(), ref.Backward(g).Data())
 		for i := range fp {
-			sameBits(t, fmt.Sprintf("step %d gradient of param %d (%s)", step, i, fp[i].Name), fp[i].Grad.Data(), rp[i].Grad.Data())
+			sameBits(t, fmt.Sprintf("step %d gradient of param %d (%s)", step, i, fp[i].Name), fp[i].Grad().Data(), rp[i].Grad().Data())
 		}
 		fo.Step()
 		ro.Step()
@@ -204,7 +204,7 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 		l.Backward(g)
 		c.(interface{ BackwardParams(*tensor.Tensor) }).BackwardParams(g)
 		for i, p := range l.Params() {
-			sameBits(t, fmt.Sprintf("%s param %d", l.Name(), i), c.Params()[i].Grad.Data(), p.Grad.Data())
+			sameBits(t, fmt.Sprintf("%s param %d", l.Name(), i), c.Params()[i].Grad().Data(), p.Grad().Data())
 		}
 	}
 }

@@ -129,7 +129,7 @@ func kernelHash() uint64 {
 		rng.FillNormal(g, 0, 1)
 		put(out, c.l.Backward(g))
 		for _, p := range c.l.Params() {
-			put(p.Grad)
+			put(p.Grad())
 		}
 		put(StateTensors(c.l)...)
 	}

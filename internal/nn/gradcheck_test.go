@@ -74,7 +74,7 @@ func checkLayerGrad(t *testing.T, layer Layer, x *tensor.Tensor, train bool, tol
 
 	// Parameter gradients.
 	for _, p := range layer.Params() {
-		check("param:"+p.Name, p.Value.Data(), p.Grad.Data(), p.Value.Size())
+		check("param:"+p.Name, p.Value.Data(), p.Grad().Data(), p.Value.Size())
 	}
 }
 
@@ -286,7 +286,7 @@ func TestEmbeddingGradient(t *testing.T) {
 	lm := loss.value(e.Forward(ids, true))
 	e.Table.Value.Data()[idx] = orig
 	numeric := (lp - lm) / (2 * eps)
-	analytic := float64(e.Table.Grad.Data()[idx])
+	analytic := float64(e.Table.Grad().Data()[idx])
 	if math.Abs(numeric-analytic) > 1e-2*math.Max(1, math.Abs(numeric)) {
 		t.Fatalf("embedding grad mismatch: numeric %v analytic %v", numeric, analytic)
 	}

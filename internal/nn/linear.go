@@ -77,9 +77,9 @@ func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	// dW += xᵀ @ g
 	dw := tensor.New(l.In, l.Out)
 	tensor.MatMulTransAInto(dw, l.in, g)
-	l.Weight.Grad.AddScaled(1, dw)
+	l.Weight.Grad().AddScaled(1, dw)
 	// dB += column sums
-	bg := l.Bias.Grad.Data()
+	bg := l.Bias.Grad().Data()
 	gd := g.Data()
 	for r := 0; r < rows; r++ {
 		row := gd[r*l.Out : (r+1)*l.Out]

@@ -9,9 +9,10 @@
 // Forward; Backward consumes that cache, accumulates parameter gradients
 // into Param.Grad, and returns the gradient with respect to the layer input.
 // The convolution layers (Conv2d, ConvBlock, ResidualBlock) share one fused
-// conv→BN→ReLU→pool body that caches only its channel-major im2col columns
-// and pre-activation rows, both arena leases, and recomputes ReLU masks and
-// pool argmaxes from them in the backward pass.
+// conv→BN→ReLU→pool body (fused.go). Its train-mode forward keeps, in arena
+// leases, the zero-padded input copy, the pre-activation rows and one
+// argmax byte per pooled output; the backward recomputes the ReLU mask from
+// the rows.
 package nn
 
 import (
@@ -24,21 +25,35 @@ import (
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
-	Grad  *tensor.Tensor
+	grad  *tensor.Tensor // nil until Grad first asks for it
 }
 
-// NewParam allocates a parameter (and matching zero gradient) with the
-// given shape.
+// NewParam allocates a parameter with the given shape.
 func NewParam(name string, shape ...int) *Param {
-	return &Param{Name: name, Value: tensor.New(shape...), Grad: tensor.New(shape...)}
+	return &Param{Name: name, Value: tensor.New(shape...)}
 }
 
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+// Grad returns the gradient accumulator, allocating a zeroed one on first
+// use, so a model that only ever runs forward holds no gradient memory.
+// The first call is not safe for concurrent use: backward paths call it
+// before they fan out, never inside a tensor.ParallelFor body.
+func (p *Param) Grad() *tensor.Tensor {
+	if p.grad == nil {
+		p.grad = tensor.New(p.Value.Shape()...)
+	}
+	return p.grad
+}
 
-// Clone deep-copies the parameter (gradient starts at zero).
+// ZeroGrad clears the accumulated gradient, if one was ever allocated.
+func (p *Param) ZeroGrad() {
+	if p.grad != nil {
+		p.grad.Zero()
+	}
+}
+
+// Clone deep-copies the parameter; the copy has no gradient yet.
 func (p *Param) Clone() *Param {
-	return &Param{Name: p.Name, Value: p.Value.Clone(), Grad: tensor.New(p.Value.Shape()...)}
+	return &Param{Name: p.Name, Value: p.Value.Clone()}
 }
 
 // Layer is a differentiable computation block. Forward must be called

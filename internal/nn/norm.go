@@ -115,7 +115,7 @@ func (bn *BatchNorm2d) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		n, h, w := bn.inShape[0], bn.inShape[2], bn.inShape[3]
 		gi := tensor.New(bn.inShape[:]...)
 		gd, god, xh := gi.Data(), gradOut.Data(), *bn.xhat
-		gg, bg := bn.Gamma.Grad.Data(), bn.Beta.Grad.Data()
+		gg, bg := bn.Gamma.Grad().Data(), bn.Beta.Grad().Data()
 		for c := 0; c < bn.C; c++ {
 			scale := bn.Gamma.Value.Data()[c] * float32(1/math.Sqrt(float64(bn.RunningVar.Data()[c]+bn.Eps)))
 			for ni := 0; ni < n; ni++ {
@@ -136,7 +136,7 @@ func (bn *BatchNorm2d) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	cnt := float32(n * h * w)
 	gi := tensor.New(bn.inShape[:]...)
 	gd, god, xh := gi.Data(), gradOut.Data(), *bn.xhat
-	gg, bg := bn.Gamma.Grad.Data(), bn.Beta.Grad.Data()
+	gg, bg := bn.Gamma.Grad().Data(), bn.Beta.Grad().Data()
 	for c := 0; c < bn.C; c++ {
 		var sumG, sumGX float64
 		for ni := 0; ni < n; ni++ {
@@ -244,7 +244,7 @@ func (ln *LayerNorm) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	rows := gradOut.Size() / ln.D
 	gi := tensor.New(ln.inShape...)
 	gd, god, xh := gi.Data(), gradOut.Data(), ln.xhat.Data()
-	gg, bg := ln.Gamma.Grad.Data(), ln.Beta.Grad.Data()
+	gg, bg := ln.Gamma.Grad().Data(), ln.Beta.Grad().Data()
 	gv := ln.Gamma.Value.Data()
 	invD := 1 / float32(ln.D)
 	for r := 0; r < rows; r++ {

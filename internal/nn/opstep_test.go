@@ -65,7 +65,7 @@ func TestOpGranularityTrainStep(t *testing.T) {
 		}
 	}
 	for _, p := range net.Params() {
-		_ = binary.Write(h, binary.LittleEndian, p.Grad.Data())
+		_ = binary.Write(h, binary.LittleEndian, p.Grad().Data())
 	}
 	t.Logf("tier %s: step hash %#x", tensor.VecKind(), h.Sum64())
 	if tensor.VecKind() == "avx2" && h.Sum64() != opStepHashAVX2 {

@@ -17,12 +17,14 @@ type Adam struct {
 	step   int
 }
 
-// NewAdam builds an Adam optimizer over the given parameters.
+// NewAdam builds an Adam optimizer over the given parameters, allocating
+// each one's gradient.
 func NewAdam(params []*Param, lr float32) *Adam {
 	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: params}
 	a.m = make([]*tensor.Tensor, len(params))
 	a.v = make([]*tensor.Tensor, len(params))
 	for i, p := range params {
+		p.Grad()
 		a.m[i] = tensor.New(p.Value.Shape()...)
 		a.v[i] = tensor.New(p.Value.Shape()...)
 	}
@@ -36,7 +38,7 @@ func (a *Adam) Step() {
 	bc1 := 1 - pow32(a.Beta1, a.step)
 	bc2 := 1 - pow32(a.Beta2, a.step)
 	for i, p := range a.params {
-		pd, gd := p.Value.Data(), p.Grad.Data()
+		pd, gd := p.Value.Data(), p.grad.Data()
 		md, vd := a.m[i].Data(), a.v[i].Data()
 		for j := range pd {
 			g := gd[j]

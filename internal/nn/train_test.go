@@ -64,7 +64,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		opt.ZeroGrad()
 		for j := range target {
-			p.Grad.Data()[j] = 2 * (p.Value.Data()[j] - target[j])
+			p.Grad().Data()[j] = 2 * (p.Value.Data()[j] - target[j])
 		}
 		opt.Step()
 	}

@@ -144,7 +144,7 @@ func (p *Pool) evalOne(url string, job core.EvalJob) core.EvalOutcome {
 	if reply.Error != "" {
 		return core.EvalOutcome{Err: fmt.Errorf("worker %s: %s", url, reply.Error)}
 	}
-	out := core.EvalOutcome{Met: reply.Met, Report: FromWire(reply.Report)}
+	out := core.EvalOutcome{Met: reply.Met, Report: reply.Report}
 	if reply.Met && reply.Trained != "" {
 		g, err := parser.LoadBase64(reply.Trained)
 		if err != nil {

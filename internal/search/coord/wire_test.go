@@ -3,9 +3,13 @@ package coord_test
 import (
 	"encoding/base64"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
+	"reflect"
 	"testing"
+	"time"
 
+	"repro/internal/distill"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/parser"
@@ -67,4 +71,45 @@ func FuzzDecodeGraph(f *testing.F) {
 		binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(body))
 		check(base64.StdEncoding.EncodeToString(raw))
 	})
+}
+
+// reportWire is the /eval reply's report JSON for the two reports of
+// TestReportWireJSON, as the coordinator and its workers have always
+// exchanged it: task ids as sorted decimal strings, the train time in
+// nanoseconds, no learning curve, and no final accuracies or error when
+// there are none.
+var reportWire = []string{
+	`{"met":true,"terminated":true,"diverged":true,"epochs_run":7,"final":{"0":0.75,"1":0.875,"10":0.3,"2":0.5},"train_ns":1234567890,"final_loss":0.0123,"warm_started":true,"warm_fell_back":true,"err":"distill: data: scoring task 1: \"shape\" \u003cmismatch\u003e"}`,
+	`{"met":false,"terminated":false,"diverged":false,"epochs_run":0,"train_ns":0,"final_loss":0,"warm_started":false,"warm_fell_back":false}`,
+}
+
+// TestReportWireJSON pins distill.Report's JSON, the report a worker's
+// /eval reply carries, and its round trip.
+func TestReportWireJSON(t *testing.T) {
+	full := &distill.Report{
+		Met: true, Terminated: true, Diverged: true, EpochsRun: 7,
+		Final:     map[int]float64{0: 0.75, 10: 0.3, 2: 0.5, 1: 0.875},
+		Curve:     []distill.Sample{{Epoch: 1, Accuracy: map[int]float64{0: 0.5}, MinMargin: -0.1}},
+		TrainTime: 1234567890 * time.Nanosecond, FinalLoss: 0.0123,
+		WarmStarted: true, WarmFellBack: true,
+		Err: `distill: data: scoring task 1: "shape" <mismatch>`,
+	}
+	for i, r := range []*distill.Report{full, {}} {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != reportWire[i] {
+			t.Errorf("report %d encodes as\n%s\nwant\n%s", i, b, reportWire[i])
+		}
+		var back distill.Report
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		want := *r
+		want.Curve = nil
+		if !reflect.DeepEqual(back, want) {
+			t.Errorf("report %d round-trips to %+v, want %+v", i, back, want)
+		}
+	}
 }

@@ -102,7 +102,7 @@ func (s *Server) evalOne(req *coord.EvalRequest) *coord.EvalReply {
 	if out.Err != nil {
 		return &coord.EvalReply{Error: out.Err.Error()}
 	}
-	reply := &coord.EvalReply{Met: out.Met, Report: coord.ToWire(out.Report)}
+	reply := &coord.EvalReply{Met: out.Met, Report: out.Report}
 	if out.Met && out.Trained != nil {
 		enc, err := parser.SaveBase64(out.Trained)
 		if err != nil {

@@ -67,66 +67,14 @@ func TinyViT(seed uint64, ds *data.Dataset) *graph.Graph {
 	return g
 }
 
-// PretrainTeachers trains the graph's branches on the dataset labels with
-// cross entropy for a few epochs, returning per-task final train accuracy.
-// It is how benchmark fixtures obtain "well-trained DNNs".
+// PretrainTeachers is distill.Pretrain for fixtures, whose shapes are
+// built consistently: an error there is a harness bug, so it panics.
 func PretrainTeachers(g *graph.Graph, ds *data.Dataset, epochs int, lr float32, seed uint64) map[int]float64 {
-	rng := tensor.NewRNG(seed)
-	opt := nn.NewAdam(g.Params(), lr)
-	train := ds.Train
-	n := train.Len()
-	batch := 16
-	for e := 0; e < epochs; e++ {
-		perm := rng.Perm(n)
-		for lo := 0; lo < n; lo += batch {
-			hi := lo + batch
-			if hi > n {
-				hi = n
-			}
-			idx := perm[lo:hi]
-			xb := gather(train.X, idx)
-			opt.ZeroGrad()
-			outs := g.Forward(xb, true)
-			grads := make(map[int]*tensor.Tensor, len(outs))
-			for id, o := range outs {
-				var gr *tensor.Tensor
-				switch ds.Tasks[id].Kind {
-				case data.MultiLabel:
-					rows := make([][]int, len(idx))
-					for i, r := range idx {
-						rows[i] = train.Multi[id][r]
-					}
-					_, gr = nn.BCEWithLogitsLoss(o, rows)
-				default:
-					labels := make([]int, len(idx))
-					for i, r := range idx {
-						labels[i] = train.Labels[id][r]
-					}
-					_, gr = nn.CrossEntropyLoss(o, labels)
-				}
-				grads[id] = gr
-			}
-			g.Backward(grads)
-			opt.Step()
-		}
-	}
-	eval := &distill.Evaluator{Dataset: ds}
-	acc, err := eval.Measure(g)
+	acc, err := distill.Pretrain(g, ds, epochs, lr, seed)
 	if err != nil {
-		// Test fixture: shapes are constructed consistently, so a metric
-		// error here is a harness bug.
 		panic(err)
 	}
 	return acc
-}
-
-func gather(x *tensor.Tensor, rows []int) *tensor.Tensor {
-	per := x.Size() / x.Dim(0)
-	out := tensor.New(append([]int{len(rows)}, x.Shape()[1:]...)...)
-	for i, r := range rows {
-		copy(out.Data()[i*per:(i+1)*per], x.Data()[r*per:(r+1)*per])
-	}
-	return out
 }
 
 // TinySharedStemPair builds two single-task graphs over a bit-identical
