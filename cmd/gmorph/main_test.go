@@ -1,18 +1,26 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
+
+	"repro/internal/parser"
 )
 
 // TestCLISmoke drives the built binaries end to end on a tiny B1 world:
 // a search with every output flag, inspect over what it wrote, a re-run
-// that replays the memo, and the config and flag errors that must stop a
-// run before it searches.
+// that replays the memo, the config and flag errors that must stop a run
+// before it searches, and serve over the fused checkpoint: its client mode
+// against it, then a clean drain on SIGTERM.
 func TestCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -23,7 +31,8 @@ func TestCLISmoke(t *testing.T) {
 	}
 	dir := t.TempDir()
 	gmorphBin, inspectBin := filepath.Join(dir, "gmorph"), filepath.Join(dir, "inspect")
-	for bin, pkg := range map[string]string{gmorphBin: ".", inspectBin: "../inspect"} {
+	serveBin := filepath.Join(dir, "serve")
+	for bin, pkg := range map[string]string{gmorphBin: ".", inspectBin: "../inspect", serveBin: "../serve"} {
 		if out, err := exec.Command(goBin, "build", "-o", bin, pkg).CombinedOutput(); err != nil {
 			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
 		}
@@ -83,5 +92,72 @@ func TestCLISmoke(t *testing.T) {
 	if out, err := run(gmorphBin, "-config", config, "-predict",
 		"-out", filepath.Join(dir, "flag.gmck")); err == nil {
 		t.Fatalf("the removed -predict flag was accepted:\n%s", out)
+	}
+
+	serveSmoke(t, serveBin, fused)
+}
+
+// serveSmoke serves a checkpoint on a free loopback port, runs serve's
+// client mode against it, and stops it with SIGTERM, which must drain the
+// queues and exit 0.
+func serveSmoke(t *testing.T, serveBin, checkpoint string) {
+	t.Helper()
+	g, err := parser.LoadFile(checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	var log bytes.Buffer
+	srv := exec.Command(serveBin, "-model", checkpoint, "-addr", addr)
+	srv.Stdout, srv.Stderr = &log, &log
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := false
+	defer func() {
+		if !exited {
+			srv.Process.Kill()
+			srv.Wait()
+		}
+	}()
+	url := "http://" + addr
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		resp, err := http.Get(url + "/v1/model")
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("serve never answered on %s: %v", addr, err)
+		}
+	}
+	out, err := exec.Command(serveBin, "-url", url, "-infer-random", "3", "-info").CombinedOutput()
+	if err != nil {
+		t.Fatalf("serve client: %v\n%s", err, out)
+	}
+	if len(g.Heads) != 3 {
+		t.Fatalf("the fused B1 checkpoint has %d tasks, want 3", len(g.Heads))
+	}
+	want := []string{"sample 2: 3 tasks"}
+	for _, id := range g.Tasks() {
+		want = append(want, g.TaskNames[id])
+	}
+	for _, w := range want {
+		if !strings.Contains(string(out), w) {
+			t.Fatalf("serve client output lacks %q:\n%s", w, out)
+		}
+	}
+	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	err = srv.Wait()
+	exited = true
+	if err != nil || !strings.Contains(log.String(), "drained cleanly") {
+		t.Fatalf("serve after SIGTERM: %v\n%s", err, log.String())
 	}
 }

@@ -11,7 +11,9 @@
 // A bare -model path (no name=) serves the checkpoint as "default".
 // Each model gets its own batcher and bounded queue: concurrent
 // /v2/models/{name}/infer requests coalesce into batched forward passes
-// (up to -max-batch samples, waiting at most -max-wait). A full queue
+// of up to -max-batch samples. -max-wait is an upper bound: requests that
+// queued behind a busy engine ride its next pass, and an idle engine
+// leaves as soon as the callers it has seen are in. A full queue
 // sheds with 429; when -slo is set, arrivals predicted to queue past the
 // budget shed with 503; a request exceeding -deadline fails with 503.
 // The /v1/* routes alias the default model. SIGHUP re-reads every
@@ -86,7 +88,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	pool := flag.Int("pool", 2, "compiled engine instances per model (in-flight batches)")
 	maxBatch := flag.Int("max-batch", 8, "samples coalesced per forward pass")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "max wait for a batch to fill")
+	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "upper bound on a batch's wait to fill; an idle engine leaves as soon as the callers it has seen are in")
 	queueCap := flag.Int("queue", 0, "per-model pending-request queue bound (0 = 8*max-batch)")
 	slo := flag.Duration("slo", 0, "per-model SLO budget: shed arrivals predicted to queue past it (0 = off)")
 	deadline := flag.Duration("deadline", 0, "per-request time budget (0 = none)")

@@ -190,8 +190,8 @@ func (p *patternReader) Read(b []byte) (int, error) {
 }
 
 // Bodies over MaxInferBytes get 413 in both encodings — declared or
-// discovered while reading — count as failures, and the server keeps
-// answering.
+// discovered while reading, and even when the JSON value ends before the
+// cap — count as failures, and the server keeps answering.
 func TestInferBodyCap(t *testing.T) {
 	c, s, per := newTestServer(t, registry.ModelOptions{Pool: 1}, 0)
 	over := int64(httpapi.MaxInferBytes + 4*per)
@@ -204,6 +204,8 @@ func TestInferBodyCap(t *testing.T) {
 		{"binary chunked", api.BinaryContentType, io.LimitReader(&patternReader{pat: "\x00"}, over), -1},
 		{"json chunked", "application/json",
 			io.MultiReader(strings.NewReader(`{"input":[`), io.LimitReader(&patternReader{pat: "0,"}, over)), -1},
+		{"json value ends before the cap", "application/json",
+			io.MultiReader(strings.NewReader(`{"input":[0]}`), io.LimitReader(&patternReader{pat: " "}, over)), -1},
 	}
 	h := s.Handler()
 	for _, cs := range cases {

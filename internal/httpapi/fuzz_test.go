@@ -64,6 +64,10 @@ func FuzzInferRequest(f *testing.F) {
 	f.Add(uint8(4), []byte(`{"input":[1,2,3,4,5,6,7,8,9,10,11,0]}`))
 	f.Add(uint8(5), []byte(`{"input":[1e39]}`))
 	f.Add(uint8(2), []byte(`{"input":`))
+	for _, s := range inferJSONSeeds { // JSON to the image model, none-typed to the token model
+		f.Add(uint8(1), []byte(s))
+		f.Add(uint8(5), []byte(s))
+	}
 
 	types := []string{api.BinaryContentType, "application/json", ""}
 	routes := []string{"/v2/models/img/infer", "/v2/models/tok/infer"}
@@ -80,7 +84,7 @@ func FuzzInferRequest(f *testing.F) {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
 		}
 
-		in, err := readBinary(bytes.NewReader(body))
+		in, err := decodeBinary(body)
 		if err != nil {
 			if len(body)%4 == 0 {
 				t.Fatalf("%d-byte body rejected: %v", len(body), err)

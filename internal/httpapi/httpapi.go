@@ -14,10 +14,15 @@
 //
 // An infer body is either binary — Content-Type api.BinaryContentType,
 // the flat row-major input as little-endian float32 — or JSON,
-// {"input": [...]}, under any other Content-Type or none. Both are capped
-// at MaxInferBytes (413 beyond it) and pass one validation: a whole,
-// non-zero number of samples, every value finite, and for token-id models
-// every value an id in [0, vocab). Replies are JSON.
+// {"input": [...]}, under any other Content-Type or none. Both are read
+// whole before they are decoded, so any body over MaxInferBytes gets 413,
+// a JSON one whose value ends before the cap included. JSON bodies go
+// through a one-pass decoder without reflection that accepts and rejects
+// what encoding/json would decode into an api.InferRequest and yields the
+// same float32 bits (decodeInferJSON; FuzzInferJSON holds it to
+// encoding/json). Both encodings pass one validation: a whole, non-zero
+// number of samples, every value finite, and for token-id models every
+// value an id in [0, vocab). Replies are JSON.
 //
 // The /v1/* routes are permanent aliases for the registry's default
 // model, so clients written against the single-model surface keep
@@ -213,26 +218,31 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, m *registry
 	writeJSON(w, resp)
 }
 
-// readInput decodes an infer body, capped at MaxInferBytes: binary under
-// api.BinaryContentType, JSON otherwise. An over-cap body fails with an
-// *http.MaxBytesError. The input is never leased from an arena: a request
-// whose client went away can still sit in the batch queue.
+// readInput reads a whole infer body, capped at MaxInferBytes, and
+// decodes it: binary under api.BinaryContentType, JSON otherwise. An
+// over-cap body fails with an *http.MaxBytesError. The body is read as it
+// arrives, so a declared length costs nothing until its bytes come. The
+// input is never leased from an arena: a request whose client went away
+// can still sit in the batch queue.
 func readInput(w http.ResponseWriter, r *http.Request) ([]float32, error) {
 	if r.ContentLength > MaxInferBytes {
 		return nil, &http.MaxBytesError{Limit: MaxInferBytes}
 	}
-	body := http.MaxBytesReader(w, r.Body, MaxInferBytes)
-	if mediaType(r) == api.BinaryContentType {
-		return readBinary(body)
-	}
-	var req api.InferRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxInferBytes))
+	if err != nil {
 		if errors.As(err, new(*http.MaxBytesError)) {
 			return nil, err
 		}
+		return nil, fmt.Errorf("reading body: %w", err)
+	}
+	if mediaType(r) == api.BinaryContentType {
+		return decodeBinary(raw)
+	}
+	in, err := decodeInferJSON(raw)
+	if err != nil {
 		return nil, fmt.Errorf("bad JSON: %w", err)
 	}
-	return req.Input, nil
+	return in, nil
 }
 
 // mediaType is the request's Content-Type without parameters, lower-cased.
@@ -241,13 +251,8 @@ func mediaType(r *http.Request) string {
 	return strings.ToLower(strings.TrimSpace(t))
 }
 
-// readBinary decodes a little-endian float32 body. The body is read as it
-// arrives, so a declared length costs nothing until its bytes come.
-func readBinary(body io.Reader) ([]float32, error) {
-	raw, err := io.ReadAll(body)
-	if err != nil {
-		return nil, fmt.Errorf("reading binary body: %w", err)
-	}
+// decodeBinary decodes a little-endian float32 body.
+func decodeBinary(raw []byte) ([]float32, error) {
 	if len(raw)%4 != 0 {
 		return nil, fmt.Errorf("binary body of %d bytes is not a whole number of float32 values", len(raw))
 	}

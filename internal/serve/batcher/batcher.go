@@ -1,8 +1,18 @@
 // Package batcher implements dynamic request batching for the serving
-// layer: concurrent single-sample inference requests are enqueued into a
-// bounded queue and coalesced into one batched Engine.Forward when either
-// MaxBatch samples have accumulated or MaxWait has elapsed since the batch
-// opened. Results are scattered back to the waiting callers.
+// layer: concurrent inference requests are enqueued into a bounded queue
+// and coalesced into one batched Engine.Forward, whose outputs are
+// scattered back to the waiting callers.
+//
+// Formation is engine-first. The collector takes the first queued request
+// and checks out an engine before it forms the batch, so everything that
+// queued while the engines were busy rides the next forward, up to
+// MaxBatch samples. A batch still short of its target then waits for more
+// rows, but only until MaxWait after its first request arrived, time spent
+// waiting for the engine included. The target is the peak number of
+// admitted, unanswered requests since the previous dispatch, counted at
+// that dispatch and by every Submit after it (MaxBatch before the first
+// dispatch): an idle engine leaves as soon as the callers it has seen are
+// in, instead of taxing every request with the whole MaxWait.
 //
 // This realizes the paper's Discussion (Section 7) economics at the
 // request scheduler level: a fused multi-task model answers every task of
@@ -42,8 +52,10 @@ type Options struct {
 	// MaxBatch is the sample budget per fused forward pass (default 8).
 	// A single request larger than MaxBatch forms its own pass.
 	MaxBatch int
-	// MaxWait bounds how long an open batch waits for more samples after
-	// its first request arrives (default 2ms).
+	// MaxWait is an upper bound on how long a batch waits for more
+	// samples after its first request arrived, waiting for a busy engine
+	// included (default 2ms). An idle engine leaves as soon as the
+	// callers it has seen are in.
 	MaxWait time.Duration
 	// QueueCap bounds the request queue (default 8*MaxBatch).
 	QueueCap int
@@ -74,7 +86,8 @@ type Stats struct {
 	Requests int64
 	Canceled int64
 	Expired  int64
-	// QueueDepth is the number of requests waiting right now.
+	// QueueDepth is the number of admitted requests not yet handed to an
+	// engine: queued, or held by the collector while an engine is busy.
 	QueueDepth int
 	// Batches counts fused forward passes, MeanBatch the mean samples per
 	// pass, and BatchHist the pass count per batch size.
@@ -125,8 +138,9 @@ type Batcher struct {
 	drained chan struct{}
 	wg      sync.WaitGroup // in-flight runBatch calls
 
-	depth    atomic.Int64
+	depth    atomic.Int64 // admitted requests not yet handed to an engine
 	active   atomic.Int64 // admitted requests not yet answered
+	peak     atomic.Int64 // most active seen at the last dispatch or by a Submit since
 	requests atomic.Int64
 	canceled atomic.Int64
 	expired  atomic.Int64
@@ -170,6 +184,7 @@ func New(sample graph.Shape, engines []engine.Engine, opts Options) (*Batcher, e
 	for _, e := range engines {
 		b.engines <- e
 	}
+	b.peak.Store(int64(opts.MaxBatch)) // cold start: fill as before any dispatch
 	go b.collect()
 	return b, nil
 }
@@ -207,8 +222,10 @@ func (b *Batcher) SubmitTagged(ctx context.Context, x *tensor.Tensor, tag int, t
 	select {
 	case b.queue <- req:
 		b.depth.Add(1)
-		b.active.Add(1)
+		n := b.active.Add(1)
 		b.mu.RUnlock()
+		for p := b.peak.Load(); n > p && !b.peak.CompareAndSwap(p, n); p = b.peak.Load() {
+		}
 	default:
 		b.mu.RUnlock()
 		return nil, ErrQueueFull
@@ -237,101 +254,89 @@ func (b *Batcher) checkShape(x *tensor.Tensor) (int, error) {
 	return shape[0], nil
 }
 
-// collect is the scheduler loop: it opens a batch on the first queued
-// request, fills it until MaxBatch samples or MaxWait, then dispatches it
-// to a free engine while the next batch forms.
+// collect is the scheduler loop. It takes the first request, checks out
+// an engine, and only then forms the batch: everything already queued
+// joins, up to MaxBatch samples, and a batch still short of target waits
+// for more until first.enq + MaxWait. After Stop it keeps forming batches,
+// without waiting, until the queue is empty.
 func (b *Batcher) collect() {
 	var pending *request // overflow request carried into the next batch
 	for {
-		var first *request
-		if pending != nil {
-			first, pending = pending, nil
-		} else {
+		first := pending
+		pending = nil
+		if first == nil {
 			select {
-			case r := <-b.queue:
-				b.depth.Add(-1)
-				first = r
+			case first = <-b.queue:
 			case <-b.stopCh:
-				b.finish(nil)
-				return
+				// Stop flipped the stopped flag under the write lock, so
+				// nothing new arrives: drain what is left, then finish.
+				select {
+				case first = <-b.queue:
+				default:
+					close(b.drained)
+					return
+				}
 			}
 		}
 		if b.dropDead(first) {
 			continue
 		}
-		batch := []*request{first}
-		rows := first.rows
-		timer := time.NewTimer(b.opts.MaxWait)
+		eng := <-b.engines
+		if b.dropDead(first) { // its context may have ended behind a busy engine
+			b.engines <- eng
+			continue
+		}
+		batch, rows := []*request{first}, first.rows
+		deadline := first.enq.Add(b.opts.MaxWait)
+		var timer *time.Timer
 	fill:
 		for rows < b.opts.MaxBatch {
+			var r *request
 			select {
-			case r := <-b.queue:
-				b.depth.Add(-1)
-				if b.dropDead(r) {
-					continue
-				}
-				if rows+r.rows > b.opts.MaxBatch {
-					pending = r
+			case r = <-b.queue:
+			default:
+				wait := time.Until(deadline)
+				if rows >= b.target() || wait <= 0 {
 					break fill
 				}
-				batch = append(batch, r)
-				rows += r.rows
-			case <-timer.C:
-				break fill
-			case <-b.stopCh:
-				break fill // draining: close the window immediately
+				if timer == nil {
+					timer = time.NewTimer(wait)
+				}
+				select {
+				case r = <-b.queue:
+				case <-timer.C:
+					break fill
+				case <-b.stopCh:
+					break fill // draining: close the window immediately
+				}
 			}
+			if b.dropDead(r) {
+				continue
+			}
+			if rows+r.rows > b.opts.MaxBatch {
+				pending = r
+				break fill
+			}
+			batch = append(batch, r)
+			rows += r.rows
 		}
-		timer.Stop()
-		b.dispatch(batch, rows)
-		select {
-		case <-b.stopCh:
-			b.finish(pending)
-			return
-		default:
+		if timer != nil {
+			timer.Stop()
 		}
+		b.depth.Add(-int64(len(batch)))
+		// Callers answered by this batch are still active here, so a
+		// closed loop's next round waits for all of them.
+		b.peak.Store(b.active.Load())
+		b.wg.Add(1)
+		go b.runBatch(eng, batch, rows)
 	}
 }
 
-// finish drains every request still queued (no new ones can arrive: Stop
-// flipped the stopped flag under the write lock) into final batches, then
-// signals the drain is complete.
-func (b *Batcher) finish(pending *request) {
-	var batch []*request
-	rows := 0
-	flush := func() {
-		if len(batch) > 0 {
-			b.dispatch(batch, rows)
-			batch, rows = nil, 0
-		}
-	}
-	add := func(r *request) {
-		if b.dropDead(r) {
-			return
-		}
-		if rows+r.rows > b.opts.MaxBatch {
-			flush()
-		}
-		batch = append(batch, r)
-		rows += r.rows
-		if rows >= b.opts.MaxBatch {
-			flush()
-		}
-	}
-	if pending != nil {
-		add(pending)
-	}
-	for {
-		select {
-		case r := <-b.queue:
-			b.depth.Add(-1)
-			add(r)
-		default:
-			flush()
-			close(b.drained)
-			return
-		}
-	}
+// target is how many samples an idle engine waits for: the most admitted,
+// unanswered requests seen at the last dispatch or by any Submit since, in
+// [1, MaxBatch].
+func (b *Batcher) target() int {
+	return min(max(int(b.peak.Load()), 1), b.opts.MaxBatch)
 }
 
 // dropDead discards a request whose context ended while it waited, so it
@@ -347,16 +352,9 @@ func (b *Batcher) dropDead(r *request) bool {
 		b.canceled.Add(1)
 	}
 	r.done <- result{err: err}
+	b.depth.Add(-1)
 	b.active.Add(-1)
 	return true
-}
-
-// dispatch checks out an engine (blocking until one frees) and runs the
-// batch concurrently with the formation of the next one.
-func (b *Batcher) dispatch(batch []*request, rows int) {
-	eng := <-b.engines
-	b.wg.Add(1)
-	go b.runBatch(eng, batch, rows)
 }
 
 func (b *Batcher) runBatch(eng engine.Engine, batch []*request, rows int) {
@@ -447,7 +445,9 @@ func (b *Batcher) recordBatch(rows int, mixed bool) {
 	b.smu.Unlock()
 }
 
-// QueueDepth reports the number of requests currently waiting.
+// QueueDepth reports the number of admitted requests not yet handed to an
+// engine: those in the queue and those the collector holds while every
+// engine is busy. SLO admission reads it as the backlog.
 func (b *Batcher) QueueDepth() int { return int(b.depth.Load()) }
 
 // Pending reports the number of admitted requests that have not been

@@ -397,3 +397,116 @@ func TestSubmitTaggedScatterAndMixedCount(t *testing.T) {
 		t.Fatalf("no mixed batches recorded: %+v", st)
 	}
 }
+
+// Two closed-loop callers can never fill MaxBatch 8. Once the batcher has
+// seen both, an idle engine must leave as soon as both are in rather than
+// sit out the 50ms window on every batch; every reply still carries
+// exactly its own rows.
+func TestIdleEngineClosesAtKnownConcurrency(t *testing.T) {
+	engines, g := tinyEngines(t, 1)
+	shape := g.Root.InputShape
+	const maxWait = 50 * time.Millisecond
+	b, err := batcher.New(shape, engines, batcher.Options{MaxBatch: 8, MaxWait: maxWait})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopped(t, b)
+
+	const callers, rounds = 2, 30
+	ref := engine.Compile(g)
+	want := make([]map[int]*tensor.Tensor, callers*rounds)
+	for i := range want {
+		want[i] = ref.Forward(distinctInput(i, shape))
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < len(want); i += callers {
+				outs, err := b.Submit(context.Background(), distinctInput(i, shape))
+				if err != nil {
+					errs <- err
+					return
+				}
+				for id, w := range want[i] {
+					got := outs[id]
+					if got == nil || got.Size() != w.Size() {
+						errs <- fmt.Errorf("request %d task %d: missing or misshaped output", i, id)
+						return
+					}
+					for k, v := range w.Data() {
+						if got.Data()[k] != v {
+							errs <- fmt.Errorf("request %d task %d elem %d: batched %v, serial %v", i, id, k, got.Data()[k], v)
+							return
+						}
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := b.Stats()
+	t.Logf("%d requests in %v, batches %v", st.Requests, elapsed, st.BatchHist)
+	if elapsed >= 10*maxWait {
+		t.Fatalf("%d closed-loop requests took %v: idle batches waited out MaxWait %v", callers*rounds, elapsed, maxWait)
+	}
+}
+
+// Requests that arrive while the only engine is busy wait in the queue,
+// where QueueDepth (the backlog SLO admission reads) counts them, and all
+// ride the next forward together.
+func TestBusyEngineBatchTakesBacklog(t *testing.T) {
+	engines, g := tinyEngines(t, 1)
+	shape := g.Root.InputShape
+	engines[0] = &slowEngine{inner: engines[0], delay: 20 * time.Millisecond}
+	b, err := batcher.New(shape, engines, batcher.Options{MaxBatch: 8, MaxWait: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopped(t, b)
+
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: pending %d, queue depth %d", what, b.Pending(), b.QueueDepth())
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	const backlog = 6
+	results := make(chan error, backlog+1)
+	submit := func(i int) {
+		_, err := b.Submit(context.Background(), distinctInput(i, shape))
+		results <- err
+	}
+	go submit(0)
+	waitFor("the first forward to start", func() bool { return b.Pending() == 1 && b.QueueDepth() == 0 })
+	for i := 1; i <= backlog; i++ {
+		go submit(i)
+	}
+	waitFor("the backlog to be admitted", func() bool { return b.Pending() == backlog+1 })
+	if got := b.QueueDepth(); got != backlog {
+		t.Fatalf("queue depth %d behind a busy engine, want %d", got, backlog)
+	}
+	for i := 0; i <= backlog; i++ {
+		if err := <-results; err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := b.Stats()
+	if st.Batches != 2 || st.BatchHist[1] != 1 || st.BatchHist[backlog] != 1 {
+		t.Fatalf("batches %v, want one of 1 and one of %d", st.BatchHist, backlog)
+	}
+	if st.QueueDepth != 0 {
+		t.Fatalf("queue depth %d after every reply", st.QueueDepth)
+	}
+}

@@ -139,7 +139,9 @@ func (m *Model) Submit(ctx context.Context, x *tensor.Tensor) (map[int]*tensor.T
 
 // predictedWait estimates how long a new arrival would queue: the recent
 // per-request latency EWMA scaled by the backlog already ahead of it, in
-// units of batches. An empty queue predicts zero — the budget bounds
+// units of batches. The backlog is the batcher's QueueDepth, which counts
+// the requests held behind a busy engine as well as the queued ones. An
+// empty queue predicts zero — the budget bounds
 // queueing delay, not service time — and under backlog the estimate is
 // deliberately pessimistic (the EWMA itself includes queueing), which is
 // what sheds a flood early enough to hold the admitted requests' p99.

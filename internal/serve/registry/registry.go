@@ -67,8 +67,9 @@ type ModelOptions struct {
 	Pool int
 	// MaxBatch is the sample budget per fused forward pass (default 8).
 	MaxBatch int
-	// MaxWait bounds how long an open batch waits for more samples
-	// (default 2ms).
+	// MaxWait is an upper bound on how long a batch waits for more
+	// samples, a busy engine's time included (default 2ms); an idle
+	// engine leaves as soon as the callers it has seen are in.
 	MaxWait time.Duration
 	// QueueCap bounds the model's admission queue; a full queue fails
 	// Submit with batcher.ErrQueueFull (HTTP 429). Default 8*MaxBatch.
