@@ -6,99 +6,125 @@ import (
 )
 
 // GEMM driver. The implementation is cache-blocked in the BLIS style: B is
-// packed into KC x NC panels laid out as NR-wide column strips (zero-padded
-// to NR, so every strip row is a full vector row), and an MR x NR
-// register-blocked microkernel — AVX2 assembly when bound, pure-Go
-// [8]float32 lanes otherwise; see vec.go — sweeps the panel for each MR-row
-// tile of the destination. Destination tiles are distributed over the
-// shared worker pool by absolute tile index, and every kernel accumulates k
-// in ascending order, so each output element sees an identical accumulation
-// order no matter how tiles are chunked: results are deterministic across
-// GOMAXPROCS settings. The panels and the register block come from one
-// rule over the product's shape (gemmBlocking in params.go).
-// NaiveMatMulInto in naive.go preserves the reference semantics;
-// kernels_parity_test.go holds the two within 1e-4 across both kernel
-// tiers and forced blockings.
+// packed once, over its full k extent, into NR-wide column strips
+// (zero-padded to NR, so every strip row is a full vector row), and an
+// MR x NR register-blocked microkernel — AVX2 assembly when bound, pure-Go
+// [8]float32 lanes otherwise; see vec.go — sweeps one KC-deep slice of a
+// strip for each MR-row tile of the destination. The pack is one
+// ParallelFor over strips; the product is one ParallelFor over (column
+// panel × tile) indices, so a GEMM pays two fork-joins whatever its panel
+// count. Every kernel accumulates k in ascending order and the k panels of
+// a tile run in ascending order, so each output element sees an identical
+// accumulation order no matter how tiles are chunked: results are
+// deterministic across GOMAXPROCS settings. The panels and the register
+// block come from one rule over the product's shape (gemmBlocking in
+// params.go). NaiveMatMulInto in naive.go preserves the reference
+// semantics; kernels_parity_test.go holds the two within 1e-4 across both
+// kernel tiers and forced blockings.
 
-// gemmEngine carries the blocked driver's parallel-body state (the
-// per-panel tile sweep) through the worker pool without per-call closure
-// captures.
+// gemmEngine carries the blocked driver's parallel-body state through the
+// worker pool without per-call closure captures. It holds only what is
+// fixed for the whole product: concurrent chunks share it, so anything
+// that varies by panel is passed as an argument.
 type gemmEngine struct {
-	dd, ad, panel []float32
-	m, n, lda     int
-	j0, jw        int // current column panel
-	p0, kw        int // current k panel
-	mr, nr        int
-	nstrips       int
-	kern          microFn  // full-tile kernel, assembly tier (nil when unbound)
-	kern1         micro1Fn // single-row M-tail kernel, assembly tier
-	goFull        microFn  // full-tile kernel, pure-Go lane tier
-	tiles         func(lo, hi int)
+	dd, ad, bd, panel []float32
+	m, n, k           int
+	kc, nc, mr, nr    int
+	ntiles            int // MR-row tiles per column panel
+	transB            bool
+	kern              microFn  // full-tile kernel, assembly tier (nil when unbound)
+	kern1             micro1Fn // single-row M-tail kernel, assembly tier
+	goFull            microFn  // full-tile kernel, pure-Go lane tier
+	pack, tiles       func(lo, hi int)
 }
 
 var gemmEngines = sync.Pool{New: func() any {
 	e := &gemmEngine{}
-	e.tiles = e.runTiles
+	e.pack, e.tiles = e.runPack, e.runTiles
 	return e
 }}
 
-// runTiles accumulates destination tiles [tlo, thi) against the current
-// packed panel. A tile is MR consecutive destination rows; within it the
-// panel is swept strip by strip. On the first k panel (p0 == 0) a tile
-// first zeroes its rows of the column panel, so the accumulation starts
-// from +0 without a separate pass over dst; an edge tile copies those zeros
-// into its scratch. Full tiles run the full-tile microkernel of
-// the bound tier. On the assembly tier every ragged tile runs the assembly
-// kernels too: an M tail one row at a time through the single-row kernel,
-// an N tail (w < NR) through an MR×NR scratch tile (edgeTile). The pure-Go
-// tier sends every ragged tile to goGemmStrip.
-func (e *gemmEngine) runTiles(tlo, thi int) {
-	mr, nr := e.mr, e.nr
-	kw, lda, n := e.kw, e.lda, e.n
+// runPack packs strips [lo, hi) of B: strip s holds columns s·NR onward
+// over all k rows, row p at panel[(s·k+p)·NR:].
+func (e *gemmEngine) runPack(lo, hi int) {
+	j0 := lo * e.nr
+	jw := min(hi*e.nr, e.n) - j0
+	dst := e.panel[lo*e.k*e.nr:]
+	if e.transB {
+		packStripsBT(dst, e.bd, e.k, j0, jw, e.nr)
+	} else {
+		packStripsB(dst, e.bd, e.n, e.k, j0, jw, e.nr)
+	}
+}
+
+// runTiles computes indices [lo, hi) of the product's task space, where
+// index t = columnPanel·ntiles + tile. A chunk may straddle column panels;
+// each piece runs as one panelTiles call.
+func (e *gemmEngine) runTiles(lo, hi int) {
 	// The edge scratch is leased at most once per call: a stack array would
 	// escape through the kernel function variable and allocate per call.
 	var edge *[edgeTileLen]float32
-	for t := tlo; t < thi; t++ {
-		i := t * mr
-		rows := e.m - i
-		if rows > mr {
-			rows = mr
-		}
-		if e.p0 == 0 {
-			for r := i; r < i+rows; r++ {
-				clear(e.dd[r*n+e.j0:][:e.jw])
-			}
-		}
-		ab := e.ad[i*lda+e.p0:]
-		for s := 0; s < e.nstrips; s++ {
-			jj := e.j0 + s*nr
-			w := e.j0 + e.jw - jj
-			if w > nr {
-				w = nr
-			}
-			bp := e.panel[s*kw*nr:]
-			cb := e.dd[i*n+jj:]
-			switch {
-			case rows == mr && w == nr && e.kern != nil:
-				e.kern(kw, &ab[0], lda, &bp[0], &cb[0], n)
-			case rows == mr && w == nr:
-				e.goFull(kw, &ab[0], lda, &bp[0], &cb[0], n)
-			case e.kern == nil:
-				goGemmStrip(kw, ab, lda, rows, bp, nr, cb, n, w)
-			case w == nr:
-				for r := 0; r < rows; r++ {
-					e.kern1(kw, &ab[r*lda], &bp[0], &cb[r*n])
-				}
-			default:
-				if edge == nil {
-					edge = edgeTiles.Get().(*[edgeTileLen]float32)
-				}
-				e.edgeTile(edge[:], ab, rows, bp, cb, w)
-			}
-		}
+	for lo < hi {
+		cp := lo / e.ntiles
+		end := min(hi, (cp+1)*e.ntiles)
+		e.panelTiles(cp*e.nc, lo-cp*e.ntiles, end-cp*e.ntiles, &edge)
+		lo = end
 	}
 	if edge != nil {
 		edgeTiles.Put(edge)
+	}
+}
+
+// panelTiles accumulates destination tiles [tlo, thi) of the column panel
+// starting at column j0, the k panels outer and the tiles inner. A tile is
+// MR consecutive destination rows; within it each k panel's slice of the
+// packed strips is swept strip by strip. On the first k panel a tile first
+// zeroes its rows of the column panel, so the accumulation starts from +0
+// without a separate pass over dst; an edge tile copies those zeros into
+// its scratch. Full tiles run the full-tile microkernel of the bound tier.
+// On the assembly tier every ragged tile runs the assembly kernels too: an
+// M tail one row at a time through the single-row kernel, an N tail
+// (w < NR) through an MR×NR scratch tile (edgeTile). The pure-Go tier
+// sends every ragged tile to goGemmStrip.
+func (e *gemmEngine) panelTiles(j0, tlo, thi int, edge **[edgeTileLen]float32) {
+	mr, nr, k, n := e.mr, e.nr, e.k, e.n
+	jw := min(e.nc, n-j0)
+	s0, nstrips := j0/nr, (jw+nr-1)/nr
+	for p0 := 0; p0 < k; p0 += e.kc {
+		kw := min(e.kc, k-p0)
+		for t := tlo; t < thi; t++ {
+			i := t * mr
+			rows := min(mr, e.m-i)
+			if p0 == 0 {
+				for r := i; r < i+rows; r++ {
+					clear(e.dd[r*n+j0:][:jw])
+				}
+			}
+			ab := e.ad[i*k+p0:]
+			for s := 0; s < nstrips; s++ {
+				jj := j0 + s*nr
+				w := min(nr, j0+jw-jj)
+				bp := e.panel[((s0+s)*k+p0)*nr:]
+				cb := e.dd[i*n+jj:]
+				switch {
+				case rows == mr && w == nr && e.kern != nil:
+					e.kern(kw, &ab[0], k, &bp[0], &cb[0], n)
+				case rows == mr && w == nr:
+					e.goFull(kw, &ab[0], k, &bp[0], &cb[0], n)
+				case e.kern == nil:
+					goGemmStrip(kw, ab, k, rows, bp, nr, cb, n, w)
+				case w == nr:
+					for r := 0; r < rows; r++ {
+						e.kern1(kw, &ab[r*k], &bp[0], &cb[r*n])
+					}
+				default:
+					if *edge == nil {
+						*edge = edgeTiles.Get().(*[edgeTileLen]float32)
+					}
+					e.edgeTile((*edge)[:], ab, rows, bp, cb, w, kw)
+				}
+			}
+		}
 	}
 }
 
@@ -111,22 +137,22 @@ const edgeTileLen = 64
 // allocate — plan forwards stopped being allocation-free that way.
 var edgeTiles = sync.Pool{New: func() any { return new([edgeTileLen]float32) }}
 
-// edgeTile accumulates a ragged-N tile (w < NR columns, rows <= MR) with
-// the assembly kernels, BLIS-style: the destination's w columns are copied
-// into the MR×NR scratch tile sc, the full-width kernel runs on sc (the
-// packed strip is zero-padded past w, so the padding lanes never feed a
-// valid column), and only the w valid columns are copied back. The
+// edgeTile accumulates a ragged-N tile (w < NR columns, rows <= MR, kw
+// deep) with the assembly kernels, BLIS-style: the destination's w columns
+// are copied into the MR×NR scratch tile sc, the full-width kernel runs on
+// sc (the packed strip is zero-padded past w, so the padding lanes never
+// feed a valid column), and only the w valid columns are copied back. The
 // destination is never written past its width or its last row.
-func (e *gemmEngine) edgeTile(sc, ab []float32, rows int, bp, cb []float32, w int) {
-	nr, lda, n := e.nr, e.lda, e.n
+func (e *gemmEngine) edgeTile(sc, ab []float32, rows int, bp, cb []float32, w, kw int) {
+	nr, lda, n := e.nr, e.k, e.n
 	for r := 0; r < rows; r++ {
 		copy(sc[r*nr:][:w], cb[r*n:][:w])
 	}
 	if rows == e.mr {
-		e.kern(e.kw, &ab[0], lda, &bp[0], &sc[0], nr)
+		e.kern(kw, &ab[0], lda, &bp[0], &sc[0], nr)
 	} else {
 		for r := 0; r < rows; r++ {
-			e.kern1(e.kw, &ab[r*lda], &bp[0], &sc[r*nr])
+			e.kern1(kw, &ab[r*lda], &bp[0], &sc[r*nr])
 		}
 	}
 	for r := 0; r < rows; r++ {
@@ -134,20 +160,20 @@ func (e *gemmEngine) edgeTile(sc, ab []float32, rows int, bp, cb []float32, w in
 	}
 }
 
-// gemmBlocked is the shared panel loop: dst[m,n] = a[m,k] @ B where B is
-// b[k,n] (transB false) or b[n,k] read transposed (transB true). Each
-// (column panel, k panel) pair is packed once and then accumulated by all
-// destination tiles; the first k panel's tiles zero their region first.
+// gemmBlocked is the driver: dst[m,n] = a[m,k] @ B where B is b[k,n]
+// (transB false) or b[n,k] read transposed (transB true). B is packed once
+// into an arena lease, then every (column panel, tile) pair is one index of
+// a single ParallelFor; a pair costs MR·min(NC, n)·k FMAs.
 func gemmBlocked(dd, ad, bd []float32, m, n, k int, transB bool, gp gemmParams) {
 	if k == 0 {
 		clear(dd[:m*n])
 		return
 	}
-	kc, nc, mr, nr := gp.kc, gp.nc, gp.mr, gp.nr
+	nr := gp.nr
 	e := gemmEngines.Get().(*gemmEngine)
-	e.dd, e.ad = dd, ad
-	e.m, e.n, e.lda = m, n, k
-	e.mr, e.nr = mr, nr
+	e.dd, e.ad, e.bd, e.transB = dd, ad, bd, transB
+	e.m, e.n, e.k = m, n, k
+	e.kc, e.nc, e.mr, e.nr = gp.kc, gp.nc, gp.mr, nr
 	e.kern, e.kern1 = nil, nil
 	if vecActive {
 		if nr == 16 {
@@ -161,71 +187,53 @@ func gemmBlocked(dd, ad, bd []float32, m, n, k int, transB bool, gp gemmParams) 
 	} else {
 		e.goFull = goGemm8x8
 	}
-	maxW := nc
-	if n < maxW {
-		maxW = n
-	}
-	maxStrips := (maxW + nr - 1) / nr
-	buf := GetBufDirty(kc * maxStrips * nr)
+	nstrips := (n + nr - 1) / nr
+	buf := GetBufDirty(nstrips * k * nr)
 	e.panel = *buf
-	ntiles := (m + mr - 1) / mr
-	for j0 := 0; j0 < n; j0 += nc {
-		jw := min(nc, n-j0)
-		for p0 := 0; p0 < k; p0 += kc {
-			kw := min(kc, k-p0)
-			if transB {
-				packPanelBT(e.panel, bd, k, j0, jw, p0, kw, nr)
-			} else {
-				packPanelB(e.panel, bd, n, j0, jw, p0, kw, nr)
-			}
-			e.j0, e.jw, e.p0, e.kw = j0, jw, p0, kw
-			e.nstrips = (jw + nr - 1) / nr
-			ParallelFor(ntiles, mr*jw*kw, e.tiles)
-		}
-	}
+	ParallelFor(nstrips, k*nr, e.pack)
+	e.ntiles = (m + gp.mr - 1) / gp.mr
+	panels := (n + gp.nc - 1) / gp.nc
+	ParallelFor(panels*e.ntiles, gp.mr*min(gp.nc, n)*k, e.tiles)
 	PutBuf(buf)
-	e.dd, e.ad, e.panel = nil, nil, nil
+	e.dd, e.ad, e.bd, e.panel = nil, nil, nil, nil
 	gemmEngines.Put(e)
 }
 
-// packPanelB packs B[p0:p0+kw, j0:j0+jw] of a row-major [*, n] matrix into
-// NR-wide column strips: strip s holds columns j0+s*nr onward, row p of the
-// strip at panel[(s*kw+p)*nr:]. The last strip is zero-padded to nr so the
-// microkernels always read full vector rows.
-func packPanelB(panel, bd []float32, n, j0, jw, p0, kw, nr int) {
+// packStripsB packs columns [j0, j0+jw) of the row-major [k, n] matrix B,
+// j0 a multiple of nr, into NR-wide column strips over all k rows: strip s
+// holds columns j0+s*nr onward, row p of the strip at panel[(s*k+p)*nr:].
+// The last strip is zero-padded to nr so the microkernels always read full
+// vector rows.
+func packStripsB(panel, bd []float32, n, k, j0, jw, nr int) {
 	nstrips := (jw + nr - 1) / nr
 	for s := 0; s < nstrips; s++ {
 		js := j0 + s*nr
 		w := min(nr, j0+jw-js)
-		dstS := panel[s*kw*nr:][:kw*nr]
+		dstS := panel[s*k*nr:][:k*nr]
 		if w < nr {
-			for x := range dstS {
-				dstS[x] = 0
-			}
+			clear(dstS)
 		}
-		for p := 0; p < kw; p++ {
-			copy(dstS[p*nr:p*nr+w], bd[(p0+p)*n+js:][:w])
+		for p := 0; p < k; p++ {
+			copy(dstS[p*nr:p*nr+w], bd[p*n+js:][:w])
 		}
 	}
 }
 
-// packPanelBT packs the same strips from a transposed operand: B is [n, k]
-// row-major and strip column jj is B's row js+jj, so the pack transposes
-// on the fly (unit-stride reads from B, nr-stride writes into the strip).
-func packPanelBT(panel, bd []float32, k, j0, jw, p0, kw, nr int) {
+// packStripsBT packs the same strips from a transposed operand: B is
+// [n, k] row-major and strip column jj is B's row js+jj, so the pack
+// transposes on the fly (unit-stride reads from B, nr-stride writes into
+// the strip).
+func packStripsBT(panel, bd []float32, k, j0, jw, nr int) {
 	nstrips := (jw + nr - 1) / nr
 	for s := 0; s < nstrips; s++ {
 		js := j0 + s*nr
 		w := min(nr, j0+jw-js)
-		dstS := panel[s*kw*nr:][:kw*nr]
+		dstS := panel[s*k*nr:][:k*nr]
 		if w < nr {
-			for x := range dstS {
-				dstS[x] = 0
-			}
+			clear(dstS)
 		}
 		for jj := 0; jj < w; jj++ {
-			brow := bd[(js+jj)*k+p0:][:kw]
-			for p, v := range brow {
+			for p, v := range bd[(js+jj)*k:][:k] {
 				dstS[p*nr+jj] = v
 			}
 		}

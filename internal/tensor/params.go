@@ -1,9 +1,10 @@
 package tensor
 
-// gemmParams is the blocked GEMM's tiling: B is packed and consumed in
-// kc x nc panels, and the microkernel holds an mr x nr block of the
-// destination in registers across the k loop. Both kernel tiers implement
-// two register blocks, 4x16 and 8x8.
+// gemmParams is the blocked GEMM's tiling: B, packed whole into nr-wide
+// strips, is consumed in kc x nc panels (nc a multiple of nr), and the
+// microkernel holds an mr x nr block of the destination in registers
+// across the k loop. Both kernel tiers implement two register blocks, 4x16
+// and 8x8.
 type gemmParams struct{ kc, nc, mr, nr int }
 
 // gemmPanel is the k and n extent of a packed B panel: a full panel is

@@ -26,12 +26,17 @@ import (
 // reduces.
 
 // grain is the least work, in floats touched or FMAs, worth handing to
-// another worker: about 10 µs of streaming work, several times the cost of
-// waking one. It is set from the table of calls and work per call site
-// measured on the benchmark's search, CNN, BERT and shared-stem serving
-// workloads (CHANGES.md): the plan's and nn's elementwise loops fall below
-// it; the training fold, epilogue planes and pad at the search's first
-// stages, and GEMM tiles, lie above it.
+// another worker: about 10 µs of streaming work. That is well below the
+// cost of waking one: a parked helper starts about 100 µs after it is
+// queued (BenchmarkParallelForJoin, median, 2-vCPU Xeon VM), so a call of
+// a few grains is over before a parked helper joins it, and the helper
+// then finds no chunk left. Only long calls gain a worker, which is why
+// each GEMM driver is one ParallelFor per product, not one per panel.
+// The grain is set from the table of calls and work per call site measured
+// on the benchmark's search, CNN, BERT and shared-stem serving workloads
+// (CHANGES.md): the plan's and nn's elementwise loops fall below it; the
+// training fold, epilogue planes and pad at the search's first stages, and
+// GEMM tiles, lie above it.
 const grain = 1 << 14
 
 // job is one ParallelFor call: chunk c is [c·per, min((c+1)·per, n)).

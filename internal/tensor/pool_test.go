@@ -3,6 +3,7 @@ package tensor
 import (
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -215,4 +216,38 @@ func TestArenaSizeClasses(t *testing.T) {
 		t.Fatalf("cap %d files under class %d, leased from %d", cap(*p), c, classFor(1000))
 	}
 	PutBuf(p)
+}
+
+// BenchmarkParallelForJoin reports how long a parked pool helper takes to
+// join a call, as the median over b.N calls: the caller's chunk of a
+// two-index heavy loop waits for the other chunk to start, which only a
+// helper can do, and a sample is the time from entering ParallelFor to
+// that start. Between calls the helpers sleep long enough to park. Run it
+// at the pool width under study, e.g. GOMAXPROCS=2 go test -run '^$'
+// -bench ParallelForJoin ./internal/tensor/.
+func BenchmarkParallelForJoin(b *testing.B) {
+	startPool()
+	if poolWorkers < 2 {
+		b.Skipf("pool has %d worker", poolWorkers)
+	}
+	var t0 time.Time
+	var joined atomic.Int64 // ns after t0 at which index 1 started
+	body := func(lo, hi int) {
+		if lo == 1 {
+			joined.Store(int64(time.Since(t0)))
+			return
+		}
+		for joined.Load() == 0 {
+		}
+	}
+	samples := make([]int64, b.N)
+	for i := range samples {
+		time.Sleep(time.Millisecond)
+		joined.Store(0)
+		t0 = time.Now()
+		ParallelFor(2, grain, body)
+		samples[i] = joined.Load()
+	}
+	slices.Sort(samples)
+	b.ReportMetric(float64(samples[len(samples)/2])/1e3, "µs/join")
 }

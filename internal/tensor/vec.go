@@ -104,14 +104,16 @@ func VecKind() string { return vecKind }
 // AVX2 even where AVX512-VNNI was available, and its signature did not
 // name the int8 variant; generation 7 ran GELU as float64 tanh in an op of
 // its own after the FFN's first linear, and the closing residual add as
-// another. The training convolution's implicit GEMM
+// another; generation 8 forked and joined the f32 GEMM driver's workers
+// once per (column panel, k panel), so a deep narrow product rarely had a
+// second worker. The training convolution's implicit GEMM
 // (ConvRowsInto, ConvWeightGradInto) does not bump it: it gives the
 // unfold's bits, and the latencies keyed by the generation are timings of
 // the compiled plan, which still unfolds and runs the GEMM driver.
-const kernelGeneration = 8
+const kernelGeneration = 9
 
 // KernelSignature names the bound tier, the int8 block kernel's variant and
-// the kernel generation, e.g. "vec=avx2 q8=vnni kgen=8". Anything persisted
+// the kernel generation, e.g. "vec=avx2 q8=vnni kgen=9". Anything persisted
 // from a kernel measurement (memoised candidate latencies) is keyed by it
 // next to the machine signature, so numbers measured by other kernels are
 // never replayed.
