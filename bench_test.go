@@ -5,7 +5,7 @@ package gmorph_test
 // scale and reporting the headline quantity as a custom metric. Run the
 // full paper-shaped sweep with `go run ./cmd/experiments -scale full`.
 //
-// Mapping (see DESIGN.md section 5 and EXPERIMENTS.md):
+// Mapping (see DESIGN.md "Benchmarks and experiments" and EXPERIMENTS.md):
 //
 //	BenchmarkFigure1  — random-fusion speedup/accuracy scatter (Section 2.1)
 //	BenchmarkFigure2  — fine-tune time of elite-derived vs original-derived

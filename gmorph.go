@@ -237,9 +237,9 @@ type Result struct {
 	// Speedup is original latency / fused latency (1 when !Found).
 	Speedup float64
 	// OriginalLatency and FusedLatency are measured inference times.
-	// OriginalLatency is the search's own measurement of the original, the
-	// number a latency-objective Best had to beat, so a found model reads
-	// Speedup > 1.
+	// OriginalLatency is the search's own measurement of the original,
+	// memoized like Best's: the number a latency-objective Best had to
+	// beat, so a found model reads Speedup > 1.
 	OriginalLatency, FusedLatency time.Duration
 	// Accuracy is the fused model's per-task test metric.
 	Accuracy map[int]float64

@@ -302,8 +302,8 @@ type Result struct {
 	Traces []Trace
 	// SearchTime is the total wall-clock spent.
 	SearchTime time.Duration
-	// OriginalLatency is the original graph's measured latency: the
-	// incumbent cost a latency-objective Best had to beat.
+	// OriginalLatency is the original graph's latency, memoized like every
+	// candidate's: the incumbent cost a latency-objective Best had to beat.
 	OriginalLatency time.Duration
 	// Evaluated counts candidates that entered evaluation (incl. skipped
 	// and cache-replayed ones).

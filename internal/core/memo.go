@@ -17,7 +17,7 @@ type SearchStats struct {
 	CacheHits   int `json:"cache_hits"`
 	CacheMisses int `json:"cache_misses"`
 	// LatencyHits / LatencyMisses count latency-memo consultations for
-	// candidates that met the targets.
+	// the incumbent original and for candidates that met the targets.
 	LatencyHits   int `json:"latency_hits"`
 	LatencyMisses int `json:"latency_misses"`
 	// WarmStarted counts fine-tuning runs that ran under a shrunken

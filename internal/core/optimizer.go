@@ -94,13 +94,23 @@ func (o *Optimizer) Run() *Result {
 	if sa, ok := cfg.Policy.(*SAPolicy); ok {
 		maxElites = sa.MaxElites
 	}
+	// Like the rule filter below, the memo is only read during serial
+	// sampling and only written during serial merging, so cache hits land
+	// on the same candidates for any evaluation concurrency. Duplicates sampled within
+	// one batch alias the first occurrence (aliasOf) and replay its entry
+	// at merge time — zero duplicate measurements even inside a batch.
+	memo, useMemo := cfg.Memo, !cfg.DisableMemo
+	if memo == nil {
+		memo, _ = NewDiskMemo("") // the empty path reads no file, so cannot fail
+	}
 	// The original multi-DNN graph is the incumbent: a candidate only
 	// becomes Best if it beats the original's cost, so the search never
-	// recommends a model slower than what the user already has.
+	// recommends a model slower than what the user already has. Its latency
+	// is memoized like a candidate's, so a replay compares like with like.
 	o.original.RefreshCapacities()
 	incumbent := &Elite{
 		Graph:   o.original,
-		Latency: engine.Latency(o.original),
+		Latency: o.latency(memo, fingerprint.Hash(o.original), o.original, &res.Stats),
 		FLOPs:   o.original.FLOPs(),
 	}
 	res.OriginalLatency = incumbent.Latency
@@ -114,16 +124,6 @@ func (o *Optimizer) Run() *Result {
 	if evaluator == nil {
 		evaluator = NewLocalEvaluator(o.ds, o.eval.Targets, o.outs, o.trainX, o.accOpts, cfg.Workers)
 	}
-	// Like the filter, the memo is only read during serial sampling and
-	// only written during serial merging, so cache hits land on the same
-	// candidates for any evaluation concurrency. Duplicates sampled within
-	// one batch alias the first occurrence (aliasOf) and replay its entry
-	// at merge time — zero duplicate measurements even inside a batch.
-	memo := cfg.Memo
-	if memo == nil {
-		memo, _ = NewDiskMemo("") // the empty path reads no file, so cannot fail
-	}
-	useMemo := !cfg.DisableMemo
 
 	rounds := cfg.Rounds / cfg.BatchSize
 	if rounds == 0 {

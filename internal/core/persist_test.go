@@ -10,8 +10,8 @@ import (
 // TestDiskMemoReplayEliminatesDuplicateMeasurements is the persistence
 // contract behind the distributed search: re-running the same search over a
 // persisted memo must replay every outcome — zero fine-tuning runs, zero
-// fresh latency measurements — while producing an identical search
-// trajectory (traces, elites, accuracies).
+// fresh latency measurements, the original's included — while producing
+// an identical search trajectory (traces, elites, accuracies).
 func TestDiskMemoReplayEliminatesDuplicateMeasurements(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "memo.json")
 	run := func() *core.Result {
@@ -45,6 +45,12 @@ func TestDiskMemoReplayEliminatesDuplicateMeasurements(t *testing.T) {
 	if second.Stats.LatencyMisses != 0 {
 		t.Fatalf("second run measured %d latencies, want 0 (persisted, machine-keyed)",
 			second.Stats.LatencyMisses)
+	}
+	// The incumbent replays too: a replayed search compares its candidates
+	// against the original timed in the same session as they were.
+	if second.OriginalLatency != first.OriginalLatency {
+		t.Fatalf("second run's original latency %v, want the first run's %v (memo replay)",
+			second.OriginalLatency, first.OriginalLatency)
 	}
 	if second.Stats.CacheHits != first.Stats.CacheHits+first.Stats.FineTuned {
 		t.Fatalf("second run hits %d, want first run's hits+finetunes %d+%d",

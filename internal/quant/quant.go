@@ -191,8 +191,8 @@ type calibStat struct {
 	count  int64
 }
 
-// calibrate streams training samples through the f32 instance with an
-// observer recording per-target-op input ranges.
+// calibrate streams the first CalibSamples training rows through the f32
+// instance with an observer recording per-target-op input ranges.
 func calibrate(inst *plan.Instance, p *plan.Plan, ds *data.Dataset, cfg Config) map[int]*calibStat {
 	stats := make(map[int]*calibStat, len(p.QuantTargets))
 	for _, t := range p.QuantTargets {
@@ -224,10 +224,10 @@ func calibrate(inst *plan.Instance, p *plan.Plan, ds *data.Dataset, cfg Config) 
 		st.count += int64(in.Size())
 		st.mu.Unlock()
 	})
-	n := min(cfg.CalibSamples, ds.Train.Len())
-	for lo := 0; lo < n; lo += cfg.Batch {
-		inst.Execute(ds.Train.Batch(lo, min(lo+cfg.Batch, n)))
-	}
+	x, n := ds.Train.X, min(cfg.CalibSamples, ds.Train.Len())
+	per := x.Size() / max(x.Dim(0), 1)
+	rows := tensor.FromSlice(x.Data()[:n*per], append([]int{n}, x.Shape()[1:]...)...)
+	data.ForwardBatches(rows, cfg.Batch, inst.Execute)
 	inst.SetObserver(nil)
 	return stats
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"flag"
 	"os"
 	"runtime"
 	"slices"
@@ -13,9 +14,13 @@ import (
 // TestMain raises GOMAXPROCS so the worker pool runs genuinely parallel
 // even on single-core CI machines; the pool sizes itself at first use, and
 // inline fallbacks would otherwise hide races from -race runs. A GOMAXPROCS
-// set in the environment is kept, so the pool can be tested at any width.
+// set in the environment is kept, so the pool can be tested at any width,
+// and a run with -test.bench keeps the machine's width, so a benchmark
+// measures the pool it would run with.
 func TestMain(m *testing.M) {
-	if os.Getenv("GOMAXPROCS") == "" && runtime.GOMAXPROCS(0) < 4 {
+	flag.Parse()
+	bench := flag.Lookup("test.bench").Value.String() != ""
+	if !bench && os.Getenv("GOMAXPROCS") == "" && runtime.GOMAXPROCS(0) < 4 {
 		runtime.GOMAXPROCS(4)
 	}
 	os.Exit(m.Run())
