@@ -470,34 +470,27 @@ func (s *copySpec) build(inst *Instance, o *Op) func() {
 }
 
 // linearSpec is a fully connected layer with folded bias; token inputs
-// [N,T,D] are viewed as [N*T,D]. The 2-D views are tensor headers rebuilt
-// only when the batch changes. The bias and the optional GELU or residual
-// add run in the row epilogue.
+// [N,T,D] are viewed as [N*T,D]. The weight is held only as GEMM strips
+// packed at compile, shared read-only by every instance of the plan, so a
+// forward never re-packs it. The 2-D views are two owned tensor headers
+// rebound on every call (the graph input is a new caller tensor each
+// Execute). The bias and the optional GELU or residual add run in the row
+// epilogue.
 type linearSpec struct {
 	in, out int
-	w       *tensor.Tensor // [in, out], plan-owned copy
+	w       *tensor.PackedB // [in, out], packed at compile
 	bias    []float32
 	gelu    bool
 }
 
 func (s *linearSpec) build(inst *Instance, o *Op) func() {
 	inV, outV := o.In, o.Out
-	// A linear fed straight by the graph input sees a different caller
-	// tensor every Execute, so its view can never be cached.
-	inputFed := inV == inst.p.InValue
-	var x2d, y2d *tensor.Tensor
-	bound := -1
+	var x2d, y2d tensor.Tensor
 	epilogue := rowEpilogue(inst, o, s.bias, s.out, s.gelu)
 	return func() {
 		x := inst.regs[inV]
-		y := inst.regs[outV]
 		rows := x.Size() / s.in
-		if bound != inst.batch || inputFed {
-			x2d = tensor.FromSlice(x.Data(), rows, s.in)
-			y2d = tensor.FromSlice(y.Data(), rows, s.out)
-			bound = inst.batch
-		}
-		tensor.MatMulInto(y2d, x2d, s.w)
+		tensor.MatMulPackedInto(y2d.Rebind(inst.regs[outV].Data(), rows, s.out), x2d.Rebind(x.Data(), rows, s.in), s.w)
 		epilogue(rows)
 	}
 }

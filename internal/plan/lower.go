@@ -173,7 +173,7 @@ func (c *compiler) lowerLinear(name string, l *nn.Linear, inVal int, gelu bool, 
 	} else {
 		op = &Op{
 			Name: name, Kind: "linear", In: inVal, In2: res, Out: out,
-			spec: &linearSpec{in: l.In, out: l.Out, w: l.Weight.Value.Clone(), bias: cloneF32(l.Bias.Value.Data()), gelu: gelu},
+			spec: &linearSpec{in: l.In, out: l.Out, w: tensor.PackB(l.Weight.Value), bias: cloneF32(l.Bias.Value.Data()), gelu: gelu},
 		}
 	}
 	v := c.addOp(op)

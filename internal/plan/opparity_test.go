@@ -131,7 +131,7 @@ func eagerOp(o *Op, in, in2 *tensor.Tensor) []*tensor.Tensor {
 		}
 	case *linearSpec:
 		l := nn.NewLinear(tensor.NewRNG(0), s.in, s.out)
-		l.Weight.Value = s.w.Clone()
+		l.Weight.Value = s.w.Unpack()
 		copy(l.Bias.Value.Data(), s.bias)
 		y := l.Forward(in, false)
 		if s.gelu {

@@ -322,7 +322,9 @@ func FuzzPlanQConvParity(f *testing.F) {
 // TestExecuteZeroAllocs is the acceptance check for the static buffer plan:
 // once an instance is warm, Execute performs zero heap allocations per
 // forward on a CNN profile — with no stem (where an attached memo goes
-// unused) and with a stem but no memo.
+// unused) and with a stem but no memo — and on a lone linear head fed
+// straight by the graph input, whose 2-D views follow a new caller tensor
+// every call.
 func TestExecuteZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -338,10 +340,24 @@ func TestExecuteZeroAllocs(t *testing.T) {
 	shared.SetStemMemo(nil, plan.NewStemStats())
 	x := tensor.New(4, 3, 16, 16)
 	tensor.NewRNG(42).FillNormal(x, 0, 1)
-	for name, inst := range map[string]*plan.Instance{"no stem": solo, "stem, no memo": shared} {
-		inst.Execute(x) // bind slabs and registers
-		if avg := testing.AllocsPerRun(20, func() { inst.Execute(x) }); avg != 0 {
-			t.Errorf("%s: steady-state Execute allocates %.1f objects per run, want 0", name, avg)
+	head := graph.New(graph.Shape{16}, graph.DomainRaw)
+	head.AppendChain(head.Root, graph.NewBlockNode(0, 0, "Head", head.Root.InputShape, graph.DomainRaw,
+		nn.NewLinear(tensor.NewRNG(47), 16, 4)))
+	head.RefreshCapacities()
+	hx := tensor.New(2, 16)
+	tensor.NewRNG(48).FillNormal(hx, 0, 1)
+	for _, c := range []struct {
+		name string
+		inst *plan.Instance
+		x    *tensor.Tensor
+	}{
+		{"no stem", solo, x},
+		{"stem, no memo", shared, x},
+		{"input-fed linear", plan.Compile(head).NewInstance(), hx},
+	} {
+		c.inst.Execute(c.x) // bind slabs and registers
+		if avg := testing.AllocsPerRun(20, func() { c.inst.Execute(c.x) }); avg != 0 {
+			t.Errorf("%s: steady-state Execute allocates %.1f objects per run, want 0", c.name, avg)
 		}
 	}
 }

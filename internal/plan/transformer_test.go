@@ -2,7 +2,9 @@ package plan_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -286,4 +288,41 @@ func TestUnlowerableLayerPanics(t *testing.T) {
 		}
 	}()
 	plan.Compile(g)
+}
+
+// TestPlanInstancesShareOnePlan runs two instances of one compiled
+// two-task BERT plan at once, at different batch sizes. Instances share the
+// plan's constants, among them every linear's weight strips packed at
+// compile, so each must reproduce a serial Execute bit for bit; under -race
+// a write to the shared strips shows as a race.
+func TestPlanInstancesShareOnePlan(t *testing.T) {
+	p := plan.Compile(bertGraph(t, 331))
+	xs := []*tensor.Tensor{tokenBatch(3, 12, 40), tokenBatch(2, 12, 40)}
+	want := make([]map[int]*tensor.Tensor, len(xs))
+	serial := p.NewInstance()
+	for i, x := range xs {
+		want[i] = map[int]*tensor.Tensor{}
+		for task, y := range serial.Execute(x) {
+			want[i][task] = y.Clone()
+		}
+	}
+	var wg sync.WaitGroup
+	for i, x := range xs {
+		inst := p.NewInstance()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 4; rep++ {
+				for task, y := range inst.Execute(x) {
+					for j, v := range y.Data() {
+						if w := want[i][task].Data()[j]; math.Float32bits(v) != math.Float32bits(w) {
+							t.Errorf("instance %d, rep %d, task %d: element %d = %g concurrently, %g serially", i, rep, task, j, v, w)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -90,14 +90,14 @@ func FuzzGemmParamsParity(f *testing.F) {
 			a, b := New(m, k), New(n, k)
 			rng.FillNormal(a, 0, 1)
 			rng.FillNormal(b, 0, 1)
-			gemmBlocked(got.data, a.data, b.data, m, n, k, true, gp)
+			gemmBlocked(got.data, a.data, b.data, nil, m, n, k, true, gp)
 			MatMulTransBInto(gotDefault, a, b)
 			NaiveMatMulTransBInto(want, a, b)
 		} else {
 			a, b := New(m, k), New(k, n)
 			rng.FillNormal(a, 0, 1)
 			rng.FillNormal(b, 0, 1)
-			gemmBlocked(got.data, a.data, b.data, m, n, k, false, gp)
+			gemmBlocked(got.data, a.data, b.data, nil, m, n, k, false, gp)
 			MatMulInto(gotDefault, a, b)
 			NaiveMatMulInto(want, a, b)
 		}

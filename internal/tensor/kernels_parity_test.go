@@ -217,7 +217,7 @@ func TestGemmBlockingKeepsBits(t *testing.T) {
 			} else {
 				MatMulInto(got, a, b)
 			}
-			gemmBlocked(want.data, a.data, b.data, s.m, s.n, s.k, transB, old)
+			gemmBlocked(want.data, a.data, b.data, nil, s.m, s.n, s.k, transB, old)
 			for i, v := range got.data {
 				if math.Float32bits(v) != math.Float32bits(want.data[i]) {
 					t.Fatalf("m%d n%d k%d transB=%v (%s tier, %dx%d): element %d = %g, 4x16 %g",
@@ -260,12 +260,12 @@ func TestEdgeTileWritesNothingPastDst(t *testing.T) {
 			case "MatMul":
 				a, b := New(s.m, s.k), New(s.k, s.n)
 				fillRandom(rng, a, b)
-				gemmBlocked(dst.data, a.data, b.data, s.m, s.n, s.k, false, gp)
+				gemmBlocked(dst.data, a.data, b.data, nil, s.m, s.n, s.k, false, gp)
 				NaiveMatMulInto(want, a, b)
 			case "TransB":
 				a, b := New(s.m, s.k), New(s.n, s.k)
 				fillRandom(rng, a, b)
-				gemmBlocked(dst.data, a.data, b.data, s.m, s.n, s.k, true, gp)
+				gemmBlocked(dst.data, a.data, b.data, nil, s.m, s.n, s.k, true, gp)
 				NaiveMatMulTransBInto(want, a, b)
 			case "TransA":
 				a, b := New(s.k, s.m), New(s.k, s.n)

@@ -13,14 +13,16 @@ import (
 // strip for each MR-row tile of the destination. The pack is one
 // ParallelFor over strips; the product is one ParallelFor over (column
 // panel × tile) indices, so a GEMM pays two fork-joins whatever its panel
-// count. Every kernel accumulates k in ascending order and the k panels of
-// a tile run in ascending order, so each output element sees an identical
-// accumulation order no matter how tiles are chunked: results are
-// deterministic across GOMAXPROCS settings. The panels and the register
-// block come from one rule over the product's shape (gemmBlocking in
-// params.go). NaiveMatMulInto in naive.go preserves the reference
-// semantics; kernels_parity_test.go holds the two within 1e-4 across both
-// kernel tiers and forced blockings.
+// count. A constant B (a compiled plan's linear weight) is packed ahead of
+// time by PackB, and MatMulPackedInto runs the same driver from those
+// strips without the pack. Every kernel accumulates k in ascending order
+// and the k panels of a tile run in ascending order, so each output
+// element sees an identical accumulation order no matter how tiles are
+// chunked: results are deterministic across GOMAXPROCS settings. The
+// panels and the register block come from one rule over the product's
+// shape (gemmBlocking in params.go). NaiveMatMulInto in naive.go preserves
+// the reference semantics; kernels_parity_test.go holds the two within
+// 1e-4 across both kernel tiers and forced blockings.
 
 // gemmEngine carries the blocked driver's parallel-body state through the
 // worker pool without per-call closure captures. It holds only what is
@@ -162,9 +164,10 @@ func (e *gemmEngine) edgeTile(sc, ab []float32, rows int, bp, cb []float32, w, k
 
 // gemmBlocked is the driver: dst[m,n] = a[m,k] @ B where B is b[k,n]
 // (transB false) or b[n,k] read transposed (transB true). B is packed once
-// into an arena lease, then every (column panel, tile) pair is one index of
-// a single ParallelFor; a pair costs MR·min(NC, n)·k FMAs.
-func gemmBlocked(dd, ad, bd []float32, m, n, k int, transB bool, gp gemmParams) {
+// into an arena lease, unless packed already holds its strips as PackB lays
+// them out under gp (bd is then not read). Every (column panel, tile) pair
+// is one index of a single ParallelFor; a pair costs MR·min(NC, n)·k FMAs.
+func gemmBlocked(dd, ad, bd, packed []float32, m, n, k int, transB bool, gp gemmParams) {
 	if k == 0 {
 		clear(dd[:m*n])
 		return
@@ -187,14 +190,20 @@ func gemmBlocked(dd, ad, bd []float32, m, n, k int, transB bool, gp gemmParams) 
 	} else {
 		e.goFull = goGemm8x8
 	}
-	nstrips := (n + nr - 1) / nr
-	buf := GetBufDirty(nstrips * k * nr)
-	e.panel = *buf
-	ParallelFor(nstrips, k*nr, e.pack)
+	e.panel = packed
+	var buf *[]float32
+	if packed == nil {
+		nstrips := (n + nr - 1) / nr
+		buf = GetBufDirty(nstrips * k * nr)
+		e.panel = *buf
+		ParallelFor(nstrips, k*nr, e.pack)
+	}
 	e.ntiles = (m + gp.mr - 1) / gp.mr
 	panels := (n + gp.nc - 1) / gp.nc
 	ParallelFor(panels*e.ntiles, gp.mr*min(gp.nc, n)*k, e.tiles)
-	PutBuf(buf)
+	if buf != nil {
+		PutBuf(buf)
+	}
 	e.dd, e.ad, e.bd, e.panel = nil, nil, nil, nil
 	gemmEngines.Put(e)
 }
@@ -251,7 +260,69 @@ func MatMulInto(dst, a, b *Tensor) {
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch %v @ %v -> %v", a.shape, b.shape, dst.shape))
 	}
-	gemmBlocked(dst.data, a.data, b.data, m, n, k, false, gemmBlocking(n, k))
+	gemmBlocked(dst.data, a.data, b.data, nil, m, n, k, false, gemmBlocking(n, k))
+}
+
+// PackedB is a constant [k, n] B operand packed once into the driver's
+// NR-wide column strips, under the blocking gemmBlocking(n, k) picks: strip
+// s holds columns s·NR onward, row p at strips[(s·k+p)·NR:], the last strip
+// zero-padded to NR. It is read-only after PackB, so any number of
+// goroutines may run MatMulPackedInto from one PackedB at once.
+type PackedB struct {
+	k, n   int
+	gp     gemmParams
+	strips []float32
+}
+
+// PackB packs the [k, n] matrix w into the strips every MatMulInto(dst, a, w)
+// would pack for itself. It walks w row by row, a row's NR-wide pieces
+// going to the same row of each strip, with the rows split over the worker
+// pool: w is read in order, where a strip-by-strip walk reads it with
+// stride n and packs the plan's weights slower at compile.
+func PackB(w *Tensor) *PackedB {
+	if w.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: PackB wants a rank-2 operand, got %v", w.shape))
+	}
+	k, n := w.shape[0], w.shape[1]
+	gp := gemmBlocking(n, k)
+	nr := gp.nr
+	p := &PackedB{k: k, n: n, gp: gp, strips: make([]float32, (n+nr-1)/nr*k*nr)}
+	ParallelFor(k, n, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			row := w.data[r*n:][:n]
+			for s, j := 0, 0; j < n; s, j = s+1, j+nr {
+				copy(p.strips[(s*k+r)*nr:][:nr], row[j:min(j+nr, n)])
+			}
+		}
+	})
+	return p
+}
+
+// Unpack returns the [k, n] matrix p was packed from, as a new tensor.
+func (p *PackedB) Unpack() *Tensor {
+	k, n, nr := p.k, p.n, p.gp.nr
+	w := New(k, n)
+	for r := 0; r < k; r++ {
+		for s, j := 0, 0; j < n; s, j = s+1, j+nr {
+			copy(w.data[r*n+j:min((r+1)*n, r*n+j+nr)], p.strips[(s*k+r)*nr:])
+		}
+	}
+	return w
+}
+
+// MatMulPackedInto computes dst = a @ b for a [m,k] a and a [k,n] b packed
+// by PackB; dst is [m,n] and is overwritten. It runs the same driver, strips
+// and kernel calls as MatMulInto on b's unpacked form, so it gives the
+// same bits, without packing b.
+func MatMulPackedInto(dst, a *Tensor, b *PackedB) {
+	if a.Rank() != 2 || dst.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: MatMulPackedInto wants rank-2 operands, got %v @ packed -> %v", a.shape, dst.shape))
+	}
+	m, k, n := a.shape[0], a.shape[1], b.n
+	if k != b.k || dst.shape[0] != m || dst.shape[1] != n {
+		panic(fmt.Sprintf("tensor: MatMulPackedInto shape mismatch %v @ [%d %d] -> %v", a.shape, b.k, b.n, dst.shape))
+	}
+	gemmBlocked(dst.data, a.data, nil, b.strips, m, n, k, false, b.gp)
 }
 
 // MatMul returns a @ b as a new [m,n] tensor.
@@ -276,7 +347,7 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 	}
 	at := GetBufDirty(m * k)
 	transposeInto(*at, a.data, k, m)
-	gemmBlocked(dst.data, *at, b.data, m, n, k, false, gemmBlocking(n, k))
+	gemmBlocked(dst.data, *at, b.data, nil, m, n, k, false, gemmBlocking(n, k))
 	PutBuf(at)
 }
 
@@ -307,7 +378,7 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto shape mismatch %v @ %vᵀ -> %v", a.shape, b.shape, dst.shape))
 	}
-	gemmBlocked(dst.data, a.data, b.data, m, n, k, true, gemmBlocking(n, k))
+	gemmBlocked(dst.data, a.data, b.data, nil, m, n, k, true, gemmBlocking(n, k))
 }
 
 // Transpose2D returns the transpose of a 2-D tensor as a new tensor.

@@ -35,7 +35,7 @@ func TestGemmConcurrentRaggedPanels(t *testing.T) {
 				a, b := New(s.m, s.k), New(s.k, s.n)
 				fillRandom(rng, a, b)
 				p.a, p.b, p.ref = a.data, b.data, make([]float32, s.m*s.n)
-				gemmBlocked(p.ref, p.a, p.b, p.m, p.n, p.k, p.transB, p.gp)
+				gemmBlocked(p.ref, p.a, p.b, nil, p.m, p.n, p.k, p.transB, p.gp)
 				ps = append(ps, p)
 			}
 		}
@@ -50,7 +50,7 @@ func TestGemmConcurrentRaggedPanels(t *testing.T) {
 				for i := range ps {
 					p := ps[(i+g)%len(ps)] // goroutines start on different shapes
 					got := make([]float32, p.m*p.n)
-					gemmBlocked(got, p.a, p.b, p.m, p.n, p.k, p.transB, p.gp)
+					gemmBlocked(got, p.a, p.b, nil, p.m, p.n, p.k, p.transB, p.gp)
 					for x, v := range got {
 						if math.Float32bits(v) != math.Float32bits(p.ref[x]) {
 							t.Errorf("m%d n%d k%d transB=%v %dx%d: element %d = %g concurrently, %g alone",
@@ -65,6 +65,42 @@ func TestGemmConcurrentRaggedPanels(t *testing.T) {
 	wg.Wait()
 }
 
+// TestMatMulPackedMatchesMatMul holds the pre-packed product to MatMulInto
+// bit for bit: PackB must lay out the strips the driver packs per call, and
+// the packed driver must run the same kernel calls in the same k order. The
+// shapes cover head linears narrower than one strip (n = 2, 4), a ragged
+// last strip over two column panels, a short last k panel, ragged M, an
+// aligned BERT linear, and the 8x8 block's narrow deep region. Unpack must
+// give the weight back exactly.
+func TestMatMulPackedMatchesMatMul(t *testing.T) {
+	rng := NewRNG(53)
+	for _, s := range []struct{ m, n, k int }{
+		{37, 2, 2*gemmPanel + 37},
+		{5, 4, 2*gemmPanel + 37},
+		{13, 300, 2*gemmPanel + 37},
+		{64, 384, 256},
+		{12, 16, 2304},
+		{7, 9, 2560},
+	} {
+		a, w := New(s.m, s.k), New(s.k, s.n)
+		fillRandom(rng, a, w)
+		packed := PackB(w)
+		got, want := New(s.m, s.n), New(s.m, s.n)
+		MatMulInto(want, a, w)
+		MatMulPackedInto(got, a, packed)
+		for i, v := range got.data {
+			if math.Float32bits(v) != math.Float32bits(want.data[i]) {
+				t.Fatalf("m%d n%d k%d (%s tier): element %d = %g packed, %g per-call pack", s.m, s.n, s.k, VecKind(), i, v, want.data[i])
+			}
+		}
+		for i, v := range packed.Unpack().data {
+			if math.Float32bits(v) != math.Float32bits(w.data[i]) {
+				t.Fatalf("m%d n%d k%d: Unpack element %d = %g, packed from %g", s.m, s.n, s.k, i, v, w.data[i])
+			}
+		}
+	}
+}
+
 // BenchmarkGemmPlanShapes times the f32 driver on the products the
 // compiled plan runs at the benchmark's paper widths, batch 1, and reports
 // GFLOP/s. Names are m×k×n of dst[m,n] = a[m,k]·b[k,n]:
@@ -75,6 +111,9 @@ func TestGemmConcurrentRaggedPanels(t *testing.T) {
 //     packed QKV, FFN up and FFN down linears at seq 64 (m = tokens,
 //     k = in, n = out), and 64×256×768, 64×256×512, 64×512×256 for its
 //     BERT-Base.
+//
+// packed/<shape> runs those six linears the way the compiled plan does,
+// from a weight packed once by PackB, against the per-call pack above.
 //
 // The pool fixes its width at first use, so compare widths with the
 // environment: GOMAXPROCS=1 and GOMAXPROCS=2 go test -run '^$' -bench
@@ -94,8 +133,30 @@ func BenchmarkGemmPlanShapes(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				MatMulInto(dst, a, w)
 			}
-			flops := 2 * float64(s.m) * float64(s.k) * float64(s.n) * float64(b.N)
-			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			reportGFLOPs(b, s.m, s.k, s.n)
 		})
 	}
+	b.Run("packed", func(b *testing.B) {
+		for _, s := range []struct{ m, k, n int }{
+			{64, 384, 1152}, {64, 384, 768}, {64, 768, 384},
+			{64, 256, 768}, {64, 256, 512}, {64, 512, 256},
+		} {
+			b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
+				a, w, dst := New(s.m, s.k), New(s.k, s.n), New(s.m, s.n)
+				fillRandom(rng, a, w)
+				packed := PackB(w)
+				MatMulPackedInto(dst, a, packed)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					MatMulPackedInto(dst, a, packed)
+				}
+				reportGFLOPs(b, s.m, s.k, s.n)
+			})
+		}
+	})
+}
+
+func reportGFLOPs(b *testing.B, m, k, n int) {
+	flops := 2 * float64(m) * float64(k) * float64(n) * float64(b.N)
+	b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
