@@ -67,7 +67,7 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tenso
 
 	ctx := tensor.New(n, t, m.D)
 	bq, bk := tensor.AttendTiles(t)
-	ws := tensor.GetBufDirty(n * m.Heads * tensor.AttendWorkspace(bq, bk))
+	ws := tensor.GetBufDirty(n * m.Heads * tensor.AttendWorkspace(t, m.D/m.Heads, bq, bk))
 	qkv, cd := m.qkv.Data(), ctx.Data()
 	tensor.ParallelFor(n*m.Heads, t*t*(m.D/m.Heads), func(lo, hi int) {
 		tensor.FlashAttendUnits(cd, qkv, *ws, t, m.D, m.Heads, bq, bk, lo, hi)
@@ -81,7 +81,7 @@ func (m *MultiHeadAttention) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	n, t := m.inShape[0], m.inShape[1]
 	gCtx := m.WO.Backward(gradOut) // [N,T,D]
 	gQKV := tensor.New(n, t, 3*m.D)
-	ws := tensor.GetBufDirty(n * m.Heads * tensor.AttendBackwardWorkspace(t))
+	ws := tensor.GetBufDirty(n * m.Heads * tensor.AttendBackwardWorkspace(t, m.D/m.Heads))
 	g, gc, qkv := gQKV.Data(), gCtx.Data(), m.qkv.Data()
 	tensor.ParallelFor(n*m.Heads, t*t*(m.D/m.Heads), func(lo, hi int) {
 		tensor.AttendBackwardUnits(g, gc, qkv, *ws, t, m.D, m.Heads, lo, hi)

@@ -500,8 +500,9 @@ func (s *linearSpec) build(inst *Instance, o *Op) func() {
 // the GEMM stored it, as the int8 one does), then apply GELU when gelu is
 // set, or add the same row of the residual input o.In2 when the op has one.
 // Each element sees the ops of Linear -> GELU or Linear -> add in the same
-// order, so the fusion moves no bit. It returns a no-op when there is
-// nothing to do.
+// order, so the fusion moves no bit; the adds run on the bound vector
+// kernel (tensor.AddRow), which rounds each sum once as a scalar add does.
+// It returns a no-op when there is nothing to do.
 func rowEpilogue(inst *Instance, o *Op, bias []float32, d int, gelu bool) func(rows int) {
 	out, res := o.Out, o.In2
 	if bias == nil && !gelu && res < 0 {
@@ -523,17 +524,13 @@ func rowEpilogue(inst *Instance, o *Op, bias []float32, d int, gelu bool) func(r
 		for r := lo; r < hi; r++ {
 			row := yd[r*d:][:d]
 			if bias != nil {
-				for j := range row {
-					row[j] += bias[j]
-				}
+				tensor.AddRow(row, bias)
 			}
 			if gelu {
 				tensor.GELURow(row, row)
 			}
 			if res >= 0 {
-				for j, v := range rd[r*d:][:d] {
-					row[j] += v
-				}
+				tensor.AddRow(row, rd[r*d:])
 			}
 		}
 	}

@@ -44,7 +44,7 @@ func (c *compiler) lowerAttention(name string, m *nn.MultiHeadAttention, inVal i
 	t, d := in.Shape[0], m.D
 	qkv := c.lowerLinear(fmt.Sprintf("%s qkv(%d->%d)", name, d, 3*d), m.QKV, inVal, false, -1)
 	bq, bk := tensor.AttendTiles(t)
-	ws := c.newValue([]int{m.Heads * tensor.AttendWorkspace(bq, bk)}, false, -1)
+	ws := c.newValue([]int{m.Heads * tensor.AttendWorkspace(t, d/m.Heads, bq, bk)}, false, -1)
 	ctx := c.newValue([]int{t, d}, false, -1)
 	c.addOp(&Op{
 		Name: fmt.Sprintf("%s attn(h%d,%dx%d)", name, m.Heads, bq, bk),

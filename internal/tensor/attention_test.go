@@ -1,6 +1,7 @@
 package tensor_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func attendDiff(t *testing.T, seed uint64, tokens, hd, stride, bq, bk int) float
 	got := make([]float32, tokens*hd)
 	want := make([]float32, tokens*hd)
 	scale := float32(1 / math.Sqrt(float64(hd)))
-	ws := make([]float32, tensor.AttendWorkspace(bq, bk))
+	ws := make([]float32, tensor.AttendWorkspace(tokens, hd, bq, bk))
 	tensor.FlashAttendHead(got, hd, d[off:], d[off:], d[off:], stride, tokens, hd, scale, bq, bk, ws)
 	tensor.NaiveAttendHead(want, hd, d[off:], d[off:], d[off:], stride, tokens, hd, scale)
 	var m float64
@@ -47,6 +48,18 @@ func TestFlashAttendHeadParity(t *testing.T) {
 		{33, 16, 48, 8, 32}, // several key tiles per query tile
 		{64, 8, 8, 16, 16},  // dense stride == hd
 		{25, 3, 11, 5, 7},   // odd everything
+		// The served shapes, at the tiles AttendTiles gives: full 16-wide
+		// strips in both products (T 64 at hd 64 and 96, strides 3·D);
+		// ViT's 36 tokens, whose score tile ends in a 4-wide N edge; a
+		// ragged hd, so P·V ends in an N edge, with an 18-row last query
+		// tile (an M tail of 2) and, at T 100, a second, ragged key tile.
+		{64, 64, 192, 32, 64},
+		{64, 96, 288, 32, 64},
+		{36, 8, 24, 32, 36},
+		{36, 12, 36, 32, 36},
+		{50, 20, 60, 32, 50},
+		{64, 40, 120, 32, 64},
+		{100, 40, 120, 32, 64},
 	}
 	for _, c := range cases {
 		if d := attendDiff(t, uint64(c.tokens*1000+c.hd), c.tokens, c.hd, c.stride, c.bq, c.bk); d > 1e-4 {
@@ -64,7 +77,7 @@ func TestFlashAttendHeadOverwrites(t *testing.T) {
 	qkv := tensor.New(tokens * hd)
 	rng.FillNormal(qkv, 0, 1)
 	scale := float32(1 / math.Sqrt(float64(hd)))
-	ws := make([]float32, tensor.AttendWorkspace(4, 4))
+	ws := make([]float32, tensor.AttendWorkspace(tokens, hd, 4, 4))
 	clean := make([]float32, tokens*hd)
 	tensor.FlashAttendHead(clean, hd, qkv.Data(), qkv.Data(), qkv.Data(), hd, tokens, hd, scale, 4, 4, ws)
 	dirty := make([]float32, tokens*hd)
@@ -80,8 +93,8 @@ func TestFlashAttendHeadOverwrites(t *testing.T) {
 }
 
 // FuzzTiledSoftmaxParity drives the tiled flash kernel against the naive
-// full-matrix reference across random sequence lengths, head dims, strides,
-// and tile sizes.
+// full-matrix reference across random sequence lengths, head dims (up to
+// 80, five 16-wide strips), strides, and tile sizes.
 func FuzzTiledSoftmaxParity(f *testing.F) {
 	f.Add(uint64(1), 8, 4, 2, 3)
 	f.Add(uint64(2), 33, 7, 8, 16)
@@ -89,7 +102,7 @@ func FuzzTiledSoftmaxParity(f *testing.F) {
 	f.Add(uint64(4), 21, 16, 64, 5)
 	f.Fuzz(func(t *testing.T, seed uint64, tokens, hd, bq, bk int) {
 		tokens = 1 + abs(tokens)%48
-		hd = 1 + abs(hd)%24
+		hd = 1 + abs(hd)%80
 		bq = 1 + abs(bq)%(tokens+4)
 		bk = 1 + abs(bk)%(tokens+4)
 		stride := 3 * hd // packed-QKV addressing, the plan executor's layout
@@ -116,7 +129,7 @@ func attendBackwardDiff(seed uint64, tokens, hd int) float64 {
 		grad[i] = 1e6
 	}
 	scale := float32(1 / math.Sqrt(float64(hd)))
-	ws := make([]float32, tensor.AttendBackwardWorkspace(tokens))
+	ws := make([]float32, tensor.AttendBackwardWorkspace(tokens, hd))
 	tensor.AttendHeadBackward(grad, grad[hd:], grad[2*hd:], g, hd, d, d[hd:], d[2*hd:], stride, tokens, hd, scale, ws)
 
 	at := func(row, band, p int) float64 { return float64(d[row*stride+band*hd+p]) }
@@ -159,8 +172,9 @@ func attendBackwardDiff(seed uint64, tokens, hd int) float64 {
 }
 
 // FuzzAttendHeadBackwardParity drives the attention backward kernel against
-// the float64 reference across random sequence lengths and head dims. The
-// seeds include ragged 33- and 65-token sequences and odd head dims.
+// the float64 reference across random sequence lengths and head dims (up to
+// 80, five 16-wide strips). The seeds include ragged 33- and 65-token
+// sequences and odd head dims.
 func FuzzAttendHeadBackwardParity(f *testing.F) {
 	f.Add(uint64(1), 8, 4)
 	f.Add(uint64(2), 33, 7)
@@ -169,7 +183,7 @@ func FuzzAttendHeadBackwardParity(f *testing.F) {
 	f.Add(uint64(5), 65, 8)
 	f.Fuzz(func(t *testing.T, seed uint64, tokens, hd int) {
 		tokens = 1 + abs(tokens)%80
-		hd = 1 + abs(hd)%24
+		hd = 1 + abs(hd)%80
 		if d := attendBackwardDiff(seed, tokens, hd); d > 1e-4 {
 			t.Fatalf("t=%d hd=%d: backward diverges from the float64 reference by %g", tokens, hd, d)
 		}
@@ -195,8 +209,8 @@ func TestAttendUnitsMatchPerHeadKernels(t *testing.T) {
 			buf[i] = float32(math.NaN())
 		}
 	}
-	fws := make([]float32, n*heads*tensor.AttendWorkspace(bq, bk))
-	bws := make([]float32, n*heads*tensor.AttendBackwardWorkspace(tokens))
+	fws := make([]float32, n*heads*tensor.AttendWorkspace(tokens, hd, bq, bk))
+	bws := make([]float32, n*heads*tensor.AttendBackwardWorkspace(tokens, hd))
 	for _, r := range [][2]int{{0, 1}, {1, n * heads}} {
 		tensor.FlashAttendUnits(ctx, qkv.Data(), fws, tokens, d, heads, bq, bk, r[0], r[1])
 		tensor.AttendBackwardUnits(gqkv, gctx.Data(), qkv.Data(), bws, tokens, d, heads, r[0], r[1])
@@ -215,10 +229,10 @@ func TestAttendUnitsMatchPerHeadKernels(t *testing.T) {
 			}
 			q, k, v := band(qkv.Data(), 3*d, 0), band(qkv.Data(), 3*d, d), band(qkv.Data(), 3*d, 2*d)
 			want := make([]float32, tokens*hd)
-			tensor.FlashAttendHead(want, hd, q, k, v, hd, tokens, hd, scale, bq, bk, make([]float32, tensor.AttendWorkspace(bq, bk)))
+			tensor.FlashAttendHead(want, hd, q, k, v, hd, tokens, hd, scale, bq, bk, make([]float32, tensor.AttendWorkspace(tokens, hd, bq, bk)))
 			gq, gk, gv := make([]float32, tokens*hd), make([]float32, tokens*hd), make([]float32, tokens*hd)
 			tensor.AttendHeadBackward(gq, gk, gv, band(gctx.Data(), d, 0), hd, q, k, v, hd, tokens, hd, scale,
-				make([]float32, tensor.AttendBackwardWorkspace(tokens)))
+				make([]float32, tensor.AttendBackwardWorkspace(tokens, hd)))
 			for _, c := range []struct {
 				what      string
 				got, want []float32
@@ -236,9 +250,125 @@ func TestAttendUnitsMatchPerHeadKernels(t *testing.T) {
 	}
 }
 
+// TestAttendNaNStaysInItsUnit puts a NaN in one (sample, head) unit's Q,
+// K or V band of a packed projection and runs FlashAttendUnits and
+// AttendBackwardUnits: nothing panics; a NaN key or value puts a
+// non-finite value in every context row of that unit, a NaN query in its
+// own row; the unit's
+// gradient band holds non-finite values; and every other unit's context
+// and gradient bands are bit-identical to a clean run. CI runs it on both
+// kernel tiers.
+func TestAttendNaNStaysInItsUnit(t *testing.T) {
+	const n, tokens, d, heads, row = 2, 40, 48, 3, 7
+	hd := d / heads
+	bq, bk := tensor.AttendTiles(tokens)
+	rng := tensor.NewRNG(5)
+	clean, gctx := tensor.New(n*tokens*3*d), tensor.New(n*tokens*d)
+	rng.FillNormal(clean, 0, 1)
+	rng.FillNormal(gctx, 0, 1)
+	run := func(qkv []float32) (ctx, gqkv []float32) {
+		ctx, gqkv = make([]float32, n*tokens*d), make([]float32, n*tokens*3*d)
+		units := n * heads
+		fws := make([]float32, units*tensor.AttendWorkspace(tokens, hd, bq, bk))
+		bws := make([]float32, units*tensor.AttendBackwardWorkspace(tokens, hd))
+		tensor.FlashAttendUnits(ctx, qkv, fws, tokens, d, heads, bq, bk, 0, units)
+		tensor.AttendBackwardUnits(gqkv, gctx.Data(), qkv, bws, tokens, d, heads, 0, units)
+		return ctx, gqkv
+	}
+	ctx0, g0 := run(clean.Data())
+	finite := func(v float32) bool { return !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0) }
+	const ni, h = 1, 2 // the poisoned unit
+	for band, what := range []string{"Q", "K", "V"} {
+		qkv := append([]float32(nil), clean.Data()...)
+		qkv[(ni*tokens+row)*3*d+band*d+h*hd+3] = float32(math.NaN())
+		ctx, g := run(qkv)
+		for s := 0; s < n; s++ {
+			for r := 0; r < tokens; r++ {
+				for u := 0; u < heads; u++ {
+					c := ctx[(s*tokens+r)*d+u*hd:][:hd]
+					c0 := ctx0[(s*tokens+r)*d+u*hd:][:hd]
+					gr := make([]float32, 0, 3*hd)
+					gr0 := make([]float32, 0, 3*hd)
+					for b := 0; b < 3; b++ {
+						gr = append(gr, g[(s*tokens+r)*3*d+b*d+u*hd:][:hd]...)
+						gr0 = append(gr0, g0[(s*tokens+r)*3*d+b*d+u*hd:][:hd]...)
+					}
+					if s != ni || u != h {
+						for i := range c {
+							if math.Float32bits(c[i]) != math.Float32bits(c0[i]) {
+								t.Fatalf("NaN in %s of unit (%d, %d) moved context of unit (%d, %d) row %d", what, ni, h, s, u, r)
+							}
+						}
+						for i := range gr {
+							if math.Float32bits(gr[i]) != math.Float32bits(gr0[i]) {
+								t.Fatalf("NaN in %s of unit (%d, %d) moved gradient of unit (%d, %d) row %d", what, ni, h, s, u, r)
+							}
+						}
+						continue
+					}
+					if what == "Q" && r != row {
+						continue
+					}
+					bad := false
+					for _, v := range c {
+						bad = bad || !finite(v)
+					}
+					if !bad {
+						t.Fatalf("NaN in %s row %d: context row %d of the unit is finite", what, row, r)
+					}
+				}
+			}
+		}
+		poisoned := false
+		for r := 0; r < tokens; r++ {
+			for b := 0; b < 3; b++ {
+				for _, v := range g[(ni*tokens+r)*3*d+b*d+h*hd:][:hd] {
+					poisoned = poisoned || !finite(v)
+				}
+			}
+		}
+		if !poisoned {
+			t.Errorf("NaN in %s: the unit's gradient band is all finite", what)
+		}
+	}
+}
+
 func abs(v int) int {
 	if v < 0 {
 		return -v
 	}
 	return v
+}
+
+// BenchmarkAttendUnits times FlashAttendUnits and AttendBackwardUnits over
+// the attn op shapes of the infer.bert fixture (one sample, 64 tokens, 4
+// heads at model width 384 and 256: head widths 96 and 64) on one
+// goroutine, in GFLOP/s of the two forward products (4·t²·hd per unit) and
+// of the backward's five (10·t²·hd).
+func BenchmarkAttendUnits(b *testing.B) {
+	for _, s := range []struct{ t, d, heads int }{{64, 384, 4}, {64, 256, 4}} {
+		rng := tensor.NewRNG(1)
+		qkv, gctx := tensor.New(s.t*3*s.d), tensor.New(s.t*s.d)
+		rng.FillNormal(qkv, 0, 1)
+		rng.FillNormal(gctx, 0, 1)
+		ctx, gqkv := make([]float32, s.t*s.d), make([]float32, s.t*3*s.d)
+		hd := s.d / s.heads
+		bq, bk := tensor.AttendTiles(s.t)
+		fws := make([]float32, s.heads*tensor.AttendWorkspace(s.t, hd, bq, bk))
+		bws := make([]float32, s.heads*tensor.AttendBackwardWorkspace(s.t, hd))
+		flops := float64(s.heads) * float64(s.t*s.t*hd)
+		name := fmt.Sprintf("t%d/hd%d", s.t, hd)
+		b.Run("forward/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tensor.FlashAttendUnits(ctx, qkv.Data(), fws, s.t, s.d, s.heads, bq, bk, 0, s.heads)
+			}
+			b.ReportMetric(4*flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+		b.Run("backward/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tensor.AttendBackwardUnits(gqkv, gctx.Data(), qkv.Data(), bws, s.t, s.d, s.heads, 0, s.heads)
+			}
+			b.ReportMetric(10*flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
 }

@@ -15,7 +15,9 @@ import (
 // panel × tile) indices, so a GEMM pays two fork-joins whatever its panel
 // count. A constant B (a compiled plan's linear weight) is packed ahead of
 // time by PackB, and MatMulPackedInto runs the same driver from those
-// strips without the pack. Every kernel accumulates k in ascending order
+// strips without the pack. A caller that owns its parallelism (the
+// attention kernels) runs the same tile loop serially through sweep, from
+// strips it packed itself. Every kernel accumulates k in ascending order
 // and the k panels of a tile run in ascending order, so each output
 // element sees an identical accumulation order no matter how tiles are
 // chunked: results are deterministic across GOMAXPROCS settings. The
@@ -31,9 +33,11 @@ import (
 type gemmEngine struct {
 	dd, ad, bd, panel []float32
 	m, n, k           int
+	lda, ldc          int // row strides of a and dd
 	kc, nc, mr, nr    int
 	ntiles            int // MR-row tiles per column panel
 	transB            bool
+	accum             bool     // add to dd instead of overwriting it
 	kern              microFn  // full-tile kernel, assembly tier (nil when unbound)
 	kern1             micro1Fn // single-row M-tail kernel, assembly tier
 	goFull            microFn  // full-tile kernel, pure-Go lane tier
@@ -53,7 +57,7 @@ func (e *gemmEngine) runPack(lo, hi int) {
 	jw := min(hi*e.nr, e.n) - j0
 	dst := e.panel[lo*e.k*e.nr:]
 	if e.transB {
-		packStripsBT(dst, e.bd, e.k, j0, jw, e.nr)
+		packStripsBT(dst, e.bd, e.k, e.k, j0, jw, e.nr)
 	} else {
 		packStripsB(dst, e.bd, e.n, e.k, j0, jw, e.nr)
 	}
@@ -82,42 +86,43 @@ func (e *gemmEngine) runTiles(lo, hi int) {
 // MR consecutive destination rows; within it each k panel's slice of the
 // packed strips is swept strip by strip. On the first k panel a tile first
 // zeroes its rows of the column panel, so the accumulation starts from +0
-// without a separate pass over dst; an edge tile copies those zeros into
-// its scratch. Full tiles run the full-tile microkernel of the bound tier.
-// On the assembly tier every ragged tile runs the assembly kernels too: an
-// M tail one row at a time through the single-row kernel, an N tail
-// (w < NR) through an MR×NR scratch tile (edgeTile). The pure-Go tier
-// sends every ragged tile to goGemmStrip.
+// without a separate pass over dst (unless the engine accumulates into dd);
+// an edge tile copies those zeros into its scratch. Full tiles run the
+// full-tile microkernel of the bound tier. On the assembly tier every
+// ragged tile runs the assembly kernels too: an M tail one row at a time
+// through the single-row kernel, an N tail (w < NR) through an MR×NR
+// scratch tile (edgeTile). The pure-Go tier sends every ragged tile to
+// goGemmStrip.
 func (e *gemmEngine) panelTiles(j0, tlo, thi int, edge **[edgeTileLen]float32) {
-	mr, nr, k, n := e.mr, e.nr, e.k, e.n
-	jw := min(e.nc, n-j0)
+	mr, nr, k, lda, ldc := e.mr, e.nr, e.k, e.lda, e.ldc
+	jw := min(e.nc, e.n-j0)
 	s0, nstrips := j0/nr, (jw+nr-1)/nr
 	for p0 := 0; p0 < k; p0 += e.kc {
 		kw := min(e.kc, k-p0)
 		for t := tlo; t < thi; t++ {
 			i := t * mr
 			rows := min(mr, e.m-i)
-			if p0 == 0 {
+			if p0 == 0 && !e.accum {
 				for r := i; r < i+rows; r++ {
-					clear(e.dd[r*n+j0:][:jw])
+					clear(e.dd[r*ldc+j0:][:jw])
 				}
 			}
-			ab := e.ad[i*k+p0:]
+			ab := e.ad[i*lda+p0:]
 			for s := 0; s < nstrips; s++ {
 				jj := j0 + s*nr
 				w := min(nr, j0+jw-jj)
 				bp := e.panel[((s0+s)*k+p0)*nr:]
-				cb := e.dd[i*n+jj:]
+				cb := e.dd[i*ldc+jj:]
 				switch {
 				case rows == mr && w == nr && e.kern != nil:
-					e.kern(kw, &ab[0], k, &bp[0], &cb[0], n)
+					e.kern(kw, &ab[0], lda, &bp[0], &cb[0], ldc)
 				case rows == mr && w == nr:
-					e.goFull(kw, &ab[0], k, &bp[0], &cb[0], n)
+					e.goFull(kw, &ab[0], lda, &bp[0], &cb[0], ldc)
 				case e.kern == nil:
-					goGemmStrip(kw, ab, k, rows, bp, nr, cb, n, w)
+					goGemmStrip(kw, ab, lda, rows, bp, nr, cb, ldc, w)
 				case w == nr:
 					for r := 0; r < rows; r++ {
-						e.kern1(kw, &ab[r*k], &bp[0], &cb[r*n])
+						e.kern1(kw, &ab[r*lda], &bp[0], &cb[r*ldc])
 					}
 				default:
 					if *edge == nil {
@@ -146,9 +151,9 @@ var edgeTiles = sync.Pool{New: func() any { return new([edgeTileLen]float32) }}
 // feed a valid column), and only the w valid columns are copied back. The
 // destination is never written past its width or its last row.
 func (e *gemmEngine) edgeTile(sc, ab []float32, rows int, bp, cb []float32, w, kw int) {
-	nr, lda, n := e.nr, e.k, e.n
+	nr, lda, ldc := e.nr, e.lda, e.ldc
 	for r := 0; r < rows; r++ {
-		copy(sc[r*nr:][:w], cb[r*n:][:w])
+		copy(sc[r*nr:][:w], cb[r*ldc:][:w])
 	}
 	if rows == e.mr {
 		e.kern(kw, &ab[0], lda, &bp[0], &sc[0], nr)
@@ -158,8 +163,42 @@ func (e *gemmEngine) edgeTile(sc, ab []float32, rows int, bp, cb []float32, w, k
 		}
 	}
 	for r := 0; r < rows; r++ {
-		copy(cb[r*n:][:w], sc[r*nr:][:w])
+		copy(cb[r*ldc:][:w], sc[r*nr:][:w])
 	}
+}
+
+// bind sets the engine's blocking to gp and its kernels to the bound
+// tier's register block of that shape.
+func (e *gemmEngine) bind(gp gemmParams) {
+	e.kc, e.nc, e.mr, e.nr = gp.kc, gp.nc, gp.mr, gp.nr
+	e.kern, e.kern1 = nil, nil
+	if vecActive {
+		if gp.nr == 16 {
+			e.kern, e.kern1 = microGemm4x16, microGemm1x16
+		} else {
+			e.kern, e.kern1 = microGemm8x8, microGemm1x8
+		}
+	}
+	if gp.nr == 16 {
+		e.goFull = goGemm4x16
+	} else {
+		e.goFull = goGemm8x8
+	}
+}
+
+// sweep is the serial form of the driver for callers that own their
+// parallelism (the attention kernels run one per (sample, head) unit):
+// dd[m, n] = a[m, k]·B, or += when accum is set, with a rows lda floats
+// apart, dd rows ldc floats apart and B already packed into panel as the
+// driver packs it. Every (column panel × tile) task runs on the calling
+// goroutine through the same tile loop as gemmBlocked, edge tiles and
+// M tails included. e must be bound (bind) to the blocking panel was
+// packed under.
+func (e *gemmEngine) sweep(dd, ad, panel []float32, m, n, k, lda, ldc int, accum bool) {
+	e.dd, e.ad, e.panel = dd, ad, panel
+	e.m, e.n, e.k, e.lda, e.ldc, e.accum = m, n, k, lda, ldc, accum
+	e.ntiles = (m + e.mr - 1) / e.mr
+	e.runTiles(0, (n+e.nc-1)/e.nc*e.ntiles)
 }
 
 // gemmBlocked is the driver: dst[m,n] = a[m,k] @ B where B is b[k,n]
@@ -174,22 +213,9 @@ func gemmBlocked(dd, ad, bd, packed []float32, m, n, k int, transB bool, gp gemm
 	}
 	nr := gp.nr
 	e := gemmEngines.Get().(*gemmEngine)
+	e.bind(gp)
 	e.dd, e.ad, e.bd, e.transB = dd, ad, bd, transB
-	e.m, e.n, e.k = m, n, k
-	e.kc, e.nc, e.mr, e.nr = gp.kc, gp.nc, gp.mr, nr
-	e.kern, e.kern1 = nil, nil
-	if vecActive {
-		if nr == 16 {
-			e.kern, e.kern1 = microGemm4x16, microGemm1x16
-		} else {
-			e.kern, e.kern1 = microGemm8x8, microGemm1x8
-		}
-	}
-	if nr == 16 {
-		e.goFull = goGemm4x16
-	} else {
-		e.goFull = goGemm8x8
-	}
+	e.m, e.n, e.k, e.lda, e.ldc, e.accum = m, n, k, k, n, false
 	e.panel = packed
 	var buf *[]float32
 	if packed == nil {
@@ -209,11 +235,11 @@ func gemmBlocked(dd, ad, bd, packed []float32, m, n, k int, transB bool, gp gemm
 }
 
 // packStripsB packs columns [j0, j0+jw) of the row-major [k, n] matrix B,
-// j0 a multiple of nr, into NR-wide column strips over all k rows: strip s
-// holds columns j0+s*nr onward, row p of the strip at panel[(s*k+p)*nr:].
-// The last strip is zero-padded to nr so the microkernels always read full
-// vector rows.
-func packStripsB(panel, bd []float32, n, k, j0, jw, nr int) {
+// its rows ldb floats apart and j0 a multiple of nr, into NR-wide column
+// strips over all k rows: strip s holds columns j0+s*nr onward, row p of
+// the strip at panel[(s*k+p)*nr:]. The last strip is zero-padded to nr so
+// the microkernels always read full vector rows.
+func packStripsB(panel, bd []float32, ldb, k, j0, jw, nr int) {
 	nstrips := (jw + nr - 1) / nr
 	for s := 0; s < nstrips; s++ {
 		js := j0 + s*nr
@@ -223,16 +249,16 @@ func packStripsB(panel, bd []float32, n, k, j0, jw, nr int) {
 			clear(dstS)
 		}
 		for p := 0; p < k; p++ {
-			copy(dstS[p*nr:p*nr+w], bd[p*n+js:][:w])
+			copy(dstS[p*nr:p*nr+w], bd[p*ldb+js:][:w])
 		}
 	}
 }
 
 // packStripsBT packs the same strips from a transposed operand: B is
-// [n, k] row-major and strip column jj is B's row js+jj, so the pack
-// transposes on the fly (unit-stride reads from B, nr-stride writes into
-// the strip).
-func packStripsBT(panel, bd []float32, k, j0, jw, nr int) {
+// [n, k] row-major, its rows ldb floats apart, and strip column jj is B's
+// row js+jj, so the pack transposes on the fly (unit-stride reads from B,
+// nr-stride writes into the strip).
+func packStripsBT(panel, bd []float32, ldb, k, j0, jw, nr int) {
 	nstrips := (jw + nr - 1) / nr
 	for s := 0; s < nstrips; s++ {
 		js := j0 + s*nr
@@ -241,8 +267,26 @@ func packStripsBT(panel, bd []float32, k, j0, jw, nr int) {
 		if w < nr {
 			clear(dstS)
 		}
-		for jj := 0; jj < w; jj++ {
-			for p, v := range bd[(js+jj)*k:][:k] {
+		// Eight B rows at a time: each strip row gets eight adjacent
+		// floats per step.
+		jj := 0
+		for ; jj+7 < w; jj += 8 {
+			r0 := bd[(js+jj)*ldb:][:k]
+			r1 := bd[(js+jj+1)*ldb:][:k]
+			r2 := bd[(js+jj+2)*ldb:][:k]
+			r3 := bd[(js+jj+3)*ldb:][:k]
+			r4 := bd[(js+jj+4)*ldb:][:k]
+			r5 := bd[(js+jj+5)*ldb:][:k]
+			r6 := bd[(js+jj+6)*ldb:][:k]
+			r7 := bd[(js+jj+7)*ldb:][:k]
+			for p := range r0 {
+				d := (*[8]float32)(dstS[p*nr+jj:])
+				d[0], d[1], d[2], d[3] = r0[p], r1[p], r2[p], r3[p]
+				d[4], d[5], d[6], d[7] = r4[p], r5[p], r6[p], r7[p]
+			}
+		}
+		for ; jj < w; jj++ {
+			for p, v := range bd[(js+jj)*ldb:][:k] {
 				dstS[p*nr+jj] = v
 			}
 		}

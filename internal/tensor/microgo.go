@@ -159,6 +159,36 @@ func goAxpy(y []float32, a float32, x []float32) {
 	}
 }
 
+// goMax returns the largest element of x (len(x) >= 1), over four
+// independent running maxima so the compares pipeline. A NaN element may
+// be skipped; it poisons the row through the exp anyway.
+func goMax(x []float32) float32 {
+	m0 := x[0]
+	m1, m2, m3 := m0, m0, m0
+	p := 0
+	for ; p+3 < len(x); p += 4 {
+		v := (*[4]float32)(x[p : p+4])
+		if v[0] > m0 {
+			m0 = v[0]
+		}
+		if v[1] > m1 {
+			m1 = v[1]
+		}
+		if v[2] > m2 {
+			m2 = v[2]
+		}
+		if v[3] > m3 {
+			m3 = v[3]
+		}
+	}
+	for ; p < len(x); p++ {
+		if x[p] > m0 {
+			m0 = x[p]
+		}
+	}
+	return max(m0, m1, m2, m3)
+}
+
 // goScale computes y *= a in place.
 func goScale(y []float32, a float32) {
 	p := 0
@@ -173,25 +203,16 @@ func goScale(y []float32, a float32) {
 	}
 }
 
-// GELU lane kernels. Both tiers evaluate GELU(x) = 0.5·x·(1 + tanh(u)),
-// u = √(2/π)·(x + 0.044715·x³), in float32 as x·σ(2u) = x / (1 + e) with
-// e = exp(−2u) = exp(x·(geluK0 + geluK1·x²)), and its derivative
-// σ(2u) + 2x·u'·σ(2u)·(1 − σ(2u)) as q·(1 + a·e·q) with q = 1/(1 + e) and
-// a = x·(geluD0 + geluD1·x²). Writing 1 − σ as e·q keeps its relative
-// accuracy where σ rounds to 1. The exponential is the Cephes expf form: a
-// Cody–Waite reduction z = n·ln2 + r with n = round(z·log2e) (the
-// 1.5·2²³ shifter rounds to nearest and leaves n in the low mantissa bits),
-// a degree-7 polynomial in r, and 2ⁿ built from exponent bits. z is clamped
-// to [−87, 87], so 2ⁿ, e and q all stay normal floats. A NaN input gives a
-// NaN output. The AVX2 kernels (vec_amd64.s) run the same steps, fusing
-// the multiply-adds, so the tiers agree to rounding, not bit for bit
-// (TestGELUAccuracy holds each within 1e-6 of the float64 formula).
+// Exp lane kernels. The exponential is the Cephes expf form: a Cody–Waite
+// reduction z = n·ln2 + r with n = round(z·log2e) (the 1.5·2²³ shifter
+// rounds to nearest and leaves n in the low mantissa bits), a degree-7
+// polynomial in r, and 2ⁿ built from exponent bits. expCore takes z
+// already clamped to [−expClamp, expClamp], so 2ⁿ and the result stay
+// normal floats; a NaN passes through. The GELU kernels and the softmax's
+// exp row (goExpRow, behind expRow in vec.go) both run it, and the AVX2
+// kernels (vec_amd64.s) run the same steps in their EXP_CORE macro, fusing
+// the multiply-adds, so the tiers agree to rounding, not bit for bit.
 const (
-	geluK0 = -2 * geluC0
-	geluK1 = -2 * geluC0 * geluC1
-	geluD0 = 2 * geluC0
-	geluD1 = 6 * geluC0 * geluC1
-
 	expClamp   = 87
 	expLog2e   = 1.44269504088896341
 	expShifter = 12582912 // 1.5·2²³
@@ -205,9 +226,8 @@ const (
 	expP5      = 5.0000001201e-1
 )
 
-// geluExp returns e = exp(x·(geluK0 + geluK1·x²)) for one lane.
-func geluExp(x float32) float32 {
-	z := min(max(x*(geluK0+geluK1*(x*x)), -expClamp), expClamp)
+// expCore returns exp(z) for z in [−expClamp, expClamp].
+func expCore(z float32) float32 {
 	t := z*expLog2e + expShifter
 	n := t - expShifter
 	r := z - n*expLn2Hi
@@ -215,6 +235,48 @@ func geluExp(x float32) float32 {
 	p := ((((expP0*r+expP1)*r+expP2)*r+expP3)*r+expP4)*r + expP5
 	p = p*(r*r) + r + 1
 	return p * math.Float32frombits((math.Float32bits(t)-math.Float32bits(expShifter)+127)<<23)
+}
+
+// goExpRow writes dst[i] = exp(scale·src[i] − shift) and returns the sum
+// of what it wrote, added in order; dst may alias src. An argument below
+// −expClamp gives 0 (−Inf included), one above expClamp gives exp(expClamp),
+// and a NaN gives a NaN.
+func goExpRow(dst, src []float32, scale, shift float32) float32 {
+	dst = dst[:len(src)]
+	var sum float32
+	for i, x := range src {
+		z := scale*x - shift
+		var e float32
+		if !(z < -expClamp) {
+			e = expCore(min(z, expClamp))
+		}
+		dst[i] = e
+		sum += e
+	}
+	return sum
+}
+
+// GELU lane kernels. Both tiers evaluate GELU(x) = 0.5·x·(1 + tanh(u)),
+// u = √(2/π)·(x + 0.044715·x³), in float32 as x·σ(2u) = x / (1 + e) with
+// e = exp(−2u) = exp(x·(geluK0 + geluK1·x²)), and its derivative
+// σ(2u) + 2x·u'·σ(2u)·(1 − σ(2u)) as q·(1 + a·e·q) with q = 1/(1 + e) and
+// a = x·(geluD0 + geluD1·x²). Writing 1 − σ as e·q keeps its relative
+// accuracy where σ rounds to 1. The exponent argument is clamped to
+// [−expClamp, expClamp] before expCore, so e and q stay normal floats. A
+// NaN input gives a NaN output. The AVX2 kernels (vec_amd64.s) run the
+// same steps, fusing the multiply-adds, so the tiers agree to rounding, not
+// bit for bit (TestGELUAccuracy holds each within 1e-6 of the float64
+// formula).
+const (
+	geluK0 = -2 * geluC0
+	geluK1 = -2 * geluC0 * geluC1
+	geluD0 = 2 * geluC0
+	geluD1 = 6 * geluC0 * geluC1
+)
+
+// geluExp returns e = exp(x·(geluK0 + geluK1·x²)) for one lane.
+func geluExp(x float32) float32 {
+	return expCore(min(max(x*(geluK0+geluK1*(x*x)), -expClamp), expClamp))
 }
 
 // goGELURow writes dst[i] = GELU(src[i]); dst may alias src.

@@ -39,6 +39,11 @@ func GELURow(dst, src []float32) { geluRow(dst, src) }
 // formula, on the bound kernel tier; dst may alias g or x.
 func GELUGradRow(dst, g, x []float32) { geluGradRow(dst, g, x) }
 
+// AddRow adds src into dst elementwise over len(dst) elements (len(src) >=
+// len(dst)), on the bound axpy kernel at a = 1: fma(1, x, y) rounds x + y
+// once, so every element gets the bits of a scalar dst[i] += src[i].
+func AddRow(dst, src []float32) { vaxpy(dst, 1, src) }
+
 // LayerNormRow normalizes one row: with the mean and the biased variance of
 // src accumulated in float64 (the variance clamped at zero) and inv =
 // 1/√(variance+eps), it writes x̂ = (src[i]−mean)·inv into xhat[i] when xhat

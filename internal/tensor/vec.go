@@ -1,9 +1,9 @@
 package tensor
 
 // Vector kernel dispatch. The blocked GEMM, the training convolution's
-// implicit GEMM, the int8 GEMM, the attention kernel, the GELU rows and the
-// conv epilogue all bottom out in the small set of primitives declared here as
-// function variables. The package default binds the pure-Go
+// implicit GEMM, the int8 GEMM, the attention softmax's rows, the GELU rows
+// and the row epilogues all bottom out in the small set of primitives
+// declared here as function variables. The package default binds the pure-Go
 // implementations from microgo.go and int8.go; on amd64 with AVX2+FMA the
 // init in vec_amd64.go rebinds them to hand-written assembly microkernels
 // (vec_amd64.s); the implicit-GEMM conv kernels exist on that tier only.
@@ -75,10 +75,16 @@ var (
 	q8Kind         = "go"
 
 	// Attention / epilogue primitives. Contracts: vdot requires
-	// len(b) >= len(a); vaxpy requires len(x) >= len(y).
+	// len(b) >= len(a); vaxpy requires len(x) >= len(y); vmax requires
+	// len(x) >= 1 and may skip a NaN element.
 	vdot   func(a, b []float32) float32              = goDot
 	vaxpy  func(y []float32, a float32, x []float32) = goAxpy
 	vscale func(y []float32, a float32)              = goScale
+	vmax   func(x []float32) float32                 = goMax
+
+	// The softmax's exp row (attention.go): dst[i] = exp(scale·src[i] −
+	// shift), returning the sum of dst (microgo.go has the contract).
+	expRow func(dst, src []float32, scale, shift float32) float32 = goExpRow
 
 	// GELU row kernels behind GELURow and GELUGradRow (transformer.go).
 	geluRow     func(dst, src []float32)  = goGELURow
@@ -107,14 +113,16 @@ func VecKind() string { return vecKind }
 // another; generation 8 forked and joined the f32 GEMM driver's workers
 // once per (column panel, k panel), so a deep narrow product rarely had a
 // second worker; generation 9 re-packed every f32 linear weight of a
-// compiled plan as the B operand on every forward. The training convolution's implicit GEMM
+// compiled plan as the B operand on every forward; generation 10 ran
+// attention's QKᵀ and PV as one dot or axpy call per (query row, key), with
+// a float64 exp per score. The training convolution's implicit GEMM
 // (ConvRowsInto, ConvWeightGradInto) does not bump it: it gives the
 // unfold's bits, and the latencies keyed by the generation are timings of
 // the compiled plan, which still unfolds and runs the GEMM driver.
-const kernelGeneration = 10
+const kernelGeneration = 11
 
 // KernelSignature names the bound tier, the int8 block kernel's variant and
-// the kernel generation, e.g. "vec=avx2 q8=vnni kgen=10". Anything persisted
+// the kernel generation, e.g. "vec=avx2 q8=vnni kgen=11". Anything persisted
 // from a kernel measurement (memoised candidate latencies) is keyed by it
 // next to the machine signature, so numbers measured by other kernels are
 // never replayed.

@@ -54,6 +54,12 @@ func avx2Axpy(y, x *float32, a float32, n int)
 func avx2Scale(y *float32, a float32, n int)
 
 //go:noescape
+func avx2Max(x *float32, n int) float32
+
+//go:noescape
+func avx2Exp(dst, src *float32, n int, scale, shift float32) float32
+
+//go:noescape
 func avx2GELU(dst, src *float32, n int)
 
 //go:noescape
@@ -129,6 +135,8 @@ func init() {
 	vdot = dotAVX2
 	vaxpy = axpyAVX2
 	vscale = scaleAVX2
+	vmax = maxAVX2
+	expRow = expAVX2
 	geluRow, geluGradRow, GELUWork = geluAVX2, geluGradAVX2, 1
 }
 
@@ -166,6 +174,45 @@ func scaleAVX2(y []float32, a float32) {
 	for p := n; p < len(y); p++ {
 		y[p] *= a
 	}
+}
+
+// maxAVX2 returns the largest element of x (len(x) >= 1): the assembly
+// runs the 8-aligned prefix, Go the tail.
+func maxAVX2(x []float32) float32 {
+	n := len(x) &^ 7
+	if n == 0 {
+		return goMax(x)
+	}
+	m := avx2Max(&x[0], n)
+	for _, v := range x[n:] {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// expAVX2 is the slice-level exp row: the assembly runs the 8-aligned
+// prefix, and a ragged tail runs through it too, zero-padded in a stack
+// buffer, so an element's bits never depend on the row's length. The sum
+// is the prefix's, then the tail's elements added in order.
+func expAVX2(dst, src []float32, scale, shift float32) float32 {
+	dst = dst[:len(src)]
+	n := len(src) &^ 7
+	var sum float32
+	if n > 0 {
+		sum = avx2Exp(&dst[0], &src[0], n, scale, shift)
+	}
+	if n < len(src) {
+		var buf [8]float32
+		copy(buf[:], src[n:])
+		avx2Exp(&buf[0], &buf[0], 8, scale, shift)
+		for i, e := range buf[:len(src)-n] {
+			dst[n+i] = e
+			sum += e
+		}
+	}
+	return sum
 }
 
 // geluAVX2 is the slice-level GELU: the assembly runs the 8-aligned prefix,

@@ -33,6 +33,18 @@ func geluVariants() []geluVariant {
 	}
 }
 
+// expVariants lists every exp row kernel this build holds.
+func expVariants() []expVariant {
+	avx2 := ""
+	if !cpuHasAVX2FMA() {
+		avx2 = "CPU or OS lacks AVX2+FMA with YMM state"
+	}
+	return []expVariant{
+		{"go", goExpRow, ""},
+		{"avx2", expAVX2, avx2},
+	}
+}
+
 // TestVNNIGate pins the CPUID/XCR0 decision: every feature bit and the
 // opmask and ZMM XSAVE state are required, so a CPU or VM missing any of
 // them keeps the AVX2 kernel instead of faulting on VPDPBUSD.

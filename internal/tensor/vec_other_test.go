@@ -21,3 +21,12 @@ func geluVariants() []geluVariant {
 		{"avx2", nil, nil, "assembly not built (non-amd64 or gmorph_novec)"},
 	}
 }
+
+// expVariants lists every exp row kernel: this build holds only the
+// pure-Go one.
+func expVariants() []expVariant {
+	return []expVariant{
+		{"go", goExpRow, ""},
+		{"avx2", nil, "assembly not built (non-amd64 or gmorph_novec)"},
+	}
+}
