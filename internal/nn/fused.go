@@ -47,8 +47,8 @@ type epilogue struct {
 //     forward's. Leasing the column space with the forward keeps the
 //     body's largest buffer checked out across the step rather than parked
 //     in the arena's sync.Pool, where a GC between two steps can drop it;
-//   - rows, under a non-empty epilogue: the pre-activation rows [OutC, M] —
-//     x̂ under batch norm, the biased convolution output without;
+//   - rows, under a non-empty epilogue: the rows [OutC, M] — x̂ under batch
+//     norm, the convolution output before its bias without;
 //   - arg, under a pool: each pooled output's argmax as one byte, its
 //     offset in the pool window.
 //
@@ -119,7 +119,6 @@ func (c *Conv2d) forward(dst, x *tensor.Tensor, train bool, ep epilogue) {
 	if bn := ep.bn; bn != nil && train {
 		tensor.ParallelFor(c.OutC, s.m, s.stats)
 		c.fwd.invStd = append(c.fwd.invStd[:0], s.inv...)
-		s.normalized = true
 	} else if bn != nil {
 		copy(s.mean, bn.RunningMean.Data())
 		for ch, v := range bn.RunningVar.Data() {
@@ -210,7 +209,6 @@ type convJob struct {
 	gammaGrad    []float32
 	betaGrad     []float32
 	mean, inv    []float32 // batch norm's per-channel statistics in use
-	normalized   bool      // the rows are biased already and become x̂ in place
 	rows         []float32 // [OutC, M]
 	out          []float32 // NCHW output (forward) or output gradient (backward)
 	dz           []float32 // [OutC, M] gradient of the convolution output
@@ -233,7 +231,7 @@ var convJobs = sync.Pool{New: func() any {
 // job leases a convJob set up for an N×H×W input under ep.
 func (c *Conv2d) job(n, h, w int, ep epilogue) *convJob {
 	s := convJobs.Get().(*convJob)
-	s.ep, s.c, s.k, s.normalized = ep, c.OutC, c.InC*c.Kernel*c.Kernel, false
+	s.ep, s.c, s.k = ep, c.OutC, c.InC*c.Kernel*c.Kernel
 	s.mean, s.inv = grow(s.mean, c.OutC), grow(s.inv, c.OutC)
 	s.bias = c.Bias.Value.Data()
 	s.oh, s.ow = tensor.ConvOut(h, c.Kernel, c.Stride, c.Pad), tensor.ConvOut(w, c.Kernel, c.Stride, c.Pad)
@@ -254,9 +252,9 @@ func (s *convJob) put() {
 	convJobs.Put(s)
 }
 
-// batchStats adds each channel's bias in [lo, hi) to its row and computes
-// the row's batch statistics in (image, pixel) order, as BatchNorm2d does,
-// updating the running averages.
+// batchStats computes the batch statistics of each channel's biased row in
+// [lo, hi) in (image, pixel) order, as BatchNorm2d does, updating the
+// running averages. The rows stay unbiased: BNRow adds the bias again.
 func (s *convJob) batchStats(lo, hi int) {
 	bn := s.ep.bn
 	cnt := float32(s.m)
@@ -264,10 +262,8 @@ func (s *convJob) batchStats(lo, hi int) {
 	for ch := lo; ch < hi; ch++ {
 		row, b := s.rows[ch*s.m:][:s.m], s.bias[ch]
 		var sum, sq float64
-		for i, v := range row {
-			v += b
-			row[i] = v
-			f := float64(v)
+		for _, v := range row {
+			f := float64(v + b)
 			sum += f
 			sq += f * f
 		}
@@ -283,12 +279,15 @@ func (s *convJob) batchStats(lo, hi int) {
 	}
 }
 
-// bnAffine is batch norm's output x̂·γ+β: one spelling for the forward and
-// for the backward's recomputation, so both round alike.
-func bnAffine(xh, gamma, beta float32) float32 { return xh*gamma + beta }
+// bnAffine is batch norm's output x̂·γ+β as the backward recomputes it, with
+// tensor.BNRow's rounding: the float32 conversion keeps the multiply-add
+// from fusing.
+func bnAffine(xh, gamma, beta float32) float32 { return float32(xh*gamma) + beta }
 
 // forwardPlanes runs the epilogue on planes [lo, hi): bias, normalize, ReLU
-// and pool, writing the NCHW output.
+// and pool, writing the NCHW output. Under batch norm tensor.BNRow writes x̂
+// back into the rows and the activation; without it tensor.BiasRow writes
+// the activation and the rows keep the convolution's output.
 func (s *convJob) forwardPlanes(lo, hi int) {
 	var scratch *[]float32
 	if s.ep.pool != nil {
@@ -301,31 +300,11 @@ func (s *convJob) forwardPlanes(lo, hi int) {
 		if scratch != nil {
 			act = *scratch
 		}
-		b := s.bias[ch]
-		switch bn := s.ep.bn; {
-		case bn != nil:
-			mean, inv := s.mean[ch], s.inv[ch]
+		if bn := s.ep.bn; bn != nil {
 			g, be := bn.Gamma.Value.Data()[ch], bn.Beta.Value.Data()[ch]
-			if s.normalized {
-				for i, v := range row {
-					xv := (v - mean) * inv
-					row[i] = xv
-					act[i] = bnAffine(xv, g, be)
-				}
-			} else {
-				for i, v := range row {
-					act[i] = bnAffine((v+b-mean)*inv, g, be)
-				}
-			}
-		default:
-			for i, v := range row {
-				v += b
-				row[i] = v
-				act[i] = v
-			}
-		}
-		if s.ep.relu {
-			relu(act)
+			tensor.BNRow(act, row, row, s.bias[ch], s.mean[ch], s.inv[ch], g, be, s.ep.relu)
+		} else {
+			tensor.BiasRow(act, row, s.bias[ch], s.ep.relu)
 		}
 		if scratch != nil {
 			var arg []byte
@@ -338,21 +317,15 @@ func (s *convJob) forwardPlanes(lo, hi int) {
 	tensor.PutBuf(scratch)
 }
 
-// relu rectifies v in place.
-func relu(v []float32) {
-	for i, a := range v {
-		v[i] = relu32(a)
-	}
-}
-
 // backwardPlanes routes the output gradient of planes [lo, hi) back through
 // pool and ReLU into dz. Under a pool, g scatters onto the forward's argmax
 // bytes in output order, and the ReLU mask is applied only at those
 // positions, after every add (a position shared by overlapping windows is
 // masked once its sum is whole); the rest of dz is zero. Without a pool the
 // mask runs over the whole plane. The mask is the sign of the recomputed
-// activation the ReLU saw: x̂·γ+β under batch norm (the rows hold x̂), the
-// biased convolution output without.
+// activation the ReLU saw, bnAffine(row, γ, β): x̂·γ+β under batch norm
+// (the rows hold x̂), the convolution output plus its bias without (γ 1, β
+// the bias).
 func (s *convJob) backwardPlanes(lo, hi int) {
 	pool := s.ep.pool
 	for p := lo; p < hi; p++ {
@@ -360,7 +333,7 @@ func (s *convJob) backwardPlanes(lo, hi int) {
 		off := ch*s.m + p/s.c*s.hw
 		dz, g := s.dz[off:][:s.hw], s.out[p*s.ohw:][:s.ohw]
 		var row []float32 // the rows are kept under a non-empty epilogue only
-		gam, bet := float32(1), float32(0)
+		gam, bet := float32(1), s.bias[ch]
 		if s.ep.relu {
 			row = s.rows[off:][:s.hw]
 		}
@@ -375,28 +348,27 @@ func (s *convJob) backwardPlanes(lo, hi int) {
 			if !s.ep.relu {
 				continue
 			}
+			if pool.Kernel == 2 && pool.Stride == 2 { // walk the rows, as the scatter does
+				for o0, top := 0, 0; o0 < len(arg); o0, top = o0+s.pw, top+2*s.ow {
+					for ox, a := range arg[o0:][:s.pw] {
+						i := top + 2*ox + int(a>>1)*s.ow + int(a&1)
+						dz[i] = keepIfPositive(dz[i], bnAffine(row[i], gam, bet))
+					}
+				}
+				continue
+			}
 			for o, a := range arg {
 				i := tensor.MaxPoolArgPos(o, a, s.ow, s.pw, pool.Kernel, pool.Stride)
-				dz[i] = keepIfPositive(dz[i], s.preReLU(row[i], gam, bet))
+				dz[i] = keepIfPositive(dz[i], bnAffine(row[i], gam, bet))
 			}
 		case s.ep.relu:
 			for i, v := range row {
-				dz[i] = keepIfPositive(g[i], s.preReLU(v, gam, bet))
+				dz[i] = keepIfPositive(g[i], bnAffine(v, gam, bet))
 			}
 		default:
 			copy(dz, g)
 		}
 	}
-}
-
-// preReLU is the activation the ReLU saw at a row element v of a channel
-// with batch-norm affine (gam, bet): the forward's own bnAffine under batch
-// norm, v itself without.
-func (s *convJob) preReLU(v, gam, bet float32) float32 {
-	if s.ep.bn != nil {
-		return bnAffine(v, gam, bet)
-	}
-	return v
 }
 
 // channelGrads finishes each channel's row of dz in [lo, hi): batch norm's

@@ -148,8 +148,8 @@ func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return gi
 }
 
-// addReLU writes dst = max(a + b, 0) elementwise, or max(a, 0) when b is
-// nil, in parallel chunks.
+// addReLU writes dst = relu(a + b) elementwise (tensor.AddReLURow), or
+// relu(a) when b is nil (tensor.ReLURow), in parallel chunks.
 func addReLU(dst, a, b *tensor.Tensor) {
 	d, x := dst.Data(), a.Data()
 	var y []float32
@@ -160,13 +160,11 @@ func addReLU(dst, a, b *tensor.Tensor) {
 		panic(fmt.Sprintf("nn: addReLU sizes %d, %d, %d", len(d), len(x), len(y)))
 	}
 	tensor.ParallelFor(len(d), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := x[i]
-			if y != nil {
-				v += y[i]
-			}
-			d[i] = relu32(v)
+		if y == nil {
+			tensor.ReLURow(d[lo:hi], x[lo:hi])
+			return
 		}
+		tensor.AddReLURow(d[lo:hi], x[lo:hi], y[lo:hi])
 	})
 }
 
@@ -184,16 +182,10 @@ func reluGrad(dst, g, out *tensor.Tensor) {
 	})
 }
 
-// relu32 is the rectifier a > 0 ? a : +0 (zero, negatives and NaN all map
-// to +0), computed on the bits so the compiler emits a conditional move:
-// activations are about half negative in no pattern a branch predictor can
-// learn, and the branchy form mispredicts on every other element.
-func relu32(a float32) float32 {
-	return keepIfPositive(a, a)
-}
-
 // keepIfPositive returns v where a > 0 and +0 elsewhere (a zero, negative or
-// NaN), branch-free like relu32: the rectifier's backward mask.
+// NaN), on the bits so the compiler emits a conditional move: the
+// rectifier's backward mask, the same a > 0 test tensor's ReLU rows apply
+// forward.
 func keepIfPositive(v, a float32) float32 {
 	b := math.Float32bits(v)
 	// a > 0 exactly when its bits lie in [1, 0x7f800000]: positive

@@ -327,9 +327,10 @@ func (s *convSpec) build(inst *Instance, o *Op) func() {
 
 // epilogue finishes planes [lo, hi) of an n-image batch into dst. Plane
 // p = ni·OutC + ch is row ch's pixels [ni·OH·OW, (ni+1)·OH·OW) of the GEMM
-// output rows: it adds bias[ch] and applies ReLU, writing dst's plane or,
-// when the op pools, the row in place before max-pooling it into dst. The
-// f32 conv passes its folded bias, the int8 conv its annotation's.
+// output rows: tensor.BiasRow adds bias[ch] and applies the ReLU, writing
+// dst's plane or, when the op pools, the row in place before max-pooling it
+// into dst. The f32 conv passes its folded bias, the int8 conv its
+// annotation's.
 func (s *convSpec) epilogue(dst, rows, bias []float32, n, lo, hi int) {
 	outC, ohw := s.f.OutC, s.oh*s.ow
 	m, pohw := n*ohw, ohw
@@ -338,21 +339,13 @@ func (s *convSpec) epilogue(dst, rows, bias []float32, n, lo, hi int) {
 	}
 	for p := lo; p < hi; p++ {
 		ch := p % outC
-		src, b := rows[ch*m+p/outC*ohw:][:ohw], bias[ch]
-		act := src
+		src := rows[ch*m+p/outC*ohw:][:ohw]
 		if s.poolK == 0 {
-			act = dst[p*ohw:][:ohw]
+			tensor.BiasRow(dst[p*ohw:][:ohw], src, bias[ch], s.relu)
+			continue
 		}
-		for i, v := range src {
-			v += b
-			if s.relu && v < 0 {
-				v = 0
-			}
-			act[i] = v
-		}
-		if s.poolK > 0 {
-			tensor.MaxPoolPlane(dst[p*pohw:][:pohw], src, s.oh, s.ow, s.poolK, s.poolS, nil)
-		}
+		tensor.BiasRow(src, src, bias[ch], s.relu)
+		tensor.MaxPoolPlane(dst[p*pohw:][:pohw], src, s.oh, s.ow, s.poolK, s.poolS, nil)
 	}
 }
 
@@ -381,53 +374,29 @@ func (s *bnSpec) build(inst *Instance, o *Op) func() {
 	return func() { tensor.ParallelFor(inst.batch*s.c, s.hw, body) }
 }
 
-// ewSpec is an elementwise activation: ReLU when relu is set, GELU
-// (tensor.GELURow, as nn.GELU) otherwise.
+// ewSpec is an elementwise activation: ReLU (tensor.ReLURow, as nn.ReLU)
+// when relu is set, GELU (tensor.GELURow, as nn.GELU) otherwise.
 type ewSpec struct {
 	relu bool
 }
 
 func (s *ewSpec) build(inst *Instance, o *Op) func() {
 	in, out := o.In, o.Out
-	var body func(lo, hi int)
-	work := tensor.GELUWork
+	row, work := tensor.GELURow, tensor.GELUWork
 	if s.relu {
-		work = 1
-		body = func(lo, hi int) {
-			xd := inst.regs[in].Data()
-			dd := inst.regs[out].Data()
-			for i := lo; i < hi; i++ {
-				if v := xd[i]; v > 0 {
-					dd[i] = v
-				} else {
-					dd[i] = 0
-				}
-			}
-		}
-	} else {
-		body = func(lo, hi int) {
-			tensor.GELURow(inst.regs[out].Data()[lo:hi], inst.regs[in].Data()[lo:hi])
-		}
+		row, work = tensor.ReLURow, 1
 	}
+	body := func(lo, hi int) { row(inst.regs[out].Data()[lo:hi], inst.regs[in].Data()[lo:hi]) }
 	return func() { tensor.ParallelFor(inst.regs[out].Size(), work, body) }
 }
 
-// addReluSpec fuses the residual join: dst = max(a + b, 0).
+// addReluSpec fuses the residual join: dst = relu(a + b).
 type addReluSpec struct{}
 
 func (s *addReluSpec) build(inst *Instance, o *Op) func() {
 	a, b, out := o.In, o.In2, o.Out
 	body := func(lo, hi int) {
-		ad := inst.regs[a].Data()
-		bd := inst.regs[b].Data()
-		dd := inst.regs[out].Data()
-		for i := lo; i < hi; i++ {
-			if v := ad[i] + bd[i]; v > 0 {
-				dd[i] = v
-			} else {
-				dd[i] = 0
-			}
-		}
+		tensor.AddReLURow(inst.regs[out].Data()[lo:hi], inst.regs[a].Data()[lo:hi], inst.regs[b].Data()[lo:hi])
 	}
 	return func() { tensor.ParallelFor(inst.regs[out].Size(), 1, body) }
 }

@@ -174,3 +174,55 @@ func sameBits(t *testing.T, op string, got, want *tensor.Tensor) {
 		}
 	}
 }
+
+// TestConvReLUEdgesMatchEager holds the conv op's ReLU to nn's on the
+// pre-activations finite data never produces. A conv op, pooled and not,
+// whose input carries NaN and ±Inf pixels must match the eager ConvBlock
+// bit for bit: both rectify NaN to +0. And the epilogue itself, fed GEMM
+// rows holding −0, NaN, ±Inf and signed subnormals with a −0 bias, must
+// give what nn's ReLU and MaxPool2d layers give on the same sums.
+func TestConvReLUEdgesMatchEager(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	for _, pool := range []bool{false, true} {
+		rng := tensor.NewRNG(5)
+		block := nn.NewConvBlock(rng, 3, 6, false, pool)
+		rng.FillUniform(block.Conv.Bias.Value, -0.5, 0.5)
+		g := graph.New(graph.Shape{3, 8, 8}, graph.DomainRaw)
+		g.TaskNames[0] = "conv"
+		g.AppendChain(g.Root, graph.NewBlockNode(0, 0, "Head", g.Root.InputShape, graph.DomainRaw, block))
+		g.RefreshCapacities()
+		x := tensor.New(2, 3, 8, 8)
+		rng.FillNormal(x, 0, 1)
+		for i, v := range []float32{nan, inf, -inf, nan} {
+			x.Data()[i*37] = v
+		}
+		sameBits(t, block.Name(), Compile(g).NewInstance().Execute(x)[0], block.Forward(x, false))
+	}
+
+	rows := []float32{negZero, nan, -inf, inf, 0, 1, -1, 0x1p-140, -0x1p-140, negZero, 2, nan, -3, 0.5, negZero, -inf}
+	bias := []float32{negZero, 0}
+	for _, pool := range []bool{false, true} {
+		s := &convSpec{f: &FoldedConv{OutC: 2}, relu: true, oh: 2, ow: 4}
+		ph, pw := 2, 4
+		if pool {
+			s.poolK, s.poolS, ph, pw = 2, 2, 1, 2
+		}
+		got := tensor.New(1, 2, ph, pw)
+		s.epilogue(got.Data(), append([]float32(nil), rows...), bias, 1, 0, 2)
+		sums := tensor.New(1, 2, 2, 4)
+		for i, v := range rows {
+			sums.Data()[i] = v + bias[i/8]
+		}
+		want := nn.NewReLU().Forward(sums, false)
+		if pool {
+			want = nn.NewMaxPool2d(2, 2).Forward(want, false)
+		}
+		sameBits(t, "conv epilogue", got, want)
+		for i, v := range want.Data() {
+			if math.Float32bits(v) == math.Float32bits(negZero) || v != v {
+				t.Fatalf("eager ReLU left element %d as %g", i, v)
+			}
+		}
+	}
+}

@@ -282,7 +282,7 @@ func FuzzPlanQConvParity(f *testing.F) {
 			for oc := 0; oc < outC; oc++ {
 				for i := 0; i < oh*ow; i++ {
 					v := gemm.At(ni*oh*ow+i, oc) + q.Bias[oc]
-					if relu && v < 0 {
+					if relu && !(v > 0) { // NaN and −0 rectify to +0 too
 						v = 0
 					}
 					pre.Data()[(ni*outC+oc)*oh*ow+i] = v

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -83,11 +82,17 @@ func (jb *unfoldJob) runUnfoldCM(lo, hi int) {
 	kh, kw, stride, pad := jb.kh, jb.kw, jb.stride, jb.pad
 	hw, ohw := h*w, oh*ow
 	r, ni := lo/n, lo%n
+	ci, ky, kx := r/(kh*kw), r/kw%kh, r%kw
 	for it := lo; it < hi; it, ni = it+1, ni+1 {
-		if ni == n {
-			r, ni = r+1, 0
+		if ni == n { // the next column row: step (ci, ky, kx) without dividing
+			ni, kx = 0, kx+1
+			if kx == kw {
+				kx, ky = 0, ky+1
+				if ky == kh {
+					ky, ci = 0, ci+1
+				}
+			}
 		}
-		ci, ky, kx := r/(kh*kw), r/kw%kh, r%kw
 		plane := xd[(ni*c+ci)*hw:][:hw]
 		dst := cd[it*ohw:][:ohw] // item it = r·N + ni starts at r·M + ni·OH·OW
 		if stride == 1 && ow == w {
@@ -303,8 +308,17 @@ func MaxPoolBackward(gradOut *Tensor, arg []byte, inputShape []int, k, stride in
 // (its source plane, w floats wide) at output o's argmax: window offset
 // arg[o] of a k×k window every stride pixels. Outputs are added in order,
 // so overlapping windows sum a position's gradients as a per-output
-// recomputation would.
+// recomputation would. The 2×2 stride-2 window walks its rows without a
+// division.
 func MaxPoolScatter(dsrc, g []float32, arg []byte, w, ow, k, stride int) {
+	if k == 2 && stride == 2 {
+		for o0, top := 0, 0; o0 < len(arg); o0, top = o0+ow, top+2*w {
+			for ox, a := range arg[o0:][:ow] {
+				dsrc[top+2*ox+int(a>>1)*w+int(a&1)] += g[o0+ox]
+			}
+		}
+		return
+	}
 	for o, a := range arg {
 		dsrc[MaxPoolArgPos(o, a, w, ow, k, stride)] += g[o]
 	}
@@ -321,12 +335,22 @@ func MaxPoolArgPos(o int, a byte, w, ow, k, stride int) int {
 // is non-nil it receives each output's argmax as its window offset ky·k+kx
 // (a byte, so k is at most 16). It is the one max-pool kernel: MaxPoolInto
 // runs it per plane, and the fused conv→BN→ReLU→pool body and the compiled
-// plan's conv epilogue run it on the planes they produce.
+// plan's conv epilogue run it on the planes they produce. The 2×2 stride-2
+// window runs on the bound maxPool2x2 kernel, every other geometry on
+// poolWindow; both give the same bits.
 func MaxPoolPlane(dst, src []float32, h, w, k, stride int, arg []byte) {
 	if arg != nil && k > 16 {
 		panic(fmt.Sprintf("tensor: max-pool argmax of a %dx%d window does not fit a byte", k, k))
 	}
 	oh, ow := ConvOut(h, k, stride, 0), ConvOut(w, k, stride, 0)
+	if k == 2 && stride == 2 && h >= 2 && w >= 2 {
+		dst, src = dst[:oh*ow], src[:h*w]
+		if arg != nil {
+			arg = arg[:oh*ow]
+		}
+		maxPool2x2(dst, src, w, oh, ow, arg)
+		return
+	}
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
 			v, i := poolWindow(src, (oy*w+ox)*stride, w, k)
@@ -340,22 +364,14 @@ func MaxPoolPlane(dst, src []float32, h, w, k, stride int, arg []byte) {
 
 // poolWindow returns the maximum of the k×k window whose top-left corner is
 // src[off], in a plane w floats wide, and its window offset ky·k+kx: the
-// first maximum in row-major order. The running maximum is selected on its
-// bits, so the compiler emits conditional moves: which element wins is
-// data-dependent, and as a branch it mispredicts about every other window.
+// first maximum in row-major order, selected by maxSel. It is the reference
+// the 2×2 kernels are held to.
 func poolWindow(src []float32, off, w, k int) (float32, int) {
 	best, bi := src[off], 0
 	for ky := 0; ky < k; ky++ {
 		row := off + ky*w
 		for kx, v := range src[row : row+k] {
-			bb, vb, gt := math.Float32bits(best), math.Float32bits(v), v > best
-			if gt {
-				bb = vb
-			}
-			if gt {
-				bi = ky*k + kx
-			}
-			best = math.Float32frombits(bb)
+			best, bi = maxSel(best, bi, v, ky*k+kx)
 		}
 	}
 	return best, bi

@@ -297,3 +297,105 @@ func goGELUGradRow(dst, g, x []float32) {
 		dst[i] = g[i] * (q * (a*(e*q) + 1))
 	}
 }
+
+// Conv epilogue lane kernels, behind biasRow, addReLURow, bnRow and
+// maxPool2x2 (vec.go; epilogue.go has the contracts). Every step is one
+// float32 operation rounded on its own, so the AVX2 kernels, which use no
+// FMA, agree with these bit for bit. relu32 is the one rectifier.
+
+// relu32 is a where a > 0 and +0 elsewhere (zero, negatives and NaN all
+// map to +0), computed on the bits so the compiler emits a conditional
+// move: activations are about half negative in no pattern a branch
+// predictor can learn. a > 0 exactly when its bits lie in [1, 0x7f800000]:
+// positive subnormals through +Inf.
+func relu32(a float32) float32 {
+	b := math.Float32bits(a)
+	if b-1 >= 0x7f800000 {
+		b = 0
+	}
+	return math.Float32frombits(b)
+}
+
+// goBiasRow writes dst[i] = src[i] + b, rectified when relu is set; dst may
+// alias src.
+func goBiasRow(dst, src []float32, b float32, relu bool) {
+	dst = dst[:len(src)]
+	if !relu {
+		for i, v := range src {
+			dst[i] = v + b
+		}
+		return
+	}
+	for i, v := range src {
+		dst[i] = relu32(v + b)
+	}
+}
+
+// goAddReLURow writes dst[i] = relu(x[i] + y[i]); dst may alias x or y.
+func goAddReLURow(dst, x, y []float32) {
+	dst, y = dst[:len(x)], y[:len(x)]
+	for i, v := range x {
+		dst[i] = relu32(v + y[i])
+	}
+}
+
+// goBNRow writes xh[i] = ((src[i] + b) − mean)·inv and act[i] =
+// xh[i]·gamma + beta, rectified when relu is set; xh may alias src. The
+// float32 conversion keeps the multiply-add from fusing where the compiler
+// could.
+func goBNRow(act, xh, src []float32, b, mean, inv, gamma, beta float32, relu bool) {
+	act, xh = act[:len(src)], xh[:len(src)]
+	for i, v := range src {
+		t := (v + b - mean) * inv
+		xh[i] = t
+		a := float32(t*gamma) + beta
+		if relu {
+			a = relu32(a)
+		}
+		act[i] = a
+	}
+}
+
+// maxSel is one step of a max pool window: it returns (v, i) when v > best
+// and (best, bi) otherwise (a NaN v never wins, a NaN best is never
+// replaced, and ties keep the first), selected on the bits so the compiler
+// emits conditional moves: which element wins is data-dependent, and as a
+// branch it mispredicts about every other window.
+func maxSel(best float32, bi int, v float32, i int) (float32, int) {
+	bb, vb, gt := math.Float32bits(best), math.Float32bits(v), v > best
+	if gt {
+		bb = vb
+	}
+	if gt {
+		bi = i
+	}
+	return math.Float32frombits(bb), bi
+}
+
+// goMaxPool2x2 max-pools oh rows of ow 2×2 windows, stride 2, of the plane
+// src (w floats wide) into dst [oh, ow], recording each window offset in arg
+// when it is non-nil.
+func goMaxPool2x2(dst, src []float32, w, oh, ow int, arg []byte) {
+	for oy := 0; oy < oh; oy++ {
+		var a []byte
+		if arg != nil {
+			a = arg[oy*ow:][:ow]
+		}
+		goMaxPool2x2Row(dst[oy*ow:][:ow], src[2*oy*w:][:2*ow], src[(2*oy+1)*w:][:2*ow], a)
+	}
+}
+
+// goMaxPool2x2Row pools the len(dst) windows whose rows are r0 and r1: the
+// 2×2 window of poolWindow unrolled, in the same row-major order.
+func goMaxPool2x2Row(dst, r0, r1 []float32, arg []byte) {
+	r0, r1 = r0[:2*len(dst)], r1[:2*len(dst)]
+	for x := range dst {
+		best, bi := maxSel(r0[2*x], 0, r0[2*x+1], 1)
+		best, bi = maxSel(best, bi, r1[2*x], 2)
+		best, bi = maxSel(best, bi, r1[2*x+1], 3)
+		dst[x] = best
+		if arg != nil {
+			arg[x] = byte(bi)
+		}
+	}
+}

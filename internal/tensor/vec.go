@@ -89,6 +89,13 @@ var (
 	// GELU row kernels behind GELURow and GELUGradRow (transformer.go).
 	geluRow     func(dst, src []float32)  = goGELURow
 	geluGradRow func(dst, g, x []float32) = goGELUGradRow
+
+	// Conv epilogue row kernels behind BiasRow, AddReLURow, BNRow and
+	// MaxPoolPlane's 2×2 window (epilogue.go has the contracts).
+	biasRow    func(dst, src []float32, b float32, relu bool)                             = goBiasRow
+	addReLURow func(dst, x, y []float32)                                                  = goAddReLURow
+	bnRow      func(act, xh, src []float32, b, mean, inv, gamma, beta float32, relu bool) = goBNRow
+	maxPool2x2 func(dst, src []float32, w, oh, ow int, arg []byte)                        = goMaxPool2x2
 )
 
 // VecKind reports which kernel tier this process bound at startup: "avx2"
@@ -115,14 +122,16 @@ func VecKind() string { return vecKind }
 // second worker; generation 9 re-packed every f32 linear weight of a
 // compiled plan as the B operand on every forward; generation 10 ran
 // attention's QKᵀ and PV as one dot or axpy call per (query row, key), with
-// a float64 exp per score. The training convolution's implicit GEMM
-// (ConvRowsInto, ConvWeightGradInto) does not bump it: it gives the
-// unfold's bits, and the latencies keyed by the generation are timings of
+// a float64 exp per score; generation 11 finished the compiled plan's conv
+// ops with a scalar bias+ReLU loop that branched on the sign and pooled
+// 2×2 windows through the generic k×k window loop. The training
+// convolution's implicit GEMM (ConvRowsInto, ConvWeightGradInto) does not
+// bump it: it gives the unfold's bits, and the latencies keyed by the generation are timings of
 // the compiled plan, which still unfolds and runs the GEMM driver.
-const kernelGeneration = 11
+const kernelGeneration = 12
 
 // KernelSignature names the bound tier, the int8 block kernel's variant and
-// the kernel generation, e.g. "vec=avx2 q8=vnni kgen=11". Anything persisted
+// the kernel generation, e.g. "vec=avx2 q8=vnni kgen=12". Anything persisted
 // from a kernel measurement (memoised candidate latencies) is keyed by it
 // next to the machine signature, so numbers measured by other kernels are
 // never replayed.

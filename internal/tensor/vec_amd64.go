@@ -65,6 +65,18 @@ func avx2GELU(dst, src *float32, n int)
 //go:noescape
 func avx2GELUGrad(dst, gr, x *float32, n int)
 
+//go:noescape
+func avx2BiasRow(dst, src *float32, n int, b float32, relu bool)
+
+//go:noescape
+func avx2AddReLU(dst, x, y *float32, n int)
+
+//go:noescape
+func avx2BNRow(act, xh, src *float32, n int, b, mean, inv, gamma, beta float32, relu bool)
+
+//go:noescape
+func avx2MaxPool2x2(dst, src *float32, arg *byte, rows, n, w, ow int)
+
 // cpuHasAVX2FMA reports whether the CPU and OS support the assembly tier:
 // AVX2 and FMA instruction sets, plus XMM/YMM state enabled in XCR0 (the
 // OSXSAVE check guards the XGETBV read).
@@ -138,6 +150,8 @@ func init() {
 	vmax = maxAVX2
 	expRow = expAVX2
 	geluRow, geluGradRow, GELUWork = geluAVX2, geluGradAVX2, 1
+	biasRow, addReLURow, bnRow = biasRowAVX2, addReLUAVX2, bnRowAVX2
+	maxPool2x2 = maxPool2x2AVX2
 }
 
 // dotAVX2 is the slice-level dot product: the assembly runs the 8-aligned
@@ -245,5 +259,62 @@ func geluGradAVX2(dst, g, x []float32) {
 		copy(xb[:], x[n:])
 		avx2GELUGrad(&gb[0], &gb[0], &xb[0], 8)
 		copy(dst[n:], gb[:])
+	}
+}
+
+// biasRowAVX2 is the slice-level bias row: the assembly runs the 8-aligned
+// prefix and the pure-Go twin, whose bits it gives, the tail.
+func biasRowAVX2(dst, src []float32, b float32, relu bool) {
+	dst = dst[:len(src)]
+	n := len(src) &^ 7
+	if n > 0 {
+		avx2BiasRow(&dst[0], &src[0], n, b, relu)
+	}
+	goBiasRow(dst[n:], src[n:], b, relu)
+}
+
+// addReLUAVX2 is the slice-level add+ReLU row, split like biasRowAVX2.
+func addReLUAVX2(dst, x, y []float32) {
+	dst, y = dst[:len(x)], y[:len(x)]
+	n := len(x) &^ 7
+	if n > 0 {
+		avx2AddReLU(&dst[0], &x[0], &y[0], n)
+	}
+	goAddReLURow(dst[n:], x[n:], y[n:])
+}
+
+// bnRowAVX2 is the slice-level batch-norm row, split like biasRowAVX2.
+func bnRowAVX2(act, xh, src []float32, b, mean, inv, gamma, beta float32, relu bool) {
+	act, xh = act[:len(src)], xh[:len(src)]
+	n := len(src) &^ 7
+	if n > 0 {
+		avx2BNRow(&act[0], &xh[0], &src[0], n, b, mean, inv, gamma, beta, relu)
+	}
+	goBNRow(act[n:], xh[n:], src[n:], b, mean, inv, gamma, beta, relu)
+}
+
+// maxPool2x2AVX2 is the plane-level 2×2 stride-2 max pool: the assembly
+// pools the first multiple of 8 windows of every output row, and the
+// pure-Go twin, whose bits it gives, the rest of each row. The slicing
+// bounds what the assembly reads and writes.
+func maxPool2x2AVX2(dst, src []float32, w, oh, ow int, arg []byte) {
+	n := ow &^ 7
+	if n > 0 && oh > 0 {
+		_, _ = dst[:oh*ow], src[:(2*oh-1)*w+2*n]
+		var ap *byte
+		if arg != nil {
+			ap = &arg[:oh*ow][0]
+		}
+		avx2MaxPool2x2(&dst[0], &src[0], ap, oh, n, w, ow)
+	}
+	if n == ow {
+		return
+	}
+	for oy := 0; oy < oh; oy++ {
+		var a []byte
+		if arg != nil {
+			a = arg[oy*ow+n : (oy+1)*ow]
+		}
+		goMaxPool2x2Row(dst[oy*ow+n:(oy+1)*ow], src[2*oy*w+2*n:], src[(2*oy+1)*w+2*n:], a)
 	}
 }

@@ -984,3 +984,190 @@ dloop:
 	JG           dloop
 	VZEROUPPER
 	RET
+
+// Conv epilogue kernels: the lane math of goBiasRow, goAddReLURow, goBNRow
+// and goMaxPool2x2 (microgo.go), eight floats per step with every
+// operation rounded on its own (no FMA), so each element gets the pure-Go
+// twin's bits. n is a positive multiple of 8 (the Go wrappers run a ragged
+// tail on the twin). The rectifier is a mask: VCMPPS GT_OQ against zero is
+// false on zero, negatives and NaN, and VANDPS with it maps them to +0. A
+// kernel with a relu flag ORs an all-ones mask over the compare when the
+// flag is clear.
+
+// RELU_KEEP: Y14 = all-ones when the relu bool at off(FP) is false, zero
+// when it is true. Clobbers AX.
+#define RELU_KEEP(off) \
+	MOVBLZX      off(FP), AX; \
+	DECL         AX; \
+	VMOVD        AX, X14; \
+	VPBROADCASTD X14, Y14
+
+// RELU(r, t): r = relu(r) unless Y14 is all-ones, with Y15 = 0; t is
+// scratch.
+#define RELU(r, t) \
+	VCMPPS $0x1E, Y15, r, t; \
+	VORPS  Y14, t, t; \
+	VANDPS t, r, r
+
+// func avx2BiasRow(dst, src *float32, n int, b float32, relu bool)
+//
+// dst[i] = relu?(src[i] + b) over n floats; dst may alias src.
+TEXT ·avx2BiasRow(SB), NOSPLIT, $0-29
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS b+24(FP), Y13
+	RELU_KEEP(relu+28)
+	VXORPS       Y15, Y15, Y15
+
+bloop:
+	VMOVUPS (SI), Y0
+	VADDPS  Y13, Y0, Y0
+	RELU(Y0, Y1)
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JG      bloop
+	VZEROUPPER
+	RET
+
+// func avx2AddReLU(dst, x, y *float32, n int)
+//
+// dst[i] = relu(x[i] + y[i]) over n floats; dst may alias x or y.
+TEXT ·avx2AddReLU(SB), NOSPLIT, $0-32
+	MOVQ   dst+0(FP), DI
+	MOVQ   x+8(FP), SI
+	MOVQ   y+16(FP), BX
+	MOVQ   n+24(FP), CX
+	VXORPS Y14, Y14, Y14
+	VXORPS Y15, Y15, Y15
+
+aloop:
+	VMOVUPS (SI), Y0
+	VADDPS  (BX), Y0, Y0
+	RELU(Y0, Y1)
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, BX
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JG      aloop
+	VZEROUPPER
+	RET
+
+// func avx2BNRow(act, xh, src *float32, n int, b, mean, inv, gamma, beta float32, relu bool)
+//
+// xh[i] = ((src[i] + b) − mean)·inv and act[i] = relu?(xh[i]·gamma + beta)
+// over n floats; xh may alias src.
+TEXT ·avx2BNRow(SB), NOSPLIT, $0-53
+	MOVQ         act+0(FP), DI
+	MOVQ         xh+8(FP), DX
+	MOVQ         src+16(FP), SI
+	MOVQ         n+24(FP), CX
+	VBROADCASTSS b+32(FP), Y9
+	VBROADCASTSS mean+36(FP), Y10
+	VBROADCASTSS inv+40(FP), Y11
+	VBROADCASTSS gamma+44(FP), Y12
+	VBROADCASTSS beta+48(FP), Y13
+	RELU_KEEP(relu+52)
+	VXORPS       Y15, Y15, Y15
+
+nloop:
+	VMOVUPS (SI), Y0
+	VADDPS  Y9, Y0, Y0
+	VSUBPS  Y10, Y0, Y0
+	VMULPS  Y11, Y0, Y0
+	VMOVUPS Y0, (DX)
+	VMULPS  Y12, Y0, Y0
+	VADDPS  Y13, Y0, Y0
+	RELU(Y0, Y1)
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JG      nloop
+	VZEROUPPER
+	RET
+
+// func avx2MaxPool2x2(dst, src *float32, arg *byte, rows, n, w, ow int)
+//
+// The first n windows (n a positive multiple of 8) of each of rows output
+// rows of a 2×2 stride-2 max pool: output row oy of dst (ow floats apart)
+// pools input rows 2·oy and 2·oy+1 of src (w floats apart), and arg, when
+// non-nil, gets each window offset as a byte (rows ow bytes apart). A step
+// loads 16 floats of each input row; VSHUFPS splits them into the even and
+// odd columns of 8 windows, in the order 0 1 4 5 2 3 6 7 that the in-lane
+// shuffle leaves. The window runs poolWindow's order — (0,0) first, then
+// (0,1), (1,0), (1,1) — as three compare-and-blend steps: VCMPPS GT_OQ is
+// false on a NaN either side, like Go's >, so a NaN challenger never wins,
+// a NaN incumbent is never replaced, and ties keep the first. The index
+// lanes blend alongside. One VPERMPD restores the window order before the
+// store; the index is packed to bytes.
+TEXT ·avx2MaxPool2x2(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ arg+16(FP), DX
+	MOVQ rows+24(FP), BX
+	MOVQ w+40(FP), R8
+	MOVQ ow+48(FP), R9
+	SHLQ $2, R8
+	MOVQ DX, AX         // AX = 0 when there is no argmax to record
+	MOVL $1, R10
+	VMOVD R10, X13
+	VPBROADCASTD X13, Y13 // index 1
+	MOVL $2, R10
+	VMOVD R10, X14
+	VPBROADCASTD X14, Y14 // index 2
+	MOVL $3, R10
+	VMOVD R10, X15
+	VPBROADCASTD X15, Y15 // index 3
+
+prow:
+	MOVQ SI, R10
+	MOVQ DI, R11
+	MOVQ DX, R12
+	MOVQ n+32(FP), CX
+
+pstep:
+	VMOVUPS      (R10), Y0
+	VMOVUPS      32(R10), Y1
+	VMOVUPS      (R10)(R8*1), Y2
+	VMOVUPS      32(R10)(R8*1), Y3
+	VSHUFPS      $0x88, Y1, Y0, Y4 // (0,0)
+	VSHUFPS      $0xDD, Y1, Y0, Y5 // (0,1)
+	VSHUFPS      $0x88, Y3, Y2, Y6 // (1,0)
+	VSHUFPS      $0xDD, Y3, Y2, Y7 // (1,1)
+	VCMPPS       $0x1E, Y4, Y5, Y8
+	VBLENDVPS    Y8, Y5, Y4, Y4
+	VANDPS       Y13, Y8, Y9
+	VCMPPS       $0x1E, Y4, Y6, Y8
+	VBLENDVPS    Y8, Y6, Y4, Y4
+	VBLENDVPS    Y8, Y14, Y9, Y9
+	VCMPPS       $0x1E, Y4, Y7, Y8
+	VBLENDVPS    Y8, Y7, Y4, Y4
+	VBLENDVPS    Y8, Y15, Y9, Y9
+	VPERMPD      $0xD8, Y4, Y4
+	VMOVUPS      Y4, (R11)
+	TESTQ        AX, AX
+	JZ           pnext
+	VPERMQ       $0xD8, Y9, Y9
+	VEXTRACTI128 $1, Y9, X10
+	VPACKSSDW    X10, X9, X9
+	VPACKUSWB    X9, X9, X9
+	VMOVQ        X9, (R12)
+
+pnext:
+	ADDQ $64, R10
+	ADDQ $32, R11
+	ADDQ $8, R12
+	SUBQ $8, CX
+	JG   pstep
+	LEAQ (SI)(R8*2), SI
+	LEAQ (DI)(R9*4), DI
+	ADDQ R9, DX
+	DECQ BX
+	JG   prow
+	VZEROUPPER
+	RET

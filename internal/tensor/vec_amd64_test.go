@@ -45,6 +45,18 @@ func expVariants() []expVariant {
 	}
 }
 
+// epilogueVariants lists every conv epilogue tier this build holds.
+func epilogueVariants() []epilogueVariant {
+	avx2 := ""
+	if !cpuHasAVX2FMA() {
+		avx2 = "CPU or OS lacks AVX2+FMA with YMM state"
+	}
+	return []epilogueVariant{
+		{"go", goBiasRow, goAddReLURow, goBNRow, goMaxPool2x2, ""},
+		{"avx2", biasRowAVX2, addReLUAVX2, bnRowAVX2, maxPool2x2AVX2, avx2},
+	}
+}
+
 // TestVNNIGate pins the CPUID/XCR0 decision: every feature bit and the
 // opmask and ZMM XSAVE state are required, so a CPU or VM missing any of
 // them keeps the AVX2 kernel instead of faulting on VPDPBUSD.

@@ -30,3 +30,12 @@ func expVariants() []expVariant {
 		{"avx2", nil, "assembly not built (non-amd64 or gmorph_novec)"},
 	}
 }
+
+// epilogueVariants lists every conv epilogue tier: this build holds only
+// the pure-Go one.
+func epilogueVariants() []epilogueVariant {
+	return []epilogueVariant{
+		{"go", goBiasRow, goAddReLURow, goBNRow, goMaxPool2x2, ""},
+		{"avx2", nil, nil, nil, nil, "assembly not built (non-amd64 or gmorph_novec)"},
+	}
+}
