@@ -51,3 +51,39 @@ func BenchmarkConvBlockTrainStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkConvInputGrad times the input gradient of each search conv shape
+// at the fine-tune's batch of 16, two ways: implicit is
+// tensor.ConvInputGradInto in the form the shape takes on the bound tier;
+// fold is the GEMM and fold it replaces (tensor.MatMulTransAInto into the
+// columns, then tensor.Col2ImCMInto). Both work in scratch of their own,
+// as the training body's lease provides it. On a shape the implicit form
+// does not take (the 2×2 map, and every shape on the pure-Go tier) the two
+// run the same code.
+func BenchmarkConvInputGrad(b *testing.B) {
+	const n, k, pad = 16, 3, 1
+	for _, sh := range searchConvShapes {
+		name := fmt.Sprintf("%d-%d@%d", sh.in, sh.out, sh.size)
+		rng := tensor.NewRNG(7)
+		w := tensor.New(sh.out, sh.in*k*k)
+		dz := tensor.New(sh.out, n*sh.size*sh.size)
+		rng.FillNormal(w, 0, 1)
+		rng.FillNormal(dz, 0, 1)
+		dx := tensor.New(n, sh.in, sh.size, sh.size)
+		cols := tensor.New(sh.in*k*k, n*sh.size*sh.size)
+		scratch := make([]float32, tensor.ConvInputGradScratch(n, sh.in, sh.size, sh.size, sh.out, k, 1, pad))
+		b.Run("implicit/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tensor.ConvInputGradInto(dx, w, dz, scratch, k, 1, pad)
+			}
+		})
+		b.Run("fold/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tensor.MatMulTransAInto(cols, w, dz)
+				tensor.Col2ImCMInto(dx, cols, k, k, 1, pad)
+			}
+		})
+	}
+}

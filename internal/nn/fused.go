@@ -18,16 +18,18 @@ import (
 // padded input copy, not the columns, and its pool's argmax as one byte per
 // output. The backward runs pool scatter ∘ ReLU mask ∘ BN backward straight
 // into the convolution's [OutC, M] output gradient, then
-// tensor.ConvWeightGradInto over the padded copy (an implicit GEMM where the
-// shape allows, one unfold elsewhere), the dcols GEMM and the channel-major
-// fold.
+// tensor.ConvWeightGradInto over the padded copy (an implicit GEMM on every
+// stride-1 shape, one unfold elsewhere) and tensor.ConvInputGradInto (an
+// implicit transposed conv over the padded output gradient where the shape
+// allows, the dcols GEMM and the channel-major fold elsewhere).
 //
 // Per-channel reductions (batch statistics, BN and bias gradients) sum in
-// (image, pixel) order and the fold sums taps in (oy, ky, kx, ox) order —
-// the orders the layer-by-layer composition Conv2d → BatchNorm2d → ReLU →
-// MaxPool2d uses — so on the vector tier, whose GEMMs accumulate every
-// element in one ascending-k FMA chain in either orientation, the body
-// matches that composition bit for bit (TestConvBlockMatchesComposition).
+// (image, pixel) order and the input gradient sums taps in the fold's
+// (oy, ky, kx, ox) order — the orders the layer-by-layer composition
+// Conv2d → BatchNorm2d → ReLU → MaxPool2d uses — so on the vector tier,
+// whose GEMMs accumulate every element in one ascending-k FMA chain in
+// either orientation, the body matches that composition bit for bit
+// (TestConvBlockMatchesComposition).
 // Elementwise passes run in parallel over (image, channel) planes,
 // reductions over channels.
 
@@ -41,12 +43,15 @@ type epilogue struct {
 
 // convCache is what a train-mode forward leaves for its backward, all in
 // arena leases returned by the backward or by the next train-mode forward:
-//   - work: one lease holding the column space [C·K·K, M] the backward's
-//     dcols GEMM writes, followed by the input zero-padded by the layer's
-//     padding, [N, C, H+2·pad, W+2·pad], whose columns at pad 0 are the
-//     forward's. Leasing the column space with the forward keeps the
-//     body's largest buffer checked out across the step rather than parked
-//     in the arena's sync.Pool, where a GC between two steps can drop it;
+//   - work: one lease holding the input zero-padded by the layer's padding,
+//     [N, C, H+2·pad, W+2·pad], whose columns at pad 0 are the forward's,
+//     and sized for tensor.ConvInputGradInto's scratch too: padded dz
+//     planes where the input gradient is implicit, the column space
+//     [C·K·K, M] where it unfolds. The scratch overwrites the padded input,
+//     which the weight gradient has read by then. Leasing it with the
+//     forward keeps the body's largest buffer checked out across the step
+//     rather than parked in the arena's sync.Pool, where a GC between two
+//     steps can drop it;
 //   - rows, under a non-empty epilogue: the rows [OutC, M] — x̂ under batch
 //     norm, the convolution output before its bias without;
 //   - arg, under a pool: each pooled output's argmax as one byte, its
@@ -74,7 +79,7 @@ func (c *Conv2d) release() {
 // padded rebinds s.srcT to the padded input in the work lease of an
 // N×C×H×W input.
 func (c *Conv2d) padded(s *convJob, n, h, w int) *tensor.Tensor {
-	return s.srcT.Rebind((*c.fwd.work)[s.k*s.m:], n, c.InC, h+2*c.Pad, w+2*c.Pad)
+	return s.srcT.Rebind((*c.fwd.work)[:s.padLen], n, c.InC, h+2*c.Pad, w+2*c.Pad)
 }
 
 // outShape validates x and returns the NCHW shape the body writes for it
@@ -103,7 +108,7 @@ func (c *Conv2d) forward(dst, x *tensor.Tensor, train bool, ep epilogue) {
 	defer s.put()
 	pad := c.Pad
 	if train {
-		c.fwd.work = tensor.GetBufDirty(s.k*s.m + n*c.InC*(h+2*pad)*(w+2*pad))
+		c.fwd.work = tensor.GetBufDirty(max(s.scratch, s.padLen))
 		c.fwd.ep, c.fwd.in = ep, [4]int{n, c.InC, h, w}
 		src := c.padded(s, n, h, w)
 		tensor.PadInto(src, x, pad)
@@ -135,8 +140,7 @@ func (c *Conv2d) forward(dst, x *tensor.Tensor, train bool, ep epilogue) {
 
 // backward runs the body's backward for gradOut (the forward's output
 // shape), accumulating parameter gradients. gi, when non-nil, receives the
-// gradient with respect to the forward's input; nil skips the dcols GEMM and
-// the fold.
+// gradient with respect to the forward's input; nil skips it.
 func (c *Conv2d) backward(gradOut, gi *tensor.Tensor) {
 	if c.fwd.work == nil {
 		panic(fmt.Sprintf("nn: %s backward without a train-mode forward", c.Name()))
@@ -177,9 +181,7 @@ func (c *Conv2d) backward(gradOut, gi *tensor.Tensor) {
 	}
 	tensor.PutBuf(dwBuf)
 	if gi != nil {
-		cols := s.colsT.Rebind((*c.fwd.work)[:s.k*s.m], s.k, s.m)
-		tensor.MatMulTransAInto(cols, c.Weight.Value, dz)
-		tensor.Col2ImCMInto(gi, cols, c.Kernel, c.Kernel, c.Stride, c.Pad)
+		tensor.ConvInputGradInto(gi, c.Weight.Value, dz, (*c.fwd.work)[:s.scratch], c.Kernel, c.Stride, c.Pad)
 	}
 	c.release()
 	tensor.PutBuf(dzBuf)
@@ -202,6 +204,8 @@ func grow(v []float32, n int) []float32 {
 type convJob struct {
 	ep           epilogue
 	c, k, m      int // channels, C·K·K, row length N·OH·OW
+	padLen       int // the padded input's floats, N·C·(H+2·pad)·(W+2·pad)
+	scratch      int // the input gradient's working space (ConvInputGradScratch)
 	hw, ohw      int // conv plane size, output (pooled) plane size
 	oh, ow, pw   int // conv plane extents, pooled plane width
 	bias         []float32
@@ -213,7 +217,7 @@ type convJob struct {
 	out          []float32 // NCHW output (forward) or output gradient (backward)
 	dz           []float32 // [OutC, M] gradient of the convolution output
 	arg          []byte    // pool argmax per output; nil in eval mode
-	colsT, rowsT tensor.Tensor
+	rowsT        tensor.Tensor
 	dzT, dwT     tensor.Tensor
 	srcT         tensor.Tensor
 	fwdPlanes    func(lo, hi int)
@@ -237,6 +241,8 @@ func (c *Conv2d) job(n, h, w int, ep epilogue) *convJob {
 	s.oh, s.ow = tensor.ConvOut(h, c.Kernel, c.Stride, c.Pad), tensor.ConvOut(w, c.Kernel, c.Stride, c.Pad)
 	s.hw = s.oh * s.ow
 	s.m, s.ohw, s.pw = n*s.hw, s.hw, s.ow
+	s.padLen = n * c.InC * (h + 2*c.Pad) * (w + 2*c.Pad)
+	s.scratch = tensor.ConvInputGradScratch(n, c.InC, h, w, c.OutC, c.Kernel, c.Stride, c.Pad)
 	if ep.pool != nil {
 		s.pw = tensor.ConvOut(s.ow, ep.pool.Kernel, ep.pool.Stride, 0)
 		s.ohw = tensor.ConvOut(s.oh, ep.pool.Kernel, ep.pool.Stride, 0) * s.pw

@@ -45,6 +45,18 @@ func convImplicit(oh, ow, wp, stride int) int {
 	return convUnfold
 }
 
+// convInputGradForm is ConvInputGradInto's shape rule: convImplicit's, read
+// off the transposed problem — a stride-1 convolution of dz, zero-padded by
+// K−1−pad, whose output is the H×W input — so the same forms and the same
+// limits apply. A padding of K or more, which the transposed problem cannot
+// express, unfolds too.
+func convInputGradForm(h, w, k, stride, pad int) int {
+	if pad >= k {
+		return convUnfold
+	}
+	return convImplicit(h, w, w+k-1, stride)
+}
+
 // ConvRowsInto computes the convolution rows dst [OutC, N·OH·OW] = w
 // [OutC, C·K·K] · cols, where cols is x [N,C,H,W]'s channel-major unfold
 // for a k×k kernel (Im2ColCMInto): row o holds output channel o at every
@@ -104,19 +116,170 @@ func ConvRowsInto(dst, w, x *Tensor, k, stride, pad int) {
 	xpBuf := jb.padInput(x, pad)
 	jb.setOffsets(c, k, hp, wp)
 	jb.wd, jb.dd = wt, dst.data
-	jb.oc, jb.kk, jb.m = w.shape[0], kk, m
+	jb.oc, jb.kk, jb.taps = w.shape[0], kk, 0
 	jb.img, jb.hp, jb.wp, jb.oh, jb.ow = c*hp*wp, hp, wp, oh, ow
-	if mode == convGrid8 {
-		jb.span = (oh-1)*wp + ow
-		gridBuf := GetBufDirty(jb.oc * n * jb.span)
-		jb.gd = *gridBuf
-		ParallelFor(n, jb.oc*kk*jb.span, jb.tiles)
-		PutBuf(gridBuf)
+	jb.ldc, jb.outImg = m, oh*ow
+	jb.runForm(n, nil)
+	PutBuf(xpBuf)
+}
+
+// ConvInputGradInto computes dst [N,C,H,W], the input gradient of the
+// convolution ConvRowsInto computes, from its weight w [OutC, C·K·K] and
+// the gradient dz [OutC, N·OH·OW] of its rows: the columns wᵀ·dz folded
+// back onto the input, as MatMulTransAInto and Col2ImCMInto compute them.
+// dst is overwritten. scratch is its working space, at least
+// ConvInputGradScratch floats, or nil to lease it from the arena.
+//
+// On shapes convInputGradForm accepts it is an implicit GEMM, with no
+// columns and no fold. dz is copied once into the scratch, each plane
+// zero-padded by K−1−pad (read in place when that is 0), so tap (ky, kx)
+// of input pixel (iy, ix) reads dz's padded plane at (iy+K−1−ky,
+// ix+K−1−kx) for every tap, in range or not. The weight is packed once into
+// MR-channel tiles, tap by tap. A block of MR input channels × NR input
+// pixels then sums its taps in the fold's order for one pixel — ky
+// descending, then kx ascending — each tap one FMA chain over the output
+// channels from zero, the dcols GEMM's element, added to the block as the
+// fold adds it (avx2ConvDX4x16, avx2ConvDX8x8). A tap that falls off dz
+// reads zeros, so with a finite weight its chain is +0 (never −0) and the
+// add leaves the sum's bits alone: the two forms give the same bits
+// (TestConvInputGradMatchesFold). Work is split as ConvRowsInto splits it.
+// Elsewhere the scratch holds the columns.
+func ConvInputGradInto(dst, w, dz *Tensor, scratch []float32, k, stride, pad int) {
+	if dst.Rank() != 4 {
+		panic(fmt.Sprintf("tensor: ConvInputGradInto wants NCHW, got %v", dst.shape))
+	}
+	n, c, h, wd := dst.shape[0], dst.shape[1], dst.shape[2], dst.shape[3]
+	oh, ow := ConvOut(h, k, stride, pad), ConvOut(wd, k, stride, pad)
+	kk, m, oc := c*k*k, n*oh*ow, w.shape[0]
+	if w.Rank() != 2 || w.shape[1] != kk || dz.Rank() != 2 || dz.shape[0] != oc || dz.shape[1] != m {
+		panic(fmt.Sprintf("tensor: ConvInputGradInto weight %v, dz %v for input %v, kernel %d", w.shape, dz.shape, dst.shape, k))
+	}
+	mode, dzLen, need := inputGradScratch(n, c, h, wd, oc, k, stride, pad)
+	var buf *[]float32
+	if len(scratch) < need {
+		buf = GetBufDirty(need)
+		scratch = *buf
+	}
+	jb := convRowsJobs.Get().(*convRowsJob)
+	if mode == convUnfold {
+		ct := jb.colsT.Rebind(scratch[:need], kk, m)
+		MatMulTransAInto(ct, w, dz)
+		Col2ImCMInto(dst, ct, k, k, stride, pad)
 	} else {
-		ParallelFor(n*oh, jb.oc*kk*ow, jb.tiles)
+		jb.inputGrad(dst, w, dz, scratch[:dzLen], scratch[dzLen:need], mode, k, pad)
+	}
+	convRowsJobs.Put(jb)
+	if buf != nil {
+		PutBuf(buf)
+	}
+}
+
+// ConvInputGradScratch is the working space, in floats, that
+// ConvInputGradInto needs for an input [n, c, h, w] and oc output
+// channels: the columns [C·K·K, N·OH·OW] where it unfolds; dz's padded
+// planes, and under convGrid8 the grid scratch, where it is implicit.
+func ConvInputGradScratch(n, c, h, w, oc, k, stride, pad int) int {
+	_, _, need := inputGradScratch(n, c, h, w, oc, k, stride, pad)
+	return need
+}
+
+// inputGradScratch returns ConvInputGradInto's form and its scratch
+// layout: dzLen floats of padded dz first (0 when K−1−pad is 0 and dz is
+// read in place), then the grid scratch, need floats in all.
+func inputGradScratch(n, c, h, w, oc, k, stride, pad int) (mode, dzLen, need int) {
+	mode = convInputGradForm(h, w, k, stride, pad)
+	if mode == convUnfold {
+		return mode, 0, c * k * k * n * ConvOut(h, k, stride, pad) * ConvOut(w, k, stride, pad)
+	}
+	if pad < k-1 {
+		dzLen = oc * n * (h + k - 1) * (w + k - 1)
+	}
+	need = dzLen
+	if mode == convGrid8 {
+		need += c * n * ((h-1)*(w+k-1) + w)
+	}
+	return mode, dzLen, need
+}
+
+// inputGrad runs ConvInputGradInto's implicit form: it packs the weight
+// into the job's own buffer, pads dz into dzp (unless dzp is empty, when
+// K−1−pad is 0 and dz is read in place) and runs the tiles, the grid form
+// through grid.
+func (jb *convRowsJob) inputGrad(dst, w, dz *Tensor, dzp, grid []float32, mode, k, pad int) {
+	n, c, h, wd := dst.shape[0], dst.shape[1], dst.shape[2], dst.shape[3]
+	oc, kk, taps := w.shape[0], w.shape[1], k*k
+	mr := jb.setMode(mode)
+	rows := (c + mr - 1) / mr * mr
+	if cap(jb.own) < rows*taps*oc {
+		jb.own = make([]float32, rows*taps*oc)
+	}
+	// Tile i (channels i..i+MR−1) holds, for tap j = (K−1−ky)·K + kx, its MR
+	// weight columns as rows of oc floats; channels past C are zero.
+	wt := jb.own[:rows*taps*oc]
+	for ci := 0; ci < rows; ci++ {
+		for j := 0; j < taps; j++ {
+			row := wt[((ci/mr*taps+j)*mr+ci%mr)*oc:][:oc]
+			if ci >= c {
+				clear(row)
+				continue
+			}
+			tap := ci*taps + (k-1-j/k)*k + j%k
+			for o := range row {
+				row[o] = w.data[o*kk+tap]
+			}
+		}
+	}
+	hp, wp := h+k-1, wd+k-1
+	jb.off = jb.off[:0]
+	for j := 0; j < taps; j++ {
+		jb.off = append(jb.off, int32(j/k*wp+k-1-j%k))
+	}
+	if len(dzp) == 0 {
+		dzp = dz.data
+	} else {
+		jb.setPad(dzp, dz.data, ConvOut(h, k, 1, pad), ConvOut(wd, k, 1, pad), k-1-pad)
+		ParallelFor(oc*n, hp*wp, jb.pad)
+	}
+	jb.xd, jb.wd, jb.dd = dzp, wt, dst.data
+	jb.oc, jb.kk, jb.taps, jb.ldb = c, oc, taps, n*hp*wp
+	jb.img, jb.hp, jb.wp, jb.oh, jb.ow = hp*wp, hp, wp, h, wd
+	jb.ldc, jb.outImg = h*wd, c*h*wd
+	jb.runForm(n, grid)
+}
+
+// runForm runs the job's implicit form over n images — row tiles, or whole
+// images through the grid scratch, at least C·N·span floats of grid or
+// leased when grid is shorter — once its operands and geometry are set,
+// and drops its references to them.
+func (jb *convRowsJob) runForm(n int, grid []float32) {
+	work := jb.oc * jb.kk * max(jb.taps, 1)
+	if jb.mode != convGrid8 {
+		ParallelFor(n*jb.oh, work*jb.ow, jb.tiles)
+	} else {
+		jb.span = (jb.oh-1)*jb.wp + jb.ow
+		var gridBuf *[]float32
+		if len(grid) < jb.oc*n*jb.span {
+			gridBuf = GetBufDirty(jb.oc * n * jb.span)
+			grid = *gridBuf
+		}
+		jb.gd = grid[:jb.oc*n*jb.span]
+		ParallelFor(n, work*jb.span, jb.tiles)
+		if gridBuf != nil {
+			PutBuf(gridBuf)
+		}
 	}
 	jb.xd, jb.wd, jb.dd, jb.sd, jb.gd = nil, nil, nil, nil, nil
-	PutBuf(xpBuf)
+}
+
+// convWeightGradForm is ConvWeightGradInto's shape rule: the implicit GEMM
+// over output rows, its 8x8 kernel (convRows8), for every stride-1
+// convolution on the assembly tier, whatever its width; the unfold for the
+// rest.
+func convWeightGradForm(stride int) int {
+	if !vecActive || stride != 1 {
+		return convUnfold
+	}
+	return convRows8
 }
 
 // ConvWeightGradInto computes dst [C·K·K, OutC] = cols · dzᵀ, the
@@ -124,12 +287,15 @@ func ConvRowsInto(dst, w, x *Tensor, k, stride, pad int) {
 // cols is x [N,C,H,W]'s channel-major unfold for a k×k kernel and dz
 // [OutC, N·OH·OW] the gradient of its rows. dst is overwritten.
 //
-// On the assembly tier, for stride-1 convolutions with output rows of at
-// least 8 pixels, it is an implicit GEMM too: cols row kk along one output
-// row is the OW contiguous floats of the padded input at off[kk] from the
-// row's corner, so the weight-gradient kernel reads eight taps in place as
-// its A rows, and dz, packed once into 8-wide strips of output channels,
-// is B. Elsewhere it unfolds into arena columns and runs MatMulTransBInto.
+// On the assembly tier, for stride-1 convolutions of any width, it is an
+// implicit GEMM too: cols row kk along one output row is the OW contiguous
+// floats of the padded input at off[kk] from the row's corner, so the
+// weight-gradient kernel reads eight taps in place as its A rows, and dz,
+// packed once into 8-wide strips of output channels, is B; one kernel call
+// walks an image's OH rows of OW pixels, skipping the padding between them,
+// so a 2×2 map beats its unfold too at the search's channel counts
+// (BenchmarkConvBlockTrainStep). Strided convolutions and the pure-Go tier
+// unfold into arena columns and run MatMulTransBInto.
 // Either way every element is one FMA chain over the pixels in ascending
 // order, from zero, so the two give the same bits. Work is split over
 // 8-tap tiles of dst.
@@ -142,7 +308,7 @@ func ConvWeightGradInto(dst, dz, x *Tensor, k, stride, pad int) {
 	}
 	jb := convRowsJobs.Get().(*convRowsJob)
 	defer convRowsJobs.Put(jb)
-	if !vecActive || stride != 1 || ow < 8 {
+	if convWeightGradForm(stride) == convUnfold {
 		colsBuf := GetBufDirty(kk * m)
 		cols := jb.colsT.Rebind(*colsBuf, kk, m)
 		Im2ColCMInto(cols, x, k, k, stride, pad)
@@ -201,6 +367,12 @@ func PadInto(dst, x *Tensor, pad int) {
 // (ci, ky, kx) is that tap's distance in floats from an output position's
 // corner in its image of xd.
 //
+// ConvInputGradInto runs the same tiles over the transposed problem: xd is
+// then dz padded per plane ([OutC, N, HP, WP], its channels ldb floats
+// apart), wd the packed weight tiles, dd the input gradient [N, C, H, W],
+// off one offset per tap, oc the input channels C and kk the FMA chain
+// length OutC.
+//
 // ConvWeightGradInto reuses the job: dd is then dz packed into 8-wide
 // strips and gd the strip-padded gradient [C·K·K, 8·strips], both in the
 // job's own grow-only buffer, and sd is dz.
@@ -208,11 +380,13 @@ type convRowsJob struct {
 	xd, wd, dd, sd, gd []float32 // padded input, weight, rows; PadInto's source; grid scratch
 	off                []int32
 	oc, kk, m, mode    int       // output channels, C·K·K, row length N·OH·OW, form
+	taps, ldb          int       // ConvInputGradInto's taps per chain sum and dz channel stride; taps 0 in the forward
 	mr, nr             int       // the form's register block
 	img, hp, wp, span  int       // padded image size C·HP·WP, plane extents, grid positions per image
 	oh, ow, h, w, p    int       // output extents; PadInto's source extents and border
+	ldc, outImg        int       // the output's channel and image strides in dd
 	strips             int       // ConvWeightGradInto's 8-channel strips of dz
-	own                []float32 // grow-only: the padded weight, or ConvWeightGradInto's packed dz and gradient tiles
+	own                []float32 // grow-only: the padded or packed weight, or ConvWeightGradInto's packed dz and gradient tiles
 	colsT              Tensor    // the unfold's columns, where a shape takes it
 	pad, tiles, packDz func(lo, hi int)
 	dwTile             func(lo, hi int)
@@ -281,18 +455,18 @@ func (jb *convRowsJob) runPackDz(lo, hi int) {
 }
 
 // runDWTile accumulates weight-gradient tiles [lo, hi), tile i being taps
-// 8i..8i+7. Output rows run in order, so every element sums the pixels in
+// 8i..8i+7, one kernel call per (tile, strip, image) that walks the
+// image's output rows in order, so every element sums the pixels in
 // ascending order. The last tile may run past the last tap: its extra rows
 // read the last tap again (the offset table repeats it) into rows of gd
 // that are dropped.
 func (jb *convRowsJob) runDWTile(lo, hi int) {
-	ldc, m, ow, wp, oh := jb.strips*8, jb.m, jb.ow, jb.wp, jb.oh
+	ldc, m, ow, oh := jb.strips*8, jb.m, jb.ow, jb.oh
 	for i := lo; i < hi; i++ {
 		for s := 0; s < jb.strips; s++ {
 			c := &jb.gd[i*8*ldc+s*8]
-			for ro := 0; ro < m/ow; ro++ {
-				q, bp := ro/oh*jb.img+ro%oh*wp, &jb.dd[(s*m+ro*ow)*8]
-				convDW8x8(ow, &jb.xd[q], &jb.off[i*8], bp, c, ldc)
+			for ni := 0; ni < m/(oh*ow); ni++ {
+				convDW8x8(ow, oh, jb.wp-ow, &jb.xd[ni*jb.img], &jb.off[i*8], &jb.dd[(s*m+ni*oh*ow)*8], c, ldc)
 			}
 		}
 	}
@@ -325,7 +499,8 @@ func (jb *convRowsJob) runPad(lo, hi int) {
 
 // runTiles computes tiles [lo, hi). Under the row forms tile t = ni·OH + oy
 // is output row oy of image ni; under convGrid8 it is image t. Either way
-// it covers every output channel.
+// it covers every output channel. Output channel o of image ni starts at
+// dd[o·ldc + ni·outImg].
 func (jb *convRowsJob) runTiles(lo, hi int) {
 	var edge *[edgeTileLen]float32
 	if jb.oc%jb.mr != 0 {
@@ -340,9 +515,9 @@ func (jb *convRowsJob) runTiles(lo, hi int) {
 	}
 	oh, ow, wp := jb.oh, jb.ow, jb.wp
 	for t := lo; t < hi; t++ {
-		src, col := t/oh*jb.img+t%oh*wp, t*ow
+		src, col := t/oh*jb.img+t%oh*wp, t/oh*jb.outImg+t%oh*ow
 		for ox := 0; ox < ow; ox += jb.nr {
-			jb.block(src+ox, jb.dd[col+ox:], jb.m, edge)
+			jb.block(src+ox, jb.dd[col+ox:], jb.ldc, edge)
 		}
 	}
 }
@@ -361,7 +536,7 @@ func (jb *convRowsJob) gridImage(ni int, edge *[edgeTileLen]float32) {
 	}
 	ohw := jb.oh * jb.ow
 	for o := 0; o < jb.oc; o++ {
-		row, src := jb.dd[o*jb.m+ni*ohw:][:ohw], g[o*ldg:]
+		row, src := jb.dd[o*jb.ldc+ni*jb.outImg:][:ohw], g[o*ldg:]
 		for oy := 0; oy < jb.oh; oy++ {
 			copy(row[oy*jb.ow:][:jb.ow], src[oy*jb.wp:])
 		}
@@ -371,21 +546,31 @@ func (jb *convRowsJob) gridImage(ni int, edge *[edgeTileLen]float32) {
 // block runs the MR×NR kernel over one NR-position block starting at
 // padded-input position src, for every MR-row tile of the weight: output
 // channel o's block lands at c[o·ldc:]. A last, partial tile runs into the
-// edge scratch, and only its real rows are copied out.
+// edge scratch, and only its real rows are copied out. With taps set it
+// runs the input-gradient kernel, whose tile i weight spans taps·kk rows.
 func (jb *convRowsJob) block(src int, c []float32, ldc int, edge *[edgeTileLen]float32) {
-	kern, mr, nr := convImp4x16, jb.mr, jb.nr
+	kern, dx, mr, nr := convImp4x16, convDX4x16, jb.mr, jb.nr
 	if nr == 8 {
-		kern = convImp8x8
+		kern, dx = convImp8x8, convDX8x8
 	}
-	b, off, wd, kk, oc := &jb.xd[src], &jb.off[0], jb.wd, jb.kk, jb.oc
+	b, off, wd, kk, oc, taps := &jb.xd[src], &jb.off[0], jb.wd, jb.kk, jb.oc, jb.taps
 	for i := 0; i < oc; i += mr {
+		var cp *float32
+		ld := nr
 		if i+mr <= oc {
-			kern(kk, &wd[i*kk], kk, b, off, &c[i*ldc], ldc)
-			continue
+			cp, ld = &c[i*ldc], ldc
+		} else {
+			cp = &edge[0]
 		}
-		kern(kk, &wd[i*kk], kk, b, off, &edge[0], nr)
-		for r := i; r < oc; r++ {
-			copy(c[r*ldc:][:nr], edge[(r-i)*nr:])
+		if taps == 0 {
+			kern(kk, &wd[i*kk], kk, b, off, cp, ld)
+		} else {
+			dx(taps, kk, &wd[i*taps*kk], kk, b, jb.ldb, off, cp, ld)
+		}
+		if i+mr > oc {
+			for r := i; r < oc; r++ {
+				copy(c[r*ldc:][:nr], edge[(r-i)*nr:])
+			}
 		}
 	}
 }

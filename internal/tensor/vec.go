@@ -39,10 +39,18 @@ type micro1Fn func(k int, a *float32, bp *float32, c *float32)
 type convImpFn func(k int, a *float32, lda int, b *float32, off *int32, c *float32, ldc int)
 
 // convDWFn is the implicit-GEMM weight-gradient kernel: c[0:8][0:8] +=
-// A[0:8][0:k] @ bp, where A row r is the k contiguous floats at a+aoff[r],
-// bp is a packed 8-wide strip and c rows are ldc floats apart
+// A[0:8][0:rows·k] @ bp, where A row r over output row i is the k
+// contiguous floats at a + aoff[r] + i·(k + gap), bp is a packed 8-wide
+// strip of rows·k pixels and c rows are ldc floats apart
 // (ConvWeightGradInto).
-type convDWFn func(k int, a *float32, aoff *int32, bp *float32, c *float32, ldc int)
+type convDWFn func(k, rows, gap int, a *float32, aoff *int32, bp *float32, c *float32, ldc int)
+
+// convDXFn is an MR x NR implicit-GEMM input-gradient kernel: c[0:MR][0:NR]
+// = Σ_{j<taps} A_j[0:MR][0:k] @ B_j, each product one FMA chain from zero
+// added to c in tap order, where A_j row r is the k floats at
+// a + (j·MR + r)·lda, B_j row p the NR floats at b + off[j] + p·ldb, and c
+// rows are ldc floats apart (ConvInputGradInto).
+type convDXFn func(taps, k int, a *float32, lda int, b *float32, ldb int, off *int32, c *float32, ldc int)
 
 // qdotFn is the int8 GEMM's 4x2 block of exact int32 dot products: it
 // returns c[2i+j] = Σ_{p<k} a[i·lda+p]·b[j·ldb+p] for i < 4, j < 2, over
@@ -64,10 +72,13 @@ var (
 	microGemm1x8  micro1Fn
 
 	// Implicit-GEMM conv microkernels; nil unless the assembly tier is
-	// active (ConvRowsInto then unfolds and runs the GEMM driver).
+	// active (ConvRowsInto, ConvWeightGradInto and ConvInputGradInto then
+	// unfold and run the GEMM driver).
 	convImp4x16 convImpFn
 	convImp8x8  convImpFn
 	convDW8x8   convDWFn
+	convDX4x16  convDXFn
+	convDX8x8   convDXFn
 
 	// The int8 GEMM's block kernel (int8.go) and the name of the bound
 	// variant: "go", "avx2" or "vnni".
@@ -125,9 +136,11 @@ func VecKind() string { return vecKind }
 // a float64 exp per score; generation 11 finished the compiled plan's conv
 // ops with a scalar bias+ReLU loop that branched on the sign and pooled
 // 2×2 windows through the generic k×k window loop. The training
-// convolution's implicit GEMM (ConvRowsInto, ConvWeightGradInto) does not
-// bump it: it gives the unfold's bits, and the latencies keyed by the generation are timings of
-// the compiled plan, which still unfolds and runs the GEMM driver.
+// convolution's implicit GEMM (ConvRowsInto, ConvWeightGradInto,
+// ConvInputGradInto) does not bump it: it gives the bits of the unfold and
+// of the dcols GEMM + fold, and the latencies keyed by the generation are
+// timings of the compiled plan, which still unfolds and runs the GEMM
+// driver.
 const kernelGeneration = 12
 
 // KernelSignature names the bound tier, the int8 block kernel's variant and

@@ -36,7 +36,13 @@ func avx2ConvImp4x16(k int, a *float32, lda int, b *float32, off *int32, c *floa
 func avx2ConvImp8x8(k int, a *float32, lda int, b *float32, off *int32, c *float32, ldc int)
 
 //go:noescape
-func avx2ConvDW8x8(k int, a *float32, aoff *int32, bp *float32, c *float32, ldc int)
+func avx2ConvDX4x16(taps, k int, a *float32, lda int, b *float32, ldb int, off *int32, c *float32, ldc int)
+
+//go:noescape
+func avx2ConvDX8x8(taps, k int, a *float32, lda int, b *float32, ldb int, off *int32, c *float32, ldc int)
+
+//go:noescape
+func avx2ConvDW8x8(k, rows, gap int, a *float32, aoff *int32, bp *float32, c *float32, ldc int)
 
 //go:noescape
 func avx2QDot4x2(k int, a *int8, lda int, b *int8, ldb int) [8]int32
@@ -140,6 +146,7 @@ func init() {
 	microGemm1x8 = avx2Gemm1x8
 	convImp4x16, convImp8x8 = avx2ConvImp4x16, avx2ConvImp8x8
 	convDW8x8 = avx2ConvDW8x8
+	convDX4x16, convDX8x8 = avx2ConvDX4x16, avx2ConvDX8x8
 	qdot4x2, q8Kind = avx2QDot4x2, "avx2"
 	if cpuHasVNNI() {
 		qdot4x2, q8Kind = vnniQDot4x2, "vnni"

@@ -6,9 +6,10 @@
 // packed strip of k rows x NR contiguous floats; a rows are lda floats
 // apart; c rows are ldc floats apart. Every GEMM kernel loads the
 // destination tile into YMM accumulators (the implicit-GEMM conv forward
-// kernels start them at zero instead), runs the k loop in strictly
-// ascending p order (so accumulation order per element matches the
-// pure-Go strip kernel's panel ordering and stays deterministic across
+// kernels start them at zero instead, and the input-gradient kernels start
+// each tap's at zero and add it to the tile in memory), runs the k loop in
+// strictly ascending p order (so accumulation order per element matches
+// the pure-Go strip kernel's panel ordering and stays deterministic across
 // worker counts), and stores the tile back once.
 
 // func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -416,16 +417,232 @@ kloop:
 	VZEROUPPER
 	RET
 
-// func avx2ConvDW8x8(k int, a *float32, aoff *int32, bp *float32, c *float32, ldc int)
+// Implicit-GEMM input-gradient kernels (ConvInputGradInto): the same two
+// tiles again, summed over taps. For each tap j in turn the accumulators
+// start at zero and run one VFMADD231PS per k step in ascending p, A row r
+// of tap j the k floats at a + (j·MR + r)·lda and B row p the NR floats at
+// b + off[j] + p·ldb, exactly the FMA chain of one element of the dcols
+// GEMM (the weight broadcast, dz the vector); the chain is then added to
+// the C tile with one VADDPS, as the fold adds it. C is zeroed first and
+// written in place, so every tap's add sees the sum of the taps before it.
+
+// func avx2ConvDX4x16(taps, k int, a *float32, lda int, b *float32, ldb int, off *int32, c *float32, ldc int)
 //
-// C[8][8] += A[8][k] @ BP with A row r the k contiguous floats at
-// a + aoff[r] (one tap of the padded input along an output row) and BP a
-// packed strip as in avx2Gemm8x8: the implicit-GEMM weight gradient,
-// ConvWeightGradInto. Like every kernel here it loads C and adds k in
-// ascending order with one FMA per step.
-TEXT ·avx2ConvDW8x8(SB), NOSPLIT, $0-48
-	MOVQ    a+8(FP), AX
-	MOVQ    aoff+16(FP), BX
+// C[4][16] = Σ_j A_j[4][k] @ B_j, each product summed apart from zero.
+TEXT ·avx2ConvDX4x16(SB), NOSPLIT, $0-72
+	MOVQ   taps+0(FP), R9
+	MOVQ   a+16(FP), R10
+	MOVQ   lda+24(FP), R12
+	MOVQ   b+32(FP), BX
+	MOVQ   ldb+40(FP), AX
+	MOVQ   off+48(FP), SI
+	MOVQ   c+56(FP), DI
+	SHLQ   $2, R12              // lda bytes
+	SHLQ   $2, AX               // ldb bytes
+	LEAQ   (R12)(R12*2), R13    // 3*lda bytes
+	MOVQ   k+8(FP), R11
+	SHLQ   $2, R11
+	NEGQ   R11
+	LEAQ   (R11)(R12*4), R11    // from tap j's A past its k loop to tap j+1's
+	MOVQ   ldc+64(FP), R8
+	SHLQ   $2, R8               // ldc bytes
+	VXORPS Y0, Y0, Y0
+	MOVQ   DI, DX
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y0, 32(DX)
+	ADDQ   R8, DX
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y0, 32(DX)
+	ADDQ   R8, DX
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y0, 32(DX)
+	ADDQ   R8, DX
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y0, 32(DX)
+
+tap:
+	VXORPS  Y0, Y0, Y0
+	VXORPS  Y1, Y1, Y1
+	VXORPS  Y2, Y2, Y2
+	VXORPS  Y3, Y3, Y3
+	VXORPS  Y4, Y4, Y4
+	VXORPS  Y5, Y5, Y5
+	VXORPS  Y6, Y6, Y6
+	VXORPS  Y7, Y7, Y7
+	MOVLQSX (SI), DX
+	LEAQ    (BX)(DX*4), DX
+	MOVQ    k+8(FP), CX
+
+kloop:
+	VMOVUPS      (DX), Y8
+	VMOVUPS      32(DX), Y9
+	VBROADCASTSS (R10), Y10
+	VBROADCASTSS (R10)(R12*1), Y11
+	VBROADCASTSS (R10)(R12*2), Y12
+	VBROADCASTSS (R10)(R13*1), Y13
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+	VFMADD231PS  Y8, Y11, Y2
+	VFMADD231PS  Y9, Y11, Y3
+	VFMADD231PS  Y8, Y12, Y4
+	VFMADD231PS  Y9, Y12, Y5
+	VFMADD231PS  Y8, Y13, Y6
+	VFMADD231PS  Y9, Y13, Y7
+	ADDQ         AX, DX
+	ADDQ         $4, R10
+	DECQ         CX
+	JNZ          kloop
+
+	MOVQ    DI, DX
+	VADDPS  (DX), Y0, Y0
+	VMOVUPS Y0, (DX)
+	VADDPS  32(DX), Y1, Y1
+	VMOVUPS Y1, 32(DX)
+	ADDQ    R8, DX
+	VADDPS  (DX), Y2, Y2
+	VMOVUPS Y2, (DX)
+	VADDPS  32(DX), Y3, Y3
+	VMOVUPS Y3, 32(DX)
+	ADDQ    R8, DX
+	VADDPS  (DX), Y4, Y4
+	VMOVUPS Y4, (DX)
+	VADDPS  32(DX), Y5, Y5
+	VMOVUPS Y5, 32(DX)
+	ADDQ    R8, DX
+	VADDPS  (DX), Y6, Y6
+	VMOVUPS Y6, (DX)
+	VADDPS  32(DX), Y7, Y7
+	VMOVUPS Y7, 32(DX)
+	ADDQ    R11, R10
+	ADDQ    $4, SI
+	DECQ    R9
+	JNZ     tap
+	VZEROUPPER
+	RET
+
+// func avx2ConvDX8x8(taps, k int, a *float32, lda int, b *float32, ldb int, off *int32, c *float32, ldc int)
+//
+// C[8][8] = Σ_j A_j[8][k] @ B_j, each product summed apart from zero; A
+// rows addressed as in avx2ConvImp8x8.
+TEXT ·avx2ConvDX8x8(SB), NOSPLIT, $0-72
+	MOVQ   taps+0(FP), R9
+	MOVQ   a+16(FP), R10
+	MOVQ   lda+24(FP), R8
+	MOVQ   b+32(FP), BX
+	MOVQ   ldb+40(FP), AX
+	MOVQ   off+48(FP), SI
+	MOVQ   c+56(FP), DI
+	SHLQ   $2, R8               // lda bytes
+	SHLQ   $2, AX               // ldb bytes
+	LEAQ   (R8)(R8*2), R12      // 3*lda bytes
+	LEAQ   (R10)(R8*4), R11     // rows 4-7 base
+	MOVQ   k+8(FP), R13
+	SHLQ   $2, R13
+	NEGQ   R13
+	LEAQ   (R13)(R8*8), R13     // from tap j's A past its k loop to tap j+1's
+	MOVQ   ldc+64(FP), CX
+	SHLQ   $2, CX               // ldc bytes
+	VXORPS Y0, Y0, Y0
+	MOVQ   DI, DX
+	VMOVUPS Y0, (DX)
+	ADDQ   CX, DX
+	VMOVUPS Y0, (DX)
+	ADDQ   CX, DX
+	VMOVUPS Y0, (DX)
+	ADDQ   CX, DX
+	VMOVUPS Y0, (DX)
+	ADDQ   CX, DX
+	VMOVUPS Y0, (DX)
+	ADDQ   CX, DX
+	VMOVUPS Y0, (DX)
+	ADDQ   CX, DX
+	VMOVUPS Y0, (DX)
+	ADDQ   CX, DX
+	VMOVUPS Y0, (DX)
+
+tap:
+	VXORPS  Y0, Y0, Y0
+	VXORPS  Y1, Y1, Y1
+	VXORPS  Y2, Y2, Y2
+	VXORPS  Y3, Y3, Y3
+	VXORPS  Y4, Y4, Y4
+	VXORPS  Y5, Y5, Y5
+	VXORPS  Y6, Y6, Y6
+	VXORPS  Y7, Y7, Y7
+	MOVLQSX (SI), DX
+	LEAQ    (BX)(DX*4), DX
+	MOVQ    k+8(FP), CX
+
+kloop:
+	VMOVUPS      (DX), Y8
+	VBROADCASTSS (R10), Y9
+	VFMADD231PS  Y8, Y9, Y0
+	VBROADCASTSS (R10)(R8*1), Y10
+	VFMADD231PS  Y8, Y10, Y1
+	VBROADCASTSS (R10)(R8*2), Y11
+	VFMADD231PS  Y8, Y11, Y2
+	VBROADCASTSS (R10)(R12*1), Y12
+	VFMADD231PS  Y8, Y12, Y3
+	VBROADCASTSS (R11), Y9
+	VFMADD231PS  Y8, Y9, Y4
+	VBROADCASTSS (R11)(R8*1), Y10
+	VFMADD231PS  Y8, Y10, Y5
+	VBROADCASTSS (R11)(R8*2), Y11
+	VFMADD231PS  Y8, Y11, Y6
+	VBROADCASTSS (R11)(R12*1), Y12
+	VFMADD231PS  Y8, Y12, Y7
+	ADDQ         AX, DX
+	ADDQ         $4, R10
+	ADDQ         $4, R11
+	DECQ         CX
+	JNZ          kloop
+
+	MOVQ    ldc+64(FP), CX
+	SHLQ    $2, CX
+	MOVQ    DI, DX
+	VADDPS  (DX), Y0, Y0
+	VMOVUPS Y0, (DX)
+	ADDQ    CX, DX
+	VADDPS  (DX), Y1, Y1
+	VMOVUPS Y1, (DX)
+	ADDQ    CX, DX
+	VADDPS  (DX), Y2, Y2
+	VMOVUPS Y2, (DX)
+	ADDQ    CX, DX
+	VADDPS  (DX), Y3, Y3
+	VMOVUPS Y3, (DX)
+	ADDQ    CX, DX
+	VADDPS  (DX), Y4, Y4
+	VMOVUPS Y4, (DX)
+	ADDQ    CX, DX
+	VADDPS  (DX), Y5, Y5
+	VMOVUPS Y5, (DX)
+	ADDQ    CX, DX
+	VADDPS  (DX), Y6, Y6
+	VMOVUPS Y6, (DX)
+	ADDQ    CX, DX
+	VADDPS  (DX), Y7, Y7
+	VMOVUPS Y7, (DX)
+	ADDQ    R13, R10
+	ADDQ    R13, R11
+	ADDQ    $4, SI
+	DECQ    R9
+	JNZ     tap
+	VZEROUPPER
+	RET
+
+// func avx2ConvDW8x8(k, rows, gap int, a *float32, aoff *int32, bp *float32, c *float32, ldc int)
+//
+// C[8][8] += A[8][rows·k] @ BP with A row r, over rows output rows of k
+// pixels, the k contiguous floats at a + aoff[r] + i·(k + gap) for row i
+// (one tap of the padded input along each output row of an image, rows
+// gap floats of padding apart) and BP a packed strip of rows·k pixels as in
+// avx2Gemm8x8: the implicit-GEMM weight gradient, ConvWeightGradInto. Like
+// every kernel here it loads C and adds the pixels in ascending order with
+// one FMA per step, the row loop inside the pixel index.
+TEXT ·avx2ConvDW8x8(SB), NOSPLIT, $0-64
+	MOVQ    a+24(FP), AX
+	MOVQ    aoff+32(FP), BX
 	MOVLQSX (BX), DX
 	LEAQ    (AX)(DX*4), DX
 	MOVLQSX 4(BX), SI
@@ -442,10 +659,9 @@ TEXT ·avx2ConvDW8x8(SB), NOSPLIT, $0-48
 	LEAQ    (AX)(R12*4), R12
 	MOVLQSX 28(BX), R13
 	LEAQ    (AX)(R13*4), R13
-	MOVQ    k+0(FP), CX
-	MOVQ    bp+24(FP), BX
-	MOVQ    c+32(FP), DI
-	MOVQ    ldc+40(FP), AX
+	MOVQ    bp+40(FP), BX
+	MOVQ    c+48(FP), DI
+	MOVQ    ldc+56(FP), AX
 	SHLQ    $2, AX
 
 	// Load the C tile.
@@ -464,7 +680,11 @@ TEXT ·avx2ConvDW8x8(SB), NOSPLIT, $0-48
 	VMOVUPS (DI), Y6
 	ADDQ    AX, DI
 	VMOVUPS (DI), Y7
+	MOVQ    rows+8(FP), DI
 	XORQ    AX, AX
+
+row:
+	MOVQ k+0(FP), CX
 
 kloop:
 	VMOVUPS      (BX), Y8
@@ -486,11 +706,15 @@ kloop:
 	VFMADD231PS  Y8, Y12, Y7
 	ADDQ         $32, BX
 	INCQ         AX
-	CMPQ         AX, CX
-	JLT          kloop
+	DECQ         CX
+	JNZ          kloop
 
-	MOVQ    c+32(FP), DI
-	MOVQ    ldc+40(FP), AX
+	ADDQ gap+16(FP), AX
+	DECQ DI
+	JNZ  row
+
+	MOVQ    c+48(FP), DI
+	MOVQ    ldc+56(FP), AX
 	SHLQ    $2, AX
 	VMOVUPS Y0, (DI)
 	ADDQ    AX, DI
