@@ -217,7 +217,8 @@ type Config struct {
 	// SearchBatch, never on the number of workers.
 	SearchBatch int
 	// MemoPath persists the search memo (candidate outcomes, trained
-	// weights, machine-keyed latency measurements) to a JSON file: a
+	// weights, machine-keyed latency measurements) to a file, a JSON index
+	// followed by the trained checkpoints (core.DiskMemo): a
 	// re-run of the same search replays it with zero duplicate
 	// measurements. It is also how a search resumes: re-run with the same
 	// Seed, SearchBatch and MemoPath and a larger Rounds, and the first
@@ -309,8 +310,8 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 		}
 		coreCfg.Evaluator = pool
 	}
-	res := core.NewOptimizer(teachers, ds, setup.targets, setup.outs,
-		ds.Train.X, setup.accOpts, coreCfg).Run()
+	res := core.NewOptimizer(teachers, ds, setup.targets, ds.Train.X,
+		setup.accOpts, coreCfg).Run()
 
 	if err := memo.Save(); err != nil {
 		return nil, fmt.Errorf("gmorph: saving search memo: %w", err)
@@ -365,17 +366,18 @@ func (cfg Config) searchDefaults() Config {
 }
 
 // searchSetup holds the evaluation inputs shared by the local optimizers,
-// the coordinator, and search workers.
+// the coordinator, and search workers. The teacher outputs are not among
+// them: the local evaluator computes those when it first fine-tunes, so a
+// replayed search, and a coordinator whose workers fine-tune, never do.
 type searchSetup struct {
 	targets map[int]float64
-	outs    distill.TeacherOutputs
 	accOpts core.AccuracyOptions
 }
 
-// newSearchSetup validates the world and derives targets, teacher outputs,
-// and estimator options. Everything here is deterministic in (teachers, ds,
-// cfg), so a coordinator and its workers — each calling this on their own
-// copy of the same world — agree on every evaluation input.
+// newSearchSetup validates the world and derives targets and estimator
+// options. Everything here is deterministic in (teachers, ds, cfg), so a
+// coordinator and its workers — each calling this on their own copy of the
+// same world — agree on every evaluation input.
 func newSearchSetup(teachers *Model, ds *Dataset, cfg Config) (*searchSetup, error) {
 	if len(teachers.Heads) == 0 {
 		return nil, ErrNoTasks
@@ -395,10 +397,8 @@ func newSearchSetup(teachers *Model, ds *Dataset, cfg Config) (*searchSetup, err
 			targets[id] = a - cfg.AccuracyDrop
 		}
 	}
-	outs := distill.ComputeTeacherOutputs(teachers, ds.Train.X, 64)
 	return &searchSetup{
 		targets: targets,
-		outs:    outs,
 		accOpts: core.AccuracyOptions{
 			FineTune: distill.Config{
 				LR: cfg.LearningRate, Epochs: cfg.FineTuneEpochs,
@@ -414,8 +414,10 @@ func newSearchSetup(teachers *Model, ds *Dataset, cfg Config) (*searchSetup, err
 // NewSearchWorker builds a stateless evaluation worker for the distributed
 // search. The worker must be constructed over the same world — teachers,
 // dataset, and search Config — as the coordinator; the coordinator verifies
-// the world checksum before dispatching. Serve the returned worker's
-// Handler and list its address in Config.Workers:
+// the world checksum before dispatching. The worker computes the teachers'
+// outputs over ds's train split on its first job, so teachers must stay
+// unchanged until then. Serve the returned worker's Handler and list its
+// address in Config.Workers:
 //
 //	w, _ := gmorph.NewSearchWorker(teachers, ds, cfg, 2)
 //	http.ListenAndServe(":7070", w.Handler())
@@ -429,7 +431,7 @@ func NewSearchWorker(teachers *Model, ds *Dataset, cfg Config, slots int) (*Sear
 	if err != nil {
 		return nil, fmt.Errorf("gmorph: checksumming world: %w", err)
 	}
-	eval := core.NewLocalEvaluator(ds, setup.targets, setup.outs, ds.Train.X, setup.accOpts, slots)
+	eval := core.NewLocalEvaluator(ds, setup.targets, teachers, ds.Train.X, setup.accOpts, slots)
 	return worker.NewServer(eval, sum, len(teachers.Heads)), nil
 }
 

@@ -49,7 +49,7 @@ func (w *Workload) Search(drop float64, variant string, rounds int, seed uint64)
 // search runs the optimizer (Algorithm 1: one candidate per round, one
 // in-process evaluator slot).
 func (w *Workload) search(drop float64, variant string, cfg core.Config) *core.Result {
-	return core.NewOptimizer(w.Teacher, w.Dataset, w.Targets(drop), w.Outputs,
+	return core.NewOptimizer(w.Teacher, w.Dataset, w.Targets(drop),
 		w.Dataset.Train.X, w.accOptions(variant), cfg).Run()
 }
 

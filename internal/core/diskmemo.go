@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -16,19 +20,30 @@ import (
 
 // latencyMachineKey is the section key persisted latencies live under: the
 // CPU signature plus the kernel signature (tier and generation), plus the
-// measurement (engine.Latency: the compiled plan at batch 1). Candidate outcomes
-// (verdict, accuracy, trained weights) are machine-independent —
-// fine-tuning is deterministic in the seed — but a latency measured on one
-// machine, by other kernels or another way must never replay, so only the
-// current section is ever consulted.
+// measurement (engine.Latency: the compiled plan at batch 1). A latency
+// measured on one machine, by other kernels or another way must never
+// replay, so only the current section is ever consulted. Candidate outcomes
+// (verdict, accuracy, trained weights) are keyed by fingerprint alone, as
+// if they were machine-independent; fine-tuning is deterministic in the
+// seed, but only within one kernel tier and generation (the avx2 and
+// pure-Go tiers train to different bits), so a memo carried across tiers
+// replays outcomes a fresh run would not reproduce. Keying outcomes by
+// their evaluation context is ROADMAP item 7.
 func latencyMachineKey() string {
 	return fingerprint.Machine() + " " + tensor.KernelSignature() + " lat=plan/b1"
 }
 
-// diskMemoEntry is the JSON shape of one persisted candidate outcome. The
-// trained graph is a checkpoint in parser.SaveBase64's form (the lossless
-// f32 format), so replayed weights are bit-identical to the original
-// evaluation.
+// memoVersion is the file format Save writes. Version 2 is the JSON index
+// followed by the raw checkpoints; version 1, the JSON alone with each
+// checkpoint inline in base64, still loads.
+const memoVersion = 2
+
+// diskMemoEntry is the JSON shape of one persisted candidate outcome. A
+// trained graph is a parser.Save checkpoint (the lossless f32 format), so
+// replayed weights are bit-identical to the original evaluation. Version 2
+// records only the checkpoint's length here, in TrainedBytes, and stores
+// the bytes after the index (see parseDiskMemo); version 1 held them in
+// Trained, base64-encoded.
 type diskMemoEntry struct {
 	Met          bool            `json:"met"`
 	Terminated   bool            `json:"terminated,omitempty"`
@@ -39,20 +54,24 @@ type diskMemoEntry struct {
 	Accuracy     map[int]float64 `json:"accuracy,omitempty"`
 	Margin       float64         `json:"margin"`
 	FLOPs        int64           `json:"flops,omitempty"`
+	TrainedBytes int             `json:"trained_bytes,omitempty"`
 	Trained      string          `json:"trained,omitempty"`
 }
 
 // diskMemoFile is the on-disk shape: outcomes keyed by hex fingerprint,
-// latencies sectioned by machine signature.
+// latencies sectioned by machine signature, and the trained entries'
+// checkpoints by the same keys.
 type diskMemoFile struct {
 	Version   int                         `json:"version"`
 	Entries   map[string]diskMemoEntry    `json:"entries"`
 	Latencies map[string]map[string]int64 `json:"latencies,omitempty"`
+
+	checkpoints map[string][]byte
 }
 
 // DiskMemo is the search memo: fingerprint-keyed candidate outcomes and
-// machine-keyed latencies, optionally backed by a single JSON file shared
-// by every process searching the same model group. The optimizer calls it
+// machine-keyed latencies, optionally backed by a single file shared by
+// every process searching the same model group. The optimizer calls it
 // from its serial sample/merge phases only, which keeps the search
 // deterministic in the seed for any evaluation concurrency; the lock is
 // there because Save may race a concurrent process touching the same file.
@@ -71,7 +90,7 @@ type DiskMemo struct {
 	entries map[uint64]*MemoEntry
 	// encoded caches each entry's checkpoint bytes (from load, or from the
 	// first Save that serialized it) so Save never re-encodes a graph.
-	encoded map[uint64]string
+	encoded map[uint64][]byte
 	lat     map[uint64]time.Duration
 	dirty   bool
 }
@@ -85,7 +104,7 @@ func NewDiskMemo(path string) (*DiskMemo, error) {
 		path:    path,
 		machine: latencyMachineKey(),
 		entries: make(map[uint64]*MemoEntry),
-		encoded: make(map[uint64]string),
+		encoded: make(map[uint64][]byte),
 		lat:     make(map[uint64]time.Duration),
 	}
 	if path == "" {
@@ -103,14 +122,14 @@ func NewDiskMemo(path string) (*DiskMemo, error) {
 		if err != nil {
 			return nil, fmt.Errorf("memo: %s: %w", path, err)
 		}
-		e, err := de.decode()
-		if err != nil {
-			return nil, fmt.Errorf("memo: %s: entry %s: %w", path, key, err)
+		e := de.outcome()
+		if ck, ok := f.checkpoints[key]; ok {
+			if e.Trained, err = parser.LoadBytes(ck); err != nil {
+				return nil, fmt.Errorf("memo: %s: entry %s: %w", path, key, err)
+			}
+			m.encoded[fp] = ck
 		}
 		m.entries[fp] = e
-		if de.Trained != "" {
-			m.encoded[fp] = de.Trained
-		}
 	}
 	for key, ns := range f.Latencies[m.machine] {
 		fp, err := parseFp(key)
@@ -190,23 +209,28 @@ func (m *DiskMemo) Save() error {
 	if f == nil {
 		f = &diskMemoFile{}
 	}
-	f.Version = 1
 	if f.Entries == nil {
 		f.Entries = make(map[string]diskMemoEntry)
 	}
 	if f.Latencies == nil {
 		f.Latencies = make(map[string]map[string]int64)
 	}
+	if f.checkpoints == nil {
+		f.checkpoints = make(map[string][]byte)
+	}
 	for fp, e := range m.entries {
 		key := fpKey(fp)
 		if _, ok := f.Entries[key]; ok {
 			continue
 		}
-		de, err := m.encodeEntry(fp, e)
+		de, ck, err := m.encodeEntry(fp, e)
 		if err != nil {
 			return fmt.Errorf("memo: save %s: %w", m.path, err)
 		}
 		f.Entries[key] = de
+		if ck != nil {
+			f.checkpoints[key] = ck
+		}
 	}
 	sec := f.Latencies[m.machine]
 	if sec == nil {
@@ -219,16 +243,17 @@ func (m *DiskMemo) Save() error {
 			sec[key] = int64(d)
 		}
 	}
-	if err := atomicfile.WriteJSON(m.path, f); err != nil {
+	if err := atomicfile.Write(m.path, f.write); err != nil {
 		return fmt.Errorf("memo: save %s: %w", m.path, err)
 	}
 	m.dirty = false
 	return nil
 }
 
-// encodeEntry serializes one entry, reusing the checkpoint bytes cached at
-// load time when available.
-func (m *DiskMemo) encodeEntry(fp uint64, e *MemoEntry) (diskMemoEntry, error) {
+// encodeEntry converts one entry to its index record and checkpoint bytes
+// (nil without a trained graph), reusing the bytes cached at load time when
+// available.
+func (m *DiskMemo) encodeEntry(fp uint64, e *MemoEntry) (diskMemoEntry, []byte, error) {
 	de := diskMemoEntry{
 		Met: e.Met, Terminated: e.Terminated,
 		WarmStarted: e.WarmStarted, WarmFellBack: e.WarmFellBack,
@@ -236,38 +261,27 @@ func (m *DiskMemo) encodeEntry(fp uint64, e *MemoEntry) (diskMemoEntry, error) {
 		Accuracy: e.Accuracy, Margin: e.Margin, FLOPs: e.FLOPs,
 	}
 	if e.Trained == nil {
-		return de, nil
+		return de, nil, nil
 	}
-	if enc, ok := m.encoded[fp]; ok {
-		de.Trained = enc
-		return de, nil
+	if ck, ok := m.encoded[fp]; ok {
+		return de, ck, nil
 	}
-	enc, err := parser.SaveBase64(e.Trained)
-	if err != nil {
-		return de, err
+	var buf bytes.Buffer
+	if err := parser.Save(&buf, e.Trained); err != nil {
+		return de, nil, err
 	}
-	de.Trained = enc
-	m.encoded[fp] = enc
-	return de, nil
+	m.encoded[fp] = buf.Bytes()
+	return de, buf.Bytes(), nil
 }
 
-// decode materializes a persisted entry, including the trained graph.
-func (de diskMemoEntry) decode() (*MemoEntry, error) {
-	e := &MemoEntry{
+// outcome is the persisted entry without its trained graph.
+func (de diskMemoEntry) outcome() *MemoEntry {
+	return &MemoEntry{
 		Met: de.Met, Terminated: de.Terminated,
 		WarmStarted: de.WarmStarted, WarmFellBack: de.WarmFellBack,
 		EpochsRun: de.EpochsRun, TrainTime: time.Duration(de.TrainNS),
 		Accuracy: de.Accuracy, Margin: de.Margin, FLOPs: de.FLOPs,
 	}
-	if de.Trained == "" {
-		return e, nil
-	}
-	g, err := parser.LoadBase64(de.Trained)
-	if err != nil {
-		return nil, err
-	}
-	e.Trained = g
-	return e, nil
 }
 
 // readDiskMemo parses the memo file, returning nil (no error) when the file
@@ -280,11 +294,103 @@ func readDiskMemo(path string) (*diskMemoFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("memo: read %s: %w", path, err)
 	}
-	var f diskMemoFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	f, err := parseDiskMemo(data)
+	if err != nil {
 		return nil, fmt.Errorf("memo: parse %s: %w", path, err)
 	}
+	return f, nil
+}
+
+// parseDiskMemo splits a memo file into its JSON index and the trained
+// entries' checkpoints. In version 2 the checkpoints follow the index and a
+// newline, back to back in sorted-key order, each as long as its entry's
+// trained_bytes; the lengths must add up to the tail exactly. Only the
+// index is JSON-decoded: the checkpoints are sliced from data, and each
+// one's own CRC-32 guards its bytes when it is decoded. A file without
+// checkpoints is the index alone. A version-1 entry carries its checkpoint
+// inline in base64 instead.
+func parseDiskMemo(data []byte) (*diskMemoFile, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var f diskMemoFile
+	if err := dec.Decode(&f); err != nil {
+		return nil, err
+	}
+	if f.Version > memoVersion {
+		return nil, fmt.Errorf("unsupported memo version %d", f.Version)
+	}
+	tail := data[dec.InputOffset():]
+	var keys []string
+	total := 0
+	for key, de := range f.Entries {
+		if n := de.TrainedBytes; n != 0 {
+			if n < 0 || de.Trained != "" {
+				return nil, fmt.Errorf("entry %s: bad trained_bytes %d", key, n)
+			}
+			if total += n; total >= len(tail) {
+				return nil, fmt.Errorf("checkpoints truncated: %d bytes after the index", len(tail))
+			}
+			keys = append(keys, key)
+		}
+	}
+	f.checkpoints = make(map[string][]byte, len(f.Entries))
+	if total == 0 {
+		if len(bytes.TrimLeft(tail, " \t\r\n")) > 0 {
+			return nil, fmt.Errorf("%d bytes after the index", len(tail))
+		}
+	} else {
+		if tail[0] != '\n' || len(tail)-1 != total {
+			return nil, fmt.Errorf("checkpoints take %d bytes, the file holds %d after the index", total, len(tail)-1)
+		}
+		tail = tail[1:]
+		sort.Strings(keys)
+		for _, key := range keys {
+			n := f.Entries[key].TrainedBytes
+			f.checkpoints[key], tail = tail[:n:n], tail[n:]
+		}
+	}
+	for key, de := range f.Entries {
+		if de.Trained == "" {
+			continue
+		}
+		ck, err := base64.StdEncoding.DecodeString(de.Trained)
+		if err != nil {
+			return nil, fmt.Errorf("entry %s: %w: base64: %v", key, parser.ErrBadCheckpoint, err)
+		}
+		f.checkpoints[key] = ck
+	}
 	return &f, nil
+}
+
+// write streams the file in the current version: the JSON index, then,
+// when any entry is trained, a newline and the checkpoints in sorted-key
+// order. Entries read from a version-1 file lose their inline checkpoint
+// to the tail.
+func (f *diskMemoFile) write(w io.Writer) error {
+	f.Version = memoVersion
+	keys := make([]string, 0, len(f.checkpoints))
+	for key, ck := range f.checkpoints {
+		de := f.Entries[key]
+		de.Trained, de.TrainedBytes = "", len(ck)
+		f.Entries[key] = de
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	index, err := json.MarshalIndent(f, "", "  ")
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(index); err != nil || len(keys) == 0 {
+		return err
+	}
+	if _, err := io.WriteString(w, "\n"); err != nil {
+		return err
+	}
+	for _, key := range keys {
+		if _, err := w.Write(f.checkpoints[key]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func fpKey(fp uint64) string { return fmt.Sprintf("%016x", fp) }

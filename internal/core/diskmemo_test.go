@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -98,8 +99,8 @@ func TestDiskMemoRoundTrip(t *testing.T) {
 		t.Fatalf("the old memo did not replay the search that wrote it: %+v, %d elites",
 			res.Stats, len(res.Elites))
 	}
-	// The next Save rewrites every entry without the column, still as
-	// version 1.
+	// The next Save rewrites every entry without the column, as version 2:
+	// no checkpoint is left inline, every one follows the index.
 	om.Insert(78, &MemoEntry{Margin: -1})
 	if err := om.Save(); err != nil {
 		t.Fatal(err)
@@ -108,9 +109,141 @@ func TestDiskMemoRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(saved, []byte(`"features"`)) || !bytes.Contains(saved, []byte(`"version": 1`)) {
+	if bytes.Contains(saved, []byte(`"features"`)) || !bytes.Contains(saved, []byte(`"version": 2`)) ||
+		bytes.Contains(saved, []byte(`"trained":`)) || !bytes.Contains(saved, []byte(`"trained_bytes":`)) {
 		t.Fatalf("re-saved memo: %.200s", saved)
 	}
+	if res := memoFixtureSearch(mustLoadMemo(t, old)); res.Stats.FineTuned != 0 || res.Stats.CacheMisses != 0 {
+		t.Fatalf("the re-saved memo did not replay the search that wrote it: %+v", res.Stats)
+	}
+}
+
+func mustLoadMemo(t testing.TB, path string) *DiskMemo {
+	t.Helper()
+	m, err := NewDiskMemo(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// savedMemo writes a memo holding two trained entries, an untrained one
+// and a latency, and returns the file's bytes.
+func savedMemo(t testing.TB, path string) []byte {
+	t.Helper()
+	ds := testutil.TinyFace(21, 16, 8)
+	m := mustLoadMemo(t, path)
+	for seed := uint64(22); seed < 24; seed++ {
+		g := testutil.TinyMultiDNN(seed, ds)
+		m.Insert(fingerprint.Hash(g)^seed, &MemoEntry{Met: true, EpochsRun: int(seed), FLOPs: g.FLOPs(), Trained: g})
+	}
+	m.Insert(77, &MemoEntry{Margin: -0.2})
+	m.SetLatency(77, time.Millisecond)
+	if err := m.Save(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestDiskMemoV2Layout pins the version-2 file: the JSON index, then the
+// raw checkpoints. Two saves of the same memo are byte-identical; the
+// checkpoints' lengths must cover the tail exactly, so a tail cut by one
+// byte or carrying one extra byte does not load, and neither does a
+// checkpoint with a flipped byte (its own CRC-32). A version-1 file re-saved
+// twice, by two memos, gives identical bytes too.
+func TestDiskMemoV2Layout(t *testing.T) {
+	dir := t.TempDir()
+	raw := savedMemo(t, filepath.Join(dir, "a.json"))
+	if again := savedMemo(t, filepath.Join(dir, "b.json")); !bytes.Equal(again, raw) {
+		t.Fatal("two saves of the same memo differ")
+	}
+	end := bytes.Index(raw, []byte("\n}\n")) + 2
+	if end < 2 || !json.Valid(raw[:end]) {
+		t.Fatalf("the file does not open with a JSON index: %.200q", raw)
+	}
+	if bytes.Contains(raw[:end], []byte(`"trained":`)) {
+		t.Fatal("a checkpoint is still inline in the index")
+	}
+	if m := mustLoadMemo(t, filepath.Join(dir, "a.json")); m.Len() != 3 {
+		t.Fatalf("reloaded %d entries, want 3", m.Len())
+	}
+
+	flipped := bytes.Clone(raw)
+	flipped[end+(len(raw)-end)/2] ^= 0x40
+	for name, bad := range map[string][]byte{
+		"cut by one byte": raw[:len(raw)-1],
+		"one extra byte":  append(bytes.Clone(raw), 0),
+		"flipped byte":    flipped,
+		"no tail":         raw[:end],
+	} {
+		path := filepath.Join(dir, "bad.json")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewDiskMemo(path); err == nil {
+			t.Errorf("%s: the memo loaded", name)
+		}
+	}
+
+	fixture, err := os.ReadFile(filepath.Join("testdata", "memo-features.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resaved [][]byte
+	for _, name := range []string{"v1-a.json", "v1-b.json"} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, fixture, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m := mustLoadMemo(t, path)
+		m.SetLatency(5, time.Microsecond)
+		if err := m.Save(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resaved = append(resaved, b)
+	}
+	if !bytes.Equal(resaved[0], resaved[1]) || len(resaved[0]) >= len(fixture) {
+		t.Fatalf("re-saved version-1 memos: %d and %d bytes (fixture %d), want equal and smaller",
+			len(resaved[0]), len(resaved[1]), len(fixture))
+	}
+}
+
+// FuzzDiskMemoLoad feeds arbitrary files to NewDiskMemo, seeded with a
+// saved version-2 memo and the version-1 fixture: it must load or return
+// an error, never panic, and never allocate more than a small multiple of
+// the file's size (a corrupt trained_bytes or checkpoint length cannot
+// drive an allocation).
+func FuzzDiskMemoLoad(f *testing.F) {
+	f.Add(savedMemo(f, filepath.Join(f.TempDir(), "memo.json")))
+	if fixture, err := os.ReadFile(filepath.Join("testdata", "memo-features.json")); err == nil {
+		f.Add(fixture)
+	}
+	f.Add([]byte(`{"version":2,"entries":{"00000000000000aa":{"met":true,"margin":0,"trained_bytes":9}}}` + "\n123456789"))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "memo.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := NewDiskMemo(path)
+		runtime.ReadMemStats(&after)
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > uint64(64*len(data)+1<<20) {
+			t.Fatalf("loading %d bytes allocated %d", len(data), grown)
+		}
+		if err == nil && m == nil {
+			t.Fatal("no memo and no error")
+		}
+	})
 }
 
 // memoFixtureSearch is the search that wrote testdata/memo-features.json:
@@ -120,8 +253,7 @@ func memoFixtureSearch(memo *DiskMemo) *Result {
 	ds := testutil.TinyFace(61, 16, 8)
 	g := testutil.TinyMultiDNN(62, ds)
 	opts := AccuracyOptions{FineTune: distill.Config{LR: 0.003, Epochs: 6, Batch: 8, EvalEvery: 1}}
-	return NewOptimizer(g, ds, map[int]float64{0: 0.6, 1: 0.4},
-		distill.ComputeTeacherOutputs(g, ds.Train.X, 16), ds.Train.X, opts,
+	return NewOptimizer(g, ds, map[int]float64{0: 0.6, 1: 0.4}, ds.Train.X, opts,
 		Config{Rounds: 4, BatchSize: 2, Seed: 1, Metric: OptimizeFLOPs, Memo: memo}).Run()
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/data"
 	"repro/internal/distill"
@@ -116,24 +117,60 @@ func (a *AccuracyEstimator) FineTuneCandidate(g *graph.Graph, seed uint64, warm 
 // by the evaluator, not the batch, so concurrent EvaluateBatch calls (the
 // worker server handles HTTP requests independently) still respect the
 // global slot bound.
+//
+// The teacher outputs are computed by the first EvaluateBatch, before any
+// of its fine-tunes starts, so an evaluator that never fine-tunes (a search
+// replayed from its memo) never computes them.
 type LocalEvaluator struct {
 	slots chan *AccuracyEstimator
 	n     int
+
+	teacher *graph.Graph
+	trainX  *tensor.Tensor
+	once    sync.Once
+	outs    distill.TeacherOutputs
 }
 
-// NewLocalEvaluator builds an evaluator with the given number of slots.
-// The slots never consult the rule filter: skip decisions belong to the
-// optimizer's serial phase (or to the coordinator, in a distributed run).
-func NewLocalEvaluator(ds *data.Dataset, targets map[int]float64, outs distill.TeacherOutputs,
+// teacherBatch is the batch a LocalEvaluator computes teacher outputs in.
+const teacherBatch = 64
+
+// teacherOutputRuns counts teacher-output computations process-wide.
+var teacherOutputRuns atomic.Int64
+
+// TeacherOutputRuns returns how many times a LocalEvaluator in this process
+// has computed its teacher outputs: once per evaluator that fine-tuned
+// something, never for one that did not.
+func TeacherOutputRuns() int64 { return teacherOutputRuns.Load() }
+
+// NewLocalEvaluator builds an evaluator with the given number of slots
+// that distills candidates towards the teacher graph's outputs over trainX.
+// The teacher must stay unchanged until the first EvaluateBatch, which
+// runs it. The slots never consult the rule filter: skip decisions belong
+// to the optimizer's serial phase (or to the coordinator, in a distributed
+// run).
+func NewLocalEvaluator(ds *data.Dataset, targets map[int]float64, teacher *graph.Graph,
 	trainX *tensor.Tensor, accOpts AccuracyOptions, slots int) *LocalEvaluator {
 	if slots <= 0 {
 		slots = 1
 	}
-	l := &LocalEvaluator{slots: make(chan *AccuracyEstimator, slots), n: slots}
+	l := &LocalEvaluator{
+		slots: make(chan *AccuracyEstimator, slots), n: slots,
+		teacher: teacher, trainX: trainX,
+	}
 	for i := 0; i < slots; i++ {
-		l.slots <- NewAccuracyEstimator(ds, targets, outs, trainX, accOpts)
+		l.slots <- NewAccuracyEstimator(ds, targets, nil, trainX, accOpts)
 	}
 	return l
+}
+
+// teacherOutputs returns the distillation targets, computing them on the
+// first call; concurrent first callers wait for the one computation.
+func (l *LocalEvaluator) teacherOutputs() distill.TeacherOutputs {
+	l.once.Do(func() {
+		teacherOutputRuns.Add(1)
+		l.outs = distill.ComputeTeacherOutputs(l.teacher, l.trainX, teacherBatch)
+	})
+	return l.outs
 }
 
 // Slots returns the evaluator's concurrency bound.
@@ -143,11 +180,16 @@ func (l *LocalEvaluator) Slots() int { return l.n }
 // deterministic (see tensor.ParallelFor), so each outcome depends only on
 // (candidate, seed), not on scheduling.
 func (l *LocalEvaluator) EvaluateBatch(jobs []EvalJob) []EvalOutcome {
+	if len(jobs) == 0 {
+		return nil
+	}
+	teacher := l.teacherOutputs()
 	outs := make([]EvalOutcome, len(jobs))
 	var wg sync.WaitGroup
 	for ji := range jobs {
 		wg.Add(1)
 		est := <-l.slots
+		est.Teacher = teacher
 		go func(ji int, est *AccuracyEstimator) {
 			defer func() { l.slots <- est; wg.Done() }()
 			j := jobs[ji]

@@ -19,7 +19,6 @@ type world struct {
 	// teach is the teachers' measured per-task accuracy; targets sit drop
 	// below it.
 	teach, targets map[int]float64
-	outs           distill.TeacherOutputs
 	accOpts        core.AccuracyOptions
 }
 
@@ -40,7 +39,6 @@ func newWorld(seed uint64, train, test, pretrainEpochs int, drop float64, accOpt
 	}
 	return &world{
 		teacher: teacher, ds: ds, teach: teach, targets: targets,
-		outs:    distill.ComputeTeacherOutputs(teacher, ds.Train.X, 32),
 		accOpts: accOpts,
 	}
 }
@@ -60,7 +58,7 @@ func buildFixture(t *testing.T) *world {
 
 // search runs one optimization over the world.
 func (w *world) search(cfg core.Config) *core.Result {
-	return core.NewOptimizer(w.teacher, w.ds, w.targets, w.outs, w.ds.Train.X, w.accOpts, cfg).Run()
+	return core.NewOptimizer(w.teacher, w.ds, w.targets, w.ds.Train.X, w.accOpts, cfg).Run()
 }
 
 // forBatchSizes runs a search test over the two shapes of the one loop:

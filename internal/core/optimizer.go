@@ -27,22 +27,22 @@ type Optimizer struct {
 	original *graph.Graph
 	ds       *data.Dataset
 	eval     *distill.Evaluator
-	outs     distill.TeacherOutputs
 	trainX   *tensor.Tensor
 	accOpts  AccuracyOptions
 }
 
-// NewOptimizer builds an optimizer over the original multi-DNN graph. It
-// takes the raw evaluation inputs — dataset, per-task targets, teacher
-// outputs, representative inputs, estimator options — so that it can build
-// one estimator per local evaluation slot.
+// NewOptimizer builds an optimizer over the original multi-DNN graph, which
+// is also the teacher candidates are distilled from. It takes the raw
+// evaluation inputs — dataset, per-task targets, representative inputs,
+// estimator options — so that it can build one estimator per local
+// evaluation slot; the local evaluator computes the teacher outputs when
+// its first candidate fine-tunes (NewLocalEvaluator).
 func NewOptimizer(original *graph.Graph, ds *data.Dataset, targets map[int]float64,
-	outs distill.TeacherOutputs, trainX *tensor.Tensor, accOpts AccuracyOptions,
-	cfg Config) *Optimizer {
+	trainX *tensor.Tensor, accOpts AccuracyOptions, cfg Config) *Optimizer {
 	return &Optimizer{
 		cfg: cfg.withDefaults(), original: original, ds: ds,
-		eval: &distill.Evaluator{Dataset: ds, Targets: targets},
-		outs: outs, trainX: trainX, accOpts: accOpts,
+		eval:   &distill.Evaluator{Dataset: ds, Targets: targets},
+		trainX: trainX, accOpts: accOpts,
 	}
 }
 
@@ -122,7 +122,7 @@ func (o *Optimizer) Run() *Result {
 	rule := filter.NewRuleBased()
 	evaluator := cfg.Evaluator
 	if evaluator == nil {
-		evaluator = NewLocalEvaluator(o.ds, o.eval.Targets, o.outs, o.trainX, o.accOpts, cfg.Workers)
+		evaluator = NewLocalEvaluator(o.ds, o.eval.Targets, o.original, o.trainX, o.accOpts, cfg.Workers)
 	}
 
 	rounds := cfg.Rounds / cfg.BatchSize

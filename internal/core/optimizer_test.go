@@ -135,7 +135,7 @@ func TestBatchOfOneIsAlgorithm1(t *testing.T) {
 	run := func(slots int) (*core.Result, *scriptPolicy, *batchLog) {
 		w := buildFixture(t)
 		pol := &scriptPolicy{Policy: core.NewSAPolicy()}
-		ev := &batchLog{BatchEvaluator: core.NewLocalEvaluator(w.ds, w.targets, w.outs, w.ds.Train.X, w.accOpts, slots)}
+		ev := &batchLog{BatchEvaluator: core.NewLocalEvaluator(w.ds, w.targets, w.teacher, w.ds.Train.X, w.accOpts, slots)}
 		res := w.search(core.Config{
 			Rounds: 10, BatchSize: 1, MaxPairsPerPass: 1, Seed: 7,
 			Policy: pol, Evaluator: ev,

@@ -60,3 +60,32 @@ func TestDiskMemoReplayEliminatesDuplicateMeasurements(t *testing.T) {
 	// The replayed search must retrace the original exactly.
 	compareResults(t, "first vs replayed run", first, second, true)
 }
+
+// TestReplayComputesNoTeacherOutputs: the local evaluator computes the
+// teacher outputs when its first candidate fine-tunes, so the run that
+// populates a memo computes them once and a replay over the full memo —
+// no fine-tune at all — never does.
+func TestReplayComputesNoTeacherOutputs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "memo.json")
+	w := newWorld(141, 64, 32, 6, 0.15, ruleFilter6)
+	run := func() (*core.Result, int64) {
+		memo, err := core.NewDiskMemo(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := core.TeacherOutputRuns()
+		res := w.search(core.Config{Rounds: 8, MaxPairsPerPass: 1, Seed: 7, Memo: memo, BatchSize: 4})
+		if err := memo.Save(); err != nil {
+			t.Fatal(err)
+		}
+		return res, core.TeacherOutputRuns() - before
+	}
+	first, runs := run()
+	if first.Stats.FineTuned == 0 || runs != 1 {
+		t.Fatalf("populating run: %d fine-tunes computed the teacher outputs %d times, want 1", first.Stats.FineTuned, runs)
+	}
+	replay, runs := run()
+	if replay.Stats.FineTuned != 0 || runs != 0 {
+		t.Fatalf("replay: %d fine-tunes, teacher outputs computed %d times, want 0 and 0", replay.Stats.FineTuned, runs)
+	}
+}

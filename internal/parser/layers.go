@@ -193,9 +193,12 @@ func decodeLayer(r *reader) (nn.Layer, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	// Fresh layers are constructed with a throwaway RNG; weights are then
-	// overwritten from the stream.
-	rng := tensor.NewRNG(1)
+	// Fresh layers are constructed with a nil RNG, which leaves their
+	// parameters unfilled: readParams checks the stream holds every one of
+	// l.Params() at its size and decodes each in place (an old stream's
+	// split Q, K and V cover all three QKV bands), so none keeps its
+	// constructor value.
+	var rng *tensor.RNG
 	switch tag {
 	case "":
 		return nil, nil
@@ -226,15 +229,13 @@ func decodeLayer(r *reader) (nn.Layer, error) {
 		if err := r.readParams(l); err != nil {
 			return nil, err
 		}
-		rm, rv := r.tensor(), r.tensor()
-		if r.err != nil {
-			return nil, r.err
+		for _, st := range []*tensor.Tensor{l.RunningMean, l.RunningVar} {
+			if n := r.tensorInto(st); r.err != nil {
+				return nil, r.err
+			} else if n != c {
+				return nil, fmt.Errorf("parser: batchnorm running stats size %d, want %d", n, c)
+			}
 		}
-		if rm.Size() != c || rv.Size() != c {
-			return nil, fmt.Errorf("parser: batchnorm running stats size %d/%d, want %d", rm.Size(), rv.Size(), c)
-		}
-		l.RunningMean.CopyFrom(rm)
-		l.RunningVar.CopyFrom(rv)
 		return l, nil
 	case tagLayerNorm:
 		d := r.dim()

@@ -115,8 +115,8 @@ func saveSum(w io.Writer, g *graph.Graph) (uint32, error) {
 }
 
 // SaveBase64 returns the checkpoint Save writes, base64-encoded with the
-// standard alphabet: the form a graph takes inside JSON, in memo files and
-// on the distributed search's wire.
+// standard alphabet: the form a graph takes inside JSON, on the distributed
+// search's wire (and in version-1 memo files).
 func SaveBase64(g *graph.Graph) (string, error) {
 	var buf bytes.Buffer
 	if err := Save(&buf, g); err != nil {
@@ -131,7 +131,7 @@ func LoadBase64(s string) (*graph.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: base64: %v", ErrBadCheckpoint, err)
 	}
-	return Load(bytes.NewReader(raw))
+	return LoadBytes(raw)
 }
 
 // FormatSum renders a CRC-32 content checksum in the canonical
@@ -155,6 +155,19 @@ func LoadSum(r io.Reader) (*graph.Graph, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
+	return loadSum(payload)
+}
+
+// LoadBytes is Load over a checkpoint the caller already holds in memory:
+// it decodes b in place, without Load's copy of the stream. The graph
+// shares no memory with b.
+func LoadBytes(b []byte) (*graph.Graph, error) {
+	g, _, err := loadSum(b)
+	return g, err
+}
+
+// loadSum checks a whole checkpoint's CRC-32 trailer and decodes it.
+func loadSum(payload []byte) (*graph.Graph, string, error) {
 	if len(payload) < len(magic)+8 {
 		return nil, "", fmt.Errorf("%w: truncated", ErrBadCheckpoint)
 	}
@@ -468,21 +481,25 @@ func (r *reader) shape() graph.Shape {
 	return s
 }
 
-func (r *reader) tensor() *tensor.Tensor {
+// tensorInto reads one stored tensor straight into dst's storage and
+// returns the stored element count. The stored shape may differ from dst's;
+// when the count differs too, nothing is decoded and the caller reports the
+// mismatch. Corrupt encodings, shapes and sizes set r.err.
+func (r *reader) tensorInto(dst *tensor.Tensor) int {
 	enc := r.u32()
 	if enc != encF32 && enc != encF16 {
 		r.err = fmt.Errorf("unknown tensor encoding %d", enc)
-		return tensor.New(0)
+		return 0
 	}
 	shape := r.shape()
 	if r.err != nil {
-		return tensor.New(0)
+		return 0
 	}
 	size := 1
 	for _, d := range shape {
 		if d < 0 || d > 1<<24 {
 			r.err = fmt.Errorf("implausible tensor dim %d", d)
-			return tensor.New(0)
+			return 0
 		}
 		size *= d
 		if size > 1<<40 { // saturate before the product can overflow
@@ -495,20 +512,23 @@ func (r *reader) tensor() *tensor.Tensor {
 	}
 	if size > (len(r.buf)-r.off)/width {
 		r.err = errors.New("tensor larger than remaining checkpoint")
-		return tensor.New(0)
+		return 0
 	}
-	t := tensor.New([]int(shape)...)
-	d := t.Data()
+	d := dst.Data()
+	if size != len(d) {
+		return size
+	}
+	b := r.bytes(size * width)
 	if enc == encF16 {
 		for i := range d {
-			d[i] = f16tof32(binary.LittleEndian.Uint16(r.bytes(2)))
+			d[i] = f16tof32(binary.LittleEndian.Uint16(b[2*i:]))
 		}
-		return t
+		return size
 	}
 	for i := range d {
-		d[i] = math.Float32frombits(r.u32())
+		d[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
-	return t
+	return size
 }
 
 // readParams loads what writeParams wrote into an already-constructed
@@ -530,7 +550,7 @@ func (r *reader) readParams(l nn.Layer) error {
 	if attn != nil && r.ver < 4 {
 		var split []*nn.Param
 		for i := 0; i < 3; i++ {
-			part := nn.NewLinear(tensor.NewRNG(1), attn.D, attn.D)
+			part := nn.NewLinear(nil, attn.D, attn.D) // read from the stream below
 			qkv = append(qkv, part)
 			split = append(split, part.Params()...)
 		}
@@ -545,14 +565,11 @@ func (r *reader) readParams(l nn.Layer) error {
 		if name != p.Name {
 			return fmt.Errorf("param name %q, want %q", name, p.Name)
 		}
-		t := r.tensor()
-		if r.err != nil {
+		if n := r.tensorInto(p.Value); r.err != nil {
 			return r.err
+		} else if n != p.Value.Size() {
+			return fmt.Errorf("param %q size %d, want %d", name, n, p.Value.Size())
 		}
-		if t.Size() != p.Value.Size() {
-			return fmt.Errorf("param %q size %d, want %d", name, t.Size(), p.Value.Size())
-		}
-		p.Value.CopyFrom(t)
 	}
 	for i, part := range qkv {
 		attn.PackQKVBand(i, part.Weight.Value.Data(), part.Bias.Value.Data())

@@ -2,6 +2,8 @@ package parser_test
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -153,4 +155,81 @@ func TestRoundTripPreservesTrainedBatchNormStats(t *testing.T) {
 	// Train a little so BN running stats move off their init.
 	testutil.PretrainTeachers(g, ds, 2, 0.003, 13)
 	roundTrip(t, g, ds.Test.X) // bit-identical eval output implies stats survive
+}
+
+// TestSaveLoadSaveByteIdentical decodes every zoo architecture (and a
+// mutated graph carrying a Rescale adapter) from its checkpoint bytes and
+// saves it again: the two checkpoints must be byte-identical, so every
+// parameter and running statistic decodes to exactly the bits it was
+// saved with, none keeping a constructor value. The old-version fixtures
+// decode to a graph whose v4 save is stable the same way.
+func TestSaveLoadSaveByteIdentical(t *testing.T) {
+	save := func(t *testing.T, g *graph.Graph) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := parser.Save(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	resave := func(t *testing.T, raw []byte) []byte {
+		t.Helper()
+		g, err := parser.LoadBytes(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return save(t, g)
+	}
+	rng := tensor.NewRNG(31)
+	graphs := map[string]*graph.Graph{}
+	for _, arch := range []string{models.VGG11, models.VGG13, models.VGG16, models.ResNet18,
+		models.ResNet34, models.ViTBase, models.ViTLarge, models.BERTBase, models.BERTLarge} {
+		shape := graph.Shape{3, 32, 32}
+		switch arch {
+		case models.ViTBase, models.ViTLarge:
+			shape = graph.Shape{3, 16, 16}
+		case models.BERTBase, models.BERTLarge:
+			shape = graph.Shape{12}
+		}
+		for _, gran := range []models.Granularity{models.GranularityBlock, models.GranularityOp} {
+			if gran == models.GranularityOp && arch != models.VGG11 && arch != models.VGG13 && arch != models.VGG16 {
+				continue
+			}
+			g, err := models.SingleTask(rng, models.Config{Vocab: 40, Granularity: gran}, arch, shape, graph.DomainRaw, 3)
+			if err != nil {
+				t.Fatalf("%s: %v", arch, err)
+			}
+			graphs[fmt.Sprintf("%s/gran%d", arch, gran)] = g
+		}
+	}
+	ds := testutil.TinyFace(4, 8, 4)
+	base := testutil.TinyMultiDNN(5, ds)
+	mres, err := mutation.NewMutator(tensor.NewRNG(6)).Apply(base, []graph.Pair{{
+		Host:  mutation.FindNode(base, 0, 2),
+		Guest: mutation.FindNode(base, 1, 1),
+	}})
+	if err != nil || mres.RescalesInserted != 1 {
+		t.Fatalf("fixture broken: %v, %d rescales", err, mres.RescalesInserted)
+	}
+	graphs["mutated-with-rescale"] = mres.Graph
+	for name, g := range graphs {
+		t.Run(name, func(t *testing.T) {
+			raw := save(t, g)
+			if again := resave(t, raw); !bytes.Equal(again, raw) {
+				t.Fatalf("re-saved checkpoint differs: %d bytes vs %d", len(again), len(raw))
+			}
+		})
+	}
+	for _, fixture := range []string{"v2.gmck", "v3-bert.gmck", "v3-vit.gmck", "f16.gmck"} {
+		t.Run(fixture, func(t *testing.T) {
+			old, err := os.ReadFile(filepath.Join("testdata", fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw := resave(t, old)
+			if again := resave(t, raw); !bytes.Equal(again, raw) {
+				t.Fatalf("re-saved checkpoint differs: %d bytes vs %d", len(again), len(raw))
+			}
+		})
+	}
 }

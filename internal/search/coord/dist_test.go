@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	gmorph "repro"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/parser"
@@ -187,5 +188,40 @@ func TestPoolRejectsMismatchedWorld(t *testing.T) {
 	cfg := gmorph.Config{Targets: targets, Workers: []string{srv.URL}, SearchBatch: 2, Rounds: 2}
 	if _, err := gmorph.Fuse(other, otherDs, cfg); err == nil {
 		t.Fatal("coordinator accepted a worker with a different world")
+	}
+}
+
+// TestCoordinatorComputesNoTeacherOutputs: with Workers set, every
+// fine-tune runs on a worker, so the coordinator never computes the
+// teacher outputs. The worker computes them once, on its first job and not
+// when it is built; any more than that one computation in the process is
+// the coordinator's.
+func TestCoordinatorComputesNoTeacherOutputs(t *testing.T) {
+	ds := testutil.TinyFace(181, 32, 16)
+	teacher := testutil.TinyMultiDNN(182, ds)
+	cfg := gmorph.Config{
+		Rounds: 4, SearchBatch: 2, FineTuneEpochs: 1, LearningRate: 0.003,
+		BatchSize: 16, Seed: 3, Targets: map[int]float64{},
+	}
+	before := core.TeacherOutputRuns()
+	w, err := gmorph.NewSearchWorker(teacher, ds, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := core.TeacherOutputRuns() - before; n != 0 {
+		t.Fatalf("building the worker computed the teacher outputs %d times", n)
+	}
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+	cfg.Workers = []string{srv.URL}
+	res, err := gmorph.Fuse(teacher, ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.FineTuned == 0 || w.Evals() != res.Stats.FineTuned {
+		t.Fatalf("fixture is degenerate: %d fine-tunes, %d on the worker", res.Stats.FineTuned, w.Evals())
+	}
+	if n := core.TeacherOutputRuns() - before; n != 1 {
+		t.Fatalf("teacher outputs computed %d times, want 1 (the worker's first job)", n)
 	}
 }

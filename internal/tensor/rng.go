@@ -86,8 +86,13 @@ func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64() ^ 0xD1B54A32D192ED03)
 }
 
-// FillUniform fills t with uniform values in [lo, hi).
+// FillUniform fills t with uniform values in [lo, hi). A nil RNG fills
+// nothing: layers constructed from one keep zero parameters, for a caller
+// that overwrites every one of them (the checkpoint decoder).
 func (r *RNG) FillUniform(t *Tensor, lo, hi float32) {
+	if r == nil {
+		return
+	}
 	d := t.Data()
 	span := hi - lo
 	for i := range d {
@@ -95,8 +100,12 @@ func (r *RNG) FillUniform(t *Tensor, lo, hi float32) {
 	}
 }
 
-// FillNormal fills t with normal values of the given mean and stddev.
+// FillNormal fills t with normal values of the given mean and stddev. A nil
+// RNG fills nothing, as in FillUniform.
 func (r *RNG) FillNormal(t *Tensor, mean, std float32) {
+	if r == nil {
+		return
+	}
 	d := t.Data()
 	for i := range d {
 		d[i] = mean + std*float32(r.NormFloat64())
