@@ -17,10 +17,11 @@ import (
 )
 
 // TestCLISmoke drives the built binaries end to end on a tiny B1 world:
-// a search with every output flag, inspect over what it wrote, a re-run
-// that replays the memo, the config and flag errors that must stop a run
-// before it searches, and serve over the fused checkpoint: its client mode
-// against it, then a clean drain on SIGTERM.
+// modelzoo's teacher checkpoint read back by inspect, a search with every
+// output flag, inspect over what it wrote, a re-run that replays the memo,
+// the config and flag errors that must stop a run before it searches, and
+// serve over the fused checkpoint: its client mode against it, then a
+// clean drain on SIGTERM.
 func TestCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -31,8 +32,8 @@ func TestCLISmoke(t *testing.T) {
 	}
 	dir := t.TempDir()
 	gmorphBin, inspectBin := filepath.Join(dir, "gmorph"), filepath.Join(dir, "inspect")
-	serveBin := filepath.Join(dir, "serve")
-	for bin, pkg := range map[string]string{gmorphBin: ".", inspectBin: "../inspect", serveBin: "../serve"} {
+	serveBin, zooBin := filepath.Join(dir, "serve"), filepath.Join(dir, "modelzoo")
+	for bin, pkg := range map[string]string{gmorphBin: ".", inspectBin: "../inspect", serveBin: "../serve", zooBin: "../modelzoo"} {
 		if out, err := exec.Command(goBin, "build", "-o", bin, pkg).CombinedOutput(); err != nil {
 			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
 		}
@@ -52,6 +53,20 @@ func TestCLISmoke(t *testing.T) {
 		}
 		return path
 	}
+	teachers := filepath.Join(dir, "teachers.gmck")
+	if out, err := run(zooBin, "-bench", "B1", "-scale", "tiny", "-out", teachers); err != nil {
+		t.Fatalf("modelzoo: %v\n%s", err, out)
+	}
+	out, err := run(inspectBin, "-model", teachers)
+	if err != nil || !strings.Contains(out, "tasks (3):") {
+		t.Fatalf("inspect -model over the modelzoo checkpoint: %v\n%s", err, out)
+	}
+	for _, task := range []string{"0: age", "1: gender", "2: ethnicity"} {
+		if !strings.Contains(out, task) {
+			t.Fatalf("inspect -model does not name B1's task %q:\n%s", task, out)
+		}
+	}
+
 	config := writeConfig("fusion.json", "")
 	memo, stats := filepath.Join(dir, "memo.json"), filepath.Join(dir, "stats.json")
 	decisions, fused := filepath.Join(dir, "decisions.json"), filepath.Join(dir, "fused.gmck")

@@ -190,11 +190,6 @@ type Config struct {
 	// RandomPolicy replaces simulated annealing with the random-sampling
 	// baseline.
 	RandomPolicy bool
-	// DisableSearchCache turns off fingerprint-keyed memoization of
-	// candidate outcomes and latency measurements, re-evaluating every
-	// sampled duplicate (the pre-memoization behavior; mainly for A/B
-	// comparisons).
-	DisableSearchCache bool
 	// Seed drives all randomness (default 1).
 	Seed uint64
 	// TimeBudget optionally bounds the search wall-clock.
@@ -289,7 +284,6 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 		Seed:            cfg.Seed,
 		TimeBudget:      cfg.TimeBudget,
 		OnRound:         cfg.OnRound,
-		DisableMemo:     cfg.DisableSearchCache,
 		Memo:            memo,
 	}
 	if cfg.OptimizeFLOPs {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -50,9 +51,6 @@ func TestBuildAllBenchmarks(t *testing.T) {
 					t.Errorf("task %d (%s) teacher metric %.3f below sanity floor %.3f",
 						id, w.Dataset.Tasks[id].Name, acc, chance)
 				}
-			}
-			if len(w.Outputs) != len(spec.Tasks) {
-				t.Fatalf("teacher outputs for %d tasks", len(w.Outputs))
 			}
 		})
 	}
@@ -134,6 +132,101 @@ func TestRunFigure1Smoke(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFig1CSV(&buf, points); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunnerSmoke runs the figure and table runners that no other test
+// drives at a micro scale: each must finish, fill its rows, and render
+// through its report writer.
+func TestRunnerSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	micro := Tiny()
+	micro.Rounds, micro.Epochs, micro.PretrainEpochs = 4, 4, 4
+	micro.Train, micro.Test = 48, 24
+	for _, c := range []struct {
+		name string
+		run  func(sc Scale) (string, error)
+	}{
+		{"fig2", func(sc Scale) (string, error) {
+			points, err := RunFigure2(sc, 0.05)
+			if err != nil {
+				return "", err
+			}
+			if len(points) == 0 {
+				return "", fmt.Errorf("no accepted candidates")
+			}
+			for _, p := range points {
+				if p.Speedup <= 0 || p.FineTuneSeconds <= 0 {
+					return "", fmt.Errorf("bad point %+v", p)
+				}
+			}
+			var buf bytes.Buffer
+			err = WriteFig2CSV(&buf, points)
+			return buf.String(), err
+		}},
+		{"fig3", func(sc Scale) (string, error) {
+			sc.Epochs = 3
+			res, err := RunFigure3(sc, 3)
+			if err != nil {
+				return "", err
+			}
+			if len(res.Drops[0]) != 3 || len(res.Drops[1]) != 3 {
+				return "", fmt.Errorf("drops %v, want 3 inits per architecture", res.Drops)
+			}
+			var buf bytes.Buffer
+			err = WriteFig3CSV(&buf, res)
+			return buf.String(), err
+		}},
+		{"fig8", func(sc Scale) (string, error) {
+			sc.Rounds = 3
+			curves, err := RunFigure8(sc, 0.05)
+			if err != nil {
+				return "", err
+			}
+			if len(curves) != 4 {
+				return "", fmt.Errorf("curves = %d, want 4 variants", len(curves))
+			}
+			for _, c := range curves {
+				if len(c.LatencyMS) == 0 || c.LatencyMS[len(c.LatencyMS)-1] <= 0 {
+					return "", fmt.Errorf("%s: no trajectory %+v", c.Variant, c)
+				}
+			}
+			var buf bytes.Buffer
+			err = WriteFig8CSV(&buf, curves)
+			return buf.String(), err
+		}},
+		{"table3", func(sc Scale) (string, error) {
+			rows, err := RunTable3([]string{"B1"}, 0.05, sc)
+			if err != nil {
+				return "", err
+			}
+			if len(rows) != 1 || rows[0].RefSpeedup <= 0 || rows[0].FusedSpeedup <= 0 {
+				return "", fmt.Errorf("rows = %+v", rows)
+			}
+			return FormatTable3(rows), nil
+		}},
+		{"table4", func(sc Scale) (string, error) {
+			rows, err := RunTable4([]string{"B1"}, 0.05, sc)
+			if err != nil {
+				return "", err
+			}
+			if len(rows) != 1 || !rows[0].Applicable || rows[0].AllSharedSpeedup <= 0 || rows[0].GMorphSpeedup <= 0 {
+				return "", fmt.Errorf("rows = %+v", rows)
+			}
+			return FormatTable4(rows), nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			out, err := c.run(micro)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out == "" {
+				t.Fatal("the report is empty")
+			}
+		})
 	}
 }
 

@@ -100,6 +100,7 @@ func RunFigure1(spec Spec, sc Scale, samples int) ([]Fig1Point, error) {
 	if err != nil {
 		return nil, err
 	}
+	outs := distill.ComputeTeacherOutputs(w.Teacher, w.Dataset.Train.X, 64)
 	origLat := engine.Latency(w.Teacher)
 	rng := tensor.NewRNG(sc.Seed ^ 0xF16)
 	mut := mutation.NewMutator(rng.Split())
@@ -131,7 +132,7 @@ func RunFigure1(spec Spec, sc Scale, samples int) ([]Fig1Point, error) {
 			}
 			cfg := w.FineTuneConfig()
 			cfg.Seed = rng.Uint64()
-			rep := distill.FineTune(res.Graph, w.Dataset.Train.X, w.Outputs, eval, cfg, nil)
+			rep := distill.FineTune(res.Graph, w.Dataset.Train.X, outs, eval, cfg, nil)
 			lat := engine.Latency(res.Graph)
 			drop := maxDrop(w.TeacherAcc, rep.Final)
 			points = append(points, Fig1Point{
@@ -212,6 +213,7 @@ func RunFigure3(sc Scale, inits int) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	outs := distill.ComputeTeacherOutputs(w.Teacher, w.Dataset.Train.X, 64)
 	eval := &distill.Evaluator{Dataset: w.Dataset, Targets: w.Targets(-10)}
 	res := &Fig3Result{}
 	// Architecture 1: share at a shallow block; architecture 2: deeper.
@@ -250,7 +252,7 @@ func RunFigure3(sc Scale, inits int) (*Fig3Result, error) {
 			}
 			cfg := w.FineTuneConfig()
 			cfg.Seed = rng.Uint64()
-			rep := distill.FineTune(mres.Graph, w.Dataset.Train.X, w.Outputs, eval, cfg, nil)
+			rep := distill.FineTune(mres.Graph, w.Dataset.Train.X, outs, eval, cfg, nil)
 			res.Drops[ai] = append(res.Drops[ai], maxDrop(w.TeacherAcc, rep.Final))
 		}
 	}
@@ -457,6 +459,7 @@ func RunTable4(benchIDs []string, drop float64, sc Scale) ([]Table4Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		outs := distill.ComputeTeacherOutputs(w.Teacher, w.Dataset.Train.X, 64)
 		origLat := engine.Latency(w.Teacher)
 		row := Table4Row{Bench: id}
 
@@ -468,7 +471,7 @@ func RunTable4(benchIDs []string, drop float64, sc Scale) ([]Table4Row, error) {
 			// Baselines train to convergence (no early stop on target):
 			// impossible targets keep the loop running to cfg.Epochs.
 			impossible := &distill.Evaluator{Dataset: w.Dataset, Targets: w.Targets(-10)}
-			rep := distill.FineTune(g, w.Dataset.Train.X, w.Outputs, impossible, cfg, nil)
+			rep := distill.FineTune(g, w.Dataset.Train.X, outs, impossible, cfg, nil)
 			lat := engine.Latency(g)
 			return maxDrop(w.TeacherAcc, rep.Final), float64(origLat) / float64(lat)
 		}

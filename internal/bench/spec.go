@@ -129,8 +129,7 @@ func SpecByID(id string) (Spec, error) {
 }
 
 // Workload is a fully materialized benchmark: dataset, pre-trained teacher
-// multi-DNN graph, teacher accuracies, and precomputed teacher outputs for
-// distillation.
+// multi-DNN graph and teacher accuracies.
 type Workload struct {
 	Spec    Spec
 	Scale   Scale
@@ -139,8 +138,6 @@ type Workload struct {
 	Teacher *graph.Graph
 	// TeacherAcc is each task's test metric after pre-training.
 	TeacherAcc map[int]float64
-	// Outputs are the distillation targets over the train split.
-	Outputs distill.TeacherOutputs
 	// Vocab used for text benchmarks.
 	Vocab int
 }
@@ -181,8 +178,10 @@ func (s Spec) inputShape(sc Scale) graph.Shape {
 }
 
 // Build materializes the benchmark: generates the dataset, constructs one
-// teacher branch per task, pre-trains the teachers on the task labels, and
-// precomputes teacher outputs for distillation.
+// teacher branch per task and pre-trains the teachers on the task labels.
+// Runners that distill outside a search compute the teacher outputs
+// themselves; the search's evaluator computes its own when it first
+// fine-tunes.
 func Build(spec Spec, sc Scale) (*Workload, error) {
 	ds := spec.dataset(sc)
 	rng := tensor.NewRNG(sc.Seed ^ 0xBEEF)
@@ -203,10 +202,9 @@ func Build(spec Spec, sc Scale) (*Workload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench %s: pre-training teachers: %w", spec.ID, err)
 	}
-	outs := distill.ComputeTeacherOutputs(g, ds.Train.X, 64)
 	return &Workload{
 		Spec: spec, Scale: sc, Dataset: ds, Teacher: g,
-		TeacherAcc: acc, Outputs: outs, Vocab: 40,
+		TeacherAcc: acc, Vocab: 40,
 	}, nil
 }
 

@@ -85,3 +85,38 @@ func TestSearchCacheReplaysTrainedWeights(t *testing.T) {
 		t.Fatal("search produced no elites to verify")
 	}
 }
+
+// BenchmarkFuseSearchMemo times a duplicate-dominated search with and
+// without the fingerprint memo (BENCH_PR4.json records the first
+// comparison). MaxPairsPerPass=1 with the random policy keeps the candidate
+// space to single-pair mutations of the original graph, so a 24-round
+// search revisits structures heavily — the regime the memo targets. Each
+// iteration starts from a fresh in-process memo; the hit rate is reported
+// as a custom metric.
+func BenchmarkFuseSearchMemo(b *testing.B) {
+	w := newWorld(141, 64, 32, 6, 0.10, core.AccuracyOptions{
+		FineTune: distill.Config{LR: 0.003, Epochs: 8, Batch: 16, EvalEvery: 2, Seed: 17},
+		Slack:    0.02,
+	})
+	for _, mode := range []struct {
+		name    string
+		disable bool
+	}{{"memo", false}, {"nomemo", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := w.search(core.Config{
+					Rounds:          24,
+					MaxPairsPerPass: 1,
+					Policy:          core.RandomPolicy{},
+					Seed:            17,
+					DisableMemo:     mode.disable,
+				})
+				if total := res.Stats.CacheHits + res.Stats.CacheMisses; total > 0 {
+					b.ReportMetric(float64(res.Stats.CacheHits)/float64(total), "cache-hit-rate")
+				}
+				b.ReportMetric(float64(res.Stats.TotalEpochs), "fine-tune-epochs")
+			}
+		})
+	}
+}

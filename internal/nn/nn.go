@@ -97,19 +97,6 @@ func StateTensors(l Layer) []*tensor.Tensor {
 	return nil
 }
 
-// shapeEq reports whether two per-sample shapes are identical.
-func shapeEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // prod multiplies the entries of a shape.
 func prod(s []int) int64 {
 	n := int64(1)

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -181,7 +182,7 @@ func TestOutShapeMatchesForward(t *testing.T) {
 		out := c.layer.Forward(x, true)
 		want := c.layer.OutShape(c.in)
 		got := out.Shape()[1:]
-		if !shapeEq(want, got) {
+		if !slices.Equal(want, got) {
 			t.Errorf("%s: OutShape %v but forward produced %v", c.layer.Name(), want, got)
 		}
 	}

@@ -4,9 +4,13 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/data"
+	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/plan"
 	"repro/internal/quant"
+	"repro/internal/tensor"
 	"repro/internal/testutil"
 )
 
@@ -144,5 +148,63 @@ func TestCloneCarriesAnnotations(t *testing.T) {
 	}
 	if got != rep.QuantizedOps {
 		t.Fatalf("clone lowered %d int8 ops, want %d", got, rep.QuantizedOps)
+	}
+}
+
+// BenchmarkQuantVsF32 runs one paper-width teacher through the plan
+// executor at int8 and at f32: the same weights and plan structure, only
+// the conv/linear kernels differ. B4 is conv-heavy (ResNet), B6 and B7 are
+// the transformers, whose packed QKV, attention-output and FFN linears fall
+// under the budget. B2's int8 convs are timed by cmd/bench's infer.cnn.int8
+// workload. The int8 GEMM's win is memory traffic, so it needs real channel
+// counts; pre-training is setup, not measurement, so one epoch suffices.
+// The int8 op count and the measured accuracy drop are custom metrics.
+func BenchmarkQuantVsF32(b *testing.B) {
+	sc := bench.Tiny()
+	sc.WidthScale, sc.WidthMul = 1, 8
+	sc.Train, sc.Test = 32, 32
+	sc.PretrainEpochs = 1
+	for _, id := range []string{"B4", "B6", "B7"} {
+		spec, err := bench.SpecByID(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w, err := bench.Build(spec, sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		int8g := w.Teacher
+		rep, err := quant.Apply(int8g, w.Dataset, quant.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		f32g := int8g.Clone()
+		quant.Strip(f32g)
+
+		var x *tensor.Tensor
+		if spec.Family == "text" {
+			x = tensor.New(4, sc.SeqLen)
+			for i := range x.Data() {
+				x.Data()[i] = float32((i*7 + 3) % w.Vocab)
+			}
+		} else {
+			x = tensor.New(4, 3, sc.ImgSize, sc.ImgSize)
+			tensor.NewRNG(7).FillNormal(x, 0, 1)
+		}
+		for _, leg := range []struct {
+			name string
+			g    *graph.Graph
+		}{{"f32", f32g}, {"int8", int8g}} {
+			b.Run(id+"/"+leg.name, func(b *testing.B) {
+				eng := engine.Compile(leg.g)
+				eng.Forward(x) // bind buffers outside the measurement
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					eng.Forward(x)
+				}
+				b.ReportMetric(float64(rep.QuantizedOps), "int8-ops")
+				b.ReportMetric(rep.Drop, "accuracy-drop")
+			})
+		}
 	}
 }

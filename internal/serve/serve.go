@@ -93,20 +93,6 @@ type Report struct {
 // wall-clock latency.
 type Target func(ctx context.Context, x *tensor.Tensor) error
 
-// EngineTarget adapts an engine to a Target.
-func EngineTarget(e engine.Engine) Target {
-	return func(_ context.Context, x *tensor.Tensor) error {
-		e.Forward(x)
-		return nil
-	}
-}
-
-// Run drives the engine for the configured window and reports throughput.
-// Canceling ctx ends the window early.
-func Run(ctx context.Context, e engine.Engine, inputShape graph.Shape, opts Options) Report {
-	return RunTarget(ctx, EngineTarget(e), inputShape, opts)
-}
-
 // RunTarget drives an arbitrary target (engine, pool, or batcher) under
 // the configured load and reports throughput. Canceling ctx ends the
 // window early.
@@ -238,16 +224,9 @@ func summarize(latencies []time.Duration, elapsed time.Duration, dropped, errs i
 	rep.QPS = float64(rep.Requests) / elapsed.Seconds()
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	rep.P50 = latencies[len(latencies)/2]
-	rep.P95 = latencies[minInt(len(latencies)-1, len(latencies)*95/100)]
-	rep.P99 = latencies[minInt(len(latencies)-1, len(latencies)*99/100)]
+	rep.P95 = latencies[min(len(latencies)-1, len(latencies)*95/100)]
+	rep.P99 = latencies[min(len(latencies)-1, len(latencies)*99/100)]
 	return rep
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Compare serves the original and fused models back to back under the

@@ -14,10 +14,18 @@ import (
 	"repro/internal/testutil"
 )
 
+// engineTarget serves each request with one forward of e.
+func engineTarget(e engine.Engine) serve.Target {
+	return func(_ context.Context, x *tensor.Tensor) error {
+		e.Forward(x)
+		return nil
+	}
+}
+
 func TestRunProducesThroughput(t *testing.T) {
 	ds := testutil.TinyFace(1, 8, 4)
 	g := testutil.TinyMultiDNN(2, ds)
-	rep := serve.Run(context.Background(), engine.NewReference(g), g.Root.InputShape, serve.Options{
+	rep := serve.RunTarget(context.Background(), engineTarget(engine.NewReference(g)), g.Root.InputShape, serve.Options{
 		Clients: 1, Batch: 1, Duration: 150 * time.Millisecond, Warmup: 1,
 	})
 	if rep.Requests == 0 || rep.QPS <= 0 {
@@ -38,7 +46,7 @@ func TestRunHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	serve.Run(ctx, engine.NewReference(g), g.Root.InputShape, serve.Options{
+	serve.RunTarget(ctx, engineTarget(engine.NewReference(g)), g.Root.InputShape, serve.Options{
 		Clients: 1, Duration: 10 * time.Second, Warmup: 1,
 	})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
