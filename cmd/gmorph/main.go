@@ -147,7 +147,7 @@ func main() {
 	workerSlots := flag.Int("worker-slots", 1, "evaluation concurrency in -worker mode")
 	workersCSV := flag.String("workers", "", "comma-separated worker addresses for a distributed search")
 	batch := flag.Int("batch", 0, "candidates sampled per search round (0 = 1, the paper's Algorithm 1, or 4 when -workers is set)")
-	memoPath := flag.String("memo", "", "persist the search memo (outcomes, weights, latencies) to this file, a JSON index followed by the trained checkpoints; re-run with more rounds to resume")
+	memoPath := flag.String("memo", "", "persist the search memo (teacher scores, outcomes, weights, latencies) to this file, a JSON index followed by the trained checkpoints; re-run with more rounds to resume. Outcomes replay only under the same teachers, dataset, kernels, targets, fine-tune settings and seed")
 	statsPath := flag.String("stats", "", "write the search stats (core.SearchStats) as JSON to this file, - for stdout")
 	decisionsPath := flag.String("decisions", "", "write the per-decision fusion report (for cmd/inspect -fusion) to this file")
 	verbose := flag.Bool("v", false, "log every search round")

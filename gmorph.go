@@ -211,15 +211,19 @@ type Config struct {
 	// when Workers is set. The search trajectory depends on Seed and
 	// SearchBatch, never on the number of workers.
 	SearchBatch int
-	// MemoPath persists the search memo (candidate outcomes, trained
-	// weights, machine-keyed latency measurements) to a file, a JSON index
-	// followed by the trained checkpoints (core.DiskMemo): a
-	// re-run of the same search replays it with zero duplicate
-	// measurements. It is also how a search resumes: re-run with the same
-	// Seed, SearchBatch and MemoPath and a larger Rounds, and the first
-	// rounds replay without fine-tuning, so the search continues where an
-	// uninterrupted run would be. A memo file that fails to load is an
-	// error returned before the search, and the file is left as it was.
+	// MemoPath persists the search memo (the teachers' Test score,
+	// candidate outcomes, trained weights, machine-keyed latency
+	// measurements) to a file, a JSON index followed by the trained
+	// checkpoints (core.DiskMemo): a re-run of the same search replays it
+	// with zero duplicate measurements, the teachers' score included. It
+	// is also how a search resumes: re-run with the same Seed, SearchBatch
+	// and MemoPath and a larger Rounds, and the first rounds replay without
+	// fine-tuning, so the search continues where an uninterrupted run
+	// would be. Outcomes replay only under the evaluation context they were
+	// measured in — the same teachers, dataset, kernel tier, targets,
+	// fine-tune settings and Seed — so a memo from another search behaves
+	// like an empty one. A memo file that fails to load is an error
+	// returned before the search, and the file is left as it was.
 	MemoPath string
 }
 
@@ -264,18 +268,22 @@ var ErrNoTasks = errors.New("gmorph: model has no task branches")
 // test metric against the dataset).
 func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 	cfg = cfg.searchDefaults()
-	// The search memo. With MemoPath, candidate outcomes and latency
-	// measurements survive across runs, so repeating a search replays
-	// instead of re-measuring.
+	// The search memo. With MemoPath, the teachers' score, candidate
+	// outcomes and latency measurements survive across runs, so repeating
+	// a search replays instead of re-measuring.
 	memo, err := core.NewDiskMemo(cfg.MemoPath)
 	if err != nil {
 		return nil, fmt.Errorf("gmorph: loading search memo: %w", err)
 	}
-	setup, err := newSearchSetup(teachers, ds, cfg)
+	setup, err := newSearchSetup(teachers, ds, cfg, memo)
 	if err != nil {
 		return nil, err
 	}
 	targets := setup.targets
+	// Outcomes replay only under the context they were evaluated in.
+	if err := memo.Bind(core.EvalContext(setup.world, targets, setup.accOpts, cfg.Seed)); err != nil {
+		return nil, fmt.Errorf("gmorph: loading search memo: %w", err)
+	}
 
 	coreCfg := core.Config{
 		Rounds:          cfg.Rounds,
@@ -294,17 +302,13 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 	}
 
 	if len(cfg.Workers) > 0 {
-		sum, err := parser.Sum(teachers)
-		if err != nil {
-			return nil, fmt.Errorf("gmorph: checksumming world: %w", err)
-		}
-		pool, err := coord.NewPool(cfg.Workers, sum)
+		pool, err := coord.NewPool(cfg.Workers, setup.sum)
 		if err != nil {
 			return nil, err
 		}
 		coreCfg.Evaluator = pool
 	}
-	res := core.NewOptimizer(teachers, ds, setup.targets, ds.Train.X,
+	res := core.NewOptimizer(teachers, ds, targets, ds.Train.X,
 		setup.accOpts, coreCfg).Run()
 
 	if err := memo.Save(); err != nil {
@@ -366,33 +370,44 @@ func (cfg Config) searchDefaults() Config {
 type searchSetup struct {
 	targets map[int]float64
 	accOpts core.AccuracyOptions
+	// sum is the teachers' checksum (parser.Sum), the world a coordinator
+	// and its workers must agree on, and world the memo's world key
+	// (core.WorldKey) built on it.
+	sum, world string
 }
 
 // newSearchSetup validates the world and derives targets and estimator
 // options. Everything here is deterministic in (teachers, ds, cfg), so a
 // coordinator and its workers — each calling this on their own copy of the
-// same world — agree on every evaluation input.
-func newSearchSetup(teachers *Model, ds *Dataset, cfg Config) (*searchSetup, error) {
+// same world — agree on every evaluation input. Targets not given in cfg
+// sit cfg.AccuracyDrop below the teachers' Test score, which replays from
+// the memo's entry for the world key when it has one (core.ScoreTeachers;
+// a nil memo always measures).
+func newSearchSetup(teachers *Model, ds *Dataset, cfg Config, memo *core.DiskMemo) (*searchSetup, error) {
 	if len(teachers.Heads) == 0 {
 		return nil, ErrNoTasks
 	}
 	if err := teachers.Validate(); err != nil {
 		return nil, err
 	}
+	sum, err := parser.Sum(teachers)
+	if err != nil {
+		return nil, fmt.Errorf("gmorph: checksumming world: %w", err)
+	}
+	world := core.WorldKey(sum, ds)
 	targets := cfg.Targets
 	if targets == nil {
-		eval := &distill.Evaluator{Dataset: ds}
-		measured, err := eval.Measure(teachers)
+		scores, err := core.ScoreTeachers(memo, world, teachers, ds)
 		if err != nil {
 			return nil, fmt.Errorf("gmorph: measuring teachers: %w", err)
 		}
-		targets = make(map[int]float64, len(measured))
-		for id, a := range measured {
+		targets = make(map[int]float64, len(scores))
+		for id, a := range scores {
 			targets[id] = a - cfg.AccuracyDrop
 		}
 	}
 	return &searchSetup{
-		targets: targets,
+		targets: targets, sum: sum, world: world,
 		accOpts: core.AccuracyOptions{
 			FineTune: distill.Config{
 				LR: cfg.LearningRate, Epochs: cfg.FineTuneEpochs,
@@ -417,16 +432,12 @@ func newSearchSetup(teachers *Model, ds *Dataset, cfg Config) (*searchSetup, err
 //	http.ListenAndServe(":7070", w.Handler())
 func NewSearchWorker(teachers *Model, ds *Dataset, cfg Config, slots int) (*SearchWorker, error) {
 	cfg = cfg.searchDefaults()
-	setup, err := newSearchSetup(teachers, ds, cfg)
+	setup, err := newSearchSetup(teachers, ds, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	sum, err := parser.Sum(teachers)
-	if err != nil {
-		return nil, fmt.Errorf("gmorph: checksumming world: %w", err)
-	}
 	eval := core.NewLocalEvaluator(ds, setup.targets, teachers, ds.Train.X, setup.accOpts, slots)
-	return worker.NewServer(eval, sum, len(teachers.Heads)), nil
+	return worker.NewServer(eval, setup.sum, len(teachers.Heads)), nil
 }
 
 // RenderFusionReport writes a human-readable per-candidate fusion report

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/distill"
+	"repro/internal/fingerprint"
 )
 
 // ruleFilter6 is the determinism and persistence tests' estimator setup: a
@@ -28,6 +29,10 @@ var ruleFilter6 = core.AccuracyOptions{
 // evaluations are still in flight, so a slot-sharing bug (two goroutines on
 // one estimator) shows up in this test and in neither the Workers=1 nor the
 // Workers=4==BatchSize runs.
+//
+// The search ranks by FLOPs, so Best is search-determined too and its
+// identity is part of the contract: under the latency objective, whether
+// any elite beats the original's measured latency is timing noise.
 func TestOptimizerDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) *core.Result {
 		return newWorld(141, 64, 32, 6, 0.15, ruleFilter6).search(core.Config{
@@ -39,6 +44,7 @@ func TestOptimizerDeterministicAcrossWorkers(t *testing.T) {
 			Seed:            7,
 			Workers:         workers,
 			BatchSize:       4,
+			Metric:          core.OptimizeFLOPs,
 		})
 	}
 
@@ -46,8 +52,11 @@ func TestOptimizerDeterministicAcrossWorkers(t *testing.T) {
 	if serial.Stats.CacheHits == 0 {
 		t.Fatal("fixture produced no cache hits; the test no longer covers memoization")
 	}
+	if serial.Best == nil {
+		t.Fatal("fixture found no Best; the test no longer covers its identity")
+	}
 	for _, workers := range []int{2, 4} {
-		compareResults(t, fmt.Sprintf("Workers=1 vs %d", workers), serial, run(workers), false)
+		compareResults(t, fmt.Sprintf("Workers=1 vs %d", workers), serial, run(workers), false, core.OptimizeFLOPs)
 	}
 }
 
@@ -57,14 +66,16 @@ func TestOptimizerDeterministicAcrossWorkers(t *testing.T) {
 // measured latency), BestLatency, Elapsed, FineTuneTime and the latency
 // inside Measured. Accuracies and margins must match
 // exactly: fine-tuning is bit-deterministic in (seed, fingerprint), and a
-// replay copies the first evaluation's numbers.
+// replay copies the first evaluation's numbers. When both searches ranked
+// by FLOPs (metric), Best is search-determined, and its identity —
+// fingerprint, FLOPs and iteration — must match as well.
 //
 // Runs that differ only in evaluation concurrency also agree on Stats. For
 // a cache on/off pair (cacheToggled), where a duplicate replays instead of
 // fine-tuning, a replayed record may differ only in CacheHit, in the
 // memo-replay Rule standing for the verdict's own rule, and in its replay
 // Detail; each such test checks its own Stats relation.
-func compareResults(t *testing.T, label string, want, got *core.Result, cacheToggled bool) {
+func compareResults(t *testing.T, label string, want, got *core.Result, cacheToggled bool, metric core.Metric) {
 	t.Helper()
 	if want.Evaluated != got.Evaluated {
 		t.Fatalf("%s: Evaluated differs: %d vs %d", label, want.Evaluated, got.Evaluated)
@@ -95,10 +106,18 @@ func compareResults(t *testing.T, label string, want, got *core.Result, cacheTog
 				label, i, w.Iteration, g.Iteration, w.FLOPs, g.FLOPs, w.Accuracy, g.Accuracy)
 		}
 	}
-	// Best is ranked by measured wall-clock latency, so its identity is
-	// legitimately noisy; only its presence is search-determined.
+	// Under the latency objective Best is ranked by measured wall-clock
+	// latency, so its identity is legitimately noisy; only its presence is
+	// compared.
 	if (want.Best == nil) != (got.Best == nil) {
 		t.Fatalf("%s: Best presence differs: %v vs %v", label, want.Best != nil, got.Best != nil)
+	}
+	if metric == core.OptimizeFLOPs && want.Best != nil {
+		w, g := want.Best, got.Best
+		if fingerprint.Hash(w.Graph) != fingerprint.Hash(g.Graph) || w.FLOPs != g.FLOPs || w.Iteration != g.Iteration {
+			t.Fatalf("%s: Best differs: %s flops %d iter %d vs %s flops %d iter %d", label,
+				fingerprint.String(w.Graph), w.FLOPs, w.Iteration, fingerprint.String(g.Graph), g.FLOPs, g.Iteration)
+		}
 	}
 }
 

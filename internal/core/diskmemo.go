@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"sort"
 	"strconv"
@@ -23,27 +25,27 @@ import (
 // measurement (engine.Latency: the compiled plan at batch 1). A latency
 // measured on one machine, by other kernels or another way must never
 // replay, so only the current section is ever consulted. Candidate outcomes
-// (verdict, accuracy, trained weights) are keyed by fingerprint alone, as
-// if they were machine-independent; fine-tuning is deterministic in the
-// seed, but only within one kernel tier and generation (the avx2 and
-// pure-Go tiers train to different bits), so a memo carried across tiers
-// replays outcomes a fresh run would not reproduce. Keying outcomes by
-// their evaluation context is ROADMAP item 7.
+// are sectioned the same way, by their evaluation context (EvalContext,
+// which covers the kernel signature through the world key), and the
+// teachers' scores are keyed by the world key.
 func latencyMachineKey() string {
 	return fingerprint.Machine() + " " + tensor.KernelSignature() + " lat=plan/b1"
 }
 
-// memoVersion is the file format Save writes. Version 2 is the JSON index
-// followed by the raw checkpoints; version 1, the JSON alone with each
-// checkpoint inline in base64, still loads.
-const memoVersion = 2
+// memoVersion is the file format Save writes. Version 3 sections the
+// outcomes by evaluation context and stores the teachers' scores by world
+// key; version 2 is the JSON index followed by the raw checkpoints, with
+// one outcome table and no context; version 1, the JSON alone with each
+// checkpoint inline in base64. Versions 1 and 2 still load: their outcomes
+// are the empty context's section, which Fuse never binds.
+const memoVersion = 3
 
 // diskMemoEntry is the JSON shape of one persisted candidate outcome. A
 // trained graph is a parser.Save checkpoint (the lossless f32 format), so
-// replayed weights are bit-identical to the original evaluation. Version 2
-// records only the checkpoint's length here, in TrainedBytes, and stores
-// the bytes after the index (see parseDiskMemo); version 1 held them in
-// Trained, base64-encoded.
+// replayed weights are bit-identical to the original evaluation. Since
+// version 2 the index records only the checkpoint's length, in
+// TrainedBytes, and the bytes follow the index (see parseDiskMemo); version
+// 1 held them in Trained, base64-encoded.
 type diskMemoEntry struct {
 	Met          bool            `json:"met"`
 	Terminated   bool            `json:"terminated,omitempty"`
@@ -58,80 +60,87 @@ type diskMemoEntry struct {
 	Trained      string          `json:"trained,omitempty"`
 }
 
-// diskMemoFile is the on-disk shape: outcomes keyed by hex fingerprint,
-// latencies sectioned by machine signature, and the trained entries'
-// checkpoints by the same keys.
+// diskMemoFile is the on-disk shape: the teachers' scores by world key,
+// outcomes by evaluation context and then hex fingerprint, latencies by
+// machine signature and then fingerprint, and the trained entries'
+// checkpoints by context and fingerprint.
 type diskMemoFile struct {
-	Version   int                         `json:"version"`
-	Entries   map[string]diskMemoEntry    `json:"entries"`
+	Version       int                                 `json:"version"`
+	TeacherScores map[string]map[int]float64          `json:"teacher_scores,omitempty"`
+	Outcomes      map[string]map[string]diskMemoEntry `json:"outcomes,omitempty"`
+	// Entries is the outcome table of versions 1 and 2; parseDiskMemo
+	// moves it to the empty context's section.
+	Entries   map[string]diskMemoEntry    `json:"entries,omitempty"`
 	Latencies map[string]map[string]int64 `json:"latencies,omitempty"`
 
-	checkpoints map[string][]byte
+	checkpoints map[string]map[string][]byte
 }
 
-// DiskMemo is the search memo: fingerprint-keyed candidate outcomes and
-// machine-keyed latencies, optionally backed by a single file shared by
-// every process searching the same model group. The optimizer calls it
-// from its serial sample/merge phases only, which keeps the search
-// deterministic in the seed for any evaluation concurrency; the lock is
-// there because Save may race a concurrent process touching the same file.
+// DiskMemo is the search memo, optionally backed by a single file shared by
+// every process searching the same model group. It holds three tables,
+// each under the key of what its values are a function of: the teachers'
+// Test scores by world key (WorldKey), candidate outcomes by evaluation
+// context (EvalContext, see Bind) and fingerprint, and latencies by
+// machine and fingerprint. Only the current context's and machine's
+// sections are ever consulted, so a memo from another world, context or
+// machine replays nothing. The optimizer calls it from its serial
+// sample/merge phases only, which keeps the search deterministic in the
+// seed for any evaluation concurrency; the lock is there because Save may
+// race a concurrent process touching the same file.
 //
 // With a path, Save is merge-preserving through an atomic rename — the
-// file is re-read under the lock, on-disk entries win over in-memory duplicates (both are valid:
-// outcomes are a pure function of the fingerprint), other machines' latency
-// sections are preserved untouched — so concurrent coordinators lose
-// nothing and a re-run of the same search replays every outcome without a
-// single duplicate measurement.
+// file is re-read under the lock, on-disk entries win over in-memory
+// duplicates (both are valid: within one section, values are a pure
+// function of their key), other contexts' and machines' sections are
+// preserved untouched — so concurrent coordinators lose nothing and a
+// re-run of the same search replays every outcome without a single
+// duplicate measurement.
 type DiskMemo struct {
 	mu      sync.Mutex
 	path    string
 	machine string
+	// ctx is the evaluation context the outcome entries belong to; loaded
+	// is the file as NewDiskMemo read it (nil without one), from which Bind
+	// decodes a context's section.
+	ctx    string
+	loaded *diskMemoFile
 
 	entries map[uint64]*MemoEntry
 	// encoded caches each entry's checkpoint bytes (from load, or from the
 	// first Save that serialized it) so Save never re-encodes a graph.
 	encoded map[uint64][]byte
 	lat     map[uint64]time.Duration
+	scores  map[string]map[int]float64
 	dirty   bool
 }
 
-// NewDiskMemo opens (or initializes) the memo file at path. A missing file
-// is an empty memo; a corrupt one is an error, so a truncated write cannot
-// silently discard a search corpus. The empty path is an in-process memo:
-// it never reads or writes a file, and Save is a no-op.
+// NewDiskMemo opens (or initializes) the memo file at path, bound to the
+// empty evaluation context (see Bind). A missing file is an empty memo; a
+// corrupt one is an error, so a truncated write cannot silently discard a
+// search corpus. The empty path is an in-process memo: it never reads or
+// writes a file, and Save is a no-op.
 func NewDiskMemo(path string) (*DiskMemo, error) {
 	m := &DiskMemo{
 		path:    path,
 		machine: latencyMachineKey(),
-		entries: make(map[uint64]*MemoEntry),
-		encoded: make(map[uint64][]byte),
 		lat:     make(map[uint64]time.Duration),
+		scores:  make(map[string]map[int]float64),
 	}
-	if path == "" {
-		return m, nil
+	if path != "" {
+		f, err := readDiskMemo(path)
+		if err != nil {
+			return nil, err
+		}
+		m.loaded = f
 	}
-	f, err := readDiskMemo(path)
-	if err != nil {
+	if err := m.bind(""); err != nil {
 		return nil, err
 	}
-	if f == nil {
+	if m.loaded == nil {
 		return m, nil
 	}
-	for key, de := range f.Entries {
-		fp, err := parseFp(key)
-		if err != nil {
-			return nil, fmt.Errorf("memo: %s: %w", path, err)
-		}
-		e := de.outcome()
-		if ck, ok := f.checkpoints[key]; ok {
-			if e.Trained, err = parser.LoadBytes(ck); err != nil {
-				return nil, fmt.Errorf("memo: %s: entry %s: %w", path, key, err)
-			}
-			m.encoded[fp] = ck
-		}
-		m.entries[fp] = e
-	}
-	for key, ns := range f.Latencies[m.machine] {
+	maps.Copy(m.scores, m.loaded.TeacherScores)
+	for key, ns := range m.loaded.Latencies[m.machine] {
 		fp, err := parseFp(key)
 		if err != nil {
 			return nil, fmt.Errorf("memo: %s: %w", path, err)
@@ -139,6 +148,70 @@ func NewDiskMemo(path string) (*DiskMemo, error) {
 		m.lat[fp] = time.Duration(ns)
 	}
 	return m, nil
+}
+
+// Bind makes ctx the memo's evaluation context: from then on Lookup, Len
+// and Insert see only the outcomes stored under it, and Save writes the
+// memo's outcomes under it. It decodes that section's trained checkpoints
+// from the file as NewDiskMemo loaded it (no other section's are decoded),
+// and replaces whatever outcomes the memo held, so it must come before
+// the search. A new memo is bound to the empty context, where files of
+// versions 1 and 2 keep their outcomes.
+func (m *DiskMemo) Bind(ctx string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if ctx == m.ctx {
+		return nil
+	}
+	return m.bind(ctx)
+}
+
+func (m *DiskMemo) bind(ctx string) error {
+	entries := make(map[uint64]*MemoEntry)
+	encoded := make(map[uint64][]byte)
+	if f := m.loaded; f != nil {
+		cks := f.checkpoints[ctx]
+		for key, de := range f.Outcomes[ctx] {
+			fp, err := parseFp(key)
+			if err != nil {
+				return fmt.Errorf("memo: %s: %w", m.path, err)
+			}
+			e := de.outcome()
+			if ck, ok := cks[key]; ok {
+				if e.Trained, err = parser.LoadBytes(ck); err != nil {
+					return fmt.Errorf("memo: %s: entry %s: %w", m.path, key, err)
+				}
+				encoded[fp] = ck
+			}
+			entries[fp] = e
+		}
+	}
+	m.ctx, m.entries, m.encoded = ctx, entries, encoded
+	return nil
+}
+
+// TeacherScores returns a copy of the teachers' per-task scores stored
+// under a world key.
+func (m *DiskMemo) TeacherScores(world string) (map[int]float64, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, ok := m.scores[world]
+	if !ok {
+		return nil, false
+	}
+	return copyAccuracy(s), true
+}
+
+// SetTeacherScores stores the teachers' scores under a world key (first
+// write wins).
+func (m *DiskMemo) SetTeacherScores(world string, s map[int]float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.scores[world]; ok {
+		return
+	}
+	m.scores[world] = copyAccuracy(s)
+	m.dirty = true
 }
 
 // Lookup returns the entry for a fingerprint, or nil.
@@ -191,11 +264,12 @@ func (m *DiskMemo) Len() int {
 
 // Save persists the memo, merging with whatever is on disk now: entries
 // another process wrote since load are kept (on-disk wins on conflicts —
-// outcomes are a pure function of the fingerprint, so either copy is
-// valid), and other machines' latency sections survive untouched. The write
-// is atomic (internal/atomicfile); the read-merge-write cycle as a whole is
-// only serialized within this DiskMemo. No-op when nothing changed, and for
-// an in-process memo.
+// within a section, values are a pure function of their key, so either
+// copy is valid), and other contexts' outcome sections, checkpoints
+// included, and other machines' latency sections survive untouched. The
+// write is atomic (internal/atomicfile); the read-merge-write cycle as a
+// whole is only serialized within this DiskMemo. No-op when nothing
+// changed, and for an in-process memo.
 func (m *DiskMemo) Save() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -209,38 +283,53 @@ func (m *DiskMemo) Save() error {
 	if f == nil {
 		f = &diskMemoFile{}
 	}
-	if f.Entries == nil {
-		f.Entries = make(map[string]diskMemoEntry)
-	}
-	if f.Latencies == nil {
-		f.Latencies = make(map[string]map[string]int64)
-	}
-	if f.checkpoints == nil {
-		f.checkpoints = make(map[string][]byte)
-	}
-	for fp, e := range m.entries {
-		key := fpKey(fp)
-		if _, ok := f.Entries[key]; ok {
-			continue
+	if len(m.entries) > 0 {
+		if f.Outcomes == nil {
+			f.Outcomes = make(map[string]map[string]diskMemoEntry)
+			f.checkpoints = make(map[string]map[string][]byte)
 		}
-		de, ck, err := m.encodeEntry(fp, e)
-		if err != nil {
-			return fmt.Errorf("memo: save %s: %w", m.path, err)
+		sec, cks := f.Outcomes[m.ctx], f.checkpoints[m.ctx]
+		if sec == nil {
+			sec, cks = make(map[string]diskMemoEntry), make(map[string][]byte)
+			f.Outcomes[m.ctx], f.checkpoints[m.ctx] = sec, cks
 		}
-		f.Entries[key] = de
-		if ck != nil {
-			f.checkpoints[key] = ck
+		for fp, e := range m.entries {
+			key := fpKey(fp)
+			if _, ok := sec[key]; ok {
+				continue
+			}
+			de, ck, err := m.encodeEntry(fp, e)
+			if err != nil {
+				return fmt.Errorf("memo: save %s: %w", m.path, err)
+			}
+			sec[key] = de
+			if ck != nil {
+				cks[key] = ck
+			}
 		}
 	}
-	sec := f.Latencies[m.machine]
-	if sec == nil {
-		sec = make(map[string]int64)
-		f.Latencies[m.machine] = sec
+	if f.TeacherScores == nil && len(m.scores) > 0 {
+		f.TeacherScores = make(map[string]map[int]float64)
 	}
-	for fp, d := range m.lat {
-		key := fpKey(fp)
-		if _, ok := sec[key]; !ok {
-			sec[key] = int64(d)
+	for world, s := range m.scores {
+		if _, ok := f.TeacherScores[world]; !ok {
+			f.TeacherScores[world] = s
+		}
+	}
+	if len(m.lat) > 0 {
+		if f.Latencies == nil {
+			f.Latencies = make(map[string]map[string]int64)
+		}
+		sec := f.Latencies[m.machine]
+		if sec == nil {
+			sec = make(map[string]int64)
+			f.Latencies[m.machine] = sec
+		}
+		for fp, d := range m.lat {
+			key := fpKey(fp)
+			if _, ok := sec[key]; !ok {
+				sec[key] = int64(d)
+			}
 		}
 	}
 	if err := atomicfile.Write(m.path, f.write); err != nil {
@@ -301,14 +390,31 @@ func readDiskMemo(path string) (*diskMemoFile, error) {
 	return f, nil
 }
 
+// memoCheckpoint names one trained entry's checkpoint in the file's tail:
+// its evaluation context and fingerprint key.
+type memoCheckpoint struct{ ctx, key string }
+
+// tailOrder sorts checkpoint names the way the tail stores them: by
+// context, then by fingerprint key.
+func tailOrder(names []memoCheckpoint) {
+	sort.Slice(names, func(i, j int) bool {
+		if names[i].ctx != names[j].ctx {
+			return names[i].ctx < names[j].ctx
+		}
+		return names[i].key < names[j].key
+	})
+}
+
 // parseDiskMemo splits a memo file into its JSON index and the trained
-// entries' checkpoints. In version 2 the checkpoints follow the index and a
-// newline, back to back in sorted-key order, each as long as its entry's
+// entries' checkpoints. Since version 2 the checkpoints follow the index
+// and a newline, back to back in tailOrder, each as long as its entry's
 // trained_bytes; the lengths must add up to the tail exactly. Only the
 // index is JSON-decoded: the checkpoints are sliced from data, and each
-// one's own CRC-32 guards its bytes when it is decoded. A file without
-// checkpoints is the index alone. A version-1 entry carries its checkpoint
-// inline in base64 instead.
+// one's own CRC-32 guards its bytes when it is decoded (see
+// DiskMemo.Bind). A file without checkpoints is the index alone. A
+// version-1 entry carries its checkpoint inline in base64 instead. The
+// outcome table of a version-1 or -2 file becomes the empty context's
+// section.
 func parseDiskMemo(data []byte) (*diskMemoFile, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	var f diskMemoFile
@@ -318,21 +424,37 @@ func parseDiskMemo(data []byte) (*diskMemoFile, error) {
 	if f.Version > memoVersion {
 		return nil, fmt.Errorf("unsupported memo version %d", f.Version)
 	}
+	if f.Version < 3 {
+		if f.Outcomes != nil || f.TeacherScores != nil {
+			return nil, fmt.Errorf("a version-%d memo holds version-3 tables", f.Version)
+		}
+		if f.Entries != nil {
+			f.Outcomes = map[string]map[string]diskMemoEntry{"": f.Entries}
+		}
+	} else if f.Entries != nil {
+		return nil, errors.New("a version-3 memo holds a version-2 outcome table")
+	}
+	f.Entries = nil
 	tail := data[dec.InputOffset():]
-	var keys []string
+	var names []memoCheckpoint
 	total := 0
-	for key, de := range f.Entries {
-		if n := de.TrainedBytes; n != 0 {
-			if n < 0 || de.Trained != "" {
-				return nil, fmt.Errorf("entry %s: bad trained_bytes %d", key, n)
+	for ctx, sec := range f.Outcomes {
+		for key, de := range sec {
+			if n := de.TrainedBytes; n != 0 {
+				if n < 0 || de.Trained != "" {
+					return nil, fmt.Errorf("entry %s: bad trained_bytes %d", key, n)
+				}
+				if total += n; total >= len(tail) {
+					return nil, fmt.Errorf("checkpoints truncated: %d bytes after the index", len(tail))
+				}
+				names = append(names, memoCheckpoint{ctx, key})
 			}
-			if total += n; total >= len(tail) {
-				return nil, fmt.Errorf("checkpoints truncated: %d bytes after the index", len(tail))
-			}
-			keys = append(keys, key)
 		}
 	}
-	f.checkpoints = make(map[string][]byte, len(f.Entries))
+	f.checkpoints = make(map[string]map[string][]byte, len(f.Outcomes))
+	for ctx := range f.Outcomes {
+		f.checkpoints[ctx] = make(map[string][]byte)
+	}
 	if total == 0 {
 		if len(bytes.TrimLeft(tail, " \t\r\n")) > 0 {
 			return nil, fmt.Errorf("%d bytes after the index", len(tail))
@@ -342,51 +464,56 @@ func parseDiskMemo(data []byte) (*diskMemoFile, error) {
 			return nil, fmt.Errorf("checkpoints take %d bytes, the file holds %d after the index", total, len(tail)-1)
 		}
 		tail = tail[1:]
-		sort.Strings(keys)
-		for _, key := range keys {
-			n := f.Entries[key].TrainedBytes
-			f.checkpoints[key], tail = tail[:n:n], tail[n:]
+		tailOrder(names)
+		for _, c := range names {
+			n := f.Outcomes[c.ctx][c.key].TrainedBytes
+			f.checkpoints[c.ctx][c.key], tail = tail[:n:n], tail[n:]
 		}
 	}
-	for key, de := range f.Entries {
-		if de.Trained == "" {
-			continue
+	for ctx, sec := range f.Outcomes {
+		for key, de := range sec {
+			if de.Trained == "" {
+				continue
+			}
+			ck, err := base64.StdEncoding.DecodeString(de.Trained)
+			if err != nil {
+				return nil, fmt.Errorf("entry %s: %w: base64: %v", key, parser.ErrBadCheckpoint, err)
+			}
+			f.checkpoints[ctx][key] = ck
 		}
-		ck, err := base64.StdEncoding.DecodeString(de.Trained)
-		if err != nil {
-			return nil, fmt.Errorf("entry %s: %w: base64: %v", key, parser.ErrBadCheckpoint, err)
-		}
-		f.checkpoints[key] = ck
 	}
 	return &f, nil
 }
 
 // write streams the file in the current version: the JSON index, then,
-// when any entry is trained, a newline and the checkpoints in sorted-key
-// order. Entries read from a version-1 file lose their inline checkpoint
-// to the tail.
+// when any entry is trained, a newline and the checkpoints in tailOrder.
+// Entries read from a version-1 file lose their inline checkpoint to the
+// tail.
 func (f *diskMemoFile) write(w io.Writer) error {
 	f.Version = memoVersion
-	keys := make([]string, 0, len(f.checkpoints))
-	for key, ck := range f.checkpoints {
-		de := f.Entries[key]
-		de.Trained, de.TrainedBytes = "", len(ck)
-		f.Entries[key] = de
-		keys = append(keys, key)
+	var names []memoCheckpoint
+	for ctx, cks := range f.checkpoints {
+		sec := f.Outcomes[ctx]
+		for key, ck := range cks {
+			de := sec[key]
+			de.Trained, de.TrainedBytes = "", len(ck)
+			sec[key] = de
+			names = append(names, memoCheckpoint{ctx, key})
+		}
 	}
-	sort.Strings(keys)
+	tailOrder(names)
 	index, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
 	}
-	if _, err := w.Write(index); err != nil || len(keys) == 0 {
+	if _, err := w.Write(index); err != nil || len(names) == 0 {
 		return err
 	}
 	if _, err := io.WriteString(w, "\n"); err != nil {
 		return err
 	}
-	for _, key := range keys {
-		if _, err := w.Write(f.checkpoints[key]); err != nil {
+	for _, c := range names {
+		if _, err := w.Write(f.checkpoints[c.ctx][c.key]); err != nil {
 			return err
 		}
 	}

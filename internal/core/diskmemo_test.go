@@ -99,7 +99,7 @@ func TestDiskMemoRoundTrip(t *testing.T) {
 		t.Fatalf("the old memo did not replay the search that wrote it: %+v, %d elites",
 			res.Stats, len(res.Elites))
 	}
-	// The next Save rewrites every entry without the column, as version 2:
+	// The next Save rewrites every entry without the column, as version 3:
 	// no checkpoint is left inline, every one follows the index.
 	om.Insert(78, &MemoEntry{Margin: -1})
 	if err := om.Save(); err != nil {
@@ -109,7 +109,7 @@ func TestDiskMemoRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(saved, []byte(`"features"`)) || !bytes.Contains(saved, []byte(`"version": 2`)) ||
+	if bytes.Contains(saved, []byte(`"features"`)) || !bytes.Contains(saved, []byte(`"version": 3`)) ||
 		bytes.Contains(saved, []byte(`"trained":`)) || !bytes.Contains(saved, []byte(`"trained_bytes":`)) {
 		t.Fatalf("re-saved memo: %.200s", saved)
 	}
@@ -127,8 +127,12 @@ func mustLoadMemo(t testing.TB, path string) *DiskMemo {
 	return m
 }
 
-// savedMemo writes a memo holding two trained entries, an untrained one
-// and a latency, and returns the file's bytes.
+// otherContext is the second evaluation context savedMemo writes.
+const otherContext = "context-b"
+
+// savedMemo writes a memo holding, in the empty context, two trained
+// entries, an untrained one and a latency, and, in otherContext, one more
+// trained entry, plus one teacher score, and returns the file's bytes.
 func savedMemo(t testing.TB, path string) []byte {
 	t.Helper()
 	ds := testutil.TinyFace(21, 16, 8)
@@ -139,7 +143,17 @@ func savedMemo(t testing.TB, path string) []byte {
 	}
 	m.Insert(77, &MemoEntry{Margin: -0.2})
 	m.SetLatency(77, time.Millisecond)
+	m.SetTeacherScores("world-a", map[int]float64{0: 0.75, 1: 0.5})
 	if err := m.Save(); err != nil {
+		t.Fatal(err)
+	}
+	other := mustLoadMemo(t, path)
+	if err := other.Bind(otherContext); err != nil {
+		t.Fatal(err)
+	}
+	g := testutil.TinyMultiDNN(24, ds)
+	other.Insert(fingerprint.Hash(g), &MemoEntry{Met: true, EpochsRun: 24, FLOPs: g.FLOPs(), Trained: g})
+	if err := other.Save(); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -149,12 +163,15 @@ func savedMemo(t testing.TB, path string) []byte {
 	return raw
 }
 
-// TestDiskMemoV2Layout pins the version-2 file: the JSON index, then the
-// raw checkpoints. Two saves of the same memo are byte-identical; the
+// TestDiskMemoV2Layout pins the file layout since version 2, in version 3:
+// the JSON index, then the raw checkpoints, here of two evaluation
+// contexts. Two saves of the same memo are byte-identical; the
 // checkpoints' lengths must cover the tail exactly, so a tail cut by one
 // byte or carrying one extra byte does not load, and neither does a
-// checkpoint with a flipped byte (its own CRC-32). A version-1 file re-saved
-// twice, by two memos, gives identical bytes too.
+// checkpoint with a flipped byte (its own CRC-32) in the bound context's
+// section. A flipped byte in another context's section fails when that
+// context is bound. A version-1 file re-saved twice, by two memos, gives
+// identical bytes too.
 func TestDiskMemoV2Layout(t *testing.T) {
 	dir := t.TempDir()
 	raw := savedMemo(t, filepath.Join(dir, "a.json"))
@@ -165,15 +182,23 @@ func TestDiskMemoV2Layout(t *testing.T) {
 	if end < 2 || !json.Valid(raw[:end]) {
 		t.Fatalf("the file does not open with a JSON index: %.200q", raw)
 	}
-	if bytes.Contains(raw[:end], []byte(`"trained":`)) {
-		t.Fatal("a checkpoint is still inline in the index")
+	if bytes.Contains(raw[:end], []byte(`"trained":`)) || !bytes.Contains(raw[:end], []byte(`"version": 3`)) {
+		t.Fatalf("not a version-3 index with its checkpoints after it: %.200q", raw)
 	}
-	if m := mustLoadMemo(t, filepath.Join(dir, "a.json")); m.Len() != 3 {
+	m := mustLoadMemo(t, filepath.Join(dir, "a.json"))
+	if m.Len() != 3 {
 		t.Fatalf("reloaded %d entries, want 3", m.Len())
 	}
+	if err := m.Bind(otherContext); err != nil || m.Len() != 1 {
+		t.Fatalf("the other context holds %d entries (%v), want 1", m.Len(), err)
+	}
 
-	flipped := bytes.Clone(raw)
-	flipped[end+(len(raw)-end)/2] ^= 0x40
+	// The tail holds the empty context's checkpoints first and
+	// otherContext's last, so the byte after the newline is in the
+	// first, and the tenth from the end in the other context's.
+	flipped, flippedOther := bytes.Clone(raw), bytes.Clone(raw)
+	flipped[end+10] ^= 0x40
+	flippedOther[len(raw)-10] ^= 0x40
 	for name, bad := range map[string][]byte{
 		"cut by one byte": raw[:len(raw)-1],
 		"one extra byte":  append(bytes.Clone(raw), 0),
@@ -187,6 +212,13 @@ func TestDiskMemoV2Layout(t *testing.T) {
 		if _, err := NewDiskMemo(path); err == nil {
 			t.Errorf("%s: the memo loaded", name)
 		}
+	}
+	path := filepath.Join(dir, "bad-other.json")
+	if err := os.WriteFile(path, flippedOther, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := mustLoadMemo(t, path).Bind(otherContext); err == nil {
+		t.Error("flipped byte in the other context: Bind decoded it")
 	}
 
 	fixture, err := os.ReadFile(filepath.Join("testdata", "memo-features.json"))
@@ -216,11 +248,83 @@ func TestDiskMemoV2Layout(t *testing.T) {
 	}
 }
 
+// TestDiskMemoContextSections: outcomes live in their evaluation context's
+// section. A memo bound to one context sees none of another's, its Save
+// carries the other sections through as they were on disk — a checkpoint
+// there is neither decoded nor re-encoded, so even a corrupt one survives
+// byte for byte — and the teachers' scores are keyed by world alone.
+func TestDiskMemoContextSections(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "memo.json")
+	raw := savedMemo(t, path)
+
+	// Corrupt the other context's checkpoint; the empty context's memo
+	// must neither notice nor repair it.
+	raw[len(raw)-10] ^= 0x40
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := mustLoadMemo(t, path)
+	if err := m.Bind("context-c"); err != nil {
+		t.Fatal(err)
+	}
+	if m.Len() != 0 || m.Lookup(77) != nil {
+		t.Fatalf("a fresh context sees %d entries", m.Len())
+	}
+	if s, ok := m.TeacherScores("world-a"); !ok || s[0] != 0.75 || s[1] != 0.5 {
+		t.Fatalf("teacher scores of world-a: %v %v", s, ok)
+	}
+	if _, ok := m.TeacherScores("world-b"); ok {
+		t.Fatal("world-b has teacher scores")
+	}
+	m.SetTeacherScores("world-a", map[int]float64{0: 0.1}) // first write wins
+	m.SetTeacherScores("world-b", map[int]float64{0: 0.25})
+	m.Insert(78, &MemoEntry{Margin: -0.5})
+	if err := m.Save(); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := parseDiskMemo(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := parseDiskMemo(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, ck := range before.checkpoints[otherContext] {
+		if !bytes.Equal(f.checkpoints[otherContext][key], ck) {
+			t.Fatalf("the other context's checkpoint %s changed in the save", key)
+		}
+	}
+	if len(f.Outcomes[""]) != 3 || len(f.Outcomes[otherContext]) != 1 || len(f.Outcomes["context-c"]) != 1 {
+		t.Fatalf("sections after the save hold %d, %d and %d entries, want 3, 1 and 1",
+			len(f.Outcomes[""]), len(f.Outcomes[otherContext]), len(f.Outcomes["context-c"]))
+	}
+	re := mustLoadMemo(t, path)
+	if s, _ := re.TeacherScores("world-a"); s[0] != 0.75 {
+		t.Fatalf("world-a's scores were overwritten: %v", s)
+	}
+	if s, _ := re.TeacherScores("world-b"); s[0] != 0.25 {
+		t.Fatalf("world-b's scores did not round-trip: %v", s)
+	}
+	if e := re.Lookup(78); e != nil {
+		t.Fatal("context-c's entry replays in the empty context")
+	}
+	if err := re.Bind("context-c"); err != nil || re.Lookup(78) == nil || re.Lookup(77) != nil {
+		t.Fatalf("context-c does not hold exactly its own entry (%v)", err)
+	}
+}
+
 // FuzzDiskMemoLoad feeds arbitrary files to NewDiskMemo, seeded with a
-// saved version-2 memo and the version-1 fixture: it must load or return
-// an error, never panic, and never allocate more than a small multiple of
-// the file's size (a corrupt trained_bytes or checkpoint length cannot
-// drive an allocation).
+// saved version-3 memo of two evaluation contexts, the version-1 fixture
+// and a version-2 file, and binds every context the file holds: it must
+// load or return an error, never panic, and never allocate more than a
+// small multiple of the file's size (a corrupt trained_bytes or checkpoint
+// length cannot drive an allocation).
 func FuzzDiskMemoLoad(f *testing.F) {
 	f.Add(savedMemo(f, filepath.Join(f.TempDir(), "memo.json")))
 	if fixture, err := os.ReadFile(filepath.Join("testdata", "memo-features.json")); err == nil {
@@ -236,6 +340,11 @@ func FuzzDiskMemoLoad(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		m, err := NewDiskMemo(path)
+		if err == nil && m.loaded != nil {
+			for ctx := range m.loaded.Outcomes {
+				_ = m.Bind(ctx) // a corrupt section's error is fine; a panic is not
+			}
+		}
 		runtime.ReadMemStats(&after)
 		if grown := after.TotalAlloc - before.TotalAlloc; grown > uint64(64*len(data)+1<<20) {
 			t.Fatalf("loading %d bytes allocated %d", len(data), grown)

@@ -48,7 +48,7 @@ func TestSearchCacheTransparent(t *testing.T) {
 			t.Fatalf("trace %d: uncached run reported a cache hit", i)
 		}
 	}
-	compareResults(t, "cached vs uncached", cached, uncached, true)
+	compareResults(t, "cached vs uncached", cached, uncached, true, core.OptimizeLatency)
 }
 
 // TestSearchCacheReplaysTrainedWeights checks that a cache-hit elite carries

@@ -181,7 +181,7 @@ func TestBatchOfOneIsAlgorithm1(t *testing.T) {
 	}
 
 	four, _, _ := run(4)
-	compareResults(t, "1 vs 4 evaluator slots", one, four, false)
+	compareResults(t, "1 vs 4 evaluator slots", one, four, false, core.OptimizeLatency)
 }
 
 // failAll is a BatchEvaluator that fails every candidate without training

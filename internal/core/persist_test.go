@@ -58,7 +58,7 @@ func TestDiskMemoReplayEliminatesDuplicateMeasurements(t *testing.T) {
 	}
 
 	// The replayed search must retrace the original exactly.
-	compareResults(t, "first vs replayed run", first, second, true)
+	compareResults(t, "first vs replayed run", first, second, true, core.OptimizeLatency)
 }
 
 // TestReplayComputesNoTeacherOutputs: the local evaluator computes the

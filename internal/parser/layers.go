@@ -1,8 +1,8 @@
 package parser
 
 import (
+	"bufio"
 	"fmt"
-	"io"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -32,7 +32,7 @@ const (
 )
 
 // encodeLayer writes a tagged, self-describing encoding of the layer.
-func encodeLayer(w io.Writer, l nn.Layer) error {
+func encodeLayer(w *bufio.Writer, l nn.Layer) error {
 	switch v := l.(type) {
 	case *nn.Conv2d:
 		writeString(w, tagConv2d)

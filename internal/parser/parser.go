@@ -291,38 +291,56 @@ func Sum(g *graph.Graph) (string, error) {
 }
 
 // --- low-level write helpers ----------------------------------------------
+//
+// Each helper encodes straight into the bufio.Writer's free space
+// (AvailableBuffer) and hands that slice to Write: no scratch array
+// escapes to the heap, so encoding allocates per tensor at most, never
+// per value.
 
-func writeU32(w io.Writer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Write(b[:])
+func writeU32(w *bufio.Writer, v uint32) {
+	w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), v))
 }
 
-func writeI32(w io.Writer, v int32) { writeU32(w, uint32(v)) }
+func writeI32(w *bufio.Writer, v int32) { writeU32(w, uint32(v)) }
 
-func writeString(w io.Writer, s string) {
+func writeString(w *bufio.Writer, s string) {
 	writeU32(w, uint32(len(s)))
-	io.WriteString(w, s)
+	w.WriteString(s)
 }
 
-func writeShape(w io.Writer, s graph.Shape) {
+func writeShape(w *bufio.Writer, s graph.Shape) {
 	writeU32(w, uint32(len(s)))
 	for _, d := range s {
 		writeI32(w, int32(d))
 	}
 }
 
-func writeU64(w io.Writer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Write(b[:])
+func writeU64(w *bufio.Writer, v uint64) {
+	w.Write(binary.LittleEndian.AppendUint64(w.AvailableBuffer(), v))
 }
 
-func writeTensor(w io.Writer, t *tensor.Tensor) {
+// writeTensor encodes the values as many at a time as the buffer has room
+// for, flushing it when it is full.
+func writeTensor(w *bufio.Writer, t *tensor.Tensor) {
 	writeU32(w, encF32)
 	writeShape(w, graph.Shape(t.Shape()))
-	for _, v := range t.Data() {
-		writeU32(w, math.Float32bits(v))
+	d := t.Data()
+	for len(d) > 0 {
+		buf := w.AvailableBuffer()
+		n := min(len(d), cap(buf)/4)
+		if n == 0 {
+			// A failed flush stays in w, and Save's own Flush reports it.
+			if w.Flush() != nil {
+				return
+			}
+			continue
+		}
+		buf = buf[:4*n]
+		for i, v := range d[:n] {
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+		}
+		w.Write(buf)
+		d = d[n:]
 	}
 }
 
@@ -353,7 +371,7 @@ func f16tof32(h uint16) float32 {
 
 // writeParams writes l's parameters, then the int8 annotation of each of
 // its Conv2d and Linear parts (quantParts).
-func writeParams(w io.Writer, l nn.Layer) {
+func writeParams(w *bufio.Writer, l nn.Layer) {
 	ps := l.Params()
 	writeU32(w, uint32(len(ps)))
 	for _, p := range ps {

@@ -1,8 +1,8 @@
 package parser
 
 import (
+	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -51,7 +51,7 @@ func quantParts(l nn.Layer) []nn.Layer {
 }
 
 // writeQuant8 appends a layer's quantization annotation.
-func writeQuant8(w io.Writer, q *nn.Quant8) {
+func writeQuant8(w *bufio.Writer, q *nn.Quant8) {
 	if q == nil {
 		writeU32(w, 0)
 		return
@@ -117,7 +117,7 @@ func (r *reader) quant8() *nn.Quant8 {
 }
 
 // writeQuantNote appends the graph-level quantization summary.
-func writeQuantNote(w io.Writer, q *graph.QuantNote) {
+func writeQuantNote(w *bufio.Writer, q *graph.QuantNote) {
 	if q == nil {
 		writeU32(w, 0)
 		return
@@ -128,7 +128,7 @@ func writeQuantNote(w io.Writer, q *graph.QuantNote) {
 	writeMetricMap(w, q.Quantized)
 }
 
-func writeMetricMap(w io.Writer, m map[int]float64) {
+func writeMetricMap(w *bufio.Writer, m map[int]float64) {
 	ids := make([]int, 0, len(m))
 	for id := range m {
 		ids = append(ids, id)

@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
+	"repro/internal/models"
 	"repro/internal/parser"
+	"repro/internal/tensor"
 	"repro/internal/testutil"
 )
 
@@ -47,5 +50,32 @@ func TestChecksumIdentity(t *testing.T) {
 	}
 	if sum2 == want {
 		t.Fatal("checksum unchanged after weight change")
+	}
+}
+
+// Save's encoding allocates per tensor at most, never per float: parser.Sum
+// of a zoo graph (three VGG-13 branches at width scale 4, about 29 thousand
+// floats) stays within a fixed number of allocations. It made one for
+// every float when each write's 4-byte scratch array escaped to the heap.
+func TestSumAllocsDoNotGrowWithFloats(t *testing.T) {
+	g := graph.New(graph.Shape{3, 32, 32}, graph.DomainRaw)
+	rng := tensor.NewRNG(3)
+	for task := 0; task < 3; task++ {
+		if _, err := models.AddBranch(g, rng, models.Config{WidthScale: 4}, models.VGG13, task, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	floats := 0
+	for _, p := range g.Params() {
+		floats += p.Value.Size()
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := parser.Sum(g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("parser.Sum: %.0f allocations over %d floats", allocs, floats)
+	if allocs > 200 {
+		t.Fatalf("parser.Sum made %.0f allocations over %d floats, want at most 200", allocs, floats)
 	}
 }
